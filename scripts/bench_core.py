@@ -257,16 +257,6 @@ def build_incast_traffic():
                 totals.copy(),
                 np.zeros(count, dtype=int64),
                 totals,
-                np.fromiter(
-                    (frame.src for frame in frames), int64, count=count
-                ),
-                np.fromiter(
-                    (frame.dst for frame in frames), int64, count=count
-                ),
-                np.fromiter(
-                    (frame.size_bytes for frame in frames),
-                    int64, count=count,
-                ),
             )
             columnar[f"port{port}"] = cb
             batches[f"port{port}"] = cb.to_batch()

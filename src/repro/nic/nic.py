@@ -21,17 +21,30 @@ It is split into three blocks, all modeled here:
 The NIC's top-level interface is FAME-1 decoupled: the owning server
 blade feeds it one window of input tokens per tick and collects one
 window of output tokens (Section III-A2, last paragraph).
+
+Both directions speak two window formats through the same entry points.
+The scalar engine hands :meth:`NIC.fill_tx` a ``TokenBatch`` to fill and
+:meth:`NIC.receive_tokens` one to walk, flit by flit — the executable
+spec.  The batched engine calls ``fill_tx(window)`` and gets the same
+traffic back as :class:`~repro.perf.stream.ColumnarBatch` rows, one per
+rate-limiter burst, and feeds ``receive_tokens`` rows as they left the
+switch: only a ``last`` bit rides the link (Section III-B2), so a frame
+is received at the final flit of its completing row and no flit is ever
+built.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Any, Callable, Deque, List, Optional
+
+import numpy as np
 
 from repro.core.token import Flit, TokenBatch, TokenWindow
 from repro.nic.ratelimit import TokenBucketLimiter
 from repro.net.ethernet import EthernetFrame
+from repro.perf.stream import ColumnarBatch
 from repro.tile.caches import MemoryHierarchy
 
 #: Interrupt kinds delivered to the driver.
@@ -111,12 +124,13 @@ class NIC:
         self._emit_cursor = 0
 
         # Receive path state.
-        self._rx_partial: List[Flit] = []
         self._rx_buffer_occupancy = 0
         self._rx_waiting: Deque[_RxPacket] = deque()
         self._rx_descriptors = self.config.rx_descriptors
         self._writer_free_cycle = 0
-        #: (completion_cycle, frame) entries the driver pops on interrupt.
+        #: (completion_cycle, frame) entries the driver pops on interrupt
+        #: (:meth:`repro.swmodel.kernel.Kernel._nic_interrupt`); a bare
+        #: NIC with no handler keeps them for inspection.
         self.rx_completions: Deque[tuple[int, EthernetFrame]] = deque()
         self.tx_completions: Deque[tuple[int, EthernetFrame]] = deque()
 
@@ -156,8 +170,17 @@ class NIC:
 
     # -- FAME-1 token interface (called by the owning blade) ---------------
 
-    def fill_tx(self, window: TokenWindow, batch: TokenBatch) -> None:
-        """Emit send-path flits into the blade's output token window."""
+    def fill_tx(
+        self, window: TokenWindow, batch: Optional[TokenBatch] = None
+    ) -> Any:
+        """Emit send-path flits into the blade's output token window.
+
+        With a ``batch`` the flits are added to it one by one; without,
+        the window's traffic is returned as burst rows (an empty
+        ``TokenBatch`` when nothing was sent).
+        """
+        if batch is None:
+            return self._fill_tx_rows(window)
         cursor = max(self._emit_cursor, window.start)
         while self._tx_queue:
             packet = self._tx_queue[0]
@@ -191,14 +214,71 @@ class NIC:
             self.stats.tx_bytes += packet.frame.size_bytes
         self._emit_cursor = cursor
 
-    def receive_tokens(self, batch: TokenBatch) -> None:
+    def _fill_tx_rows(self, window: TokenWindow) -> Any:
+        """The per-flit loop of :meth:`fill_tx`, one burst at a time.
+
+        Same queue walk, cursor rule and side effects; the limiter's
+        closed form admits a whole burst per step, and each burst is one
+        ``(frame, first_cycle, count, first_index, total)`` row.
+        """
+        end = window.end
+        send_burst = self.limiter.send_burst
+        rows: List[list] = []
+        cursor = max(self._emit_cursor, window.start)
+        while self._tx_queue:
+            packet = self._tx_queue[0]
+            frame = packet.frame
+            total = frame.flit_count
+            flit_cycle = max(cursor, packet.ready_cycle)
+            if flit_cycle >= end:
+                break
+            row_end = -1
+            while packet.flits_emitted < total:
+                emitted = packet.flits_emitted
+                send_at, count = send_burst(flit_cycle, total - emitted, end)
+                if not count:
+                    break
+                if emitted == 0 and frame.sent_cycle is None:
+                    frame.sent_cycle = send_at
+                if send_at == row_end:
+                    rows[-1][2] += count
+                else:
+                    rows.append([frame, send_at, count, emitted, total])
+                packet.flits_emitted = emitted + count
+                flit_cycle = row_end = send_at + count
+            if packet.flits_emitted < total:
+                cursor = send_at  # the next flit's cycle, in a later window
+                break
+            cursor = flit_cycle
+            self._tx_queue.popleft()
+            self.stats.tx_frames += 1
+            self.stats.tx_bytes += frame.size_bytes
+        self._emit_cursor = cursor
+        if not rows:
+            return window.new_batch()
+        frames, first_cycle, count, first_index, total = zip(*rows)
+        return ColumnarBatch(
+            window.start, window.length, 1,
+            np.array(frames, dtype=object),
+            np.array(first_cycle, dtype=np.int64),
+            np.array(count, dtype=np.int64),
+            np.array(first_index, dtype=np.int64),
+            np.array(total, dtype=np.int64),
+        )
+
+    def receive_tokens(self, batch: Any) -> None:
         """Consume one window of input tokens (receive path ingress)."""
-        for cycle, flit in batch.iter_flits():
-            self._rx_partial.append(flit)
-            if flit.last:
-                frame = flit.data
-                self._rx_partial.clear()
+        if type(batch) is ColumnarBatch:
+            done = batch.first_index + batch.count == batch.total
+            last_cycle = batch.first_cycle + (batch.count - 1) * batch.stride
+            for cycle, frame in zip(
+                last_cycle[done].tolist(), batch.frames[done].tolist()
+            ):
                 self._rx_packet(cycle, frame)
+            return
+        for cycle, flit in batch.iter_flits():
+            if flit.last:
+                self._rx_packet(cycle, flit.data)
 
     # -- receive path ----------------------------------------------------
 

@@ -95,6 +95,45 @@ class TokenBucketLimiter:
             )
         self._count -= 1
 
+    def send_burst(self, cycle: int, want: int, end: int) -> Tuple[int, int]:
+        """Admit up to ``want`` back-to-back flits before ``end`` at once.
+
+        The closed form of looping :meth:`next_send_cycle` /
+        :meth:`consume` with ``cycle = sent + 1``: returns ``(first,
+        n)`` with flits admitted at ``first, first + 1, ..``, or ``n ==
+        0`` when the next flit cannot go before ``end`` (``first >=
+        end`` is then its earliest cycle).  A burst is cut at a refill
+        tick it cannot cross whole, so callers loop; a follow-up call
+        returning ``first + n`` continues the same burst.  The bucket
+        ends exactly where the per-flit loop leaves it.
+        """
+        self._advance(cycle)
+        if self._count <= 0:
+            cycle = (self._applied_periods + 1) * self.p
+            if cycle >= end:
+                return cycle, 0
+            self._advance(cycle)
+        elif cycle >= end:
+            return cycle, 0
+        k, p = self.k, self.p
+        room = min(want, end - cycle)
+        to_tick = (self._applied_periods + 1) * p - cycle
+        n = min(self._count, room, to_tick)
+        self._count -= n
+        if n == p == to_tick:
+            # A whole refill period went out back to back.  Each further
+            # one costs p - k credits net, so the run continues for as
+            # many whole periods as room and the remaining credit allow.
+            periods = (room - n) // p
+            credit = self._count + k
+            if periods and p <= credit <= self.cap:
+                if k < p:
+                    periods = min(periods, (credit - p) // (p - k) + 1)
+                n += periods * p
+                self._count -= periods * (p - k)
+                self._applied_periods += periods
+        return cycle, n
+
     @property
     def available(self) -> int:
         """Tokens currently in the bucket (as of the last advance)."""

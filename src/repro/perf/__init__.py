@@ -9,14 +9,14 @@ hot path:
 
 * :mod:`repro.perf.stream` — per-link token windows as numpy structured
   arrays over the whole quantum (idle-token elision, one array op per
-  link per round instead of per-cycle Python calls);
+  link per round instead of per-cycle Python calls), and the
+  packet-segment row container
+  (:class:`~repro.perf.stream.ColumnarBatch`) that columnar switches
+  and stock blade NICs exchange without building a ``Flit``;
 * :mod:`repro.perf.switch` — the columnar switch fast path: every stock
   :class:`~repro.net.switch.SwitchModel` is shadowed by a
   :class:`~repro.perf.switch.ColumnarSwitch` whose ingress/route/egress
-  phases run as numpy array programs over per-packet columns, and
-  switch-to-switch links carry
-  :class:`~repro.perf.switch.ColumnarBatch` windows with no ``Flit``
-  materialization at all;
+  phases run as numpy array programs over per-packet columns;
 * :mod:`repro.perf.engine` — a precompiled round loop that moves those
   windows with inlined queue operations and skips ticking models whose
   inputs carry no valid tokens and whose state provably cannot change
@@ -30,7 +30,7 @@ the two engines (``tests/test_perf_engine.py`` and
 ``bench-regression`` job then holds the tree to.
 """
 
-from repro.perf.stream import TOKEN_DTYPE, TokenStream
-from repro.perf.switch import ColumnarBatch, ColumnarSwitch
+from repro.perf.stream import TOKEN_DTYPE, ColumnarBatch, TokenStream
+from repro.perf.switch import ColumnarSwitch
 
 __all__ = ["TOKEN_DTYPE", "TokenStream", "ColumnarBatch", "ColumnarSwitch"]

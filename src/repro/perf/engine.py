@@ -23,13 +23,16 @@ are eliminated:
   with empty queues, tracers, null sinks, server blades with no queued
   transmits and no event due before the window's end) skip their tick
   entirely.
-* **Per-flit switch phases.**  Every stock switch is shadowed by a
-  :class:`~repro.perf.switch.ColumnarSwitch` whose ingress/route/egress
-  phases run as numpy array programs; windows between two shadowed
-  switches travel as :class:`~repro.perf.switch.ColumnarBatch` columns
-  and ``Flit`` objects are only materialized where egress crosses back
-  to a scalar consumer.  Shadows adopt the scalar queues at run start
-  and flush them back (bit-identically) when the run ends.
+* **Per-flit switch and NIC phases.**  Every stock switch is shadowed
+  by a :class:`~repro.perf.switch.ColumnarSwitch` whose
+  ingress/route/egress phases run as numpy array programs, and every
+  stock server blade ticks with ``rows=True`` so its NIC emits and
+  consumes packet-segment rows.  Windows between such models travel as
+  :class:`~repro.perf.stream.ColumnarBatch` rows, blade to blade, and
+  ``Flit`` objects are only materialized where a window crosses to a
+  scalar consumer (a tracer, a custom model, a distributed boundary).
+  Shadows adopt the scalar queues at run start and flush them back
+  (bit-identically) when the run ends; blades keep no columnar state.
 
 Fault hooks fire at the same points as the scalar loop (round start
 with ``model=None``, then after each model), and the observer either
@@ -46,15 +49,17 @@ convert/deconvert hop (:meth:`repro.dist.remote_link.RemoteAttachment.ship`).
 
 from __future__ import annotations
 
+from functools import partial
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.core.fame import Fame1Model
 from repro.core.token import TokenBatch, TokenWindow
-from repro.perf.stream import TokenStream
-from repro.perf.switch import ColumnarBatch, ColumnarSwitch
+from repro.net.switch import SwitchModel
+from repro.perf.stream import ColumnarBatch, TokenStream
+from repro.perf.switch import ColumnarSwitch
 
 
 class _Slot:
@@ -74,18 +79,21 @@ class _Slot:
             Tuple[str, Any, int, bool, Any, Optional[Callable], bool]
         ],
         shadow: Optional[ColumnarSwitch] = None,
+        raw: bool = False,
     ) -> None:
         self.model = model
         self.shadow = shadow
-        # A shadowed (raw) slot ticks through the columnar step and may
-        # receive inputs in any wire representation — ColumnarBatch,
-        # TokenStream, or TokenBatch — without conversion.
-        self.raw = shadow is not None
+        # A raw slot — a shadowed switch or a stock blade — may receive
+        # inputs in any wire representation (ColumnarBatch, TokenStream
+        # or TokenBatch) without conversion, and answers in rows.
+        self.raw = raw
         if shadow is not None:
             self.tick = shadow.step
             self.idle = shadow.idle_outputs
         else:
-            self.tick = model._tick
+            tick: Callable[..., Any] = model._tick
+            # A stock blade's ``_tick`` takes ``rows`` (ServerBlade).
+            self.tick = partial(tick, rows=True) if raw else tick
             self.idle = idle
         self.in_ports = in_ports
         self.out_ports = out_ports
@@ -125,10 +133,12 @@ def compile_slots(
     ``link``/``side``.  Remote producers additionally expose ``ship``,
     which replaces the local enqueue with an outbox append.
     """
-    # Pass 1: resolve attachments, decide which models get a columnar
-    # shadow, and learn which model consumes each link side so
+    # Pass 1: resolve attachments, decide which models speak rows
+    # (stock switches through a columnar shadow, stock blades through
+    # their NIC), and learn which model consumes each link side so
     # producers know when a window may stay in columnar form.
     shadows: Dict[int, ColumnarSwitch] = {}
+    columnar: Set[int] = set()
     consumers: Dict[Tuple[int, str], int] = {}
     resolved: List[List[Tuple[str, Any]]] = []
     for model in models:
@@ -139,7 +149,9 @@ def compile_slots(
             consumers[(id(attachment.link), attachment.side)] = id(model)
         resolved.append(attachments)
         if getattr(model, "columnar_safe", False):
-            shadows[id(model)] = ColumnarSwitch(model)
+            columnar.add(id(model))
+            if isinstance(model, SwitchModel):
+                shadows[id(model)] = ColumnarSwitch(model)
     slots: List[_Slot] = []
     for model, attachments in zip(models, resolved):
         in_ports: List[Tuple[str, Any]] = []
@@ -157,11 +169,11 @@ def compile_slots(
             in_ports.append((port, in_endpoint))
             ship = getattr(attachment, "ship", None)
             # Output windows stay columnar only when the local consumer
-            # is itself a shadowed switch; blade NICs and distributed
-            # boundary links get a materialized TokenStream.
+            # speaks rows itself; scalar models and distributed boundary
+            # links get a materialized TokenStream.
             columnar_ok = (
                 ship is None
-                and consumers.get((id(link), consumer_side)) in shadows
+                and consumers.get((id(link), consumer_side)) in columnar
             )
             out_ports.append(
                 (port, link, link.latency, is_a, out_endpoint, ship,
@@ -174,7 +186,10 @@ def compile_slots(
             and type(model).idle_outputs is not Fame1Model.idle_outputs
         ):
             idle = model.idle_outputs
-        slots.append(_Slot(model, idle, in_ports, out_ports, shadow))
+        slots.append(
+            _Slot(model, idle, in_ports, out_ports, shadow,
+                  id(model) in columnar)
+        )
     return slots
 
 
@@ -402,8 +417,8 @@ def run_rounds(
                     batch = outputs[port]
                     tokens_moved += batch.length
                     if type(batch) is ColumnarBatch:
-                        # Columnar egress windows always carry tokens
-                        # (empty ports come back as plain TokenBatch).
+                        # Columnar windows always carry tokens (an idle
+                        # port or NIC answers with a plain TokenBatch).
                         valid = batch._valid
                         valid_tokens_moved += valid
                         if col_ok:

@@ -21,6 +21,13 @@ both and the scalar ``pop`` path still consumes them correctly.  The
 distributed wire ships whichever object the link layer holds — streams
 pickle as-is, with no convert/deconvert hop on either side.
 
+A :class:`ColumnarBatch` goes one step further for traffic whose
+producer and consumer both speak whole packets (columnar switches, the
+NIC): one row per packet *segment*, so neither the relabel nor the
+consumer's frame-boundary scan touches a flit.  It lives here, beside
+the stream it materializes into, so the NIC can speak rows without
+importing the switch fast path.
+
 Conversion back to a batch (at the model boundary) goes through
 ``ndarray.tolist()`` so cycles come back as Python ``int``: letting
 ``numpy.int64`` leak into flit dicts would silently change ``repr()``
@@ -29,7 +36,7 @@ digests and break ``json.dumps`` of CLI results.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -194,4 +201,148 @@ class TokenStream:
         return (
             f"TokenStream(start={self.start_cycle}, len={self.length}, "
             f"valid={self.valid_count})"
+        )
+
+
+class ColumnarBatch:
+    """One window of traffic as per-packet-segment rows.
+
+    Covers target cycles ``[start_cycle, start_cycle + length)`` like a
+    :class:`~repro.core.token.TokenBatch`, but stores one *row per
+    packet segment* instead of one dict entry per flit:
+
+    ``frames[k]``       the packet's EthernetFrame (side table),
+    ``first_cycle[k]``  absolute cycle of its first flit in this window,
+    ``count[k]``        flits it occupies in this window,
+    ``first_index[k]``  flit index of that first flit,
+    ``total[k]``        the frame's full flit count,
+
+    with a uniform flit ``stride`` (a switch port's ``cycles_per_flit``;
+    1 for a NIC, whose rate limiter shapes traffic into back-to-back
+    bursts), so flit ``j`` of row ``k`` sits at cycle
+    ``first_cycle[k] + j * stride``.  A frame may span several rows —
+    one per limiter burst, or one per window it straddles — and is
+    complete at the last flit of the row where
+    ``first_index + count == total``.  Routing and accounting fields
+    (``src``/``dst``/``size_bytes``) are read off ``frames`` by the
+    consumer that needs them, for completed rows only.
+
+    Duck-types the parts of ``TokenBatch`` the channel layer and the
+    scalar consumers touch, so mixed queues (engine switches, faults,
+    checkpoint restores) keep working; materialization to flits happens
+    only there.
+    """
+
+    __slots__ = (
+        "start_cycle", "length", "stride", "frames", "first_cycle",
+        "count", "first_index", "total", "_valid",
+    )
+
+    def __init__(
+        self,
+        start_cycle: int,
+        length: int,
+        stride: int,
+        frames: np.ndarray,
+        first_cycle: np.ndarray,
+        count: np.ndarray,
+        first_index: np.ndarray,
+        total: np.ndarray,
+    ) -> None:
+        self.start_cycle = start_cycle
+        self.length = length
+        self.stride = stride
+        self.frames = frames
+        self.first_cycle = first_cycle
+        self.count = count
+        self.first_index = first_index
+        self.total = total
+        self._valid = int(count.sum())
+
+    # -- transport ------------------------------------------------------
+
+    def shift(self, latency: int) -> "ColumnarBatch":
+        """Relabel in place by ``+latency``: two vectorized adds."""
+        if latency:
+            self.start_cycle += latency
+            self.first_cycle += latency
+        return self
+
+    def _materialize(self, shift: int = 0) -> Tuple[List[int], List[Flit]]:
+        """Flit cycles and objects in ascending cycle order."""
+        cycles: List[int] = []
+        flits: List[Flit] = []
+        stride = self.stride
+        first_cycle = self.first_cycle.tolist()
+        counts = self.count.tolist()
+        first_index = self.first_index.tolist()
+        totals = self.total.tolist()
+        for k, frame in enumerate(self.frames.tolist()):
+            base = first_cycle[k] + shift
+            index = first_index[k]
+            last_index = totals[k] - 1
+            for j in range(counts[k]):
+                cycles.append(base + j * stride)
+                position = index + j
+                flits.append(
+                    Flit(
+                        data=frame,
+                        last=position == last_index,
+                        index=position,
+                    )
+                )
+        return cycles, flits
+
+    def to_stream(self, shift: int = 0) -> TokenStream:
+        """Materialize as a (relabelled) ``TokenStream`` for scalar
+        consumers — tracers, custom models, distributed boundary links."""
+        cycles, flits = self._materialize(shift)
+        tokens = np.empty(len(flits), dtype=TOKEN_DTYPE)
+        tokens["cycle"] = cycles
+        tokens["flit"] = flits
+        # A flit is ``last`` iff it closes its packet: the final flit of
+        # each completing (done) row's run in the window.
+        last = np.zeros(len(flits), dtype=np.bool_)
+        if len(flits):
+            run_ends = np.cumsum(self.count) - 1
+            done = self.first_index + self.count == self.total
+            last[run_ends[done]] = True
+        tokens["last"] = last
+        return TokenStream(self.start_cycle + shift, self.length, tokens)
+
+    def to_batch(self) -> TokenBatch:
+        batch = TokenBatch(self.start_cycle, self.length)
+        cycles, flits = self._materialize()
+        batch.flits = dict(zip(cycles, flits))
+        return batch
+
+    # -- TokenBatch duck interface --------------------------------------
+
+    @property
+    def end_cycle(self) -> int:
+        return self.start_cycle + self.length
+
+    @property
+    def valid_count(self) -> int:
+        return self._valid
+
+    @property
+    def flits(self) -> Dict[int, Flit]:
+        cycles, flits = self._materialize()
+        return dict(zip(cycles, flits))
+
+    def contains_cycle(self, cycle: int) -> bool:
+        return self.start_cycle <= cycle < self.end_cycle
+
+    def iter_flits(self) -> Iterator[Tuple[int, Flit]]:
+        cycles, flits = self._materialize()
+        return iter(zip(cycles, flits))
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"ColumnarBatch(start={self.start_cycle}, len={self.length}, "
+            f"rows={self.frames.shape[0]}, valid={self._valid})"
         )

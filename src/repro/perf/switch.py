@@ -10,7 +10,8 @@ re-expresses one round of switch work over *columns*:
 * **ingress** — packet boundaries come from one vectorized last-flit
   scan per port (``np.flatnonzero`` on the ``last`` column of the
   port's :class:`~repro.perf.stream.TokenStream`), or from pure array
-  arithmetic when the port feeds from another columnar switch;
+  arithmetic when the port feeds from another columnar switch or a
+  stock blade NIC;
 * **switching** — one ``np.lexsort`` over ``(timestamp, ingress_port)``
   replaces the heapq loop, and route lookup is a gather over the
   round's *unique* destinations (broadcast and unroutable traffic
@@ -22,10 +23,11 @@ re-expresses one round of switch work over *columns*:
   cycles are arange-style ranges, and the buffer-bound drop check is a
   vectorized lag mask.
 
-Between two columnar switches a window travels as a
-:class:`ColumnarBatch` — per-*packet* columns plus a frame side table —
-so :class:`~repro.core.token.Flit` objects are never materialized until
-egress crosses back to a scalar consumer (a blade NIC, a tracer, or a
+Between columnar endpoints — shadowed switches and stock blade NICs — a
+window travels as a :class:`~repro.perf.stream.ColumnarBatch` (re-exported
+here): per-packet-segment rows plus a frame side table, so
+:class:`~repro.core.token.Flit` objects are never materialized until a
+window crosses to a scalar consumer (a tracer, a custom model, or a
 distributed boundary link, where the engine converts to a
 ``TokenStream``).
 
@@ -47,7 +49,7 @@ order, so the recorded stream is bit-identical to the scalar one.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -55,7 +57,7 @@ from repro.core.token import Flit, TokenBatch, TokenWindow
 from repro.net.ethernet import BROADCAST_MAC
 from repro.net.switch import SwitchModel, _QueuedPacket
 from repro.obs.trace import get_trace_sink
-from repro.perf.stream import TOKEN_DTYPE, TokenStream
+from repro.perf.stream import ColumnarBatch, TokenStream
 
 _INT = np.int64
 
@@ -65,151 +67,16 @@ _INT = np.int64
 _EGRESS_CHUNK = 512
 
 
-class ColumnarBatch:
-    """One window of switch egress traffic as per-packet columns.
-
-    Covers target cycles ``[start_cycle, start_cycle + length)`` like a
-    :class:`~repro.core.token.TokenBatch`, but stores one *row per
-    packet segment* instead of one dict entry per flit:
-
-    ``frames[k]``       the packet's EthernetFrame (side table),
-    ``first_cycle[k]``  absolute cycle of its first flit in this window,
-    ``count[k]``        flits it occupies in this window,
-    ``first_index[k]``  flit index of that first flit,
-    ``total[k]``        the frame's full flit count,
-    ``src[k]/dst[k]/size[k]``  routing/accounting columns,
-
-    with a uniform flit ``stride`` (the producing port's
-    ``cycles_per_flit``), so flit ``j`` of row ``k`` sits at cycle
-    ``first_cycle[k] + j * stride``.  A row with
-    ``first_index + count < total`` is a window straddler; the next
-    window's batch carries its continuation row.
-
-    Duck-types the parts of ``TokenBatch`` the channel layer and the
-    scalar consumers touch, so mixed queues (engine switches, faults,
-    checkpoint restores) keep working; materialization to flits happens
-    only there.
-    """
-
-    __slots__ = (
-        "start_cycle", "length", "stride", "frames", "first_cycle",
-        "count", "first_index", "total", "src", "dst", "size", "_valid",
+def _frame_columns(
+    frames: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``src``/``dst``/``size_bytes`` of completed frames as columns."""
+    n = frames.shape[0]
+    return (
+        np.fromiter((f.src for f in frames), _INT, count=n),
+        np.fromiter((f.dst for f in frames), _INT, count=n),
+        np.fromiter((f.size_bytes for f in frames), _INT, count=n),
     )
-
-    def __init__(
-        self,
-        start_cycle: int,
-        length: int,
-        stride: int,
-        frames: np.ndarray,
-        first_cycle: np.ndarray,
-        count: np.ndarray,
-        first_index: np.ndarray,
-        total: np.ndarray,
-        src: np.ndarray,
-        dst: np.ndarray,
-        size: np.ndarray,
-    ) -> None:
-        self.start_cycle = start_cycle
-        self.length = length
-        self.stride = stride
-        self.frames = frames
-        self.first_cycle = first_cycle
-        self.count = count
-        self.first_index = first_index
-        self.total = total
-        self.src = src
-        self.dst = dst
-        self.size = size
-        self._valid = int(count.sum())
-
-    # -- transport ------------------------------------------------------
-
-    def shift(self, latency: int) -> "ColumnarBatch":
-        """Relabel in place by ``+latency``: two vectorized adds."""
-        if latency:
-            self.start_cycle += latency
-            self.first_cycle += latency
-        return self
-
-    def _materialize(self, shift: int = 0) -> Tuple[List[int], List[Flit]]:
-        """Flit cycles and objects in ascending cycle order."""
-        cycles: List[int] = []
-        flits: List[Flit] = []
-        stride = self.stride
-        first_cycle = self.first_cycle.tolist()
-        counts = self.count.tolist()
-        first_index = self.first_index.tolist()
-        totals = self.total.tolist()
-        for k, frame in enumerate(self.frames.tolist()):
-            base = first_cycle[k] + shift
-            index = first_index[k]
-            last_index = totals[k] - 1
-            for j in range(counts[k]):
-                cycles.append(base + j * stride)
-                position = index + j
-                flits.append(
-                    Flit(
-                        data=frame,
-                        last=position == last_index,
-                        index=position,
-                    )
-                )
-        return cycles, flits
-
-    def to_stream(self, shift: int = 0) -> TokenStream:
-        """Materialize as a (relabelled) ``TokenStream`` for scalar
-        consumers — blade NICs, tracers, distributed boundary links."""
-        cycles, flits = self._materialize(shift)
-        tokens = np.empty(len(flits), dtype=TOKEN_DTYPE)
-        tokens["cycle"] = cycles
-        tokens["flit"] = flits
-        # A flit is ``last`` iff it closes its packet: the final flit of
-        # each fully-emitted (done) packet's run in the window.
-        last = np.zeros(len(flits), dtype=np.bool_)
-        if len(flits):
-            run_ends = np.cumsum(self.count) - 1
-            done = self.first_index + self.count == self.total
-            last[run_ends[done]] = True
-        tokens["last"] = last
-        return TokenStream(self.start_cycle + shift, self.length, tokens)
-
-    def to_batch(self) -> TokenBatch:
-        batch = TokenBatch(self.start_cycle, self.length)
-        cycles, flits = self._materialize()
-        batch.flits = dict(zip(cycles, flits))
-        return batch
-
-    # -- TokenBatch duck interface --------------------------------------
-
-    @property
-    def end_cycle(self) -> int:
-        return self.start_cycle + self.length
-
-    @property
-    def valid_count(self) -> int:
-        return self._valid
-
-    @property
-    def flits(self) -> Dict[int, Flit]:
-        cycles, flits = self._materialize()
-        return dict(zip(cycles, flits))
-
-    def contains_cycle(self, cycle: int) -> bool:
-        return self.start_cycle <= cycle < self.end_cycle
-
-    def iter_flits(self) -> Iterator[Tuple[int, Flit]]:
-        cycles, flits = self._materialize()
-        return iter(zip(cycles, flits))
-
-    def __len__(self) -> int:
-        return self.length
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ColumnarBatch(start={self.start_cycle}, len={self.length}, "
-            f"packets={self.frames.shape[0]}, valid={self._valid})"
-        )
 
 
 class _ColQueue:
@@ -446,10 +313,11 @@ class ColumnarSwitch:
                     port_parts.append(
                         np.full(n_done, port_index, dtype=_INT)
                     )
-                    frame_parts.append(batch.frames[done])
-                    src_parts.append(batch.src[done])
-                    dst_parts.append(batch.dst[done])
-                    sizes = batch.size[done]
+                    frames = batch.frames[done]
+                    frame_parts.append(frames)
+                    src, dst, sizes = _frame_columns(frames)
+                    src_parts.append(src)
+                    dst_parts.append(dst)
                     size_parts.append(sizes)
                     total_parts.append(batch.total[done])
                     stats.packets_in += n_done
@@ -484,19 +352,9 @@ class ColumnarSwitch:
                         np.full(n_done, port_index, dtype=_INT)
                     )
                     frame_parts.append(frames)
-                    src_parts.append(
-                        np.fromiter(
-                            (f.src for f in frames), _INT, count=n_done
-                        )
-                    )
-                    dst_parts.append(
-                        np.fromiter(
-                            (f.dst for f in frames), _INT, count=n_done
-                        )
-                    )
-                    sizes = np.fromiter(
-                        (f.size_bytes for f in frames), _INT, count=n_done
-                    )
+                    src, dst, sizes = _frame_columns(frames)
+                    src_parts.append(src)
+                    dst_parts.append(dst)
                     size_parts.append(sizes)
                     total_parts.append(
                         np.fromiter(
@@ -541,19 +399,9 @@ class ColumnarSwitch:
                 ts_parts.append(cycles[ends] + min_latency)
                 port_parts.append(np.full(n_done, port_index, dtype=_INT))
                 frame_parts.append(frames)
-                src_parts.append(
-                    np.fromiter(
-                        (f.src for f in frames), _INT, count=n_done
-                    )
-                )
-                dst_parts.append(
-                    np.fromiter(
-                        (f.dst for f in frames), _INT, count=n_done
-                    )
-                )
-                sizes = np.fromiter(
-                    (f.size_bytes for f in frames), _INT, count=n_done
-                )
+                src, dst, sizes = _frame_columns(frames)
+                src_parts.append(src)
+                dst_parts.append(dst)
                 size_parts.append(sizes)
                 total_parts.append(
                     np.fromiter(
@@ -755,7 +603,6 @@ class ColumnarSwitch:
         out_index: List[np.ndarray] = []
         out_total: List[np.ndarray] = []
         out_frame: List[np.ndarray] = []
-        out_size: List[np.ndarray] = []
         events: List[Tuple[int, ...]] = []
         position = 0  # scalar pop order, for trace-event interleaving
         while queue.head < queue.tail and cursor < window_end:
@@ -836,7 +683,6 @@ class ColumnarSwitch:
             out_index.append(total[:emit] - remaining[:emit])
             out_total.append(total[:emit])
             out_frame.append(frames[:emit])
-            out_size.append(sizes[:emit])
             if n_complete:
                 stats.packets_out += n_complete
                 stats.bytes_out += int(sizes[:emit][complete].sum())
@@ -893,14 +739,12 @@ class ColumnarSwitch:
             first_index = out_index[0]
             totals = out_total[0]
             frames_out = out_frame[0]
-            sizes_out = out_size[0]
         else:
             first_cycle = np.concatenate(out_first)
             counts = np.concatenate(out_count)
             first_index = np.concatenate(out_index)
             totals = np.concatenate(out_total)
             frames_out = np.concatenate(out_frame)
-            sizes_out = np.concatenate(out_size)
         return ColumnarBatch(
             window_start,
             window.end - window_start,
@@ -910,13 +754,4 @@ class ColumnarSwitch:
             counts,
             first_index,
             totals,
-            np.fromiter(
-                (f.src for f in frames_out), _INT,
-                count=frames_out.shape[0],
-            ),
-            np.fromiter(
-                (f.dst for f in frames_out), _INT,
-                count=frames_out.shape[0],
-            ),
-            sizes_out,
         )

@@ -253,6 +253,11 @@ class Kernel:
     def _nic_interrupt(
         self, cycle: int, kind: str, frame: Optional[EthernetFrame]
     ) -> None:
+        # The driver reaps the completion entry this interrupt announces
+        # (the NIC appends it just before raising the line), so the
+        # queues never pin a run's frames.
+        nic = self.nic
+        (nic.rx_completions if kind == IRQ_RX else nic.tx_completions).pop()
         if kind != IRQ_RX or frame is None:
             return
         # Driver model: the IRQ handler re-posts the consumed receive

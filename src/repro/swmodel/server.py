@@ -121,13 +121,32 @@ class ServerBlade(Fame1Model):
     # -- FAME-1 ------------------------------------------------------------
 
     def _tick(
-        self, window: TokenWindow, inputs: Dict[str, TokenBatch]
+        self,
+        window: TokenWindow,
+        inputs: Dict[str, TokenBatch],
+        rows: bool = False,
     ) -> Dict[str, TokenBatch]:
+        """One window; ``rows`` (batched engine, :attr:`columnar_safe`
+        blades only) makes the NIC answer in packet-segment rows."""
         self.nic.receive_tokens(inputs["net"])
         self.events.run_until(window.end)
+        if rows:
+            return {"net": self.nic.fill_tx(window)}
         out = window.new_batch()
         self.nic.fill_tx(window, out)
         return {"net": out}
+
+    @property
+    def columnar_safe(self) -> bool:
+        """Whether the batched engine may keep this blade's link columnar.
+
+        True for the stock tick and NIC paths only: the engine then
+        hands ``_tick`` input windows in whatever form the link holds
+        (``NIC.receive_tokens`` takes rows as they are) and asks for
+        rows back.  Subclass overrides get materialized ``TokenBatch``
+        windows, like any scalar consumer.
+        """
+        return self._idle_safe
 
     def idle_outputs(
         self, window: TokenWindow

@@ -72,15 +72,18 @@ class CacheModel:
     def __init__(self, name: str, config: CacheConfig) -> None:
         self.name = name
         self.config = config
+        # Geometry read on every lookup (num_sets is a computed property).
+        self._line_bytes = config.line_bytes
+        self._num_sets = config.num_sets
         # Per-set OrderedDict of tag -> dirty flag; order is LRU (oldest first).
         self._sets: List[OrderedDict[int, bool]] = [
-            OrderedDict() for _ in range(config.num_sets)
+            OrderedDict() for _ in range(self._num_sets)
         ]
         self.stats = CacheStats()
 
     def _locate(self, addr: int) -> Tuple[int, int]:
-        line = addr // self.config.line_bytes
-        return line % self.config.num_sets, line // self.config.num_sets
+        line = addr // self._line_bytes
+        return line % self._num_sets, line // self._num_sets
 
     def lookup(self, addr: int, is_write: bool) -> Tuple[bool, Optional[int]]:
         """Access the cache; returns (hit, writeback_line_addr_or_None).
@@ -103,8 +106,8 @@ class CacheModel:
             self.stats.evictions += 1
             if dirty:
                 self.stats.writebacks += 1
-                victim_line = victim_tag * self.config.num_sets + set_index
-                writeback = victim_line * self.config.line_bytes
+                victim_line = victim_tag * self._num_sets + set_index
+                writeback = victim_line * self._line_bytes
         cache_set[tag] = is_write
         return False, writeback
 

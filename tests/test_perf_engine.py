@@ -21,16 +21,23 @@ from repro import ConfigError
 from repro.core.fame import Fame1Model, NullModel
 from repro.core.simulation import ENGINES, Simulation
 from repro.core.token import Flit, TokenBatch, TokenWindow
-from repro.dist import plan_partitions, run_distributed
+from repro.dist import plan_from_assignment, plan_partitions, run_distributed
+from repro.faults.checkpoint import SimulationSnapshot, state_digest
 from repro.manager.cli import main as cli_main
 from repro.manager.mapper import HostConfig, map_topology
 from repro.manager.runfarm import RunFarmConfig, elaborate
-from repro.net.ethernet import mac_address
+from repro.manager.topology import two_tier
+from repro.net.ethernet import EthernetFrame, mac_address
 from repro.net.switch import SwitchConfig, SwitchModel
 from repro.net.tracer import splice_tracer
 from repro.obs.rate import RateMonitor
-from repro.perf import TOKEN_DTYPE, TokenStream
+from repro.nic.ratelimit import rate_settings_for_bandwidth
+from repro.perf import TOKEN_DTYPE, ColumnarBatch, TokenStream
 from repro.swmodel.apps.ping import RESULT_KEY, make_ping_client
+from repro.swmodel.apps.streamer import (
+    attach_baremetal_receiver,
+    make_baremetal_sender,
+)
 from repro.swmodel.server import ServerBlade
 from tests.test_dist import (
     TARGET_CYCLES,
@@ -147,6 +154,225 @@ class TestEquivalence:
         scalar, batched = session("scalar"), session("batched")
         assert batched["infrasetup"]["engine"] == "batched"
         assert batched["runworkload"]["ping"] == scalar["runworkload"]["ping"]
+
+
+# -- columnar blade edge ---------------------------------------------------
+
+STREAM_SENDERS = 3
+STREAM_CYCLES = 64_000
+
+
+def build_stream(engine, quantum_override=None):
+    """Fig 6 in miniature: three 100 Gbit/s senders through a 200 Gbit/s
+    root, so the uplink saturates and every blade link carries bursts."""
+    root = two_tier(num_racks=2, servers_per_rack=STREAM_SENDERS)
+    running = elaborate(
+        root, RunFarmConfig(link_latency_cycles=1600, engine=engine)
+    )
+    running.simulation.quantum_override = quantum_override
+    k, p = rate_settings_for_bandwidth(100e9, 204.8e9)
+    for index in range(STREAM_SENDERS):
+        sender = running.blade(index)
+        receiver = running.blade(STREAM_SENDERS + index)
+        attach_baremetal_receiver(receiver)
+        sender.nic.set_bandwidth(k, p)
+        sender.spawn(
+            f"stream{index}",
+            make_baremetal_sender(
+                receiver.mac, num_frames=30,
+                start_delay_cycles=2_000 * index,
+            ),
+        )
+    return running, root
+
+
+def stream_fingerprint(running):
+    """``tests.test_dist.fingerprint`` plus everything the NIC edge owns."""
+    found = fingerprint(running)
+    found["digest"] = state_digest(running)
+    # Idle-window elision skips the no-op fills that drag an idle NIC's
+    # emit cursor along, so compare the cursor the next fill would use.
+    now = running.simulation.current_cycle
+    found["nics"] = [
+        (
+            repr(blade.nic.stats), max(blade.nic._emit_cursor, now),
+            blade.nic._reader_free_cycle, blade.nic._writer_free_cycle,
+            blade.nic.limiter._count, blade.nic.limiter._applied_periods,
+            blade.nic.tx_backlog, blade.nic.rx_buffer_occupancy,
+        )
+        for _, blade in sorted(running.blades.items())
+    ]
+    return found
+
+
+_stream_cache = {}
+
+
+def scalar_stream_fingerprint(quantum_override=None):
+    if quantum_override not in _stream_cache:
+        running, _ = build_stream("scalar", quantum_override)
+        running.simulation.run_until(STREAM_CYCLES)
+        _stream_cache[quantum_override] = stream_fingerprint(running)
+    return _stream_cache[quantum_override]
+
+
+def inbound_endpoint(simulation, blade):
+    attachment = simulation._attachments[(id(blade), "net")]
+    link = attachment.link
+    return link.to_a if attachment.side == "a" else link.to_b
+
+
+def run_until_rows_parked(running, limit=STREAM_CYCLES):
+    """Advance round by round until a receiver's inbound queue holds a
+    ``ColumnarBatch`` (the window a scalar consumer would have to
+    materialize); returns that endpoint."""
+    simulation = running.simulation
+    receivers = [
+        running.blade(STREAM_SENDERS + index)
+        for index in range(STREAM_SENDERS)
+    ]
+    while simulation.current_cycle < limit:
+        simulation.run_cycles(1)
+        for blade in receivers:
+            endpoint = inbound_endpoint(simulation, blade)
+            if any(type(e) is ColumnarBatch for e in endpoint._queue):
+                return endpoint
+    raise AssertionError("no columnar window ever reached a blade")
+
+
+class TestColumnarBladeEdge:
+    @pytest.mark.parametrize("quantum_override", [None, 400])
+    def test_saturating_stream_bit_identical_to_scalar(
+        self, quantum_override
+    ):
+        running, _ = build_stream("batched", quantum_override)
+        running.simulation.run_until(STREAM_CYCLES)
+        expected = scalar_stream_fingerprint(quantum_override)
+        assert stream_fingerprint(running) == expected
+        # Saturated for real: frames crossed the root and the senders
+        # were still rate-limited when the run ended.
+        assert any("rx_frames=0" not in nic[0] for nic in expected["nics"])
+        assert sum(a + b for a, b in expected["links"]) > 20_000
+
+    def test_blade_links_carry_rows_not_flits(self, monkeypatch):
+        """No window of a stock-blade farm is materialized."""
+
+        def boom(*args, **kwargs):
+            raise AssertionError("a columnar window was materialized")
+
+        running, _ = build_stream("batched")
+        monkeypatch.setattr(ColumnarBatch, "_materialize", boom)
+        monkeypatch.setattr(TokenStream, "from_flits", boom)
+        running.simulation.run_until(STREAM_CYCLES)
+        assert running.blade(STREAM_SENDERS).nic.stats.rx_frames > 0
+
+    @pytest.mark.parametrize("first", ["batched", "scalar"])
+    def test_engine_switch_with_rows_parked_at_a_blade(self, first):
+        running, _ = build_stream(first)
+        simulation = running.simulation
+        if first == "batched":
+            run_until_rows_parked(running)
+        else:
+            simulation.run_until(STREAM_CYCLES // 2)
+        simulation.engine = "scalar" if first == "batched" else "batched"
+        simulation.run_until(STREAM_CYCLES)
+        assert stream_fingerprint(running) == scalar_stream_fingerprint()
+
+    def test_snapshot_restore_with_rows_parked_at_a_blade(self):
+        """A thread-less blade is deep-copyable, so a state snapshot can
+        hold a ``ColumnarBatch`` in its inbound queue; restoring it and
+        resuming on either engine lands where the scalar run does."""
+        frames = [
+            EthernetFrame(
+                src=mac_address(0), dst=mac_address(1), size_bytes=size
+            )
+            for size in (1514, 64, 700, 1514, 1514, 128)
+        ]
+
+        def build(engine):
+            sim = Simulation(engine=engine)
+            source = sim.add_model(FrameSource("src", frames, pace=3))
+            blade = sim.add_model(ServerBlade("node1", node_index=1))
+            switch = sim.add_model(
+                SwitchModel(
+                    "tor", SwitchConfig(num_ports=2),
+                    mac_table={mac_address(0): 0, mac_address(1): 1},
+                )
+            )
+            sim.connect(source, "net", switch, "port0", 320)
+            sim.connect(switch, "port1", blade, "net", 320)
+            return sim
+
+        def observe(sim):
+            blade = next(m for m in sim.models if m.name == "node1")
+            return (
+                sim.current_cycle, repr(blade.nic.stats),
+                blade.nic._writer_free_cycle, repr(sim.stats),
+                [(l.flits_a_to_b, l.flits_b_to_a) for l in sim.links],
+            )
+
+        reference = build("scalar")
+        reference.run_until(6_400)
+        expected = observe(reference)
+        assert "rx_frames=6" in expected[1]
+
+        sim = build("batched")
+        while not any(
+            type(e) is ColumnarBatch
+            for e in sim.links[1].to_b._queue
+        ):
+            sim.run_cycles(1)
+        snapshot = SimulationSnapshot.capture(sim)
+        for engine in ("batched", "scalar"):
+            sim.run_until(6_400)  # progress the restore throws away
+            snapshot.restore(sim)
+            assert any(
+                type(e) is ColumnarBatch for e in sim.links[1].to_b._queue
+            )
+            sim.engine = engine
+            sim.run_until(6_400)
+            assert observe(sim) == expected
+
+    def test_distributed_boundary_at_blade_links_stays_exact(self):
+        """Every blade in one worker, every switch in the other: all six
+        boundary links are blade links, so each crossing takes the
+        materializing fallback in both directions."""
+        running, _ = build_stream("batched")
+        simulation = running.simulation
+        assignment = {
+            key: 0 if key.startswith("node") else 1
+            for key in simulation.partition_keys()
+        }
+        plan = plan_from_assignment(assignment, num_workers=2)
+        assert len(plan.boundaries(simulation)) == 2 * STREAM_SENDERS
+        run_distributed(simulation, plan, STREAM_CYCLES)
+        found = stream_fingerprint(running)
+        expected = dict(scalar_stream_fingerprint())
+        # NIC counters and cursors stay behind in the workers; the merged
+        # state carries what a workload or a checkpoint can observe.
+        del found["nics"], expected["nics"]
+        assert found == expected
+
+
+class FrameSource(Fame1Model):
+    """Sends whole frames, ``pace`` cycles per flit, from cycle 0 on
+    (plain data only, so simulations holding one can be snapshotted)."""
+
+    def __init__(self, name, frames, pace=1):
+        super().__init__(name, ["net"])
+        self.flits = []
+        cycle = 0
+        for frame in frames:
+            for flit in frame.to_flits():
+                self.flits.append((cycle, flit))
+                cycle += pace
+
+    def _tick(self, window, inputs):
+        out = window.new_batch()
+        for cycle, flit in self.flits:
+            if window.start <= cycle < window.end:
+                out.add(cycle, flit)
+        return {"net": out}
 
 
 class TestEngineSelection:

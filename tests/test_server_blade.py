@@ -58,3 +58,43 @@ class TestTokenContract:
         blade = ServerBlade("n", node_index=0)
         blade.kernel.results["key"] = [1]
         assert blade.results["key"] == [1]
+
+
+class TestNicEdge:
+    def test_kernel_reaps_nic_completions(self):
+        """The driver pops the entry each interrupt announces, so a run
+        does not pin every frame it ever moved."""
+        from repro.net.ethernet import EthernetFrame
+
+        blade = ServerBlade("n", node_index=0)
+        peer = ServerBlade("p", node_index=1)
+        sent = EthernetFrame(src=blade.mac, dst=peer.mac, size_bytes=128)
+        blade.nic.post_send(0, sent)
+        window = TokenWindow(0, 1000)
+        out = blade.tick(window, {"net": TokenBatch.empty(0, 1000)})["net"]
+        peer.tick(window, {"net": out})
+        assert blade.nic.stats.tx_frames == 1
+        assert peer.nic.stats.rx_frames == 1
+        assert not blade.nic.tx_completions
+        assert not peer.nic.rx_completions
+
+    def test_rows_tick_equals_the_flit_tick(self):
+        """``_tick(rows=True)`` carries the same tokens as the spec tick."""
+        from repro.net.ethernet import EthernetFrame
+
+        outputs = []
+        for rows in (False, True):
+            blade = ServerBlade("n", node_index=0)
+            blade.nic.set_bandwidth(25, 128)
+            blade.nic.post_send(
+                0, EthernetFrame(src=blade.mac, dst=1, size_bytes=1514)
+            )
+            window = TokenWindow(0, 700)
+            out = blade._tick(
+                window, {"net": TokenBatch.empty(0, 700)}, rows=rows
+            )["net"]
+            outputs.append([
+                (cycle, flit.index, flit.last)
+                for cycle, flit in out.iter_flits()
+            ])
+        assert outputs[0] and outputs[0] == outputs[1]
