@@ -166,19 +166,6 @@ class LinkEndpoint:
             return min(total, max(0, self._gap_at - self._consumed_until))
         return total
 
-    @property
-    def consumed_until(self) -> int:
-        return self._consumed_until
-
-    @property
-    def pushed_until(self) -> int:
-        """End cycle of the newest batch ever pushed (the producer cursor).
-
-        A remote transport hop uses this to assert that batches arriving
-        from another worker process are still contiguous in cycle order.
-        """
-        return self._pushed_until
-
 
 class Link:
     """A bidirectional target link of fixed latency between sides A and B.

@@ -23,9 +23,9 @@ inside models) is reproducible too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.channel import Link, LinkEndpoint, TokenStarvationError
 from repro.core.clock import DEFAULT_CLOCK, TargetClock
@@ -68,11 +68,175 @@ class SimulationStats:
         return self.valid_tokens_moved / self.tokens_moved
 
 
+class RoundProgress:
+    """Run accounting a round loop keeps current even when a hook raises.
+
+    The caller folds these into ``Simulation.stats`` (or a
+    ``WorkerResult``) in a ``finally`` block, so a mid-round crash
+    leaves the same counters under every engine: completed rounds plus
+    the failing round's already-transmitted tokens, with ``cycle`` at
+    the failing round's start.
+    """
+
+    __slots__ = (
+        "cycle", "rounds", "tokens_moved", "valid_tokens_moved",
+        "model_host_seconds",
+    )
+
+    def __init__(self, start_cycle: int) -> None:
+        self.cycle = start_cycle
+        self.rounds = 0
+        self.tokens_moved = 0
+        self.valid_tokens_moved = 0
+        self.model_host_seconds: Dict[str, float] = {}
+
+
+def starvation_diagnostic(
+    model: Fame1Model,
+    attachments: Dict[Tuple[int, str], Any],
+    quantum: int,
+    cycle: int,
+    who: str = "",
+) -> TokenStarvationError:
+    """Name the stalled endpoint(s) behind a failed token pop.
+
+    Runs only on the (exceptional) starvation path.  ``who`` prefixes
+    the message with the reporting party (a distributed worker names
+    itself); everything else is the same for serial and worker callers.
+    """
+    prefix = f"{who}: " if who else ""
+    for port in model.ports:
+        attachment = attachments[(id(model), port)]
+        link = attachment.link
+        endpoint = link.to_a if attachment.side == "a" else link.to_b
+        if endpoint.available_tokens < quantum:
+            return TokenStarvationError(
+                f"{prefix}channel stalled: {model.name}.{port} on link "
+                f"{link.name!r} holds {endpoint.available_tokens} of "
+                f"{quantum} tokens at cycle {cycle} — a transport hop lost "
+                "a token batch or the peer stopped advancing",
+                model_name=model.name,
+                port=port,
+                link_name=link.name,
+                cycle=cycle,
+            )
+    return TokenStarvationError(
+        f"{prefix}channel stalled feeding {model.name} at cycle {cycle}",
+        model_name=model.name,
+        cycle=cycle,
+    )
+
+
+def run_rounds(
+    models: Sequence[Fame1Model],
+    attachments: Dict[Tuple[int, str], Any],
+    quantum: int,
+    start_cycle: int,
+    target_cycle: int,
+    progress: RoundProgress,
+    *,
+    hook: Optional[Callable[[int, Optional[Fame1Model]], None]] = None,
+    observer: Optional[Any] = None,
+    measure: bool = False,
+    pre_round: Optional[Callable[[int, int], None]] = None,
+    post_round: Optional[Callable[[int, int], None]] = None,
+    diagnose: Optional[Callable[[Fame1Model, int], Exception]] = None,
+) -> None:
+    """The scalar round loop: the executable spec of token exchange.
+
+    Each round, every model pops one ``quantum``-cycle window per port
+    (``attachment.receive`` — :meth:`LinkEndpoint.pop`), ticks with its
+    token-conservation checks, and pushes one window per port
+    (``attachment.transmit`` — :meth:`Link.send_from_a`/``send_from_b``,
+    or a boundary outbox in a distributed worker).  ``attachments`` maps
+    ``(id(model), port)`` to whatever owns that port's two ends.
+
+    Hook points, in firing order within a round that starts at ``cycle``
+    after ``n`` completed rounds: ``pre_round(cycle, n)``,
+    ``hook(cycle, None)``, then ``hook(cycle, model)`` after each model
+    has transmitted, then ``post_round(cycle + quantum, n + 1)``.
+    ``observer`` gets a host-timestamped span per tick and the wall
+    clock per round; ``measure`` accumulates tick seconds per model in
+    ``progress``.  ``diagnose(model, cycle)`` builds the error for a
+    starved pop (default :func:`starvation_diagnostic`).  ``progress``
+    is kept current as the round advances, so a raise from any hook
+    leaves it exact.
+
+    :func:`repro.perf.engine.run_rounds` has this parameter list and
+    these observable effects, and is held to them bit for bit.
+    """
+    timed = measure or observer is not None
+    seconds = progress.model_host_seconds
+    cycle = start_cycle
+    while cycle < target_cycle:
+        if pre_round is not None:
+            pre_round(cycle, progress.rounds)
+        if hook is not None:
+            hook(cycle, None)
+        window = TokenWindow(cycle, cycle + quantum)
+        if observer is not None:
+            round_start = perf_counter()
+        for model in models:
+            try:
+                inputs = {
+                    port: attachments[(id(model), port)].receive(quantum)
+                    for port in model.ports
+                }
+            except LookupError as exc:
+                if diagnose is not None:
+                    raise diagnose(model, cycle) from exc
+                raise starvation_diagnostic(
+                    model, attachments, quantum, cycle
+                ) from exc
+            if timed:
+                tick_start = perf_counter()
+            outputs = model.tick(window, inputs)
+            if timed:
+                tick_end = perf_counter()
+                if observer is not None:
+                    observer.record_model_tick(
+                        model.name, tick_start, tick_end, cycle, window.end
+                    )
+                if measure:
+                    seconds[model.name] = (
+                        seconds.get(model.name, 0.0) + tick_end - tick_start
+                    )
+            for port, batch in outputs.items():
+                attachments[(id(model), port)].transmit(batch)
+                progress.tokens_moved += batch.length
+                progress.valid_tokens_moved += batch.valid_count
+            if hook is not None:
+                hook(cycle, model)
+        cycle = window.end
+        progress.cycle = cycle
+        progress.rounds += 1
+        if observer is not None:
+            observer.record_round(quantum, perf_counter() - round_start)
+        if post_round is not None:
+            post_round(cycle, progress.rounds)
+
+
 #: Execution engines ``run_until`` can dispatch to.  "scalar" is the
-#: reference round loop below; "batched" is the vectorized hot path in
+#: reference round loop above; "batched" is the vectorized hot path in
 #: :mod:`repro.perf.engine`, bit-identical in every observable (cycle
 #: timestamps, counters, tracer records) but faster on the host.
 ENGINES = ("scalar", "batched")
+
+
+def round_loop(engine: str) -> Callable[..., None]:
+    """The round-loop body an :data:`ENGINES` name selects.
+
+    Both bodies share :func:`run_rounds`' parameter list, so serial
+    runs and distributed workers drive either through the same call.
+    """
+    if engine == "scalar":
+        return run_rounds
+    if engine == "batched":
+        # Imported lazily: repro.perf depends on this module.
+        from repro.perf.engine import run_rounds as run_rounds_batched
+
+        return run_rounds_batched
+    raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
 
 
 class Simulation:
@@ -99,8 +263,8 @@ class Simulation:
         self.current_cycle = 0
         self.stats = SimulationStats()
         #: Optional round observer (a :class:`repro.obs.rate.RateMonitor`).
-        #: When None the round loop takes the unobserved fast path, so an
-        #: untelemetered run pays one None check per round.
+        #: When None the round loop makes no timing calls, so an
+        #: untelemetered run pays one check per round plus one per tick.
         self.observer: Optional[Any] = None
         #: Optional fault hook (a :class:`repro.faults.plan.FaultInjector`
         #: arms one).  Called as ``hook(cycle, model)`` at each round
@@ -211,123 +375,31 @@ class Simulation:
         """Advance until ``current_cycle >= target_cycle``."""
         if not self._started:
             self._start()
-        if self.engine == "batched":
-            # Imported lazily: repro.perf depends on this module.
-            from repro.perf.engine import run_batched
-
-            run_batched(self, target_cycle)
-            return
-        if self.engine != "scalar":
-            raise ValueError(
-                f"unknown engine {self.engine!r}; expected one of {ENGINES}"
-            )
+        loop = round_loop(self.engine)
         quantum = self.quantum
-        while self.current_cycle < target_cycle:
-            self._run_round(quantum)
+        progress = RoundProgress(self.current_cycle)
+        try:
+            loop(
+                self.models,
+                self._attachments,
+                quantum,
+                self.current_cycle,
+                target_cycle,
+                progress,
+                hook=self.fault_hook,
+                observer=self.observer,
+            )
+        finally:
+            stats = self.stats
+            stats.rounds += progress.rounds
+            stats.cycles += progress.rounds * quantum
+            stats.tokens_moved += progress.tokens_moved
+            stats.valid_tokens_moved += progress.valid_tokens_moved
+            self.current_cycle = progress.cycle
 
     def run_seconds(self, seconds: float) -> None:
         """Advance by a duration of target time."""
         self.run_cycles(self.clock.cycles(seconds))
-
-    def _run_round(self, quantum: int) -> None:
-        if self.observer is not None:
-            self._run_round_observed(quantum)
-            return
-        hook = self.fault_hook
-        if hook is not None:
-            hook(self.current_cycle, None)
-        window = TokenWindow(self.current_cycle, self.current_cycle + quantum)
-        for model in self.models:
-            try:
-                inputs = {
-                    port: self._attachments[(id(model), port)].receive(quantum)
-                    for port in model.ports
-                }
-            except LookupError as exc:
-                raise self._starvation_diagnostic(model, quantum) from exc
-            outputs = model.tick(window, inputs)
-            for port, batch in outputs.items():
-                self._attachments[(id(model), port)].transmit(batch)
-                self.stats.tokens_moved += batch.length
-                self.stats.valid_tokens_moved += batch.valid_count
-            if hook is not None:
-                hook(self.current_cycle, model)
-        self.current_cycle = window.end
-        self.stats.rounds += 1
-        self.stats.cycles += quantum
-
-    def _run_round_observed(self, quantum: int) -> None:
-        """The observed twin of :meth:`_run_round`.
-
-        Identical token movement, but each model tick is bracketed with
-        host timestamps reported to the observer (per-model tick spans
-        and per-round wall clock).  Kept separate so the unobserved path
-        carries no timing calls at all.
-        """
-        observer = self.observer
-        hook = self.fault_hook
-        if hook is not None:
-            hook(self.current_cycle, None)
-        window = TokenWindow(self.current_cycle, self.current_cycle + quantum)
-        round_start = perf_counter()
-        for model in self.models:
-            try:
-                inputs = {
-                    port: self._attachments[(id(model), port)].receive(quantum)
-                    for port in model.ports
-                }
-            except LookupError as exc:
-                raise self._starvation_diagnostic(model, quantum) from exc
-            tick_start = perf_counter()
-            outputs = model.tick(window, inputs)
-            tick_end = perf_counter()
-            observer.record_model_tick(
-                model.name, tick_start, tick_end, window.start, window.end
-            )
-            for port, batch in outputs.items():
-                self._attachments[(id(model), port)].transmit(batch)
-                self.stats.tokens_moved += batch.length
-                self.stats.valid_tokens_moved += batch.valid_count
-            if hook is not None:
-                hook(self.current_cycle, model)
-        self.current_cycle = window.end
-        self.stats.rounds += 1
-        self.stats.cycles += quantum
-        observer.record_round(quantum, perf_counter() - round_start)
-
-    def _starvation_diagnostic(
-        self, model: Fame1Model, quantum: int
-    ) -> TokenStarvationError:
-        """Name the stalled endpoint(s) behind a failed token pop.
-
-        Runs only on the (exceptional) starvation path, so the hot loop
-        keeps its plain dict comprehension.
-        """
-        for port in model.ports:
-            attachment = self._attachments[(id(model), port)]
-            endpoint = (
-                attachment.link.to_a
-                if attachment.side == "a"
-                else attachment.link.to_b
-            )
-            if endpoint.available_tokens < quantum:
-                return TokenStarvationError(
-                    f"channel stalled: {model.name}.{port} on link "
-                    f"{attachment.link.name!r} holds "
-                    f"{endpoint.available_tokens} of {quantum} tokens at "
-                    f"cycle {self.current_cycle} — a transport hop lost a "
-                    "token batch or the peer stopped advancing",
-                    model_name=model.name,
-                    port=port,
-                    link_name=attachment.link.name,
-                    cycle=self.current_cycle,
-                )
-        return TokenStarvationError(
-            f"channel stalled feeding {model.name} at cycle "
-            f"{self.current_cycle}",
-            model_name=model.name,
-            cycle=self.current_cycle,
-        )
 
     def register_metrics(self, registry: Any, prefix: str = "sim") -> None:
         """Expose the aggregate counters through a metrics registry."""

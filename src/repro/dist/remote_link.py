@@ -125,7 +125,7 @@ class RemoteAttachment:
 
     Duck-types the orchestrator's ``_Attachment`` (``receive`` /
     ``transmit`` plus ``link``/``side`` for starvation diagnostics), so
-    the worker round loop treats boundary and interior ports uniformly.
+    either round loop treats boundary and interior ports uniformly.
     """
 
     __slots__ = (
@@ -189,8 +189,8 @@ class RemoteAttachment:
         return self._inbound.available_tokens
 
 
-def deliver(link: Link, consumer_side: str, batch: Any) -> None:
-    """Push a window received from the peer into the local consuming queue.
+def deliver(endpoint: LinkEndpoint, window: Any) -> None:
+    """Push a window received from the peer into its local consuming queue.
 
     The window was already relabelled by the sender and may be a batch
     or a stream (see :data:`WireEntry`); the endpoint's own contiguity
@@ -200,8 +200,7 @@ def deliver(link: Link, consumer_side: str, batch: Any) -> None:
     gap, preserving the fault model's starve-at-the-hole semantics
     across the process boundary.
     """
-    endpoint = link.to_a if consumer_side == "a" else link.to_b
-    if isinstance(batch, LostWindow):
-        endpoint.mark_gap(batch.start_cycle, batch.end_cycle)
+    if type(window) is LostWindow:
+        endpoint.mark_gap(window.start_cycle, window.end_cycle)
     else:
-        endpoint.push(batch)
+        endpoint.push(window)

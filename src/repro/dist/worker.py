@@ -1,13 +1,14 @@
 """One shard's execution loop inside a worker process.
 
-Each worker owns a contiguous shard of the model graph and executes the
-*same* round structure as the serial orchestrator
-(:meth:`repro.core.simulation.Simulation._run_round`): pop one
-quantum-sized window per input port, tick every shard model in global
-registration order, push one window per output port.  The only
-difference is where boundary tokens go — interior links use the local
-queues, boundary links hand relabelled batches to per-peer outboxes
-that are flushed once per round.
+Each worker owns a contiguous shard of the model graph and runs the
+*same* round loop as the serial orchestrator — whichever body
+:func:`repro.core.simulation.round_loop` selects for the simulation's
+engine — over its shard: pop one quantum-sized window per input port,
+tick every shard model in global registration order, push one window
+per output port.  The only difference is where boundary tokens go —
+interior links use the local queues, boundary links hand relabelled
+batches to per-peer outboxes — and that difference lives entirely in
+the attachments and the four hooks :func:`run_shard` hands the loop.
 
 Synchronization is pure token exchange, exactly the paper's argument
 (Section III-B2), batched into *exchange rounds*: the run driver
@@ -46,15 +47,20 @@ from time import perf_counter, process_time
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.channel import TokenStarvationError
-from repro.core.simulation import Simulation, _Attachment
-from repro.core.token import TokenWindow
+from repro.core.simulation import (
+    RoundProgress,
+    Simulation,
+    _Attachment,
+    round_loop,
+    starvation_diagnostic,
+)
 from repro.dist.frame import decode_entries, encode_entries
 from repro.dist.partition import PartitionPlan
 from repro.dist.remote_link import (
-    LostWindow,
     Outbox,
     RemoteAttachment,
     WireEntry,
+    deliver,
 )
 from repro.dist.shm import DEFAULT_TRANSPORT_TIMEOUT_S
 from repro.dist.supervisor import (
@@ -256,9 +262,8 @@ class ShardContext:
     result_queue: Any
     #: Cycles between boundary token exchanges — a multiple of
     #: ``quantum`` no larger than the partition's boundary-latency
-    #: floor, derived by the run driver (0 means "every round", the
-    #: pre-adaptive behavior and the safe default).
-    round_quantum: int = 0
+    #: floor, derived by the run driver.
+    round_quantum: int
     #: A :class:`~repro.obs.prof.ProfileConfig` to enable the per-round
     #: phase profiler, or None (default) for the uninstrumented loop.
     profile: Optional[Any] = None
@@ -321,27 +326,14 @@ def _consumer_endpoints(
 ) -> Dict[int, Any]:
     """Boundary link index -> the local consuming endpoint.
 
-    Precomputed once so the round loop delivers received windows with a
-    dict lookup instead of re-deriving link and side every time (the
-    loop-free twin of :func:`~repro.dist.remote_link.deliver`).
+    Precomputed once so the drain delivers received windows with a
+    dict lookup instead of re-deriving link and side every time.
     """
     links = simulation.links
     return {
         index: links[index].to_a if side == "a" else links[index].to_b
         for index, side in inbound_side.items()
     }
-
-
-def _deliver_entries(
-    entries: List[WireEntry], endpoints: Dict[int, Any]
-) -> None:
-    """Push one peer message's windows into the local consuming queues."""
-    for link_index, batch in entries:
-        endpoint = endpoints[link_index]
-        if type(batch) is LostWindow:
-            endpoint.mark_gap(batch.start_cycle, batch.end_cycle)
-        else:
-            endpoint.push(batch)
 
 
 def _drain_exchange(
@@ -359,28 +351,29 @@ def _drain_exchange(
     arbitrary peer would charge one peer's skew to every channel;
     this way ``recv_wait`` is the *max* peer skew, not the sum.
     """
-    waiting = None
+    waiting = []
     for channel in recv_list:
         entries = channel.recv(exchange_tag, False)
         if entries is None:
-            if waiting is None:
-                waiting = [channel]
-            else:
-                waiting.append(channel)
+            waiting.append(channel)
             continue
-        if recorder is not None:
-            recorder.mark(P_RECV_WAIT)
-        _deliver_entries(entries, endpoints)
-        if recorder is not None:
-            recorder.mark(P_GAP)
-    if waiting is not None:
-        for channel in waiting:
-            entries = channel.recv(exchange_tag)
-            if recorder is not None:
-                recorder.mark(P_RECV_WAIT)
-            _deliver_entries(entries, endpoints)
-            if recorder is not None:
-                recorder.mark(P_GAP)
+        _deliver_message(entries, endpoints, recorder)
+    for channel in waiting:
+        _deliver_message(channel.recv(exchange_tag), endpoints, recorder)
+
+
+def _deliver_message(
+    entries: List[WireEntry],
+    endpoints: Dict[int, Any],
+    recorder: Optional[PhaseRecorder],
+) -> None:
+    """Push one peer message's windows into the local consuming queues."""
+    if recorder is not None:
+        recorder.mark(P_RECV_WAIT)
+    for link_index, window in entries:
+        deliver(endpoints[link_index], window)
+    if recorder is not None:
+        recorder.mark(P_GAP)
 
 
 def _flush_plan(
@@ -398,8 +391,8 @@ def _flush_plan(
     the remaining shard models are still computing — the paper's
     compute/transport overlap without threads.  Every peer has such a
     model by construction (its outbox exists because some local
-    model's :class:`RemoteAttachment` feeds it), so the round loops
-    need no fallback flush.
+    model's :class:`RemoteAttachment` feeds it), so the round loop
+    needs no fallback flush.
     """
     peer_of_outbox = {id(outbox): peer for peer, outbox in outboxes.items()}
     last_producer: Dict[int, int] = {}
@@ -417,75 +410,41 @@ def _flush_plan(
     return plan
 
 
-def _starvation_diagnostic(
-    model: Any,
-    attachments: Dict[Tuple[int, str], Any],
-    quantum: int,
-    cycle: int,
-    worker_id: int,
-) -> TokenStarvationError:
-    """Name the stalled boundary endpoint, like the serial orchestrator."""
-    for port in model.ports:
-        attachment = attachments[(id(model), port)]
-        endpoint = (
-            attachment.link.to_a
-            if attachment.side == "a"
-            else attachment.link.to_b
-        )
-        if endpoint.available_tokens < quantum:
-            return TokenStarvationError(
-                f"worker {worker_id}: channel stalled: {model.name}.{port} "
-                f"on link {attachment.link.name!r} holds "
-                f"{endpoint.available_tokens} of {quantum} tokens at cycle "
-                f"{cycle} — a transport hop lost a batch or the peer "
-                "worker stopped advancing",
-                model_name=model.name,
-                port=port,
-                link_name=attachment.link.name,
-                cycle=cycle,
-            )
-    return TokenStarvationError(
-        f"worker {worker_id}: channel stalled feeding {model.name} at "
-        f"cycle {cycle}",
-        model_name=model.name,
-        cycle=cycle,
-    )
-
-
 def _collect_result(
     context: ShardContext,
     worker_id: int,
     shard: List[Any],
+    attachments: Dict[Tuple[int, str], Any],
     inbound_side: Dict[int, str],
     peer_count: int,
-    boundary_valid_tokens: int,
+    progress: RoundProgress,
     start_cycle: int,
-    end_cycle: int,
-    rounds: int,
-    tokens_moved: int,
-    valid_tokens_moved: int,
     wall_seconds: float,
-    model_host_seconds: Dict[str, float],
-    transport_send_seconds: float = 0.0,
-    transport_recv_seconds: float = 0.0,
+    cpu_seconds: float,
+    transport_seconds: List[float],
 ) -> WorkerResult:
     simulation = context.simulation
     plan = context.plan
     result = WorkerResult(
         worker_id=worker_id,
         start_cycle=start_cycle,
-        end_cycle=end_cycle,
-        rounds=rounds,
-        tokens_moved=tokens_moved,
-        valid_tokens_moved=valid_tokens_moved,
+        end_cycle=progress.cycle,
+        rounds=progress.rounds,
+        tokens_moved=progress.tokens_moved,
+        valid_tokens_moved=progress.valid_tokens_moved,
         wall_seconds=wall_seconds,
         peer_count=peer_count,
         boundary_link_count=len(inbound_side),
-        boundary_valid_tokens=boundary_valid_tokens,
+        boundary_valid_tokens=sum(
+            attachment.sent_valid
+            for attachment in attachments.values()
+            if isinstance(attachment, RemoteAttachment)
+        ),
         model_names=[model.name for model in shard],
-        model_host_seconds=model_host_seconds,
-        transport_send_seconds=transport_send_seconds,
-        transport_recv_seconds=transport_recv_seconds,
+        model_host_seconds=progress.model_host_seconds,
+        transport_send_seconds=transport_seconds[0],
+        transport_recv_seconds=transport_seconds[1],
+        cpu_seconds=cpu_seconds,
     )
     for model in shard:
         if isinstance(model, SwitchModel):
@@ -539,16 +498,12 @@ def _setup_profile(
         recorder: PhaseRecorder = ProbeRecorder(
             config.ring_capacity,
             sleep_s=config.probe_sleep_s,
-            period=max(
-                1, (context.round_quantum or context.quantum)
-                // context.quantum,
-            ),
+            period=context.round_quantum // context.quantum,
         )
     else:
         recorder = PhaseRecorder(config.ring_capacity)
     for channel in send_channels.values():
-        if hasattr(channel, "phase_sink"):
-            channel.phase_sink = recorder
+        channel.phase_sink = recorder
     return recorder, clock
 
 
@@ -570,16 +525,12 @@ def _collect_profile(
     """
     channel_counters: Dict[str, Dict[str, Any]] = {}
     for peer in peers:
-        counters = getattr(send_channels[peer], "counters", None)
-        if counters is not None:
-            entry = dict(counters())
-            entry["role"] = "send"
-            channel_counters[f"{worker_id}->{peer}"] = entry
-        counters = getattr(recv_channels[peer], "counters", None)
-        if counters is not None:
-            entry = dict(counters())
-            entry["role"] = "recv"
-            channel_counters[f"{peer}->{worker_id}"] = entry
+        channel_counters[f"{worker_id}->{peer}"] = dict(
+            send_channels[peer].counters(), role="send"
+        )
+        channel_counters[f"{peer}->{worker_id}"] = dict(
+            recv_channels[peer].counters(), role="recv"
+        )
     outbox_stats = {
         peer: {
             "total_entries": outbox.total_entries,
@@ -593,7 +544,25 @@ def _collect_profile(
 
 
 def run_shard(context: ShardContext, worker_id: int) -> WorkerResult:
-    """Execute one worker's shard to the target cycle; returns its result."""
+    """Execute one worker's shard to the target cycle; returns its result.
+
+    The lockstep is expressed once, as the round loop's hooks, and runs
+    under whichever loop ``simulation.engine`` names: ``pre_round``
+    drains one message per peer on each exchange boundary (lazily —
+    already-arrived messages first), and the eager flush rides the
+    per-model fault-hook seam: the wrapped ``hook`` posts a peer's
+    coalesced send the moment its last producing model has ticked on
+    the exchange's final round, while the loop is still ticking the
+    rest of the shard.  Boundary windows leave through the shard's
+    :class:`~repro.dist.remote_link.RemoteAttachment` objects in the
+    producing loop's own representation; the peer's delivery pushes
+    them unchanged.
+
+    Heartbeats and phase recording ride the same hooks: ``pre_round``
+    opens the row and marks the recv/gap segments, the wrapped hook
+    brackets each eager flush as compute-then-send, and ``post_round``
+    marks the loop's remaining ticks as compute and closes the row.
+    """
     global _SEND_CHANNELS
     entry_s = perf_counter()  # clock-sync stamp: first post-fork reading
     simulation = context.simulation
@@ -619,179 +588,7 @@ def run_shard(context: ShardContext, worker_id: int) -> WorkerResult:
     if beat is not None:
         beat(0, HB_STARTUP)
     recorder, clock = _setup_profile(context, entry_s, send_channels)
-    if simulation.engine == "batched":
-        return _run_shard_batched(
-            context, worker_id, shard, attachments, outboxes,
-            inbound_side, peers, recv_channels, send_channels,
-            recorder, clock, beat,
-        )
-    hook = simulation.fault_hook
-    round_quantum = context.round_quantum or quantum
-    rounds_per_exchange = max(1, round_quantum // quantum)
-
-    # Hoist every per-round dict lookup the loop would otherwise repeat:
-    # each model's (port, attachment) pairs, each boundary link's local
-    # consuming endpoint, and the eager-flush schedule (the per-peer
-    # channel/outbox pairs, attached to the last model feeding them).
-    flush_plan = _flush_plan(shard, attachments, outboxes, send_channels)
-    rows = []
-    for model in shard:
-        ports = [
-            (port, attachments[(id(model), port)]) for port in model.ports
-        ]
-        rows.append((model, ports, dict(ports), flush_plan.get(id(model))))
-    endpoints = _consumer_endpoints(simulation, inbound_side)
-    recv_list = [recv_channels[peer] for peer in peers]
-
-    start_cycle = simulation.current_cycle
-    cycle = start_cycle
-    rounds = 0
-    tokens_moved = 0
-    valid_tokens_moved = 0
-    model_host_seconds: Dict[str, float] = {}
-    transport_send_s = 0.0
-    transport_recv_s = 0.0
-    wall_start = perf_counter()
-    cpu_start = process_time()
-    while cycle < context.target_cycle:
-        if recorder is not None:
-            recorder.round_begin()
-        if beat is not None:
-            beat(rounds, HB_RECV)
-        exchange, phase = divmod(rounds, rounds_per_exchange)
-        if phase == 0 and rounds > 0:
-            recv_start = perf_counter() if measure else 0.0
-            _drain_exchange(recv_list, exchange - 1, endpoints, recorder)
-            if measure:
-                transport_recv_s += perf_counter() - recv_start
-        if beat is not None:
-            beat(rounds, HB_COMPUTE)
-        if hook is not None:
-            hook(cycle, None)
-        flushing = phase == rounds_per_exchange - 1
-        window = TokenWindow(cycle, cycle + quantum)
-        for model, ports, attachment_of, flushes in rows:
-            try:
-                inputs = {
-                    port: attachment.receive(quantum)
-                    for port, attachment in ports
-                }
-            except LookupError as exc:
-                raise _starvation_diagnostic(
-                    model, attachments, quantum, cycle, worker_id
-                ) from exc
-            if measure:
-                tick_start = perf_counter()
-                outputs = model.tick(window, inputs)
-                model_host_seconds[model.name] = (
-                    model_host_seconds.get(model.name, 0.0)
-                    + perf_counter()
-                    - tick_start
-                )
-            else:
-                outputs = model.tick(window, inputs)
-            for port, batch in outputs.items():
-                attachment_of[port].transmit(batch)
-                tokens_moved += batch.length
-                valid_tokens_moved += batch.valid_count
-            if hook is not None:
-                hook(cycle, model)
-            if flushing and flushes is not None:
-                # Eager flush: this model was the last producer toward
-                # these peers, so their exchange payload is complete —
-                # post it while the rest of the shard computes.
-                if recorder is not None:
-                    recorder.mark(P_COMPUTE)
-                send_start = perf_counter() if measure else 0.0
-                for channel, outbox in flushes:
-                    channel.send(exchange, outbox.drain())
-                if measure:
-                    transport_send_s += perf_counter() - send_start
-                if recorder is not None:
-                    recorder.mark(P_SEND)
-        if recorder is not None:
-            recorder.mark(P_COMPUTE)
-        if beat is not None:
-            beat(rounds, HB_SEND)
-        if recorder is not None:
-            recorder.round_end()
-        cycle += quantum
-        rounds += 1
-    if beat is not None:
-        beat(rounds, HB_DONE)
-    cpu_seconds = process_time() - cpu_start
-    wall_seconds = perf_counter() - wall_start
-    boundary_valid_tokens = sum(
-        attachment.sent_valid
-        for attachment in attachments.values()
-        if isinstance(attachment, RemoteAttachment)
-    )
-    result = _collect_result(
-        context,
-        worker_id,
-        shard,
-        inbound_side,
-        len(peers),
-        boundary_valid_tokens,
-        start_cycle,
-        cycle,
-        rounds,
-        tokens_moved,
-        valid_tokens_moved,
-        wall_seconds,
-        model_host_seconds,
-        transport_send_s,
-        transport_recv_s,
-    )
-    result.cpu_seconds = cpu_seconds
-    if recorder is not None and clock is not None:
-        result.profile = _collect_profile(
-            recorder, clock, worker_id, peers,
-            send_channels, recv_channels, outboxes,
-        )
-    return result
-
-
-def _run_shard_batched(
-    context: ShardContext,
-    worker_id: int,
-    shard: List[Any],
-    attachments: Dict[Tuple[int, str], Any],
-    outboxes: Dict[int, Outbox],
-    inbound_side: Dict[int, str],
-    peers: List[int],
-    recv_channels: Dict[int, Any],
-    send_channels: Dict[int, Any],
-    recorder: Optional[PhaseRecorder] = None,
-    clock: Optional[ClockSync] = None,
-    beat: Optional[Any] = None,
-) -> WorkerResult:
-    """The batched-engine twin of the scalar loop in :func:`run_shard`.
-
-    Same lockstep structure, expressed as the engine's round hooks:
-    ``pre_round`` drains one peer message per peer on each exchange
-    boundary (lazily — already-arrived messages first), and the eager
-    flush rides the engine's per-model fault-hook seam: the wrapped
-    ``hook`` posts a peer's coalesced send the moment its last
-    producing model has ticked on the exchange's final round, while
-    the engine is still ticking the rest of the shard.  Boundary
-    windows are shipped in the producer's representation (streams for
-    busy windows, in-place-shifted empty batches for idle ones) via
-    :meth:`~repro.dist.remote_link.RemoteAttachment.ship` — the peer's
-    delivery pushes them unchanged.
-
-    Phase recording rides the same hooks: ``pre_round`` opens the row
-    and marks the recv/gap segments, the wrapped hook brackets each
-    eager flush as compute-then-send, and ``post_round`` marks the
-    engine's remaining tick loop as compute and closes the row.
-    """
-    from repro.perf.engine import RoundProgress, compile_slots, run_rounds
-
-    simulation = context.simulation
-    quantum = context.quantum
-    measure = context.measure
-    round_quantum = context.round_quantum or quantum
-    rounds_per_exchange = max(1, round_quantum // quantum)
+    rounds_per_exchange = context.round_quantum // quantum
     endpoints = _consumer_endpoints(simulation, inbound_side)
     recv_list = [recv_channels[peer] for peer in peers]
     flush_plan = _flush_plan(shard, attachments, outboxes, send_channels)
@@ -826,6 +623,9 @@ def _run_shard_batched(
         flushes = flush_plan.get(id(model))
         if flushes is None:
             return
+        # Eager flush: this model was the last producer toward these
+        # peers, so their exchange payload is complete — post it while
+        # the rest of the shard computes.
         if recorder is not None:
             recorder.mark(P_COMPUTE)
         send_start = perf_counter() if measure else 0.0
@@ -838,32 +638,30 @@ def _run_shard_batched(
 
     def post_round(cycle: int, rounds: int) -> None:
         if recorder is not None:
-            # Everything since the last mark is the engine's tick loop.
+            # Everything since the last mark is the loop's ticking.
             recorder.mark(P_COMPUTE)
             recorder.round_end()
         if beat is not None:
             beat(rounds - 1, HB_SEND)
 
     def diagnose(model: Any, cycle: int) -> TokenStarvationError:
-        return _starvation_diagnostic(
-            model, attachments, quantum, cycle, worker_id
+        return starvation_diagnostic(
+            model, attachments, quantum, cycle, f"worker {worker_id}"
         )
 
-    slots = compile_slots(
-        shard, lambda model, port: attachments[(id(model), port)]
-    )
     start_cycle = simulation.current_cycle
     progress = RoundProgress(start_cycle)
     wall_start = perf_counter()
     cpu_start = process_time()
-    run_rounds(
-        slots,
+    round_loop(simulation.engine)(
+        shard,
+        attachments,
         quantum,
         start_cycle,
         context.target_cycle,
         progress,
         hook=hook if (peers or base_hook is not None) else None,
-        measure=context.measure,
+        measure=measure,
         pre_round=pre_round,
         post_round=post_round,
         diagnose=diagnose,
@@ -872,29 +670,10 @@ def _run_shard_batched(
         beat(progress.rounds, HB_DONE)
     cpu_seconds = process_time() - cpu_start
     wall_seconds = perf_counter() - wall_start
-    boundary_valid_tokens = sum(
-        attachment.sent_valid
-        for attachment in attachments.values()
-        if isinstance(attachment, RemoteAttachment)
-    )
     result = _collect_result(
-        context,
-        worker_id,
-        shard,
-        inbound_side,
-        len(peers),
-        boundary_valid_tokens,
-        start_cycle,
-        progress.cycle,
-        progress.rounds,
-        progress.tokens_moved,
-        progress.valid_tokens_moved,
-        wall_seconds,
-        progress.model_host_seconds,
-        transport_seconds[0],
-        transport_seconds[1],
+        context, worker_id, shard, attachments, inbound_side, len(peers),
+        progress, start_cycle, wall_seconds, cpu_seconds, transport_seconds,
     )
-    result.cpu_seconds = cpu_seconds
     if recorder is not None and clock is not None:
         result.profile = _collect_profile(
             recorder, clock, worker_id, peers,

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional
 from repro import ConfigError
 from repro.core.clock import TargetClock
 from repro.core.fame import Fame5Multiplexer
-from repro.core.simulation import Simulation
+from repro.core.simulation import ENGINES, Simulation
 from repro.manager.topology import ServerNode, SwitchNode, validate_topology
 from repro.net.ethernet import mac_address
 from repro.net.switch import SwitchConfig, SwitchModel
@@ -77,10 +77,9 @@ class RunFarmConfig:
             raise ConfigError("server link latency must be >= 1 cycle")
         if self.fame5_blades_per_pipeline < 1:
             raise ConfigError("FAME-5 multiplexing factor must be >= 1")
-        if self.engine not in ("scalar", "batched"):
+        if self.engine not in ENGINES:
             raise ConfigError(
-                f"unknown engine {self.engine!r}; expected 'scalar' or "
-                "'batched'"
+                f"unknown engine {self.engine!r}; expected one of {ENGINES}"
             )
 
     def to_dict(self) -> Dict[str, object]:

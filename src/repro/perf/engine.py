@@ -1,9 +1,9 @@
 """The batched round loop behind ``Simulation(engine="batched")``.
 
-Token movement here is observably identical to the scalar orchestrator
-(:meth:`repro.core.simulation.Simulation._run_round` stays untouched as
-the bit-equality oracle); only the host cost changes.  Three overheads
-are eliminated:
+Token movement here is observably identical to the scalar spec loop
+(:func:`repro.core.simulation.run_rounds`, the bit-equality oracle whose
+parameter list and hook points :func:`run_rounds` shares); only the
+host cost changes.  Four overheads are eliminated:
 
 * **Per-call queue machinery.**  The model graph is compiled once per
   run into :class:`_Slot` entries binding each port directly to its
@@ -34,17 +34,14 @@ are eliminated:
   Shadows adopt the scalar queues at run start and flush them back
   (bit-identically) when the run ends; blades keep no columnar state.
 
-Fault hooks fire at the same points as the scalar loop (round start
-with ``model=None``, then after each model), and the observer either
-gets per-tick callbacks (when Chrome tracing needs real span
+Hooks fire at the same points as the scalar loop, and the observer
+either gets per-tick callbacks (when Chrome tracing needs real span
 timestamps) or one vectorized fold per run through
 :meth:`~repro.obs.rate.RateMonitor.absorb_tick_totals` /
-:meth:`~repro.obs.rate.RateMonitor.absorb_round_times`.
-
-The same loop serves the distributed workers: ``pre_round`` drains peer
-token messages and ``post_round`` flushes boundary outboxes, with
-streams shipped over the wire in the producer's representation — no
-convert/deconvert hop (:meth:`repro.dist.remote_link.RemoteAttachment.ship`).
+:meth:`~repro.obs.rate.RateMonitor.absorb_round_times`.  Distributed
+workers hand the loop boundary attachments; their streams are shipped
+over the wire in the producer's representation — no convert/deconvert
+hop (:meth:`repro.dist.remote_link.RemoteAttachment.ship`).
 """
 
 from __future__ import annotations
@@ -56,6 +53,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.core.fame import Fame1Model
+from repro.core.simulation import RoundProgress, starvation_diagnostic
 from repro.core.token import TokenBatch, TokenWindow
 from repro.net.switch import SwitchModel
 from repro.perf.stream import ColumnarBatch, TokenStream
@@ -100,38 +98,27 @@ class _Slot:
         self.name = model.name
 
 
-class RoundProgress:
-    """Run accounting the loop flushes even when a fault hook raises.
-
-    The caller folds these into ``Simulation.stats`` (or a
-    ``WorkerResult``) in a ``finally`` block, so a mid-round crash
-    leaves the same counters the scalar loop would: completed rounds
-    plus the failing round's already-transmitted tokens.
-    """
-
-    __slots__ = (
-        "cycle", "rounds", "tokens_moved", "valid_tokens_moved",
-        "model_host_seconds",
-    )
-
-    def __init__(self, start_cycle: int) -> None:
-        self.cycle = start_cycle
-        self.rounds = 0
-        self.tokens_moved = 0
-        self.valid_tokens_moved = 0
-        self.model_host_seconds: Dict[str, float] = {}
+#: What idle fast-forward needs besides the slots: every slot's
+#: ``idle_horizon``, every endpoint in the graph, and the ports that
+#: move one window each per round.
+_IdlePlan = Tuple[List[Callable[[], Optional[int]]], List[Any], int]
 
 
 def compile_slots(
     models: Sequence[Fame1Model],
-    get_attachment: Callable[[Fame1Model, str], Any],
-) -> List[_Slot]:
+    attachments: Dict[Tuple[int, str], Any],
+) -> Tuple[List[_Slot], Optional[_IdlePlan]]:
     """Bind every model port to its endpoints for direct queue access.
 
-    ``get_attachment`` returns either the orchestrator's
+    ``attachments`` maps ``(id(model), port)`` to the orchestrator's
     ``_Attachment`` or a distributed ``RemoteAttachment``; both expose
     ``link``/``side``.  Remote producers additionally expose ``ship``,
     which replaces the local enqueue with an outbox append.
+
+    Also decides whether the graph may idle-fast-forward at all: only
+    when every model can prove an idle window (``idle_outputs`` plus an
+    ``idle_horizon``) and no port ships to a remote peer, whose rounds
+    are observed.  The second result is None otherwise.
     """
     # Pass 1: resolve attachments, decide which models speak rows
     # (stock switches through a columnar shadow, stock blades through
@@ -142,23 +129,26 @@ def compile_slots(
     consumers: Dict[Tuple[int, str], int] = {}
     resolved: List[List[Tuple[str, Any]]] = []
     for model in models:
-        attachments: List[Tuple[str, Any]] = []
+        ports: List[Tuple[str, Any]] = []
         for port in model.ports:
-            attachment = get_attachment(model, port)
-            attachments.append((port, attachment))
+            attachment = attachments[(id(model), port)]
+            ports.append((port, attachment))
             consumers[(id(attachment.link), attachment.side)] = id(model)
-        resolved.append(attachments)
+        resolved.append(ports)
         if getattr(model, "columnar_safe", False):
             columnar.add(id(model))
             if isinstance(model, SwitchModel):
                 shadows[id(model)] = ColumnarSwitch(model)
     slots: List[_Slot] = []
-    for model, attachments in zip(models, resolved):
+    horizons: Optional[List[Callable[[], Optional[int]]]] = []
+    endpoints: Dict[int, Any] = {}
+    ports_per_round = 0
+    for model, ports in zip(models, resolved):
         in_ports: List[Tuple[str, Any]] = []
         out_ports: List[
             Tuple[str, Any, int, bool, Any, Optional[Callable], bool]
         ] = []
-        for port, attachment in attachments:
+        for port, attachment in ports:
             link = attachment.link
             if attachment.side == "a":
                 in_endpoint, out_endpoint, is_a = link.to_a, link.to_b, True
@@ -167,7 +157,12 @@ def compile_slots(
                 in_endpoint, out_endpoint, is_a = link.to_b, link.to_a, False
                 consumer_side = "a"
             in_ports.append((port, in_endpoint))
+            endpoints[id(in_endpoint)] = in_endpoint
             ship = getattr(attachment, "ship", None)
+            if ship is not None:
+                horizons = None
+            else:
+                endpoints[id(out_endpoint)] = out_endpoint
             # Output windows stay columnar only when the local consumer
             # speaks rows itself; scalar models and distributed boundary
             # links get a materialized TokenStream.
@@ -186,11 +181,20 @@ def compile_slots(
             and type(model).idle_outputs is not Fame1Model.idle_outputs
         ):
             idle = model.idle_outputs
-        slots.append(
-            _Slot(model, idle, in_ports, out_ports, shadow,
-                  id(model) in columnar)
+        slot = _Slot(model, idle, in_ports, out_ports, shadow,
+                     id(model) in columnar)
+        slots.append(slot)
+        horizon = getattr(
+            shadow if shadow is not None else model, "idle_horizon", None
         )
-    return slots
+        if slot.idle is None or horizon is None:
+            horizons = None
+        elif horizons is not None:
+            horizons.append(horizon)
+            ports_per_round += len(out_ports)
+    if horizons is None:
+        return slots, None
+    return slots, (horizons, list(endpoints.values()), ports_per_round)
 
 
 def _idle_fast_forward(
@@ -253,7 +257,8 @@ def _idle_fast_forward(
 
 
 def run_rounds(
-    slots: List[_Slot],
+    models: Sequence[Fame1Model],
+    attachments: Dict[Tuple[int, str], Any],
     quantum: int,
     start_cycle: int,
     target_cycle: int,
@@ -266,17 +271,25 @@ def run_rounds(
     post_round: Optional[Callable[[int, int], None]] = None,
     diagnose: Optional[Callable[[Fame1Model, int], Exception]] = None,
 ) -> None:
-    """Advance all slots from ``start_cycle`` to ``target_cycle``.
+    """Advance ``models`` from ``start_cycle`` to ``target_cycle``.
+
+    Same contract as :func:`repro.core.simulation.run_rounds` (the
+    spec: parameters, hook firing order, what ``progress`` holds after
+    a raise).  Slots are compiled fresh per call (~tens of microseconds
+    on paper-scale graphs) so checkpoint restores, model-graph edits
+    and class-level patches between runs can never observe a stale
+    plan.
 
     Timing modes (mutually exclusive in practice):
 
     * ``observer`` with an enabled Chrome trace: per-tick
       ``record_model_tick``/``record_round`` calls, exactly like the
-      scalar observed path, so trace spans keep real timestamps;
+      scalar loop, so trace spans keep real timestamps;
     * ``observer`` without tracing, or ``measure=True`` (distributed
       workers): per-tick durations land in a preallocated numpy buffer
       folded once per round and flushed once per run.
     """
+    slots, idle_plan = compile_slots(models, attachments)
     trace_ticks = (
         observer is not None
         and getattr(observer, "trace", None) is not None
@@ -305,31 +318,13 @@ def run_rounds(
     endpoints: List[Any] = []
     ports_per_round = 0
     if (
-        hook is None
+        idle_plan is not None
+        and hook is None
         and pre_round is None
         and post_round is None
         and not trace_ticks
     ):
-        horizons = []
-        seen: Dict[int, Any] = {}
-        for slot in slots:
-            target = slot.shadow if slot.shadow is not None else slot.model
-            horizon = getattr(target, "idle_horizon", None)
-            if slot.idle is None or horizon is None:
-                horizons = None
-                break
-            horizons.append(horizon)
-            ports_per_round += len(slot.out_ports)
-            for _port, endpoint in slot.in_ports:
-                seen[id(endpoint)] = endpoint
-            for out in slot.out_ports:
-                if out[5] is not None:  # remote ship: rounds are observed
-                    horizons = None
-                    break
-                seen[id(out[4])] = out[4]
-            if horizons is None:
-                break
-        endpoints = list(seen.values())
+        horizons, endpoints, ports_per_round = idle_plan
     # Columnar shadows take over their model's queues for the duration
     # of this run; flush (in the finally) writes the scalar form back.
     for slot in slots:
@@ -385,7 +380,9 @@ def run_rounds(
                 except LookupError as exc:
                     if diagnose is not None:
                         raise diagnose(model, cycle) from exc
-                    raise
+                    raise starvation_diagnostic(
+                        model, attachments, quantum, cycle
+                    ) from exc
                 if timed or trace_ticks:
                     tick_start = perf_counter()
                 outputs = None
@@ -502,46 +499,3 @@ def run_rounds(
             if observer is not None:
                 observer.absorb_tick_totals(names, tick_totals)
                 observer.absorb_round_times(quantum, round_walls)
-
-
-def run_batched(simulation: Any, target_cycle: int) -> None:
-    """Advance a started :class:`~repro.core.simulation.Simulation`.
-
-    Entry point used by ``Simulation.run_until`` when
-    ``engine="batched"``.  Slots are compiled fresh per call (~tens of
-    microseconds on paper-scale graphs) so checkpoint restores and
-    model-graph edits between runs can never observe a stale plan.
-    """
-    quantum = simulation.quantum
-    attachments = simulation._attachments
-    slots = compile_slots(
-        simulation.models,
-        lambda model, port: attachments[(id(model), port)],
-    )
-
-    def diagnose(model: Fame1Model, cycle: int) -> Exception:
-        # The scalar loop only advances current_cycle at round end, so
-        # at failure it reads the failing round's start — mirror that
-        # before building the diagnostic.
-        simulation.current_cycle = cycle
-        return simulation._starvation_diagnostic(model, quantum)
-
-    progress = RoundProgress(simulation.current_cycle)
-    try:
-        run_rounds(
-            slots,
-            quantum,
-            simulation.current_cycle,
-            target_cycle,
-            progress,
-            hook=simulation.fault_hook,
-            observer=simulation.observer,
-            diagnose=diagnose,
-        )
-    finally:
-        stats = simulation.stats
-        stats.rounds += progress.rounds
-        stats.cycles += progress.rounds * quantum
-        stats.tokens_moved += progress.tokens_moved
-        stats.valid_tokens_moved += progress.valid_tokens_moved
-        simulation.current_cycle = progress.cycle

@@ -105,12 +105,6 @@ class TokenStream:
         return cls(start_cycle + shift, length, tokens)
 
     @classmethod
-    def from_batch(cls, batch: TokenBatch, shift: int = 0) -> "TokenStream":
-        return cls.from_flits(
-            batch.start_cycle, batch.length, batch.flits, shift
-        )
-
-    @classmethod
     def from_wire(
         cls,
         start_cycle: int,

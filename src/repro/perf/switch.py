@@ -330,51 +330,17 @@ class ColumnarSwitch:
                 elif n_done:
                     self._partial[port_index] = (None, 0)
                 continue
+            # Both flit-carrying inputs reduce to (cycle column, flit
+            # objects, last mask); frame boundaries then come straight
+            # off the mask, so only the one closing flit per frame is
+            # touched.
             if kind is TokenStream:
                 tokens = batch.tokens
-                n = int(tokens.shape[0])
-                if not n:
+                if not tokens.shape[0]:
                     continue
-                # Frame boundaries come straight off the ``last``
-                # column: per-flit object access is avoided entirely —
-                # only the one closing flit per frame is touched.
-                ends = np.flatnonzero(tokens["last"])
-                frame, seen = self._partial[port_index]
-                flit_col = tokens["flit"]
-                if ends.shape[0]:
-                    end_list = ends.tolist()
-                    frames = np.array(
-                        [flit_col[i].data for i in end_list], dtype=object
-                    )
-                    n_done = len(end_list)
-                    ts_parts.append(tokens["cycle"][ends] + min_latency)
-                    port_parts.append(
-                        np.full(n_done, port_index, dtype=_INT)
-                    )
-                    frame_parts.append(frames)
-                    src, dst, sizes = _frame_columns(frames)
-                    src_parts.append(src)
-                    dst_parts.append(dst)
-                    size_parts.append(sizes)
-                    total_parts.append(
-                        np.fromiter(
-                            (f.flit_count for f in frames),
-                            _INT,
-                            count=n_done,
-                        )
-                    )
-                    stats.packets_in += n_done
-                    stats.bytes_in += int(sizes.sum())
-                    trailing = n - 1 - end_list[-1]
-                    frame, seen = (
-                        (flit_col[n - 1].data, trailing)
-                        if trailing
-                        else (None, 0)
-                    )
-                else:
-                    frame, seen = flit_col[n - 1].data, seen + n
-                self._partial[port_index] = (frame, seen)
-                continue
+                cycles = tokens["cycle"]
+                flits: Any = tokens["flit"]
+                last = tokens["last"]
             else:  # TokenBatch (priming windows, split-pop fallbacks)
                 if not batch.flits:
                     continue
@@ -382,18 +348,19 @@ class ColumnarSwitch:
                 cycles = np.fromiter(
                     (cycle for cycle, _ in items), _INT, count=len(items)
                 )
-                flit_list = [flit for _, flit in items]
-            last = np.fromiter(
-                (flit.last for flit in flit_list),
-                dtype=np.bool_,
-                count=len(flit_list),
-            )
+                flits = [flit for _, flit in items]
+                last = np.fromiter(
+                    (flit.last for flit in flits),
+                    dtype=np.bool_,
+                    count=len(flits),
+                )
+            n = len(flits)
             ends = np.flatnonzero(last)
             frame, seen = self._partial[port_index]
             if ends.shape[0]:
                 end_list = ends.tolist()
                 frames = np.array(
-                    [flit_list[i].data for i in end_list], dtype=object
+                    [flits[i].data for i in end_list], dtype=object
                 )
                 n_done = len(end_list)
                 ts_parts.append(cycles[ends] + min_latency)
@@ -410,12 +377,12 @@ class ColumnarSwitch:
                 )
                 stats.packets_in += n_done
                 stats.bytes_in += int(sizes.sum())
-                trailing = len(flit_list) - 1 - end_list[-1]
+                trailing = n - 1 - end_list[-1]
                 frame, seen = (
-                    (flit_list[-1].data, trailing) if trailing else (None, 0)
+                    (flits[n - 1].data, trailing) if trailing else (None, 0)
                 )
             else:
-                frame, seen = flit_list[-1].data, seen + len(flit_list)
+                frame, seen = flits[n - 1].data, seen + n
             self._partial[port_index] = (frame, seen)
         if not ts_parts:
             return None

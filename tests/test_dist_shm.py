@@ -110,10 +110,9 @@ class TestRingWire:
         consumer cannot advance past the hole."""
         ring.send(0, [(0, LostWindow(640, 640))])
         (_, lost), = ring.recv(0)
-        link = Link(latency_cycles=640)
-        endpoint = link.to_a
+        endpoint = Link(latency_cycles=640).to_a
         endpoint.push(TokenBatch(0, 640))
-        deliver(link, "a", lost)
+        deliver(endpoint, lost)
         endpoint.push(TokenBatch(1280, 640))  # contiguous past the gap
         assert endpoint.available_tokens == 640  # stops at the hole
         endpoint.pop(640)

@@ -8,7 +8,8 @@ import pytest
 from repro import ConfigError
 from repro.core.channel import TokenStarvationError
 from repro.core.fame import Fame1Model
-from repro.core.simulation import Simulation
+from repro.core.simulation import ENGINES, Simulation
+from repro.dist import ShardContext, plan_from_assignment, run_shard
 from repro.faults.checkpoint import (
     CheckpointError,
     CheckpointUnsupported,
@@ -424,6 +425,41 @@ class TestTokenWatchdog:
         assert err.model_name == "B"
         assert err.port == "net"
         assert err.link_name == "B-down"
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_worker_diagnostic_only_adds_its_prefix(self, engine):
+        """Serial and shard runs starve through the same loop and the
+        same diagnostic: identical endpoint, link and cycle."""
+
+        def starve(as_worker):
+            sim, _, _ = switched_pair()
+            sim.engine = engine
+            sim.run_cycles(300)
+            sim.links[1].lose_in_flight("a_to_b")
+            with pytest.raises(TokenStarvationError) as excinfo:
+                if as_worker:
+                    plan = plan_from_assignment(
+                        {model.name: 0 for model in sim.models}
+                    )
+                    run_shard(
+                        ShardContext(
+                            simulation=sim, plan=plan, target_cycle=500,
+                            quantum=sim.quantum, measure=False, channels={},
+                            result_queue=None, round_quantum=sim.quantum,
+                        ),
+                        0,
+                    )
+                else:
+                    sim.run_until(500)
+            return excinfo.value
+
+        serial, worker = starve(False), starve(True)
+        assert str(worker) == f"worker 0: {serial}"
+        for field in ("model_name", "port", "link_name", "cycle"):
+            assert getattr(worker, field) == getattr(serial, field)
+        assert (serial.model_name, serial.port, serial.cycle) == (
+            "B", "net", 300
+        )
 
 
 # -- heartbeats ----------------------------------------------------------

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.simulation import ENGINES
 from repro.dist import plan_partitions, run_distributed
 from repro.manager.mapper import HostConfig, map_topology
 from repro.manager.runfarm import RunFarmConfig, elaborate
@@ -38,10 +39,12 @@ from repro.swmodel.apps.ping import make_ping_client
 ONE_FPGA = HostConfig(fpgas_per_instance=1)
 
 
-def run_profiled(profile, cycles=200_000, transport="shm"):
+def run_profiled(profile, cycles=200_000, transport="shm", engine="scalar"):
     """A 2-worker distributed run with profiling on."""
     root = two_tier(num_racks=2, servers_per_rack=2)
-    running = elaborate(root, RunFarmConfig(link_latency_cycles=640))
+    running = elaborate(
+        root, RunFarmConfig(link_latency_cycles=640, engine=engine)
+    )
     blades = running.blades
     last = max(blades)
     blades[0].spawn(
@@ -204,9 +207,10 @@ class TestProbeRecorder:
 # -- end-to-end: profiled distributed runs ------------------------------
 
 
-@pytest.fixture(scope="module")
-def profiled_result():
-    return run_profiled(True)
+@pytest.fixture(scope="module", params=ENGINES)
+def profiled_result(request):
+    """One shard driver, exercised under both round loops."""
+    return run_profiled(True, engine=request.param)
 
 
 class TestPhaseReportEndToEnd:

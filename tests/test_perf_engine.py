@@ -8,6 +8,8 @@ engine, for every topology/quantum combination tried, serially and
 distributed.
 """
 
+import dataclasses
+import inspect
 import io
 import json
 import pickle
@@ -19,7 +21,12 @@ from hypothesis import strategies as st
 
 from repro import ConfigError
 from repro.core.fame import Fame1Model, NullModel
-from repro.core.simulation import ENGINES, Simulation
+from repro.core.simulation import (
+    ENGINES,
+    RoundProgress,
+    Simulation,
+    round_loop,
+)
 from repro.core.token import Flit, TokenBatch, TokenWindow
 from repro.dist import plan_from_assignment, plan_partitions, run_distributed
 from repro.faults.checkpoint import SimulationSnapshot, state_digest
@@ -386,6 +393,98 @@ class TestEngineSelection:
 
     def test_engine_registry_names_both_paths(self):
         assert ENGINES == ("scalar", "batched")
+
+
+class TestLoopContract:
+    """The scalar spec and the batched loop behind one call: same
+    parameters, same hook firing order, same accounting."""
+
+    CYCLES = 64_000
+
+    def drive(self, engine, **kwargs):
+        """Call the selected loop directly over the two-tier ping farm."""
+        running, _ = build_batched("two_tier_2x2")
+        sim = running.simulation
+        sim.start()
+        progress = RoundProgress(0)
+        round_loop(engine)(
+            sim.models, sim._attachments, sim.quantum, 0, self.CYCLES,
+            progress, **kwargs,
+        )
+        return sim, progress
+
+    def test_both_loops_share_one_parameter_list(self):
+        scalar, batched = (round_loop(engine) for engine in ENGINES)
+        assert scalar is not batched
+        assert inspect.signature(scalar) == inspect.signature(batched)
+
+    def test_hooks_fire_in_the_same_order_with_the_same_arguments(self):
+        def run(engine):
+            calls = []
+            sim, progress = self.drive(
+                engine,
+                hook=lambda cycle, model: calls.append(("hook", cycle, model)),
+                pre_round=lambda cycle, n: calls.append(("pre", cycle, n)),
+                post_round=lambda cycle, n: calls.append(("post", cycle, n)),
+            )
+            # Switch names come from a global counter: log positions.
+            position = {id(model): i for i, model in enumerate(sim.models)}
+            position[id(None)] = None
+            calls = [
+                (kind, cycle, position[id(arg)] if kind == "hook" else arg)
+                for kind, cycle, arg in calls
+            ]
+            fields = {
+                name: getattr(progress, name)
+                for name in RoundProgress.__slots__
+            }
+            return calls, fields, len(sim.models), sim.quantum
+
+        scalar_calls, scalar_fields, models, quantum = run("scalar")
+        batched_calls, batched_fields, _, _ = run("batched")
+        assert batched_calls == scalar_calls
+        assert batched_fields == scalar_fields
+        assert scalar_fields["rounds"] == self.CYCLES // quantum
+        assert scalar_fields["valid_tokens_moved"] > 0
+        # One round: pre, round-start hook, one hook per model, post.
+        assert scalar_calls[: models + 3] == (
+            [("pre", 0, 0), ("hook", 0, None)]
+            + [("hook", 0, i) for i in range(models)]
+            + [("post", quantum, 1)]
+        )
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_measure_times_every_model(self, engine):
+        sim, progress = self.drive(engine, measure=True)
+        assert set(progress.model_host_seconds) == {
+            model.name for model in sim.models
+        }
+        assert all(v >= 0.0 for v in progress.model_host_seconds.values())
+
+    def test_mid_round_hook_raise_leaves_identical_stats(self):
+        class Crash(Exception):
+            pass
+
+        def run(engine):
+            running, _ = build_batched("two_tier_2x2")
+            sim = running.simulation
+            sim.engine = engine
+            sim.start()
+            victim = sim.models[len(sim.models) // 2]
+
+            def hook(cycle, model):
+                if cycle == 32_000 and model is victim:
+                    raise Crash
+
+            sim.fault_hook = hook
+            with pytest.raises(Crash):
+                sim.run_until(self.CYCLES)
+            return dataclasses.astuple(sim.stats), sim.current_cycle
+
+        scalar = run("scalar")
+        assert scalar[1] == 32_000
+        assert scalar[0][2] > 0  # the failing round's tokens are counted
+        assert run("batched") == scalar
 
 
 class TestTokenStream:

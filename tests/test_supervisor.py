@@ -20,6 +20,7 @@ import pytest
 
 from repro import ConfigError
 from repro.core.channel import TokenStarvationError
+from repro.core.simulation import ENGINES
 from repro.dist import plan_partitions, run_distributed
 from repro.dist.shm import ShmRing, leaked_segments
 from repro.dist.supervisor import (
@@ -314,15 +315,17 @@ def _lingering_entry(context, worker_id):
 
 
 class TestEngineFaults:
-    def _plan(self, topo_key="two_tier_2x2", workers=2):
+    def _plan(self, topo_key="two_tier_2x2", workers=2, engine="scalar"):
         running, root = build(topo_key)
+        running.simulation.engine = engine
         deployment = map_topology(root, ONE_FPGA)
         return running, plan_partitions(running, deployment, workers)
 
-    def test_hung_worker_is_killed_and_raised(self):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_hung_worker_is_killed_and_raised(self, engine):
         """An injected livelock stops heartbeat progress; the supervisor
         kills the worker and the run surfaces it as WorkerHang."""
-        running, plan = self._plan()
+        running, plan = self._plan(engine=engine)
         stats = ResilienceStats()
         injector = FaultInjector(
             FaultPlan(
@@ -344,8 +347,9 @@ class TestEngineFaults:
         assert stats.workers_killed >= 1
         assert leaked_segments() == []
 
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_clean_exit_without_result_is_a_crash_not_a_spin(
-        self, monkeypatch
+        self, monkeypatch, engine
     ):
         """A worker that exits 0 before reporting used to stall the
         collection loop forever (the liveness sweep excluded exit code
@@ -354,7 +358,7 @@ class TestEngineFaults:
             "repro.dist.engine.shard_entry", _silent_exit_entry
         )
         monkeypatch.setattr("repro.dist.engine._RESULT_GRACE_S", 0.3)
-        running, plan = self._plan()
+        running, plan = self._plan(engine=engine)
         with pytest.raises(
             WorkerCrash, match="exited cleanly without reporting"
         ):
@@ -448,10 +452,10 @@ class TestPipeTimeout:
 
 
 def _managed(fault_plan=None, workers=2, transport="pipe",
-             telemetry=False, **kwargs):
+             telemetry=False, engine="scalar", **kwargs):
     manager = FireSimManager(
         two_tier(num_racks=2, servers_per_rack=2),
-        run_config=RunFarmConfig(link_latency_cycles=640),
+        run_config=RunFarmConfig(link_latency_cycles=640, engine=engine),
         host_config=ONE_FPGA,
         fault_plan=fault_plan,
         workers=workers,
@@ -504,12 +508,15 @@ class TestManagerRecovery:
         assert result.node_results == _clean_node_results()
         assert result.node_results[0][RESULT_KEY]
 
-    def test_ring_corruption_recovers_and_keeps_workers(self):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_ring_corruption_recovers_and_keeps_workers(self, engine):
         plan = FaultPlan(
             seed=12,
             specs=(_spec(FaultKind.RING_CORRUPT, target="ring:0->1"),),
         )
-        manager, result = _managed(fault_plan=plan, transport="shm")
+        manager, result = _managed(
+            fault_plan=plan, transport="shm", engine=engine
+        )
         stats = manager.fault_stats
         assert stats.ring_corruptions == 1
         assert stats.restores == 1
