@@ -282,7 +282,7 @@ def drain_incast(model, next_start):
         }
         outputs.append(model._tick(window, empty))
         start += INCAST_WINDOW
-    if any(model._out_queues):
+    if model.queued_packets():
         print(
             "bench_core: FAIL: incast queues not drained after "
             f"{INCAST_DRAIN_ROUNDS} empty windows — raise "
@@ -297,7 +297,7 @@ def incast_fingerprint(model, outputs):
     """Every observable artifact of an incast run, normalized.
 
     Output windows are flattened to ``(cycle, frame_id, last, index)``
-    per flit so TokenBatch and flushed-ColumnarBatch outputs compare as
+    per flit so TokenBatch and ColumnarBatch outputs compare as
     values, not as container types.
     """
     flits = []
@@ -326,14 +326,13 @@ def run_incast_scalar(windows, batch_inputs):
 
 def run_incast_columnar(windows, columnar_inputs):
     model = build_incast_switch(incast_macs())
-    shadow = ColumnarSwitch(model)
-    shadow.adopt()
+    step = ColumnarSwitch(model).step
     outputs = []
     begin = perf_counter()
     for window, inputs in zip(windows, columnar_inputs):
-        outputs.append(shadow.step(window, inputs))
+        outputs.append(step(window, inputs))
     wall = perf_counter() - begin
-    shadow.flush()  # hand the queues back to the scalar model
+    # The scalar drain below picks up the very queues the steps filled.
     outputs.extend(drain_incast(model, windows[-1].end))
     return wall, incast_fingerprint(model, outputs)
 

@@ -9,24 +9,32 @@ demand), a metrics.csv with the expected header, and a trace.json that
 is a structurally valid Chrome trace_event document.
 
 With ``--profile`` (a ``--profile-out`` export from a profiled
-distributed run), additionally validates phase_report.json — schema
-``repro.obs.prof/v1``, per-worker phase shares that sum to ~1, a
+distributed run), additionally validates phase_report.json — the schema
+tag ``repro.obs.prof`` emits, per-worker phase shares that sum to ~1, a
 critical path naming a concrete worker and phase — and the merged
 trace: exactly one Chrome pid per worker and non-decreasing timestamps
 within every complete-event track, so the cross-process merge is one
 openable timeline.
 
 Exits non-zero with a message on the first violation; prints a one-line
-summary on success. Intended for CI smoke tests — stdlib only.
+summary on success. Intended for CI smoke tests — stdlib plus the
+profile schema tag, phase names and worker pid base, imported from the
+emitter (``repro.obs.prof``) so the two cannot drift.
 """
 
 import json
 import os
 import sys
 
-PROFILE_SCHEMA = "repro.obs.prof/v1"
-WORKER_PID_BASE = 100
-PHASES = ("compute", "serialize", "send", "recv_wait", "gap", "idle")
+sys.path.insert(
+    0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+)
+
+from repro.obs.prof import (  # noqa: E402
+    PHASES,
+    PROFILE_SCHEMA,
+    WORKER_PID_BASE,
+)
 
 REQUIRED_METRICS = ("sim.rounds", "sim.cycles", "sim.rate_mhz")
 SWITCH_SUFFIXES = (".packets_dropped", ".bytes_in", ".bytes_out")

@@ -8,10 +8,10 @@ Reproduces the paper's C++ switch model (Section III-B1) as a
   token plus a configurable minimum switching latency, then placed in an
   input packet queue.
 * **Global switching step**: all input packets available in the round are
-  pushed through a priority queue sorted on timestamp and drained into the
-  appropriate output-port buffers using a static MAC address table
-  (datacenter topologies are relatively fixed).  Broadcast frames are
-  duplicated to every port except the ingress port.
+  taken in timestamp order (the paper's priority queue; here one sort)
+  and appended to the appropriate output-port buffers using a static
+  MAC address table (datacenter topologies are relatively fixed).
+  Broadcast frames are duplicated to every port except the ingress port.
 * **Egress**: per port, packets are "released" into simulation tokens when
   their release timestamp is ≤ global simulation time and there is space
   in the output token stream (one flit per cycle per port, scaled by the
@@ -24,14 +24,20 @@ The switching algorithm and the Ethernet assumption are not fundamental:
 users can subclass and override :meth:`route` (or the ingress/egress
 hooks) to model new switch designs, just as FireSim users plug in their
 own C++ switching logic.
+
+The model owns the only copy of switch state — per-egress-port
+:class:`_ColQueue` columns, pacing cursors, per-ingress-port partial
+reassembly, the sequence counter.  The phases below are the readable
+per-packet spec over it; :class:`repro.perf.switch.ColumnarSwitch` runs
+the same phases a window at a time over the same state.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.core.fame import Fame1Model
 from repro.core.token import Flit, TokenBatch, TokenWindow
@@ -70,17 +76,103 @@ class SwitchConfig:
             raise ValueError("buffer_flits must be >= 1")
 
 
-@dataclass
-class _QueuedPacket:
-    """A routed packet waiting in (or draining from) an output buffer."""
+class _ColQueue:
+    """One egress port's packet buffer as growable parallel columns.
 
-    release_cycle: int
-    seq: int
-    frame: EthernetFrame
-    flits_emitted: int = 0
+    Rows are kept sorted by ``(release, seq)``.  New arrivals always
+    release strictly after everything buffered (their last flit lands
+    in the current window, every buffered packet's landed in an earlier
+    one), so enqueue is a plain append and the sort order is an
+    invariant, not a cost.  Only the head row can be partially emitted
+    (``head_emitted``): the drain loop's window straddler.
 
-    def __lt__(self, other: "_QueuedPacket") -> bool:
-        return (self.release_cycle, self.seq) < (other.release_cycle, other.seq)
+    The scalar spec works the queue one packet at a time through
+    :meth:`push`/:meth:`peek`/:meth:`pop`, which deal in Python ``int``
+    only — no ``numpy.int64`` may reach flit-dict keys, ``egress_log``,
+    trace args or ``repr()`` digests.  :mod:`repro.perf.switch` works
+    the same columns a window at a time.
+    """
+
+    __slots__ = (
+        "release", "seq", "frame", "size", "total",
+        "head", "tail", "head_emitted",
+    )
+
+    def __init__(self) -> None:
+        self.release = np.empty(16, dtype=np.int64)
+        self.seq = np.empty(16, dtype=np.int64)
+        self.frame = np.empty(16, dtype=object)
+        self.size = np.empty(16, dtype=np.int64)
+        self.total = np.empty(16, dtype=np.int64)
+        self.head = 0
+        self.tail = 0
+        self.head_emitted = 0
+
+    def __len__(self) -> int:
+        return self.tail - self.head
+
+    def _reserve(self, extra: int) -> None:
+        capacity = self.release.shape[0]
+        used = self.tail - self.head
+        if self.tail + extra <= capacity and self.head < capacity // 2:
+            return
+        new_capacity = max(capacity, 16)
+        while new_capacity < (used + extra) * 2:
+            new_capacity *= 2
+        for name in ("release", "seq", "frame", "size", "total"):
+            old = getattr(self, name)
+            grown = np.empty(new_capacity, dtype=old.dtype)
+            grown[:used] = old[self.head:self.tail]
+            setattr(self, name, grown)
+        self.head = 0
+        self.tail = used
+
+    def append(
+        self,
+        release: np.ndarray,
+        seq: np.ndarray,
+        frames: np.ndarray,
+        size: np.ndarray,
+        total: np.ndarray,
+    ) -> None:
+        n = len(release)
+        self._reserve(n)
+        tail = self.tail
+        self.release[tail:tail + n] = release
+        self.seq[tail:tail + n] = seq
+        self.frame[tail:tail + n] = frames
+        self.size[tail:tail + n] = size
+        self.total[tail:tail + n] = total
+        self.tail = tail + n
+
+    def remove_at(self, index: int) -> None:
+        """Drop the row at absolute ``index`` (buffer-bound drops)."""
+        for name in ("release", "seq", "frame", "size", "total"):
+            column = getattr(self, name)
+            column[index:self.tail - 1] = column[index + 1:self.tail]
+        self.tail -= 1
+
+    def push(self, release: int, seq: int, frame: EthernetFrame) -> None:
+        """Enqueue one packet behind everything buffered."""
+        self._reserve(1)
+        tail = self.tail
+        self.release[tail] = release
+        self.seq[tail] = seq
+        self.frame[tail] = frame
+        self.size[tail] = frame.size_bytes
+        self.total[tail] = frame.flit_count
+        self.tail = tail + 1
+
+    def peek(self) -> Tuple[int, EthernetFrame]:
+        """The head packet's release cycle and frame."""
+        return int(self.release[self.head]), self.frame[self.head]
+
+    def pop(self) -> None:
+        """Discard the head packet (fully emitted, or dropped)."""
+        self.head += 1
+        self.head_emitted = 0
+        if self.head == self.tail:
+            self.head = self.tail = 0
 
 
 @dataclass
@@ -101,54 +193,6 @@ class SwitchStats:
     broadcasts: int = 0
 
 
-class _RouteTable(dict):
-    """MAC -> port dict that version-stamps every mutation.
-
-    Routing decisions are memoized per flow (src, dst, ingress port);
-    the memo snapshots this version and any table edit — rare, e.g. a
-    topology remap after host quarantine — invalidates every cached
-    flow.  The hot path pays one integer compare per switching step.
-    """
-
-    __slots__ = ("version",)
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.version = 0
-
-    def __setitem__(self, key, value) -> None:
-        super().__setitem__(key, value)
-        self.version += 1
-
-    def __delitem__(self, key) -> None:
-        super().__delitem__(key)
-        self.version += 1
-
-    def clear(self) -> None:
-        super().clear()
-        self.version += 1
-
-    def pop(self, *args):
-        result = super().pop(*args)
-        self.version += 1
-        return result
-
-    def popitem(self):
-        result = super().popitem()
-        self.version += 1
-        return result
-
-    def setdefault(self, key, default=None):
-        if key in self:
-            return self[key]
-        self[key] = default
-        return default
-
-    def update(self, *args, **kwargs) -> None:
-        super().update(*args, **kwargs)
-        self.version += 1
-
-
 class SwitchModel(Fame1Model):
     """Store-and-forward Ethernet switch as a FAME-1 decoupled model."""
 
@@ -162,12 +206,6 @@ class SwitchModel(Fame1Model):
         ports = [f"port{i}" for i in range(config.num_ports)]
         super().__init__(name, ports)
         self.config = config
-        # Per-flow routing memo, valid only while route() is not
-        # overridden (a subclass may route on anything — never cache it)
-        # and the table/default-port are unchanged.
-        self._route_cache: Dict[Tuple[int, int, int], Tuple[int, ...]] = {}
-        self._route_version = 0
-        self._memoize_routes = type(self).route is SwitchModel.route
         # Idle-token elision is only sound while every tick phase is the
         # stock implementation (an all-idle window provably changes no
         # state); subclasses with custom phases always get a full tick.
@@ -180,17 +218,21 @@ class SwitchModel(Fame1Model):
             and cls._drain_port is SwitchModel._drain_port
         )
         #: Static MAC -> output-port-index table (Section III-B3: populated
-        #: automatically by the manager from the topology).
-        self.mac_table = dict(mac_table or {})
+        #: automatically by the manager from the topology).  Consulted
+        #: per packet, so edits take effect on the next switching step.
+        self.mac_table: Dict[int, int] = dict(mac_table or {})
         #: Port used for MACs missing from the table (the uplink in a tree
         #: topology); None means unknown unicast frames are dropped.
         self.default_port = default_port
-        self._seq = itertools.count()
-        # Per-ingress-port partial packet reassembly.
-        self._partial: List[List[Flit]] = [[] for _ in range(config.num_ports)]
-        # Per-egress-port packet buffers (heaps on release timestamp).
-        self._out_queues: List[List[_QueuedPacket]] = [
-            [] for _ in range(config.num_ports)
+        # Next sequence number: orders packets that share a release cycle.
+        self._seq = 0
+        # Per-ingress-port partial reassembly: (frame, flits seen so far).
+        self._partial: List[Tuple[Optional[EthernetFrame], int]] = [
+            (None, 0) for _ in range(config.num_ports)
+        ]
+        # Per-egress-port packet buffers, sorted on (release, seq).
+        self._out_queues: List[_ColQueue] = [
+            _ColQueue() for _ in range(config.num_ports)
         ]
         # Per-egress-port next cycle at which a flit may be emitted.
         self._port_next_free: List[int] = [0] * config.num_ports
@@ -202,44 +244,19 @@ class SwitchModel(Fame1Model):
     # -- configuration hooks ----------------------------------------------
 
     @property
-    def mac_table(self) -> "_RouteTable":
-        return self._mac_table
-
-    @mac_table.setter
-    def mac_table(self, table: Dict[int, int]) -> None:
-        # Wholesale replacement (tests, topology remaps) gets wrapped in
-        # a fresh version-tracked table; the memo restarts from it.
-        self._mac_table = (
-            table if isinstance(table, _RouteTable) else _RouteTable(table)
-        )
-        self._invalidate_routes()
-
-    @property
-    def default_port(self) -> Optional[int]:
-        return self._default_port
-
-    @default_port.setter
-    def default_port(self, port: Optional[int]) -> None:
-        self._default_port = port
-        self._invalidate_routes()
-
-    def _invalidate_routes(self) -> None:
-        self._route_cache.clear()
-        self._route_version = self._mac_table.version
-
-    @property
     def columnar_safe(self) -> bool:
-        """Whether the columnar fast path may shadow this switch.
+        """Whether the columnar fast path may tick this switch.
 
         The vectorized step in :mod:`repro.perf.switch` reproduces the
         *stock* phases bit-for-bit; any subclass override (custom
         routing, custom phases, custom idle handling) must fall back to
         the scalar tick.
         """
+        cls = type(self)
         return (
             self._idle_safe
-            and self._memoize_routes
-            and type(self).idle_outputs is SwitchModel.idle_outputs
+            and cls.route is SwitchModel.route
+            and cls.idle_outputs is SwitchModel.idle_outputs
         )
 
     def enable_bandwidth_probe(self) -> None:
@@ -301,47 +318,34 @@ class SwitchModel(Fame1Model):
         completed: List[Tuple[int, int, EthernetFrame]] = []
         for port_index in range(self.config.num_ports):
             batch = inputs[f"port{port_index}"]
-            partial = self._partial[port_index]
+            frame, seen = self._partial[port_index]
             for cycle, flit in batch.iter_flits():
-                partial.append(flit)
+                frame = flit.data
                 if flit.last:
-                    frame = flit.data
                     timestamp = cycle + self.config.min_latency_cycles
                     completed.append((timestamp, port_index, frame))
                     self.stats.packets_in += 1
                     self.stats.bytes_in += frame.size_bytes
-                    partial.clear()
+                    frame, seen = None, 0
+                else:
+                    seen += 1
+            self._partial[port_index] = (frame, seen)
         return completed
 
     def _switching_step(
         self, arrivals: List[Tuple[int, int, EthernetFrame]]
     ) -> None:
         """Sort this round's packets by timestamp and route to outputs."""
-        pending = list(arrivals)
-        heapq.heapify(pending)
         # The sink and its enabled flag are stable within a phase —
         # check once here, not once per packet.
         sink = get_trace_sink()
         sink_on = sink.enabled
-        memo = self._route_cache if self._memoize_routes else None
-        if memo is not None and self._route_version != self._mac_table.version:
-            memo.clear()
-            self._route_version = self._mac_table.version
-        while pending:
-            timestamp, ingress_port, frame = heapq.heappop(pending)
-            if memo is None:
-                out_ports: Iterable[int] = self.route(frame, ingress_port)
-            else:
-                flow = (frame.src, frame.dst, ingress_port)
-                cached = memo.get(flow)
-                if cached is None:
-                    cached = tuple(self.route(frame, ingress_port))
-                    memo[flow] = cached
-                elif frame.dst == BROADCAST_MAC:
-                    # route() counts each broadcast it expands; a memo
-                    # hit must keep that counter exact.
-                    self.stats.broadcasts += 1
-                out_ports = cached
+        # Timestamps are unique per ingress port (one flit per cycle),
+        # so (timestamp, port) is a total order.
+        for timestamp, ingress_port, frame in sorted(
+            arrivals, key=lambda arrival: arrival[:2]
+        ):
+            out_ports = self.route(frame, ingress_port)
             if not out_ports and frame.dst != BROADCAST_MAC:
                 # Unroutable unicast: no table entry and no default port
                 # (e.g. the destination host was quarantined and remapped).
@@ -358,10 +362,8 @@ class SwitchModel(Fame1Model):
                     )
                 continue
             for out_port in out_ports:
-                heapq.heappush(
-                    self._out_queues[out_port],
-                    _QueuedPacket(timestamp, next(self._seq), frame),
-                )
+                self._out_queues[out_port].push(timestamp, self._seq, frame)
+                self._seq += 1
                 if sink_on:
                     sink.target_instant(
                         "enqueue", "switch", timestamp, track=self.name,
@@ -392,28 +394,28 @@ class SwitchModel(Fame1Model):
         window_end = window.end
         cursor = max(self._port_next_free[port_index], window.start)
         while queue and cursor < window_end:
-            packet = queue[0]
-            start = max(cursor, packet.release_cycle)
+            release_cycle, frame = queue.peek()
+            start = max(cursor, release_cycle)
             if start >= window_end:
                 break
-            if packet.flits_emitted == 0:
+            if queue.head_emitted == 0:
                 # Buffer-occupancy drop model: a packet that cannot begin
                 # transmission within the buffer bound is dropped.
-                lag = start - packet.release_cycle
+                lag = start - release_cycle
                 if lag > self.config.buffer_flits:
-                    heapq.heappop(queue)
+                    queue.pop()
                     self.stats.packets_dropped += 1
-                    self.stats.bytes_dropped += packet.frame.size_bytes
+                    self.stats.bytes_dropped += frame.size_bytes
                     if sink_on:
                         sink.target_instant(
                             "drop", "switch", start, track=self.name,
-                            args={"frame": packet.frame.frame_id,
+                            args={"frame": frame.frame_id,
                                   "port": port_index, "lag": lag},
                         )
                     continue
-            frame = packet.frame
             total_flits = frame.flit_count
-            remaining = total_flits - packet.flits_emitted
+            index = queue.head_emitted
+            remaining = total_flits - index
             cycle = start
             if start + (remaining - 1) * pace < window_end:
                 # The window fully contains the rest of the packet:
@@ -422,7 +424,6 @@ class SwitchModel(Fame1Model):
                 # so skip add()'s per-flit validation and assign into
                 # the batch's flit dict directly.
                 flits = batch.flits
-                index = packet.flits_emitted
                 last_index = total_flits - 1
                 for _ in range(remaining):
                     flits[cycle] = Flit(
@@ -430,29 +431,27 @@ class SwitchModel(Fame1Model):
                     )
                     index += 1
                     cycle += pace
-                packet.flits_emitted = total_flits
             else:
-                while packet.flits_emitted < total_flits and cycle < window_end:
-                    is_last = packet.flits_emitted == total_flits - 1
+                while index < total_flits and cycle < window_end:
                     batch.add(
                         cycle,
                         Flit(
                             data=frame,
-                            last=is_last,
-                            index=packet.flits_emitted,
+                            last=index == total_flits - 1,
+                            index=index,
                         ),
                     )
-                    packet.flits_emitted += 1
+                    index += 1
                     cycle += pace
             cursor = cycle
             self._port_next_free[port_index] = cycle
-            if packet.flits_emitted == total_flits:
-                heapq.heappop(queue)
+            if index == total_flits:
+                queue.pop()
                 self.stats.packets_out += 1
                 self.stats.bytes_out += frame.size_bytes
                 if sink_on:
                     sink.target_span(
-                        "dequeue", "switch", packet.release_cycle,
+                        "dequeue", "switch", release_cycle,
                         cycle - pace, track=self.name,
                         args={"frame": frame.frame_id,
                               "port": port_index},
@@ -461,6 +460,7 @@ class SwitchModel(Fame1Model):
                     self.egress_log.append((cycle - pace, frame.size_bytes))
             else:
                 # Packet straddles the window; resume next round.
+                queue.head_emitted = index
                 break
         return batch
 
@@ -473,9 +473,8 @@ class SwitchModel(Fame1Model):
     def queued_bytes(self) -> int:
         """Bytes buffered across all output ports (straddlers count whole)."""
         return sum(
-            packet.frame.size_bytes
+            int(queue.size[queue.head:queue.tail].sum())
             for queue in self._out_queues
-            for packet in queue
         )
 
     def register_metrics(self, registry, prefix: Optional[str] = None) -> None:

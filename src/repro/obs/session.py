@@ -214,7 +214,8 @@ class TelemetrySession:
         """Write metrics.json/metrics.csv/trace.json into ``out_dir``.
 
         A profiled distributed run additionally writes
-        ``phase_report.json`` (schema ``repro.obs.prof/v1``).
+        ``phase_report.json`` (schema
+        :data:`repro.obs.prof.PROFILE_SCHEMA`).
         """
         payload = {"rate": self.rate_report().to_dict()}
         if extra:

@@ -14,15 +14,16 @@ hot path:
   (:class:`~repro.perf.stream.ColumnarBatch`) that columnar switches
   and stock blade NICs exchange without building a ``Flit``;
 * :mod:`repro.perf.switch` — the columnar switch fast path: every stock
-  :class:`~repro.net.switch.SwitchModel` is shadowed by a
+  :class:`~repro.net.switch.SwitchModel` ticks through a
   :class:`~repro.perf.switch.ColumnarSwitch` whose ingress/route/egress
-  phases run as numpy array programs over per-packet columns;
+  phases run as numpy array programs over the model's own per-packet
+  columns;
 * :mod:`repro.perf.engine` — a precompiled round loop that moves those
   windows with inlined queue operations and skips ticking models whose
   inputs carry no valid tokens and whose state provably cannot change
   (switches with empty queues, blades with no event due in the window).
 
-The scalar path stays untouched as the bit-equality oracle: cycle
+The scalar phases stay as the bit-equality oracle: cycle
 timestamps, switch counters, and tracer records are identical between
 the two engines (``tests/test_perf_engine.py`` and
 ``tests/test_columnar_switch.py`` assert it), and

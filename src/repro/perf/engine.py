@@ -23,16 +23,17 @@ host cost changes.  Four overheads are eliminated:
   with empty queues, tracers, null sinks, server blades with no queued
   transmits and no event due before the window's end) skip their tick
   entirely.
-* **Per-flit switch and NIC phases.**  Every stock switch is shadowed
-  by a :class:`~repro.perf.switch.ColumnarSwitch` whose
+* **Per-flit switch and NIC phases.**  Every stock switch ticks
+  through a :class:`~repro.perf.switch.ColumnarSwitch` whose
   ingress/route/egress phases run as numpy array programs, and every
   stock server blade ticks with ``rows=True`` so its NIC emits and
   consumes packet-segment rows.  Windows between such models travel as
   :class:`~repro.perf.stream.ColumnarBatch` rows, blade to blade, and
   ``Flit`` objects are only materialized where a window crosses to a
   scalar consumer (a tracer, a custom model, a distributed boundary).
-  Shadows adopt the scalar queues at run start and flush them back
-  (bit-identically) when the run ends; blades keep no columnar state.
+  Neither keeps columnar state of its own: the fast phases work the
+  model's one set of queues in place, so hooks, checkpoints and the
+  scalar engine read live state at every round boundary.
 
 Hooks fire at the same points as the scalar loop, and the observer
 either gets per-tick callbacks (when Chrome tracing needs real span
@@ -64,35 +65,27 @@ class _Slot:
     """One model's precompiled tick plan: ports bound to endpoints."""
 
     __slots__ = (
-        "model", "tick", "idle", "in_ports", "out_ports", "name",
-        "shadow", "raw",
+        "model", "tick", "idle", "in_ports", "out_ports", "name", "raw",
     )
 
     def __init__(
         self,
         model: Fame1Model,
+        tick: Callable[..., Any],
         idle: Optional[Callable[[TokenWindow], Optional[Dict[str, Any]]]],
         in_ports: List[Tuple[str, Any]],
         out_ports: List[
             Tuple[str, Any, int, bool, Any, Optional[Callable], bool]
         ],
-        shadow: Optional[ColumnarSwitch] = None,
-        raw: bool = False,
+        raw: bool,
     ) -> None:
         self.model = model
-        self.shadow = shadow
-        # A raw slot — a shadowed switch or a stock blade — may receive
+        self.tick = tick
+        self.idle = idle
+        # A raw slot — a stock switch or a stock blade — may receive
         # inputs in any wire representation (ColumnarBatch, TokenStream
         # or TokenBatch) without conversion, and answers in rows.
         self.raw = raw
-        if shadow is not None:
-            self.tick = shadow.step
-            self.idle = shadow.idle_outputs
-        else:
-            tick: Callable[..., Any] = model._tick
-            # A stock blade's ``_tick`` takes ``rows`` (ServerBlade).
-            self.tick = partial(tick, rows=True) if raw else tick
-            self.idle = idle
         self.in_ports = in_ports
         self.out_ports = out_ports
         self.name = model.name
@@ -121,10 +114,9 @@ def compile_slots(
     are observed.  The second result is None otherwise.
     """
     # Pass 1: resolve attachments, decide which models speak rows
-    # (stock switches through a columnar shadow, stock blades through
+    # (stock switches through ColumnarSwitch, stock blades through
     # their NIC), and learn which model consumes each link side so
     # producers know when a window may stay in columnar form.
-    shadows: Dict[int, ColumnarSwitch] = {}
     columnar: Set[int] = set()
     consumers: Dict[Tuple[int, str], int] = {}
     resolved: List[List[Tuple[str, Any]]] = []
@@ -137,8 +129,6 @@ def compile_slots(
         resolved.append(ports)
         if getattr(model, "columnar_safe", False):
             columnar.add(id(model))
-            if isinstance(model, SwitchModel):
-                shadows[id(model)] = ColumnarSwitch(model)
     slots: List[_Slot] = []
     horizons: Optional[List[Callable[[], Optional[int]]]] = []
     endpoints: Dict[int, Any] = {}
@@ -174,20 +164,19 @@ def compile_slots(
                 (port, link, link.latency, is_a, out_endpoint, ship,
                  columnar_ok)
             )
-        shadow = shadows.get(id(model))
+        raw = id(model) in columnar
+        tick: Callable[..., Any] = model._tick
+        if raw and isinstance(model, SwitchModel):
+            tick = ColumnarSwitch(model).step
+        elif raw:
+            # A stock blade's ``_tick`` takes ``rows`` (ServerBlade).
+            tick = partial(tick, rows=True)
         idle = None
-        if (
-            shadow is None
-            and type(model).idle_outputs is not Fame1Model.idle_outputs
-        ):
+        if type(model).idle_outputs is not Fame1Model.idle_outputs:
             idle = model.idle_outputs
-        slot = _Slot(model, idle, in_ports, out_ports, shadow,
-                     id(model) in columnar)
-        slots.append(slot)
-        horizon = getattr(
-            shadow if shadow is not None else model, "idle_horizon", None
-        )
-        if slot.idle is None or horizon is None:
+        slots.append(_Slot(model, tick, idle, in_ports, out_ports, raw))
+        horizon = getattr(model, "idle_horizon", None)
+        if idle is None or horizon is None:
             horizons = None
         elif horizons is not None:
             horizons.append(horizon)
@@ -325,11 +314,6 @@ def run_rounds(
         and not trace_ticks
     ):
         horizons, endpoints, ports_per_round = idle_plan
-    # Columnar shadows take over their model's queues for the duration
-    # of this run; flush (in the finally) writes the scalar form back.
-    for slot in slots:
-        if slot.shadow is not None:
-            slot.shadow.adopt()
     try:
         while cycle < target_cycle:
             if pre_round is not None:
@@ -484,9 +468,6 @@ def run_rounds(
                         round_walls.append(perf_counter() - skip_start)
                         round_walls.extend([0.0] * (skipped - 1))
     finally:
-        for slot in slots:
-            if slot.shadow is not None:
-                slot.shadow.flush()
         progress.cycle = cycle
         progress.rounds = rounds
         progress.tokens_moved = tokens_moved

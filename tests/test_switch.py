@@ -1,10 +1,15 @@
 """Switch model behaviour (repro.net.switch, paper §III-B1)."""
 
+import json
+
 import pytest
 
 from repro.core.token import TokenBatch, TokenWindow
 from repro.net.ethernet import BROADCAST_MAC, EthernetFrame, mac_address
 from repro.net.switch import SwitchConfig, SwitchModel
+from repro.obs.trace import set_trace_sink
+from repro.perf.switch import ColumnarSwitch
+from tests.test_columnar_switch import RecordingSink
 
 
 def make_switch(ports=3, min_latency=10, mac_table=None, default_port=None,
@@ -68,6 +73,29 @@ class TestRouting:
         for port in (0, 2, 3):
             assert outputs[f"port{port}"].valid_count == 8
         assert switch.stats.broadcasts == 1
+
+    def test_table_edits_between_ticks_reroute_the_next_packet(self):
+        mac = mac_address(1)
+        switch = make_switch(ports=4, mac_table={mac: 1})
+        switch.mac_table[mac] = 2
+        outputs = tick(switch, 0, 100, {0: [(0, frame_to(mac))]})
+        assert outputs["port2"].valid_count == 8
+        del switch.mac_table[mac]
+        switch.default_port = 3
+        outputs = tick(switch, 100, 100, {0: [(100, frame_to(mac))]})
+        assert outputs["port3"].valid_count == 8
+        switch.default_port = None
+        outputs = tick(switch, 200, 100, {0: [(200, frame_to(mac))]})
+        assert all(b.valid_count == 0 for b in outputs.values())
+        assert switch.stats.packets_dropped == 1
+
+    def test_broadcast_on_one_port_switch_goes_nowhere(self):
+        switch = make_switch(ports=1)
+        outputs = tick(switch, 0, 100, {0: [(0, frame_to(BROADCAST_MAC))]})
+        assert outputs["port0"].valid_count == 0
+        assert switch.stats.broadcasts == 1
+        assert switch.stats.packets_dropped == 0
+        assert switch.queued_packets() == 0
 
 
 class TestTiming:
@@ -206,6 +234,56 @@ class TestStats:
         assert len(switch.egress_log) == 1
         cycle, size = switch.egress_log[0]
         assert size == 64
+
+
+def plain(value):
+    """True when ``value`` is built of JSON-native Python types only
+    (``numpy.int64`` is not an ``int`` subclass, so it fails)."""
+    if isinstance(value, (list, tuple)):
+        return all(plain(item) for item in value)
+    if isinstance(value, dict):
+        return all(plain(k) and plain(v) for k, v in value.items())
+    return value is None or type(value) in (int, str, bool)
+
+
+class TestSharedQueues:
+    def test_scalar_tick_over_columnar_queues_stays_numpy_free(self):
+        """The queues are numpy columns whichever phase filled them;
+        nothing a scalar tick hands out may carry a numpy scalar."""
+        mac = mac_address(1)
+        switch = make_switch(mac_table={mac: 1}, buffer_flits=4)
+        switch.enable_bandwidth_probe()
+        window = TokenWindow(0, 64)
+        inputs = {}
+        for port in range(3):
+            batch = TokenBatch.empty(0, 64)
+            if port != 1:
+                for start in (40, 48, 56):
+                    for index, flit in enumerate(frame_to(mac).to_flits()):
+                        batch.add(start + index, flit)
+            inputs[f"port{port}"] = batch
+        ColumnarSwitch(switch).step(window, inputs)
+        switch.current_cycle = 64
+        assert switch.queued_packets() > 0
+        sink = RecordingSink()
+        set_trace_sink(sink)
+        try:
+            outputs = tick(
+                switch, 64, 64, {0: [(64, frame_to(mac_address(9)))]}
+            )
+        finally:
+            set_trace_sink(None)
+        cycles = egress_cycles(outputs["port1"])
+        assert cycles and plain(cycles)
+        assert switch.egress_log and plain(switch.egress_log)
+        assert {event[1] for event in sink.events} >= {"drop", "dequeue"}
+        assert plain(sink.events)
+        json.dumps([cycles, switch.egress_log, sink.events])
+        assert plain([
+            switch.queued_packets(), switch.queued_bytes(),
+            switch._port_next_free, switch._seq,
+        ])
+        assert "np." not in repr(switch.stats)
 
 
 class TestConfigValidation:
