@@ -15,7 +15,8 @@ whole contract end to end:
 * every completed job's results are bit-equal to its serial oracle;
 * one job is **cancelled** mid-flight and settles as cancelled;
 * the CLI verbs (``submit``/``jobs``/``cancel``) round-trip over the
-  unix socket, and server-side failures exit non-zero with one line;
+  unix socket, server-side failures exit non-zero with one line, and
+  one flag set gives the same pings as ``runworkload`` and as a job;
 * graceful shutdown reaps every child process — zero leaked processes,
   zero leaked ``/dev/shm`` segments (snapshotted before/after);
 * the JSON-lines job-event log is well formed: monotonic ``seq``,
@@ -41,6 +42,7 @@ from repro.dist.shm import (  # noqa: E402
     SEGMENT_PREFIX,
     leaked_segments,
 )
+from repro.experiments.common import cycles_to_us  # noqa: E402
 from repro.manager.cli import main as cli_main  # noqa: E402
 from repro.serve import (  # noqa: E402
     InProcessClient,
@@ -50,6 +52,7 @@ from repro.serve import (  # noqa: E402
     SocketEndpoint,
     run_job_inline,
 )
+from repro.swmodel.apps.ping import RESULT_KEY as PING_KEY  # noqa: E402
 
 #: Two-slot farm; every job below needs 2 slots, so at most one runs at
 #: a time and the scheduler's queueing/preemption decisions all matter.
@@ -214,6 +217,31 @@ def main_check():
             fail("the victim was never preempted")
         if records["victim"]["checkpoint"] is not None:
             fail("a completed job still holds a checkpoint")
+
+        # One recipe, two front ends: the same flags as a batch
+        # session and as a served job report the same measurements.
+        flags = ["--servers-per-rack", "2", "--duration-ms", "1",
+                 "--ping-count", "6", "--json"]
+        code, out, err = run_cli(
+            ["buildafi", "launchrunfarm", "infrasetup", "runworkload"]
+            + flags
+        )
+        if code != 0:
+            fail(f"CLI runworkload exited {code}: {err.strip()}")
+        batch = json.loads(out)["verbs"]["runworkload"]["ping"]
+        code, out, err = run_cli(
+            ["submit", "--serve-socket", sock, "--wait"] + flags
+        )
+        if code != 0:
+            fail(f"CLI submit --wait exited {code}: {err.strip()}")
+        served = json.loads(out)["verbs"]["submit"]["job"]["result"]
+        rtts = [rtt for results in served["node_results"].values()
+                for rtt in results.get(PING_KEY, [])]
+        if (len(rtts) != batch["samples"]
+                or cycles_to_us(sum(rtts) / len(rtts))
+                != batch["mean_rtt_us"]):
+            fail("the same flags gave different pings as runworkload "
+                 f"({batch}) and as a served job ({len(rtts)} samples)")
 
         # CLI jobs listing reflects the outcome.
         code, out, err = run_cli(["jobs", "--serve-socket", sock])

@@ -71,6 +71,7 @@ from repro.host.costs import cost_report
 from repro.host.perfmodel import SimulationRateModel
 from repro.manager.manager import FireSimManager
 from repro.manager.runfarm import RunFarmConfig, RunningSimulation, elaborate
+from repro.manager.runspec import RunSpec
 from repro.manager.topology import (
     ServerNode,
     SwitchNode,
@@ -110,6 +111,7 @@ __all__ = [
     "RetryPolicy",
     "RocketChipConfig",
     "RunFarmConfig",
+    "RunSpec",
     "RunningSimulation",
     "ServerBlade",
     "ServerNode",

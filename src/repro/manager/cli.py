@@ -37,25 +37,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro import ConfigError, ReproError
 from repro.experiments.common import cycles_to_us
-from repro.faults.plan import FaultPlan
-from repro.faults.retry import RetryPolicy
 from repro.manager.manager import FireSimManager
-from repro.manager.mapper import HostConfig, SUPERNODE_HOST
-from repro.manager.runfarm import RunFarmConfig
-from repro.manager.topology import (
-    SwitchNode,
-    datacenter_tree,
-    single_rack,
-    two_tier,
-)
-from repro.manager.workload import WorkloadSpec
-from repro.swmodel.apps.boot import make_linux_boot
+from repro.manager.runspec import RunSpec
 from repro.swmodel.apps.ping import RESULT_KEY as PING_KEY
-from repro.swmodel.apps.ping import make_ping_client
 
 VERBS = (
     "buildafi",
@@ -72,43 +60,6 @@ VERBS = (
 #: cannot be mixed with the lifecycle verbs above — a service session
 #: and a batch session are different things.
 SERVE_VERBS = ("serve", "submit", "jobs", "cancel")
-
-
-def build_topology(args: argparse.Namespace) -> SwitchNode:
-    if args.topology == "single_rack":
-        return single_rack(args.servers_per_rack, args.server_type)
-    if args.topology == "two_tier":
-        return two_tier(args.racks, args.servers_per_rack, args.server_type)
-    if args.topology == "datacenter":
-        return datacenter_tree(servers_per_rack=args.servers_per_rack)
-    raise ConfigError(f"unknown topology {args.topology!r}")
-
-
-def build_workload(args: argparse.Namespace, manager: FireSimManager) -> WorkloadSpec:
-    duration = args.duration_ms / 1000.0
-    workload = WorkloadSpec(args.workload, duration_seconds=duration)
-    assert manager.running is not None
-    if args.workload == "ping":
-        target = manager.running.blade(1)
-        workload.add_job(
-            0,
-            "ping",
-            lambda blade: blade.spawn(
-                "ping",
-                make_ping_client(target.mac, count=args.ping_count,
-                                 interval_cycles=200_000),
-            ),
-        )
-    elif args.workload == "boot":
-        for index in sorted(manager.running.blades):
-            workload.add_job(
-                index,
-                f"boot{index}",
-                lambda blade: blade.spawn("init", make_linux_boot()),
-            )
-    else:
-        raise ConfigError(f"unknown workload {args.workload!r}")
-    return workload
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -215,17 +166,25 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_imbalance(per_worker_rate_mhz: Dict[Any, float]) -> Optional[float]:
-    """Fastest/slowest partition rate, or None when not meaningful."""
-    rates = [rate for rate in per_worker_rate_mhz.values() if rate > 0.0]
-    if len(rates) < 2:
-        return None
-    return max(rates) / min(rates)
+def _partition_lines(distributed: Dict[str, Any]) -> List[str]:
+    """Round quantum, per-partition rates and their imbalance."""
+    lines = [
+        f"  round quantum: {distributed['round_quantum']} cycles "
+        f"({distributed['rounds_per_exchange']} rounds per "
+        f"exchange, {distributed['exchange_rounds']} exchanges)"
+    ]
+    per_worker = sorted(
+        distributed["per_worker_rate_mhz"].items(),
+        key=lambda item: int(item[0]),
+    )
+    lines += [f"  partition {w}: {rate:.3f} MHz" for w, rate in per_worker]
+    rates = [rate for _, rate in per_worker if rate > 0.0]
+    if len(rates) >= 2:
+        lines.append(f"  load imbalance: {max(rates) / min(rates):.2f}x")
+    return lines
 
 
-def _run_verb(
-    verb: str, args: argparse.Namespace, manager: FireSimManager
-) -> tuple:
+def _run_verb(verb: str, spec: RunSpec, manager: FireSimManager) -> tuple:
     """Execute one verb; returns (human lines, JSON summary)."""
     if verb == "buildafi":
         results = manager.buildafi()
@@ -275,8 +234,7 @@ def _run_verb(
         }
 
     if verb == "runworkload":
-        workload = build_workload(args, manager)
-        result = manager.runworkload(workload)
+        result = manager.runworkload(spec.build_workload(manager))
         lines = [
             f"workload {result.workload_name!r} ran to "
             f"{result.target_seconds * 1e3:.2f} ms of target time"
@@ -305,19 +263,7 @@ def _run_verb(
                 f"({distributed['channels']} {distributed['transport']} "
                 "channels)"
             )
-            lines.append(
-                f"  round quantum: {distributed['round_quantum']} cycles "
-                f"({distributed['rounds_per_exchange']} rounds per "
-                f"exchange, {distributed['exchange_rounds']} exchanges)"
-            )
-            for worker, rate in sorted(
-                distributed["per_worker_rate_mhz"].items(),
-                key=lambda item: int(item[0]),
-            ):
-                lines.append(f"  partition {worker}: {rate:.3f} MHz")
-            imbalance = _load_imbalance(distributed["per_worker_rate_mhz"])
-            if imbalance is not None:
-                lines.append(f"  load imbalance: {imbalance:.2f}x")
+            lines += _partition_lines(distributed)
             summary["distributed"] = distributed
         return lines, summary
 
@@ -348,19 +294,7 @@ def _run_verb(
                 f"{distributed['channels']} {distributed['transport']} "
                 "channels)"
             )
-            lines.append(
-                f"  round quantum: {distributed['round_quantum']} cycles "
-                f"({distributed['rounds_per_exchange']} rounds per "
-                f"exchange, {distributed['exchange_rounds']} exchanges)"
-            )
-            for worker, rate in sorted(
-                distributed["per_worker_rate_mhz"].items(),
-                key=lambda item: int(item[0]),
-            ):
-                lines.append(f"  partition {worker}: {rate:.3f} MHz")
-            imbalance = _load_imbalance(distributed["per_worker_rate_mhz"])
-            if imbalance is not None:
-                lines.append(f"  load imbalance: {imbalance:.2f}x")
+            lines += _partition_lines(distributed)
             summary["distributed"] = distributed
         resilience = manager.resilience_summary()
         lines.append(
@@ -374,23 +308,17 @@ def _run_verb(
                 "  quarantined: "
                 + ", ".join(resilience["quarantined_hosts"])
             )
-        supervisor_counters = (
-            resilience.get("hangs_detected", 0),
-            resilience.get("workers_killed", 0),
-            resilience.get("join_timeouts", 0),
-            resilience.get("ring_corruptions", 0),
-            resilience.get("transport_degradations", 0),
-            resilience.get("serial_fallbacks", 0),
-        )
-        if any(supervisor_counters):
-            lines.append(
-                f"supervisor: {supervisor_counters[0]} hangs detected, "
-                f"{supervisor_counters[1]} workers killed, "
-                f"{supervisor_counters[2]} join timeouts, "
-                f"{supervisor_counters[3]} ring corruptions, "
-                f"{supervisor_counters[4]} transport degradations, "
-                f"{supervisor_counters[5]} serial fallbacks"
-            )
+        supervisor = {
+            key: resilience[key]
+            for key in ("hangs_detected", "workers_killed", "join_timeouts",
+                        "ring_corruptions", "transport_degradations",
+                        "serial_fallbacks")
+        }
+        if any(supervisor.values()):
+            lines.append("supervisor: " + ", ".join(
+                f"{count} {key.replace('_', ' ')}"
+                for key, count in supervisor.items()
+            ))
         if resilience.get("quarantined_rings"):
             lines.append(
                 "  quarantined rings: "
@@ -416,12 +344,6 @@ def main(
     argv: Optional[Sequence[str]] = None, out=sys.stdout, err=sys.stderr
 ) -> int:
     args = make_parser().parse_args(argv)
-    if args.engine is None:
-        # Distributed runs default to the batched numpy engine — it is
-        # bit-identical to the scalar oracle and the parity gate in CI
-        # holds the distributed engine to the serial batched rate.
-        # Serial runs keep the scalar reference as their default.
-        args.engine = "batched" if args.workers > 1 else "scalar"
     try:
         return _main(args, out)
     except ReproError as exc:
@@ -429,6 +351,10 @@ def main(
         # actionable line and exit nonzero — no traceback.
         print(f"firesim: error: {exc}", file=err)
         return 1
+
+
+def _emit(document: Dict[str, Any], out) -> None:
+    print(json.dumps(document, indent=2, sort_keys=True), file=out)
 
 
 def _parse_farm(spec: str) -> Dict[str, int]:
@@ -450,28 +376,23 @@ def _parse_farm(spec: str) -> Dict[str, int]:
     return counts
 
 
-def _spec_from_args(args: argparse.Namespace) -> Dict[str, Any]:
-    """A submitted job's spec, from the same flags runworkload uses."""
-    return {
-        "name": args.job_name or args.workload,
-        "topology": args.topology,
-        "racks": args.racks,
-        "servers_per_rack": args.servers_per_rack,
-        "server_type": args.server_type,
-        "workload": args.workload,
-        "duration_ms": args.duration_ms,
-        "ping_count": args.ping_count,
-        "priority": args.priority,
-        "preemptible": not args.no_preempt,
-        "engine": args.engine,
-        "workers": args.workers,
-        "transport": args.transport,
-        "link_latency_us": args.link_latency_us,
-        "fpgas_per_instance": args.fpgas_per_instance,
-        "supernode": args.supernode,
-        "checkpoint_interval_ms": args.checkpoint_interval,
-        "max_retries": args.max_retries,
-    }
+def _job_from_args(args: argparse.Namespace) -> Dict[str, Any]:
+    """A submitted job's spec: the recipe runworkload would run, named."""
+    from repro.serve.job import JobSpec
+
+    defaults = make_parser()
+    for flag in ("transport_timeout", "hang_timeout"):
+        if getattr(args, flag) != defaults.get_default(flag):
+            raise ConfigError(
+                f"--{flag.replace('_', '-')} is a setting of the process "
+                "that runs a simulation; a served job cannot carry it"
+            )
+    return JobSpec(
+        **RunSpec.from_args(args).to_dict(),
+        name=args.job_name or args.workload,
+        priority=args.priority,
+        preemptible=not args.no_preempt,
+    ).to_dict()
 
 
 def _serve_forever(args: argparse.Namespace, out) -> Dict[str, Any]:
@@ -533,15 +454,15 @@ def _serve_main(args: argparse.Namespace, out) -> int:
             )
         summary = _serve_forever(args, out)
         if args.json:
-            print(json.dumps({"verbs": {"serve": summary}}, indent=2,
-                             sort_keys=True), file=out)
+            _emit({"verbs": {"serve": summary}}, out)
         return 0
 
     client = UnixSocketClient(args.serve_socket)
     summaries: Dict[str, Any] = {}
+    code = 0
     for verb in args.verbs:
         if verb == "submit":
-            job_id = client.submit(_spec_from_args(args))
+            job_id = client.submit(_job_from_args(args))
             summary: Dict[str, Any] = {"job_id": job_id}
             if not args.json:
                 print(f"submitted job {job_id}", file=out)
@@ -552,10 +473,8 @@ def _serve_main(args: argparse.Namespace, out) -> int:
                     print(f"job {job_id} {record['state']}", file=out)
                 if record["state"] != "done":
                     summaries[verb] = summary
-                    if args.json:
-                        print(json.dumps({"verbs": summaries}, indent=2,
-                                         sort_keys=True), file=out)
-                    return 1
+                    code = 1
+                    break
         elif verb == "jobs":
             description = client.describe()
             summary = description
@@ -591,9 +510,8 @@ def _serve_main(args: argparse.Namespace, out) -> int:
             raise ConfigError(f"unknown service verb {verb!r}")
         summaries[verb] = summary
     if args.json:
-        print(json.dumps({"verbs": summaries}, indent=2, sort_keys=True),
-              file=out)
-    return 0
+        _emit({"verbs": summaries}, out)
+    return code
 
 
 def _main(args: argparse.Namespace, out) -> int:
@@ -605,38 +523,9 @@ def _main(args: argparse.Namespace, out) -> int:
                 "with lifecycle verbs in one invocation"
             )
         return _serve_main(args, out)
-    topology = build_topology(args)
-    run_config = RunFarmConfig(
-        link_latency_cycles=max(1, round(args.link_latency_us * 3200)),
-        engine=args.engine,
-    )
-    host_config = SUPERNODE_HOST if args.supernode else HostConfig()
-    if args.fpgas_per_instance is not None:
-        host_config = HostConfig(
-            fpga_config=host_config.fpga_config,
-            fpgas_per_instance=args.fpgas_per_instance,
-        )
-    fault_plan = (
-        FaultPlan.from_file(args.fault_plan) if args.fault_plan else None
-    )
-    retry_policy = (
-        RetryPolicy(max_retries=args.max_retries)
-        if args.max_retries is not None else None
-    )
-    checkpoint_cycles = None
-    if args.checkpoint_interval is not None:
-        checkpoint_cycles = max(
-            1, round(args.checkpoint_interval / 1e3 * run_config.freq_hz)
-        )
-    manager = FireSimManager(
-        topology,
-        run_config=run_config,
-        host_config=host_config,
-        fault_plan=fault_plan,
-        retry_policy=retry_policy,
-        checkpoint_interval_cycles=checkpoint_cycles,
-        workers=args.workers,
-        transport=args.transport,
+    # The whole recipe is checked here, before the first verb does work.
+    spec = RunSpec.from_args(args)
+    manager = spec.build_manager(
         transport_timeout_s=args.transport_timeout,
         hang_timeout_s=args.hang_timeout,
     )
@@ -647,7 +536,7 @@ def _main(args: argparse.Namespace, out) -> int:
 
     summaries: Dict[str, Any] = {}
     for verb in args.verbs:
-        lines, summary = _run_verb(verb, args, manager)
+        lines, summary = _run_verb(verb, spec, manager)
         summaries[verb] = summary
         if not args.json:
             for line in lines:
@@ -665,7 +554,7 @@ def _main(args: argparse.Namespace, out) -> int:
             for artifact, path in sorted(written.items()):
                 print(f"{flag}: {artifact} -> {path}", file=out)
     if args.json:
-        print(json.dumps(document, indent=2, sort_keys=True), file=out)
+        _emit(document, out)
     return 0
 
 

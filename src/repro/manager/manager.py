@@ -26,14 +26,14 @@ from __future__ import annotations
 
 import random
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from time import perf_counter
-from typing import Any, Callable, ContextManager, Dict, List, Optional, Set
+from typing import Any, Callable, ContextManager, Dict, List, Optional, Set, Tuple
 
 from repro import ReproError
 from repro.core.channel import TokenStarvationError
 from repro.dist.engine import DistributedRunResult, RunAborted, run_distributed
-from repro.dist.partition import PartitionPlan, plan_partitions
+from repro.dist.partition import plan_partitions
 from repro.dist.shm import DEFAULT_TRANSPORT_TIMEOUT_S
 from repro.dist.supervisor import SupervisorConfig
 from repro.faults.checkpoint import ReplayCheckpoint, state_digest
@@ -408,15 +408,39 @@ class FireSimManager:
             )
             if not resilient:
                 return run_workload(self.running, workload)
-            return self._run_workload_resilient(workload)
+            outcome = self.runworkload_segmented(workload)
+            assert outcome.result is not None  # no control hook => ran to done
+            return outcome.result
 
-    def _run_workload_resilient(
+    def _deploy(
         self, workload: WorkloadSpec
-    ) -> WorkloadResult:
-        """Segmented run with checkpoint/restore recovery."""
-        outcome = self.runworkload_segmented(workload)
-        assert outcome.result is not None  # no control hook => ran to done
-        return outcome.result
+    ) -> Tuple[RunningSimulation, int, Callable[[], RunningSimulation]]:
+        """Put a workload on the simulation, for a checkpointed run.
+
+        Returns the simulation, the workload's length in cycles, and the
+        ``rebuild`` closure checkpoints replay from.  A replay starts
+        from an elaboration, hence the demand for cycle 0.
+        """
+        sim = self.running
+        if sim is None:
+            raise ManagerError("infrasetup must run before runworkload")
+        if sim.simulation.current_cycle != 0:
+            raise ManagerError(
+                "a checkpointed runworkload needs a fresh simulation at "
+                f"cycle 0 (at cycle {sim.simulation.current_cycle}); rerun "
+                "infrasetup first"
+            )
+        workload.deploy(sim)
+
+        def rebuild() -> RunningSimulation:
+            # Deterministic re-execution: elaboration and job setup are
+            # both seeded, so the replayed run is bit-identical.
+            rebuilt = elaborate(self.topology, self.run_config)
+            workload.deploy(rebuilt)
+            return rebuilt
+
+        total_cycles = sim.simulation.clock.cycles(workload.duration_seconds)
+        return sim, total_cycles, rebuild
 
     def runworkload_segmented(
         self,
@@ -455,23 +479,11 @@ class FireSimManager:
                 "distributed jobs preempt via abort_check at round "
                 "granularity instead"
             )
-        sim = self.running
-        if sim is None:
-            raise ManagerError("infrasetup must run before runworkload")
-        if sim.simulation.current_cycle != 0:
-            raise ManagerError(
-                "resilient runworkload needs a fresh simulation at cycle 0 "
-                f"(at cycle {sim.simulation.current_cycle}); rerun "
-                "infrasetup first"
-            )
         if resume_cycle < 0:
             raise ManagerError(
                 f"resume cycle must be >= 0, got {resume_cycle}"
             )
-        workload.validate_against(sim)
-        for job in workload.jobs:
-            job.setup(sim.blade(job.node_index))
-        total_cycles = sim.simulation.clock.cycles(workload.duration_seconds)
+        sim, total_cycles, rebuild = self._deploy(workload)
         interval = (
             segment_cycles
             or self.checkpoint_interval_cycles
@@ -481,14 +493,6 @@ class FireSimManager:
             raise ManagerError(
                 f"segment length must be >= 1 cycle, got {interval}"
             )
-
-        def rebuild() -> RunningSimulation:
-            # Deterministic re-execution: elaboration and job setup are
-            # both seeded, so the replayed run is bit-identical.
-            fresh = elaborate(self.topology, self.run_config)
-            for job in workload.jobs:
-                job.setup(fresh.blade(job.node_index))
-            return fresh
 
         if resume_cycle > 0:
             # Resume from a portable checkpoint: replay to the recorded
@@ -502,14 +506,12 @@ class FireSimManager:
             self._trace_instant(
                 "resume", checkpoint_cycle=resume_cycle,
             )
-            sim = ReplayCheckpoint.from_dict(
-                rebuild, {"cycle": resume_cycle, "digest": resume_digest}
-            ).restore()
-            self.running = sim
-            self.fault_stats.restores += 1
-            self.fault_stats.replay_cycles += resume_cycle
-            if self.telemetry is not None:
-                self.telemetry.attach_running(sim)
+            sim = self._restore(
+                ReplayCheckpoint.from_dict(
+                    rebuild, {"cycle": resume_cycle, "digest": resume_digest}
+                ),
+                recovery=False,
+            )
 
         checkpoint = ReplayCheckpoint.capture(sim, rebuild)
         self.fault_stats.checkpoints_taken += 1
@@ -552,13 +554,7 @@ class FireSimManager:
                     "restore", checkpoint_cycle=checkpoint.cycle,
                     fault=str(fault),
                 )
-                sim = checkpoint.restore()
-                self.running = sim
-                self.fault_stats.restores += 1
-                self.fault_stats.replay_cycles += checkpoint.cycle
-                self.fault_stats.recoveries += 1
-                if self.telemetry is not None:
-                    self.telemetry.attach_running(sim)
+                sim = self._restore(checkpoint)
                 if self.injector is not None:
                     self.injector.arm(sim.simulation)
                 continue
@@ -570,11 +566,7 @@ class FireSimManager:
             status="done",
             cycle=sim.simulation.current_cycle,
             digest=state_digest(sim),
-            result=WorkloadResult(
-                workload_name=workload.name,
-                target_seconds=sim.simulation.current_time_s,
-                node_results=sim.collect_results(),
-            ),
+            result=WorkloadResult.collect(workload, sim),
         )
 
     def _run_workload_distributed(
@@ -601,29 +593,12 @@ class FireSimManager:
         the serial result is the oracle the distributed engine is
         bit-equal to, so correctness is preserved at reduced speed.
         """
-        sim = self.running
-        assert sim is not None
         if self.deployment is None:
             raise ManagerError(
                 "launchrunfarm must run before a distributed runworkload "
                 "(partitions follow the deployment's instance mapping)"
             )
-        if sim.simulation.current_cycle != 0:
-            raise ManagerError(
-                "distributed runworkload needs a fresh simulation at cycle 0 "
-                f"(at cycle {sim.simulation.current_cycle}); rerun "
-                "infrasetup first"
-            )
-        workload.validate_against(sim)
-        for job in workload.jobs:
-            job.setup(sim.blade(job.node_index))
-        total_cycles = sim.simulation.clock.cycles(workload.duration_seconds)
-
-        def rebuild() -> RunningSimulation:
-            fresh = elaborate(self.topology, self.run_config)
-            for job in workload.jobs:
-                job.setup(fresh.blade(job.node_index))
-            return fresh
+        sim, total_cycles, rebuild = self._deploy(workload)
 
         # Distributed checkpoints are only sound at the pre-fork cycle:
         # after the run, worker-side model internals never came back to
@@ -635,7 +610,7 @@ class FireSimManager:
         restores = 0
         result: Optional[DistributedRunResult] = None
         while True:
-            plan = self._partition_plan(sim, workers)
+            plan = plan_partitions(sim, self.deployment, workers)
             if self.injector is not None:
                 self.injector.arm(sim.simulation)
             try:
@@ -679,7 +654,7 @@ class FireSimManager:
                         "serial_fallback", restores=restores,
                         fault=str(fault),
                     )
-                    sim = self._restore_distributed(checkpoint)
+                    sim = self._restore(checkpoint)
                     sim.simulation.fault_hook = None
                     sim.simulation.run_until(total_cycles)
                     break
@@ -713,36 +688,28 @@ class FireSimManager:
                     "restore", checkpoint_cycle=checkpoint.cycle,
                     fault=str(fault),
                 )
-                sim = self._restore_distributed(checkpoint)
+                sim = self._restore(checkpoint)
         sim.simulation.fault_hook = None
         if result is not None:
             self.last_distributed = result
             if self.telemetry is not None:
                 self.telemetry.absorb_distributed(result)
-        return WorkloadResult(
-            workload_name=workload.name,
-            target_seconds=sim.simulation.current_time_s,
-            node_results=sim.collect_results(),
-        )
+        return WorkloadResult.collect(workload, sim)
 
-    def _restore_distributed(
-        self, checkpoint: ReplayCheckpoint
+    def _restore(
+        self, checkpoint: ReplayCheckpoint, recovery: bool = True
     ) -> RunningSimulation:
-        """Restore the pre-fork checkpoint and re-home bookkeeping."""
+        """Replay to a checkpoint and re-home bookkeeping on the result;
+        resuming a preempted job restores without being a ``recovery``."""
         sim = checkpoint.restore()
         self.running = sim
         self.fault_stats.restores += 1
         self.fault_stats.replay_cycles += checkpoint.cycle
-        self.fault_stats.recoveries += 1
+        if recovery:
+            self.fault_stats.recoveries += 1
         if self.telemetry is not None:
             self.telemetry.attach_running(sim)
         return sim
-
-    def _partition_plan(
-        self, sim: RunningSimulation, workers: int
-    ) -> PartitionPlan:
-        assert self.deployment is not None
-        return plan_partitions(sim, self.deployment, workers)
 
     def terminaterunfarm(self) -> None:
         """Release the run farm (instances stop accruing cost).
@@ -774,29 +741,10 @@ class FireSimManager:
 
     def resilience_summary(self) -> Dict[str, Any]:
         """Fault/retry/recovery counters for the ``status`` verb."""
-        stats = self.fault_stats
-        summary: Dict[str, Any] = {
-            "faults_injected": stats.faults_injected,
-            "retries": stats.retries,
-            "recoveries": stats.recoveries,
-            "giveups": stats.giveups,
-            "checkpoints_taken": stats.checkpoints_taken,
-            "restores": stats.restores,
-            "replay_cycles": stats.replay_cycles,
-            "backoff_seconds": round(stats.backoff_seconds, 6),
-            "heartbeats_missed": stats.heartbeats_missed,
-            "stalls_detected": stats.stalls_detected,
-            "watchdog_scans": stats.watchdog_scans,
-            "shm_fallbacks": stats.shm_fallbacks,
-            "hangs_detected": stats.hangs_detected,
-            "workers_killed": stats.workers_killed,
-            "join_timeouts": stats.join_timeouts,
-            "ring_corruptions": stats.ring_corruptions,
-            "transport_degradations": stats.transport_degradations,
-            "serial_fallbacks": stats.serial_fallbacks,
-            "quarantined_hosts": sorted(self.breaker.quarantined),
-            "quarantined_rings": sorted(self.ring_breaker.quarantined),
-        }
+        summary: Dict[str, Any] = asdict(self.fault_stats)
+        summary["backoff_seconds"] = round(summary["backoff_seconds"], 6)
+        summary["quarantined_hosts"] = sorted(self.breaker.quarantined)
+        summary["quarantined_rings"] = sorted(self.ring_breaker.quarantined)
         if self.injector is not None:
             summary["fault_log"] = list(self.injector.log)
         return summary

@@ -18,8 +18,8 @@ elaborates the *functional* cycle-exact simulation:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 from repro import ConfigError
 from repro.core.clock import TargetClock
@@ -81,43 +81,6 @@ class RunFarmConfig:
             raise ConfigError(
                 f"unknown engine {self.engine!r}; expected one of {ENGINES}"
             )
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-serializable form (cost-model callbacks excluded).
-
-        ``net_costs``/``sched_config`` carry no JSON representation; a
-        config using them cannot travel in a :class:`~repro.serve.job.JobSpec`
-        and raises here rather than silently dropping them.
-        """
-        if self.net_costs is not None or self.sched_config is not None:
-            raise ConfigError(
-                "RunFarmConfig with custom net_costs/sched_config is not "
-                "JSON-serializable; job specs support default costs only"
-            )
-        return {
-            "link_latency_cycles": self.link_latency_cycles,
-            "server_link_latency_cycles": self.server_link_latency_cycles,
-            "switch_latency_cycles": self.switch_latency_cycles,
-            "switch_buffer_flits": self.switch_buffer_flits,
-            "freq_hz": self.freq_hz,
-            "fame5_blades_per_pipeline": self.fame5_blades_per_pipeline,
-            "engine": self.engine,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "RunFarmConfig":
-        """Rebuild a config serialized by :meth:`to_dict`."""
-        known = {
-            "link_latency_cycles", "server_link_latency_cycles",
-            "switch_latency_cycles", "switch_buffer_flits", "freq_hz",
-            "fame5_blades_per_pipeline", "engine",
-        }
-        unknown = set(payload) - known
-        if unknown:
-            raise ConfigError(
-                f"unknown RunFarmConfig fields: {sorted(unknown)}"
-            )
-        return cls(**payload)  # type: ignore[arg-type]
 
 
 class RunningSimulation:

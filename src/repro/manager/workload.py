@@ -15,7 +15,7 @@ returns the collected per-node measurements.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro import ConfigError
 from repro.manager.runfarm import RunningSimulation
@@ -61,6 +61,12 @@ class WorkloadSpec:
                     f"nonexistent node {job.node_index}"
                 )
 
+    def deploy(self, sim: RunningSimulation) -> None:
+        """Check every job's node exists, then set each job up on it."""
+        self.validate_against(sim)
+        for job in self.jobs:
+            job.setup(sim.blade(job.node_index))
+
 
 @dataclass
 class WorkloadResult:
@@ -69,6 +75,17 @@ class WorkloadResult:
     workload_name: str
     target_seconds: float
     node_results: Dict[int, Dict[str, list]]
+
+    @classmethod
+    def collect(
+        cls, workload: WorkloadSpec, sim: RunningSimulation
+    ) -> "WorkloadResult":
+        """What ``workload`` left on ``sim``'s nodes, as of now."""
+        return cls(
+            workload_name=workload.name,
+            target_seconds=sim.simulation.current_time_s,
+            node_results=sim.collect_results(),
+        )
 
     def results_for(self, node_index: int) -> Dict[str, list]:
         return self.node_results.get(node_index, {})
@@ -85,12 +102,6 @@ def run_workload(
     sim: RunningSimulation, workload: WorkloadSpec
 ) -> WorkloadResult:
     """Deploy a workload's jobs, run it, and collect results."""
-    workload.validate_against(sim)
-    for job in workload.jobs:
-        job.setup(sim.blade(job.node_index))
+    workload.deploy(sim)
     sim.run_seconds(workload.duration_seconds)
-    return WorkloadResult(
-        workload_name=workload.name,
-        target_seconds=sim.simulation.current_time_s,
-        node_results=sim.collect_results(),
-    )
+    return WorkloadResult.collect(workload, sim)

@@ -1,19 +1,20 @@
 """Job specs and the per-job child process for the job server.
 
 A :class:`JobSpec` is everything the server needs to run one simulation
-end to end — topology, workload, engine, transport, fault plan — as a
-JSON-serializable value, so jobs can travel over the CLI socket and be
-replayed from the event log.  The spec *is* the rebuild recipe: a
-preempted job's portable checkpoint (cycle + digest) plus its spec is
-enough for any process to resume it cycle-identically.
+end to end — a :class:`~repro.manager.runspec.RunSpec` (topology,
+workload, engine, transport, fault plan) plus a name and how to
+schedule it — as a JSON-serializable value, so jobs can travel over the
+CLI socket and be replayed from the event log.  The spec *is* the
+rebuild recipe: a preempted job's portable checkpoint (cycle + digest)
+plus its spec is enough for any process to resume it cycle-identically.
 
 Each scheduled job runs in its **own process group**
 (:func:`run_job_child`): a fork with ``os.setpgrp()`` whose life is one
-manager lifecycle (buildafi → launchrunfarm → infrasetup →
-runworkload).  The parent drives it over a full-duplex pipe —
-``preempt``/``cancel`` commands down, ``progress``/terminal messages up
-— and the child polls for commands at segment boundaries via
-:meth:`~repro.manager.manager.FireSimManager.runworkload_segmented`'s
+manager lifecycle (:func:`run_job_inline`: buildafi → launchrunfarm →
+infrasetup → runworkload).  The parent drives it over a full-duplex
+pipe — ``preempt``/``cancel`` commands down, ``progress``/terminal
+messages up — and the child polls for commands at segment boundaries
+via :meth:`~repro.manager.manager.FireSimManager.runworkload_segmented`'s
 control hook (serial jobs) or
 :attr:`~repro.manager.manager.FireSimManager.abort_check` (distributed
 jobs).  SIGTERM is mapped to a normal exception so ``finally`` blocks
@@ -30,25 +31,14 @@ from enum import Enum
 from typing import Any, Callable, Dict, Optional
 
 from repro import ConfigError, ReproError
-from repro.faults.plan import FaultPlan
-from repro.faults.retry import RetryPolicy
+from repro.dist.engine import RunAborted
 from repro.manager.manager import (
     CONTROL_CANCEL,
     CONTROL_CONTINUE,
     CONTROL_PREEMPT,
     FireSimManager,
 )
-from repro.manager.mapper import HostConfig, SUPERNODE_HOST
-from repro.manager.runfarm import RunFarmConfig
-from repro.manager.topology import (
-    SwitchNode,
-    datacenter_tree,
-    single_rack,
-    two_tier,
-)
-from repro.manager.workload import WorkloadSpec
-from repro.swmodel.apps.boot import make_linux_boot
-from repro.swmodel.apps.ping import make_ping_client
+from repro.manager.runspec import RunSpec
 
 
 class JobError(ReproError):
@@ -71,8 +61,8 @@ TERMINAL_STATES = (JobState.DONE, JobState.FAILED, JobState.CANCELLED)
 
 
 @dataclass(frozen=True)
-class JobSpec:
-    """One simulation job, as a JSON-serializable value.
+class JobSpec(RunSpec):
+    """One simulation job: a run recipe plus how to schedule it.
 
     ``priority`` ranks queued jobs (higher runs first); ``preemptible``
     jobs may be checkpoint-evicted by higher-priority work *and* are
@@ -80,60 +70,23 @@ class JobSpec:
     money-for-revocation trade as Section V-C's two pricing columns.
     """
 
-    name: str
-    topology: str = "single_rack"
-    racks: int = 2
-    servers_per_rack: int = 2
-    server_type: str = "QuadCore"
-    workload: str = "ping"
-    duration_ms: float = 1.0
-    ping_count: int = 10
+    name: str = ""
     priority: int = 0
     preemptible: bool = True
-    engine: str = "scalar"
-    workers: int = 1
-    transport: str = "pipe"
-    link_latency_us: float = 2.0
-    fpgas_per_instance: Optional[int] = None
-    supernode: bool = False
-    fault_plan: Optional[Dict[str, Any]] = None
-    checkpoint_interval_ms: Optional[float] = None
-    max_retries: Optional[int] = None
 
     def __post_init__(self) -> None:
         if not self.name:
-            raise JobError("job name must be non-empty")
-        if self.topology not in ("single_rack", "two_tier", "datacenter"):
-            raise JobError(f"unknown topology {self.topology!r}")
-        if self.workload not in ("ping", "boot"):
-            raise JobError(f"unknown workload {self.workload!r}")
-        if self.duration_ms <= 0:
-            raise JobError(
-                f"duration must be positive, got {self.duration_ms} ms"
-            )
-        if self.workers < 1:
-            raise JobError(f"workers must be >= 1, got {self.workers}")
-        if self.transport not in ("pipe", "shm"):
-            raise JobError(f"unknown transport {self.transport!r}")
-        if self.racks < 1 or self.servers_per_rack < 1:
-            raise JobError("topology dimensions must be >= 1")
-        if self.checkpoint_interval_ms is not None \
-                and self.checkpoint_interval_ms <= 0:
-            raise JobError("checkpoint interval must be positive")
+            raise ConfigError("job name must be non-empty")
+        super().__post_init__()
+
+    @classmethod
+    def from_dict(cls, payload: Dict[str, Any]) -> "JobSpec":
+        try:
+            return super().from_dict(payload)  # type: ignore[return-value]
+        except ConfigError as exc:
+            raise JobError(str(exc)) from exc
 
     # -- sizing ---------------------------------------------------------
-
-    def num_servers(self) -> int:
-        """Simulated server blades this job's topology contains."""
-        if self.topology == "single_rack":
-            return self.servers_per_rack
-        if self.topology == "two_tier":
-            return self.racks * self.servers_per_rack
-        # datacenter_tree defaults: 4 aggregation * 8 racks each.
-        return 4 * 8 * self.servers_per_rack
-
-    def blades_per_fpga(self) -> int:
-        return 4 if self.supernode else 1
 
     def fpga_slots(self) -> int:
         """FPGAs this job occupies while running — the scheduling unit.
@@ -142,133 +95,15 @@ class JobSpec:
         slots for the same topology (the capacity story of Section
         VIII).
         """
-        return math.ceil(self.num_servers() / self.blades_per_fpga())
-
-    # -- serialization --------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "topology": self.topology,
-            "racks": self.racks,
-            "servers_per_rack": self.servers_per_rack,
-            "server_type": self.server_type,
-            "workload": self.workload,
-            "duration_ms": self.duration_ms,
-            "ping_count": self.ping_count,
-            "priority": self.priority,
-            "preemptible": self.preemptible,
-            "engine": self.engine,
-            "workers": self.workers,
-            "transport": self.transport,
-            "link_latency_us": self.link_latency_us,
-            "fpgas_per_instance": self.fpgas_per_instance,
-            "supernode": self.supernode,
-            "fault_plan": self.fault_plan,
-            "checkpoint_interval_ms": self.checkpoint_interval_ms,
-            "max_retries": self.max_retries,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "JobSpec":
-        known = {
-            "name", "topology", "racks", "servers_per_rack", "server_type",
-            "workload", "duration_ms", "ping_count", "priority",
-            "preemptible", "engine", "workers", "transport",
-            "link_latency_us", "fpgas_per_instance", "supernode",
-            "fault_plan", "checkpoint_interval_ms", "max_retries",
-        }
-        unknown = set(payload) - known
-        if unknown:
-            raise JobError(f"unknown JobSpec fields: {sorted(unknown)}")
-        if "name" not in payload:
-            raise JobError("JobSpec requires a name")
-        try:
-            return cls(**payload)
-        except (ConfigError, TypeError, ValueError) as exc:
-            raise JobError(f"invalid JobSpec: {exc}") from exc
-
-    # -- builders (the spec is the rebuild recipe) ----------------------
-
-    def build_topology(self) -> SwitchNode:
-        if self.topology == "single_rack":
-            return single_rack(self.servers_per_rack, self.server_type)
-        if self.topology == "two_tier":
-            return two_tier(
-                self.racks, self.servers_per_rack, self.server_type
-            )
-        return datacenter_tree(servers_per_rack=self.servers_per_rack)
-
-    def build_manager(self) -> FireSimManager:
-        run_config = RunFarmConfig(
-            link_latency_cycles=max(1, round(self.link_latency_us * 3200)),
-            engine=self.engine,
+        return math.ceil(
+            self.num_servers() / self._host_config().fpga_config.blades_per_fpga
         )
-        host_config = SUPERNODE_HOST if self.supernode else HostConfig()
-        if self.fpgas_per_instance is not None:
-            host_config = HostConfig(
-                fpga_config=host_config.fpga_config,
-                fpgas_per_instance=self.fpgas_per_instance,
-            )
-        plan = (
-            FaultPlan.from_dict(self.fault_plan)
-            if self.fault_plan is not None else None
-        )
-        retry_policy = (
-            RetryPolicy(max_retries=self.max_retries)
-            if self.max_retries is not None else None
-        )
-        checkpoint_cycles = None
-        if self.checkpoint_interval_ms is not None:
-            checkpoint_cycles = max(
-                1,
-                round(self.checkpoint_interval_ms / 1e3 * run_config.freq_hz),
-            )
-        return FireSimManager(
-            self.build_topology(),
-            run_config=run_config,
-            host_config=host_config,
-            fault_plan=plan,
-            retry_policy=retry_policy,
-            checkpoint_interval_cycles=checkpoint_cycles,
-            workers=self.workers,
-            transport=self.transport,
-        )
-
-    def build_workload(self, manager: FireSimManager) -> WorkloadSpec:
-        assert manager.running is not None
-        workload = WorkloadSpec(
-            self.workload, duration_seconds=self.duration_ms / 1000.0
-        )
-        if self.workload == "ping":
-            if manager.running.num_nodes < 2:
-                raise JobError("ping needs at least two simulated nodes")
-            target = manager.running.blade(1)
-            count = self.ping_count
-            workload.add_job(
-                0,
-                "ping",
-                lambda blade: blade.spawn(
-                    "ping",
-                    make_ping_client(target.mac, count=count,
-                                     interval_cycles=200_000),
-                ),
-            )
-        else:
-            for index in sorted(manager.running.blades):
-                workload.add_job(
-                    index,
-                    f"boot{index}",
-                    lambda blade: blade.spawn("init", make_linux_boot()),
-                )
-        return workload
 
     def segment_cycles(self) -> int:
         """Segment length for preemption polling: ~8 boundaries per job.
 
         Short enough that a preempt order lands quickly, long enough
-        that checkpoint capture stays a small fraction of run time.  An
-        explicit ``checkpoint_interval_ms`` wins.
+        that checkpoint capture stays a small fraction of run time.
         """
         total = max(1, round(self.duration_ms / 1e3 * 3.2e9))
         return max(1, total // 8)
@@ -309,9 +144,7 @@ class JobRecord:
 # -- the child process ---------------------------------------------------
 
 
-def _result_payload(
-    manager: FireSimManager, spec: JobSpec, result: Any
-) -> Dict[str, Any]:
+def _result_payload(manager: FireSimManager, result: Any) -> Dict[str, Any]:
     """JSON-ready result: workload outcome + per-node measurements."""
     payload: Dict[str, Any] = {
         "workload": result.workload_name,
@@ -341,32 +174,49 @@ def run_job_inline(
     resume: Optional[Dict[str, Any]] = None,
     control: Optional[Callable[[int, int], Optional[str]]] = None,
 ) -> Dict[str, Any]:
-    """Run a job to completion in this process (the serial oracle).
+    """Run a job in this process: the one run sequence, and the oracle.
 
     Tests compare a server-scheduled job's payload against this —
     bit-identical node results prove multi-tenancy didn't perturb
-    target time.  ``resume``/``control`` expose the segmented seam for
-    direct preempt/resume testing without a server.
+    target time — and :func:`run_job_child` is this behind a pipe.
+    ``control(cycle, total)`` may answer ``"preempt"`` or ``"cancel"``;
+    the run then stops and ``{"status", "cycle", "digest"}`` comes back
+    instead of a result payload.  ``resume`` is such a stopping point.
+
+    A serial job is asked at every segment boundary and stops there.  A
+    distributed job is one segment (worker state never returns to the
+    parent mid-run, so only the pre-fork cycle is a sound checkpoint):
+    it is asked at each liveness sweep, and stopping aborts the run.
     """
     manager = spec.build_manager()
     manager.buildafi()
     manager.launchrunfarm()
-    manager.infrasetup()
+    sim = manager.infrasetup()
     workload = spec.build_workload(manager)
+    start = resume["cycle"] if resume else 0
+    digest = resume["digest"] if resume else None
     if spec.workers > 1:
-        if resume is not None or control is not None:
-            raise JobError(
-                "distributed jobs run as one segment; preempt them via "
-                "abort_check, not the segmented control hook"
-            )
-        result = manager.runworkload(workload)
-        return _result_payload(manager, spec, result)
+        total = sim.simulation.clock.cycles(workload.duration_seconds)
+        verdict: Optional[str] = None
+
+        def abort_check() -> bool:
+            nonlocal verdict
+            verdict = control(start, total) if control else None
+            return verdict in (CONTROL_PREEMPT, CONTROL_CANCEL)
+
+        manager.abort_check = abort_check
+        try:
+            result = manager.runworkload(workload)
+        except RunAborted:
+            status = "preempted" if verdict == CONTROL_PREEMPT else "cancelled"
+            return {"status": status, "cycle": start, "digest": digest}
+        return _result_payload(manager, result)
     outcome = manager.runworkload_segmented(
         workload,
         segment_cycles=spec.segment_cycles(),
         control=control,
-        resume_cycle=resume["cycle"] if resume else 0,
-        resume_digest=resume["digest"] if resume else None,
+        resume_cycle=start,
+        resume_digest=digest,
     )
     if outcome.status != "done":
         return {
@@ -375,7 +225,7 @@ def run_job_inline(
             "digest": outcome.digest,
         }
     assert outcome.result is not None
-    payload = _result_payload(manager, spec, outcome.result)
+    payload = _result_payload(manager, outcome.result)
     payload["final_digest"] = outcome.digest
     return payload
 
@@ -389,13 +239,13 @@ def run_job_child(
 
     Protocol (over the full-duplex ``multiprocessing.Pipe``):
 
-    * child -> parent: ``("progress", cycle, total)`` at segment
-      boundaries; exactly one terminal message — ``("done", payload)``,
-      ``("preempted", {"cycle", "digest"})``, ``("cancelled", cycle)``,
-      or ``("failed", message)``.
+    * child -> parent: ``("progress", cycle, total)`` whenever the run
+      asks for orders; exactly one terminal message — ``("done",
+      payload)``, ``("preempted", {"cycle", "digest"})``,
+      ``("cancelled", cycle)``, or ``("failed", message)``.
     * parent -> child: ``("preempt",)`` / ``("cancel",)`` at any time;
       the child drains them non-blockingly at each segment boundary
-      (serial) or engine round (distributed).
+      (serial) or liveness sweep (distributed).
 
     The child owns its process group (``os.setpgrp``) so the server can
     signal the whole job — including any distributed workers it forked
@@ -410,73 +260,31 @@ def run_job_child(
     signal.signal(signal.SIGTERM, _terminate)
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # server handles Ctrl-C
 
-    wanted = {"verdict": None}
+    wanted = CONTROL_CONTINUE
 
-    def _drain_commands() -> Optional[str]:
+    def control(cycle: int, total: int) -> str:
+        nonlocal wanted
+        conn.send(("progress", cycle, total))
         while conn.poll():
             message = conn.recv()
-            if message and message[0] in ("preempt", "cancel"):
-                # cancel outranks preempt; otherwise first order wins.
-                if wanted["verdict"] != CONTROL_CANCEL:
-                    wanted["verdict"] = (
-                        CONTROL_CANCEL if message[0] == "cancel"
-                        else CONTROL_PREEMPT
-                    )
-        return wanted["verdict"]
+            # cancel outranks preempt; otherwise first order wins.
+            if message and message[0] == "cancel":
+                wanted = CONTROL_CANCEL
+            elif message and message[0] == "preempt" \
+                    and wanted == CONTROL_CONTINUE:
+                wanted = CONTROL_PREEMPT
+        return wanted
 
     try:
-        spec = JobSpec.from_dict(spec_dict)
-        manager = spec.build_manager()
-        manager.buildafi()
-        manager.launchrunfarm()
-        manager.infrasetup()
-        workload = spec.build_workload(manager)
-        if spec.workers > 1:
-            # Distributed: one segment; preemption aborts the run (only
-            # the pre-fork cycle is a sound checkpoint, see
-            # runworkload_segmented's docstring) and the job restarts
-            # from its resume point on the next schedule.
-            manager.abort_check = lambda: _drain_commands() is not None
-            try:
-                result = manager.runworkload(workload)
-            except ReproError as exc:
-                verdict = wanted["verdict"]
-                if verdict == CONTROL_CANCEL:
-                    conn.send(("cancelled", 0))
-                    return
-                if verdict == CONTROL_PREEMPT:
-                    cycle = resume["cycle"] if resume else 0
-                    digest = resume["digest"] if resume else None
-                    conn.send(("preempted",
-                               {"cycle": cycle, "digest": digest}))
-                    return
-                conn.send(("failed", str(exc)))
-                return
-            conn.send(("done", _result_payload(manager, spec, result)))
-            return
-
-        def control(cycle: int, total: int) -> Optional[str]:
-            conn.send(("progress", cycle, total))
-            verdict = _drain_commands()
-            return verdict if verdict is not None else CONTROL_CONTINUE
-
-        outcome = manager.runworkload_segmented(
-            workload,
-            segment_cycles=spec.segment_cycles(),
-            control=control,
-            resume_cycle=resume["cycle"] if resume else 0,
-            resume_digest=resume["digest"] if resume else None,
-        )
-        if outcome.status == "preempted":
-            conn.send(("preempted",
-                       {"cycle": outcome.cycle, "digest": outcome.digest}))
-        elif outcome.status == "cancelled":
-            conn.send(("cancelled", outcome.cycle))
+        outcome = run_job_inline(JobSpec.from_dict(spec_dict), resume, control)
+        status = outcome.get("status", "done")
+        if status == "preempted":
+            conn.send(("preempted", {"cycle": outcome["cycle"],
+                                     "digest": outcome["digest"]}))
+        elif status == "cancelled":
+            conn.send(("cancelled", outcome["cycle"]))
         else:
-            assert outcome.result is not None
-            payload = _result_payload(manager, spec, outcome.result)
-            payload["final_digest"] = outcome.digest
-            conn.send(("done", payload))
+            conn.send(("done", outcome))
     except SystemExit:
         raise
     except ReproError as exc:

@@ -6,7 +6,11 @@ import os
 
 import pytest
 
+from repro.experiments.common import cycles_to_us
 from repro.manager.cli import main, make_parser
+from repro.manager.runspec import RunSpec
+from repro.serve import JobSpec, run_job_inline
+from repro.swmodel.apps.ping import RESULT_KEY as PING_KEY
 
 
 def run_cli(argv):
@@ -113,6 +117,55 @@ FULL_OPTS = [
     "--duration-ms", "2", "--ping-count", "3",
 ]
 FULL_SESSION = FULL_VERBS + FULL_OPTS
+
+
+class TestUpFrontValidation:
+    """A bad recipe is one error line before any verb does work."""
+
+    @pytest.mark.parametrize("flags", [
+        ["--servers-per-rack", "1", "--workload", "ping"],
+        ["--duration-ms", "0"],
+        ["--checkpoint-interval", "0"],
+        ["--topology", "two_tier", "--racks", "0"],
+    ])
+    def test_bad_recipe_fails_before_the_first_verb(self, flags):
+        code, out, err = run_cli_err(FULL_VERBS + flags)
+        assert code == 1
+        assert err.startswith("firesim: error: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert out == ""
+
+
+class TestRecipeParity:
+    """One flag set is one recipe: the CLI and a job run the same thing."""
+
+    @pytest.mark.parametrize("flags", [
+        ["--servers-per-rack", "2", "--duration-ms", "2", "--ping-count", "3"],
+        ["--topology", "two_tier", "--racks", "2", "--servers-per-rack", "2",
+         "--workers", "2", "--transport", "shm", "--duration-ms", "2"],
+        ["--servers-per-rack", "2", "--workload", "boot",
+         "--duration-ms", "1"],
+    ])
+    def test_cli_and_job_agree(self, flags):
+        code, text = run_cli(FULL_VERBS + flags + ["--json"])
+        assert code == 0
+        summary = json.loads(text)["verbs"]["runworkload"]
+
+        spec = RunSpec.from_args(make_parser().parse_args(FULL_VERBS + flags))
+        assert RunSpec.from_dict(spec.to_dict()) == spec
+        payload = run_job_inline(
+            JobSpec.from_dict({**spec.to_dict(), "name": "p"})
+        )
+        assert payload["target_ms"] == summary["target_ms"]
+        rtts = [
+            rtt for results in payload["node_results"].values()
+            for rtt in results.get(PING_KEY, [])
+        ]
+        assert len(rtts) == summary.get("ping", {}).get("samples", 0)
+        if rtts:
+            assert summary["ping"]["mean_rtt_us"] == cycles_to_us(
+                sum(rtts) / len(rtts)
+            )
 
 
 class TestJsonMode:

@@ -16,6 +16,7 @@ The headline properties:
 
 from __future__ import annotations
 
+import json
 import os
 import time
 
@@ -40,6 +41,7 @@ from repro.serve import (
     run_job_inline,
 )
 from repro.manager import cli
+from repro.manager.runspec import RunSpec
 
 
 PING = {
@@ -72,6 +74,33 @@ def server():
 def test_jobspec_roundtrips_through_json():
     spec = JobSpec.from_dict({**PING, "priority": 3, "supernode": True})
     assert JobSpec.from_dict(spec.to_dict()) == spec
+    # A job is a run recipe plus scheduling fields: dropping those
+    # leaves a RunSpec that round-trips the same way.
+    recipe = {
+        key: value for key, value in spec.to_dict().items()
+        if key not in ("name", "priority", "preemptible")
+    }
+    assert RunSpec.from_dict(recipe).to_dict() == recipe
+
+
+@pytest.mark.parametrize("topology", ["single_rack", "two_tier", "datacenter"])
+def test_num_servers_counts_the_built_topology(topology):
+    spec = JobSpec.from_dict(
+        {**PING, "topology": topology, "racks": 3, "servers_per_rack": 2}
+    )
+    built = sum(1 for _ in spec.build_topology().iter_servers())
+    assert spec.num_servers() == built
+
+
+def test_engine_default_is_one_rule_for_jobs_and_cli():
+    assert JobSpec.from_dict(PING).engine == "scalar"
+    assert JobSpec.from_dict({**PING, "workers": 2}).engine == "batched"
+    code, out, _ = run_cli([
+        "buildafi", "launchrunfarm", "infrasetup",
+        "--servers-per-rack", "2", "--workers", "2", "--json",
+    ])
+    assert code == 0
+    assert json.loads(out)["verbs"]["infrasetup"]["engine"] == "batched"
 
 
 def test_jobspec_rejects_unknown_fields_and_bad_values():
@@ -287,6 +316,7 @@ def test_scheduler_never_oversubscribes_nor_starves(data):
     for index, job in enumerate(job_dicts, start=1):
         spec = JobSpec.from_dict({
             "name": f"j{index}",
+            "workload": "boot",  # a one-blade job cannot ping anyone
             "servers_per_rack": job["slots"],
             "priority": job["priority"],
             "preemptible": job["preemptible"],
@@ -386,8 +416,6 @@ def test_shutdown_drain_lets_jobs_finish(server):
 
 
 def test_event_log_is_well_formed_jsonl(tmp_path):
-    import json
-
     log_path = str(tmp_path / "events.jsonl")
     server = JobServer(
         farm=ServeFarm({"f1.2xlarge": 2}), event_log=log_path
@@ -450,6 +478,37 @@ def test_cli_submit_wait_jobs_cancel_roundtrip(endpoint):
         "cancel", "--serve-socket", endpoint, "--job-id", "2",
     ])
     assert code == 0
+
+
+def test_cli_submit_carries_the_fault_plan(endpoint, tmp_path):
+    """`submit` takes runworkload's flags — `--fault-plan` included."""
+    flags = [
+        "--serve-socket", endpoint, "--servers-per-rack", "2",
+        "--duration-ms", "0.5", "--ping-count", "4",
+    ]
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps({
+        "seed": 7,
+        "faults": [{"kind": "controller-crash", "point": "runworkload",
+                    "at_cycle": 500_000}],
+    }))
+    code, out, _ = run_cli(
+        ["submit"] + flags + ["--fault-plan", str(plan_path),
+                              "--wait", "--json"]
+    )
+    assert code == 0
+    result = json.loads(out)["verbs"]["submit"]["job"]["result"]
+    assert result["resilience"]["restores"] >= 1
+    oracle = run_job_inline(JobSpec.from_dict(PING))
+    assert result["node_results"] == oracle["node_results"]
+
+    # Watchdog timeouts belong to the process that runs the simulation;
+    # a served job cannot carry them, so say so instead of ignoring them.
+    for flag, value in (("--transport-timeout", "5"), ("--hang-timeout", "2")):
+        code, out, err = run_cli(["submit"] + flags + [flag, value])
+        assert code == 1
+        assert err.startswith("firesim: error:") and flag in err
+        assert err.count("\n") == 1 and out == ""
 
 
 def test_cli_server_errors_are_one_line_nonzero(endpoint):
