@@ -8,9 +8,9 @@ Usage: python scripts/bench_dist.py [--cycles N] [--workers 2,4,8]
 Runs the paper's scale-out configuration — a two-tier cluster with
 2 us / 6400-cycle rack-to-root trunk links and 0.5 us / 1600-cycle
 server links, sized to what one container can elaborate — through the
-serial engines and through ``repro.dist`` at each requested worker
-count, once per transport (``pipe`` and ``shm``), and emits
-``BENCH_dist.json`` (schema ``repro.bench.dist/v4``).
+serial engines and through ``repro.dist`` (workers joined by
+shared-memory rings) at each requested worker count, and emits
+``BENCH_dist.json`` (schema ``repro.bench.dist/v5``).
 
 Every blade runs continuous, phase-staggered ping traffic (rack-local
 neighbor pings plus a cross-rack trunk flow per rack) for the whole
@@ -37,24 +37,20 @@ per-round cost at every 1600-cycle quantum; a worker pays transport
 only at exchange boundaries).
 
 Two serial baselines anchor the document, measured **once** up front
-and reused across every worker count (v3 re-ran the serial leg inside
-every worker-count trial, which tripled CI wall time for identical
-numbers):
+and reused across every worker count:
 
 * ``serial.scalar`` — the scalar oracle with a
   :class:`~repro.obs.rate.RateMonitor` attached: the instrumented
   reference run that supplies the end cycle every distributed run must
-  reproduce, and the subtrahend for per-round transport overhead
-  (unchanged from v3 so overhead ratios stay comparable).
+  reproduce.
 * ``serial.batched`` — the batched numpy engine, **uninstrumented**
   (plain ``run_until`` under ``perf_counter``), best of ``--trials``
-  runs.  This is the parity baseline: the distributed engine now
-  defaults to the batched loop, so "dist beats serial" means beating
-  the fastest serial configuration with no monitor attached — not the
-  scalar oracle with a rate probe riding along.
+  runs.  This is the parity baseline: the distributed engine defaults
+  to the batched loop, so "dist beats serial" means beating the
+  fastest serial configuration with no monitor attached.
 
 Distributed runs use the batched engine too (the ``--workers > 1``
-default).  Rate families reported per transport per worker count:
+default).  Rate families reported per worker count:
 
 * ``measured_mhz`` — wall-clock achieved MHz on THIS host, best of
   ``--trials`` uninstrumented runs.  Only meaningful as a parity
@@ -64,34 +60,29 @@ default).  Rate families reported per transport per worker count:
   seconds* (``time.process_time`` per worker: blocking waits burn no
   CPU).  On a core-starved container the workers time-slice one core
   and wall clock measures the slicing, not the simulator; the critical
-  path is what wall clock would approach with a core per worker, and
-  it is measured, not modeled.  The parity gate
-  (``check_bench_regression.py --parity``) uses it whenever
-  ``host_cpu_count < workers``.
-* ``modeled_mhz`` — the analytic critical-path model (worker tick
-  seconds + transport-spec hops per exchange), the same technique
-  :mod:`repro.host.perfmodel` uses for the paper's F1 fleet.
+  path is what wall clock would approach with a core per worker.  The
+  parity gate (``check_bench_regression.py --parity``) uses it
+  whenever ``host_cpu_count < workers``.
 * ``transport_overhead_per_round_s`` — measured seconds per lockstep
   round the distributed run pays beyond the batched serial round (the
   engine the workers actually run, so the delta is transport plus
-  lockstep, not engine choice).  The pipe and shm legs of each trial
-  run back-to-back, so their overhead ratio
-  (``speedup.shm_over_pipe_measured``) cancels host drift and isolates
-  the transport substrate.
+  lockstep, not engine choice).
 
 ``speedup.parity`` carries the gate's inputs: wall-clock and
 critical-path ratios of every distributed run over the batched serial
-baseline.  The adaptive exchange fields (``round_quantum``,
+baseline.  v5 keeps v4's per-transport nesting with its one remaining
+key, ``"shm"``, so a v4 document re-stamps as v5 by deletion alone.
+The adaptive exchange fields (``round_quantum``,
 ``rounds_per_exchange``, ``exchange_rounds``) flow through from
 :meth:`~repro.dist.engine.DistributedRunResult.to_dict`.
 
-v3's profiler numbers are retained unchanged: ``phase_breakdown`` per
-transport per worker count and ``profiler.overhead_ratio`` from the
-alternate-round probe (recorded and minimally-timed rounds interleave
-within one run so host drift cancels).  ``--phase-report PATH``
-additionally dumps the full per-worker :class:`~repro.obs.prof.PhaseReport`
-of each profiled run — the artifact CI uploads when the parity gate
-fails, so a regression arrives with its own phase attribution.
+The profiler numbers: ``phase_breakdown`` per worker count and
+``profiler.overhead_ratio`` from the alternate-round probe (recorded
+and minimally-timed rounds interleave within one run so host drift
+cancels).  ``--phase-report PATH`` additionally dumps the full
+per-worker :class:`~repro.obs.prof.PhaseReport` of each profiled run —
+the artifact CI uploads when the parity gate fails, so a regression
+arrives with its own phase attribution.
 
 Exits non-zero if the distributed runs diverge from serial cycle
 counts — the benchmark doubles as an equivalence check.
@@ -121,9 +112,6 @@ RACKS = 8
 SERVERS_PER_RACK = 4
 LINK_LATENCY_CYCLES = 6400  # 2 us rack-to-root trunks (the paper's links)
 SERVER_LINK_LATENCY_CYCLES = 1600  # 0.5 us blade <-> ToR links
-
-TRANSPORTS = ("pipe", "shm")
-
 
 #: Enough pings to outlast any plausible ``--cycles`` (200 pings at a
 #: ~20k-cycle interval spans ~4M cycles; the default run is 2M).
@@ -226,24 +214,22 @@ def serial_batched_trial(cycles):
     return rate_mhz, wall_s, cpu_s, running.simulation.current_cycle
 
 
-def run_one(cycles, workers, transport, measure, profile=False):
+def run_one(cycles, workers, measure, profile=False):
     running, root = build(engine="batched")
     plan = plan_from_assignment(rack_assignment(root, workers), workers)
     result = run_distributed(
         running.simulation, plan, cycles,
-        measure=measure, transport=transport, profile=profile or None,
+        measure=measure, profile=profile or None,
     )
     return result, running.simulation.current_cycle
 
 
-def instrumented_summary(cycles, workers, transport):
+def instrumented_summary(cycles, workers):
     """One measure=True profiled run's profile (its wall clock pays for
     the instrumentation, so rates come from the uninstrumented trials
     instead).  Returns ``(summary, phase_report)``."""
-    result, _ = run_one(cycles, workers, transport, measure=True,
-                        profile=True)
+    result, _ = run_one(cycles, workers, measure=True, profile=True)
     summary = result.to_dict()
-    summary["modeled_mhz"] = summary.pop("modeled_rate_mhz", None)
     summary.pop("measured_rate_mhz", None)
     summary.pop("measured_critical_path_mhz", None)
     report = PhaseReport.from_result(result)
@@ -272,8 +258,8 @@ def main(argv=None):
     parser.add_argument("--workers", default="2,4,8",
                         help="comma-separated worker counts")
     parser.add_argument("--trials", type=int, default=7,
-                        help="paired pipe/shm trials per worker count "
-                             "(median ratio, best-of rates)")
+                        help="trials per worker count (median overhead, "
+                             "best-of rates)")
     parser.add_argument("--out", default="BENCH_dist.json")
     parser.add_argument("--phase-report", default=None,
                         help="also dump every profiled run's full "
@@ -335,133 +321,76 @@ def main(argv=None):
         f"(parity baseline, best of {trials})"
     )
 
-    distributed = {transport: {} for transport in TRANSPORTS}
-    speedup_modeled = {transport: {} for transport in TRANSPORTS}
-    speedup_measured = {transport: {} for transport in TRANSPORTS}
-    parity_wall = {transport: {} for transport in TRANSPORTS}
-    parity_critical = {transport: {} for transport in TRANSPORTS}
-    overhead = {transport: {} for transport in TRANSPORTS}
-    shm_over_pipe = {}
-    phase_reports = {transport: {} for transport in TRANSPORTS}
+    distributed = {}
+    speedup_measured = {}
+    parity_wall = {}
+    parity_critical = {}
+    overhead = {}
+    phase_reports = {}
     #: Per-trial alternate-round probe ratios at the smallest worker
     #: count; the gate value is the median across trials.
-    probe_ratios = {transport: [] for transport in TRANSPORTS}
+    probe_ratios = []
     profile_workers = min(worker_counts)
     for workers in worker_counts:
-        rates = {transport: [] for transport in TRANSPORTS}
-        critical_rates = {transport: [] for transport in TRANSPORTS}
-        trial_overheads = {transport: [] for transport in TRANSPORTS}
-        trial_ratios = []
+        rates, critical_rates, trial_overheads = [], [], []
         for _ in range(trials):
-            # Paired legs: pipe and shm back-to-back, so a host
-            # slowdown lands on both and cancels in their ratio (the
-            # serial subtrahend is a shared constant from the up-front
-            # baseline, so it drops out of the pipe/shm comparison).
-            per_trial = {}
-            for transport in TRANSPORTS:
-                result, dist_end = run_one(
-                    cycles, workers, transport, measure=False
+            result, dist_end = run_one(cycles, workers, measure=False)
+            if dist_end != serial_end:
+                print(
+                    f"bench_dist: FAIL: {workers}-worker run ended at "
+                    f"cycle {dist_end}, serial at {serial_end}",
+                    file=sys.stderr,
                 )
-                if dist_end != serial_end:
-                    print(
-                        f"bench_dist: FAIL: {workers}-worker {transport} "
-                        f"run ended at cycle {dist_end}, serial at "
-                        f"{serial_end}",
-                        file=sys.stderr,
-                    )
-                    return 1
-                if result.transport != transport:
-                    print(
-                        f"bench_dist: FAIL: requested transport "
-                        f"{transport!r} but the run used "
-                        f"{result.transport!r} (shm fallback?); overhead "
-                        "ratios would be vacuous",
-                        file=sys.stderr,
-                    )
-                    return 1
-                rate = result.measured_rate_mhz()
-                rates[transport].append(rate)
-                critical_rates[transport].append(
-                    result.measured_critical_path_mhz()
-                )
-                per_trial[transport] = (
-                    quantum / (rate * 1e6) - serial_round_s
-                )
-                trial_overheads[transport].append(per_trial[transport])
-            if per_trial["shm"] > 0:
-                trial_ratios.append(per_trial["pipe"] / per_trial["shm"])
+                return 1
+            rate = result.measured_rate_mhz()
+            rates.append(rate)
+            critical_rates.append(result.measured_critical_path_mhz())
+            trial_overheads.append(quantum / (rate * 1e6) - serial_round_s)
             if workers == profile_workers:
                 # One alternate-round probe run per trial: recorded and
                 # minimally-timed rounds interleave inside the run, so
                 # their duration ratio measures the profiler's
                 # round-time cost with host drift cancelled (see the
                 # module docstring).
-                for transport in TRANSPORTS:
-                    probe_result, _ = run_one(
-                        cycles, workers, transport, measure=False,
-                        profile=ProfileConfig(overhead_probe=True),
-                    )
-                    ratio = PhaseReport.from_result(
-                        probe_result
-                    ).probe_overhead_ratio()
-                    if ratio is not None:
-                        probe_ratios[transport].append(ratio)
-        for transport in TRANSPORTS:
-            summary, report = instrumented_summary(
-                cycles, workers, transport
-            )
-            phase_reports[transport][str(workers)] = report.to_dict()
-            best = max(rates[transport])
-            best_critical = max(critical_rates[transport])
-            summary["measured_mhz"] = best
-            summary["measured_critical_path_mhz"] = best_critical
-            per_round = median(trial_overheads[transport])
-            summary["transport_overhead_per_round_s"] = per_round
-            overhead[transport][str(workers)] = per_round
-            distributed[transport][str(workers)] = summary
-            if summary.get("modeled_mhz"):
-                speedup_modeled[transport][str(workers)] = summary[
-                    "modeled_speedup"
-                ]
-            speedup_measured[transport][str(workers)] = (
-                best / serial["scalar"]["measured_mhz"]
-            )
-            parity_wall[transport][str(workers)] = best / parity_mhz
-            parity_critical[transport][str(workers)] = (
-                best_critical / parity_mhz
-            )
-            modeled = summary.get("modeled_mhz")
-            modeled_text = f"{modeled:.3f}" if modeled else "n/a"
-            print(
-                f"workers={workers} transport={transport}: "
-                f"{best:.3f} MHz measured (best of {trials}), "
-                f"{best_critical:.3f} MHz critical-path "
-                f"({parity_critical[transport][str(workers)]:.2f}x "
-                f"batched serial), {modeled_text} MHz modeled, "
-                f"{per_round * 1e6:.1f} us/round transport overhead "
-                "(median)"
-            )
-        if trial_ratios:
-            shm_over_pipe[str(workers)] = median(trial_ratios)
-            print(
-                f"workers={workers}: shm-over-pipe measured overhead "
-                f"ratio {shm_over_pipe[str(workers)]:.2f}x "
-                f"(median of {len(trial_ratios)} paired trials)"
-            )
-    profiler_overhead = {
-        transport: median(ratios)
-        for transport, ratios in probe_ratios.items()
-        if ratios
-    }
-    for transport, ratio in sorted(profiler_overhead.items()):
+                probe_result, _ = run_one(
+                    cycles, workers, measure=False,
+                    profile=ProfileConfig(overhead_probe=True),
+                )
+                ratio = PhaseReport.from_result(
+                    probe_result
+                ).probe_overhead_ratio()
+                if ratio is not None:
+                    probe_ratios.append(ratio)
+        key = str(workers)
+        summary, report = instrumented_summary(cycles, workers)
+        phase_reports[key] = report.to_dict()
+        best = max(rates)
+        best_critical = max(critical_rates)
+        summary["measured_mhz"] = best
+        summary["measured_critical_path_mhz"] = best_critical
+        per_round = median(trial_overheads)
+        summary["transport_overhead_per_round_s"] = per_round
+        overhead[key] = per_round
+        distributed[key] = summary
+        speedup_measured[key] = best / serial["scalar"]["measured_mhz"]
+        parity_wall[key] = best / parity_mhz
+        parity_critical[key] = best_critical / parity_mhz
         print(
-            f"profiler overhead ({transport}, {profile_workers} workers): "
-            f"{ratio:.3f}x round time (alternate-round probe, median of "
-            f"{len(probe_ratios[transport])} runs)"
+            f"workers={workers}: {best:.3f} MHz measured (best of "
+            f"{trials}), {best_critical:.3f} MHz critical-path "
+            f"({parity_critical[key]:.2f}x batched serial), "
+            f"{per_round * 1e6:.1f} us/round transport overhead (median)"
+        )
+    profiler_overhead = {"shm": median(probe_ratios)} if probe_ratios else {}
+    for ratio in profiler_overhead.values():
+        print(
+            f"profiler overhead ({profile_workers} workers): {ratio:.3f}x "
+            f"round time (alternate-round probe, median of "
+            f"{len(probe_ratios)} runs)"
         )
 
     document = {
-        "schema": "repro.bench.dist/v4",
+        "schema": "repro.bench.dist/v5",
         "topology": {
             "kind": "two_tier",
             "racks": RACKS,
@@ -476,23 +405,21 @@ def main(argv=None):
         "quick": bool(args.quick),
         "host_cpu_count": os.cpu_count(),
         "serial": serial,
-        "distributed": distributed,
-        "transport_overhead_per_round_s": overhead,
+        "distributed": {"shm": distributed},
+        "transport_overhead_per_round_s": {"shm": overhead},
         "speedup": {
-            "modeled": speedup_modeled,
-            "measured": speedup_measured,
-            "shm_over_pipe_measured": shm_over_pipe,
+            "measured": {"shm": speedup_measured},
             "parity": {
                 "baseline": "serial batched, uninstrumented, best of "
                             f"{trials}",
                 "serial_measured_mhz": parity_mhz,
-                "wall": parity_wall,
-                "critical_path": parity_critical,
+                "wall": {"shm": parity_wall},
+                "critical_path": {"shm": parity_critical},
             },
         },
         "profiler": {
             "overhead_ratio": profiler_overhead,
-            "ratio_runs": probe_ratios,
+            "ratio_runs": {"shm": probe_ratios},
             "method": "alternate-round probe",
             "workers": profile_workers,
         },
@@ -504,11 +431,7 @@ def main(argv=None):
             "core-starved container cannot show on the wall clock. "
             "speedup.parity compares both against the uninstrumented "
             "batched serial engine — the bar the distributed engine "
-            "must clear. shm_over_pipe_measured is the pipe/shm ratio "
-            "of measured per-round transport overhead (quantum/"
-            "rate_dist - quantum/rate_serial_batched): both transports "
-            "tick identical models on the same host, so it isolates "
-            "the transport substrate."
+            "must clear."
         ),
     }
     with open(args.out, "w") as fh:
@@ -521,21 +444,14 @@ def main(argv=None):
                     "schema": "repro.bench.dist.phases/v1",
                     "cycles": cycles,
                     "quick": bool(args.quick),
-                    "reports": phase_reports,
+                    "reports": {"shm": phase_reports},
                 },
                 fh, indent=2, sort_keys=True,
             )
             fh.write("\n")
         print(f"phase reports -> {args.phase_report}")
-    best = max(
-        (
-            ratio
-            for per_transport in speedup_modeled.values()
-            for ratio in per_transport.values()
-        ),
-        default=0.0,
-    )
-    print(f"best modeled speedup: {best:.2f}x -> {args.out}")
+    best = max(parity_critical.values(), default=0.0)
+    print(f"best critical-path parity: {best:.2f}x -> {args.out}")
     return 0
 
 

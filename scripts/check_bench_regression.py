@@ -27,54 +27,32 @@ varies with the CI machine:
   ``parity.matrix`` (scalar-vs-batched fingerprint equality across
   topologies x quanta) must also be present and all-true: a baseline
   refresh can never ratify an engine that diverged from the oracle.
-* ``repro.bench.dist/v1`` — ``speedup.modeled`` per worker count (the
-  one-core-per-worker critical-path model).  Worker counts present in
-  only one document are ignored; measured dist speedups are skipped
-  entirely because a shared-core container measures transport overhead,
-  not scaling.
-* ``repro.bench.dist/v2`` — ``speedup.modeled`` per transport per
-  worker count under the usual relative tolerance, plus
-  ``speedup.shm_over_pipe_measured`` (the pipe/shm ratio of measured
-  per-round transport overhead — both transports tick identical models
-  on the same host, so the ratio isolates the transport substrate).
-  The measured ratio's magnitude still shifts with host load and run
-  length, so it is exempt from the baseline-relative band and gated on
-  an *absolute* floor instead (``SHM_OVER_PIPE_FLOOR``, applied at
-  2 workers): the shm transport must stay at least that much cheaper
-  per round than pipes regardless of what the baseline recorded.
-* ``repro.bench.dist/v3`` — everything in v2, plus the round-phase
-  profiler's measured overhead (``profiler.overhead_ratio`` per
-  transport: profiled-over-unprofiled round time from the
-  alternate-round probe, where recorded and minimally-timed rounds
-  interleave within one run so host drift cancels).  Like the shm
-  floor it is an *absolute* gate, not baseline-relative: the ratio
-  must stay below ``PROFILER_OVERHEAD_CEILING`` so the profiler's own
-  per-round cost stays bounded.  Quick runs get a relaxed
-  ceiling: at a few hundred rounds the probe's two populations are
-  small enough that the median ratio wobbles by ~10%, an order of
-  magnitude above the profiler's real cost; the strict ceiling is
-  enforced by full-length runs.
-* ``repro.bench.dist/v4`` — everything in v3 (with the shm-over-pipe
-  floor moving from 2 workers to the document's *highest* measured
-  worker count, where multi-peer pressure makes the substrate matter),
-  plus the **parity gate**:
-  the distributed engine must beat the *uninstrumented batched serial
-  engine* on the same topology, shm transport, at every measured
-  worker count >= ``PARITY_MIN_WORKERS``.  The gate is host-core-aware
-  because the claim is physical: on a container that pins every worker
-  to one core, wall clock measures time-slicing, not the simulator, so
+* ``repro.bench.dist/v5`` — no baseline-relative ratio: measured dist
+  speedups are never compared, because a shared-core container
+  measures transport overhead, not scaling.  Two *absolute* gates
+  instead, so no baseline refresh can ratify a regression:
 
-  - the **critical-path ratio** (``speedup.parity.critical_path``:
-    cycles over the maximum worker CPU seconds, against the serial
-    baseline) is gated everywhere — it is measured with
-    ``process_time`` (blocking waits burn no CPU) and is what wall
-    clock converges to given a core per worker; strict floor 1.0 on
-    full-scale runs ("distributed beats serial"), relaxed on --quick
-    runs whose handful of exchanges amortize fork cost poorly;
-  - the **wall-clock ratio** (``speedup.parity.wall``) is additionally
-    gated on full-scale runs when ``host_cpu_count`` >= workers + 2
-    (a core per worker plus headroom for the parent and supervisor) —
-    hosts that cannot physically show the win are not held to it.
+  - the round-phase profiler's measured overhead
+    (``profiler.overhead_ratio``: profiled-over-unprofiled round time
+    from the alternate-round probe, where recorded and minimally-timed
+    rounds interleave within one run so host drift cancels) must stay
+    below ``PROFILER_OVERHEAD_CEILING``.  Quick runs get a relaxed
+    ceiling: at a few hundred rounds the probe's two populations are
+    small enough that the median ratio wobbles by ~10%, an order of
+    magnitude above the profiler's real cost;
+  - the **parity gate**: the distributed engine must beat the
+    *uninstrumented batched serial engine* on the same topology at
+    every measured worker count >= ``PARITY_MIN_WORKERS``.  The gate is
+    host-core-aware because the claim is physical: on a container that
+    pins every worker to one core, wall clock measures time-slicing,
+    not the simulator, so the **critical-path ratio**
+    (``speedup.parity.critical_path``: cycles over the maximum worker
+    CPU seconds, against the serial baseline) is gated everywhere —
+    strict floor 1.0 on full-scale runs, relaxed on --quick runs whose
+    handful of exchanges amortize fork cost poorly — and the
+    **wall-clock ratio** (``speedup.parity.wall``) is additionally
+    gated on full-scale runs when ``host_cpu_count`` >= workers + 2 (a
+    core per worker plus headroom for the parent and supervisor).
 
 Ratios *above* ``baseline * (1 + tolerance)`` print a warning asking
 for a baseline refresh but do not fail the build.
@@ -84,11 +62,12 @@ measured document (no baseline needed — the bar is serial, not
 history); CI's dist-parity job uses it on every push.
 
 ``--self-test`` proves the gate actually gates: it loads BASELINE,
-synthesizes a degraded copy just below the tolerance band plus a
-within-band copy, and exits non-zero unless the first is flagged and
-the second passes — including, for v4, a copy whose parity ratios sink
-below the floors.  CI runs this so a silently-vacuous checker cannot
-go green.  Stdlib only.
+checks that an identical copy passes, and injects a regression into
+every gate that applies to the schema — a core copy degraded just
+below the tolerance band and below each floor; a dist copy whose
+profiler ratio breaks the ceiling and whose parity ratios sink below
+the floors — exiting non-zero unless each is flagged.  CI runs this so
+a silently-vacuous checker cannot go green.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -103,10 +82,7 @@ DEFAULT_TOLERANCE = 0.20
 KNOWN_SCHEMAS = (
     "repro.bench.core/v1",
     "repro.bench.core/v2",
-    "repro.bench.dist/v1",
-    "repro.bench.dist/v2",
-    "repro.bench.dist/v3",
-    "repro.bench.dist/v4",
+    "repro.bench.dist/v5",
 )
 
 #: Absolute floors on the core benchmark's ratios (core/v2): the
@@ -125,30 +101,9 @@ BATCHED_OVER_SCALAR_QUICK_FLOOR = 2.0
 #: relaxed: the incast section runs at full size even under --quick.
 COLUMNAR_OVER_SCALAR_FLOOR = 8.0
 
-#: Absolute floor on the measured 2-worker shm-over-pipe transport
-#: overhead ratio: the shared-memory ring must move a round's tokens at
-#: least this much cheaper than the mp.Queue pipe, or the zero-copy
-#: transport has regressed to the point of pointlessness.
-SHM_OVER_PIPE_FLOOR = 1.5
-#: The floor applied to ``--quick`` runs (CI smoke).  At 400k cycles the
-#: per-round transport delta is tens of microseconds, so even with the
-#: median-of-paired-trials estimator a loaded shared CI runner can land
-#: a legitimate shm win well under the full-run margin; quick mode only
-#: asserts shm still *beats* pipes with headroom, and the strict 1.5x
-#: floor is enforced by the weekly full-length benchmark run.
-SHM_OVER_PIPE_QUICK_FLOOR = 1.1
-#: v2/v3 documents measured the ratio against the scalar serial round
-#: and gate it at 2 workers.  v4 documents gate it at the *highest*
-#: measured worker count instead: the eager flush overlaps the pipe
-#: feeder thread's pickling with compute, so at 2 workers the pipe
-#: transport legitimately closes much of the gap, while under real
-#: multi-peer pressure (where the substrate matters) shm's margin
-#: grows with worker count.
-SHM_OVER_PIPE_V2_KEY = "2"
-
 #: Absolute ceiling on the profiled-over-unprofiled round-time ratio.
 #: The recorder's cost is a fixed handful of microseconds per round;
-#: the v4 bench runs 1600-cycle rounds (a quarter of the old 6400),
+#: the dist bench runs 1600-cycle rounds (a quarter of the old 6400),
 #: so that fixed cost is mechanically a larger *share* of a much
 #: shorter round (~7-11% measured).  The ceiling holds the profiler to
 #: that absolute per-round cost: a profiler that actually got slow
@@ -161,11 +116,10 @@ PROFILER_OVERHEAD_CEILING = 1.2
 PROFILER_OVERHEAD_QUICK_CEILING = 1.35
 PROFILER_METRIC_PREFIX = "profiler.overhead_ratio"
 
-#: The parity gate (v4): distributed-over-serial ratios below these
-#: floors mean the distributed engine stopped beating the batched
-#: serial engine.  Applied to the shm transport (the co-located
-#: fast path the tentpole claims) at every measured worker count
-#: >= PARITY_MIN_WORKERS.
+#: The parity gate: distributed-over-serial ratios below these floors
+#: mean the distributed engine stopped beating the batched serial
+#: engine, at every measured worker count >= PARITY_MIN_WORKERS.
+#: Ratios nest under the one worker channel's name.
 PARITY_MIN_WORKERS = 4
 PARITY_TRANSPORT = "shm"
 PARITY_CRITICAL_PATH_FLOOR = 1.0
@@ -214,68 +168,14 @@ def extract_ratios(document):
             for key in ("batched_over_scalar", "columnar_over_scalar")
             if isinstance(speedup.get(key), (int, float))
         }
-    if schema == "repro.bench.dist/v1":
-        # One modeled ratio per worker count.
-        return {
-            f"speedup.modeled[{workers}]": float(ratio)
-            for workers, ratio in sorted(speedup.get("modeled", {}).items())
-            if isinstance(ratio, (int, float))
-        }
-    # repro.bench.dist/v2+: modeled ratios nest per transport, and the
-    # measured shm-over-pipe overhead ratio is comparable because both
-    # sides of it ran on the same host.
-    ratios = {}
-    for transport, per_workers in sorted(speedup.get("modeled", {}).items()):
-        for workers, ratio in sorted(per_workers.items()):
-            if isinstance(ratio, (int, float)):
-                ratios[f"speedup.modeled[{transport}][{workers}]"] = float(
-                    ratio
-                )
-    for workers, ratio in sorted(
-        speedup.get("shm_over_pipe_measured", {}).items()
-    ):
-        if isinstance(ratio, (int, float)):
-            ratios[f"speedup.shm_over_pipe_measured[{workers}]"] = float(
-                ratio
-            )
-    # v3: profiled-over-unprofiled round time per transport, also a
-    # same-host pair so it travels between machines.
+    # repro.bench.dist/v5: only the profiled-over-unprofiled round time
+    # per channel, a same-host pair, so it travels between machines.
     profiler = document.get("profiler", {}).get("overhead_ratio", {})
-    for transport, ratio in sorted(profiler.items()):
-        if isinstance(ratio, (int, float)):
-            ratios[f"{PROFILER_METRIC_PREFIX}[{transport}]"] = float(ratio)
-    return ratios
-
-
-def shm_floor_for(current, quick_flag):
-    """The absolute shm-over-pipe floor that applies to ``current``.
-
-    Quick-scale measurements (CI smoke) get the relaxed floor; the
-    strict one applies to full-length runs.  Quickness is taken from
-    the document itself (``bench_dist.py --quick`` records
-    ``"quick": true``) or forced by the checker's own ``--quick`` flag,
-    so a CI pipeline cannot accidentally hold a 400k-cycle run to the
-    full-run margin.
-    """
-    if quick_flag or current.get("quick"):
-        return SHM_OVER_PIPE_QUICK_FLOOR
-    return SHM_OVER_PIPE_FLOOR
-
-
-def shm_gate_key(document):
-    """The worker-count key whose shm-over-pipe ratio is floor-gated.
-
-    v2/v3 documents measured (and were gated) at 2 workers; v4 gates at
-    the highest worker count the document measured, where multi-peer
-    pressure makes the transport substrate matter most.
-    """
-    if document.get("schema") != "repro.bench.dist/v4":
-        return SHM_OVER_PIPE_V2_KEY
-    ratios = document.get("speedup", {}).get("shm_over_pipe_measured", {})
-    keys = [k for k, v in ratios.items() if isinstance(v, (int, float))]
-    if not keys:
-        return SHM_OVER_PIPE_V2_KEY
-    return max(keys, key=int)
+    return {
+        f"{PROFILER_METRIC_PREFIX}[{transport}]": float(ratio)
+        for transport, ratio in sorted(profiler.items())
+        if isinstance(ratio, (int, float))
+    }
 
 
 def profiler_ceiling_for(current, quick_flag):
@@ -354,7 +254,7 @@ def check_core(document, quick=False):
 
 
 def check_parity(document, quick=False):
-    """Absolute dist-beats-serial gate for a v4 document.
+    """Absolute dist-beats-serial gate for a dist document.
 
     Returns a list of failure messages (empty when the document passes
     or predates the parity fields).  Host-core-aware: the critical-path
@@ -362,7 +262,7 @@ def check_parity(document, quick=False):
     host has a core per worker plus headroom (and never on quick runs,
     whose wall clock is fork-dominated).
     """
-    if document.get("schema") != "repro.bench.dist/v4":
+    if document.get("schema") != "repro.bench.dist/v5":
         return []
     quick = bool(quick or document.get("quick"))
     parity = document.get("speedup", {}).get("parity", {})
@@ -462,13 +362,12 @@ def compare(baseline, current, tolerance, quick=False):
         )
     failures, warnings = [], []
     for metric in shared:
-        if metric.startswith("speedup.shm_over_pipe_measured") or \
-                metric.startswith(PROFILER_METRIC_PREFIX) or \
+        if metric.startswith(PROFILER_METRIC_PREFIX) or \
                 metric == "speedup.columnar_over_scalar":
-            # Measured transport/profiler ratios shift with host load
-            # and run length (CI's --quick runs are shorter than the
-            # committed baseline), so they skip the baseline-relative
-            # band; the absolute floor/ceiling below are their gates.
+            # The measured profiler ratio shifts with host load and run
+            # length (CI's --quick runs are shorter than the committed
+            # baseline), so it skips the baseline-relative band; the
+            # absolute ceiling below is its gate.
             # The columnar incast ratio is the same kind of animal: a
             # milliseconds-scale wall-clock pair whose magnitude swings
             # ~40% with host load, gated on its absolute floor instead.
@@ -490,29 +389,6 @@ def compare(baseline, current, tolerance, quick=False):
             print(
                 f"check_bench_regression: OK: {metric}: {cur:.3f} within "
                 f"{tolerance:.0%} of baseline {base:.3f}"
-            )
-    # The gated shm-over-pipe overhead ratio (2 workers for v2/v3, the
-    # highest measured worker count for v4) also has an absolute floor:
-    # a baseline refresh must never quietly ratify a shm transport that
-    # stopped beating pipes.
-    shm_metric = (
-        f"speedup.shm_over_pipe_measured[{shm_gate_key(current)}]"
-    )
-    shm_ratio = cur_ratios.get(shm_metric)
-    if shm_ratio is not None:
-        floor = shm_floor_for(current, quick)
-        label = "quick " if floor == SHM_OVER_PIPE_QUICK_FLOOR else ""
-        if shm_ratio < floor:
-            failures.append(
-                f"{shm_metric}: {shm_ratio:.3f} is below the "
-                f"absolute {label}floor {floor} — the shm "
-                "transport no longer beats pipes by the required margin"
-            )
-        else:
-            print(
-                f"check_bench_regression: OK: {shm_metric}: "
-                f"{shm_ratio:.3f} clears the absolute {label}floor "
-                f"{floor}"
             )
     # Every profiler overhead ratio has an absolute ceiling: the
     # recorder's per-round cost is bounded, and a baseline refresh
@@ -538,7 +414,7 @@ def compare(baseline, current, tolerance, quick=False):
                 f"check_bench_regression: OK: {metric}: {ratio:.3f} "
                 f"under the absolute {ceiling_label}ceiling {ceiling}"
             )
-    # v4: the parity gate — the distributed engine must keep beating
+    # The parity gate — the distributed engine must keep beating
     # the batched serial engine (absolute, like the floors above: a
     # baseline refresh cannot ratify losing to serial).
     failures.extend(check_parity(current, quick))
@@ -549,32 +425,12 @@ def compare(baseline, current, tolerance, quick=False):
 
 
 def scale_ratios(document, factor):
-    """A copy of ``document`` with every comparable ratio scaled."""
+    """A copy of a core ``document`` with every comparable ratio scaled."""
     scaled = copy.deepcopy(document)
     speedup = scaled.setdefault("speedup", {})
-    if scaled["schema"] in ("repro.bench.core/v1", "repro.bench.core/v2"):
-        for key in ("batched_over_scalar", "columnar_over_scalar"):
-            if key in speedup:
-                speedup[key] = speedup[key] * factor
-    elif scaled["schema"] == "repro.bench.dist/v1":
-        speedup["modeled"] = {
-            workers: ratio * factor
-            for workers, ratio in speedup.get("modeled", {}).items()
-        }
-    else:
-        speedup["modeled"] = {
-            transport: {
-                workers: ratio * factor
-                for workers, ratio in per_workers.items()
-            }
-            for transport, per_workers in speedup.get("modeled", {}).items()
-        }
-        speedup["shm_over_pipe_measured"] = {
-            workers: ratio * factor
-            for workers, ratio in speedup.get(
-                "shm_over_pipe_measured", {}
-            ).items()
-        }
+    for key in ("batched_over_scalar", "columnar_over_scalar"):
+        if key in speedup:
+            speedup[key] = speedup[key] * factor
     return scaled
 
 
@@ -659,7 +515,7 @@ def self_test_core(baseline, tolerance):
 
 
 def self_test_parity(baseline, tolerance):
-    """The v4 parity gate must trip on injected dist-loses-to-serial."""
+    """The parity gate must trip on injected dist-loses-to-serial."""
     parity = baseline.get("speedup", {}).get("parity", {})
     critical = parity.get("critical_path", {}).get(PARITY_TRANSPORT, {})
     gated = [
@@ -741,98 +597,68 @@ def self_test_parity(baseline, tolerance):
     )
 
 
-def self_test(baseline, tolerance):
-    """The gate must flag a synthetic regression and pass a no-op."""
-    degraded = scale_ratios(baseline, 1.0 - tolerance - 0.1)
-    failures, _ = compare(baseline, degraded, tolerance)
-    if not failures:
+def self_test_profiler(baseline, tolerance):
+    """The profiler-overhead ceiling must trip on an injected slow
+    profiler (a ratio above even the quick ceiling) in BOTH documents,
+    and relax — but not vanish — on quick runs."""
+    bloated = copy.deepcopy(baseline)
+    overhead = bloated.get("profiler", {}).get("overhead_ratio", {})
+    if not overhead:
         fail(
-            "self-test: synthetic regression "
-            f"(ratios scaled by {1.0 - tolerance - 0.1:.2f}) "
-            "was NOT flagged — the gate is vacuous"
+            "self-test: baseline carries no profiler.overhead_ratio — "
+            "regenerate BENCH_dist.json with bench_dist.py"
         )
-    unchanged = scale_ratios(baseline, 1.0)
-    failures, warnings = compare(baseline, unchanged, tolerance)
+    for transport in overhead:
+        overhead[transport] = PROFILER_OVERHEAD_QUICK_CEILING + 0.15
+    for quick in (False, True):
+        bloated["quick"] = quick
+        failures, _ = compare(bloated, copy.deepcopy(bloated), tolerance)
+        if not failures:
+            fail(
+                "self-test: profiler overhead above the "
+                f"{'quick ' if quick else ''}ceiling was NOT flagged "
+                "when baseline and current agree"
+            )
+    for transport in overhead:
+        overhead[transport] = (
+            PROFILER_OVERHEAD_CEILING + PROFILER_OVERHEAD_QUICK_CEILING
+        ) / 2
+    failures, _ = compare(bloated, copy.deepcopy(bloated), tolerance)
+    if failures:
+        fail(
+            "self-test: a quick-run profiler ratio under the quick "
+            f"ceiling {PROFILER_OVERHEAD_QUICK_CEILING} was flagged: "
+            f"{failures}"
+        )
+
+
+def self_test(baseline, tolerance):
+    """Identical documents pass; every applicable gate trips."""
+    failures, warnings = compare(
+        baseline, copy.deepcopy(baseline), tolerance
+    )
     if failures or warnings:
         fail(f"self-test: identical ratios flagged: {failures + warnings}")
-    if baseline["schema"] in (
-        "repro.bench.dist/v2", "repro.bench.dist/v3", "repro.bench.dist/v4"
-    ):
-        # The absolute shm-over-pipe floor must hold even when baseline
-        # and current agree (a stale-baseline refresh cannot ratify a
-        # regressed transport): degrade BOTH documents' shm ratio below
-        # the floor and the comparison must still fail.
-        sunk = copy.deepcopy(baseline)
-        ratios = sunk.get("speedup", {}).get("shm_over_pipe_measured", {})
-        key = shm_gate_key(sunk)
-        if key in ratios:
-            ratios[key] = SHM_OVER_PIPE_FLOOR - 0.1
-            failures, _ = compare(sunk, copy.deepcopy(sunk), tolerance)
-            if not failures:
-                fail(
-                    "self-test: shm-over-pipe ratio below the absolute "
-                    f"floor {SHM_OVER_PIPE_FLOOR} was NOT flagged when "
-                    "baseline and current agree"
-                )
-            # Quick mode relaxes the floor but must not remove it: a
-            # ratio between the quick floor and the strict floor passes
-            # quick, and a ratio below the quick floor still fails.
-            ratios[key] = (SHM_OVER_PIPE_QUICK_FLOOR + SHM_OVER_PIPE_FLOOR) / 2
-            sunk["quick"] = True
-            failures, _ = compare(sunk, copy.deepcopy(sunk), tolerance)
-            if failures:
-                fail(
-                    "self-test: a quick-run ratio above the quick floor "
-                    f"{SHM_OVER_PIPE_QUICK_FLOOR} was flagged: {failures}"
-                )
-            ratios[key] = SHM_OVER_PIPE_QUICK_FLOOR - 0.05
-            failures, _ = compare(sunk, copy.deepcopy(sunk), tolerance)
-            if not failures:
-                fail(
-                    "self-test: shm-over-pipe ratio below the quick "
-                    f"floor {SHM_OVER_PIPE_QUICK_FLOOR} was NOT flagged "
-                    "in quick mode — quick runs are ungated"
-                )
-    if baseline["schema"] in ("repro.bench.dist/v3", "repro.bench.dist/v4"):
-        # The profiler-overhead ceiling likewise: simulate a sleep
-        # injected into the profiled path (ratio above even the quick
-        # ceiling) in BOTH documents and the gate must still trip.
-        bloated = copy.deepcopy(baseline)
-        overhead = bloated.get("profiler", {}).get("overhead_ratio", {})
-        if overhead:
-            for transport in overhead:
-                overhead[transport] = PROFILER_OVERHEAD_QUICK_CEILING + 0.15
-            failures, _ = compare(bloated, copy.deepcopy(bloated), tolerance)
-            if not failures:
-                fail(
-                    "self-test: profiler overhead above the absolute "
-                    f"ceiling {PROFILER_OVERHEAD_CEILING} was NOT "
-                    "flagged when baseline and current agree"
-                )
-            # Quick mode relaxes the ceiling but must not remove it:
-            # a ratio between the strict and quick ceilings passes
-            # quick, one above the quick ceiling still fails.
-            for transport in overhead:
-                overhead[transport] = (
-                    PROFILER_OVERHEAD_CEILING
-                    + PROFILER_OVERHEAD_QUICK_CEILING
-                ) / 2
-            bloated["quick"] = True
-            failures, _ = compare(bloated, copy.deepcopy(bloated), tolerance)
-            if failures:
-                fail(
-                    "self-test: a quick-run profiler ratio under the "
-                    f"quick ceiling {PROFILER_OVERHEAD_QUICK_CEILING} "
-                    f"was flagged: {failures}"
-                )
-    if baseline["schema"] == "repro.bench.dist/v4":
+    if baseline["schema"] == "repro.bench.dist/v5":
+        self_test_profiler(baseline, tolerance)
         self_test_parity(baseline, tolerance)
+        print(
+            "check_bench_regression: self-test OK (identical document "
+            "passes; profiler ceiling and parity floors trip)"
+        )
+        return 0
+    factor = 1.0 - tolerance - 0.1
+    failures, _ = compare(baseline, scale_ratios(baseline, factor), tolerance)
+    if not failures:
+        fail(
+            f"self-test: synthetic regression (ratios scaled by "
+            f"{factor:.2f}) was NOT flagged — the gate is vacuous"
+        )
     if baseline["schema"] == "repro.bench.core/v2":
         self_test_core(baseline, tolerance)
     print(
         "check_bench_regression: self-test OK "
-        f"(synthetic {1.0 - tolerance - 0.1:.2f}x slowdown flagged, "
-        "identical ratios pass)"
+        f"(synthetic {factor:.2f}x slowdown flagged, identical ratios pass)"
     )
     return 0
 
@@ -848,7 +674,7 @@ def main(argv=None):
     parser.add_argument("--self-test", action="store_true",
                         help="verify the gate flags a synthetic slowdown")
     parser.add_argument("--parity", action="store_true",
-                        help="run only the v4 dist-beats-serial parity "
+                        help="run only the dist-beats-serial parity "
                              "gate on a single document (pass it as "
                              "BASELINE; no comparison document needed)")
     parser.add_argument("--quick", action="store_true",
@@ -864,9 +690,9 @@ def main(argv=None):
     if args.self_test:
         return self_test(baseline, args.tolerance)
     if args.parity:
-        if baseline.get("schema") != "repro.bench.dist/v4":
+        if baseline.get("schema") != "repro.bench.dist/v5":
             fail(
-                "--parity needs a repro.bench.dist/v4 document, got "
+                "--parity needs a repro.bench.dist/v5 document, got "
                 f"{baseline.get('schema')!r}"
             )
         failures = check_parity(baseline, args.quick)

@@ -24,15 +24,14 @@ enabled — and checks that:
   job (so it can resume cycle-exactly in a later serving session) and
   its teardown audit reports no leaked ``/dev/shm`` segments — the
   deep serve smoke lives in ``scripts/check_serve.py``;
-* distributed sessions over BOTH transports (``--transport pipe`` and
-  ``--transport shm``) reproduce the serial session's ping results
-  exactly — including a chaos run that crashes a worker mid-flight over
-  shm — and ``/dev/shm`` holds no repro ring or heartbeat segments
-  afterwards (the listing is snapshotted before and after, so a leak in
-  any teardown path fails the build);
+* a distributed session reproduces the serial session's ping results
+  exactly — and so does a chaos run that crashes a worker mid-flight —
+  and ``/dev/shm`` holds no repro ring or heartbeat segments afterwards
+  (the listing is snapshotted before and after, so a leak in any
+  teardown path fails the build);
 * supervised chaos: a livelocked worker (``worker-hang``) is detected
   by the heartbeat supervisor, killed, and recovered bit-identically;
-  an injected shm frame bit-flip (``ring-corrupt``) is caught by the
+  an injected ring frame bit-flip (``ring-corrupt``) is caught by the
   frame CRCs and recovered bit-identically — both surface in the
   ``status`` resilience counters and leak no processes or segments.
 
@@ -156,43 +155,31 @@ def main_check():
         ):
             fail("fault log differs between identical chaos runs")
 
-        # Distributed smoke, both transports: the process boundary and
-        # the transport substrate must change nothing observable.
+        # Distributed smoke: the process boundary must change nothing
+        # observable.
         shm_before = shm_listing()
-        for transport in ("pipe", "shm"):
-            dist = run_session(
-                ["--workers", "2", "--fpgas-per-instance", "1",
-                 "--transport", transport]
+        dist = run_session(["--workers", "2", "--fpgas-per-instance", "1"])
+        if dist["runworkload"]["distributed"]["channels"] < 1:
+            fail("distributed run reports no channels")
+        if dist["runworkload"]["ping"] != clean["runworkload"]["ping"]:
+            fail(
+                f"distributed ping {dist['runworkload']['ping']} != "
+                f"serial {clean['runworkload']['ping']}"
             )
-            summary = dist["runworkload"]["distributed"]
-            if summary["transport"] != transport:
-                fail(
-                    f"requested --transport {transport} but the run used "
-                    f"{summary['transport']!r}"
-                )
-            if summary["channels"] < 1:
-                fail(f"{transport} run reports no channels")
-            if dist["runworkload"]["ping"] != clean["runworkload"]["ping"]:
-                fail(
-                    f"{transport} distributed ping "
-                    f"{dist['runworkload']['ping']} != serial "
-                    f"{clean['runworkload']['ping']}"
-                )
 
-        # Chaos over shm: a worker crash mid-run tears down through the
-        # same path as a clean exit, so recovery stays cycle-exact and
-        # no ring segment survives the crash.
+        # Chaos: a worker crash mid-run tears down through the same
+        # path as a clean exit, so recovery stays cycle-exact and no
+        # ring segment survives the crash.
         dist_faulted = run_session(
-            chaos + ["--workers", "2", "--fpgas-per-instance", "1",
-                     "--transport", "shm"]
+            chaos + ["--workers", "2", "--fpgas-per-instance", "1"]
         )
         if dist_faulted["runworkload"]["ping"] != (
             clean["runworkload"]["ping"]
         ):
-            fail("faulted shm distributed run diverged from serial ping")
+            fail("faulted distributed run diverged from serial ping")
         if dist_faulted["status"]["resilience"]["restores"] != 1:
             fail(
-                "faulted shm distributed run expected 1 restore, got "
+                "faulted distributed run expected 1 restore, got "
                 f"{dist_faulted['status']['resilience']['restores']}"
             )
 
@@ -221,7 +208,7 @@ def main_check():
             fail(f"hung-worker run expected 1 restore, "
                  f"got {hung_resilience['restores']}")
 
-        # Supervised chaos over shm: a frame bit-flip must be caught by
+        # Supervised chaos: a frame bit-flip must be caught by
         # the ring CRCs (typed ring corruption, not decoded garbage) and
         # recovered bit-identically.
         corrupt_plan = os.path.join(tmp, "corrupt.json")
@@ -232,7 +219,7 @@ def main_check():
             ]}, fh)
         corrupted = run_session(
             ["--fault-plan", corrupt_plan, "--workers", "2",
-             "--fpgas-per-instance", "1", "--transport", "shm"]
+             "--fpgas-per-instance", "1"]
         )
         if corrupted["runworkload"]["ping"] != clean["runworkload"]["ping"]:
             fail("ring-corrupt run diverged from the serial ping results")
@@ -317,7 +304,7 @@ def main_check():
         f"check_resilience: OK ({resilience['faults_injected']} faults, "
         f"{resilience['retries']} retries, "
         f"{resilience['restores']} restore, cycle-exact recovery; "
-        "pipe+shm distributed runs serial-exact, hang+corrupt chaos "
+        "distributed runs serial-exact, hang+corrupt chaos "
         "recovered, serve shutdown checkpointed, /dev/shm leak-free)"
     )
     return 0

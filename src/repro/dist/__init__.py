@@ -13,9 +13,8 @@ instances:
   latency priming and gap semantics bit-for-bit;
 * :mod:`repro.dist.worker` — the per-process shard round loop,
   lockstepped purely by token exchange;
-* :mod:`repro.dist.shm` — zero-copy shared-memory ring transport
-  between worker pairs (:class:`ShmRing`), selected with
-  ``transport="shm"``;
+* :mod:`repro.dist.shm` — the zero-copy shared-memory ring, the one
+  channel between worker pairs (:class:`ShmRing`);
 * :mod:`repro.dist.supervisor` — liveness supervision: workers
   heartbeat into a pre-fork shared control block
   (:class:`HeartbeatBlock`) and the parent's :class:`Supervisor`
@@ -52,12 +51,7 @@ from repro.dist.supervisor import (
     Supervisor,
     SupervisorConfig,
 )
-from repro.dist.worker import (
-    PipeChannel,
-    ShardContext,
-    WorkerResult,
-    run_shard,
-)
+from repro.dist.worker import ShardContext, WorkerResult, run_shard
 
 __all__ = [
     "BoundaryLink",
@@ -66,7 +60,6 @@ __all__ = [
     "LostWindow",
     "Outbox",
     "PartitionPlan",
-    "PipeChannel",
     "RemoteAttachment",
     "RunAborted",
     "ShardContext",

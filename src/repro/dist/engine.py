@@ -5,7 +5,7 @@
 elaborates and primes the simulation once, forks one worker per
 partition (each inherits the full memory image, so nothing is pickled
 on the way in), and then only *watches*: workers synchronize purely by
-token exchange over per-pair queues, exactly as FireSim's distributed
+token exchange over per-pair shm rings, exactly as FireSim's distributed
 simulation needs no global barrier (paper Section III-B2).  When every
 worker reports its :class:`~repro.dist.worker.WorkerResult`, the parent
 merges shard-local counters — switch statistics, blade result stores,
@@ -55,31 +55,10 @@ from repro.dist.supervisor import (
     Supervisor,
     SupervisorConfig,
 )
-from repro.dist.worker import (
-    PipeChannel,
-    ShardContext,
-    WorkerResult,
-    shard_entry,
-)
+from repro.dist.worker import ShardContext, WorkerResult, shard_entry
 from repro.faults.plan import RingCorruption, WorkerCrash, WorkerHang
 from repro.host.perfmodel import exchange_quantum
-from repro.net.transport import SHM_RING, WORKER_PIPE, TransportSpec
 from repro.obs.prof import ProfileConfig
-
-#: Per-transport wire cost of one boundary window's entry-table row and
-#: of one valid token.  Unlike FireSim's FPGA-side transport, which
-#: ships every token uncompressed, both worker transports move the
-#: sparse in-memory representation — payload scales with *valid*
-#: tokens, not the quantum.  Both now ship the same coalesced
-#: :mod:`repro.dist.frame` payload (one 25-byte table row per window,
-#: 8 raw cycle bytes plus the pickled flit payload per valid token);
-#: the small constant covers table row + amortized blob overhead.
-_TRANSPORT_SPEC: Dict[str, TransportSpec] = {
-    "pipe": WORKER_PIPE,
-    "shm": SHM_RING,
-}
-_BATCH_WIRE_BYTES = {"pipe": 32, "shm": 32}
-_VALID_TOKEN_WIRE_BYTES = {"pipe": 72, "shm": 72}
 
 #: How long the parent waits between liveness sweeps of the workers.
 _POLL_INTERVAL_S = 0.2
@@ -125,15 +104,9 @@ class DistributedRunResult:
     #: partition's boundary-latency floor (paper Fig 9: rate grows with
     #: batch size, bounded by link latency).
     round_quantum: int = 0
-    #: Transport that actually carried the boundary tokens ("pipe" or
-    #: "shm") — may differ from the requested one after a fallback.
-    transport: str = "pipe"
-    #: Directed channels built for the run (queues or rings) — one per
-    #: worker pair that actually shares boundary links.
+    #: Directed shm rings built for the run — one per worker pair that
+    #: actually shares boundary links.
     channel_count: int = 0
-    #: Transport the caller asked for; differs from ``transport`` only
-    #: after a shm-unavailable fallback to pipes.
-    requested_transport: str = "pipe"
     #: The run's :meth:`Supervisor.report` — heartbeat/hang telemetry
     #: for ``status --json`` and the ``dist.supervisor.*`` gauges.
     supervision: Optional[Dict[str, Any]] = None
@@ -188,72 +161,12 @@ class DistributedRunResult:
     def per_worker_rate_mhz(self) -> Dict[int, float]:
         return {w.worker_id: w.rate_mhz() for w in self.workers}
 
-    # -- critical-path model ---------------------------------------------
-    #
-    # On a host with one core per worker, a round takes as long as its
-    # slowest worker: that worker's model-tick time plus the transport
-    # cost of the hop that carried its boundary tokens (WORKER_PIPE or
-    # SHM_RING, matching the run's actual transport).  The latency is
-    # charged ONCE per round, not per peer: pipe sends to different
-    # peers pickle and fly on parallel feeder threads, and shm sends
-    # are non-blocking ring publishes, so the receiver only ever blocks
-    # on the slowest in-flight hop.  The bandwidth term uses the
-    # *actual* wire payload — batches ship in their sparse
-    # representation, so bytes scale with valid tokens carried, not
-    # with the quantum (see _BATCH_WIRE_BYTES above).  The serial
-    # engine's round is the *sum* of all tick times with no transport.
-    # Both sides are derived from the same measured per-model host
-    # seconds, so the modeled speedup isolates the partitioning benefit
-    # from this container's core count — the same technique
-    # repro.host.perfmodel uses for the Figure 8 curves.
-
-    def _measured_tick_seconds(self) -> Optional[Dict[int, float]]:
-        if not self.workers or self.rounds == 0:
-            return None
-        if not any(w.model_host_seconds for w in self.workers):
-            return None  # run was not measured
-        return {
-            w.worker_id: sum(w.model_host_seconds.values())
-            for w in self.workers
-        }
-
-    def _transport_seconds_per_round(self, worker: WorkerResult) -> float:
-        if worker.peer_count == 0 or self.rounds == 0:
-            return 0.0
-        spec = _TRANSPORT_SPEC[self.transport]
-        # The hop latency is paid once per *exchange*, amortized over
-        # the rounds it covers (Fig 9's batch-size lever); the
-        # bandwidth term is per-round regardless — each round still
-        # contributes one table row per boundary link plus its valid
-        # tokens to the coalesced payload.
-        valid_per_round = worker.boundary_valid_tokens / self.rounds
-        wire_bytes = (
-            worker.boundary_link_count * _BATCH_WIRE_BYTES[self.transport]
-            + valid_per_round * _VALID_TOKEN_WIRE_BYTES[self.transport]
-        )
-        return (
-            spec.one_way_latency_s / self.rounds_per_exchange
-            + wire_bytes / spec.bandwidth_bytes_per_s
-        )
-
-    def modeled_round_seconds(self) -> Optional[Dict[int, float]]:
-        """Per-worker modeled seconds per round; None unless measured."""
-        ticks = self._measured_tick_seconds()
-        if ticks is None:
-            return None
-        return {
-            w.worker_id: ticks[w.worker_id] / self.rounds
-            + self._transport_seconds_per_round(w)
-            for w in self.workers
-        }
-
     def measured_transport_seconds(self) -> Dict[str, float]:
-        """Host seconds all workers spent in transport calls (measured runs).
+        """Host seconds all workers spent in ring calls (measured runs).
 
-        ``send`` covers serialize + enqueue/publish, ``recv`` covers
-        dequeue/spin + decode; ``per_round`` is the mean of their sum
-        over workers and rounds — the number the benches compare across
-        transports.
+        ``send`` covers serialize + publish, ``recv`` covers wait +
+        decode; ``per_round`` is the mean of their sum over workers and
+        rounds.
         """
         send = sum(w.transport_send_seconds for w in self.workers)
         recv = sum(w.transport_recv_seconds for w in self.workers)
@@ -261,33 +174,6 @@ class DistributedRunResult:
         if self.rounds and self.workers:
             per_round = (send + recv) / self.rounds / len(self.workers)
         return {"send": send, "recv": recv, "per_round": per_round}
-
-    def modeled_rate_mhz(self) -> Optional[float]:
-        """Modeled distributed rate: quantum over the slowest worker's round."""
-        per_round = self.modeled_round_seconds()
-        if not per_round:
-            return None
-        critical = max(per_round.values())
-        if critical <= 0.0:
-            return None
-        return self.quantum / critical / 1e6
-
-    def modeled_serial_rate_mhz(self) -> Optional[float]:
-        """Modeled serial rate from the same tick measurements."""
-        ticks = self._measured_tick_seconds()
-        if ticks is None or self.rounds == 0:
-            return None
-        total_round = sum(ticks.values()) / self.rounds
-        if total_round <= 0.0:
-            return None
-        return self.quantum / total_round / 1e6
-
-    def modeled_speedup(self) -> Optional[float]:
-        distributed = self.modeled_rate_mhz()
-        serial = self.modeled_serial_rate_mhz()
-        if distributed is None or serial is None or serial == 0.0:
-            return None
-        return distributed / serial
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-friendly summary for ``status`` output and benchmarks."""
@@ -300,8 +186,6 @@ class DistributedRunResult:
             "cycles": self.cycles,
             "rounds": self.rounds,
             "boundary_links": self.boundary_link_count,
-            "transport": self.transport,
-            "requested_transport": self.requested_transport,
             "profiled": self.profiled,
             "channels": self.channel_count,
             "transport_seconds": self.measured_transport_seconds(),
@@ -316,73 +200,24 @@ class DistributedRunResult:
                 for worker, rate in sorted(self.per_worker_rate_mhz().items())
             },
         }
-        modeled = self.modeled_rate_mhz()
-        if modeled is not None:
-            out["modeled_rate_mhz"] = modeled
-            out["modeled_serial_rate_mhz"] = self.modeled_serial_rate_mhz()
-            out["modeled_speedup"] = self.modeled_speedup()
         if self.supervision is not None:
             out["supervision"] = self.supervision
         return out
 
 
-def _directed_pair_links(
+def _directed_pairs(
     plan: PartitionPlan, simulation: Simulation
-) -> Dict[Tuple[int, int], int]:
-    """Boundary-link count per *directed* worker pair.
+) -> List[Tuple[int, int]]:
+    """Directed worker pairs that share at least one boundary link.
 
-    Channels are only built for pairs that actually share at least one
-    boundary link — a pair with zero links would get a queue/ring that
-    no round ever touches, costing a feeder thread or a mapped segment
-    for nothing.
+    Rings are only built for these — a pair with zero links would map a
+    segment that no round ever touches.
     """
-    pairs: Dict[Tuple[int, int], int] = {}
+    pairs = set()
     for boundary in plan.boundaries(simulation):
-        forward = (boundary.worker_a, boundary.worker_b)
-        reverse = (boundary.worker_b, boundary.worker_a)
-        pairs[forward] = pairs.get(forward, 0) + 1
-        pairs[reverse] = pairs.get(reverse, 0) + 1
-    return pairs
-
-
-def _build_channels(
-    pairs: Dict[Tuple[int, int], int],
-    transport: str,
-    context: Any,
-    shm_capacity: int,
-    timeout_s: float = DEFAULT_TRANSPORT_TIMEOUT_S,
-) -> Tuple[Dict[Tuple[int, int], Any], List[ShmRing], str]:
-    """One channel per directed pair, honoring the requested transport.
-
-    Returns ``(channels, rings, transport_used)``.  A host that cannot
-    provide POSIX shared memory (no ``/dev/shm``, or permission denied)
-    degrades to the pipe transport instead of failing the run — the
-    caller records the substitution in the result's ``transport``.
-    """
-    if transport == "shm":
-        rings: List[ShmRing] = []
-        try:
-            channels: Dict[Tuple[int, int], Any] = {}
-            for src, dst in sorted(pairs):
-                ring = ShmRing.create(
-                    src, dst, capacity=shm_capacity, timeout_s=timeout_s
-                )
-                rings.append(ring)
-                channels[(src, dst)] = ring
-            return channels, rings, "shm"
-        except OSError:
-            for ring in rings:
-                ring.destroy()
-    return (
-        {
-            (src, dst): PipeChannel(
-                context.Queue(), src, dst, timeout_s=timeout_s
-            )
-            for src, dst in sorted(pairs)
-        },
-        [],
-        "pipe",
-    )
+        pairs.add((boundary.worker_a, boundary.worker_b))
+        pairs.add((boundary.worker_b, boundary.worker_a))
+    return sorted(pairs)
 
 
 def _merge_results(
@@ -419,7 +254,7 @@ def run_distributed(
     target_cycle: int,
     *,
     measure: bool = False,
-    transport: str = "pipe",
+    transport: str = "shm",
     shm_capacity: int = DEFAULT_RING_CAPACITY,
     round_quantum: Optional[int] = None,
     profile: Optional[Any] = None,
@@ -437,14 +272,15 @@ def run_distributed(
     worker; a hook that fires in a worker kills that worker and
     surfaces here as :class:`~repro.faults.plan.WorkerCrash`.
 
-    ``transport`` selects how boundary tokens cross process boundaries:
-    ``"pipe"`` (the ``mp.Queue`` oracle, default) or ``"shm"``
-    (:class:`~repro.dist.shm.ShmRing` zero-copy rings — same bits,
-    less host time).  A host without usable POSIX shared memory falls
-    back to pipes; the result's ``transport`` field records what
-    actually ran.  Ring segments are created pre-fork and unlinked in
-    this function's ``finally``, so normal completion, worker crashes,
-    and checkpoint-restore reruns all leave ``/dev/shm`` clean.
+    Boundary tokens cross process boundaries over one
+    :class:`~repro.dist.shm.ShmRing` per directed worker pair;
+    ``transport`` is accepted for compatibility and must be ``"shm"``.
+    Every pre-fork allocation — rings, heartbeat block, result queue —
+    happens inside the ``try`` whose ``finally`` unlinks the segments,
+    so normal completion, worker crashes, checkpoint-restore reruns and
+    a failed allocation all leave ``/dev/shm`` clean.  A host that
+    cannot provide POSIX shared memory for the rings gets the
+    ``OSError`` raised; the manager then finishes on the serial engine.
 
     ``round_quantum`` sets how many cycles pass between boundary token
     exchanges.  ``None`` (default) derives it adaptively: the largest
@@ -468,8 +304,7 @@ def run_distributed(
     heartbeat into a pre-fork shared control block and a worker with
     zero progress past the adaptive deadline is killed and raised as
     :class:`~repro.faults.plan.WorkerHang`.  ``transport_timeout_s``
-    bounds how long either transport's ``recv`` waits for peer
-    progress.  ``stats`` is an optional
+    bounds how long a ring's ``recv`` waits for peer progress.  ``stats`` is an optional
     :class:`~repro.faults.plan.ResilienceStats` that collects hang /
     kill / join-timeout counters.
 
@@ -485,10 +320,9 @@ def run_distributed(
     must inherit the elaborated simulation by memory image, because
     model closures (workload jobs) are not picklable.
     """
-    if transport not in _TRANSPORT_SPEC:
+    if transport != "shm":
         raise ConfigError(
-            f"unknown transport {transport!r}; expected one of "
-            f"{sorted(_TRANSPORT_SPEC)}"
+            f"unknown transport {transport!r}; 'shm' is the only one"
         )
     if transport_timeout_s <= 0:
         raise ConfigError(
@@ -527,50 +361,16 @@ def run_distributed(
             wall_seconds=0.0,
             boundary_link_count=len(plan.boundaries(simulation)),
             round_quantum=round_quantum,
-            transport=transport,
-            requested_transport=transport,
         )
 
     context = multiprocessing.get_context("fork")
-    pairs = _directed_pair_links(plan, simulation)
-    channels, rings, transport_used = _build_channels(
-        pairs, transport, context, shm_capacity, transport_timeout_s
-    )
+    rings: List[ShmRing] = []
     heartbeats: Optional[HeartbeatBlock] = None
-    if supervision.enabled:
-        try:
-            heartbeats = HeartbeatBlock.create(plan.num_workers)
-        except OSError:
-            # No usable POSIX shared memory: supervision degrades to
-            # crash-only detection; the report records it disabled.
-            heartbeats = None
-    result_queue = context.Queue()
-    shard_context = ShardContext(
-        simulation=simulation,
-        plan=plan,
-        target_cycle=target_cycle,
-        quantum=quantum,
-        measure=measure,
-        channels=channels,
-        result_queue=result_queue,
-        round_quantum=round_quantum,
-        profile=profile,
-        heartbeats=heartbeats,
-    )
-
-    wall_start = perf_counter()
-    # Clock-sync epoch: the parent's monotonic reading just before the
-    # forks.  Every worker's ClockSync anchors to this one stamp, so
-    # merged trace timestamps share a timeline.
-    shard_context.epoch_s = wall_start
     processes: Dict[int, Any] = {}
     results: Dict[int, WorkerResult] = {}
     # failure = (worker_id, at_cycle, detail, exception_name, target)
     failure: Optional[Tuple[int, Optional[int], str, str, Optional[str]]] = (
         None
-    )
-    supervisor = Supervisor(
-        heartbeats, plan.num_workers, supervision, stats=stats
     )
     # Workers seen dead with exit code 0 but no result yet, and when:
     # the result may still be draining out of the queue's feeder pipe,
@@ -578,6 +378,39 @@ def run_distributed(
     dead_ok_since: Dict[int, float] = {}
     aborted = False
     try:
+        for src, dst in _directed_pairs(plan, simulation):
+            rings.append(ShmRing.create(
+                src, dst, capacity=shm_capacity, timeout_s=transport_timeout_s
+            ))
+        if supervision.enabled:
+            try:
+                heartbeats = HeartbeatBlock.create(plan.num_workers)
+            except OSError:
+                # No usable POSIX shared memory: supervision degrades to
+                # crash-only detection; the report records it disabled.
+                heartbeats = None
+        result_queue = context.Queue()
+        shard_context = ShardContext(
+            simulation=simulation,
+            plan=plan,
+            target_cycle=target_cycle,
+            quantum=quantum,
+            measure=measure,
+            channels={(ring.src, ring.dst): ring for ring in rings},
+            result_queue=result_queue,
+            round_quantum=round_quantum,
+            profile=profile,
+            heartbeats=heartbeats,
+        )
+        supervisor = Supervisor(
+            heartbeats, plan.num_workers, supervision, stats=stats
+        )
+
+        wall_start = perf_counter()
+        # Clock-sync epoch: the parent's monotonic reading just before
+        # the forks.  Every worker's ClockSync anchors to this one
+        # stamp, so merged trace timestamps share a timeline.
+        shard_context.epoch_s = wall_start
         for worker_id in range(plan.num_workers):
             process = context.Process(
                 target=shard_entry,
@@ -659,8 +492,9 @@ def run_distributed(
                     stats.join_timeouts += 1
                     stats.workers_killed += 1
         # The one teardown path for ring segments: normal exit, worker
-        # crash, and the manager's checkpoint-restore rerun all come
-        # through here, so /dev/shm never accumulates segments.
+        # crash, a failed pre-fork allocation, and the manager's
+        # checkpoint-restore rerun all come through here, so /dev/shm
+        # never accumulates segments.
         for ring in rings:
             ring.destroy()
         if heartbeats is not None:
@@ -707,7 +541,7 @@ def run_distributed(
     )
     return DistributedRunResult(
         plan=plan,
-        quantum=shard_context.quantum,
+        quantum=quantum,
         start_cycle=start_cycle,
         end_cycle=end_cycle,
         rounds=rounds,
@@ -715,8 +549,6 @@ def run_distributed(
         workers=ordered,
         boundary_link_count=len(plan.boundaries(simulation)),
         round_quantum=round_quantum,
-        transport=transport_used,
-        channel_count=len(channels),
-        requested_transport=transport,
+        channel_count=len(rings),
         supervision=supervisor.report(),
     )

@@ -1,11 +1,9 @@
 """Coalesced wire codec for one worker's per-exchange boundary traffic.
 
-Before this module, each transport encoded boundary windows one entry
-at a time: a struct-packed header, a ``pickle.dumps`` per busy window,
-and a per-entry cycle-column copy — so a worker talking to a peer over
-N boundary links paid N serializer round-trips per round (and the pipe
-transport pickled the whole entry list object graph on its feeder
-thread).  Switchboard's single-publish queues are the exemplar: all of
+Before this module, boundary windows were encoded one entry at a time:
+a struct-packed header, a ``pickle.dumps`` per busy window, and a
+per-entry cycle-column copy — so a worker talking to a peer over N
+boundary links paid N serializer round-trips per round.  Switchboard's single-publish queues are the exemplar: all of
 a module's outgoing traffic leaves as **one** contiguous write.
 
 :func:`encode_entries` flattens an entire ``(link_index, window)`` list
@@ -29,9 +27,9 @@ into one columnar payload:
 ``kind`` keeps the gap semantics of the per-entry format: ``DATA``
 carries tokens, ``IDLE`` is table-row-only, and ``LOST`` marks a window
 dropped in transit (the consumer records a queue gap).  Framing —
-round tags, CRCs, sequence numbers — stays with the transport
-(:mod:`repro.dist.shm` wraps this payload in its integrity-checked ring
-header; the pipe channel ships it as one bytes object).
+round tags, CRCs, sequence numbers — stays with the ring
+(:mod:`repro.dist.shm` wraps this payload in its integrity-checked
+header).
 """
 
 from __future__ import annotations
@@ -143,9 +141,8 @@ def decode_entries(
 ) -> List[Tuple[int, Any]]:
     """Decode a coalesced payload back into ``(link_index, window)`` pairs.
 
-    ``payload`` is any buffer (the shm ring's copied-out bytes, the pipe
-    channel's shipped bytes object); ``offset`` is where the entry table
-    starts.  One ``frombuffer`` reads the table, one more reads the
+    ``payload`` is any buffer (the shm ring's copied-out bytes);
+    ``offset`` is where the entry table starts.  One ``frombuffer`` reads the table, one more reads the
     whole cycle column, and one ``pickle.loads`` restores every flit
     payload — decode cost is per *exchange*, not per window.
     """

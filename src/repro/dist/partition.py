@@ -14,9 +14,9 @@ the multi-process engine:
   paper's instance mapping — a ToR and its rack's blades land in one
   worker, aggregation/root switches in others;
 * :meth:`PartitionPlan.boundaries` names the links whose endpoints live
-  in different workers; only these move tokens over the
-  :data:`~repro.net.transport.WORKER_PIPE` transport, everything else
-  stays an ordinary in-process :class:`~repro.core.channel.Link`.
+  in different workers; only these move tokens over a
+  :class:`~repro.dist.shm.ShmRing`, everything else stays an ordinary
+  in-process :class:`~repro.core.channel.Link`.
 
 Determinism: the assignment is a pure function of the topology and the
 worker count.  Hosts are ordered (F1 instances by physical id, then M4
@@ -29,12 +29,11 @@ guarantees stand on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import ConfigError
 from repro.core.simulation import Simulation
-from repro.net.transport import TransportKind
 
 
 @dataclass(frozen=True)
@@ -46,10 +45,6 @@ class BoundaryLink:
     latency: int
     worker_a: int  # worker owning the side-"a" model
     worker_b: int  # worker owning the side-"b" model
-    #: Host transport carrying this link's tokens.  The plan is
-    #: transport-agnostic (the same partitioning serves both); the run
-    #: driver stamps the hop that actually ran.
-    transport: TransportKind = TransportKind.PIPE
 
 
 @dataclass(frozen=True)
@@ -153,16 +148,9 @@ class PartitionPlan:
         )
 
     def describe(
-        self,
-        simulation: Optional[Simulation] = None,
-        transport: str = TransportKind.PIPE.value,
+        self, simulation: Optional[Simulation] = None
     ) -> Dict[str, Any]:
-        """A JSON-friendly summary for ``status`` output and telemetry.
-
-        ``transport`` names the worker-to-worker hop the boundary links
-        ride ("pipe" or "shm"); callers that ran distributed pass the
-        transport the run actually used, fallback included.
-        """
+        """A JSON-friendly summary for ``status`` output and telemetry."""
         shards: List[Dict[str, Any]] = []
         for worker in range(self.num_workers):
             models = sorted(
@@ -179,7 +167,6 @@ class PartitionPlan:
         if simulation is not None:
             boundaries = self.boundaries(simulation)
             summary["boundary_links"] = [b.name for b in boundaries]
-            summary["boundary_transport"] = transport
         return summary
 
 

@@ -43,9 +43,8 @@ class LostWindow:
 
     Carries only the cycle extent; :func:`deliver` turns it into a
     consumer-side queue gap via
-    :meth:`~repro.core.channel.LinkEndpoint.mark_gap`.  Picklable, so
-    the pipe transport ships it like any other window; the shm ring
-    encodes it as a header flag instead (:mod:`repro.dist.shm`).
+    :meth:`~repro.core.channel.LinkEndpoint.mark_gap`.  The ring
+    encodes it as an entry-table ``LOST`` row (:mod:`repro.dist.frame`).
     """
 
     __slots__ = ("start_cycle", "length")
@@ -65,14 +64,10 @@ class LostWindow:
 class Outbox:
     """One peer's outgoing wire entries for the round in progress.
 
-    Attachments append; the transport *drains* — :meth:`drain` hands
-    the accumulated list over by reference and replaces it, so neither
-    transport copies batch contents.  The shm ring serializes entries
-    synchronously inside ``send`` and the pipe transport hands the
-    drained list (which nothing mutates afterwards — shipped windows
-    are immutable once relabelled) to ``mp.Queue``'s feeder thread,
-    eliminating the defensive per-round ``list(outbox)`` copy the
-    queue transport used to make.
+    Attachments append; the ring *drains* — :meth:`drain` hands the
+    accumulated list over by reference and replaces it, so no batch
+    contents are copied before the ring serializes them synchronously
+    inside ``send``.
     """
 
     __slots__ = ("entries", "total_entries", "peak_entries")
@@ -128,9 +123,7 @@ class RemoteAttachment:
     either round loop treats boundary and interior ports uniformly.
     """
 
-    __slots__ = (
-        "link", "side", "link_index", "sent_valid", "_inbound", "_outbox",
-    )
+    __slots__ = ("link", "side", "link_index", "_inbound", "_outbox")
 
     def __init__(
         self,
@@ -144,10 +137,6 @@ class RemoteAttachment:
         self.link = link
         self.side = side
         self.link_index = link_index
-        #: Valid tokens actually shipped over the transport; batches are
-        #: pickled sparse, so this — not the quantum — is what sizes the
-        #: wire payload in the engine's performance model.
-        self.sent_valid = 0
         # Side "a" consumes tokens travelling b->a and vice versa.
         self._inbound: LinkEndpoint = link.to_a if side == "a" else link.to_b
         self._outbox = outbox
@@ -162,7 +151,6 @@ class RemoteAttachment:
             self.link.flits_a_to_b += batch.valid_count
         else:
             self.link.flits_b_to_a += batch.valid_count
-        self.sent_valid += batch.valid_count
         self._outbox.append(
             (self.link_index, self.link.shift_for_transport(batch))
         )
@@ -181,7 +169,6 @@ class RemoteAttachment:
             self.link.flits_a_to_b += valid_count
         else:
             self.link.flits_b_to_a += valid_count
-        self.sent_valid += valid_count
         self._outbox.append((self.link_index, shifted))
 
     @property

@@ -1,12 +1,8 @@
-"""Zero-copy shared-memory ring transport between worker processes.
+"""Zero-copy shared-memory ring: the one channel between worker processes.
 
-The pipe transport pays for every boundary window three times: the
-producer pickles it on an ``mp.Queue`` feeder thread, the kernel copies
-it through a pipe, and the consumer unpickles it.  On the sparse ping
-workloads that dominate our benchmarks most windows are *idle*, yet the
-pipe still ships a full pickled ``TokenBatch`` per link per round.
-
-:class:`ShmRing` replaces that with one ``multiprocessing.shared_memory``
+Co-located endpoints in FireSim exchange tokens over one shared-memory
+hop (paper Section III-B2); :class:`ShmRing` is that hop between
+:mod:`repro.dist` workers.  It is one ``multiprocessing.shared_memory``
 segment per directed worker pair, laid out as a byte ring with two
 monotonic cursors (Switchboard-style single-producer single-consumer
 queues; Herbst et al., 2024):
@@ -54,7 +50,7 @@ concatenated cycle column, ONE flit pickle for the whole exchange)::
                    running to the payload's end.
 
 ``kind`` encodes the window's gap semantics in the table so
-fault-injection paths survive the transport swap: ``DATA`` carries
+fault-injection paths survive the process boundary: ``DATA`` carries
 valid tokens, ``IDLE`` is a table-row-only empty window (the common
 case — no pickling at all), and ``LOST`` marks a window dropped in
 transit, which the consumer turns into a queue gap exactly as
@@ -76,8 +72,8 @@ together are nearly all of the per-round wire cost.
 
 Segments are created by the parent *before* forking, inherited by the
 workers as mapped memory, and unlinked by the parent in the run
-driver's ``finally`` — normal exit, worker crash, and
-checkpoint-restore all tear down through that one path, so nothing
+driver's ``finally`` — normal exit, worker crash, a failed allocation,
+and checkpoint-restore all tear down through that one path, so nothing
 leaks into ``/dev/shm`` (``tests/test_dist_shm.py`` and
 ``scripts/check_resilience.py`` enforce this).
 """
@@ -112,10 +108,8 @@ __all__ = [
 #: a few hundred bytes; 1 MiB absorbs dense windows without streaming.
 DEFAULT_RING_CAPACITY = 1 << 20
 
-#: How long either transport waits for peer progress before declaring
-#: token starvation.  Shared by the shm ring waits and (since the
-#: supervisor PR) the pipe transport's ``recv``; the CLI exposes it as
-#: ``--transport-timeout``.
+#: How long a ring waits for peer progress before declaring token
+#: starvation; the CLI exposes it as ``--transport-timeout``.
 DEFAULT_TRANSPORT_TIMEOUT_S = 120.0
 
 #: ``/dev/shm`` names all start with this, so leak checks can tell our
@@ -265,8 +259,8 @@ class ShmRing:
         """Allocate a fresh zeroed segment for the ``src -> dst`` hop.
 
         Raises ``OSError`` when the host cannot provide POSIX shared
-        memory (read-only or absent ``/dev/shm``); the run driver
-        catches that and falls back to the pipe transport.
+        memory (read-only or absent ``/dev/shm``) or a semaphore; a
+        segment created before the failure is unlinked first.
         """
         if capacity < _ROUND.size:
             raise ValueError(f"ring capacity too small: {capacity}")
@@ -274,7 +268,12 @@ class ShmRing:
         segment = shared_memory.SharedMemory(
             name=name, create=True, size=_CURSOR_BYTES + capacity
         )
-        wakeup = multiprocessing.get_context("fork").Semaphore(0)
+        try:
+            wakeup = multiprocessing.get_context("fork").Semaphore(0)
+        except BaseException:
+            segment.close()
+            segment.unlink()
+            raise
         # A fresh segment is zero-filled, so both cursors start at 0.
         return cls(segment, capacity, src, dst, timeout_s, wakeup)
 

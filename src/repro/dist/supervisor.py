@@ -3,7 +3,7 @@
 The crash path in :mod:`repro.dist.engine` only covers workers that
 *die* — an ``("error", ...)`` report or a nonzero exit surfaces as
 :class:`~repro.faults.plan.WorkerCrash` and checkpoint-restores.  A
-worker that *hangs* (deadlocked pipe recv, lost shm wakeup, livelocked
+worker that *hangs* (deadlocked ring recv, lost shm wakeup, livelocked
 round loop) kept its process alive and its result pending, so the
 parent's poll loop would wait forever.  This module closes that gap the
 way the paper's manager supervises simulation hosts (Section III-C):

@@ -7,8 +7,9 @@ engine — over its shard: pop one quantum-sized window per input port,
 tick every shard model in global registration order, push one window
 per output port.  The only difference is where boundary tokens go —
 interior links use the local queues, boundary links hand relabelled
-batches to per-peer outboxes — and that difference lives entirely in
-the attachments and the four hooks :func:`run_shard` hands the loop.
+batches to per-peer outboxes that drain into that peer's
+:class:`~repro.dist.shm.ShmRing` — and that difference lives entirely
+in the attachments and the four hooks :func:`run_shard` hands the loop.
 
 Synchronization is pure token exchange, exactly the paper's argument
 (Section III-B2), batched into *exchange rounds*: the run driver
@@ -42,7 +43,6 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from queue import Empty
 from time import perf_counter, process_time
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -54,7 +54,6 @@ from repro.core.simulation import (
     round_loop,
     starvation_diagnostic,
 )
-from repro.dist.frame import decode_entries, encode_entries
 from repro.dist.partition import PartitionPlan
 from repro.dist.remote_link import (
     Outbox,
@@ -62,7 +61,7 @@ from repro.dist.remote_link import (
     WireEntry,
     deliver,
 )
-from repro.dist.shm import DEFAULT_TRANSPORT_TIMEOUT_S
+from repro.dist.shm import ShmRing
 from repro.dist.supervisor import (
     HB_COMPUTE,
     HB_DONE,
@@ -73,7 +72,6 @@ from repro.dist.supervisor import (
 from repro.net.switch import SwitchModel
 from repro.net.tracer import LinkTracer
 from repro.obs.prof import (
-    P_COALESCE,
     P_COMPUTE,
     P_GAP,
     P_RECV_WAIT,
@@ -93,7 +91,7 @@ from repro.swmodel.server import ServerBlade
 # :func:`run_shard` park the id and the outbound channel map here.
 # Both stay None/{} in the parent and in serial runs.
 _WORKER_ID: Optional[int] = None
-_SEND_CHANNELS: Dict[int, Any] = {}
+_SEND_CHANNELS: Dict[int, ShmRing] = {}
 
 
 @dataclass
@@ -107,14 +105,6 @@ class WorkerResult:
     tokens_moved: int
     valid_tokens_moved: int
     wall_seconds: float
-    #: Workers this shard exchanged tokens with (one message per peer
-    #: per round), the boundary links it transmitted on, and the valid
-    #: tokens those links actually carried — the inputs to the engine's
-    #: per-round transport cost model (batches ship sparse, so payload
-    #: scales with valid tokens, not the quantum).
-    peer_count: int = 0
-    boundary_link_count: int = 0
-    boundary_valid_tokens: int = 0
     model_names: List[str] = field(default_factory=list)
     #: Host seconds per model tick (populated when measuring).
     model_host_seconds: Dict[str, float] = field(default_factory=dict)
@@ -130,11 +120,10 @@ class WorkerResult:
     link_flits: Dict[int, Tuple[Optional[int], Optional[int]]] = field(
         default_factory=dict
     )
-    #: Host seconds this worker spent inside transport calls (populated
-    #: when measuring): ``send`` covers serialize + enqueue/publish,
-    #: ``recv`` covers dequeue/spin + decode.  Together with the round
-    #: count these give the per-round transport overhead the benches
-    #: report per transport.
+    #: Host seconds this worker spent inside ring calls (populated when
+    #: measuring): ``send`` covers serialize + publish, ``recv`` covers
+    #: wait + decode.  Together with the round count these give the
+    #: per-round transport overhead the benches report.
     transport_send_seconds: float = 0.0
     transport_recv_seconds: float = 0.0
     #: CPU seconds the round loop burned (``time.process_time`` around
@@ -158,94 +147,6 @@ class WorkerResult:
         return self.cycles / self.wall_seconds / 1e6
 
 
-class PipeChannel:
-    """The ``mp.Queue`` transport in the shm ring's send/recv shape.
-
-    ``send`` coalesces the *drained* entry list into one
-    :mod:`repro.dist.frame` payload before enqueueing, so the queue's
-    feeder thread pickles a single flat buffer instead of walking the
-    window object graph — the same wire bytes the shm ring publishes,
-    minus the ring's integrity header.  ``recv`` blocks for the peer's
-    message with the same progress deadline as
-    :meth:`~repro.dist.shm.ShmRing.recv` — a peer that publishes
-    nothing for ``timeout_s`` surfaces as token starvation, not a hang
-    — and enforces round ordering the same way.  ``recv(..., block=
-    False)`` polls: it returns None when no message is waiting, which
-    the lazy receive sweep uses to take whichever peers already
-    published before blocking on the rest.
-    """
-
-    __slots__ = (
-        "_queue", "src", "dst", "timeout_s",
-        "sent_messages", "recv_messages", "phase_sink",
-    )
-
-    def __init__(
-        self, queue: Any, src: int, dst: int,
-        timeout_s: float = DEFAULT_TRANSPORT_TIMEOUT_S,
-    ) -> None:
-        self._queue = queue
-        self.src = src
-        self.dst = dst
-        self.timeout_s = timeout_s
-        self.sent_messages = 0
-        self.recv_messages = 0
-        #: Optional phase recorder; when set, the coalescing cost of
-        #: each send is accrued as the ``coalesce`` phase (the queue's
-        #: pickle + kernel copy stay in ``send``, where they land on
-        #: the feeder thread anyway).
-        self.phase_sink: Optional[Any] = None
-
-    def send(self, round_tag: int, entries: List[WireEntry]) -> None:
-        sink = self.phase_sink
-        start = perf_counter() if sink is not None else 0.0
-        payload = bytearray()
-        entry_count = encode_entries(entries, payload)
-        if sink is not None:
-            sink.accrue(P_COALESCE, perf_counter() - start)
-        self.sent_messages += 1
-        self._queue.put((round_tag, entry_count, payload))
-
-    def recv(
-        self, expected_round: int, block: bool = True
-    ) -> Optional[List[WireEntry]]:
-        if block:
-            try:
-                message = self._queue.get(timeout=self.timeout_s)
-            except Empty:
-                raise TokenStarvationError(
-                    f"pipe channel (worker {self.src} -> {self.dst}) "
-                    f"stalled: peer published nothing for "
-                    f"{self.timeout_s:.0f}s",
-                ) from None
-        else:
-            try:
-                message = self._queue.get_nowait()
-            except Empty:
-                return None
-        round_tag, entry_count, payload = message
-        if round_tag != expected_round:
-            raise TokenStarvationError(
-                f"worker {self.dst}: out-of-order token message from "
-                f"worker {self.src}: round {round_tag}, expected "
-                f"{expected_round}"
-            )
-        self.recv_messages += 1
-        return decode_entries(payload, entry_count)
-
-    def counters(self) -> Dict[str, int]:
-        """Message counts, shaped like :meth:`ShmRing.counters`.
-
-        Pipes pickle on a feeder thread and copy through the kernel, so
-        occupancy/backpressure numbers have no pipe equivalent — only
-        the message counts are meaningful here.
-        """
-        return {
-            "sent_messages": self.sent_messages,
-            "recv_messages": self.recv_messages,
-        }
-
-
 @dataclass
 class ShardContext:
     """Everything a forked worker needs, inherited by memory image."""
@@ -255,10 +156,8 @@ class ShardContext:
     target_cycle: int
     quantum: int
     measure: bool
-    #: channels[(src, dst)] carries src's boundary output toward dst —
-    #: a :class:`PipeChannel` or a :class:`~repro.dist.shm.ShmRing`,
-    #: chosen by the run driver; the round loop is transport-agnostic.
-    channels: Dict[Tuple[int, int], Any]
+    #: channels[(src, dst)] carries src's boundary output toward dst.
+    channels: Dict[Tuple[int, int], ShmRing]
     result_queue: Any
     #: Cycles between boundary token exchanges — a multiple of
     #: ``quantum`` no larger than the partition's boundary-latency
@@ -414,9 +313,6 @@ def _collect_result(
     context: ShardContext,
     worker_id: int,
     shard: List[Any],
-    attachments: Dict[Tuple[int, str], Any],
-    inbound_side: Dict[int, str],
-    peer_count: int,
     progress: RoundProgress,
     start_cycle: int,
     wall_seconds: float,
@@ -433,13 +329,6 @@ def _collect_result(
         tokens_moved=progress.tokens_moved,
         valid_tokens_moved=progress.valid_tokens_moved,
         wall_seconds=wall_seconds,
-        peer_count=peer_count,
-        boundary_link_count=len(inbound_side),
-        boundary_valid_tokens=sum(
-            attachment.sent_valid
-            for attachment in attachments.values()
-            if isinstance(attachment, RemoteAttachment)
-        ),
         model_names=[model.name for model in shard],
         model_host_seconds=progress.model_host_seconds,
         transport_send_seconds=transport_seconds[0],
@@ -479,12 +368,12 @@ def _collect_result(
 def _setup_profile(
     context: ShardContext,
     entry_s: float,
-    send_channels: Dict[int, Any],
+    send_channels: Dict[int, ShmRing],
 ) -> Tuple[Optional[PhaseRecorder], Optional[ClockSync]]:
     """Build the phase recorder + clock sync for a profiled run.
 
     Returns ``(None, None)`` on unprofiled runs so every instrumentation
-    site below stays behind one ``is not None`` check.  Outgoing shm
+    site below stays behind one ``is not None`` check.  Outgoing
     rings get the recorder as their ``phase_sink`` so their staging loop
     shows up as ``serialize`` instead of vanishing into ``send``.
     """
@@ -512,8 +401,8 @@ def _collect_profile(
     clock: ClockSync,
     worker_id: int,
     peers: List[int],
-    send_channels: Dict[int, Any],
-    recv_channels: Dict[int, Any],
+    send_channels: Dict[int, ShmRing],
+    recv_channels: Dict[int, ShmRing],
     outboxes: Dict[int, Outbox],
 ) -> WorkerProfile:
     """Package this worker's recorder + transport counters for shipping.
@@ -671,8 +560,8 @@ def run_shard(context: ShardContext, worker_id: int) -> WorkerResult:
     cpu_seconds = process_time() - cpu_start
     wall_seconds = perf_counter() - wall_start
     result = _collect_result(
-        context, worker_id, shard, attachments, inbound_side, len(peers),
-        progress, start_cycle, wall_seconds, cpu_seconds, transport_seconds,
+        context, worker_id, shard, progress, start_cycle, wall_seconds,
+        cpu_seconds, transport_seconds,
     )
     if recorder is not None and clock is not None:
         result.profile = _collect_profile(
@@ -683,18 +572,15 @@ def run_shard(context: ShardContext, worker_id: int) -> WorkerResult:
 
 
 def _release_channels(context: ShardContext) -> None:
-    """Drop this process's transport mappings on the way out.
+    """Drop this process's ring mappings on the way out.
 
-    Shared-memory rings hold numpy views over the mapped segment;
-    releasing them *before* interpreter shutdown keeps the mmap close
-    orderly (a view outliving the segment raises ``BufferError`` noise
-    at exit).  Pipe channels have no mapping and are left alone.  Only
+    Rings hold numpy views over the mapped segment; releasing them
+    *before* interpreter shutdown keeps the mmap close orderly (a view
+    outliving the segment raises ``BufferError`` noise at exit).  Only
     the parent unlinks segments.
     """
-    for channel in context.channels.values():
-        close = getattr(channel, "close", None)
-        if close is not None:
-            close()
+    for ring in context.channels.values():
+        ring.close()
     if context.heartbeats is not None:
         context.heartbeats.close()
 
@@ -718,7 +604,7 @@ def shard_entry(context: ShardContext, worker_id: int) -> None:
     except BaseException as exc:  # noqa: BLE001 - report, then die loudly
         # Ship the exception's type and fault target alongside the
         # message so the parent can re-raise *typed* faults (a
-        # RingCorruption must reach the manager's circuit breaker as
+        # RingCorruption must reach the manager's fresh-ring rerun as
         # itself, not flattened into a generic crash).
         context.result_queue.put(
             (

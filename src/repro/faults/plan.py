@@ -157,10 +157,10 @@ class RingCorruption(FaultError):
     """A shm ring frame failed its integrity check (CRC or sequence).
 
     Carries the directed ring identity (``"ring:<src>-><dst>"``) as the
-    fault target so the manager's per-pair circuit breaker can count
-    repeat offenders and degrade that run's transport shm -> pipe.
-    Corruption is *never* decoded into simulation state — the reader
-    raises before any window leaves the transport.
+    fault target.  The manager restores the pre-fork checkpoint and
+    reruns on fresh rings with the same worker count.  Corruption is
+    *never* decoded into simulation state — the reader raises before
+    any window leaves the ring.
     """
 
     def __init__(self, message: str, ring: str = "ring:?",
@@ -346,9 +346,6 @@ class ResilienceStats:
     heartbeats_missed: int = 0
     stalls_detected: int = 0
     watchdog_scans: int = 0
-    #: Distributed runs that asked for the shared-memory transport but
-    #: fell back to pipes (``/dev/shm`` unavailable or denied).
-    shm_fallbacks: int = 0
     #: Workers the supervisor declared hung (adaptive deadline blown).
     hangs_detected: int = 0
     #: Worker processes forcibly killed (hang kills + join-timeout
@@ -359,11 +356,8 @@ class ResilienceStats:
     join_timeouts: int = 0
     #: Shm frames that failed their CRC or sequence check.
     ring_corruptions: int = 0
-    #: Runs whose transport was degraded shm -> pipe after the per-pair
-    #: ring circuit breaker tripped.
-    transport_degradations: int = 0
-    #: Distributed runs that exhausted their restart budget and fell
-    #: back to the serial engine as the last-resort degraded mode.
+    #: Distributed runs finished on the serial engine instead: the
+    #: rings could not be allocated, or the restart budget ran out.
     serial_fallbacks: int = 0
 
 
@@ -547,11 +541,10 @@ class FaultInjector:
             )
             while True:  # the supervisor's SIGKILL is the only way out
                 time.sleep(60.0)
-        # Ring verbs: find the victim send channel.  The spec target
-        # names a directed ring ("ring:SRC->DST"); only the producing
-        # worker arms the flag.
-        channels = dist_worker._SEND_CHANNELS
-        ring: Optional[Any] = None
+        # Ring verbs: find the victim send ring.  The spec target names
+        # a directed ring ("ring:SRC->DST"); only the producing worker
+        # arms the flag.  Untargeted specs hit the lowest-peer ring.
+        rings = dist_worker._SEND_CHANNELS
         if spec.target is not None:
             try:
                 src_text, dst_text = \
@@ -562,24 +555,14 @@ class FaultInjector:
                     f"bad {spec.kind.value} target {spec.target!r}; "
                     f"expected 'ring:SRC->DST'"
                 ) from None
-            if src != worker_id:
+            if src != worker_id or dst not in rings:
                 return  # some other worker produces that ring
-            ring = channels.get(dst)
+            ring = rings[dst]
+        elif rings:
+            ring = rings[min(rings)]
         else:
-            for channel in sorted(channels):
-                if hasattr(channels[channel], "corrupt_next_send"):
-                    ring = channels[channel]
-                    break
+            return  # no outbound peer: a later shard may have one
         entry.remaining -= 1
-        if ring is None or not hasattr(ring, "corrupt_next_send"):
-            # Pipe transport (or no outbound peer): nothing to corrupt.
-            # Consume the spec so the plan still terminates, and log
-            # the miss so chaos runs stay diagnosable.
-            self._record(
-                "runworkload", spec, spec.target, cycle=cycle,
-                note="no shm ring on this worker; ignored",
-            )
-            return
         if spec.kind is FaultKind.RING_CORRUPT:
             ring.corrupt_next_send = True
             self._record(

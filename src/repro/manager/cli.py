@@ -87,20 +87,17 @@ def make_parser() -> argparse.ArgumentParser:
                              "--workers partitions over")
     parser.add_argument("--workers", type=int, default=1, metavar="N",
                         help="partition runworkload across N worker "
-                             "processes (1 = serial engine); partitions "
-                             "follow the deployment's instance mapping")
-    parser.add_argument("--transport", default="pipe",
-                        choices=("pipe", "shm"),
-                        help="worker-to-worker token hop for --workers > 1: "
-                             "mp.Queue pipes (the oracle default) or "
-                             "zero-copy shared-memory rings (falls back "
-                             "to pipes when /dev/shm is unavailable)")
+                             "processes (1 = serial engine) joined by "
+                             "shared-memory rings; partitions follow the "
+                             "deployment's instance mapping")
+    parser.add_argument("--transport", default="shm", choices=("shm",),
+                        help="accepted for compatibility, shm only")
     parser.add_argument("--transport-timeout", type=float, default=120.0,
                         metavar="SECONDS",
                         help="per-hop progress deadline for worker "
-                             "channels (both transports); a peer that "
-                             "publishes nothing for this long raises "
-                             "TokenStarvationError (default 120)")
+                             "rings; a peer that publishes nothing for "
+                             "this long raises TokenStarvationError "
+                             "(default 120)")
     parser.add_argument("--hang-timeout", type=float, default=None,
                         metavar="SECONDS",
                         help="floor for the supervisor's adaptive "
@@ -260,8 +257,7 @@ def _run_verb(verb: str, spec: RunSpec, manager: FireSimManager) -> tuple:
                 f"distributed: {distributed['num_workers']} workers, "
                 f"{distributed['boundary_links']} boundary links, "
                 f"{distributed['measured_rate_mhz']:.3f} MHz achieved "
-                f"({distributed['channels']} {distributed['transport']} "
-                "channels)"
+                f"({distributed['channels']} shm channels)"
             )
             lines += _partition_lines(distributed)
             summary["distributed"] = distributed
@@ -291,8 +287,7 @@ def _run_verb(verb: str, spec: RunSpec, manager: FireSimManager) -> tuple:
                 f"distributed: {distributed['num_workers']} workers over "
                 f"{distributed['boundary_links']} boundary links "
                 f"({distributed['rounds']} lockstep rounds, "
-                f"{distributed['channels']} {distributed['transport']} "
-                "channels)"
+                f"{distributed['channels']} shm channels)"
             )
             lines += _partition_lines(distributed)
             summary["distributed"] = distributed
@@ -311,19 +306,13 @@ def _run_verb(verb: str, spec: RunSpec, manager: FireSimManager) -> tuple:
         supervisor = {
             key: resilience[key]
             for key in ("hangs_detected", "workers_killed", "join_timeouts",
-                        "ring_corruptions", "transport_degradations",
-                        "serial_fallbacks")
+                        "ring_corruptions", "serial_fallbacks")
         }
         if any(supervisor.values()):
             lines.append("supervisor: " + ", ".join(
                 f"{count} {key.replace('_', ' ')}"
                 for key, count in supervisor.items()
             ))
-        if resilience.get("quarantined_rings"):
-            lines.append(
-                "  quarantined rings: "
-                + ", ".join(resilience["quarantined_rings"])
-            )
         for entry in resilience.get("fault_log", []):
             lines.append(f"  {entry}")
         summary["resilience"] = resilience

@@ -107,28 +107,18 @@ class FireSimManager:
         retry_policy: Optional[RetryPolicy] = None,
         checkpoint_interval_cycles: Optional[int] = None,
         workers: int = 1,
-        transport: str = "pipe",
         transport_timeout_s: float = DEFAULT_TRANSPORT_TIMEOUT_S,
         hang_timeout_s: Optional[float] = None,
-        ring_failure_threshold: int = 2,
     ) -> None:
         if workers < 1:
             raise ManagerError(f"workers must be >= 1, got {workers}")
-        if transport not in ("pipe", "shm"):
-            raise ManagerError(
-                f"transport must be 'pipe' or 'shm', got {transport!r}"
-            )
         if transport_timeout_s <= 0:
             raise ManagerError(
                 f"transport timeout must be positive, got {transport_timeout_s}"
             )
         #: Worker processes for ``runworkload``; 1 = the serial engine.
         self.workers = workers
-        #: Worker-to-worker token hop for distributed runs ("pipe" is
-        #: the oracle default; "shm" selects the zero-copy ring and
-        #: falls back to pipes when /dev/shm is unavailable).
-        self.transport = transport
-        #: Progress deadline for both transports' ``recv`` — a peer
+        #: Progress deadline for a worker ring's ``recv`` — a peer
         #: publishing nothing for this long is token starvation.
         self.transport_timeout_s = transport_timeout_s
         #: Distributed liveness supervision: heartbeat-based hang
@@ -170,11 +160,6 @@ class FireSimManager:
         )
         self.retry_policy = retry_policy or RetryPolicy()
         self.breaker = CircuitBreaker()
-        #: Per-directed-ring breaker: repeated integrity faults on the
-        #: same worker pair degrade that run's transport shm -> pipe.
-        self.ring_breaker = CircuitBreaker(
-            failure_threshold=ring_failure_threshold
-        )
         self.heartbeats = HeartbeatMonitor()
         self.watchdog = TokenWatchdog()
         self.checkpoint_interval_cycles = checkpoint_interval_cycles
@@ -584,14 +569,14 @@ class FireSimManager:
 
         The same restore path handles the supervisor's taxonomy: a
         hung worker (:class:`~repro.faults.plan.WorkerHang`) is treated
-        like a crash; a shm integrity fault
-        (:class:`~repro.faults.plan.RingCorruption`) keeps the worker
-        count but counts against the per-ring circuit breaker, which on
-        tripping degrades this run's transport shm -> pipe; and an
-        exhausted restart budget falls back to the *serial* engine as
-        the last-resort degraded mode instead of failing the workload —
-        the serial result is the oracle the distributed engine is
-        bit-equal to, so correctness is preserved at reduced speed.
+        like a crash, and a ring integrity fault
+        (:class:`~repro.faults.plan.RingCorruption`) reruns on fresh
+        rings with the same worker count.  Rings that cannot be
+        allocated (``OSError``) and an exhausted restart budget both end
+        on the *serial* engine, the last-resort degraded mode, instead
+        of failing the workload — the serial result is the oracle the
+        distributed engine is bit-equal to, so correctness is preserved
+        at reduced speed.
         """
         if self.deployment is None:
             raise ManagerError(
@@ -606,7 +591,6 @@ class FireSimManager:
         checkpoint = ReplayCheckpoint.capture(sim, rebuild)
         self.fault_stats.checkpoints_taken += 1
         workers = self.workers
-        transport = self.transport
         restores = 0
         result: Optional[DistributedRunResult] = None
         while True:
@@ -619,36 +603,37 @@ class FireSimManager:
                     plan,
                     total_cycles,
                     measure=self.telemetry is not None,
-                    transport=transport,
                     profile=self.profile_config,
                     supervision=self.supervision,
                     transport_timeout_s=self.transport_timeout_s,
                     stats=self.fault_stats,
                     should_abort=self.abort_check,
                 )
-                if (
-                    transport == "shm"
-                    and result.transport != "shm"
-                ):
-                    self.fault_stats.shm_fallbacks += 1
                 break
             except RunAborted:
                 # Deliberate stop (job-server preempt/cancel), not a
                 # fault: workers are already torn down, no state merged.
                 sim.simulation.fault_hook = None
                 raise
-            except (WorkerCrash, RingCorruption) as fault:
-                restores += 1
-                if self.injector is not None:
-                    # The fault fired in a forked worker's copy of this
-                    # injector; consume it here or the rerun re-injects.
-                    self.injector.consume_next_mid_run()
-                if restores > self.retry_policy.max_retries:
-                    # Restart budget exhausted: last-resort degraded
-                    # mode.  Restore the pre-fork checkpoint, disarm
-                    # injection (every planned fault has had its
-                    # chance), and finish on the serial engine — the
-                    # oracle the distributed engine is bit-equal to.
+            except (OSError, WorkerCrash, RingCorruption) as fault:
+                if isinstance(fault, OSError):
+                    # No POSIX shared memory for the rings: a rerun
+                    # would fail the same way.
+                    give_up = True
+                else:
+                    restores += 1
+                    if self.injector is not None:
+                        # The fault fired in a forked worker's copy of
+                        # this injector; consume it here or the rerun
+                        # re-injects.
+                        self.injector.consume_next_mid_run()
+                    give_up = restores > self.retry_policy.max_retries
+                if give_up:
+                    # Last-resort degraded mode.  Restore the pre-fork
+                    # checkpoint, disarm injection (every planned fault
+                    # has had its chance), and finish on the serial
+                    # engine — the oracle the distributed engine is
+                    # bit-equal to.
                     self.fault_stats.serial_fallbacks += 1
                     self._trace_instant(
                         "serial_fallback", restores=restores,
@@ -659,24 +644,13 @@ class FireSimManager:
                     sim.simulation.run_until(total_cycles)
                     break
                 if isinstance(fault, RingCorruption):
-                    # Transport fault, not a worker fault: keep the
-                    # worker count, but repeated corruption on one
-                    # directed ring trips its breaker and degrades the
-                    # transport to pipes for the rest of this run.
+                    # Transport fault, not a worker fault: rerun on
+                    # fresh rings with the same worker count.
                     self.fault_stats.ring_corruptions += 1
                     self._trace_instant(
                         "ring_corruption", ring=fault.ring,
                         restores=restores,
                     )
-                    if (
-                        self.ring_breaker.record_failure(fault.ring)
-                        and transport == "shm"
-                    ):
-                        transport = "pipe"
-                        self.fault_stats.transport_degradations += 1
-                        self._trace_instant(
-                            "transport_degraded", ring=fault.ring,
-                        )
                 else:
                     if isinstance(fault, WorkerHang):
                         self._trace_instant(
@@ -744,7 +718,6 @@ class FireSimManager:
         summary: Dict[str, Any] = asdict(self.fault_stats)
         summary["backoff_seconds"] = round(summary["backoff_seconds"], 6)
         summary["quarantined_hosts"] = sorted(self.breaker.quarantined)
-        summary["quarantined_rings"] = sorted(self.ring_breaker.quarantined)
         if self.injector is not None:
             summary["fault_log"] = list(self.injector.log)
         return summary

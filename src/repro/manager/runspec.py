@@ -55,7 +55,6 @@ class RunSpec:
     #: None on the way in only; ``__post_init__`` stores the resolved name.
     engine: str = None  # type: ignore[assignment]
     workers: int = 1
-    transport: str = "pipe"
     link_latency_us: float = 2.0
     fpgas_per_instance: Optional[int] = None
     supernode: bool = False
@@ -81,8 +80,6 @@ class RunSpec:
             )
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.transport not in ("pipe", "shm"):
-            raise ConfigError(f"unknown transport {self.transport!r}")
         if self.checkpoint_interval_ms is not None \
                 and self.checkpoint_interval_ms <= 0:
             raise ConfigError("checkpoint interval must be positive")
@@ -118,8 +115,10 @@ class RunSpec:
         """The recipe a ``firesim`` flag set describes.
 
         Fields and flags share names, except that ``--fault-plan`` names
-        a file (the parsed plan travels in the recipe) and
-        ``--checkpoint-interval`` drops the unit from its name.
+        a file (the parsed plan travels in the recipe),
+        ``--checkpoint-interval`` drops the unit from its name, and
+        ``--transport`` (accepted for compatibility, shm only) has no
+        field.
         """
         values = {f.name: getattr(args, f.name, None) for f in fields(cls)}
         values["checkpoint_interval_ms"] = args.checkpoint_interval
@@ -190,7 +189,6 @@ class RunSpec:
                 if self.checkpoint_interval_ms is not None else None
             ),
             "workers": self.workers,
-            "transport": self.transport,
         }
 
     def build_manager(self, **host_timeouts: Any) -> FireSimManager:

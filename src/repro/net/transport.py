@@ -10,10 +10,12 @@ III-B2):
 * **TCP sockets** between switch models / controllers on different hosts.
 
 In this reproduction, the *functional* token exchange happens in-process
-(the :class:`~repro.core.simulation.Simulation` orchestrator), so these
-classes carry the *performance* characteristics of each transport: the
-host latency and bandwidth that determine how fast a round of the
-distributed simulation can complete.  They are consumed by
+(the :class:`~repro.core.simulation.Simulation` orchestrator) or, between
+:mod:`repro.dist` worker processes, over the shared-memory ring of
+:mod:`repro.dist.shm`.  These classes carry only the modeled
+*performance* characteristics of each F1 transport: the host latency
+and bandwidth that determine how fast a round of the distributed
+simulation can complete.  They are consumed by
 :mod:`repro.host.perfmodel` to produce the simulation-rate curves of
 Figures 8 and 9, and by the manager when it maps links onto hosts.
 """
@@ -35,7 +37,6 @@ class TransportKind(Enum):
     SHARED_MEMORY = "shm"
     SOCKET = "socket"
     LOOPBACK = "loopback"  # endpoints inside the same FPGA (supernode)
-    PIPE = "pipe"  # OS pipe between worker processes on one host
 
 
 @dataclass(frozen=True)
@@ -85,38 +86,6 @@ LOOPBACK = TransportSpec(
     kind=TransportKind.LOOPBACK,
     one_way_latency_s=0.0,
     bandwidth_bytes_per_s=float("inf"),
-)
-
-#: Token exchange between :mod:`repro.dist` worker processes on one
-#: host: a pickled batch over an OS pipe.  Cheaper than TCP between
-#: instances, dearer than shared memory.  Calibrated by measuring
-#: ``multiprocessing`` queue transfers (small-message one-way ~20 us,
-#: 57 KB batches ~5 GB/s).  The distributed engine's critical-path
-#: model charges the latency once per token *exchange*, amortized over
-#: the rounds the exchange covers (each queue's feeder thread pickles
-#: and sends in parallel, so per-peer hops overlap) and the bandwidth
-#: term on the actual sparse wire payload per boundary link.
-WORKER_PIPE = TransportSpec(
-    kind=TransportKind.PIPE,
-    one_way_latency_s=20e-6,
-    bandwidth_bytes_per_s=5.0e9,
-)
-
-#: Token exchange between :mod:`repro.dist` worker processes over a
-#: :class:`multiprocessing.shared_memory` ring (:mod:`repro.dist.shm`)
-#: — the reproduction of FireSim's zero-copy shared-memory hop between
-#: co-located endpoints (Section III-B2), applied to worker pairs
-#: instead of controller/switch pairs.  No feeder thread, no syscall
-#: per message: the latency is a cursor publish plus the consumer's
-#: wakeup from an adaptive-backoff spin, and the bandwidth is memcpy
-#: into the mapped segment.  Both transports now ship the coalesced
-#: :mod:`repro.dist.frame` payload — one 25-byte entry-table row per
-#: window, one cycle column, one flit blob per exchange — but the ring
-#: still wins on latency: no feeder thread and no kernel copy.
-SHM_RING = TransportSpec(
-    kind=TransportKind.SHARED_MEMORY,
-    one_way_latency_s=2e-6,
-    bandwidth_bytes_per_s=10.0e9,
 )
 
 

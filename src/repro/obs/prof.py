@@ -3,11 +3,8 @@
 The paper's simulation-rate argument (Section VI, Figure 9) is a
 host-time budget: every lockstep round costs model compute plus the
 token-transport hop, and the achievable rate is the quantum divided by
-the slowest worker's round.  ``BENCH_dist.json`` showed our measured
-distributed throughput trailing the serial batched engine while the
-critical-path *model* claimed a speedup — with no way to see which
-phase of which worker's round eats the difference.  This module is that
-visibility:
+the slowest worker's round.  This module measures which phase of which
+worker's round the time goes to:
 
 * :class:`PhaseRecorder` — a preallocated per-worker ring buffer of
   per-round phase timings.  The worker round loop stamps phase
@@ -33,28 +30,25 @@ visibility:
   shares (summing to ~100% of measured round time by construction —
   ``idle`` is the unattributed remainder), per-phase histograms,
   critical-path attribution naming the worker and phase that bound the
-  observed rounds, and a measured-vs-modeled speedup reconciliation.
+  observed rounds, and the compute/transport/wait share reconciliation.
 
 Phase vocabulary (one row of the ring per round):
 
 ``compute``
-    model ticks, output relabelling, local queue traffic — the work the
-    critical-path model charges as tick seconds;
+    model ticks, output relabelling, local queue traffic;
 ``coalesce``
     flattening an exchange's boundary windows into the one columnar
     payload per peer (:mod:`repro.dist.frame`): entry table, cycle
     column, and the single flit pickle;
 ``serialize``
-    transport framing around the coalesced payload (the shm ring's
-    header pack, CRCs, and sequence stamp; near-zero under pipes,
-    whose byte shipping happens on the feeder thread and therefore
-    surfaces in the *peer's* ``recv_wait``);
+    ring framing around the coalesced payload: header pack, CRCs, and
+    sequence stamp;
 ``send``
-    publishing the encoded bytes (ring write + wakeup, or queue put),
-    net of ``coalesce`` and ``serialize``;
+    publishing the encoded bytes (ring write + wakeup), net of
+    ``coalesce`` and ``serialize``;
 ``recv_wait``
     blocked waiting for peer round messages — lockstep slack plus the
-    transport's decode cost;
+    ring's decode cost;
 ``gap``
     delivering received windows into local consuming queues, including
     ``LostWindow`` gap handling;
@@ -77,8 +71,9 @@ import numpy as np
 
 #: JSON artifact marker for exported phase reports.  v2 added the
 #: ``coalesce`` phase (the per-peer columnar payload build) between
-#: ``compute`` and ``serialize``.
-PROFILE_SCHEMA = "repro.obs.prof/v2"
+#: ``compute`` and ``serialize``; v3 dropped the ``transport`` name and
+#: the modeled-rate reconciliation keys.
+PROFILE_SCHEMA = "repro.obs.prof/v3"
 
 #: Phase order is the wire/report order and the per-round ring layout.
 PHASES: Tuple[str, ...] = (
@@ -582,11 +577,8 @@ class PhaseReport:
     quantum: int
     rounds: int
     num_workers: int
-    transport: str
     wall_seconds: float
     measured_rate_mhz: float
-    modeled_rate_mhz: Optional[float]
-    modeled_speedup: Optional[float]
     profiles: List[WorkerProfile] = field(default_factory=list)
 
     @classmethod
@@ -600,11 +592,8 @@ class PhaseReport:
             quantum=result.quantum,
             rounds=result.rounds,
             num_workers=result.num_workers,
-            transport=result.transport,
             wall_seconds=result.wall_seconds,
             measured_rate_mhz=result.measured_rate_mhz(),
-            modeled_rate_mhz=result.modeled_rate_mhz(),
-            modeled_speedup=result.modeled_speedup(),
             profiles=sorted(profiles, key=lambda p: p.worker_id),
         )
 
@@ -658,14 +647,11 @@ class PhaseReport:
         }
 
     def reconciliation(self) -> Dict[str, Any]:
-        """Measured vs modeled rate, with the gap attributed to phases.
+        """The measured rate with round time attributed to phase shares.
 
-        The critical-path model prices a round as tick seconds plus one
-        idealized transport hop; the measured phase profile shows what
-        the host actually paid.  ``transport_share`` (coalesce + serialize + send
-        + recv_wait over all workers) is the Figure-9 knob: it shrinks
-        as the token batch grows, exactly the paper's batch/latency
-        trade-off.
+        ``transport_share`` (coalesce + serialize + send + recv_wait
+        over all workers) is the Figure-9 knob: it shrinks as the token
+        batch grows, exactly the paper's batch/latency trade-off.
         """
         totals = {phase: 0.0 for phase in PHASES}
         for profile in self.profiles:
@@ -676,10 +662,8 @@ class PhaseReport:
             totals["coalesce"] + totals["serialize"] + totals["send"]
             + totals["recv_wait"]
         )
-        out: Dict[str, Any] = {
+        return {
             "measured_rate_mhz": self.measured_rate_mhz,
-            "modeled_rate_mhz": self.modeled_rate_mhz,
-            "modeled_speedup": self.modeled_speedup,
             "compute_share": (
                 totals["compute"] / attributed if attributed else 0.0
             ),
@@ -690,11 +674,6 @@ class PhaseReport:
                 totals["recv_wait"] / attributed if attributed else 0.0
             ),
         }
-        if self.modeled_rate_mhz:
-            out["measured_over_modeled"] = (
-                self.measured_rate_mhz / self.modeled_rate_mhz
-            )
-        return out
 
     def probe_overhead_ratio(self) -> Optional[float]:
         """Measured profiled-over-unprofiled round-time ratio.
@@ -744,7 +723,6 @@ class PhaseReport:
             "quantum": self.quantum,
             "rounds": self.rounds,
             "num_workers": self.num_workers,
-            "transport": self.transport,
             "wall_seconds": self.wall_seconds,
             "per_worker": {
                 str(profile.worker_id): profile.to_dict()
@@ -759,8 +737,7 @@ class PhaseReport:
         """Human-readable report for the CLI ``profile`` verb."""
         lines = [
             f"phase profile: {self.num_workers} workers, {self.rounds} "
-            f"rounds, {self.transport} transport, "
-            f"{self.measured_rate_mhz:.3f} MHz measured",
+            f"rounds, {self.measured_rate_mhz:.3f} MHz measured",
         ]
         for profile in self.profiles:
             shares = profile.phase_shares()
@@ -781,15 +758,6 @@ class PhaseReport:
                 f"({critical['phase_share_of_busy'] * 100.0:.1f}% of its "
                 f"busy time; bounds {critical['rounds_bound']}/"
                 f"{critical['rounds_observed']} observed rounds)"
-            )
-        recon = self.reconciliation()
-        modeled = recon.get("modeled_rate_mhz")
-        if modeled:
-            lines.append(
-                f"modeled {modeled:.3f} MHz vs measured "
-                f"{self.measured_rate_mhz:.3f} MHz "
-                f"(transport share {recon['transport_share'] * 100.0:.1f}%, "
-                f"compute share {recon['compute_share'] * 100.0:.1f}%)"
             )
         lines.append(
             "profiler self-overhead: "

@@ -130,17 +130,7 @@ class TelemetrySession:
         self.registry.gauge("dist.boundary_links").set(
             float(result.boundary_link_count)
         )
-        # Transport hop identity is a string; gauges are floats — expose
-        # the shm-ness as a flag plus the channel count, and leave the
-        # name itself to the manager's distributed summary.
         self.registry.gauge("dist.channels").set(float(result.channel_count))
-        self.registry.gauge("dist.transport_shm").set(
-            1.0 if result.transport == "shm" else 0.0
-        )
-        requested = getattr(result, "requested_transport", result.transport)
-        self.registry.gauge("dist.transport_fallback").set(
-            1.0 if requested == "shm" and result.transport != "shm" else 0.0
-        )
         for worker in result.workers:
             self.registry.gauge(
                 f"dist.worker{worker.worker_id}.rate_mhz"

@@ -7,7 +7,7 @@ tenants sharing one run farm, with the scheduler deciding who holds
 FPGAs when.  This package provides that:
 
 * :mod:`repro.serve.job` — JSON-serializable :class:`JobSpec` (topology
-  + workload + engine/transport/fault-plan), the per-job forked child
+  + workload + engine/workers/fault-plan), the per-job forked child
   (own process group, pipe-driven preempt/cancel), and the in-process
   serial oracle for bit-equality tests;
 * :mod:`repro.serve.farm` — :class:`ServeFarm`, the FPGA-slot ledger

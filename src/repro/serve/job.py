@@ -2,7 +2,7 @@
 
 A :class:`JobSpec` is everything the server needs to run one simulation
 end to end — a :class:`~repro.manager.runspec.RunSpec` (topology,
-workload, engine, transport, fault plan) plus a name and how to
+workload, engine, workers, fault plan) plus a name and how to
 schedule it — as a JSON-serializable value, so jobs can travel over the
 CLI socket and be replayed from the event log.  The spec *is* the
 rebuild recipe: a preempted job's portable checkpoint (cycle + digest)
@@ -158,7 +158,6 @@ def _result_payload(manager: FireSimManager, result: Any) -> Dict[str, Any]:
     if distributed is not None:
         payload["distributed"] = {
             "num_workers": distributed["num_workers"],
-            "transport": distributed["transport"],
             "rounds": distributed["rounds"],
         }
     resilience = manager.resilience_summary()

@@ -29,44 +29,20 @@ def core_doc(speedup=3.2):
         "speedup": {"batched_over_scalar": speedup},
     }
 
-def dist_doc(modeled):
-    return {
-        "schema": "repro.bench.dist/v1",
-        "speedup": {"modeled": dict(modeled), "measured": {"2": 0.4}},
-    }
-
-
-def dist_doc_v3(shm_over_pipe=2.0, profiler_pipe=1.01, profiler_shm=1.00):
-    return {
-        "schema": "repro.bench.dist/v3",
-        "speedup": {
-            "modeled": {"pipe": {"2": 1.3}, "shm": {"2": 1.9}},
-            "shm_over_pipe_measured": {"2": shm_over_pipe},
-        },
-        "profiler": {
-            "overhead_ratio": {"pipe": profiler_pipe, "shm": profiler_shm},
-            "method": "alternate-round probe",
-            "workers": 2,
-        },
-    }
-
-
-def dist_doc_v4(
+def dist_doc(
     critical_4=1.3,
     critical_8=1.2,
     wall_4=0.4,
     host_cpus=1,
     quick=False,
-    shm_over_pipe=None,
+    profiler=1.07,
 ):
-    document = {
-        "schema": "repro.bench.dist/v4",
+    return {
+        "schema": "repro.bench.dist/v5",
         "quick": quick,
         "host_cpu_count": host_cpus,
         "speedup": {
-            "modeled": {"pipe": {"4": 2.9}, "shm": {"4": 3.5}},
-            "shm_over_pipe_measured": shm_over_pipe
-            or {"2": 1.3, "4": 1.5, "8": 1.7},
+            "measured": {"shm": {"2": 0.4}},
             "parity": {
                 "critical_path": {
                     "shm": {"2": 1.1, "4": critical_4, "8": critical_8}
@@ -75,12 +51,11 @@ def dist_doc_v4(
             },
         },
         "profiler": {
-            "overhead_ratio": {"pipe": 1.10, "shm": 1.07},
+            "overhead_ratio": {"shm": profiler},
             "method": "alternate-round probe",
             "workers": 2,
         },
     }
-    return document
 
 
 def write(tmp_path, name, document):
@@ -95,29 +70,20 @@ class TestExtractRatios:
             "speedup.batched_over_scalar": 3.0
         }
 
-    def test_dist_schema_yields_one_ratio_per_worker_count(self):
-        ratios = checker.extract_ratios(dist_doc({"2": 1.3, "8": 3.2}))
-        assert ratios == {
-            "speedup.modeled[2]": 1.3,
-            "speedup.modeled[8]": 3.2,
-        }
-
     def test_measured_dist_ratios_are_never_compared(self):
         """Measured speedups on a shared-core container are noise."""
         assert not any(
             "measured" in name
-            for name in checker.extract_ratios(dist_doc({"2": 1.3}))
+            for name in checker.extract_ratios(dist_doc())
         )
 
     def test_non_numeric_ratio_ignored(self):
         assert checker.extract_ratios(core_doc("fast")) == {}
 
-    def test_v3_schema_extracts_profiler_ratios(self):
-        ratios = checker.extract_ratios(dist_doc_v3())
-        assert ratios["profiler.overhead_ratio[pipe]"] == 1.01
-        assert ratios["profiler.overhead_ratio[shm]"] == 1.00
-        assert ratios["speedup.shm_over_pipe_measured[2]"] == 2.0
-        assert ratios["speedup.modeled[shm][2]"] == 1.9
+    def test_dist_schema_extracts_only_profiler_ratio(self):
+        assert checker.extract_ratios(dist_doc(profiler=1.01)) == {
+            "profiler.overhead_ratio[shm]": 1.01
+        }
 
 
 class TestCompare:
@@ -146,26 +112,26 @@ class TestCompare:
 
     def test_schema_mismatch_fails(self):
         failures, _ = checker.compare(
-            core_doc(3.0), dist_doc({"2": 1.3}), 0.20
+            core_doc(3.0), dist_doc(), 0.20
         )
         assert failures
         assert "schema mismatch" in failures[0]
 
     def test_dist_compares_only_shared_worker_counts(self):
-        failures, warnings = checker.compare(
-            dist_doc({"2": 1.3, "8": 3.2}),
-            dist_doc({"2": 1.3, "4": 0.1}),  # 4 is new, 8 is gone
-            0.20,
-        )
+        """A --workers 2,4 CI run against a 2,4,8 baseline: only the
+        current document's own worker counts are gated."""
+        current = dist_doc()
+        del current["speedup"]["parity"]["critical_path"]["shm"]["8"]
+        failures, warnings = checker.compare(dist_doc(), current, 0.20)
         assert not failures
         assert not warnings
 
     def test_disjoint_worker_counts_fail(self):
-        failures, _ = checker.compare(
-            dist_doc({"8": 3.2}), dist_doc({"2": 1.3}), 0.20
-        )
-        assert failures
-        assert "no shared metrics" in failures[0]
+        """A current document with no gated worker count fails."""
+        current = dist_doc()
+        current["speedup"]["parity"]["critical_path"]["shm"] = {"2": 1.1}
+        failures, _ = checker.compare(dist_doc(), current, 0.20)
+        assert any("nothing to gate" in f for f in failures)
 
     def test_empty_baseline_fails(self):
         failures, _ = checker.compare(
@@ -178,14 +144,12 @@ class TestCompare:
 
     def test_profiler_overhead_over_ceiling_fails(self):
         """The ceiling is absolute: agreeing documents still trip it."""
-        slow = dist_doc_v3(
-            profiler_pipe=checker.PROFILER_OVERHEAD_CEILING + 0.1
-        )
+        slow = dist_doc(profiler=checker.PROFILER_OVERHEAD_CEILING + 0.1)
         failures, _ = checker.compare(slow, slow, 0.20)
         assert any("ceiling" in f for f in failures)
 
     def test_profiler_overhead_under_ceiling_passes(self):
-        healthy = dist_doc_v3()
+        healthy = dist_doc()
         failures, warnings = checker.compare(healthy, healthy, 0.20)
         assert not failures
         assert not warnings
@@ -193,56 +157,25 @@ class TestCompare:
     def test_profiler_overhead_exempt_from_relative_band(self):
         """A faster profiler must not trigger the improvement warning."""
         failures, warnings = checker.compare(
-            dist_doc_v3(profiler_pipe=1.04),
-            dist_doc_v3(profiler_pipe=0.99),
+            dist_doc(profiler=1.04),
+            dist_doc(profiler=0.99),
             0.20,
         )
         assert not failures
         assert not warnings
 
-    def test_shm_floor_applies_to_v3(self):
-        sunk = dist_doc_v3(shm_over_pipe=checker.SHM_OVER_PIPE_FLOOR - 0.2)
-        failures, _ = checker.compare(sunk, sunk, 0.20)
-        assert any("floor" in f for f in failures)
-
-
-class TestShmGateKey:
-    def test_v3_gates_at_two_workers(self):
-        assert checker.shm_gate_key(dist_doc_v3()) == "2"
-
-    def test_v4_gates_at_highest_worker_count(self):
-        assert checker.shm_gate_key(dist_doc_v4()) == "8"
-
-    def test_v4_low_worker_dip_not_gated(self):
-        """2-worker shm ratio below the strict floor is fine in v4 as
-        long as the highest worker count clears it (the eager flush
-        legitimately narrows the 2-worker gap)."""
-        document = dist_doc_v4(
-            shm_over_pipe={
-                "2": checker.SHM_OVER_PIPE_FLOOR - 0.2,
-                "8": checker.SHM_OVER_PIPE_FLOOR + 0.2,
-            }
-        )
-        failures, _ = checker.compare(document, document, 0.20)
-        assert not any("shm_over_pipe" in f for f in failures)
-
-    def test_v4_sunk_at_gate_key_fails(self):
-        document = dist_doc_v4(
-            shm_over_pipe={"8": checker.SHM_OVER_PIPE_FLOOR - 0.2}
-        )
-        failures, _ = checker.compare(document, document, 0.20)
-        assert any("shm_over_pipe_measured[8]" in f for f in failures)
-
 
 class TestParityGate:
     def test_healthy_document_passes(self):
-        assert checker.check_parity(dist_doc_v4()) == []
+        assert checker.check_parity(dist_doc()) == []
 
     def test_v3_documents_not_gated(self):
-        assert checker.check_parity(dist_doc_v3()) == []
+        document = dist_doc(critical_4=0.1, critical_8=0.1)
+        document["schema"] = "repro.bench.dist/v3"
+        assert checker.check_parity(document) == []
 
     def test_critical_path_below_floor_fails(self):
-        sunk = dist_doc_v4(
+        sunk = dist_doc(
             critical_4=checker.PARITY_CRITICAL_PATH_FLOOR - 0.2
         )
         failures = checker.check_parity(sunk)
@@ -251,7 +184,7 @@ class TestParityGate:
     def test_sub_min_worker_counts_not_gated(self):
         """The 2-worker ratio is informational: parity is claimed at
         PARITY_MIN_WORKERS and up."""
-        document = dist_doc_v4()
+        document = dist_doc()
         document["speedup"]["parity"]["critical_path"]["shm"]["2"] = 0.5
         assert checker.check_parity(document) == []
 
@@ -260,33 +193,33 @@ class TestParityGate:
             checker.PARITY_CRITICAL_PATH_QUICK_FLOOR
             + checker.PARITY_CRITICAL_PATH_FLOOR
         ) / 2
-        assert checker.check_parity(dist_doc_v4(critical_4=mid, quick=True)) == []
-        sunk = dist_doc_v4(
+        assert checker.check_parity(dist_doc(critical_4=mid, quick=True)) == []
+        sunk = dist_doc(
             critical_4=checker.PARITY_CRITICAL_PATH_QUICK_FLOOR - 0.1,
             quick=True,
         )
         assert checker.check_parity(sunk)
 
     def test_missing_parity_ratios_fail(self):
-        document = dist_doc_v4()
+        document = dist_doc()
         document["speedup"]["parity"]["critical_path"]["shm"] = {"2": 1.1}
         failures = checker.check_parity(document)
         assert any("nothing to gate" in f for f in failures)
 
     def test_wall_gated_only_with_core_headroom(self):
         sunk_wall = checker.PARITY_WALL_FLOOR - 0.2
-        starved = dist_doc_v4(wall_4=sunk_wall, host_cpus=1)
+        starved = dist_doc(wall_4=sunk_wall, host_cpus=1)
         assert not any(
             ".wall[" in f for f in checker.check_parity(starved)
         )
-        roomy = dist_doc_v4(
+        roomy = dist_doc(
             wall_4=sunk_wall,
             host_cpus=4 + checker.PARITY_WALL_CPU_HEADROOM,
         )
         assert any(".wall[" in f for f in checker.check_parity(roomy))
 
     def test_wall_never_gated_on_quick_runs(self):
-        quick = dist_doc_v4(
+        quick = dist_doc(
             wall_4=checker.PARITY_WALL_FLOOR - 0.2,
             host_cpus=16,
             quick=True,
@@ -294,7 +227,7 @@ class TestParityGate:
         assert not any(".wall[" in f for f in checker.check_parity(quick))
 
     def test_compare_runs_the_parity_gate(self):
-        sunk = dist_doc_v4(
+        sunk = dist_doc(
             critical_4=checker.PARITY_CRITICAL_PATH_FLOOR - 0.2,
             critical_8=checker.PARITY_CRITICAL_PATH_FLOOR - 0.2,
         )
@@ -331,40 +264,41 @@ class TestMain:
         code = checker.main(
             [
                 "--self-test",
-                write(tmp_path, "base.json", dist_doc({"2": 1.3, "8": 3.2})),
+                write(tmp_path, "base.json", dist_doc()),
             ]
         )
         assert code == 0
 
-    def test_self_test_covers_v3_schema(self, tmp_path):
-        """v3 self-test exercises the profiler ceiling injection."""
-        code = checker.main(
-            ["--self-test", write(tmp_path, "base.json", dist_doc_v3())]
-        )
-        assert code == 0
-
-    def test_self_test_covers_v4_schema(self, tmp_path):
-        """v4 self-test exercises the parity sink legs."""
-        code = checker.main(
-            ["--self-test", write(tmp_path, "base.json", dist_doc_v4())]
-        )
-        assert code == 0
+    @pytest.mark.parametrize("gate, vacuous", [
+        ("check_parity", lambda document, quick=False: []),
+        ("PROFILER_OVERHEAD_QUICK_CEILING", float("inf")),
+    ])
+    def test_self_test_fails_when_a_dist_gate_goes_vacuous(
+        self, tmp_path, monkeypatch, gate, vacuous
+    ):
+        monkeypatch.setattr(checker, gate, vacuous)
+        with pytest.raises(SystemExit):
+            checker.main(
+                ["--self-test", write(tmp_path, "base.json", dist_doc())]
+            )
 
     def test_parity_mode_gates_single_document(self, tmp_path):
-        good = write(tmp_path, "good.json", dist_doc_v4())
+        good = write(tmp_path, "good.json", dist_doc())
         assert checker.main(["--parity", good]) == 0
         bad = write(
             tmp_path,
             "bad.json",
-            dist_doc_v4(critical_4=0.5, critical_8=0.5),
+            dist_doc(critical_4=0.5, critical_8=0.5),
         )
         assert checker.main(["--parity", bad]) == 1
 
     def test_parity_mode_rejects_pre_v4_documents(self, tmp_path):
-        with pytest.raises(SystemExit):
-            checker.main(
-                ["--parity", write(tmp_path, "v3.json", dist_doc_v3())]
-            )
+        for old in ("repro.bench.dist/v3", "repro.bench.dist/v4"):
+            document = dict(dist_doc(), schema=old)
+            with pytest.raises(SystemExit):
+                checker.main(
+                    ["--parity", write(tmp_path, "old.json", document)]
+                )
 
     def test_unknown_schema_rejected(self, tmp_path):
         with pytest.raises(SystemExit):

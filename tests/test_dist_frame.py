@@ -1,7 +1,7 @@
 """Coalesced wire format (repro.dist.frame) and the adaptive quantum.
 
-The frame codec is the one payload layout both worker transports ship,
-so it must round-trip every window representation the producers emit —
+The frame codec is the one payload layout the worker rings ship, so it
+must round-trip every window representation the producers emit —
 batched streams, scalar dict-flit batches, idle windows, and the fault
 injector's LOST markers — inside a single multi-link payload.  The
 adaptive round quantum rides the same wire: workers exchange one
@@ -26,7 +26,6 @@ from repro.dist.frame import (
 )
 from repro.dist.remote_link import LostWindow
 from repro.dist.shm import ShmRing, leaked_segments
-from repro.dist.worker import PipeChannel
 from repro.faults.plan import RingCorruption
 from repro.host.perfmodel import exchange_quantum
 from repro.manager.mapper import map_topology
@@ -205,34 +204,6 @@ class TestCoalescedRing:
         assert ring.recv(1, False) is None
 
 
-class TestCoalescedPipe:
-    def make_channel(self):
-        import multiprocessing
-
-        queue = multiprocessing.get_context("fork").Queue()
-        return PipeChannel(queue, 0, 1, timeout_s=5.0)
-
-    def test_round_trip_matches_ring_semantics(self):
-        channel = self.make_channel()
-        entries = [
-            (0, stream_window(0, 640, [(5, Flit("x"))])),
-            (1, LostWindow(0, 640)),
-            (2, TokenBatch(0, 640)),
-        ]
-        channel.send(7, entries)
-        received = channel.recv(7)
-        assert [window_shape(e) for e in received] == [
-            window_shape(e) for e in entries
-        ]
-        assert channel.counters() == {
-            "sent_messages": 1, "recv_messages": 1,
-        }
-
-    def test_nonblocking_recv_returns_none_when_empty(self):
-        channel = self.make_channel()
-        assert channel.recv(0, False) is None
-
-
 class TestAdaptiveQuantum:
     def test_exchange_quantum_is_floor_aligned(self):
         assert exchange_quantum(None, 160) == 160      # no boundaries
@@ -320,7 +291,8 @@ class TestExchangeRoundEquivalence:
         return fingerprint(running)
 
     @pytest.mark.parametrize("engine", ["scalar", "batched"])
-    @pytest.mark.parametrize("transport", ["pipe", "shm"])
+    # "shm" is the compatibility spelling bench/ passes; the only one.
+    @pytest.mark.parametrize("transport", ["shm"])
     def test_batched_exchanges_stay_bit_identical(
         self, transport, engine, serial_expected
     ):

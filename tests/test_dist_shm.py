@@ -1,25 +1,29 @@
-"""Shared-memory transport (repro.dist.shm): equivalence, gaps, leaks.
+"""Shared-memory rings (repro.dist.shm): equivalence, gaps, leaks.
 
-The shm ring is an optimisation, so everything observable must be
-bit-identical to both the serial engine and the pipe transport; on top
-of that it owns ``/dev/shm`` segments, so every exit path — normal
-completion, worker crash, checkpoint-restore, fallback — must leave the
-host clean (:func:`repro.dist.shm.leaked_segments` is the witness).
+The ring is the only channel between workers, so everything observable
+must be bit-identical to the serial engine; on top of that it owns
+``/dev/shm`` segments, so every exit path — normal completion, worker
+crash, checkpoint-restore, a failed allocation — must leave the host
+clean (:func:`repro.dist.shm.leaked_segments` is the witness).
 """
 
 import io
 import json
+import multiprocessing
 import threading
+import time
 
 import pytest
 
-from repro.core.channel import Link
+from repro import ConfigError
+from repro.core.channel import Link, TokenStarvationError
 from repro.core.token import TokenBatch
 from repro.dist import plan_partitions, run_distributed
 from repro.dist.remote_link import LostWindow, deliver
 from repro.dist.shm import ShmRing, leaked_segments
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 from repro.manager.cli import main as cli_main
+from repro.manager.cli import make_parser
 from repro.manager.manager import FireSimManager
 from repro.manager.mapper import map_topology
 from repro.manager.runfarm import RunFarmConfig
@@ -37,13 +41,12 @@ from tests.test_dist import (
 )
 
 
-def run_transport(topo_key, workers, transport, **kwargs):
+def run_rings(topo_key, workers, **kwargs):
     running, root = build(topo_key)
     deployment = map_topology(root, ONE_FPGA)
     plan = plan_partitions(running, deployment, workers)
     result = run_distributed(
-        running.simulation, plan, TARGET_CYCLES,
-        transport=transport, **kwargs,
+        running.simulation, plan, TARGET_CYCLES, **kwargs
     )
     return result, fingerprint(running)
 
@@ -52,13 +55,12 @@ class TestShmEquivalence:
     @pytest.mark.parametrize("workers", [2, 4])
     @pytest.mark.parametrize("topo_key", ["single_rack_4", "two_tier_2x2"])
     def test_bit_identical_to_serial_and_pipe(self, topo_key, workers):
+        """The serial engine is the oracle (the pipe it was once also
+        compared against is gone)."""
         expected = serial_fingerprint(topo_key, None)
-        shm_result, shm_fp = run_transport(topo_key, workers, "shm")
-        _, pipe_fp = run_transport(topo_key, workers, "pipe")
-        assert shm_result.transport == "shm"
-        assert shm_result.channel_count > 0
-        assert shm_fp == expected
-        assert pipe_fp == expected  # and hence shm == pipe, bit for bit
+        result, fp = run_rings(topo_key, workers)
+        assert result.channel_count > 0
+        assert fp == expected
         # The workload crossed worker boundaries, so the equality above
         # exercised the ring, and the run left /dev/shm clean.
         assert expected["blades"][0][RESULT_KEY]
@@ -73,9 +75,7 @@ class TestShmEquivalence:
         for boundary in plan.boundaries(running.simulation):
             linked.add((boundary.worker_a, boundary.worker_b))
             linked.add((boundary.worker_b, boundary.worker_a))
-        result = run_distributed(
-            running.simulation, plan, TARGET_CYCLES, transport="shm"
-        )
+        result = run_distributed(running.simulation, plan, TARGET_CYCLES)
         assert result.channel_count == len(linked)
         assert result.channel_count < 4 * 3  # some pairs share no links
         assert leaked_segments() == []
@@ -169,9 +169,62 @@ class TestRingWire:
             ring.destroy()
         assert leaked_segments() == []
 
+    def test_recv_surfaces_starvation(self):
+        """A peer that publishes nothing for ``timeout_s`` is token
+        starvation, not a hang."""
+        ring = ShmRing.create(0, 1, capacity=4096, timeout_s=0.2)
+        start = time.monotonic()
+        try:
+            ring.recv(0)
+        except TokenStarvationError as starvation:
+            assert "stalled" in str(starvation)
+        else:
+            pytest.fail("recv returned with nothing published")
+        finally:
+            ring.destroy()
+        assert time.monotonic() - start < 5.0
+        assert leaked_segments() == []
+
     def test_undersized_capacity_rejected(self):
         with pytest.raises(ValueError, match="capacity too small"):
             ShmRing.create(0, 1, capacity=4)
+
+
+class TestAllocationFailure:
+    """A failed pre-fork allocation raises ``OSError`` and leaks nothing."""
+
+    def test_semaphore_failure_unlinks_the_new_segment(self, monkeypatch):
+        class NoSemaphores:
+            def Semaphore(self, value):
+                raise OSError("no POSIX semaphores (test)")
+
+        monkeypatch.setattr(
+            "repro.dist.shm.multiprocessing.get_context",
+            lambda method=None: NoSemaphores(),
+        )
+        with pytest.raises(OSError, match="no POSIX semaphores"):
+            ShmRing.create(0, 1)
+        assert leaked_segments() == []
+
+    def test_result_queue_failure_destroys_rings_and_heartbeats(
+        self, monkeypatch
+    ):
+        fork = multiprocessing.get_context("fork")
+
+        class NoQueues:
+            def __getattr__(self, name):
+                return getattr(fork, name)
+
+            def Queue(self):
+                raise OSError("no result queue (test)")
+
+        monkeypatch.setattr(
+            "repro.dist.engine.multiprocessing.get_context",
+            lambda method=None: NoQueues(),
+        )
+        with pytest.raises(OSError, match="no result queue"):
+            run_rings("single_rack_4", 2, transport="shm")
+        assert leaked_segments() == []
 
 
 class TestFallback:
@@ -183,33 +236,41 @@ class TestFallback:
             "repro.dist.shm.shared_memory.SharedMemory", deny
         )
 
-    def test_falls_back_to_pipe_when_shm_denied(self, monkeypatch):
+    def test_denied_shm_raises_and_leaks_nothing(self, monkeypatch):
         self._deny_shm(monkeypatch)
-        result, fp = run_transport("single_rack_4", 2, "shm")
-        assert result.transport == "pipe"  # degraded, not dead
-        assert fp == serial_fingerprint("single_rack_4", None)
+        with pytest.raises(PermissionError):
+            run_rings("single_rack_4", 2)
         assert leaked_segments() == []
 
     def test_manager_counts_fallbacks(self, monkeypatch):
+        """No rings: the manager finishes in its serial last resort."""
         self._deny_shm(monkeypatch)
-        manager, _ = _run_managed(transport="shm")
-        assert manager.last_distributed.transport == "pipe"
-        assert manager.fault_stats.shm_fallbacks == 1
-        assert manager.resilience_summary()["shm_fallbacks"] == 1
+        manager, result = _run_managed()
+        _, oracle = _run_managed(workers=1)
+        assert manager.fault_stats.serial_fallbacks == 1
+        assert manager.resilience_summary()["serial_fallbacks"] == 1
+        assert manager.last_distributed is None
+        assert result.node_results == oracle.node_results
+        assert result.node_results[0][RESULT_KEY]
+        assert leaked_segments() == []
 
     def test_unknown_transport_rejected(self):
-        with pytest.raises(Exception, match="unknown transport"):
-            run_transport("single_rack_4", 2, "carrier-pigeon")
+        for transport in ("pipe", "carrier-pigeon"):
+            with pytest.raises(ConfigError, match="unknown transport"):
+                run_rings("single_rack_4", 2, transport=transport)
+            with pytest.raises(SystemExit):  # argparse choices=("shm",)
+                make_parser().parse_args(
+                    ["buildafi", "--transport", transport]
+                )
 
 
-def _run_managed(fault_plan=None, workers=2, transport="pipe"):
+def _run_managed(fault_plan=None, workers=2):
     manager = FireSimManager(
         two_tier(num_racks=2, servers_per_rack=2),
         run_config=RunFarmConfig(link_latency_cycles=640),
         host_config=ONE_FPGA,
         fault_plan=fault_plan,
         workers=workers,
-        transport=transport,
     )
     manager.buildafi()
     manager.launchrunfarm()
@@ -243,12 +304,10 @@ class TestCrashLeavesNoSegments:
                 ),
             ),
         )
-        crashed_manager, crashed = _run_managed(
-            fault_plan=crash, transport="shm"
-        )
-        clean_manager, clean = _run_managed(transport="shm")
+        crashed_manager, crashed = _run_managed(fault_plan=crash)
+        clean_manager, clean = _run_managed()
         assert crashed_manager.fault_stats.restores == 1
-        assert crashed_manager.fault_stats.shm_fallbacks == 0
+        assert crashed_manager.fault_stats.serial_fallbacks == 0
         assert crashed.node_results == clean.node_results
         assert crashed.node_results[0][RESULT_KEY]
         assert leaked_segments() == []
@@ -273,10 +332,8 @@ class TestCLI:
         assert code == 0
         document = json.loads(out.getvalue())
         distributed = document["verbs"]["runworkload"]["distributed"]
-        assert distributed["transport"] == "shm"
         assert distributed["channels"] > 0
         status = document["verbs"]["status"]["distributed"]
-        assert status["transport"] == "shm"
         assert status["channels"] == distributed["channels"]
         assert leaked_segments() == []
 

@@ -39,7 +39,7 @@ from repro.swmodel.apps.ping import make_ping_client
 ONE_FPGA = HostConfig(fpgas_per_instance=1)
 
 
-def run_profiled(profile, cycles=200_000, transport="shm", engine="scalar"):
+def run_profiled(profile, cycles=200_000, engine="scalar"):
     """A 2-worker distributed run with profiling on."""
     root = two_tier(num_racks=2, servers_per_rack=2)
     running = elaborate(
@@ -52,10 +52,7 @@ def run_profiled(profile, cycles=200_000, transport="shm", engine="scalar"):
         make_ping_client(blades[last].mac, count=2, interval_cycles=50_000),
     )
     plan = plan_partitions(running, map_topology(root, ONE_FPGA), 2)
-    return run_distributed(
-        running.simulation, plan, cycles,
-        transport=transport, profile=profile,
-    )
+    return run_distributed(running.simulation, plan, cycles, profile=profile)
 
 
 # -- PhaseRecorder ------------------------------------------------------
@@ -306,8 +303,7 @@ class TestAbsorbDistributed:
 
         gauges = session.registry.snapshot()
         assert gauges["dist.num_workers"] == 2.0
-        assert gauges["dist.transport_shm"] == 1.0
-        assert gauges["dist.transport_fallback"] == 0.0
+        assert gauges["dist.channels"] == 2.0
         assert gauges["dist.worker0.rate_mhz"] > 0.0
         assert gauges["dist.worker1.rate_mhz"] > 0.0
         assert gauges["dist.shm.high_water_bytes"] > 0.0
@@ -329,7 +325,7 @@ class TestAbsorbDistributed:
         assert {WORKER_PID_BASE, WORKER_PID_BASE + 1} <= trace_pids
 
     def test_unprofiled_run_leaves_report_unset(self):
-        result = run_profiled(None, cycles=100_000, transport="pipe")
+        result = run_profiled(None, cycles=100_000)
         session = TelemetrySession(trace=False)
         session.absorb_distributed(result)
         assert session.phase_report is None

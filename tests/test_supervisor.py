@@ -3,7 +3,7 @@
 Covers the self-healing taxonomy end to end: heartbeat publication and
 wraparound, adaptive hang detection, SIGTERM->SIGKILL escalation, shm
 frame CRC/sequence integrity, wakeup-loss self-healing, the manager's
-recovery ladder (restore -> transport degradation -> serial fallback),
+recovery ladder (restore onto fresh rings -> serial fallback),
 and the engine's dead-worker bookkeeping fixes (clean-exit-no-result
 detection, join-timeout reaping).  Every recovery path must end
 bit-identical to the serial oracle.
@@ -15,14 +15,14 @@ import multiprocessing
 import os
 import signal
 import time
+from multiprocessing import shared_memory
 
 import pytest
 
 from repro import ConfigError
-from repro.core.channel import TokenStarvationError
 from repro.core.simulation import ENGINES
 from repro.dist import plan_partitions, run_distributed
-from repro.dist.shm import ShmRing, leaked_segments
+from repro.dist.shm import HEARTBEAT_PREFIX, ShmRing, leaked_segments
 from repro.dist.supervisor import (
     HB_COMPUTE,
     SLOT_DEPTH,
@@ -30,7 +30,7 @@ from repro.dist.supervisor import (
     Supervisor,
     SupervisorConfig,
 )
-from repro.dist.worker import PipeChannel, shard_entry
+from repro.dist.worker import shard_entry
 from repro.faults.plan import (
     FaultInjector,
     FaultKind,
@@ -405,11 +405,15 @@ class TestEngineFaults:
     def test_denied_heartbeat_shm_degrades_to_crash_only(
         self, monkeypatch
     ):
-        """No POSIX shared memory for the control block: the run still
-        completes bit-identically, with supervision reported disabled."""
+        """No POSIX shared memory for the control block (the rings still
+        get theirs): the run completes bit-identically, with supervision
+        reported disabled."""
+        segment = shared_memory.SharedMemory
 
-        def deny(*args, **kwargs):
-            raise PermissionError("/dev/shm denied (test)")
+        def deny(*args, name=None, **kwargs):
+            if name is not None and name.startswith(HEARTBEAT_PREFIX):
+                raise PermissionError("/dev/shm denied (test)")
+            return segment(*args, name=name, **kwargs)
 
         monkeypatch.setattr(
             "repro.dist.supervisor.shared_memory.SharedMemory", deny
@@ -431,15 +435,7 @@ class TestEngineFaults:
             )
 
 
-class TestPipeTimeout:
-    def test_pipe_recv_surfaces_starvation(self):
-        queue = multiprocessing.get_context("fork").Queue()
-        channel = PipeChannel(queue, 0, 1, timeout_s=0.2)
-        start = time.monotonic()
-        with pytest.raises(TokenStarvationError, match="stalled"):
-            channel.recv(0)
-        assert time.monotonic() - start < 5.0
-
+class TestTransportTimeout:
     def test_manager_rejects_nonpositive_timeout(self):
         with pytest.raises(ManagerError, match="transport timeout"):
             FireSimManager(
@@ -451,15 +447,14 @@ class TestPipeTimeout:
 # -- manager recovery ladder ----------------------------------------------
 
 
-def _managed(fault_plan=None, workers=2, transport="pipe",
-             telemetry=False, engine="scalar", **kwargs):
+def _managed(fault_plan=None, workers=2, telemetry=False, engine="scalar",
+             **kwargs):
     manager = FireSimManager(
         two_tier(num_racks=2, servers_per_rack=2),
         run_config=RunFarmConfig(link_latency_cycles=640, engine=engine),
         host_config=ONE_FPGA,
         fault_plan=fault_plan,
         workers=workers,
-        transport=transport,
         **kwargs,
     )
     if telemetry:
@@ -514,36 +509,29 @@ class TestManagerRecovery:
             seed=12,
             specs=(_spec(FaultKind.RING_CORRUPT, target="ring:0->1"),),
         )
-        manager, result = _managed(
-            fault_plan=plan, transport="shm", engine=engine
-        )
+        manager, result = _managed(fault_plan=plan, engine=engine)
         stats = manager.fault_stats
         assert stats.ring_corruptions == 1
         assert stats.restores == 1
-        assert stats.transport_degradations == 0
         # A transport fault is not a worker fault: the rerun keeps both
-        # workers and (one strike only) the shm transport.
+        # workers, on fresh rings.
         assert manager.last_distributed.num_workers == 2
-        assert manager.last_distributed.transport == "shm"
         assert result.node_results == _clean_node_results()
         assert leaked_segments() == []
 
-    def test_repeated_corruption_degrades_transport_to_pipe(self):
+    def test_repeated_corruption_reruns_on_fresh_rings(self):
         plan = FaultPlan(
             seed=13,
             specs=(
                 _spec(FaultKind.RING_CORRUPT, target="ring:0->1", times=2),
             ),
         )
-        manager, result = _managed(fault_plan=plan, transport="shm")
+        manager, result = _managed(fault_plan=plan)
         stats = manager.fault_stats
         assert stats.ring_corruptions == 2
         assert stats.restores == 2
-        assert stats.transport_degradations == 1
-        assert manager.last_distributed.transport == "pipe"
-        summary = manager.resilience_summary()
-        assert summary["quarantined_rings"] == ["ring:0->1"]
-        assert summary["transport_degradations"] == 1
+        assert stats.serial_fallbacks == 0
+        assert manager.last_distributed.num_workers == 2
         assert result.node_results == _clean_node_results()
         assert leaked_segments() == []
 
@@ -557,10 +545,7 @@ class TestManagerRecovery:
             ),
         )
         manager, result = _managed(
-            fault_plan=plan,
-            transport="shm",
-            retry_policy=RetryPolicy(max_retries=1),
-            ring_failure_threshold=99,  # keep shm so every rerun refaults
+            fault_plan=plan, retry_policy=RetryPolicy(max_retries=1)
         )
         stats = manager.fault_stats
         assert stats.serial_fallbacks == 1
@@ -575,7 +560,7 @@ class TestManagerRecovery:
         plan = FaultPlan(
             seed=15, specs=(_spec(FaultKind.WAKEUP_LOSS),)
         )
-        manager, result = _managed(fault_plan=plan, transport="shm")
+        manager, result = _managed(fault_plan=plan)
         assert manager.fault_stats.restores == 0
         assert manager.fault_stats.ring_corruptions == 0
         assert result.node_results == _clean_node_results()
@@ -643,8 +628,7 @@ class TestCLI:
         out = io.StringIO()
         code = cli_main(
             self.ARGS + [
-                "--workers", "2", "--transport", "shm",
-                "--fault-plan", plan,
+                "--workers", "2", "--fault-plan", plan,
             ] + self.SESSION,
             out=out,
         )
