@@ -15,7 +15,7 @@ shared-memory rings) at each requested worker count, and emits
 Every blade runs continuous, phase-staggered ping traffic (rack-local
 neighbor pings plus a cross-rack trunk flow per rack) for the whole
 measured window.  This is not decoration: the serial batched engine
-fast-forwards provably idle spans in O(links) per *span*, so an idle
+jumps over provably idle rounds without running them, so an idle
 farm — what earlier versions of this bench simulated — now costs the
 serial engine almost nothing and measures nothing about scaling.  A
 loaded farm is also what the paper's Figure 9 reports: simulation

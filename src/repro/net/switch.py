@@ -29,7 +29,8 @@ The model owns the only copy of switch state — per-egress-port
 :class:`_ColQueue` columns, pacing cursors, per-ingress-port partial
 reassembly, the sequence counter.  The phases below are the readable
 per-packet spec over it; :class:`repro.perf.switch.ColumnarSwitch` runs
-the same phases a window at a time over the same state.
+the same phases a window at a time over the same state, and on small
+windows calls the spec's switching step and drain walker itself.
 """
 
 from __future__ import annotations
@@ -213,9 +214,11 @@ class SwitchModel(Fame1Model):
         self._idle_safe = (
             cls._tick is SwitchModel._tick
             and cls._ingress is SwitchModel._ingress
+            and cls._ingress_flits is SwitchModel._ingress_flits
             and cls._switching_step is SwitchModel._switching_step
             and cls._egress is SwitchModel._egress
             and cls._drain_port is SwitchModel._drain_port
+            and cls._drain_segments is SwitchModel._drain_segments
         )
         #: Static MAC -> output-port-index table (Section III-B3: populated
         #: automatically by the manager from the topology).  Consulted
@@ -317,20 +320,30 @@ class SwitchModel(Fame1Model):
         """Assemble packets; returns (timestamp, ingress_port, frame)."""
         completed: List[Tuple[int, int, EthernetFrame]] = []
         for port_index in range(self.config.num_ports):
-            batch = inputs[f"port{port_index}"]
-            frame, seen = self._partial[port_index]
-            for cycle, flit in batch.iter_flits():
-                frame = flit.data
-                if flit.last:
-                    timestamp = cycle + self.config.min_latency_cycles
-                    completed.append((timestamp, port_index, frame))
-                    self.stats.packets_in += 1
-                    self.stats.bytes_in += frame.size_bytes
-                    frame, seen = None, 0
-                else:
-                    seen += 1
-            self._partial[port_index] = (frame, seen)
+            self._ingress_flits(
+                port_index, inputs[f"port{port_index}"], completed
+            )
         return completed
+
+    def _ingress_flits(
+        self,
+        port_index: int,
+        batch: TokenBatch,
+        completed: List[Tuple[int, int, EthernetFrame]],
+    ) -> None:
+        """One ingress port's window: append each packet it completes."""
+        frame, seen = self._partial[port_index]
+        for cycle, flit in batch.iter_flits():
+            frame = flit.data
+            if flit.last:
+                timestamp = cycle + self.config.min_latency_cycles
+                completed.append((timestamp, port_index, frame))
+                self.stats.packets_in += 1
+                self.stats.bytes_in += frame.size_bytes
+                frame, seen = None, 0
+            else:
+                seen += 1
+        self._partial[port_index] = (frame, seen)
 
     def _switching_step(
         self, arrivals: List[Tuple[int, int, EthernetFrame]]
@@ -385,11 +398,41 @@ class SwitchModel(Fame1Model):
     def _drain_port(
         self, port_index: int, window: TokenWindow, sink=None
     ) -> TokenBatch:
+        """One egress port's output window, as flits."""
         batch = window.new_batch()
-        queue = self._out_queues[port_index]
-        pace = self.config.cycles_per_flit
         if sink is None:
             sink = get_trace_sink()
+        pace = self.config.cycles_per_flit
+        # Every emitted cycle is in-window and unique (the cursor only
+        # moves forward, one flit per pace step), so assign into the
+        # flit dict directly rather than through add()'s validation.
+        flits = batch.flits
+        for frame, cycle, count, first, total in self._drain_segments(
+            port_index, window, sink
+        ):
+            for index in range(first, first + count):
+                flits[cycle] = Flit(
+                    data=frame, last=index == total - 1, index=index
+                )
+                cycle += pace
+        return batch
+
+    def _drain_segments(
+        self, port_index: int, window: TokenWindow, sink
+    ) -> List[Tuple[EthernetFrame, int, int, int, int]]:
+        """Drain one egress port for one window, a packet at a time.
+
+        Applies pacing, the buffer-bound drop and the window straddle
+        with all their side effects — queue pops, pacing cursor, stats,
+        trace events, egress log — and returns what went on the wire as
+        ``(frame, first_cycle, count, first_index, total)`` segments in
+        emission order: one per packet, flits ``pace`` cycles apart.
+        ``_drain_port`` turns them into flits; the batched engine's
+        small-window step packs them into rows.
+        """
+        segments: List[Tuple[EthernetFrame, int, int, int, int]] = []
+        queue = self._out_queues[port_index]
+        pace = self.config.cycles_per_flit
         sink_on = sink.enabled
         window_end = window.end
         cursor = max(self._port_next_free[port_index], window.start)
@@ -413,56 +456,32 @@ class SwitchModel(Fame1Model):
                                   "port": port_index, "lag": lag},
                         )
                     continue
-            total_flits = frame.flit_count
+            total = frame.flit_count
             index = queue.head_emitted
-            remaining = total_flits - index
-            cycle = start
-            if start + (remaining - 1) * pace < window_end:
-                # The window fully contains the rest of the packet:
-                # every emitted cycle is provably in-window and unique
-                # (cursor only moves forward, one flit per pace step),
-                # so skip add()'s per-flit validation and assign into
-                # the batch's flit dict directly.
-                flits = batch.flits
-                last_index = total_flits - 1
-                for _ in range(remaining):
-                    flits[cycle] = Flit(
-                        data=frame, last=index == last_index, index=index
-                    )
-                    index += 1
-                    cycle += pace
-            else:
-                while index < total_flits and cycle < window_end:
-                    batch.add(
-                        cycle,
-                        Flit(
-                            data=frame,
-                            last=index == total_flits - 1,
-                            index=index,
-                        ),
-                    )
-                    index += 1
-                    cycle += pace
-            cursor = cycle
-            self._port_next_free[port_index] = cycle
-            if index == total_flits:
+            # As many of the remaining flits as fit before the window
+            # ends, one every ``pace`` cycles.
+            count = min(total - index, (window_end - start - 1) // pace + 1)
+            segments.append((frame, start, count, index, total))
+            cursor = start + count * pace
+            self._port_next_free[port_index] = cursor
+            if index + count == total:
                 queue.pop()
                 self.stats.packets_out += 1
                 self.stats.bytes_out += frame.size_bytes
                 if sink_on:
                     sink.target_span(
                         "dequeue", "switch", release_cycle,
-                        cycle - pace, track=self.name,
+                        cursor - pace, track=self.name,
                         args={"frame": frame.frame_id,
                               "port": port_index},
                     )
                 if self.egress_log is not None:
-                    self.egress_log.append((cycle - pace, frame.size_bytes))
+                    self.egress_log.append((cursor - pace, frame.size_bytes))
             else:
                 # Packet straddles the window; resume next round.
-                queue.head_emitted = index
+                queue.head_emitted = index + count
                 break
-        return batch
+        return segments
 
     # -- inspection -------------------------------------------------------
 

@@ -208,14 +208,20 @@ class RateMonitor:
                 self.model_host_seconds.get(name, 0.0) + elapsed
             )
 
-    def absorb_round_times(self, quantum: int, round_seconds: Any) -> None:
+    def absorb_round_times(
+        self, quantum: int, round_seconds: Any, skipped: int = 0
+    ) -> None:
         """Fold a whole run's per-round wall times (numpy reductions).
 
         Equivalent to calling :meth:`record_round` once per entry:
         sum/min/max are computed vectorized over the run instead of
-        maintained per round.
+        maintained per round.  ``skipped`` rounds are ones the batched
+        engine proved idle and never ran: they count toward rounds and
+        cycles but have no wall time, so they leave the min/max alone.
         """
         walls = np.asarray(round_seconds, dtype=float)
+        self.rounds += skipped
+        self.cycles += skipped * quantum
         if walls.size == 0:
             return
         self.rounds += int(walls.size)
@@ -283,7 +289,11 @@ class RateMonitor:
             rounds=self.rounds,
             freq_hz=self.freq_hz,
             model_host_seconds=dict(self.model_host_seconds),
-            min_round_s=0.0 if self.rounds == 0 else self._min_round_s,
+            # inf until some round was timed (none, or all skipped).
+            min_round_s=(
+                0.0 if self._min_round_s == float("inf")
+                else self._min_round_s
+            ),
             max_round_s=self._max_round_s,
             transport_send_seconds=self.transport_send_seconds,
             transport_recv_seconds=self.transport_recv_seconds,

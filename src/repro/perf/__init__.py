@@ -16,12 +16,13 @@ hot path:
 * :mod:`repro.perf.switch` — the columnar switch fast path: every stock
   :class:`~repro.net.switch.SwitchModel` ticks through a
   :class:`~repro.perf.switch.ColumnarSwitch` whose ingress/route/egress
-  phases run as numpy array programs over the model's own per-packet
-  columns;
+  phases run per packet over rows for small windows and as numpy array
+  programs over the model's own per-packet columns for large ones;
 * :mod:`repro.perf.engine` — a precompiled round loop that moves those
-  windows with inlined queue operations and skips ticking models whose
-  inputs carry no valid tokens and whose state provably cannot change
-  (switches with empty queues, blades with no event due in the window).
+  windows with inlined queue operations and visits, each round, only
+  the models with work in it: those whose inputs carry valid tokens or
+  whose state can change on its own (switches with queued packets,
+  blades with an event due in the window).
 
 The scalar phases stay as the bit-equality oracle: cycle
 timestamps, switch counters, and tracer records are identical between

@@ -3,7 +3,7 @@
 Token movement here is observably identical to the scalar spec loop
 (:func:`repro.core.simulation.run_rounds`, the bit-equality oracle whose
 parameter list and hook points :func:`run_rounds` shares); only the
-host cost changes.  Four overheads are eliminated:
+host cost changes.  Five overheads are eliminated:
 
 * **Per-call queue machinery.**  The model graph is compiled once per
   run into :class:`_Slot` entries binding each port directly to its
@@ -14,30 +14,40 @@ host cost changes.  Four overheads are eliminated:
   semantics and diagnostics are unchanged.
 * **Per-flit relabelling.**  Busy output windows become
   :class:`~repro.perf.stream.TokenStream` objects whose ``+latency``
-  relabel is one vectorized add; idle windows are shifted in place
-  (idle-token elision: a quiet link costs two integer adds per round).
+  relabel is one vectorized add; idle windows are shifted in place.
 * **Idle model ticks.**  A model whose every input window carries zero
-  valid tokens is asked for
-  :meth:`~repro.core.fame.Fame1Model.idle_outputs` first; models that
-  can prove an all-idle window leaves their state untouched (switches
-  with empty queues, tracers, null sinks, server blades with no queued
-  transmits and no event due before the window's end) skip their tick
-  entirely.
+  valid tokens and whose ``idle_horizon()`` lies beyond the window
+  (switches with empty queues, null sinks, server blades with no queued
+  transmits and no event due) skips its tick; models without a horizon
+  are asked for :meth:`~repro.core.fame.Fame1Model.idle_outputs`.
+* **Visits to models with nothing to do (the active set).**  Each slot
+  has a wake cycle: the earlier of its ``idle_horizon()``, read right
+  after its last visit, and the round in which a window carrying valid
+  tokens lands on one of its inputs.  A round visits only the slots due
+  in it, in slot order, and a round in which no slot is due is jumped
+  over, so a round costs what its traffic costs, not what the farm
+  size costs.  Empty windows are never queued during such a run — an
+  absent window is an empty one — and on exit (a raise included) every
+  endpoint is rebuilt with exactly the windows, cursors and counters
+  the visit-every-slot loop would leave, so digests, snapshots, a
+  scalar segment or a distributed start-up see the same state.  Every
+  slot is visited every round whenever something observes individual
+  rounds: a ``hook``, ``pre_round``/``post_round``, a Chrome trace, a
+  port shipping to a remote peer, or a loss gap present at entry.
 * **Per-flit switch and NIC phases.**  Every stock switch ticks
-  through a :class:`~repro.perf.switch.ColumnarSwitch` whose
-  ingress/route/egress phases run as numpy array programs, and every
-  stock server blade ticks with ``rows=True`` so its NIC emits and
-  consumes packet-segment rows.  Windows between such models travel as
-  :class:`~repro.perf.stream.ColumnarBatch` rows, blade to blade, and
+  through a :class:`~repro.perf.switch.ColumnarSwitch` — the per-packet
+  spec over rows for small windows, numpy array programs for large
+  ones — and every stock server blade ticks with ``rows=True`` so its
+  NIC emits and consumes packet-segment rows.  Windows between such
+  models travel as :class:`~repro.perf.stream.ColumnarBatch` rows, and
   ``Flit`` objects are only materialized where a window crosses to a
   scalar consumer (a tracer, a custom model, a distributed boundary).
-  Neither keeps columnar state of its own: the fast phases work the
-  model's one set of queues in place, so hooks, checkpoints and the
-  scalar engine read live state at every round boundary.
+  Neither keeps columnar state of its own, so hooks, checkpoints and
+  the scalar engine read live model state at every round boundary.
 
 Hooks fire at the same points as the scalar loop, and the observer
 either gets per-tick callbacks (when Chrome tracing needs real span
-timestamps) or one vectorized fold per run through
+timestamps) or one fold per run through
 :meth:`~repro.obs.rate.RateMonitor.absorb_tick_totals` /
 :meth:`~repro.obs.rate.RateMonitor.absorb_round_times`.  Distributed
 workers hand the loop boundary attachments; their streams are shipped
@@ -47,11 +57,12 @@ hop (:meth:`repro.dist.remote_link.RemoteAttachment.ship`).
 
 from __future__ import annotations
 
+from collections import deque
 from functools import partial
+from heapq import heappop, heappush
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
-
-import numpy as np
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Set
+from typing import Tuple
 
 from repro.core.fame import Fame1Model
 from repro.core.simulation import RoundProgress, starvation_diagnostic
@@ -60,12 +71,25 @@ from repro.net.switch import SwitchModel
 from repro.perf.stream import ColumnarBatch, TokenStream
 from repro.perf.switch import ColumnarSwitch
 
+#: One output port: ``(port, link, latency, is_a, endpoint, ship,
+#: columnar_ok, consumer, hop)`` — ``consumer`` is the slot index that
+#: pops ``endpoint`` (None when it is not local) and ``hop`` the latency
+#: rounded down to whole rounds, in cycles.
+_OutPort = Tuple[
+    str, Any, int, bool, Any, Optional[Callable], bool, Optional[int], int
+]
+
+#: A local endpoint and what its rebuild needs: ``(endpoint, latency,
+#: consumer slot, producer slot)``.
+_LinkEnd = Tuple[Any, int, int, int]
+
 
 class _Slot:
     """One model's precompiled tick plan: ports bound to endpoints."""
 
     __slots__ = (
-        "model", "tick", "idle", "in_ports", "out_ports", "name", "raw",
+        "model", "tick", "idle", "horizon", "in_ports", "out_ports",
+        "name", "raw",
     )
 
     def __init__(
@@ -73,15 +97,17 @@ class _Slot:
         model: Fame1Model,
         tick: Callable[..., Any],
         idle: Optional[Callable[[TokenWindow], Optional[Dict[str, Any]]]],
+        horizon: Optional[Callable[[], Optional[int]]],
         in_ports: List[Tuple[str, Any]],
-        out_ports: List[
-            Tuple[str, Any, int, bool, Any, Optional[Callable], bool]
-        ],
+        out_ports: List[_OutPort],
         raw: bool,
     ) -> None:
         self.model = model
         self.tick = tick
         self.idle = idle
+        # Set only beside ``idle``: the model may then be skipped while
+        # its inputs are empty and the horizon lies beyond the window.
+        self.horizon = horizon
         # A raw slot — a stock switch or a stock blade — may receive
         # inputs in any wire representation (ColumnarBatch, TokenStream
         # or TokenBatch) without conversion, and answers in rows.
@@ -91,16 +117,11 @@ class _Slot:
         self.name = model.name
 
 
-#: What idle fast-forward needs besides the slots: every slot's
-#: ``idle_horizon``, every endpoint in the graph, and the ports that
-#: move one window each per round.
-_IdlePlan = Tuple[List[Callable[[], Optional[int]]], List[Any], int]
-
-
 def compile_slots(
     models: Sequence[Fame1Model],
     attachments: Dict[Tuple[int, str], Any],
-) -> Tuple[List[_Slot], Optional[_IdlePlan]]:
+    quantum: int,
+) -> Tuple[List[_Slot], List[_LinkEnd]]:
     """Bind every model port to its endpoints for direct queue access.
 
     ``attachments`` maps ``(id(model), port)`` to the orchestrator's
@@ -108,141 +129,141 @@ def compile_slots(
     ``link``/``side``.  Remote producers additionally expose ``ship``,
     which replaces the local enqueue with an outbox append.
 
-    Also decides whether the graph may idle-fast-forward at all: only
-    when every model can prove an idle window (``idle_outputs`` plus an
-    ``idle_horizon``) and no port ships to a remote peer, whose rounds
-    are observed.  The second result is None otherwise.
+    Also returns every endpoint whose producer and consumer are both
+    local, with their slot indices — what the active set schedules and
+    rebuilds.
     """
     # Pass 1: resolve attachments, decide which models speak rows
     # (stock switches through ColumnarSwitch, stock blades through
-    # their NIC), and learn which model consumes each link side so
-    # producers know when a window may stay in columnar form.
+    # their NIC), and learn which slot consumes each endpoint so
+    # producers know whom to wake and when a window may stay columnar.
     columnar: Set[int] = set()
-    consumers: Dict[Tuple[int, str], int] = {}
-    resolved: List[List[Tuple[str, Any]]] = []
-    for model in models:
-        ports: List[Tuple[str, Any]] = []
+    consumer_of: Dict[int, int] = {}
+    resolved: List[List[Tuple[str, Any, Any, Any, bool]]] = []
+    for index, model in enumerate(models):
+        ports = []
         for port in model.ports:
             attachment = attachments[(id(model), port)]
-            ports.append((port, attachment))
-            consumers[(id(attachment.link), attachment.side)] = id(model)
+            link = attachment.link
+            is_a = attachment.side == "a"
+            in_endpoint = link.to_a if is_a else link.to_b
+            out_endpoint = link.to_b if is_a else link.to_a
+            ports.append((port, attachment, in_endpoint, out_endpoint, is_a))
+            consumer_of[id(in_endpoint)] = index
         resolved.append(ports)
         if getattr(model, "columnar_safe", False):
-            columnar.add(id(model))
+            columnar.add(index)
     slots: List[_Slot] = []
-    horizons: Optional[List[Callable[[], Optional[int]]]] = []
-    endpoints: Dict[int, Any] = {}
-    ports_per_round = 0
-    for model, ports in zip(models, resolved):
+    ends: List[_LinkEnd] = []
+    for index, (model, ports) in enumerate(zip(models, resolved)):
         in_ports: List[Tuple[str, Any]] = []
-        out_ports: List[
-            Tuple[str, Any, int, bool, Any, Optional[Callable], bool]
-        ] = []
-        for port, attachment in ports:
+        out_ports: List[_OutPort] = []
+        for port, attachment, in_endpoint, out_endpoint, is_a in ports:
             link = attachment.link
-            if attachment.side == "a":
-                in_endpoint, out_endpoint, is_a = link.to_a, link.to_b, True
-                consumer_side = "b"
-            else:
-                in_endpoint, out_endpoint, is_a = link.to_b, link.to_a, False
-                consumer_side = "a"
             in_ports.append((port, in_endpoint))
-            endpoints[id(in_endpoint)] = in_endpoint
             ship = getattr(attachment, "ship", None)
-            if ship is not None:
-                horizons = None
-            else:
-                endpoints[id(out_endpoint)] = out_endpoint
+            consumer = None if ship is not None else consumer_of.get(
+                id(out_endpoint)
+            )
+            if consumer is not None:
+                ends.append((out_endpoint, link.latency, consumer, index))
             # Output windows stay columnar only when the local consumer
             # speaks rows itself; scalar models and distributed boundary
             # links get a materialized TokenStream.
-            columnar_ok = (
-                ship is None
-                and consumers.get((id(link), consumer_side)) in columnar
-            )
             out_ports.append(
                 (port, link, link.latency, is_a, out_endpoint, ship,
-                 columnar_ok)
+                 consumer in columnar, consumer,
+                 link.latency // quantum * quantum)
             )
-        raw = id(model) in columnar
+        raw = index in columnar
         tick: Callable[..., Any] = model._tick
         if raw and isinstance(model, SwitchModel):
             tick = ColumnarSwitch(model).step
         elif raw:
             # A stock blade's ``_tick`` takes ``rows`` (ServerBlade).
             tick = partial(tick, rows=True)
-        idle = None
+        idle = horizon = None
         if type(model).idle_outputs is not Fame1Model.idle_outputs:
             idle = model.idle_outputs
-        slots.append(_Slot(model, tick, idle, in_ports, out_ports, raw))
-        horizon = getattr(model, "idle_horizon", None)
-        if idle is None or horizon is None:
-            horizons = None
-        elif horizons is not None:
-            horizons.append(horizon)
-            ports_per_round += len(out_ports)
-    if horizons is None:
-        return slots, None
-    return slots, (horizons, list(endpoints.values()), ports_per_round)
+            horizon = getattr(model, "idle_horizon", None)
+        slots.append(
+            _Slot(model, tick, idle, horizon, in_ports, out_ports, raw)
+        )
+    return slots, ends
 
 
-def _idle_fast_forward(
-    slots: List[_Slot],
-    horizons: List[Callable[[], Optional[int]]],
-    endpoints: List[Any],
-    quantum: int,
-    cycle: int,
-    target_cycle: int,
-) -> int:
-    """Skip as many provably idle rounds as the cluster allows.
+def _take(queue: Deque[Any], start: int, length: int) -> TokenBatch:
+    """The window ``[start, start + length)`` off an active-set queue.
 
-    Called only right after a round in which *every* slot took its idle
-    path, with no fault hook, distributed barrier, or tick tracing
-    attached.  A further round is a no-op iff (a) no model acts
-    spontaneously before the round's window closes — bounded by each
-    model's ``idle_horizon`` — and (b) no in-flight window delivers a
-    valid token, so every consumer idles again.  Both are stable across
-    skipped rounds: untouched models cannot schedule new events and
-    idle windows cannot spawn valid tokens.
-
-    Running those rounds would only relabel the in-flight empty windows
-    and bump counters, so the skip does exactly that and returns the
-    number of rounds elided (0 when any condition fails).
+    Such a queue holds only windows carrying valid tokens, so cycles no
+    window covers are empty tokens.  Gathers the flits of every window
+    overlapping the span and splits the last one the way
+    :meth:`~repro.core.channel.LinkEndpoint.pop` does (its tail stays
+    queued only while it still carries a flit).
     """
-    horizon = target_cycle
-    for idle_horizon in horizons:
-        due = idle_horizon()
-        if due is not None and due < horizon:
-            if due - cycle < quantum:
-                return 0
-            horizon = due
-    skipped = (horizon - cycle) // quantum
-    if skipped <= 0:
-        return 0
-    for endpoint in endpoints:
-        if endpoint._gap_at is not None:
-            return 0
-        for entry in endpoint._queue:
-            kind = type(entry)
-            if kind is TokenBatch:
-                if entry.flits:
-                    return 0
-            elif kind is TokenStream:
-                if entry.tokens.shape[0]:
-                    return 0
+    end = start + length
+    out = TokenBatch(start, length)
+    flits = out.flits
+    while queue:
+        head = queue[0]
+        if head.start_cycle >= end:
+            break
+        if head.end_cycle <= end:
+            queue.popleft()
+            flits.update(head.flits)
+            continue
+        tail = TokenBatch(end, head.end_cycle - end)
+        for cycle, flit in head.flits.items():
+            if cycle < end:
+                flits[cycle] = flit
             else:
-                # Loss placeholders / columnar windows always carry
-                # payload semantics a consumer must see round by round.
-                return 0
-    delta = skipped * quantum
-    for endpoint in endpoints:
-        for entry in endpoint._queue:
-            entry.start_cycle += delta
-        endpoint._consumed_until += delta
-        endpoint._pushed_until += delta
-    for slot in slots:
-        slot.model.current_cycle += delta
-    return skipped
+                tail.flits[cycle] = flit
+        if tail.flits:
+            queue[0] = tail
+        else:
+            queue.popleft()
+        break
+    return out
+
+
+def _rebuild(
+    endpoint: Any,
+    windows: List[Tuple[int, int]],
+    consumed: int,
+    pushed_from: int,
+    pushed_until: int,
+    quantum: int,
+) -> None:
+    """Refill an active-set queue with every window it would hold.
+
+    The visit-every-slot loop leaves the queue holding, past the
+    consumer's cursor ``consumed``, the rest of the windows it held at
+    entry (``windows``, as ``(start, end)``) and then one window per
+    round the producer ran, from ``pushed_from`` on; a window the
+    cursor cut is a ``TokenBatch`` tail starting at the cursor.  The
+    windows that carried tokens are still queued, in order, as the
+    very objects that loop would hold; every other one is an empty
+    ``TokenBatch`` of the same span.
+    """
+    held = endpoint._queue
+    queue: Deque[Any] = deque()
+    first = pushed_from + max(0, consumed - pushed_from) // quantum * quantum
+    spans = windows + [
+        (start, start + quantum)
+        for start in range(first, pushed_until, quantum)
+    ]
+    for start, end in spans:
+        if end <= consumed:
+            continue
+        start = max(start, consumed)
+        if held and held[0].start_cycle == start:
+            queue.append(held.popleft())
+        else:
+            queue.append(TokenBatch(start, end - start))
+    queue.extend(held)  # nothing, unless a raise cut a push short
+    endpoint._queue = queue
+    endpoint._consumed_until = consumed
+    endpoint._pushed_until = pushed_until
 
 
 def run_rounds(
@@ -275,10 +296,11 @@ def run_rounds(
       ``record_model_tick``/``record_round`` calls, exactly like the
       scalar loop, so trace spans keep real timestamps;
     * ``observer`` without tracing, or ``measure=True`` (distributed
-      workers): per-tick durations land in a preallocated numpy buffer
-      folded once per round and flushed once per run.
+      workers): tick seconds are summed per slot and the walls of the
+      rounds that ran are flushed once per run; rounds the active set
+      jumped over count toward rounds and cycles only.
     """
-    slots, idle_plan = compile_slots(models, attachments)
+    slots, ends = compile_slots(models, attachments, quantum)
     trace_ticks = (
         observer is not None
         and getattr(observer, "trace", None) is not None
@@ -287,35 +309,88 @@ def run_rounds(
     timed = measure or (observer is not None and not trace_ticks)
     names = [slot.name for slot in slots]
     count = len(slots)
-    tick_buf = np.zeros(count) if timed else None
-    tick_totals = np.zeros(count) if timed else None
+    tick_totals = [0.0] * count
     round_walls: List[float] = []
     from_flits = TokenStream.from_flits
-    cycle = start_cycle
-    rounds = 0
-    tokens_moved = 0
-    valid_tokens_moved = 0
-    # Idle fast-forward: after a round in which every model took its
-    # idle path, the cluster can sleep until the earliest idle horizon
-    # (a blade's next due event) — provided nothing external observes
-    # individual rounds (fault hooks, distributed barriers, tick
-    # tracing) and no in-flight window carries a valid token.  Skipped
-    # rounds are accounted arithmetically, bit-identically to running
-    # them: state is untouched by construction, in-flight idle windows
-    # are relabelled, and per-round token counts are exact multiples.
-    horizons: Optional[List[Callable[[], Optional[int]]]] = None
-    endpoints: List[Any] = []
-    ports_per_round = 0
-    if (
-        idle_plan is not None
-        and hook is None
+    every = list(range(count))
+    # The active set applies only while nothing observes single rounds
+    # and every queue starts where the loop expects it.
+    sparse = (
+        hook is None
         and pre_round is None
         and post_round is None
         and not trace_ticks
-    ):
-        horizons, endpoints, ports_per_round = idle_plan
+        and all(
+            consumer is not None
+            for slot in slots for *_, consumer, _ in slot.out_ports
+        )
+        and all(
+            endpoint._gap_at is None
+            and endpoint._consumed_until == start_cycle
+            and endpoint._pushed_until == start_cycle + latency
+            for endpoint, latency, _, _ in ends
+        )
+    )
+    # Wake cycle -> slots due in that round, plus a heap of the cycles.
+    buckets: Dict[int, Set[int]] = {}
+    heap: List[int] = []
+
+    def wake(index: int, at: int) -> None:
+        if at < target_cycle:
+            due = buckets.get(at)
+            if due is None:
+                buckets[at] = {index}
+                heappush(heap, at)
+            else:
+                due.add(index)
+
+    entry_windows: List[List[Tuple[int, int]]] = []
+    if sparse:
+        for endpoint, _, consumer, _ in ends:
+            queue = endpoint._queue
+            entry_windows.append(
+                [(window.start_cycle, window.end_cycle) for window in queue]
+            )
+            held = [window for window in queue if window.valid_count]
+            queue.clear()
+            queue.extend(held)
+            for window in held:
+                due = start_cycle + (
+                    (window.start_cycle - start_cycle) // quantum * quantum
+                )
+                while due < window.end_cycle:
+                    wake(consumer, due)
+                    due += quantum
+        for index in every:
+            wake(index, start_cycle)
+    cycle = start_cycle
+    rounds = 0
+    valid_tokens_moved = 0
+    # Slots before ``done`` (by index) have finished the round that
+    # starts at ``cycle``; the rest have not begun it.
+    done = 0
+    raised = False
     try:
         while cycle < target_cycle:
+            if sparse:
+                due = heap[0] if heap else target_cycle
+                if due != cycle:
+                    # No slot is due: jump to the next round that has
+                    # one, or to the first round boundary at or past
+                    # the target.
+                    if due < target_cycle:
+                        skipped = (due - cycle) // quantum
+                    else:
+                        skipped = -((cycle - target_cycle) // quantum)
+                    cycle += skipped * quantum
+                    rounds += skipped
+                    continue
+                heappop(heap)
+                order = sorted(buckets.pop(cycle))
+                # Raw slots share one read-only empty input window.
+                empty = TokenBatch(cycle, quantum)
+            else:
+                order = every
             if pre_round is not None:
                 pre_round(cycle, rounds)
             if hook is not None:
@@ -324,9 +399,12 @@ def run_rounds(
             window = TokenWindow(cycle, end)
             if timed or trace_ticks:
                 round_start = perf_counter()
-            quiet = horizons is not None
-            for index, slot in enumerate(slots):
+            for index in order:
+                done = index
+                slot = slots[index]
                 model = slot.model
+                # Stale after rounds the slot was not visited in.
+                model.current_cycle = cycle
                 raw = slot.raw
                 inputs = {}
                 busy = False
@@ -335,7 +413,10 @@ def run_rounds(
                         queue = endpoint._queue
                         if queue and endpoint._gap_at is None:
                             head = queue[0]
-                            if head.length == quantum:
+                            if (
+                                head.start_cycle == cycle
+                                and head.length == quantum
+                            ):
                                 queue.popleft()
                                 endpoint._consumed_until += quantum
                                 if raw or type(head) is TokenBatch:
@@ -344,10 +425,22 @@ def run_rounds(
                                     batch = head
                                 else:
                                     batch = head.to_batch()
-                            else:
+                            elif not sparse:
                                 batch = endpoint.pop(quantum)
+                            elif head.start_cycle < end:
+                                batch = _take(queue, cycle, quantum)
+                            else:
+                                batch = None
+                        elif sparse:
+                            batch = None
                         else:
                             batch = endpoint.pop(quantum)
+                        if batch is None:
+                            # An absent window is an empty one.
+                            inputs[port] = (
+                                empty if raw else TokenBatch(cycle, quantum)
+                            )
+                            continue
                         if raw:
                             kind = type(batch)
                             if kind is ColumnarBatch:
@@ -370,38 +463,39 @@ def run_rounds(
                 if timed or trace_ticks:
                     tick_start = perf_counter()
                 outputs = None
+                idled = False
                 if not busy and slot.idle is not None:
-                    if horizons is not None:
-                        # The horizon pre-authorizes the idle window
-                        # (same condition idle_outputs checks), so the
-                        # just-popped empty input windows — garbage
-                        # otherwise — become the outputs: observably
-                        # identical empty quanta, zero allocation.
-                        due = horizons[index]()
-                        if due is None or due >= end:
-                            outputs = inputs
-                    else:
+                    horizon = slot.horizon
+                    if horizon is None:
                         outputs = slot.idle(window)
+                    else:
+                        due = horizon()
+                        if due is None or due >= end:
+                            # The horizon pre-authorizes the idle window
+                            # (same condition idle_outputs checks), so
+                            # the just-popped empty input windows —
+                            # garbage otherwise — become the outputs:
+                            # observably identical empty quanta.
+                            outputs = inputs
+                            idled = True
                 if outputs is None:
                     outputs = slot.tick(window, inputs)
-                    quiet = False
                 model.current_cycle = end
                 if timed:
-                    tick_buf[index] = perf_counter() - tick_start
+                    tick_totals[index] += perf_counter() - tick_start
                 elif trace_ticks:
                     observer.record_model_tick(
                         slot.name, tick_start, perf_counter(), cycle, end
                     )
-                for port, link, latency, is_a, out_endpoint, ship, col_ok in (
-                    slot.out_ports
-                ):
+                for (
+                    port, link, latency, is_a, out_endpoint, ship, col_ok,
+                    consumer, hop,
+                ) in () if idled and sparse else slot.out_ports:
                     batch = outputs[port]
-                    tokens_moved += batch.length
                     if type(batch) is ColumnarBatch:
                         # Columnar windows always carry tokens (an idle
                         # port or NIC answers with a plain TokenBatch).
                         valid = batch._valid
-                        valid_tokens_moved += valid
                         if col_ok:
                             shipped: Any = batch.shift(latency)
                         else:
@@ -410,11 +504,12 @@ def run_rounds(
                         flits = batch.flits
                         valid = len(flits)
                         if valid:
-                            valid_tokens_moved += valid
                             shipped = from_flits(
                                 batch.start_cycle, batch.length, flits,
                                 latency,
                             )
+                        elif sparse:
+                            continue  # an absent window is an empty one
                         else:
                             # Idle-token elision: relabel the empty
                             # window in place.  Outputs are never
@@ -422,61 +517,95 @@ def run_rounds(
                             # so mutation is safe.
                             batch.start_cycle += latency
                             shipped = batch
+                    valid_tokens_moved += valid
                     if ship is not None:
                         ship(shipped, valid)
+                        continue
+                    if is_a:
+                        link.flits_a_to_b += valid
                     else:
-                        if is_a:
-                            link.flits_a_to_b += valid
-                        else:
-                            link.flits_b_to_a += valid
-                        if shipped.start_cycle != out_endpoint._pushed_until:
-                            raise ValueError(
-                                "non-contiguous batch: expected start "
-                                f"{out_endpoint._pushed_until}, got "
-                                f"{shipped.start_cycle}"
-                            )
+                        link.flits_b_to_a += valid
+                    if sparse:
                         out_endpoint._queue.append(shipped)
-                        out_endpoint._pushed_until = (
-                            shipped.start_cycle + shipped.length
+                        wake(consumer, cycle + hop)
+                        if hop != latency:
+                            # Off the round grid: the window overlaps
+                            # two of the consumer's rounds.
+                            wake(consumer, cycle + hop + quantum)
+                        continue
+                    if shipped.start_cycle != out_endpoint._pushed_until:
+                        raise ValueError(
+                            "non-contiguous batch: expected start "
+                            f"{out_endpoint._pushed_until}, got "
+                            f"{shipped.start_cycle}"
                         )
+                    out_endpoint._queue.append(shipped)
+                    out_endpoint._pushed_until = (
+                        shipped.start_cycle + shipped.length
+                    )
+                if sparse:
+                    horizon = slot.horizon
+                    if horizon is None:
+                        wake(index, end)
+                    else:
+                        if not idled:
+                            due = horizon()
+                        if due is not None:
+                            wake(index, max(end, start_cycle + (
+                                (due - start_cycle) // quantum * quantum
+                            )))
+                done = index + 1
                 if hook is not None:
                     hook(cycle, model)
             cycle = end
             rounds += 1
+            done = 0
             if timed:
-                tick_totals += tick_buf
                 round_walls.append(perf_counter() - round_start)
             elif trace_ticks:
                 observer.record_round(quantum, perf_counter() - round_start)
             if post_round is not None:
                 post_round(cycle, rounds)
-            if quiet and cycle < target_cycle:
-                if timed:
-                    skip_start = perf_counter()
-                skipped = _idle_fast_forward(
-                    slots, horizons, endpoints, quantum, cycle, target_cycle
-                )
-                if skipped:
-                    cycle += skipped * quantum
-                    rounds += skipped
-                    tokens_moved += skipped * quantum * ports_per_round
-                    if timed:
-                        # The monitor counts rounds as wall entries, so
-                        # the skip lands as one real measurement plus
-                        # zero-cost rounds — cycle/round totals stay
-                        # exact (the skipped rounds truly cost ~nothing).
-                        round_walls.append(perf_counter() - skip_start)
-                        round_walls.extend([0.0] * (skipped - 1))
+    except BaseException:
+        raised = True
+        raise
     finally:
+        # Every slot moves one quantum per port per round it finished,
+        # whether it was visited or proven idle.
+        finished = [
+            cycle + quantum if index < done else cycle for index in every
+        ]
+        tokens_moved = 0
+        for slot, until in zip(slots, finished):
+            tokens_moved += len(slot.out_ports) * (until - start_cycle)
+        if sparse:
+            for slot, until in zip(slots, finished):
+                slot.model.current_cycle = until
+            # The slot whose visit raised had already popped its inputs.
+            popped = done if raised and done < count else -1
+            for (endpoint, latency, consumer, producer), windows in zip(
+                ends, entry_windows
+            ):
+                consumed = finished[consumer]
+                if consumer == popped:
+                    consumed += quantum
+                pushed_from = start_cycle + latency
+                _rebuild(
+                    endpoint, windows, consumed, pushed_from,
+                    pushed_from + finished[producer] - start_cycle, quantum,
+                )
         progress.cycle = cycle
         progress.rounds = rounds
         progress.tokens_moved = tokens_moved
         progress.valid_tokens_moved = valid_tokens_moved
         if timed:
             totals: Dict[str, float] = {}
-            for name, seconds in zip(names, tick_totals.tolist()):
+            for name, seconds in zip(names, tick_totals):
                 totals[name] = totals.get(name, 0.0) + seconds
             progress.model_host_seconds = totals
             if observer is not None:
                 observer.absorb_tick_totals(names, tick_totals)
-                observer.absorb_round_times(quantum, round_walls)
+                observer.absorb_round_times(
+                    quantum, round_walls,
+                    skipped=rounds - len(round_walls),
+                )

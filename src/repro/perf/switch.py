@@ -1,11 +1,15 @@
-"""Columnar switch hot path: vectorized ingress → route → egress.
+"""Columnar switch hot path: ingress → route → egress over rows.
 
 The scalar :class:`~repro.net.switch.SwitchModel` walks every flit of
 every packet through Python loops — ``iter_flits`` reassembly on
 ingress, a sorted per-packet walk in the switching step, and a per-flit
-``batch.add`` loop on egress.  Under the batched engine the switch is
-the hot model (every token of Section III-B crosses it), so this module
-re-expresses one round of switch work over *columns*:
+``Flit`` build on egress.  Under the batched engine the switch is the
+hot model (every token of Section III-B crosses it), so this module
+re-expresses one round of switch work over packet rows.  A small
+window (at most :data:`SMALL_WINDOW` arriving rows plus queued
+packets) runs the spec's own per-packet switching step and drain
+walker with rows at both ends, which beats any array program on a
+handful of packets; a large one runs over *columns*:
 
 * **ingress** — packet boundaries come from one vectorized last-flit
   scan per port (``np.flatnonzero`` on the ``last`` column of the
@@ -64,6 +68,11 @@ _INT = np.int64
 #: proportional to traffic, not to backlog.
 _EGRESS_CHUNK = 512
 
+#: Windows whose arriving rows plus queued packets number at most this
+#: run the per-packet spec over rows; larger ones the array phases.
+#: The measured crossover of the two (DESIGN.md, "One switch state").
+SMALL_WINDOW = 120
+
 
 def _frame_columns(frames: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """``dst``/``size_bytes`` of completed frames as columns."""
@@ -97,10 +106,92 @@ class ColumnarSwitch:
     def step(
         self, window: TokenWindow, inputs: Dict[str, Any]
     ) -> Dict[str, Any]:
+        """One window: per packet when it is small, else as arrays.
+
+        The window's size is what both paths pay per packet: arriving
+        rows (flits, for flit-carrying inputs) plus queued packets.
+        """
+        model = self.model
+        size = 0
+        arriving: List[Tuple[int, Any]] = []
+        for port_index, port in enumerate(model.ports):
+            batch = inputs[port]
+            kind = type(batch)
+            if kind is ColumnarBatch:
+                rows = batch.count.shape[0]
+            elif kind is TokenStream:
+                rows = batch.tokens.shape[0]
+            else:
+                rows = len(batch.flits)
+            if rows:
+                size += rows
+                arriving.append((port_index, batch))
+        for queue in model._out_queues:
+            size += queue.tail - queue.head
+        if size <= SMALL_WINDOW:
+            return self._step_small(window, arriving)
         arrivals = self._ingress(inputs)
         if arrivals is not None:
             self._switching(arrivals)
         return self._egress(window)
+
+    def _step_small(
+        self, window: TokenWindow, arriving: List[Tuple[int, Any]]
+    ) -> Dict[str, Any]:
+        """The spec's per-packet phases, with rows in and rows out.
+
+        Ingress walks each arriving row once (a flit-carrying window
+        goes through the spec's own per-flit rule), routing is the
+        spec's ``_switching_step``, and egress is the spec's drain
+        walker with its segments packed into a ``ColumnarBatch``.
+        """
+        model = self.model
+        stats = model.stats
+        partial = model._partial
+        min_latency = self.min_latency
+        completed: List[Tuple[int, int, Any]] = []
+        for port_index, batch in arriving:
+            if type(batch) is not ColumnarBatch:
+                model._ingress_flits(port_index, batch, completed)
+                continue
+            stride = batch.stride
+            for frame, first, count, index, total in zip(
+                batch.frames.tolist(), batch.first_cycle.tolist(),
+                batch.count.tolist(), batch.first_index.tolist(),
+                batch.total.tolist(),
+            ):
+                if index + count == total:
+                    completed.append((
+                        first + (count - 1) * stride + min_latency,
+                        port_index, frame,
+                    ))
+                    stats.packets_in += 1
+                    stats.bytes_in += frame.size_bytes
+                    partial[port_index] = (None, 0)
+                else:
+                    partial[port_index] = (frame, index + count)
+        if completed:
+            model._switching_step(completed)
+        sink = get_trace_sink()
+        outputs: Dict[str, Any] = {}
+        for port_index, port in enumerate(model.ports):
+            segments = (
+                model._drain_segments(port_index, window, sink)
+                if model._out_queues[port_index] else None
+            )
+            if not segments:
+                outputs[port] = window.new_batch()
+                continue
+            frames, first_cycle, count, first_index, total = zip(*segments)
+            outputs[port] = ColumnarBatch(
+                window.start, window.end - window.start, self.pace,
+                np.array(frames, dtype=object),
+                np.array(first_cycle, dtype=_INT),
+                np.array(count, dtype=_INT),
+                np.array(first_index, dtype=_INT),
+                np.array(total, dtype=_INT),
+            )
+        return outputs
 
     # -- ingress --------------------------------------------------------
 

@@ -8,17 +8,25 @@ trace-sink event streams.  Both work the model's one set of queues, so
 Hypothesis drives twin switches through the same randomized scripts —
 multi-flit frames straddling window boundaries, broadcasts, unroutable
 unicasts, buffer-bound drops, and MAC-table edits mid-run — and asserts
-equality after every window.
+equality after every window.  The step runs small windows per packet
+and large ones as arrays, so each script also draws where that cutoff
+sits, putting its windows on either side of it.
 """
 
+from collections import Counter
+from contextlib import contextmanager
+from itertools import product
+
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
+import repro.perf.switch as perf_switch
 from repro.core.token import TokenBatch, TokenWindow
 from repro.net.ethernet import BROADCAST_MAC, EthernetFrame, mac_address
 from repro.net.switch import SwitchConfig, SwitchModel
 from repro.obs.trace import TraceSink, set_trace_sink
 from repro.perf.stream import TokenStream
-from repro.perf.switch import ColumnarBatch, ColumnarSwitch
+from repro.perf.switch import SMALL_WINDOW, ColumnarBatch, ColumnarSwitch
 
 WINDOW = 64
 NUM_PORTS = 4
@@ -47,18 +55,24 @@ def traffic_script(draw):
         size = draw(st.sampled_from([64, 200, 600]))
         frame = EthernetFrame(src=mac_address(port), dst=dst, size_bytes=size)
         injections.setdefault((window, port), []).append((offset, frame))
-    # One flit per cycle per ingress port: prune overlapping injections.
-    # Offsets may exceed the window; flits spill into later windows,
-    # which is exactly the straddling-ingress case under test.
-    for key, entries in injections.items():
-        entries.sort(key=lambda entry: entry[0])
-        pruned = []
-        cursor = -1
-        for offset, frame in entries:
-            if offset > cursor:
-                pruned.append((offset, frame))
-                cursor = offset + frame.flit_count
-        injections[key] = pruned
+    # One flit per cycle per ingress port: prune injections overlapping
+    # an earlier one on the same port, whichever window each was drawn
+    # for.  Offsets may exceed the window; flits spill into later
+    # windows, which is exactly the straddling-ingress case under test.
+    by_start = sorted(
+        (
+            (window * WINDOW + offset, port, window, offset, frame)
+            for (window, port), entries in injections.items()
+            for offset, frame in entries
+        ),
+        key=lambda entry: entry[:4],
+    )
+    injections = {}
+    cursors = {}
+    for start, port, window, offset, frame in by_start:
+        if start > cursors.get(port, -1):
+            injections.setdefault((window, port), []).append((offset, frame))
+            cursors[port] = start + frame.flit_count
     # Optional mid-run route-table churn: (window, kind) applied before
     # that window ticks, on both implementations.
     bumps = []
@@ -77,6 +91,11 @@ def traffic_script(draw):
         "default_port": default_port,
         "injections": injections,
         "bumps": bumps,
+        # -1: every window as arrays; SMALL_WINDOW: the shipped rule,
+        # under which these scripts stay per-packet; in between, the
+        # windows fall on both sides.
+        "cutoff": draw(st.sampled_from([-1, 0, 2, 6, SMALL_WINDOW])),
+        "egress_log": draw(st.booleans()),
     }
 
 
@@ -88,13 +107,37 @@ def build_switch(script):
         buffer_flits=script["buffer_flits"],
     )
     table = {mac: port for port, mac in enumerate(KNOWN_MACS)}
-    return SwitchModel(
+    model = SwitchModel(
         "sw", config, mac_table=table, default_port=script["default_port"]
+    )
+    if script.get("egress_log"):
+        model.enable_bandwidth_probe()
+    return model
+
+
+def as_rows(start, flits):
+    """A window's flits as stride-1 packet-segment rows (NIC shape)."""
+    rows = []
+    for cycle in sorted(flits):
+        flit = flits[cycle]
+        last = rows[-1] if rows else None
+        if last and last[0] is flit.data and last[1] + last[2] == cycle:
+            last[2] += 1
+        else:
+            rows.append([flit.data, cycle, 1, flit.index])
+    if not rows:
+        return TokenBatch.empty(start, WINDOW)
+    frames, first_cycle, count, first_index = zip(*rows)
+    return ColumnarBatch(
+        start, WINDOW, 1, np.array(frames, dtype=object),
+        np.array(first_cycle), np.array(count), np.array(first_index),
+        np.array([frame.flit_count for frame in frames]),
     )
 
 
-def window_inputs(script, window_index, as_streams):
-    """This window's input batches, every ingress flit at its cycle."""
+def window_inputs(script, window_index, form):
+    """This window's input batches, every ingress flit at its cycle, as
+    a ``"batch"``, a ``"stream"`` or ``"rows"``."""
     start = window_index * WINDOW
     inputs = {}
     for port in range(NUM_PORTS):
@@ -108,10 +151,12 @@ def window_inputs(script, window_index, as_streams):
                     cycle = base + index * 1
                     if start <= cycle < start + WINDOW:
                         flits[cycle] = flit
-        if as_streams:
+        if form == "stream":
             inputs[f"port{port}"] = TokenStream.from_flits(
                 start, WINDOW, flits
             )
+        elif form == "rows":
+            inputs[f"port{port}"] = as_rows(start, flits)
         else:
             batch = TokenBatch.empty(start, WINDOW)
             for cycle in sorted(flits):
@@ -160,6 +205,7 @@ def queue_state(model):
         list(model._port_next_free),
         [(frame and frame.frame_id, seen) for frame, seen in model._partial],
         model._seq,
+        model.egress_log,
     )
 
 
@@ -179,75 +225,118 @@ class RecordingSink(TraceSink):
                             tuple(sorted((args or {}).items()))))
 
 
-def run_pair(script, as_streams, traced):
-    """Drive scalar and columnar twins; return their observations."""
+@contextmanager
+def cutoff_at(cutoff):
+    """Move the step's small-window cutoff for the duration."""
+    shipped = perf_switch.SMALL_WINDOW
+    perf_switch.SMALL_WINDOW = cutoff
+    try:
+        yield
+    finally:
+        perf_switch.SMALL_WINDOW = shipped
+
+
+def counting_step(model, paths):
+    """``ColumnarSwitch(model).step`` that tallies which path ran."""
+    switch = ColumnarSwitch(model)
+    small, egress = switch._step_small, switch._egress
+
+    def step_small(*args):
+        paths["small"] += 1
+        return small(*args)
+
+    def array_egress(*args):
+        paths["array"] += 1
+        return egress(*args)
+
+    switch._step_small = step_small
+    switch._egress = array_egress
+    return switch.step
+
+
+def run_pair(script, form, traced):
+    """Drive scalar and columnar twins, the columnar one on ``form``
+    inputs; return their observations and how many windows each
+    columnar path took."""
     scalar = build_switch(script)
     columnar = build_switch(script)
     assert columnar.columnar_safe
     observations = []
+    paths = Counter()
+    step = counting_step(columnar, paths)
     scalar_sink = RecordingSink()
     columnar_sink = RecordingSink()
     try:
-        for window_index in range(script["windows"] + 3):
-            start = window_index * WINDOW
-            window = TokenWindow(start, start + WINDOW)
-            apply_bumps(script, window_index, scalar)
-            apply_bumps(script, window_index, columnar)
-            if traced:
-                set_trace_sink(scalar_sink)
-            scalar_out = scalar.tick(
-                window, window_inputs(script, window_index, False)
-            )
-            if traced:
-                set_trace_sink(columnar_sink)
-            columnar_out = ColumnarSwitch(columnar).step(
-                window, window_inputs(script, window_index, as_streams)
-            )
-            if traced:
-                set_trace_sink(None)
-            for port in range(NUM_PORTS):
-                key = f"port{port}"
-                assert (
-                    output_flits(scalar_out[key])
-                    == output_flits(columnar_out[key])
-                ), f"window {window_index} {key} flits diverge"
-                out = columnar_out[key]
-                if type(out) is ColumnarBatch:
-                    assert out.start_cycle == start
-                    assert out.length == WINDOW
-                    assert out.valid_count == len(out.flits)
-            observations.append(repr(scalar.stats))
-            assert repr(scalar.stats) == repr(columnar.stats), (
-                f"stats diverge after window {window_index}"
-            )
-            assert queue_state(scalar) == queue_state(columnar), (
-                f"queue state diverges after window {window_index}"
-            )
+        with cutoff_at(script.get("cutoff", SMALL_WINDOW)):
+            for window_index in range(script["windows"] + 3):
+                start = window_index * WINDOW
+                window = TokenWindow(start, start + WINDOW)
+                apply_bumps(script, window_index, scalar)
+                apply_bumps(script, window_index, columnar)
+                if traced:
+                    set_trace_sink(scalar_sink)
+                scalar_out = scalar.tick(
+                    window, window_inputs(script, window_index, "batch")
+                )
+                if traced:
+                    set_trace_sink(columnar_sink)
+                columnar_out = step(
+                    window, window_inputs(script, window_index, form)
+                )
+                if traced:
+                    set_trace_sink(None)
+                for port in range(NUM_PORTS):
+                    key = f"port{port}"
+                    assert (
+                        output_flits(scalar_out[key])
+                        == output_flits(columnar_out[key])
+                    ), f"window {window_index} {key} flits diverge"
+                    out = columnar_out[key]
+                    if type(out) is ColumnarBatch:
+                        assert out.start_cycle == start
+                        assert out.length == WINDOW
+                        assert out.valid_count == len(out.flits)
+                observations.append(repr(scalar.stats))
+                assert repr(scalar.stats) == repr(columnar.stats), (
+                    f"stats diverge after window {window_index}"
+                )
+                assert queue_state(scalar) == queue_state(columnar), (
+                    f"queue state diverges after window {window_index}"
+                )
     finally:
         set_trace_sink(None)
     if traced:
         assert scalar_sink.events == columnar_sink.events
-    return observations
+    return observations, paths
 
 
 class TestColumnarEquality:
     @settings(max_examples=60, deadline=None)
     @given(script=traffic_script())
     def test_stream_inputs_bit_identical(self, script):
-        run_pair(script, as_streams=True, traced=False)
+        run_pair(script, "stream", traced=False)
 
     @settings(max_examples=40, deadline=None)
     @given(script=traffic_script())
     def test_batch_inputs_bit_identical(self, script):
-        run_pair(script, as_streams=False, traced=False)
+        run_pair(script, "batch", traced=False)
+
+    @settings(max_examples=60, deadline=None)
+    @given(script=traffic_script())
+    def test_row_inputs_bit_identical(self, script):
+        """Rows are what a stock blade NIC or switch hands a switch."""
+        run_pair(script, "rows", traced=False)
 
     @settings(max_examples=40, deadline=None)
-    @given(script=traffic_script())
-    def test_trace_events_bit_identical(self, script):
+    @given(
+        script=traffic_script(),
+        form=st.sampled_from(["stream", "rows"]),
+    )
+    def test_trace_events_bit_identical(self, script, form):
         """With a sink enabled the columnar phases must emit the exact
         scalar event stream — drops, enqueues, and dequeue spans
         interleaved in scalar pop order."""
-        run_pair(script, as_streams=True, traced=True)
+        run_pair(script, form, traced=True)
 
     def test_drop_storm_parity(self):
         """Deterministic worst case: heavy fan-in to one port with a
@@ -265,7 +354,33 @@ class TestColumnarEquality:
             },
             "bumps": [],
         }
-        run_pair(script, as_streams=True, traced=True)
+        for cutoff in (-1, SMALL_WINDOW):
+            script["cutoff"] = cutoff
+            run_pair(script, "stream", traced=True)
+
+    def test_backlog_crosses_the_cutoff(self):
+        """Three ports flood a fourth with back-to-back 64 B frames: the
+        backlog grows past the shipped cutoff and drains back under it,
+        so one run takes both paths, each bit-identical to the spec."""
+        script = {
+            "windows": 9,
+            "pace": 1,
+            "buffer_flits": 16384,
+            "default_port": None,
+            "injections": {
+                (w, p): [
+                    (offset, EthernetFrame(
+                        src=mac_address(p), dst=KNOWN_MACS[3], size_bytes=64,
+                    ))
+                    for offset in range(0, WINDOW, 8)
+                ]
+                for w in range(9) for p in range(3)
+            },
+            "bumps": [],
+            "egress_log": True,
+        }
+        _, paths = run_pair(script, "rows", traced=True)
+        assert paths["small"] and paths["array"], paths
 
     def test_engines_alternate_on_one_model(self):
         """One model ticked scalar and columnar on alternate windows
@@ -289,24 +404,28 @@ class TestColumnarEquality:
             },
             "bumps": [],
         }
-        for columnar_first in (True, False):
+        for columnar_first, cutoff in product(
+            (True, False), (-1, SMALL_WINDOW)
+        ):
             scalar = build_switch(script)
             hybrid = build_switch(script)
             for window_index in range(6):
                 start = window_index * WINDOW
                 window = TokenWindow(start, start + WINDOW)
                 a = scalar.tick(
-                    window, window_inputs(script, window_index, False)
+                    window, window_inputs(script, window_index, "batch")
                 )
                 if (window_index % 2 == 0) == columnar_first:
-                    b = ColumnarSwitch(hybrid).step(
-                        window, window_inputs(script, window_index, True)
-                    )
+                    with cutoff_at(cutoff):
+                        b = ColumnarSwitch(hybrid).step(
+                            window,
+                            window_inputs(script, window_index, "stream"),
+                        )
                     # The batched engine maintains this after every step.
                     hybrid.current_cycle = window.end
                 else:
                     b = hybrid.tick(
-                        window, window_inputs(script, window_index, False)
+                        window, window_inputs(script, window_index, "batch")
                     )
                 for port in range(NUM_PORTS):
                     key = f"port{port}"

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import ConfigError
+from repro.core.channel import TokenStarvationError
 from repro.core.fame import Fame1Model, NullModel
 from repro.core.simulation import (
     ENGINES,
@@ -33,7 +34,7 @@ from repro.faults.checkpoint import SimulationSnapshot, state_digest
 from repro.manager.cli import main as cli_main
 from repro.manager.mapper import HostConfig, map_topology
 from repro.manager.runfarm import RunFarmConfig, elaborate
-from repro.manager.topology import two_tier
+from repro.manager.topology import single_rack, two_tier
 from repro.net.ethernet import EthernetFrame, mac_address
 from repro.net.switch import SwitchConfig, SwitchModel
 from repro.net.tracer import splice_tracer
@@ -49,6 +50,7 @@ from repro.swmodel.server import ServerBlade
 from tests.test_dist import (
     TARGET_CYCLES,
     TOPOLOGIES,
+    build,
     fingerprint,
     serial_fingerprint,
 )
@@ -675,6 +677,23 @@ class TestRateMonitorBulkAbsorb:
         )
         assert all(v >= 0 for v in batched.model_host_seconds.values())
 
+    def test_rounds_the_engine_skips_count_but_are_not_timed(self):
+        """An idle rack: nearly every round is jumped over.  Those rounds
+        still count toward rounds and cycles, but only rounds that ran
+        carry a wall time — none reads as a 0 s round."""
+
+        def run(engine):
+            running = elaborate(single_rack(2), RunFarmConfig(engine=engine))
+            monitor = RateMonitor().attach(running.simulation)
+            running.simulation.run_until(2_000_000)
+            return monitor.report()
+
+        scalar, batched = run("scalar"), run("batched")
+        assert (batched.rounds, batched.cycles) == (
+            scalar.rounds, scalar.cycles
+        )
+        assert 0.0 < batched.min_round_s <= batched.max_round_s
+
 
 class ScriptedSource(Fame1Model):
     """Emits one single-flit packet at each scheduled cycle; never idle-
@@ -754,3 +773,149 @@ class TestIdleElisionProperty:
         assert outputs is not None
         assert outputs["p"].valid_count == 0
         assert Counting("n", ["p"]).idle_outputs(window) is None
+
+
+class Crash(Exception):
+    pass
+
+
+class Bomb(Fame1Model):
+    """Idle, with a horizon, until cycle ``at`` — whose round's tick
+    raises (never, when ``at`` is None)."""
+
+    def __init__(self, name, at):
+        super().__init__(name, ["net"])
+        self.at = at
+
+    def _armed(self, window):
+        return self.at is not None and window.start <= self.at < window.end
+
+    def _tick(self, window, inputs):
+        if self._armed(window):
+            raise Crash(window.start)
+        return {"net": window.new_batch()}
+
+    def idle_outputs(self, window):
+        return None if self._armed(window) else {"net": window.new_batch()}
+
+    def idle_horizon(self):
+        if self.at is None or self.at < self.current_cycle:
+            return None
+        return self.at
+
+
+def build_mixed(engine, bomb_at=None):
+    """Two pinging blades behind a three-port switch, on 640- and
+    1000-cycle links: the 1000-cycle link's windows straddle two of the
+    640-cycle rounds.  The third port feeds a :class:`Bomb`."""
+    sim = Simulation(engine=engine)
+    a = sim.add_model(ServerBlade("node0", node_index=0))
+    bomb = sim.add_model(Bomb("bomb", bomb_at))
+    b = sim.add_model(ServerBlade("node1", node_index=1))
+    switch = sim.add_model(
+        SwitchModel(
+            "tor", SwitchConfig(num_ports=3),
+            mac_table={mac_address(0): 0, mac_address(1): 1},
+        )
+    )
+    sim.connect(a, "net", switch, "port0", 640)
+    sim.connect(switch, "port1", b, "net", 1000)
+    sim.connect(switch, "port2", bomb, "net", 640)
+    a.spawn("ping", make_ping_client(b.mac, count=3, interval_cycles=20_000))
+    return sim
+
+
+def queue_state(sim):
+    """Every endpoint's cursors and windows, each window as (start,
+    length, valid flits), plus every model's cycle."""
+    endpoints = []
+    for link in sim.links:
+        for endpoint in (link.to_a, link.to_b):
+            endpoints.append((
+                endpoint._consumed_until,
+                endpoint._pushed_until,
+                [
+                    (window.start_cycle, window.length, sorted(
+                        (cycle, flit.index, flit.last, flit.data.src,
+                         flit.data.dst, flit.data.size_bytes)
+                        for cycle, flit in window.flits.items()
+                    ))
+                    for window in endpoint._queue
+                ],
+            ))
+    return (
+        endpoints,
+        [model.current_cycle for model in sim.models],
+        dataclasses.astuple(sim.stats),
+    )
+
+
+class TestActiveSet:
+    """The batched loop visits only slots with work, keeps empty windows
+    off the queues while it runs, and leaves the state the
+    visit-every-slot loop would."""
+
+    def test_quiet_blade_is_not_asked_every_round(self):
+        running, _ = build_batched("two_tier_2x2")
+        quiet = running.blades[1]
+        calls = []
+        horizon = quiet.idle_horizon
+        quiet.idle_horizon = lambda: calls.append(None) or horizon()
+        running.simulation.run_until(TARGET_CYCLES)
+        assert running.simulation.stats.rounds > 1000
+        # A handful of visits (start, the flooded ARP), not one a round.
+        assert len(calls) <= 10
+
+    @pytest.mark.parametrize("farm", ["mixed_latency", "two_tier_2x2",
+                                      "stream"])
+    def test_queues_after_batched_segments_match_scalar(self, farm):
+        """Two batched segments, then a scalar one: after each, every
+        endpoint holds the windows the scalar engine's does (the stream
+        farm has frames in flight at every boundary)."""
+        targets = (50_000, 130_000, 200_000)
+        if farm == "mixed_latency":
+            scalar, batched = build_mixed("scalar"), build_mixed("batched")
+        elif farm == "stream":
+            scalar = build_stream("scalar")[0].simulation
+            batched = build_stream("batched")[0].simulation
+            targets = (21_000, 42_000, STREAM_CYCLES)
+        else:
+            scalar = build(farm)[0].simulation
+            batched = build_batched(farm)[0].simulation
+        for target, engine in zip(targets, ("batched", "batched", "scalar")):
+            batched.engine = engine
+            scalar.run_until(target)
+            batched.run_until(target)
+            assert queue_state(batched) == queue_state(scalar)
+        assert scalar.stats.valid_tokens_moved > 0
+
+    def test_raise_mid_run_leaves_the_scalar_state(self):
+        """A tick raising inside an active-set run: counters, model
+        cycles and every queue are what the scalar loop leaves."""
+
+        def run(engine):
+            sim = build_mixed(engine, bomb_at=77_777)
+            with pytest.raises(Crash):
+                sim.run_until(200_000)
+            return sim.current_cycle, queue_state(sim)
+
+        scalar = run("scalar")
+        assert scalar[0] == 77_777 // 640 * 640
+        assert run("batched") == scalar
+
+    def test_gap_at_entry_starves_with_the_same_diagnostic(self):
+        def run(engine):
+            sim = build_mixed(engine)
+            sim.run_until(40_000)
+            sim.links[0].lose_in_flight("a_to_b")
+            with pytest.raises(TokenStarvationError) as info:
+                sim.run_until(200_000)
+            error = info.value
+            return (
+                str(error), error.model_name, error.port, error.cycle,
+                queue_state(sim),
+            )
+
+        scalar = run("scalar")
+        assert scalar[1:3] == ("tor", "port0")
+        assert run("batched") == scalar
