@@ -209,7 +209,8 @@ class RateMonitor:
             )
 
     def absorb_round_times(
-        self, quantum: int, round_seconds: Any, skipped: int = 0
+        self, quantum: int, round_seconds: Any, skipped: int = 0,
+        wall_seconds: Optional[float] = None,
     ) -> None:
         """Fold a whole run's per-round wall times (numpy reductions).
 
@@ -218,15 +219,21 @@ class RateMonitor:
         maintained per round.  ``skipped`` rounds are ones the batched
         engine proved idle and never ran: they count toward rounds and
         cycles but have no wall time, so they leave the min/max alone.
+        ``wall_seconds``, when given, is the run's whole wall — the
+        rounds plus the host time spent between them, such as skipping
+        idle ones — and replaces the rounds' sum in the monitor's wall.
         """
         walls = np.asarray(round_seconds, dtype=float)
         self.rounds += skipped
         self.cycles += skipped * quantum
+        if wall_seconds is not None:
+            self.wall_seconds += wall_seconds
         if walls.size == 0:
             return
         self.rounds += int(walls.size)
         self.cycles += int(walls.size) * quantum
-        self.wall_seconds += float(walls.sum())
+        if wall_seconds is None:
+            self.wall_seconds += float(walls.sum())
         fastest = float(walls.min())
         slowest = float(walls.max())
         if fastest < self._min_round_s:

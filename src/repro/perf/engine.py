@@ -298,7 +298,8 @@ def run_rounds(
     * ``observer`` without tracing, or ``measure=True`` (distributed
       workers): tick seconds are summed per slot and the walls of the
       rounds that ran are flushed once per run; rounds the active set
-      jumped over count toward rounds and cycles only.
+      jumped over count toward rounds and cycles only, and under the
+      active set the observer's wall is the whole loop's.
     """
     slots, ends = compile_slots(models, attachments, quantum)
     trace_ticks = (
@@ -344,6 +345,10 @@ def run_rounds(
             else:
                 due.add(index)
 
+    # Under the active set the monitor's wall is the whole loop's: the
+    # scheduling, jumps and queue rebuilds run outside any round.
+    if timed:
+        loop_start = perf_counter()
     entry_windows: List[List[Tuple[int, int]]] = []
     if sparse:
         for endpoint, _, consumer, _ in ends:
@@ -608,4 +613,7 @@ def run_rounds(
                 observer.absorb_round_times(
                     quantum, round_walls,
                     skipped=rounds - len(round_walls),
+                    wall_seconds=(
+                        perf_counter() - loop_start if sparse else None
+                    ),
                 )

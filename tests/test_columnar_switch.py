@@ -37,8 +37,16 @@ UNKNOWN_MAC = mac_address(77)
 
 
 @st.composite
-def traffic_script(draw):
-    """A randomized multi-window drive plan for one switch."""
+def traffic_script(draw, rows=False):
+    """A randomized multi-window drive plan for one switch.
+
+    ``rows`` scripts are fed as ``ColumnarBatch`` rows, which cannot
+    carry one frame's flits overwritten by another's, so their frames
+    never overlap on a port.  Other scripts only keep each window's own
+    injections apart: a frame spilling out of window w may overwrite
+    window w+1's on the same port, and both sides must agree on the
+    partial reassembly that leaves.
+    """
     windows = draw(st.integers(min_value=3, max_value=7))
     pace = draw(st.sampled_from([1, 2]))
     buffer_flits = draw(st.sampled_from([8, 24, 16384]))
@@ -56,9 +64,10 @@ def traffic_script(draw):
         frame = EthernetFrame(src=mac_address(port), dst=dst, size_bytes=size)
         injections.setdefault((window, port), []).append((offset, frame))
     # One flit per cycle per ingress port: prune injections overlapping
-    # an earlier one on the same port, whichever window each was drawn
-    # for.  Offsets may exceed the window; flits spill into later
-    # windows, which is exactly the straddling-ingress case under test.
+    # an earlier one of the same window and port — for rows, of any
+    # window on that port.  Offsets may exceed the window; flits spill
+    # into later windows, which is exactly the straddling-ingress case
+    # under test.
     by_start = sorted(
         (
             (window * WINDOW + offset, port, window, offset, frame)
@@ -70,9 +79,10 @@ def traffic_script(draw):
     injections = {}
     cursors = {}
     for start, port, window, offset, frame in by_start:
-        if start > cursors.get(port, -1):
+        key = port if rows else (window, port)
+        if start > cursors.get(key, -1):
             injections.setdefault((window, port), []).append((offset, frame))
-            cursors[port] = start + frame.flit_count
+            cursors[key] = start + frame.flit_count
     # Optional mid-run route-table churn: (window, kind) applied before
     # that window ticks, on both implementations.
     bumps = []
@@ -322,20 +332,19 @@ class TestColumnarEquality:
         run_pair(script, "batch", traced=False)
 
     @settings(max_examples=60, deadline=None)
-    @given(script=traffic_script())
+    @given(script=traffic_script(rows=True))
     def test_row_inputs_bit_identical(self, script):
         """Rows are what a stock blade NIC or switch hands a switch."""
         run_pair(script, "rows", traced=False)
 
     @settings(max_examples=40, deadline=None)
-    @given(
-        script=traffic_script(),
-        form=st.sampled_from(["stream", "rows"]),
-    )
-    def test_trace_events_bit_identical(self, script, form):
+    @given(data=st.data())
+    def test_trace_events_bit_identical(self, data):
         """With a sink enabled the columnar phases must emit the exact
         scalar event stream — drops, enqueues, and dequeue spans
         interleaved in scalar pop order."""
+        form = data.draw(st.sampled_from(["stream", "rows"]))
+        script = data.draw(traffic_script(rows=form == "rows"))
         run_pair(script, form, traced=True)
 
     def test_drop_storm_parity(self):
@@ -357,6 +366,30 @@ class TestColumnarEquality:
         for cutoff in (-1, SMALL_WINDOW):
             script["cutoff"] = cutoff
             run_pair(script, "stream", traced=True)
+
+    def test_overwritten_straddler_parity(self):
+        """A frame spilling out of window 0 is overwritten mid-flight by
+        window 1's injection on the same port: both paths must leave
+        the spec's partial reassembly, on flit-carrying inputs."""
+        script = {
+            "windows": 3,
+            "pace": 1,
+            "buffer_flits": 16384,
+            "default_port": None,
+            "injections": {
+                (0, 0): [(60, EthernetFrame(
+                    src=mac_address(0), dst=KNOWN_MACS[2], size_bytes=600,
+                ))],
+                (1, 0): [(10, EthernetFrame(
+                    src=mac_address(0), dst=KNOWN_MACS[3], size_bytes=200,
+                ))],
+            },
+            "bumps": [],
+        }
+        for form, cutoff in product(("stream", "batch"), (-1, SMALL_WINDOW)):
+            script["cutoff"] = cutoff
+            _, paths = run_pair(script, form, traced=True)
+            assert paths["small" if cutoff == SMALL_WINDOW else "array"]
 
     def test_backlog_crosses_the_cutoff(self):
         """Three ports flood a fourth with back-to-back 64 B frames: the

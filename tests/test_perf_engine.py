@@ -649,6 +649,18 @@ class TestRateMonitorBulkAbsorb:
             serial.record_round(6400, wall)
         assert bulk.report() == serial.report()
 
+    def test_absorb_round_times_takes_the_whole_run_wall(self):
+        """A run that spent host time between its rounds reports that
+        wall; the rounds it timed still set the min/max."""
+        monitor = RateMonitor()
+        monitor.absorb_round_times(
+            6400, np.array([0.25, 0.5]), skipped=2, wall_seconds=1.0
+        )
+        report = monitor.report()
+        assert (report.rounds, report.cycles) == (4, 4 * 6400)
+        assert report.wall_seconds == 1.0
+        assert (report.min_round_s, report.max_round_s) == (0.25, 0.5)
+
     def test_absorb_round_times_empty_is_noop(self):
         monitor = RateMonitor()
         monitor.absorb_round_times(6400, np.empty(0))
