@@ -18,7 +18,14 @@ on:
 
 Softirq work (NIC receive processing) runs at higher priority on the IRQ
 core and preempts threads at compute-chunk granularity, bounding
-interrupt latency at ``preempt_quantum`` cycles.
+interrupt latency at ``preempt_quantum`` cycles for every thread.
+
+A thread computes in chunks of at most ``preempt_quantum`` cycles, cut
+where its timeslice ends.  A thread whose slice is used up keeps an
+uncontended core in full ``preempt_quantum`` chunks and yields at the
+first chunk boundary that finds a waiter or a softirq, so a thread woken
+onto its core waits at most one quantum plus a context switch, and a long
+uncontended ``Compute`` costs one event per quantum.
 """
 
 from __future__ import annotations
@@ -211,11 +218,11 @@ class Scheduler:
             # Effect completed exactly at dispatch: advance immediately.
             self._complete_work(cycle, core, thread)
             return
-        chunk = min(
-            thread.work_remaining,
-            self.config.preempt_quantum_cycles,
-            max(thread.slice_remaining, 1),
-        )
+        # A chunk ends where the slice does; past it (an uncontended
+        # thread keeps its core) chunks stay at the preemption quantum.
+        chunk = min(thread.work_remaining, self.config.preempt_quantum_cycles)
+        if 0 < thread.slice_remaining < chunk:
+            chunk = thread.slice_remaining
         chunk = max(chunk, 1)
         self.events.schedule(
             cycle + chunk,
@@ -269,7 +276,8 @@ class Scheduler:
             return
         if softirq_pending:
             # Softirq preempts the thread at chunk granularity; the thread
-            # keeps its slice and returns to the head of the queue.
+            # returns to the head of the queue, and its next dispatch
+            # starts a fresh timeslice.
             thread.state = ThreadState.READY
             core.running_thread = None
             thread.enqueued_at = cycle

@@ -10,13 +10,17 @@ These models serve two purposes: they time the NIC's DMA traffic into the
 shared L2 (the NIC connects directly to the on-chip interconnect,
 Section III-A2), and they provide the cache-pollution behaviour that the
 Page-Fault Accelerator case study depends on (Section VI).
+
+A DMA transfer costs what it interacts with: one in-order pass of the L2
+over its line range, one closed-form bus reservation for all of its L2
+hits, and one DRAM access per miss or dirty victim.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from repro.tile.dram import DRAMModel
 
@@ -81,35 +85,56 @@ class CacheModel:
         ]
         self.stats = CacheStats()
 
-    def _locate(self, addr: int) -> Tuple[int, int]:
-        line = addr // self._line_bytes
-        return line % self._num_sets, line // self._num_sets
-
     def lookup(self, addr: int, is_write: bool) -> Tuple[bool, Optional[int]]:
         """Access the cache; returns (hit, writeback_line_addr_or_None).
 
         On a miss the line is allocated (write-allocate) and the evicted
         victim's address is returned if it was dirty (writeback).
         """
-        set_index, tag = self._locate(addr)
-        cache_set = self._sets[set_index]
-        if tag in cache_set:
-            self.stats.hits += 1
-            cache_set.move_to_end(tag)
-            if is_write:
-                cache_set[tag] = True
-            return True, None
-        self.stats.misses += 1
-        writeback = None
-        if len(cache_set) >= self.config.ways:
-            victim_tag, dirty = cache_set.popitem(last=False)
-            self.stats.evictions += 1
-            if dirty:
-                self.stats.writebacks += 1
-                victim_line = victim_tag * self._num_sets + set_index
-                writeback = victim_line * self._line_bytes
-        cache_set[tag] = is_write
-        return False, writeback
+        misses = self.access_lines(addr // self._line_bytes, 1, is_write)
+        return (False, misses[0][1]) if misses else (True, None)
+
+    def access_lines(
+        self, first_line: int, count: int, is_write: bool
+    ) -> List[Tuple[int, Optional[int]]]:
+        """Access ``count`` consecutive lines from line number ``first_line``.
+
+        The lines are accessed in order, each exactly as :meth:`lookup`
+        would (LRU touch and dirty mark on a hit, write-allocate with
+        victim eviction on a miss).  Returns the misses in order as
+        ``(position in the range, writeback_line_addr_or_None)``.
+        """
+        num_sets = self._num_sets
+        line_bytes = self._line_bytes
+        ways = self.config.ways
+        sets = self._sets
+        misses: List[Tuple[int, Optional[int]]] = []
+        evictions = writebacks = 0
+        for position in range(count):
+            line = first_line + position
+            set_index = line % num_sets
+            tag = line // num_sets
+            cache_set = sets[set_index]
+            if tag in cache_set:
+                cache_set.move_to_end(tag)
+                if is_write:
+                    cache_set[tag] = True
+                continue
+            writeback = None
+            if len(cache_set) >= ways:
+                victim_tag, dirty = cache_set.popitem(last=False)
+                evictions += 1
+                if dirty:
+                    writebacks += 1
+                    writeback = (victim_tag * num_sets + set_index) * line_bytes
+            cache_set[tag] = is_write
+            misses.append((position, writeback))
+        stats = self.stats
+        stats.hits += count - len(misses)
+        stats.misses += len(misses)
+        stats.evictions += evictions
+        stats.writebacks += writebacks
+        return misses
 
     def invalidate_all(self) -> int:
         """Flush the cache (e.g. on context pollution); returns lines dropped."""
@@ -170,31 +195,40 @@ class MemoryHierarchy:
         bandwidth-limited, not latency-chained: every line is issued at the
         request cycle and the lines pipeline on the TileLink bus (L2 hits)
         or the DRAM channel bus (L2 misses).
+
+        The transfer costs one L2 pass (:meth:`CacheModel.access_lines`),
+        one bus reservation for all of its hits
+        (:meth:`TileLinkBus.acquire` with a count) and one DRAM access per
+        victim writeback or miss, in line order.  That equals a per-line
+        lookup-then-burst loop because the bus, the L2 and the DRAM hold
+        disjoint state and every hit's burst starts where the previous
+        one ended.  Without a bus a hit takes the L2 hit latency after the
+        completion so far, so hits and misses fold in line order.
         """
         l2 = self.l2
         line = l2.config.line_bytes
-        start_line = addr // line
-        end_line = (addr + max(size, 1) - 1) // line
-        # Hot DMA path: every attribute used per line is hoisted once
-        # per transfer.
-        l2_lookup = l2.lookup
-        hit_latency = l2.config.hit_latency_cycles
+        first_line = addr // line
+        count = (addr + max(size, 1) - 1) // line - first_line + 1
+        misses = l2.access_lines(first_line, count, is_write)
         bus = self.bus
-        bus_acquire = bus.acquire if bus is not None else None
+        # With a bus, hits add nothing to the fold: they reserve the bus
+        # once, after it.
+        hit_latency = 0 if bus is not None else l2.config.hit_latency_cycles
         dram_access = self.dram.access
         completion = cycle
-        for line_index in range(start_line, end_line + 1):
-            line_addr = line_index * line
-            hit, writeback = l2_lookup(line_addr, is_write)
-            if hit:
-                if bus_acquire is not None:
-                    done = bus_acquire(cycle, line)
-                else:
-                    done = completion + hit_latency
-            else:
-                if writeback is not None:
-                    dram_access(cycle, writeback, True)
-                done = dram_access(cycle, line_addr, is_write)
+        next_position = 0
+        for position, writeback in misses:
+            completion += (position - next_position) * hit_latency
+            next_position = position + 1
+            if writeback is not None:
+                dram_access(cycle, writeback, True)
+            done = dram_access(cycle, (first_line + position) * line, is_write)
+            if done > completion:
+                completion = done
+        completion += (count - next_position) * hit_latency
+        hits = count - len(misses)
+        if bus is not None and hits:
+            done = bus.acquire(cycle, line, hits)
             if done > completion:
                 completion = done
         return completion

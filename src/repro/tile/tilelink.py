@@ -33,22 +33,28 @@ class TileLinkBus:
         self._busy_until = 0
         self.stats = TileLinkStats()
 
-    def acquire(self, cycle: int, size_bytes: int) -> int:
-        """Occupy the bus for a burst; returns the completion cycle.
+    def acquire(self, cycle: int, size_bytes: int, count: int = 1) -> int:
+        """Occupy the bus for ``count`` bursts; returns the last completion.
 
         A request arriving while the bus is busy stalls until it frees,
         which is the contention behaviour the NIC's reservation buffer is
-        designed to absorb (Section III-A2).
+        designed to absorb (Section III-A2).  The ``count`` bursts are
+        all requested at ``cycle`` and run back to back, so burst ``i``
+        (from 0) stalls ``start - cycle + i * beats`` cycles: the same
+        state and stats as ``count`` single-burst calls.
         """
-        if size_bytes <= 0:
-            raise ValueError(f"size must be positive, got {size_bytes}")
+        if size_bytes <= 0 or count <= 0:
+            raise ValueError(
+                f"size and count must be positive, got {size_bytes}, {count}"
+            )
         beats = -(-size_bytes // BEAT_BYTES)
         start = max(cycle, self._busy_until)
-        self.stats.stall_cycles += start - cycle
-        completion = start + beats
+        stats = self.stats
+        stats.stall_cycles += count * (start - cycle) + beats * count * (count - 1) // 2
+        completion = start + count * beats
         self._busy_until = completion
-        self.stats.requests += 1
-        self.stats.beats += beats
+        stats.requests += count
+        stats.beats += count * beats
         return completion
 
     @property

@@ -11,7 +11,7 @@ from repro.tile.caches import (
     L2_CONFIG,
     MemoryHierarchy,
 )
-from repro.tile.dram import DRAMModel
+from repro.tile.dram import DRAMConfig, DRAMModel
 from repro.tile.tilelink import TileLinkBus
 
 
@@ -149,3 +149,131 @@ class TestMemoryHierarchy:
         done = hierarchy.dma_access(start, 0x8000, 512, is_write=False)
         # 512 B = 8 lines; L2-resident DMA paces at 8 beats (cycles)/line.
         assert done - start == 8 * 8
+
+
+def per_line_lookup(cache, addr, is_write):
+    """One line's LRU access, written out independently of the model."""
+    num_sets = cache.config.num_sets
+    line = addr // cache.config.line_bytes
+    set_index, tag = line % num_sets, line // num_sets
+    cache_set = cache._sets[set_index]
+    if tag in cache_set:
+        cache.stats.hits += 1
+        cache_set.move_to_end(tag)
+        if is_write:
+            cache_set[tag] = True
+        return True, None
+    cache.stats.misses += 1
+    writeback = None
+    if len(cache_set) >= cache.config.ways:
+        victim_tag, dirty = cache_set.popitem(last=False)
+        cache.stats.evictions += 1
+        if dirty:
+            cache.stats.writebacks += 1
+            victim_line = victim_tag * num_sets + set_index
+            writeback = victim_line * cache.config.line_bytes
+    cache_set[tag] = is_write
+    return False, writeback
+
+
+def per_line_dma(hierarchy, cycle, addr, size, is_write):
+    """The spec of ``MemoryHierarchy.dma_access``: one L2 lookup, then one
+    bus burst (hit) or victim writeback plus DRAM access (miss), per line."""
+    l2 = hierarchy.l2
+    line = l2.config.line_bytes
+    completion = cycle
+    for line_index in range(addr // line, (addr + max(size, 1) - 1) // line + 1):
+        line_addr = line_index * line
+        hit, writeback = per_line_lookup(l2, line_addr, is_write)
+        if hit:
+            if hierarchy.bus is not None:
+                done = hierarchy.bus.acquire(cycle, line)
+            else:
+                done = completion + l2.config.hit_latency_cycles
+        else:
+            if writeback is not None:
+                hierarchy.dram.access(cycle, writeback, True)
+            done = hierarchy.dram.access(cycle, line_addr, is_write)
+        completion = max(completion, done)
+    return completion
+
+
+def timing_state(hierarchy):
+    """Everything a DMA transfer can change, in comparable form."""
+    dram = hierarchy.dram
+    bus = hierarchy.bus
+    return {
+        "l2_sets": [list(s.items()) for s in hierarchy.l2._sets],
+        "l2_stats": hierarchy.l2.stats,
+        "bus": None if bus is None else (bus.busy_until, bus.stats),
+        "dram_stats": dram.stats,
+        "dram_banks": [
+            [(b.open_row, b.busy_until, b.active_since) for b in channel]
+            for channel in dram._banks
+        ],
+        "dram_bus_free": list(dram._bus_free),
+    }
+
+
+transfers = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=20_000),  # request cycle
+        st.integers(min_value=0, max_value=64 * 96),  # address
+        st.integers(min_value=1, max_value=4096),  # size
+        st.booleans(),  # is_write
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+class TestDmaPass:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        transfers=transfers,
+        sets=st.sampled_from([1, 2, 4]),
+        ways=st.sampled_from([1, 2, 4]),
+        channels=st.sampled_from([1, 2]),
+        with_bus=st.booleans(),
+        bus_busy_bytes=st.integers(min_value=0, max_value=2000),
+    )
+    def test_matches_per_line_loop(
+        self, transfers, sets, ways, channels, with_bus, bus_busy_bytes
+    ):
+        # A few-line L2 forces evictions and dirty writebacks; a small
+        # DRAM row makes open-row hits, misses and conflicts all occur.
+        l2_config = CacheConfig(
+            size_bytes=sets * ways * 64, ways=ways, hit_latency_cycles=12
+        )
+        dram_config = DRAMConfig(
+            num_channels=channels, banks_per_channel=2, row_bytes=256
+        )
+
+        def build():
+            bus = None
+            if with_bus:
+                bus = TileLinkBus()
+                if bus_busy_bytes:
+                    bus.acquire(0, bus_busy_bytes)
+            return MemoryHierarchy(
+                CacheModel("l1", L1D_CONFIG),
+                CacheModel("l2", l2_config),
+                DRAMModel(dram_config),
+                bus=bus,
+            )
+
+        fast, spec = build(), build()
+        for cycle, addr, size, is_write in transfers:
+            assert fast.dma_access(cycle, addr, size, is_write) == per_line_dma(
+                spec, cycle, addr, size, is_write
+            )
+            assert timing_state(fast) == timing_state(spec)
+
+    def test_access_lines_reports_misses_in_order(self):
+        config = CacheConfig(size_bytes=2 * 64, ways=1, hit_latency_cycles=1)
+        cache = CacheModel("tiny", config)  # 2 sets, 1 way
+        cache.lookup(1 * 64, True)  # dirty line 1 (set 1)
+        # Lines 1..4: hit, miss, miss (evicts dirty line 1), miss.
+        assert cache.access_lines(1, 4, False) == [(1, None), (2, 64), (3, None)]
+        assert (cache.stats.hits, cache.stats.misses) == (1, 4)
+        assert cache.stats.writebacks == 1

@@ -31,7 +31,7 @@ class TestBasics:
         sched.add_thread(0, thread)
         events.run_until(1_000_000)
         assert thread.state == ThreadState.DONE
-        assert thread.cpu_cycles >= 10_000
+        assert thread.cpu_cycles == 10_000
 
     def test_pinned_thread_stays_on_its_core(self):
         sched, events = make_sched(4)
@@ -69,6 +69,54 @@ class TestTimeslicing:
         assert second.state == ThreadState.DONE
         # Both must have been preempted at least once.
         assert first.context_switches > 1 or second.context_switches > 1
+
+
+class TestAfterTimeslice:
+    """An uncontended thread whose slice is used up keeps its core in
+    preemption-quantum chunks and yields at the first boundary that finds
+    a waiter or a softirq."""
+
+    SLICE = 10_000
+    QUANTUM = 1_000
+    SWITCH = 200
+
+    def hog_past_its_slice(self):
+        sched, events = make_sched(
+            1,
+            timeslice_cycles=self.SLICE,
+            preempt_quantum_cycles=self.QUANTUM,
+            context_switch_cycles=self.SWITCH,
+        )
+        hog = work_thread("hog", 3 * self.SLICE)
+        sched.add_thread(0, hog)
+        # Run past the end of the slice, off a chunk boundary.
+        expired = 2 * self.SLICE + self.QUANTUM // 2
+        fired = events.run_until(expired)
+        assert hog.slice_remaining < 0
+        return sched, events, hog, expired, fired
+
+    def test_uncontended_compute_costs_one_event_per_quantum(self):
+        _, events, hog, _, fired = self.hog_past_its_slice()
+        fired += events.run_until(10**9)
+        assert hog.state == ThreadState.DONE
+        assert hog.cpu_cycles == 3 * self.SLICE
+        assert fired <= 3 * self.SLICE // self.QUANTUM + 8
+
+    def test_woken_thread_starts_within_a_quantum(self):
+        sched, events, hog, expired, _ = self.hog_past_its_slice()
+        waker = work_thread("waker", 1)
+        sched.wake(expired, waker)
+        # Starts by expired + QUANTUM + SWITCH, then computes one cycle.
+        events.run_until(expired + self.QUANTUM + self.SWITCH + 2)
+        assert waker.state == ThreadState.DONE
+        assert hog.state == ThreadState.RUNNING
+
+    def test_softirq_runs_within_a_quantum(self):
+        sched, events, _, expired, _ = self.hog_past_its_slice()
+        fired = []
+        sched.submit_softirq(expired, 300, fired.append)
+        events.run_until(expired + 10 * self.QUANTUM)
+        assert fired and fired[0] <= expired + self.QUANTUM + 300
 
 
 class TestSoftirq:

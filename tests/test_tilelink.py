@@ -38,6 +38,22 @@ class TestTileLinkBus:
         with pytest.raises(ValueError):
             TileLinkBus().acquire(0, 0)
 
+    @pytest.mark.parametrize("busy_from", [0, 5, 500])
+    @pytest.mark.parametrize("count", [1, 2, 7])
+    def test_counted_bursts_equal_single_bursts(self, busy_from, count):
+        single, counted = TileLinkBus(), TileLinkBus()
+        single.acquire(busy_from, 40)
+        counted.acquire(busy_from, 40)
+        for _ in range(count):
+            done = single.acquire(20, 64)
+        assert counted.acquire(20, 64, count) == done
+        assert counted.busy_until == single.busy_until
+        assert counted.stats == single.stats
+
+    def test_zero_count_rejected(self):
+        with pytest.raises(ValueError):
+            TileLinkBus().acquire(0, 64, 0)
+
     def test_busy_until_tracks_completion(self):
         bus = TileLinkBus()
         done = bus.acquire(10, 32)
