@@ -17,11 +17,10 @@ switch step (:mod:`repro.perf.switch`): seven ports blast back-to-back
 600-byte frames at the eighth (plus a sprinkling of unroutable frames
 so the drop path is exercised), through a full 6400-cycle quantum per
 round.  The columnar step consumes :class:`ColumnarBatch` windows (the
-representation the batched engine hands it in-flight); the scalar
-oracle consumes the same windows materialized as ``TokenBatch``.
-Yields ``speedup.columnar_over_scalar``.  Every incast window carries
-more frames than ``repro.perf.switch.SMALL_WINDOW`` (asserted), so the
-ratio times the array phases, not the per-packet small-window path.
+representation the batched engine hands it in-flight) and runs the
+spec's per-packet phases with rows at both ends; the scalar oracle
+consumes the same windows materialized as ``TokenBatch`` and works
+them flit by flit.  Yields ``speedup.columnar_over_scalar``.
 
 **Parity matrix** — scalar vs batched full-run fingerprints across
 three topologies x two quanta (the default link quantum and a forced
@@ -67,11 +66,7 @@ from repro.manager.topology import single_rack, two_tier  # noqa: E402
 from repro.net.ethernet import EthernetFrame, mac_address  # noqa: E402
 from repro.net.switch import SwitchConfig, SwitchModel  # noqa: E402
 from repro.obs.rate import RateMonitor  # noqa: E402
-from repro.perf.switch import (  # noqa: E402
-    SMALL_WINDOW,
-    ColumnarBatch,
-    ColumnarSwitch,
-)
+from repro.perf.switch import ColumnarBatch, ColumnarSwitch  # noqa: E402
 from repro.swmodel.apps.ping import make_ping_client  # noqa: E402
 
 RACKS = 4
@@ -354,20 +349,6 @@ def bench_incast(repeat):
     frames_per_round = sum(
         len(cb.frames) for cb in columnar_inputs[0].values()
     )
-    smallest = min(
-        sum(len(cb.frames) for cb in inputs.values())
-        for inputs in columnar_inputs
-    )
-    if smallest <= SMALL_WINDOW:
-        # The step would take its per-packet path, and the ratio below
-        # would stop timing the array phases it exists to guard.
-        print(
-            f"bench_core: FAIL: an incast window carries {smallest} "
-            f"frames, within the switch's small-window cutoff "
-            f"({SMALL_WINDOW})",
-            file=sys.stderr,
-        )
-        raise SystemExit(1)
 
     def best_of(runner, *args):
         _, reference = runner(*args)  # warm-up, untimed

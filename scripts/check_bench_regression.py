@@ -96,7 +96,8 @@ BATCHED_OVER_SCALAR_FLOOR = 5.0
 #: through; quick mode only asserts batching still wins clearly, and
 #: the strict floor is enforced by the full-length run.
 BATCHED_OVER_SCALAR_QUICK_FLOOR = 2.0
-#: The columnar switch step must beat the scalar switch oracle on the
+#: The columnar switch step (the per-packet spec with rows at both
+#: ends) must beat the per-flit scalar switch oracle on the
 #: switch-heavy incast microbenchmark by at least this factor.  Never
 #: relaxed: the incast section runs at full size even under --quick.
 COLUMNAR_OVER_SCALAR_FLOOR = 8.0

@@ -26,19 +26,18 @@ hooks) to model new switch designs, just as FireSim users plug in their
 own C++ switching logic.
 
 The model owns the only copy of switch state — per-egress-port
-:class:`_ColQueue` columns, pacing cursors, per-ingress-port partial
+:class:`_EgressQueue` rows, pacing cursors, per-ingress-port partial
 reassembly, the sequence counter.  The phases below are the readable
-per-packet spec over it; :class:`repro.perf.switch.ColumnarSwitch` runs
-the same phases a window at a time over the same state, and on small
-windows calls the spec's switching step and drain walker itself.
+per-packet spec over it; :class:`repro.perf.switch.ColumnarSwitch`
+calls the spec's switching step and drain walker itself, with
+packet-segment rows in place of flits at both ends.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.core.fame import Fame1Model
 from repro.core.token import Flit, TokenBatch, TokenWindow
@@ -77,103 +76,41 @@ class SwitchConfig:
             raise ValueError("buffer_flits must be >= 1")
 
 
-class _ColQueue:
-    """One egress port's packet buffer as growable parallel columns.
+class _EgressQueue:
+    """One egress port's packet buffer: ``(release, seq, frame)`` rows.
 
     Rows are kept sorted by ``(release, seq)``.  New arrivals always
     release strictly after everything buffered (their last flit lands
     in the current window, every buffered packet's landed in an earlier
     one), so enqueue is a plain append and the sort order is an
     invariant, not a cost.  Only the head row can be partially emitted
-    (``head_emitted``): the drain loop's window straddler.
-
-    The scalar spec works the queue one packet at a time through
-    :meth:`push`/:meth:`peek`/:meth:`pop`, which deal in Python ``int``
-    only — no ``numpy.int64`` may reach flit-dict keys, ``egress_log``,
-    trace args or ``repr()`` digests.  :mod:`repro.perf.switch` works
-    the same columns a window at a time.
+    (``head_emitted``): the drain loop's window straddler.  Cycles and
+    sequence numbers are Python ``int``s only: they reach flit-dict
+    keys, ``egress_log``, trace args and ``repr()`` digests.
     """
 
-    __slots__ = (
-        "release", "seq", "frame", "size", "total",
-        "head", "tail", "head_emitted",
-    )
+    __slots__ = ("rows", "head_emitted")
 
     def __init__(self) -> None:
-        self.release = np.empty(16, dtype=np.int64)
-        self.seq = np.empty(16, dtype=np.int64)
-        self.frame = np.empty(16, dtype=object)
-        self.size = np.empty(16, dtype=np.int64)
-        self.total = np.empty(16, dtype=np.int64)
-        self.head = 0
-        self.tail = 0
+        self.rows: Deque[Tuple[int, int, EthernetFrame]] = deque()
         self.head_emitted = 0
 
     def __len__(self) -> int:
-        return self.tail - self.head
-
-    def _reserve(self, extra: int) -> None:
-        capacity = self.release.shape[0]
-        used = self.tail - self.head
-        if self.tail + extra <= capacity and self.head < capacity // 2:
-            return
-        new_capacity = max(capacity, 16)
-        while new_capacity < (used + extra) * 2:
-            new_capacity *= 2
-        for name in ("release", "seq", "frame", "size", "total"):
-            old = getattr(self, name)
-            grown = np.empty(new_capacity, dtype=old.dtype)
-            grown[:used] = old[self.head:self.tail]
-            setattr(self, name, grown)
-        self.head = 0
-        self.tail = used
-
-    def append(
-        self,
-        release: np.ndarray,
-        seq: np.ndarray,
-        frames: np.ndarray,
-        size: np.ndarray,
-        total: np.ndarray,
-    ) -> None:
-        n = len(release)
-        self._reserve(n)
-        tail = self.tail
-        self.release[tail:tail + n] = release
-        self.seq[tail:tail + n] = seq
-        self.frame[tail:tail + n] = frames
-        self.size[tail:tail + n] = size
-        self.total[tail:tail + n] = total
-        self.tail = tail + n
-
-    def remove_at(self, index: int) -> None:
-        """Drop the row at absolute ``index`` (buffer-bound drops)."""
-        for name in ("release", "seq", "frame", "size", "total"):
-            column = getattr(self, name)
-            column[index:self.tail - 1] = column[index + 1:self.tail]
-        self.tail -= 1
+        return len(self.rows)
 
     def push(self, release: int, seq: int, frame: EthernetFrame) -> None:
         """Enqueue one packet behind everything buffered."""
-        self._reserve(1)
-        tail = self.tail
-        self.release[tail] = release
-        self.seq[tail] = seq
-        self.frame[tail] = frame
-        self.size[tail] = frame.size_bytes
-        self.total[tail] = frame.flit_count
-        self.tail = tail + 1
+        self.rows.append((release, seq, frame))
 
     def peek(self) -> Tuple[int, EthernetFrame]:
         """The head packet's release cycle and frame."""
-        return int(self.release[self.head]), self.frame[self.head]
+        release, _, frame = self.rows[0]
+        return release, frame
 
     def pop(self) -> None:
         """Discard the head packet (fully emitted, or dropped)."""
-        self.head += 1
+        self.rows.popleft()
         self.head_emitted = 0
-        if self.head == self.tail:
-            self.head = self.tail = 0
 
 
 @dataclass
@@ -234,8 +171,8 @@ class SwitchModel(Fame1Model):
             (None, 0) for _ in range(config.num_ports)
         ]
         # Per-egress-port packet buffers, sorted on (release, seq).
-        self._out_queues: List[_ColQueue] = [
-            _ColQueue() for _ in range(config.num_ports)
+        self._out_queues: List[_EgressQueue] = [
+            _EgressQueue() for _ in range(config.num_ports)
         ]
         # Per-egress-port next cycle at which a flit may be emitted.
         self._port_next_free: List[int] = [0] * config.num_ports
@@ -250,10 +187,10 @@ class SwitchModel(Fame1Model):
     def columnar_safe(self) -> bool:
         """Whether the columnar fast path may tick this switch.
 
-        The vectorized step in :mod:`repro.perf.switch` reproduces the
-        *stock* phases bit-for-bit; any subclass override (custom
-        routing, custom phases, custom idle handling) must fall back to
-        the scalar tick.
+        The row step in :mod:`repro.perf.switch` reproduces the *stock*
+        phases bit-for-bit; any subclass override (custom routing,
+        custom phases, custom idle handling) must fall back to the
+        scalar tick.
         """
         cls = type(self)
         return (
@@ -428,7 +365,7 @@ class SwitchModel(Fame1Model):
         ``(frame, first_cycle, count, first_index, total)`` segments in
         emission order: one per packet, flits ``pace`` cycles apart.
         ``_drain_port`` turns them into flits; the batched engine's
-        small-window step packs them into rows.
+        ``ColumnarSwitch.step`` packs them into rows.
         """
         segments: List[Tuple[EthernetFrame, int, int, int, int]] = []
         queue = self._out_queues[port_index]
@@ -492,8 +429,9 @@ class SwitchModel(Fame1Model):
     def queued_bytes(self) -> int:
         """Bytes buffered across all output ports (straddlers count whole)."""
         return sum(
-            int(queue.size[queue.head:queue.tail].sum())
+            frame.size_bytes
             for queue in self._out_queues
+            for _, _, frame in queue.rows
         )
 
     def register_metrics(self, registry, prefix: Optional[str] = None) -> None:

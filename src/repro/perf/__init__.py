@@ -15,9 +15,9 @@ hot path:
   and stock blade NICs exchange without building a ``Flit``;
 * :mod:`repro.perf.switch` — the columnar switch fast path: every stock
   :class:`~repro.net.switch.SwitchModel` ticks through a
-  :class:`~repro.perf.switch.ColumnarSwitch` whose ingress/route/egress
-  phases run per packet over rows for small windows and as numpy array
-  programs over the model's own per-packet columns for large ones;
+  :class:`~repro.perf.switch.ColumnarSwitch` that runs the spec's
+  per-packet ingress/route/egress phases over the model's own queues,
+  with packet-segment rows in place of flits at both ends;
 * :mod:`repro.perf.engine` — a precompiled round loop that moves those
   windows with inlined queue operations and visits, each round, only
   the models with work in it: those whose inputs carry valid tokens or

@@ -36,9 +36,9 @@ host cost changes.  Five overheads are eliminated:
   port shipping to a remote peer, or a loss gap present at entry.
 * **Per-flit switch and NIC phases.**  Every stock switch ticks
   through a :class:`~repro.perf.switch.ColumnarSwitch` — the per-packet
-  spec over rows for small windows, numpy array programs for large
-  ones — and every stock server blade ticks with ``rows=True`` so its
-  NIC emits and consumes packet-segment rows.  Windows between such
+  spec with packet-segment rows in and out — and every stock server
+  blade ticks with ``rows=True`` so its NIC emits and consumes
+  packet-segment rows.  Windows between such
   models travel as :class:`~repro.perf.stream.ColumnarBatch` rows, and
   ``Flit`` objects are only materialized where a window crosses to a
   scalar consumer (a tracer, a custom model, a distributed boundary).

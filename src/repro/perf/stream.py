@@ -42,13 +42,8 @@ import numpy as np
 
 from repro.core.token import Flit, TokenBatch
 
-#: One valid token: absolute target cycle plus the flit payload.  The
-#: ``last`` flag mirrors ``Flit.last`` so frame boundaries can be found
-#: with one array scan (columnar switch ingress) instead of touching
-#: every flit object.
-TOKEN_DTYPE = np.dtype(
-    [("cycle", np.int64), ("flit", np.object_), ("last", np.bool_)]
-)
+#: One valid token: absolute target cycle plus the flit payload.
+TOKEN_DTYPE = np.dtype([("cycle", np.int64), ("flit", np.object_)])
 
 #: Shared zero-length token array for streams with no valid tokens.
 EMPTY_TOKENS = np.empty(0, dtype=TOKEN_DTYPE)
@@ -95,11 +90,6 @@ class TokenStream:
         tokens = np.empty(len(items), dtype=TOKEN_DTYPE)
         tokens["cycle"] = [cycle for cycle, _ in items]
         tokens["flit"] = [flit for _, flit in items]
-        # getattr: transport tests (and any out-of-tree payload) may
-        # carry opaque objects; only real flits have frame boundaries.
-        tokens["last"] = [
-            getattr(flit, "last", False) for _, flit in items
-        ]
         if shift:
             tokens["cycle"] += shift
         return cls(start_cycle + shift, length, tokens)
@@ -123,11 +113,6 @@ class TokenStream:
         tokens = np.empty(len(flits), dtype=TOKEN_DTYPE)
         tokens["cycle"] = cycles
         tokens["flit"] = flits
-        tokens["last"] = np.fromiter(
-            (getattr(flit, "last", False) for flit in flits),
-            np.bool_,
-            count=len(flits),
-        )
         return cls(start_cycle, length, tokens)
 
     # -- transport ------------------------------------------------------
@@ -294,14 +279,6 @@ class ColumnarBatch:
         tokens = np.empty(len(flits), dtype=TOKEN_DTYPE)
         tokens["cycle"] = cycles
         tokens["flit"] = flits
-        # A flit is ``last`` iff it closes its packet: the final flit of
-        # each completing (done) row's run in the window.
-        last = np.zeros(len(flits), dtype=np.bool_)
-        if len(flits):
-            run_ends = np.cumsum(self.count) - 1
-            done = self.first_index + self.count == self.total
-            last[run_ends[done]] = True
-        tokens["last"] = last
         return TokenStream(self.start_cycle + shift, self.length, tokens)
 
     def to_batch(self) -> TokenBatch:

@@ -8,25 +8,18 @@ trace-sink event streams.  Both work the model's one set of queues, so
 Hypothesis drives twin switches through the same randomized scripts —
 multi-flit frames straddling window boundaries, broadcasts, unroutable
 unicasts, buffer-bound drops, and MAC-table edits mid-run — and asserts
-equality after every window.  The step runs small windows per packet
-and large ones as arrays, so each script also draws where that cutoff
-sits, putting its windows on either side of it.
+equality after every window.
 """
-
-from collections import Counter
-from contextlib import contextmanager
-from itertools import product
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-import repro.perf.switch as perf_switch
 from repro.core.token import TokenBatch, TokenWindow
 from repro.net.ethernet import BROADCAST_MAC, EthernetFrame, mac_address
 from repro.net.switch import SwitchConfig, SwitchModel
 from repro.obs.trace import TraceSink, set_trace_sink
 from repro.perf.stream import TokenStream
-from repro.perf.switch import SMALL_WINDOW, ColumnarBatch, ColumnarSwitch
+from repro.perf.switch import ColumnarBatch, ColumnarSwitch
 
 WINDOW = 64
 NUM_PORTS = 4
@@ -101,10 +94,6 @@ def traffic_script(draw, rows=False):
         "default_port": default_port,
         "injections": injections,
         "bumps": bumps,
-        # -1: every window as arrays; SMALL_WINDOW: the shipped rule,
-        # under which these scripts stay per-packet; in between, the
-        # windows fall on both sides.
-        "cutoff": draw(st.sampled_from([-1, 0, 2, 6, SMALL_WINDOW])),
         "egress_log": draw(st.booleans()),
     }
 
@@ -198,18 +187,21 @@ def queue_state(model):
     """Everything a switch carries from one window to the next."""
     queues = []
     for queue in model._out_queues:
-        rows = slice(queue.head, queue.tail)
-        order = list(
-            zip(queue.release[rows].tolist(), queue.seq[rows].tolist())
-        )
+        order = [(release, seq) for release, seq, _ in queue.rows]
         # The invariant that lets enqueue be an append, not a heap push.
         assert order == sorted(order) and len(set(order)) == len(order)
-        frames = queue.frame[rows].tolist()
-        assert queue.size[rows].tolist() == [f.size_bytes for f in frames]
-        assert queue.total[rows].tolist() == [f.flit_count for f in frames]
-        queues.append(
-            (order, [f.frame_id for f in frames], queue.head_emitted)
-        )
+        queues.append((
+            order,
+            [frame.frame_id for _, _, frame in queue.rows],
+            queue.head_emitted,
+        ))
+    # Python ints only: these reach flit-dict keys, trace args and
+    # repr() digests, where a numpy.int64 would print differently.
+    carried = [value for order, _, _ in queues for row in order
+               for value in row]
+    carried += model._port_next_free
+    carried += [value for entry in model.egress_log or () for value in entry]
+    assert all(type(value) is int for value in carried), carried
     return (
         queues,
         list(model._port_next_free),
@@ -235,89 +227,57 @@ class RecordingSink(TraceSink):
                             tuple(sorted((args or {}).items()))))
 
 
-@contextmanager
-def cutoff_at(cutoff):
-    """Move the step's small-window cutoff for the duration."""
-    shipped = perf_switch.SMALL_WINDOW
-    perf_switch.SMALL_WINDOW = cutoff
-    try:
-        yield
-    finally:
-        perf_switch.SMALL_WINDOW = shipped
-
-
-def counting_step(model, paths):
-    """``ColumnarSwitch(model).step`` that tallies which path ran."""
-    switch = ColumnarSwitch(model)
-    small, egress = switch._step_small, switch._egress
-
-    def step_small(*args):
-        paths["small"] += 1
-        return small(*args)
-
-    def array_egress(*args):
-        paths["array"] += 1
-        return egress(*args)
-
-    switch._step_small = step_small
-    switch._egress = array_egress
-    return switch.step
-
-
 def run_pair(script, form, traced):
     """Drive scalar and columnar twins, the columnar one on ``form``
-    inputs; return their observations and how many windows each
-    columnar path took."""
+    inputs; return how many packets they hold after each window."""
     scalar = build_switch(script)
     columnar = build_switch(script)
     assert columnar.columnar_safe
-    observations = []
-    paths = Counter()
-    step = counting_step(columnar, paths)
+    backlog = []
+    step = ColumnarSwitch(columnar).step
     scalar_sink = RecordingSink()
     columnar_sink = RecordingSink()
     try:
-        with cutoff_at(script.get("cutoff", SMALL_WINDOW)):
-            for window_index in range(script["windows"] + 3):
-                start = window_index * WINDOW
-                window = TokenWindow(start, start + WINDOW)
-                apply_bumps(script, window_index, scalar)
-                apply_bumps(script, window_index, columnar)
-                if traced:
-                    set_trace_sink(scalar_sink)
-                scalar_out = scalar.tick(
-                    window, window_inputs(script, window_index, "batch")
-                )
-                if traced:
-                    set_trace_sink(columnar_sink)
-                columnar_out = step(
-                    window, window_inputs(script, window_index, form)
-                )
-                if traced:
-                    set_trace_sink(None)
-                for port in range(NUM_PORTS):
-                    key = f"port{port}"
-                    assert (
-                        output_flits(scalar_out[key])
-                        == output_flits(columnar_out[key])
-                    ), f"window {window_index} {key} flits diverge"
-                    out = columnar_out[key]
-                    if type(out) is ColumnarBatch:
-                        assert out.start_cycle == start
-                        assert out.length == WINDOW
-                        assert out.valid_count == len(out.flits)
-                observations.append(repr(scalar.stats))
-                assert repr(scalar.stats) == repr(columnar.stats), (
-                    f"stats diverge after window {window_index}"
-                )
-                assert queue_state(scalar) == queue_state(columnar), (
-                    f"queue state diverges after window {window_index}"
-                )
+        for window_index in range(script["windows"] + 3):
+            start = window_index * WINDOW
+            window = TokenWindow(start, start + WINDOW)
+            apply_bumps(script, window_index, scalar)
+            apply_bumps(script, window_index, columnar)
+            if traced:
+                set_trace_sink(scalar_sink)
+            scalar_out = scalar.tick(
+                window, window_inputs(script, window_index, "batch")
+            )
+            if traced:
+                set_trace_sink(columnar_sink)
+            columnar_out = step(
+                window, window_inputs(script, window_index, form)
+            )
+            if traced:
+                set_trace_sink(None)
+            for port in range(NUM_PORTS):
+                key = f"port{port}"
+                assert (
+                    output_flits(scalar_out[key])
+                    == output_flits(columnar_out[key])
+                ), f"window {window_index} {key} flits diverge"
+                out = columnar_out[key]
+                if type(out) is ColumnarBatch:
+                    assert out.start_cycle == start
+                    assert out.length == WINDOW
+                    assert out.valid_count == len(out.flits)
+            backlog.append(scalar.queued_packets())
+            assert repr(scalar.stats) == repr(columnar.stats), (
+                f"stats diverge after window {window_index}"
+            )
+            assert queue_state(scalar) == queue_state(columnar), (
+                f"queue state diverges after window {window_index}"
+            )
     finally:
         set_trace_sink(None)
     if traced:
         assert scalar_sink.events == columnar_sink.events
-    return observations, paths
+    return backlog
 
 
 class TestColumnarEquality:
@@ -363,9 +323,7 @@ class TestColumnarEquality:
             },
             "bumps": [],
         }
-        for cutoff in (-1, SMALL_WINDOW):
-            script["cutoff"] = cutoff
-            run_pair(script, "stream", traced=True)
+        run_pair(script, "stream", traced=True)
 
     def test_overwritten_straddler_parity(self):
         """A frame spilling out of window 0 is overwritten mid-flight by
@@ -386,15 +344,13 @@ class TestColumnarEquality:
             },
             "bumps": [],
         }
-        for form, cutoff in product(("stream", "batch"), (-1, SMALL_WINDOW)):
-            script["cutoff"] = cutoff
-            _, paths = run_pair(script, form, traced=True)
-            assert paths["small" if cutoff == SMALL_WINDOW else "array"]
+        for form in ("stream", "batch"):
+            run_pair(script, form, traced=True)
 
-    def test_backlog_crosses_the_cutoff(self):
+    def test_deep_backlog_parity(self):
         """Three ports flood a fourth with back-to-back 64 B frames: the
-        backlog grows past the shipped cutoff and drains back under it,
-        so one run takes both paths, each bit-identical to the spec."""
+        egress queue grows past 120 packets and starts to drain, and
+        every window stays bit-identical to the spec."""
         script = {
             "windows": 9,
             "pace": 1,
@@ -412,8 +368,9 @@ class TestColumnarEquality:
             "bumps": [],
             "egress_log": True,
         }
-        _, paths = run_pair(script, "rows", traced=True)
-        assert paths["small"] and paths["array"], paths
+        backlog = run_pair(script, "rows", traced=True)
+        assert max(backlog) > 120, backlog
+        assert backlog[-1] < max(backlog)
 
     def test_engines_alternate_on_one_model(self):
         """One model ticked scalar and columnar on alternate windows
@@ -437,9 +394,7 @@ class TestColumnarEquality:
             },
             "bumps": [],
         }
-        for columnar_first, cutoff in product(
-            (True, False), (-1, SMALL_WINDOW)
-        ):
+        for columnar_first in (True, False):
             scalar = build_switch(script)
             hybrid = build_switch(script)
             for window_index in range(6):
@@ -449,11 +404,10 @@ class TestColumnarEquality:
                     window, window_inputs(script, window_index, "batch")
                 )
                 if (window_index % 2 == 0) == columnar_first:
-                    with cutoff_at(cutoff):
-                        b = ColumnarSwitch(hybrid).step(
-                            window,
-                            window_inputs(script, window_index, "stream"),
-                        )
+                    b = ColumnarSwitch(hybrid).step(
+                        window,
+                        window_inputs(script, window_index, "stream"),
+                    )
                     # The batched engine maintains this after every step.
                     hybrid.current_cycle = window.end
                 else:
