@@ -6,59 +6,19 @@ peak footprint) page against a remote memory blade while the local
 memory size shrinks, comparing classic software paging (trap + inline OS
 handler, like Infiniswap) against the hybrid HW/SW design where the PFA
 handles the latency-critical fault in hardware and the OS drains new-page
-metadata in batches (freeQ/newQ).
+metadata in batches (freeQ/newQ).  The last line checks the analytic
+remote-fetch latency the sweep uses against one page fetched from a
+token-exact memory blade.
 
 Run:  python examples/disaggregated_memory.py
 """
 
-from repro.pfa.pfa import PageFaultAccelerator, SoftwarePaging
-from repro.pfa.remote import AnalyticRemoteMemory
-from repro.pfa.runtime import PagedExecutor, run_trace_all_local
-from repro.pfa.workloads import (
-    WorkloadConfig,
-    genome_trace,
-    local_memory_sweep,
-    qsort_trace,
-)
-
-FRACTIONS = (0.125, 0.25, 0.5, 0.75)
-
-
-def sweep(name: str, trace_fn, config: WorkloadConfig) -> None:
-    print(f"== {name} (footprint {config.footprint_bytes // 2**20} MiB)")
-    baseline = run_trace_all_local(trace_fn(config))
-    header = (
-        f"{'local mem':>10} {'sw paging':>10} {'PFA':>8} "
-        f"{'speedup':>8} {'faults':>8} {'metadata sw/PFA':>16}"
-    )
-    print(header)
-    for fraction, pages in local_memory_sweep(FRACTIONS, config.footprint_bytes):
-        sw = PagedExecutor(
-            SoftwarePaging(AnalyticRemoteMemory()), pages
-        ).run(trace_fn(config))
-        pfa = PagedExecutor(
-            PageFaultAccelerator(AnalyticRemoteMemory()), pages
-        ).run(trace_fn(config))
-        sw_md = sw.metadata_cycles / max(sw.faults, 1)
-        pfa_md = pfa.metadata_cycles / max(pfa.faults, 1)
-        print(
-            f"{fraction:>9.1%} "
-            f"{sw.slowdown_vs(baseline):>9.2f}x "
-            f"{pfa.slowdown_vs(baseline):>7.2f}x "
-            f"{sw.total_cycles / pfa.total_cycles:>7.2f}x "
-            f"{sw.faults:>8d} "
-            f"{sw_md / pfa_md:>15.2f}x"
-        )
-    print()
+from repro.experiments import fig11_pfa
 
 
 def main() -> None:
-    sweep("Genome (random hash-table probes)", genome_trace,
-          WorkloadConfig(steps=60_000))
-    sweep("Qsort (depth-first partition sweeps)", qsort_trace,
-          WorkloadConfig(footprint_bytes=16 * 2**20,
-                         compute_per_step_cycles=16_000))
-    print("Paper's findings reproduced: the PFA cuts paging overhead "
+    print(fig11_pfa.run().table())
+    print("\nPaper's findings reproduced: the PFA cuts paging overhead "
           "(up to ~1.4x runtime), evicted pages are\nidentical under "
           "both backends, and batched newQ draining cuts per-page "
           "metadata time ~2.5x.")

@@ -1,20 +1,17 @@
 #!/usr/bin/env python3
-"""Cycle-exact telemetry: uartlogs, packet traces, and energy sampling.
+"""Cycle-exact telemetry: uartlogs and packet traces.
 
 FireSim users collect performance data that is cycle-exact; this example
 shows the reproduction's observability stack on a small cluster:
 
 * each blade boots the Linux model and produces a timestamped uartlog;
 * a link tracer spliced between a node and its ToR records every packet
-  with first/last-flit cycles (a cycle-stamped pcap);
-* a Strober-style sampler integrates the blade's activity counters into
-  an average-power estimate while an iperf stream runs.
+  of an iperf stream with first/last-flit cycles (a cycle-stamped pcap).
 
 Run:  python examples/telemetry.py
 """
 
 from repro import Simulation, SwitchConfig, SwitchModel, mac_address
-from repro.host.strober import StroberSampler
 from repro.net.tracer import splice_tracer
 from repro.swmodel.apps.boot import make_linux_boot
 from repro.swmodel.apps.iperf import make_iperf_client, make_iperf_server
@@ -42,10 +39,7 @@ def main() -> None:
     b.spawn("iperf-server", make_iperf_server())
     a.spawn("iperf-client", make_iperf_client(b.mac, total_bytes=400_000))
 
-    sampler = StroberSampler(a, interval_cycles=2_000_000)
-    for _ in range(8):
-        sim.run_seconds(0.001)
-        sampler.sample(sim.current_cycle)
+    sim.run_seconds(0.008)
 
     print("=== uartlog (node0) ===")
     for cycle, line in a.uart.log:
@@ -60,15 +54,6 @@ def main() -> None:
                 f"[{record.first_flit_cycle}, {record.last_flit_cycle}]"
             )
     print(f"  ... {len(tracer.records)} packets total")
-
-    report = sampler.report()
-    print(
-        f"\n=== energy (node0) ===\n"
-        f"  {report.samples} samples over "
-        f"{report.total_cycles / CLOCK_HZ * 1e3:.1f} ms of target time: "
-        f"{report.total_energy_j * 1e3:.2f} mJ, "
-        f"avg {report.average_power_w:.2f} W"
-    )
 
 
 if __name__ == "__main__":

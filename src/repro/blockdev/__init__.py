@@ -1,1 +1,1 @@
-"""Block device controller and pluggable storage technology timing models."""
+"""Block device controller (Section III-A3)."""

@@ -16,14 +16,13 @@ more *trackers* that move data between memory and the block device:
 
 The device itself is a software functional + timing model (Table I lists
 "Disk — Software Model"); per-sector latency parameters approximate a
-modest SSD and are pluggable, anticipating the timing-accurate storage
-models of Section VIII.
+modest SSD.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional
 
 from repro.tile.caches import MemoryHierarchy
@@ -75,16 +74,10 @@ class BlockDeviceController:
         name: str,
         dma: MemoryHierarchy,
         config: Optional[BlockDeviceConfig] = None,
-        timing=None,
     ) -> None:
         self.name = name
         self.dma = dma
         self.config = config or BlockDeviceConfig()
-        #: Optional pluggable technology model (Section VIII): a
-        #: :class:`repro.blockdev.storage_models.StorageTiming` that
-        #: replaces the fixed latency+per-sector constants.
-        self.timing = timing
-        self._last_sector = 0
         self._tracker_free_cycle: List[int] = [0] * self.config.num_trackers
         self._next_tracker = 0
         #: Functional store: sector index -> opaque contents.
@@ -113,19 +106,10 @@ class BlockDeviceController:
         self._check_request(request)
         tracker_id = self._pick_tracker()
         start = max(cycle, self._tracker_free_cycle[tracker_id])
-        if self.timing is not None:
-            device_time = self.timing.request_cycles(
-                request.sector,
-                request.num_sectors,
-                request.is_write,
-                self._last_sector,
-            )
-            self._last_sector = request.sector + request.num_sectors
-        else:
-            device_time = (
-                self.config.request_latency_cycles
-                + request.num_sectors * self.config.sector_cycles
-            )
+        device_time = (
+            self.config.request_latency_cycles
+            + request.num_sectors * self.config.sector_cycles
+        )
         transfer_bytes = request.num_sectors * SECTOR_BYTES
         if request.is_write:
             dma_done = self.dma.dma_access(

@@ -20,8 +20,8 @@ formula holds exactly).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -145,21 +145,3 @@ class TokenWindow:
     def new_batch(self) -> TokenBatch:
         """An empty output batch covering this window."""
         return TokenBatch.empty(self.start, self.length)
-
-
-def split_packets(flits: List[Tuple[int, Flit]]) -> List[List[Tuple[int, Flit]]]:
-    """Group an ordered flit stream into packets using the ``last`` bits.
-
-    A trailing group without a ``last`` marker is returned as a partial
-    packet (the caller keeps it for the next window).
-    """
-    packets: List[List[Tuple[int, Flit]]] = []
-    current: List[Tuple[int, Flit]] = []
-    for cycle, flit in flits:
-        current.append((cycle, flit))
-        if flit.last:
-            packets.append(current)
-            current = []
-    if current:
-        packets.append(current)
-    return packets

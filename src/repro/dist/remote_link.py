@@ -92,25 +92,6 @@ class Outbox:
             self.peak_entries = count
         return entries
 
-    def lose_tail(self) -> int:
-        """Replace the newest pending entry's payload with a gap marker.
-
-        The transport-loss fault hook for boundary links: the window
-        still occupies its cycle extent on the wire (so later windows
-        stay contiguous at the consumer) but arrives as a
-        :class:`LostWindow`.  Returns the number of tokens lost, like
-        :meth:`~repro.core.channel.Link.lose_in_flight`.
-        """
-        if not self.entries:
-            return 0
-        link_index, window = self.entries[-1]
-        if isinstance(window, LostWindow):
-            return 0
-        self.entries[-1] = (
-            link_index, LostWindow(window.start_cycle, window.length)
-        )
-        return window.length
-
     def __len__(self) -> int:
         return len(self.entries)
 

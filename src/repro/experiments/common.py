@@ -46,6 +46,8 @@ class Table:
     title: str
     columns: List[str]
     rows: List[Tuple] = field(default_factory=list)
+    #: Free-text lines printed under the rows.
+    notes: List[str] = field(default_factory=list)
 
     def add_row(self, *values) -> None:
         if len(values) != len(self.columns):
@@ -71,4 +73,5 @@ class Table:
             lines.append(
                 " | ".join(r.ljust(w) for r, w in zip(rendered, widths))
             )
+        lines.extend(self.notes)
         return "\n".join(lines)

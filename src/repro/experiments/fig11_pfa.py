@@ -12,23 +12,31 @@ Expected results:
   replacement policy — the PFA only moves the fault path to hardware);
 * metadata-management time per page is ~2.5x lower with the PFA
   (batched newQ draining has better cache locality).
+
+The sweep pages against :class:`~repro.pfa.remote.AnalyticRemoteMemory`.
+Every run also performs one page GET from a token-exact memory blade
+(:mod:`repro.pfa.memblade`) and reports it beside the analytic latency,
+so the closed form the sweep relies on is checked against the protocol.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Sequence, Tuple
 
+from repro.core.simulation import Simulation
 from repro.experiments.common import Table
+from repro.pfa.memblade import MemoryBladeClient, attach_memory_blade_server
 from repro.pfa.pfa import PageFaultAccelerator, SoftwarePaging
 from repro.pfa.remote import AnalyticRemoteMemory, RemoteMemoryParams
-from repro.pfa.runtime import PagedExecutor, RunResult, run_trace_all_local
+from repro.pfa.runtime import PagedExecutor, run_trace_all_local
 from repro.pfa.workloads import (
     WorkloadConfig,
     genome_trace,
     local_memory_sweep,
     qsort_trace,
 )
+from repro.swmodel.server import ServerBlade
 
 DEFAULT_FRACTIONS = (0.125, 0.25, 0.5, 0.75)
 
@@ -48,6 +56,10 @@ class PfaPoint:
 @dataclass
 class Fig11Result:
     points: List[PfaPoint]
+    #: One page fetch, in target cycles: measured on the memory blade,
+    #: and the analytic latency the sweep charges.
+    memblade_fetch_cycles: int
+    analytic_fetch_cycles: int
 
     def best_improvement(self, workload: str) -> float:
         return max(
@@ -79,6 +91,12 @@ class Fig11Result:
                 round(p.metadata_ratio, 2),
                 p.evictions_equal,
             )
+        table.notes.append(
+            f"memblade GET (point-to-point): measured "
+            f"{self.memblade_fetch_cycles} cycles, analytic "
+            f"{self.analytic_fetch_cycles} cycles "
+            f"({self.memblade_fetch_cycles / self.analytic_fetch_cycles:.3f}x)"
+        )
         return table
 
 
@@ -112,7 +130,29 @@ def run(
             points.append(
                 _run_with(workload, trace_fn, config, fraction, pages)
             )
-    return Fig11Result(points)
+    return Fig11Result(points, *memblade_fetch())
+
+
+def memblade_fetch() -> Tuple[int, int]:
+    """One page GET from a memory blade: ``(measured, analytic)`` cycles.
+
+    The compute node and the memory blade share one link, as in
+    :class:`RemoteMemoryParams`' defaults (``hops = 0``), and the blade
+    server takes the params' processing time.  The measured latency runs
+    the custom protocol through both NICs over the token-exact link.
+    """
+    params = RemoteMemoryParams()
+    sim = Simulation()
+    compute = sim.add_model(ServerBlade("compute", node_index=0))
+    memblade = sim.add_model(ServerBlade("memblade", node_index=1))
+    sim.connect(compute, "net", memblade, "net", params.link_latency_cycles)
+    attach_memory_blade_server(memblade, params.server_request_cycles)
+    arrivals: List[int] = []
+    MemoryBladeClient(compute, memblade.mac).get_page(
+        0, 1, lambda cycle, _page: arrivals.append(cycle)
+    )
+    sim.run_seconds(0.0005)
+    return arrivals[0], AnalyticRemoteMemory(params).fetch_latency_cycles()
 
 
 def _run_with(

@@ -1,1 +1,1 @@
-"""EC2 F1 host platform: instances, FPGAs, costs, performance, energy, baselines."""
+"""EC2 F1 host platform: instances, FPGAs, costs, performance, baselines."""

@@ -25,14 +25,13 @@ saturates (Figure 9).  Token movement is workload-independent because
 FireSim does not compress empty tokens (Section V-A).
 
 Calibration anchor: the 1024-node supernode datacenter simulates at
-3.42 MHz (Section V-C); purely functional network simulation runs nodes
-at 150+ MHz (Section VII).
+3.42 MHz (Section V-C).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.clock import DEFAULT_CLOCK, TargetClock
 from repro.net.transport import (
@@ -51,8 +50,6 @@ class HostPerfConfig:
     Attributes:
         fpga_sim_hz: maximum simulation clock of one FAME-1 node on the
             FPGA ("10s to 100s of MHz", Section I).
-        functional_sim_hz: node rate with purely functional network
-            simulation (Section VII: 150+ MHz).
         switch_token_ns: host-CPU time to tick one token through one
             switch port in the C++ model.
         switch_threads: host threads available to one switch model's
@@ -62,7 +59,6 @@ class HostPerfConfig:
     """
 
     fpga_sim_hz: float = 40e6
-    functional_sim_hz: float = 150e6
     switch_token_ns: float = 30.0
     switch_threads: int = 16
     port_sync_us: float = 29.5
@@ -151,20 +147,12 @@ class SimulationRateModel:
         link_latency_cycles: int,
         switches: Sequence[SwitchPlacement],
         blades_per_fpga: int = 1,
-        functional_network: bool = False,
     ) -> RateEstimate:
         """Steady-state simulation rate for one mapped target design."""
         if link_latency_cycles < 1:
             raise ValueError("link latency must be >= 1 cycle")
         cfg = self.config
         l = link_latency_cycles
-        if functional_network:
-            # Functional mode skips per-cycle token exchange entirely.
-            return RateEstimate(
-                rate_hz=cfg.functional_sim_hz,
-                bottleneck="fpga",
-                stage_times_s={"fpga": l / cfg.functional_sim_hz},
-            )
         batch_bytes = tokens_to_bytes(l)
         stages: Dict[str, float] = {
             "fpga": l / cfg.fpga_sim_hz,
@@ -192,7 +180,6 @@ class SimulationRateModel:
         num_nodes: int,
         link_latency_cycles: int = 6400,
         supernode: bool = False,
-        functional_network: bool = False,
     ) -> RateEstimate:
         """Rate for a cluster mapped the way the manager maps it.
 
@@ -233,12 +220,7 @@ class SimulationRateModel:
                         ports=agg_groups, ports_over_socket=agg_groups
                     )
                 )
-        return self.estimate(
-            link_latency_cycles,
-            switches,
-            blades_per_fpga=blades,
-            functional_network=functional_network,
-        )
+        return self.estimate(link_latency_cycles, switches, blades_per_fpga=blades)
 
     def datacenter_rate(
         self,

@@ -1,1 +1,1 @@
-"""Target network: Ethernet, switch models, transports, tracing, functional mode."""
+"""Target network: Ethernet, switch models, transports, tracing."""

@@ -2,8 +2,8 @@
 
 FireSim's operational story is *visibility into a running cluster
 simulation*: the paper reports achieved simulation rate (MHz), switch
-and link utilization, and per-blade activity (Strober sampling,
-Sections III-B2/V).  This package is the reproduction's single place to
+and link utilization, and per-blade activity counters (Sections
+III-B2/V).  This package is the reproduction's single place to
 collect all of that:
 
 * :mod:`repro.obs.metrics` — a registry of counters/gauges/histograms

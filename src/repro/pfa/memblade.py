@@ -4,14 +4,15 @@
 bare-metal memory server accessed through a custom network protocol"
 (Section VI).  This module attaches that server to a simulated blade so
 the remote-memory protocol can be exercised end-to-end over the
-cycle-exact token network, and provides a client helper used by
-integration tests to validate :class:`~repro.pfa.remote.AnalyticRemoteMemory`'s
-closed-form latency against the measured path.
+cycle-exact token network, and provides the client the Figure 11
+experiment (:func:`repro.experiments.fig11_pfa.memblade_fetch`) uses to
+check :class:`~repro.pfa.remote.AnalyticRemoteMemory`'s closed-form
+latency against the measured path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.net.ethernet import EthernetFrame, HEADER_BYTES, MTU_BYTES
@@ -99,8 +100,8 @@ def attach_memory_blade_server(
 class MemoryBladeClient:
     """Compute-node side of the custom protocol (bare-metal).
 
-    Used by integration tests: issues GET/PUT frames through the node's
-    NIC and reports per-page completion cycles via callbacks.
+    Issues GET/PUT frames through the node's NIC and reports per-page
+    completion cycles via callbacks.
     """
 
     def __init__(self, blade: ServerBlade, memblade_mac: int) -> None:

@@ -4,17 +4,18 @@ In the paper's disaggregated-memory case study, the memory blade is
 another Rocket core running a bare-metal memory server reached over the
 custom network protocol; compute nodes page 4 KiB pages to/from it.
 
-Two interchangeable models are provided:
+The remote path is modelled twice:
 
 * :class:`AnalyticRemoteMemory` — closed-form fetch/evict latency derived
   from the network parameters (link latency, switching latency, link
   bandwidth) plus the memory server's per-request processing.  This is
   what the Figure 11 sweep uses: the page-fault path is node-local and
   only needs the remote latency constant.
-* :class:`memblade.NetworkMemoryBlade <repro.pfa.memblade>` — a real
-  bare-metal server attached to a simulated blade, exercised through the
-  full token-exact network in integration tests, and used to validate
-  the analytic constants.
+* :func:`~repro.pfa.memblade.attach_memory_blade_server` and
+  :class:`~repro.pfa.memblade.MemoryBladeClient` — a real bare-metal
+  server attached to a simulated blade and its compute-node client,
+  exercised through the full token-exact network.  Every Figure 11 run
+  fetches one page this way to check the analytic constants.
 """
 
 from __future__ import annotations

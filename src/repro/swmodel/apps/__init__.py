@@ -1,2 +1,2 @@
 """Application models: ping, iperf, bare-metal streaming, memcached, mutilate,
-SPECint profiles, Linux boot, and disaggregated accelerator pools."""
+SPECint profiles, and Linux boot."""

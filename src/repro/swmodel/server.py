@@ -106,8 +106,7 @@ class ServerBlade(Fame1Model):
     def register_metrics(self, registry, prefix: Optional[str] = None) -> None:
         """Register this blade's activity counters under ``blade.<name>.*``.
 
-        Covers the same counters Strober samples: per-core commit stats,
-        L1/L2 caches, DRAM, and the NIC.
+        Covers per-core commit stats, L1/L2 caches, DRAM, and the NIC.
         """
         prefix = prefix or f"blade.{self.name}"
         for core_id, core in enumerate(self.soc.cores):

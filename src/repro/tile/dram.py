@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
-import numpy as np
-
 from repro.core.clock import DEFAULT_CLOCK, TargetClock
 
 
@@ -149,86 +147,6 @@ class DRAMModel:
             self.stats.writes += 1
         else:
             self.stats.reads += 1
-        return completion
-
-    def access_bytes(self, cycle: int, addr: int, size: int, is_write: bool = False) -> int:
-        """Issue a multi-burst access covering ``size`` bytes; returns last completion.
-
-        Equivalent to calling :meth:`access` once per 64-byte block at
-        the same issue cycle, but the address decomposition for the
-        whole burst is computed up front (vectorized for long bursts)
-        and the per-block state machine runs on hoisted locals — DMA is
-        the hot caller and pays this per NIC/blockdev transfer.
-        """
-        if size <= 0:
-            raise ValueError(f"size must be positive, got {size}")
-        count = (size + 63) // 64
-        if count == 1:
-            return self.access(cycle, addr, is_write)
-        if addr < 0:
-            raise ValueError(f"address must be >= 0, got {addr}")
-        config = self.config
-        num_channels = config.num_channels
-        num_banks = config.banks_per_channel
-        row_blocks = config.row_bytes // 64
-        first_block = addr // 64
-        if count >= 8:
-            blocks = first_block + np.arange(count, dtype=np.int64)
-            channels = (blocks % num_channels).tolist()
-            blocks //= num_channels
-            bank_indices = (blocks % num_banks).tolist()
-            rows = (blocks // num_banks // row_blocks).tolist()
-        else:
-            channels = []
-            bank_indices = []
-            rows = []
-            for block in range(first_block, first_block + count):
-                channels.append(block % num_channels)
-                block //= num_channels
-                bank_indices.append(block % num_banks)
-                rows.append(block // num_banks // row_blocks)
-        t_cas = self._t_cas
-        t_rcd = self._t_rcd
-        t_rp = self._t_rp
-        t_ras = self._t_ras
-        t_burst = self._t_burst
-        banks = self._banks
-        bus_free = self._bus_free
-        row_hits = row_misses = row_conflicts = 0
-        completion = cycle
-        for i in range(count):
-            channel = channels[i]
-            bank = banks[channel][bank_indices[i]]
-            row = rows[i]
-            busy = bank.busy_until
-            start = cycle if cycle > busy else busy
-            open_row = bank.open_row
-            if open_row == row:
-                row_hits += 1
-                access_done = start + t_cas
-            elif open_row == -1:
-                row_misses += 1
-                access_done = start + t_rcd + t_cas
-                bank.active_since = start
-            else:
-                row_conflicts += 1
-                precharge_at = max(start, bank.active_since + t_ras)
-                access_done = precharge_at + t_rp + t_rcd + t_cas
-                bank.active_since = precharge_at + t_rp
-            bank.open_row = row
-            free = bus_free[channel]
-            burst_start = access_done if access_done > free else free
-            completion = burst_start + t_burst
-            bus_free[channel] = completion
-            bank.busy_until = completion
-        stats = self.stats
-        stats.row_hits += row_hits
-        stats.row_misses += row_misses
-        stats.row_conflicts += row_conflicts
-        if is_write:
-            stats.writes += count
-        else:
-            stats.reads += count
         return completion
 
     @property

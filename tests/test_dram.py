@@ -49,6 +49,10 @@ class TestRowBuffer:
         assert conflict_latency > hit_latency
         assert dram.stats.row_conflicts == 1
 
+    def test_negative_address_rejected(self):
+        with pytest.raises(ValueError):
+            fresh_dram().access(0, -64)
+
 
 class TestChannelBus:
     def test_bus_serializes_concurrent_bursts(self):
@@ -67,22 +71,6 @@ class TestChannelBus:
         single_done = max(single.access(0, i * 64) for i in range(4))
         quad_done = max(quad.access(0, i * 64) for i in range(4))
         assert quad_done < single_done
-
-
-class TestAccessBytes:
-    def test_multi_line_access_covers_size(self):
-        dram = fresh_dram()
-        completion = dram.access_bytes(0, 0, 256)
-        assert dram.stats.reads == 4  # 256 B = 4 bursts
-        assert completion > 0
-
-    def test_bad_size_rejected(self):
-        with pytest.raises(ValueError):
-            fresh_dram().access_bytes(0, 0, 0)
-
-    def test_negative_address_rejected(self):
-        with pytest.raises(ValueError):
-            fresh_dram().access(0, -64)
 
 
 class TestMonotonicity:

@@ -113,12 +113,6 @@ class TestPerfModel:
         estimate = SimulationRateModel().cluster_rate(1, 6400)
         assert estimate.rate_mhz > 15  # "10s of MHz"
 
-    def test_functional_network_hits_150mhz(self):
-        estimate = SimulationRateModel().cluster_rate(
-            8, 6400, functional_network=True
-        )
-        assert estimate.rate_mhz == pytest.approx(150.0)
-
     def test_supernode_is_slower_but_cheaper_at_scale(self):
         model = SimulationRateModel()
         standard = model.cluster_rate(1024, 6400)

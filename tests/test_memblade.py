@@ -5,20 +5,20 @@ validating the analytic latency model's structure."""
 import pytest
 
 from repro.core.simulation import Simulation
+from repro.experiments import fig11_pfa
 from repro.pfa.memblade import (
     MemoryBladeClient,
     attach_memory_blade_server,
 )
-from repro.pfa.remote import AnalyticRemoteMemory, RemoteMemoryParams
 from repro.swmodel.server import ServerBlade
 
 
-def point_to_point(link_latency=6400):
+def point_to_point():
     """Compute node directly linked to the memory blade (hops=0)."""
     sim = Simulation()
     compute = sim.add_model(ServerBlade("compute", node_index=0))
     memblade = sim.add_model(ServerBlade("memblade", node_index=1))
-    sim.connect(compute, "net", memblade, "net", link_latency)
+    sim.connect(compute, "net", memblade, "net", 6400)
     return sim, compute, memblade
 
 
@@ -45,26 +45,9 @@ class TestMemoryBlade:
         assert stats.pages_stored == 1
 
     def test_measured_fetch_latency_matches_analytic_model(self):
-        """The closed-form used by the Figure 11 sweep must agree with the
-        token-exact network within NIC-pipeline tolerance."""
-        link_latency = 6400
-        sim, compute, memblade = point_to_point(link_latency)
-        attach_memory_blade_server(memblade, processing_cycles=1500)
-        client = MemoryBladeClient(compute, memblade.mac)
-        arrivals = []
-        issue_cycle = 0
-        client.get_page(issue_cycle, 1, lambda cy, p: arrivals.append(cy))
-        sim.run_seconds(0.0005)
-        measured = arrivals[0] - issue_cycle
-        analytic = AnalyticRemoteMemory(
-            RemoteMemoryParams(
-                link_latency_cycles=link_latency,
-                hops=0,
-                server_request_cycles=1500,
-            )
-        ).fetch_latency_cycles()
-        # NIC DMA/driver pipelines add latency the closed form folds into
-        # its constants; require agreement within 15%.
+        """The closed form the Figure 11 sweep pages with must agree with
+        the token-exact network within NIC-pipeline tolerance."""
+        measured, analytic = fig11_pfa.memblade_fetch()
         assert measured == pytest.approx(analytic, rel=0.15)
 
     def test_multiple_outstanding_gets(self):

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.token import Flit, TokenBatch, TokenWindow, split_packets
+from repro.core.token import Flit, TokenBatch, TokenWindow
 
 
 class TestTokenBatch:
@@ -71,29 +71,3 @@ class TestTokenWindow:
         batch = TokenWindow(10, 20).new_batch()
         assert batch.start_cycle == 10
         assert batch.length == 10
-
-
-class TestSplitPackets:
-    def test_single_packet(self):
-        flits = [(0, Flit("a")), (1, Flit("a", last=True))]
-        packets = split_packets(flits)
-        assert len(packets) == 1
-        assert len(packets[0]) == 2
-
-    def test_two_packets(self):
-        flits = [
-            (0, Flit("a", last=True)),
-            (3, Flit("b")),
-            (4, Flit("b", last=True)),
-        ]
-        packets = split_packets(flits)
-        assert [len(p) for p in packets] == [1, 2]
-
-    def test_trailing_partial_returned(self):
-        flits = [(0, Flit("a", last=True)), (1, Flit("b"))]
-        packets = split_packets(flits)
-        assert len(packets) == 2
-        assert not packets[1][-1][1].last
-
-    def test_empty_stream(self):
-        assert split_packets([]) == []
