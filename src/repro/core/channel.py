@@ -143,21 +143,6 @@ class LinkEndpoint:
             self._gap_at = lost.start_cycle
         return lost.length
 
-    def mark_gap(self, start_cycle: int, end_cycle: int) -> None:
-        """Record a window ``[start_cycle, end_cycle)`` lost *in transit*.
-
-        The transport twin of :meth:`discard_tail`: a remote producer
-        shipped the window but the hop dropped it, so the consumer
-        never even enqueues it.  The producer cursor still advances
-        past the hole (later windows stay contiguous) while
-        :attr:`available_tokens` stops at the gap — the pop that
-        reaches it starves with the same diagnostics as a local loss.
-        """
-        if self._gap_at is None or start_cycle < self._gap_at:
-            self._gap_at = start_cycle
-        if end_cycle > self._pushed_until:
-            self._pushed_until = end_cycle
-
     @property
     def available_tokens(self) -> int:
         """Tokens consumable contiguously from the consumer's cursor."""

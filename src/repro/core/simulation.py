@@ -138,8 +138,7 @@ def run_rounds(
     hook: Optional[Callable[[int, Optional[Fame1Model]], None]] = None,
     observer: Optional[Any] = None,
     measure: bool = False,
-    pre_round: Optional[Callable[[int, int], None]] = None,
-    post_round: Optional[Callable[[int, int], None]] = None,
+    exchange: Optional[Tuple[int, Callable[[int, int], None]]] = None,
     diagnose: Optional[Callable[[Fame1Model, int], Exception]] = None,
 ) -> None:
     """The scalar round loop: the executable spec of token exchange.
@@ -152,12 +151,13 @@ def run_rounds(
     ``(id(model), port)`` to whatever owns that port's two ends.
 
     Hook points, in firing order within a round that starts at ``cycle``
-    after ``n`` completed rounds: ``pre_round(cycle, n)``,
+    after ``n`` completed rounds: ``step(cycle, n)`` when ``exchange``
+    is ``(period, step)`` and ``n`` is a positive multiple of
+    ``period`` (the start of every exchange after the first), then
     ``hook(cycle, None)``, then ``hook(cycle, model)`` after each model
-    has transmitted, then ``post_round(cycle + quantum, n + 1)``.
-    ``observer`` gets a host-timestamped span per tick and the wall
-    clock per round; ``measure`` accumulates tick seconds per model in
-    ``progress``.  ``diagnose(model, cycle)`` builds the error for a
+    has transmitted.  ``observer`` gets a host-timestamped span per
+    tick and the wall clock per round; ``measure`` accumulates tick
+    seconds per model in ``progress``.  ``diagnose(model, cycle)`` builds the error for a
     starved pop (default :func:`starvation_diagnostic`).  ``progress``
     is kept current as the round advances, so a raise from any hook
     leaves it exact.
@@ -167,10 +167,12 @@ def run_rounds(
     """
     timed = measure or observer is not None
     seconds = progress.model_host_seconds
+    period, step = exchange or (0, None)
     cycle = start_cycle
     while cycle < target_cycle:
-        if pre_round is not None:
-            pre_round(cycle, progress.rounds)
+        rounds = progress.rounds
+        if step is not None and rounds and rounds % period == 0:
+            step(cycle, rounds)
         if hook is not None:
             hook(cycle, None)
         window = TokenWindow(cycle, cycle + quantum)
@@ -212,8 +214,6 @@ def run_rounds(
         progress.rounds += 1
         if observer is not None:
             observer.record_round(quantum, perf_counter() - round_start)
-        if post_round is not None:
-            post_round(cycle, progress.rounds)
 
 
 #: Execution engines ``run_until`` can dispatch to.  "scalar" is the

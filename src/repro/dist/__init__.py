@@ -10,7 +10,7 @@ instances:
   manager's host placement (:class:`PartitionPlan`);
 * :mod:`repro.dist.remote_link` — split boundary links into a local
   consuming queue plus a transport-fed producing side, preserving
-  latency priming and gap semantics bit-for-bit;
+  latency priming bit-for-bit;
 * :mod:`repro.dist.worker` — the per-process shard round loop,
   lockstepped purely by token exchange;
 * :mod:`repro.dist.shm` — the zero-copy shared-memory ring, the one
@@ -40,7 +40,6 @@ from repro.dist.partition import (
     plan_partitions,
 )
 from repro.dist.remote_link import (
-    LostWindow,
     Outbox,
     RemoteAttachment,
     deliver,
@@ -57,7 +56,6 @@ __all__ = [
     "BoundaryLink",
     "DistributedRunResult",
     "HeartbeatBlock",
-    "LostWindow",
     "Outbox",
     "PartitionPlan",
     "RemoteAttachment",

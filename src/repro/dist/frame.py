@@ -10,23 +10,22 @@ a module's outgoing traffic leaves as **one** contiguous write.
 into one columnar payload:
 
 * **entry table** — ``entry_count`` packed rows of
-  ``link_index (i32) | kind (u8) | start_cycle (i64) | length (i64) |
-  valid_count (i32)`` (25 bytes, no padding).  The consumer decodes the
+  ``link_index (i32) | start_cycle (i64) | length (i64) |
+  valid_count (i32)`` (24 bytes, no padding).  The consumer decodes the
   whole table with a single ``np.frombuffer`` over a packed dtype —
   no per-entry ``struct.unpack`` loop.
-* **cycle column** — every DATA entry's int64 token cycles,
+* **cycle column** — every entry's int64 token cycles,
   concatenated in entry order.  Each producer-side window contributes
   one vectorized copy (``TokenStream``'s cycle column goes straight in
   as raw bytes); the consumer slices windows back out of one
   ``np.frombuffer`` view by cumulative ``valid_count``.
 * **flit blob** — ONE ``pickle.dumps`` of the list of per-entry flit
-  payload lists (DATA entries only, in entry order), running to the
-  end of the payload.  One pickle call per exchange per peer replaces
-  one per busy window.
+  payload lists (in entry order), running to the end of the payload.
+  One pickle call per exchange per peer replaces one per busy window.
 
-``kind`` keeps the gap semantics of the per-entry format: ``DATA``
-carries tokens, ``IDLE`` is table-row-only, and ``LOST`` marks a window
-dropped in transit (the consumer records a queue gap).  Framing —
+Producers ship only windows that carry tokens, so a quiet exchange is
+an empty entry list; the receiver fills the cycles no entry covers
+with empty windows (:func:`repro.dist.remote_link.deliver`).  Framing —
 round tags, CRCs, sequence numbers — stays with the ring
 (:mod:`repro.dist.shm` wraps this payload in its integrity-checked
 header).
@@ -39,37 +38,26 @@ from typing import Any, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.token import TokenBatch
-from repro.dist.remote_link import LostWindow
 from repro.perf.stream import TokenStream
 
 __all__ = [
-    "DATA",
-    "IDLE",
-    "LOST",
     "ENTRY_BYTES",
     "decode_entries",
     "encode_entries",
 ]
-
-# Entry kinds: the table bits that carry window semantics.
-DATA = 0  # valid tokens follow (cycles in the column + flits in the blob)
-IDLE = 1  # empty window, table row only
-LOST = 2  # window lost in transit: consumer records a queue gap
 
 #: One packed entry-table row.  numpy decodes the whole table at once;
 #: ``align=False`` keeps the layout identical to the producer's packing.
 _ENTRY_DTYPE = np.dtype(
     [
         ("link", "<i4"),
-        ("kind", "u1"),
         ("start", "<i8"),
         ("length", "<i8"),
         ("valid", "<i4"),
     ]
 )
 ENTRY_BYTES = _ENTRY_DTYPE.itemsize
-assert ENTRY_BYTES == 25, "entry table rows must pack without padding"
+assert ENTRY_BYTES == 24, "entry table rows must pack without padding"
 
 _EMPTY_CYCLES = np.empty(0, dtype=np.int64)
 
@@ -80,14 +68,12 @@ def encode_entries(
     """Append the coalesced payload for ``entries`` to ``out``.
 
     ``entries`` are ``(link_index, window)`` pairs in the producer's own
-    representation — ``TokenStream`` for busy batched windows,
-    ``TokenBatch`` for scalar or idle windows, ``LostWindow`` for
-    fault-injected transport loss.  Returns the entry count.
+    representation — ``TokenStream`` for batched windows, ``TokenBatch``
+    for scalar ones.  Returns the entry count.
     """
     count = len(entries)
     table = np.empty(count, dtype=_ENTRY_DTYPE)
     link_col = table["link"]
-    kind_col = table["kind"]
     start_col = table["start"]
     length_col = table["length"]
     valid_col = table["valid"]
@@ -95,43 +81,25 @@ def encode_entries(
     flit_lists: List[list] = []
     for row, (link_index, window) in enumerate(entries):
         link_col[row] = link_index
-        if type(window) is LostWindow:
-            kind_col[row] = LOST
-            start_col[row] = window.start_cycle
-            length_col[row] = window.length
-            valid_col[row] = 0
-            continue
         start_col[row] = window.start_cycle
         length_col[row] = window.length
         if isinstance(window, TokenStream):
             tokens = window.tokens
-            valid = tokens.shape[0]
-            if valid:
-                kind_col[row] = DATA
-                valid_col[row] = valid
-                columns.append(np.ascontiguousarray(tokens["cycle"]))
-                flit_lists.append(tokens["flit"].tolist())
-            else:
-                kind_col[row] = IDLE
-                valid_col[row] = 0
+            valid_col[row] = tokens.shape[0]
+            columns.append(np.ascontiguousarray(tokens["cycle"]))
+            flit_lists.append(tokens["flit"].tolist())
             continue
         flits = window.flits
-        if flits:
-            cycles_list = sorted(flits)
-            kind_col[row] = DATA
-            valid_col[row] = len(cycles_list)
-            columns.append(np.asarray(cycles_list, dtype=np.int64))
-            flit_lists.append([flits[cycle] for cycle in cycles_list])
-        else:
-            kind_col[row] = IDLE
-            valid_col[row] = 0
+        cycles_list = sorted(flits)
+        valid_col[row] = len(cycles_list)
+        columns.append(np.asarray(cycles_list, dtype=np.int64))
+        flit_lists.append([flits[cycle] for cycle in cycles_list])
     out += table.tobytes()
     for cycles in columns:
         out += memoryview(cycles).cast("B")
     if flit_lists:
-        # Omitted entirely for all-idle payloads: an empty exchange is
-        # just its table (and an empty entry list is zero bytes, so the
-        # ring's header CRC alone still covers it).
+        # Omitted for an empty entry list, which is zero bytes: the
+        # ring's header CRC alone still covers it.
         out += pickle.dumps(flit_lists, protocol=pickle.HIGHEST_PROTOCOL)
     return count
 
@@ -163,29 +131,17 @@ def decode_entries(
     flit_lists = pickle.loads(blob) if len(blob) else []
     entries: List[Tuple[int, Any]] = []
     cursor = 0
-    blob_row = 0
-    kind_col = table["kind"]
     link_col = table["link"]
     start_col = table["start"]
     length_col = table["length"]
     for row in range(entry_count):
-        kind = kind_col[row]
-        start_cycle = int(start_col[row])
-        length = int(length_col[row])
-        window: Any
-        if kind == IDLE:
-            window = TokenBatch(start_cycle, length)
-        elif kind == LOST:
-            window = LostWindow(start_cycle, length)
-        else:
-            valid = int(valid_col[row])
-            window = TokenStream.from_wire(
-                start_cycle,
-                length,
-                cycles[cursor:cursor + valid],
-                flit_lists[blob_row],
-            )
-            cursor += valid
-            blob_row += 1
+        valid = int(valid_col[row])
+        window = TokenStream.from_wire(
+            int(start_col[row]),
+            int(length_col[row]),
+            cycles[cursor:cursor + valid],
+            flit_lists[row],
+        )
+        cursor += valid
         entries.append((int(link_col[row]), window))
     return entries

@@ -16,9 +16,8 @@ token's producer-cycle-``M`` → consumer-cycle-``M + l`` timing is
 bit-identical to the in-process link — the distributed engine differs
 from the serial one only in *which host process* holds each queue,
 which is precisely the paper's host-decoupling claim (Section III-B2).
-Gap semantics survive too: a batch lost in transit (fault injection)
-leaves the consumer starving at the hole, raising the same
-:class:`~repro.core.channel.TokenStarvationError` diagnostics.
+Only windows that carry tokens cross the wire; the receiver queues an
+empty window for every cycle of the exchange that none covers.
 """
 
 from __future__ import annotations
@@ -29,40 +28,16 @@ from repro.core.channel import Link, LinkEndpoint
 from repro.core.token import TokenBatch
 
 #: One wire message entry: (link index, relabelled window).  The window
-#: ships in whatever representation the producing engine holds — a
-#: sparse ``TokenBatch`` (scalar engine, or an idle window under the
-#: batched engine) or a :class:`~repro.perf.stream.TokenStream` (a busy
-#: window under the batched engine).  The consuming endpoint's ``push``
-#: is duck-typed over both, so there is no convert/deconvert hop on
-#: either side of the wire.
+#: carries tokens and ships in whatever representation the producing
+#: engine holds — a sparse ``TokenBatch`` (scalar engine) or a
+#: :class:`~repro.perf.stream.TokenStream` (batched engine).  The
+#: consuming endpoint's ``push`` is duck-typed over both, so there is
+#: no convert/deconvert hop on either side of the wire.
 WireEntry = Tuple[int, Any]
 
 
-class LostWindow:
-    """A window whose payload was lost in transit (fault injection).
-
-    Carries only the cycle extent; :func:`deliver` turns it into a
-    consumer-side queue gap via
-    :meth:`~repro.core.channel.LinkEndpoint.mark_gap`.  The ring
-    encodes it as an entry-table ``LOST`` row (:mod:`repro.dist.frame`).
-    """
-
-    __slots__ = ("start_cycle", "length")
-
-    def __init__(self, start_cycle: int, length: int) -> None:
-        self.start_cycle = start_cycle
-        self.length = length
-
-    @property
-    def end_cycle(self) -> int:
-        return self.start_cycle + self.length
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"LostWindow(start={self.start_cycle}, len={self.length})"
-
-
 class Outbox:
-    """One peer's outgoing wire entries for the round in progress.
+    """One peer's outgoing wire entries for the exchange in progress.
 
     Attachments append; the ring *drains* — :meth:`drain` hands the
     accumulated list over by reference and replaces it, so no batch
@@ -76,7 +51,7 @@ class Outbox:
         self.entries: List[WireEntry] = []
         #: Entries ever drained / most entries in a single drain —
         #: per-peer coalescing stats the distributed profiler reports
-        #: (peak == boundary links toward the peer in a healthy run).
+        #: (only windows that carry tokens are entries).
         self.total_entries = 0
         self.peak_entries = 0
 
@@ -126,26 +101,21 @@ class RemoteAttachment:
         return self._inbound.pop(length)
 
     def transmit(self, batch: TokenBatch) -> None:
-        # Keep the per-direction flit counters the local Link would have
-        # maintained, so merged statistics match the serial engine.
-        if self.side == "a":
-            self.link.flits_a_to_b += batch.valid_count
-        else:
-            self.link.flits_b_to_a += batch.valid_count
-        self._outbox.append(
-            (self.link_index, self.link.shift_for_transport(batch))
-        )
+        if batch.flits:
+            self.ship(self.link.shift_for_transport(batch), len(batch.flits))
 
     def ship(self, shifted: Any, valid_count: int) -> None:
         """Outbox an *already relabelled* window (batched-engine path).
 
         The batched engine applies the ``+latency`` shift in the
-        producer's own representation — in place for idle batches, one
-        vectorized cycle-add for streams — so this method only does the
-        counter bookkeeping :meth:`transmit` would and appends the
-        object as-is; the wire carries exactly what a local queue
-        would have held.
+        producer's own representation — one vectorized cycle-add for
+        streams — so this method only keeps the per-direction flit
+        counters the local Link would have (so merged statistics match
+        the serial engine) and appends the object as-is.  An empty
+        window is not shipped: the receiver fills it back in.
         """
+        if not valid_count:
+            return
         if self.side == "a":
             self.link.flits_a_to_b += valid_count
         else:
@@ -157,18 +127,37 @@ class RemoteAttachment:
         return self._inbound.available_tokens
 
 
-def deliver(endpoint: LinkEndpoint, window: Any) -> None:
+def deliver(
+    endpoint: LinkEndpoint, window: Any, span_end: int, quantum: int
+) -> None:
     """Push a window received from the peer into its local consuming queue.
 
     The window was already relabelled by the sender and may be a batch
-    or a stream (see :data:`WireEntry`); the endpoint's own contiguity
-    check rejects any reordered or dropped-and-resumed delivery, so
-    transport bugs surface as loud errors rather than silent timing
-    skew.  A :class:`LostWindow` never enqueues — it becomes a queue
-    gap, preserving the fault model's starve-at-the-hole semantics
-    across the process boundary.
+    or a stream (see :data:`WireEntry`).  It must lie inside its
+    exchange's span — from where the queue ends to ``span_end`` — and
+    after every window already delivered, so a reordered, duplicated or
+    misrouted delivery surfaces as a loud error rather than silent
+    timing skew.  The cycles it skips are queued as empty windows.
     """
-    if type(window) is LostWindow:
-        endpoint.mark_gap(window.start_cycle, window.end_cycle)
-    else:
-        endpoint.push(window)
+    pushed = endpoint._pushed_until
+    if window.start_cycle < pushed or window.end_cycle > span_end:
+        raise ValueError(
+            f"window [{window.start_cycle}, {window.end_cycle}) arrived "
+            f"out of order or outside its exchange span [{pushed}, "
+            f"{span_end})"
+        )
+    fill(endpoint, window.start_cycle, quantum)
+    endpoint.push(window)
+
+
+def fill(endpoint: LinkEndpoint, until: int, quantum: int) -> None:
+    """Queue empty windows of one ``quantum`` each up to cycle ``until``.
+
+    These are the windows the producer did not ship because they carry
+    no token, one per producer round.
+    """
+    pushed = endpoint._pushed_until
+    while pushed < until:
+        length = min(quantum, until - pushed)
+        endpoint.push(TokenBatch(pushed, length))
+        pushed += length

@@ -27,9 +27,9 @@ the publish lands.  Only the *interior* waits — mid-message streaming
 and ring-full backpressure, both rare — spin, with adaptive backoff
 that falls to ``sched_yield`` almost immediately for the same reason.
 
-Lockstep makes the sizing easy: a worker entering round ``r`` has
-already consumed its peers' round ``r - 1`` messages, so at most one
-round of traffic is ever in flight per direction and the default
+Lockstep makes the sizing easy: a worker entering exchange ``e`` has
+already consumed its peers' exchange ``e - 1`` messages, so at most one
+exchange of traffic is ever in flight per direction and the default
 1 MiB ring never fills on realistic topologies.  When a message *is*
 larger than the ring (a worst-case dense window), the writer streams
 it through in chunks while the reader drains — ring-full is
@@ -41,20 +41,17 @@ concatenated cycle column, ONE flit pickle for the whole exchange)::
 
     round header:  round_tag (i64) | entry_count (i32) | payload_bytes (i64)
                    | seq (i64) | payload_crc32 (u32) | header_crc32 (u32)
-    entry table:   entry_count rows of link_index (i32) | kind (u8)
+    entry table:   entry_count rows of link_index (i32)
                    | start_cycle (i64) | length (i64) | valid_count (i32)
     cycle column:  sum(valid_count) int64 cycles, concatenated in entry
                    order (vectorized copies straight from each
                    TokenStream's cycle column)
-    flit blob:     one pickled list of per-DATA-entry flit lists,
-                   running to the payload's end.
+    flit blob:     one pickled list of per-entry flit lists, running to
+                   the payload's end.
 
-``kind`` encodes the window's gap semantics in the table so
-fault-injection paths survive the process boundary: ``DATA`` carries
-valid tokens, ``IDLE`` is a table-row-only empty window (the common
-case — no pickling at all), and ``LOST`` marks a window dropped in
-transit, which the consumer turns into a queue gap exactly as
-:meth:`~repro.core.channel.LinkEndpoint.discard_tail` would.
+Every entry is a window that carries tokens: producers ship nothing for
+a quiet window, so a quiet exchange is a bare round header (no table,
+no pickling at all), and the receiver fills in the empty windows.
 
 Integrity: the round header carries a CRC32 over itself, a CRC32 over
 the payload, and a per-ring monotonic sequence number.  A reader that
@@ -67,8 +64,7 @@ round per direction, noise next to the encode loop.
 Flit payloads are arbitrary Python objects (Ethernet frames), so they
 still serialize through ``pickle`` — but only once per exchange per
 peer; "zero-copy" buys the cycle column (vectorized copies into the
-ring) and the idle windows (25 table bytes, no object traffic), which
-together are nearly all of the per-round wire cost.
+ring), and quiet windows cost no bytes at all.
 
 Segments are created by the parent *before* forking, inherited by the
 workers as mapped memory, and unlinked by the parent in the run
@@ -370,9 +366,8 @@ class ShmRing:
         """Encode and publish one exchange's wire entries as ONE frame.
 
         ``entries`` are ``(link_index, window)`` pairs in the producer's
-        own representation — ``TokenStream`` for busy batched windows,
-        ``TokenBatch`` for scalar or idle windows, ``LostWindow`` for
-        fault-injected transport loss.  All of them leave as a single
+        own representation — ``TokenStream`` for batched windows,
+        ``TokenBatch`` for scalar ones.  All of them leave as a single
         coalesced payload (:mod:`repro.dist.frame`) under one ring
         header — one publish, one wakeup, one pickle per peer per
         exchange.

@@ -20,9 +20,8 @@ Two pieces:
     as :class:`~repro.dist.shm.ShmRing` cursors): the worker writes the
     entry at ``seq % depth`` first and bumps ``seq`` after, so the
     parent always reads a complete beat at ``(seq - 1) % depth`` and
-    the counter itself is the progress signal.  Workers beat several
-    times per lockstep round (entering recv, entering compute, entering
-    send), so the parent can name the *phase* a hung worker died in.
+    the counter itself is the progress signal.  Workers beat at every
+    exchange (entering send, entering recv, entering compute), so the parent can name the *phase* a hung worker died in.
 
 :class:`Supervisor`
     The parent-side monitor, polled from the collection loop whenever

@@ -9,28 +9,29 @@ per output port.  The only difference is where boundary tokens go —
 interior links use the local queues, boundary links hand relabelled
 batches to per-peer outboxes that drain into that peer's
 :class:`~repro.dist.shm.ShmRing` — and that difference lives entirely
-in the attachments and the four hooks :func:`run_shard` hands the loop.
+in the attachments and the one exchange step :func:`run_shard` hands
+the loop.
 
 Synchronization is pure token exchange, exactly the paper's argument
 (Section III-B2), batched into *exchange rounds*: the run driver
 derives a ``round_quantum`` from the partition's boundary-latency
 floor (paper Fig 9: rate grows with batch size), and workers exchange
 one coalesced message per peer per ``round_quantum // quantum`` local
-rounds.  A worker entering exchange ``e > 0`` first drains one message
-per peer (the peer's exchange ``e - 1`` boundary output).  Link
+rounds.  At the start of exchange ``e > 0`` the step posts this
+worker's exchange ``e - 1`` boundary output to every peer, then drains
+one message per peer (the peer's exchange ``e - 1`` output).  Link
 priming guarantees the whole first exchange needs nothing — the primed
 window is at least ``round_quantum`` deep — and from then on each
 received message extends every boundary queue by one round quantum, so
 no worker can ever run ahead of a peer by more than the in-flight
 token window — lockstep without any clock, barrier, or coordinator.
+Between exchanges the shard runs the round loop's active set, so a
+worker costs what its traffic costs; only windows that carry tokens
+cross the wire, and the receiver fills in the empty ones.
 
-Two latency hides ride on top of the lockstep (Section III-C's
-compute/transport overlap): sends are *eager* — each peer's coalesced
-message is posted as soon as the last local model producing toward
-that peer has ticked, while the rest of the shard is still computing —
-and receives are *lazy*: a non-blocking sweep first collects every
-peer message that already arrived, and only then does the worker block
-on the stragglers, so ``recv_wait`` measures true skew rather than
+Receives are *lazy*: a non-blocking sweep first collects every peer
+message that already arrived, and only then does the worker block on
+the stragglers, so ``recv_wait`` measures true skew rather than
 delivery order.
 
 Workers are forked, so they inherit the fully elaborated simulation
@@ -60,6 +61,7 @@ from repro.dist.remote_link import (
     RemoteAttachment,
     WireEntry,
     deliver,
+    fill,
 )
 from repro.dist.shm import ShmRing
 from repro.dist.supervisor import (
@@ -173,7 +175,8 @@ class ShardContext:
     #: A :class:`~repro.dist.supervisor.HeartbeatBlock` created by the
     #: parent pre-fork, or None when supervision is disabled (or the
     #: host has no usable POSIX shared memory).  Workers publish beats
-    #: into their slot several times per lockstep round.
+    #: into their slot at every exchange (entering send, recv and
+    #: compute).
     heartbeats: Optional[Any] = None
 
 
@@ -222,15 +225,18 @@ def _build_attachments(
 
 def _consumer_endpoints(
     simulation: Simulation, inbound_side: Dict[int, str]
-) -> Dict[int, Any]:
-    """Boundary link index -> the local consuming endpoint.
+) -> Dict[int, Tuple[Any, int]]:
+    """Boundary link index -> the local consuming endpoint and latency.
 
     Precomputed once so the drain delivers received windows with a
     dict lookup instead of re-deriving link and side every time.
     """
     links = simulation.links
     return {
-        index: links[index].to_a if side == "a" else links[index].to_b
+        index: (
+            links[index].to_a if side == "a" else links[index].to_b,
+            links[index].latency,
+        )
         for index, side in inbound_side.items()
     }
 
@@ -238,7 +244,9 @@ def _consumer_endpoints(
 def _drain_exchange(
     recv_list: List[Any],
     exchange_tag: int,
-    endpoints: Dict[int, Any],
+    cycle: int,
+    quantum: int,
+    endpoints: Dict[int, Tuple[Any, int]],
     recorder: Optional[PhaseRecorder],
 ) -> None:
     """Collect one message per peer for ``exchange_tag``, lazily.
@@ -248,7 +256,9 @@ def _drain_exchange(
     windows ride one channel), then the stragglers are awaited with
     the blocking path's starvation deadline.  Blocking first on an
     arbitrary peer would charge one peer's skew to every channel;
-    this way ``recv_wait`` is the *max* peer skew, not the sum.
+    this way ``recv_wait`` is the *max* peer skew, not the sum.  Then
+    every boundary queue is filled with empty windows to the end of
+    the exchange's span, ``cycle`` plus the link's latency.
     """
     waiting = []
     for channel in recv_list:
@@ -256,57 +266,32 @@ def _drain_exchange(
         if entries is None:
             waiting.append(channel)
             continue
-        _deliver_message(entries, endpoints, recorder)
+        _deliver_message(entries, cycle, quantum, endpoints, recorder)
     for channel in waiting:
-        _deliver_message(channel.recv(exchange_tag), endpoints, recorder)
+        _deliver_message(
+            channel.recv(exchange_tag), cycle, quantum, endpoints, recorder
+        )
+    for endpoint, latency in endpoints.values():
+        fill(endpoint, cycle + latency, quantum)
+    if recorder is not None:
+        recorder.mark(P_GAP)
 
 
 def _deliver_message(
     entries: List[WireEntry],
-    endpoints: Dict[int, Any],
+    cycle: int,
+    quantum: int,
+    endpoints: Dict[int, Tuple[Any, int]],
     recorder: Optional[PhaseRecorder],
 ) -> None:
     """Push one peer message's windows into the local consuming queues."""
     if recorder is not None:
         recorder.mark(P_RECV_WAIT)
     for link_index, window in entries:
-        deliver(endpoints[link_index], window)
+        endpoint, latency = endpoints[link_index]
+        deliver(endpoint, window, cycle + latency, quantum)
     if recorder is not None:
         recorder.mark(P_GAP)
-
-
-def _flush_plan(
-    shard: List[Any],
-    attachments: Dict[Tuple[int, str], Any],
-    outboxes: Dict[int, Outbox],
-    send_channels: Dict[int, Any],
-) -> Dict[int, List[Tuple[Any, Outbox]]]:
-    """Eager-send schedule: ``id(model)`` -> the peers it completes.
-
-    For each peer, find the *last* model in shard (tick) order with a
-    boundary port producing toward that peer.  Once that model has
-    ticked on an exchange's final round, the peer's outbox holds the
-    full exchange payload, so the coalesced send can be posted while
-    the remaining shard models are still computing — the paper's
-    compute/transport overlap without threads.  Every peer has such a
-    model by construction (its outbox exists because some local
-    model's :class:`RemoteAttachment` feeds it), so the round loop
-    needs no fallback flush.
-    """
-    peer_of_outbox = {id(outbox): peer for peer, outbox in outboxes.items()}
-    last_producer: Dict[int, int] = {}
-    for model in shard:
-        for port in model.ports:
-            attachment = attachments[(id(model), port)]
-            if isinstance(attachment, RemoteAttachment):
-                peer = peer_of_outbox[id(attachment._outbox)]
-                last_producer[peer] = id(model)
-    plan: Dict[int, List[Tuple[Any, Outbox]]] = {}
-    for peer, model_id in last_producer.items():
-        plan.setdefault(model_id, []).append(
-            (send_channels[peer], outboxes[peer])
-        )
-    return plan
 
 
 def _collect_result(
@@ -382,12 +367,8 @@ def _setup_profile(
         return None, None
     clock = ClockSync(epoch_s=context.epoch_s, entry_s=entry_s)
     if config.overhead_probe:
-        # Alternate in blocks of one exchange period so the periodic
-        # drain/flush rounds land equally in both probe populations.
         recorder: PhaseRecorder = ProbeRecorder(
-            config.ring_capacity,
-            sleep_s=config.probe_sleep_s,
-            period=context.round_quantum // context.quantum,
+            config.ring_capacity, sleep_s=config.probe_sleep_s
         )
     else:
         recorder = PhaseRecorder(config.ring_capacity)
@@ -435,22 +416,17 @@ def _collect_profile(
 def run_shard(context: ShardContext, worker_id: int) -> WorkerResult:
     """Execute one worker's shard to the target cycle; returns its result.
 
-    The lockstep is expressed once, as the round loop's hooks, and runs
-    under whichever loop ``simulation.engine`` names: ``pre_round``
-    drains one message per peer on each exchange boundary (lazily —
-    already-arrived messages first), and the eager flush rides the
-    per-model fault-hook seam: the wrapped ``hook`` posts a peer's
-    coalesced send the moment its last producing model has ticked on
-    the exchange's final round, while the loop is still ticking the
-    rest of the shard.  Boundary windows leave through the shard's
+    The lockstep is expressed once, as the round loop's exchange step,
+    and runs under whichever loop ``simulation.engine`` names.  At the
+    start of every exchange after the first the step posts each peer's
+    coalesced outbox, drains one message per peer (lazily —
+    already-arrived messages first), beats the heartbeat and closes one
+    profiler row and opens the next, so a row or a beat is an exchange.
+    Boundary windows leave through the shard's
     :class:`~repro.dist.remote_link.RemoteAttachment` objects in the
     producing loop's own representation; the peer's delivery pushes
-    them unchanged.
-
-    Heartbeats and phase recording ride the same hooks: ``pre_round``
-    opens the row and marks the recv/gap segments, the wrapped hook
-    brackets each eager flush as compute-then-send, and ``post_round``
-    marks the loop's remaining ticks as compute and closes the row.
+    them unchanged.  ``simulation.fault_hook`` is the loop's plain
+    ``hook``.
     """
     global _SEND_CHANNELS
     entry_s = perf_counter()  # clock-sync stamp: first post-fork reading
@@ -477,61 +453,38 @@ def run_shard(context: ShardContext, worker_id: int) -> WorkerResult:
     if beat is not None:
         beat(0, HB_STARTUP)
     recorder, clock = _setup_profile(context, entry_s, send_channels)
-    rounds_per_exchange = context.round_quantum // quantum
+    period = context.round_quantum // quantum
     endpoints = _consumer_endpoints(simulation, inbound_side)
     recv_list = [recv_channels[peer] for peer in peers]
-    flush_plan = _flush_plan(shard, attachments, outboxes, send_channels)
-    # [send_seconds, recv_seconds], mutated by the round hooks.
+    sends = [(send_channels[peer], outboxes[peer]) for peer in peers]
+    # [send_seconds, recv_seconds], mutated by the exchange step.
     transport_seconds = [0.0, 0.0]
-    # [exchange_tag, flushing], set by pre_round for the wrapped hook.
-    exchange_state = [0, False]
 
-    def pre_round(cycle: int, rounds: int) -> None:
-        if recorder is not None:
-            recorder.round_begin()
-        if beat is not None:
-            beat(rounds, HB_RECV)
-        exchange, round_phase = divmod(rounds, rounds_per_exchange)
-        exchange_state[0] = exchange
-        exchange_state[1] = round_phase == rounds_per_exchange - 1
-        if round_phase == 0 and rounds > 0:
-            recv_start = perf_counter() if measure else 0.0
-            _drain_exchange(recv_list, exchange - 1, endpoints, recorder)
-            if measure:
-                transport_seconds[1] += perf_counter() - recv_start
-        if beat is not None:
-            beat(rounds, HB_COMPUTE)
-
-    base_hook = simulation.fault_hook
-
-    def hook(cycle: int, model: Optional[Any]) -> None:
-        if base_hook is not None:
-            base_hook(cycle, model)
-        if model is None or not exchange_state[1]:
-            return
-        flushes = flush_plan.get(id(model))
-        if flushes is None:
-            return
-        # Eager flush: this model was the last producer toward these
-        # peers, so their exchange payload is complete — post it while
-        # the rest of the shard computes.
-        if recorder is not None:
-            recorder.mark(P_COMPUTE)
-        send_start = perf_counter() if measure else 0.0
-        for channel, outbox in flushes:
-            channel.send(exchange_state[0], outbox.drain())
-        if measure:
-            transport_seconds[0] += perf_counter() - send_start
-        if recorder is not None:
-            recorder.mark(P_SEND)
-
-    def post_round(cycle: int, rounds: int) -> None:
+    def step(cycle: int, rounds: int) -> None:
+        tag = rounds // period - 1
         if recorder is not None:
             # Everything since the last mark is the loop's ticking.
             recorder.mark(P_COMPUTE)
-            recorder.round_end()
         if beat is not None:
-            beat(rounds - 1, HB_SEND)
+            beat(rounds, HB_SEND)
+        send_start = perf_counter() if measure else 0.0
+        for channel, outbox in sends:
+            channel.send(tag, outbox.drain())
+        if measure:
+            recv_start = perf_counter()
+            transport_seconds[0] += recv_start - send_start
+        if recorder is not None:
+            recorder.mark(P_SEND)
+        if beat is not None:
+            beat(rounds, HB_RECV)
+        _drain_exchange(recv_list, tag, cycle, quantum, endpoints, recorder)
+        if measure:
+            transport_seconds[1] += perf_counter() - recv_start
+        if recorder is not None:
+            recorder.round_end()
+            recorder.round_begin()
+        if beat is not None:
+            beat(rounds, HB_COMPUTE)
 
     def diagnose(model: Any, cycle: int) -> TokenStarvationError:
         return starvation_diagnostic(
@@ -540,6 +493,10 @@ def run_shard(context: ShardContext, worker_id: int) -> WorkerResult:
 
     start_cycle = simulation.current_cycle
     progress = RoundProgress(start_cycle)
+    if beat is not None:
+        beat(0, HB_COMPUTE)
+    if recorder is not None:
+        recorder.round_begin()
     wall_start = perf_counter()
     cpu_start = process_time()
     round_loop(simulation.engine)(
@@ -549,12 +506,14 @@ def run_shard(context: ShardContext, worker_id: int) -> WorkerResult:
         start_cycle,
         context.target_cycle,
         progress,
-        hook=hook if (peers or base_hook is not None) else None,
+        hook=simulation.fault_hook,
         measure=measure,
-        pre_round=pre_round,
-        post_round=post_round,
+        exchange=(period, step),
         diagnose=diagnose,
     )
+    if recorder is not None:
+        recorder.mark(P_COMPUTE)
+        recorder.round_end()
     if beat is not None:
         beat(progress.rounds, HB_DONE)
     cpu_seconds = process_time() - cpu_start
@@ -599,6 +558,7 @@ def shard_entry(context: ShardContext, worker_id: int) -> None:
     set_trace_sink(None)
     global _WORKER_ID
     _WORKER_ID = worker_id
+    failed = False
     try:
         result = run_shard(context, worker_id)
     except BaseException as exc:  # noqa: BLE001 - report, then die loudly
@@ -616,7 +576,12 @@ def shard_entry(context: ShardContext, worker_id: int) -> None:
                 getattr(exc, "target", None),
             )
         )
-        _release_channels(context)
-        sys.exit(1)
-    context.result_queue.put(("ok", worker_id, result))
+        failed = True
+    else:
+        context.result_queue.put(("ok", worker_id, result))
+    # Outside the handler: the exception's frames still hold views of
+    # the ring segments, and closing a mapped segment while a view is
+    # alive raises BufferError.
     _release_channels(context)
+    if failed:
+        sys.exit(1)

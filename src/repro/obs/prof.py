@@ -7,9 +7,11 @@ the slowest worker's round.  This module measures which phase of which
 worker's round the time goes to:
 
 * :class:`PhaseRecorder` — a preallocated per-worker ring buffer of
-  per-round phase timings.  The worker round loop stamps phase
-  boundaries (:meth:`~PhaseRecorder.mark`) as it passes them; one
-  ``perf_counter`` read per boundary, a handful per round, so the
+  per-round phase timings, where a distributed worker's "round" (one
+  row) is one token exchange: the worker's exchange step closes a row
+  and opens the next.  The step stamps phase boundaries
+  (:meth:`~PhaseRecorder.mark`) as it passes them; one
+  ``perf_counter`` read per boundary, a handful per row, so the
   profiler's own cost stays measurably below 5% of round time (gated
   by ``scripts/check_bench_regression.py``).  The ring retains the last
   ``capacity`` rounds sample-exact for histograms and trace rendering
@@ -32,10 +34,11 @@ worker's round the time goes to:
   critical-path attribution naming the worker and phase that bound the
   observed rounds, and the compute/transport/wait share reconciliation.
 
-Phase vocabulary (one row of the ring per round):
+Phase vocabulary (one row of the ring per exchange):
 
 ``compute``
-    model ticks, output relabelling, local queue traffic;
+    the round loop between two exchange steps: model ticks, output
+    relabelling, local queue traffic, active-set scheduling;
 ``coalesce``
     flattening an exchange's boundary windows into the one columnar
     payload per peer (:mod:`repro.dist.frame`): entry table, cycle
@@ -50,8 +53,8 @@ Phase vocabulary (one row of the ring per round):
     blocked waiting for peer round messages — lockstep slack plus the
     ring's decode cost;
 ``gap``
-    delivering received windows into local consuming queues, including
-    ``LostWindow`` gap handling;
+    delivering received windows into local consuming queues and
+    filling the rest of the exchange's span with empty windows;
 ``idle``
     whatever the marks did not cover (hooks, bookkeeping) — the
     remainder that makes the shares sum to the measured round time.
@@ -341,16 +344,6 @@ class ProbeRecorder(PhaseRecorder):
     drift (~±10–20% on shared machines) that drowns the few-percent
     signal in any back-to-back A/B comparison.
 
-    ``period`` sets the alternation block size in rounds.  When the
-    distributed engine batches token exchanges (``rounds_per_exchange``
-    > 1), the exchange cadence is periodic in the round index: with
-    strict every-other-round alternation and an even period, the
-    drain rounds would all land in one population and the flush rounds
-    in the other, and the "overhead" ratio would measure drain-vs-flush
-    cost instead of the profiler.  Alternating in blocks of one full
-    exchange period puts the same mix of drain/compute/flush rounds in
-    both populations, keeping the ratio unbiased.
-
     The off-rounds still pay one stamp pair and four no-op method calls
     (<1 us against rounds hundreds of microseconds long), so the ratio
     marginally *under*-counts that sliver; the recorder's calibrated
@@ -361,23 +354,17 @@ class ProbeRecorder(PhaseRecorder):
     caught.
     """
 
-    __slots__ = ("off_durations", "_probe_on", "_index", "_sleep_s",
-                 "_period")
+    __slots__ = ("off_durations", "_probe_on", "_sleep_s")
 
-    def __init__(
-        self, capacity: int = 2048, sleep_s: float = 0.0, period: int = 1
-    ) -> None:
+    def __init__(self, capacity: int = 2048, sleep_s: float = 0.0) -> None:
         super().__init__(capacity)
         #: Total durations of the minimally-timed rounds (seconds).
         self.off_durations: List[float] = []
-        self._probe_on = True
-        self._index = 0
+        self._probe_on = False
         self._sleep_s = sleep_s
-        self._period = max(1, period)
 
     def round_begin(self) -> None:
-        self._probe_on = not (self._index // self._period) & 1
-        self._index += 1
+        self._probe_on = not self._probe_on
         if self._probe_on:
             super().round_begin()
         else:
@@ -420,7 +407,7 @@ class WorkerProfile:
     #: Transport counters per directed channel this worker drove, keyed
     #: ``"src->dst"`` with a ``role`` of "send" or "recv".
     channel_counters: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-    #: Outbox coalescing stats per peer: entries drained / peak per round.
+    #: Outbox coalescing stats per peer: entries drained / peak per exchange.
     outbox_stats: Dict[int, Dict[str, int]] = field(default_factory=dict)
     #: Measured cost of the profiler's own timestamp reads.
     overhead_estimate_s: float = 0.0
@@ -616,7 +603,7 @@ class PhaseReport:
         counts = {p.worker_id: 0 for p in self.profiles}
         if retained > 0:
             # Stack the common tail so per-round rows line up across
-            # workers (all rings advance one row per lockstep round).
+            # workers (all rings advance one row per exchange).
             busy = np.stack(
                 [
                     p.samples[-retained:][:, busy_idx].sum(axis=1)

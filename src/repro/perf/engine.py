@@ -30,10 +30,12 @@ host cost changes.  Five overheads are eliminated:
   absent window is an empty one — and on exit (a raise included) every
   endpoint is rebuilt with exactly the windows, cursors and counters
   the visit-every-slot loop would leave, so digests, snapshots, a
-  scalar segment or a distributed start-up see the same state.  Every
-  slot is visited every round whenever something observes individual
-  rounds: a ``hook``, ``pre_round``/``post_round``, a Chrome trace, a
-  port shipping to a remote peer, or a loss gap present at entry.
+  scalar segment or a distributed start-up see the same state.  A
+  distributed worker's exchange rounds are always stops, and a window
+  the exchange step delivers wakes its consumer exactly as a local push
+  does.  Every slot is visited every round whenever something observes
+  individual rounds (a ``hook`` or a Chrome trace) or a queue does not
+  start where the loop expects it (a loss gap, or cursors off).
 * **Per-flit switch and NIC phases.**  Every stock switch ticks
   through a :class:`~repro.perf.switch.ColumnarSwitch` — the per-packet
   spec with packet-segment rows in and out — and every stock server
@@ -52,7 +54,9 @@ timestamps) or one fold per run through
 :meth:`~repro.obs.rate.RateMonitor.absorb_round_times`.  Distributed
 workers hand the loop boundary attachments; their streams are shipped
 over the wire in the producer's representation — no convert/deconvert
-hop (:meth:`repro.dist.remote_link.RemoteAttachment.ship`).
+hop (:meth:`repro.dist.remote_link.RemoteAttachment.ship`).  A
+producer the active set does not visit ships nothing, so the wire
+carries only windows with tokens.
 """
 
 from __future__ import annotations
@@ -79,9 +83,10 @@ _OutPort = Tuple[
     str, Any, int, bool, Any, Optional[Callable], bool, Optional[int], int
 ]
 
-#: A local endpoint and what its rebuild needs: ``(endpoint, latency,
-#: consumer slot, producer slot)``.
-_LinkEnd = Tuple[Any, int, int, int]
+#: An endpoint a local slot consumes and what its rebuild needs:
+#: ``(endpoint, latency, consumer slot, producer slot)``; the producer
+#: is None when a remote peer feeds the endpoint through the exchange.
+_LinkEnd = Tuple[Any, int, int, Optional[int]]
 
 
 class _Slot:
@@ -129,9 +134,8 @@ def compile_slots(
     ``link``/``side``.  Remote producers additionally expose ``ship``,
     which replaces the local enqueue with an outbox append.
 
-    Also returns every endpoint whose producer and consumer are both
-    local, with their slot indices — what the active set schedules and
-    rebuilds.
+    Also returns every endpoint a local slot consumes, with its slot
+    indices — what the active set schedules and rebuilds.
     """
     # Pass 1: resolve attachments, decide which models speak rows
     # (stock switches through ColumnarSwitch, stock blades through
@@ -165,7 +169,9 @@ def compile_slots(
             consumer = None if ship is not None else consumer_of.get(
                 id(out_endpoint)
             )
-            if consumer is not None:
+            if ship is not None:
+                ends.append((in_endpoint, link.latency, index, None))
+            elif consumer is not None:
                 ends.append((out_endpoint, link.latency, consumer, index))
             # Output windows stay columnar only when the local consumer
             # speaks rows itself; scalar models and distributed boundary
@@ -277,8 +283,7 @@ def run_rounds(
     hook: Optional[Callable[[int, Optional[Fame1Model]], None]] = None,
     observer: Optional[Any] = None,
     measure: bool = False,
-    pre_round: Optional[Callable[[int, int], None]] = None,
-    post_round: Optional[Callable[[int, int], None]] = None,
+    exchange: Optional[Tuple[int, Callable[[int, int], None]]] = None,
     diagnose: Optional[Callable[[Fame1Model, int], Exception]] = None,
 ) -> None:
     """Advance ``models`` from ``start_cycle`` to ``target_cycle``.
@@ -318,12 +323,11 @@ def run_rounds(
     # and every queue starts where the loop expects it.
     sparse = (
         hook is None
-        and pre_round is None
-        and post_round is None
         and not trace_ticks
         and all(
-            consumer is not None
-            for slot in slots for *_, consumer, _ in slot.out_ports
+            ship is not None or consumer is not None
+            for slot in slots
+            for _, _, _, _, _, ship, _, consumer, _ in slot.out_ports
         )
         and all(
             endpoint._gap_at is None
@@ -345,6 +349,32 @@ def run_rounds(
             else:
                 due.add(index)
 
+    def absorb(endpoint: Any, consumer: int) -> None:
+        # Keep only the windows that carry tokens, and wake the
+        # consumer in every round each of them overlaps.
+        queue = endpoint._queue
+        held = [window for window in queue if window.valid_count]
+        queue.clear()
+        queue.extend(held)
+        for window in held:
+            due = start_cycle + (
+                (window.start_cycle - start_cycle) // quantum * quantum
+            )
+            while due < window.end_cycle:
+                wake(consumer, due)
+                due += quantum
+
+    period, step = exchange or (0, None)
+    # The step runs at the start of every exchange after the first;
+    # without one, no round in the run is an exchange.
+    exchange_at = (
+        target_cycle if step is None else start_cycle + period * quantum
+    )
+    remote = [
+        (endpoint, consumer)
+        for endpoint, _, consumer, producer in ends if producer is None
+    ]
+
     # Under the active set the monitor's wall is the whole loop's: the
     # scheduling, jumps and queue rebuilds run outside any round.
     if timed:
@@ -352,20 +382,11 @@ def run_rounds(
     entry_windows: List[List[Tuple[int, int]]] = []
     if sparse:
         for endpoint, _, consumer, _ in ends:
-            queue = endpoint._queue
-            entry_windows.append(
-                [(window.start_cycle, window.end_cycle) for window in queue]
-            )
-            held = [window for window in queue if window.valid_count]
-            queue.clear()
-            queue.extend(held)
-            for window in held:
-                due = start_cycle + (
-                    (window.start_cycle - start_cycle) // quantum * quantum
-                )
-                while due < window.end_cycle:
-                    wake(consumer, due)
-                    due += quantum
+            entry_windows.append([
+                (window.start_cycle, window.end_cycle)
+                for window in endpoint._queue
+            ])
+            absorb(endpoint, consumer)
         for index in every:
             wake(index, start_cycle)
     cycle = start_cycle
@@ -377,12 +398,19 @@ def run_rounds(
     raised = False
     try:
         while cycle < target_cycle:
+            if cycle == exchange_at:
+                exchange_at += period * quantum
+                step(cycle, rounds)
+                if sparse:
+                    for endpoint, consumer in remote:
+                        absorb(endpoint, consumer)
             if sparse:
                 due = heap[0] if heap else target_cycle
                 if due != cycle:
                     # No slot is due: jump to the next round that has
-                    # one, or to the first round boundary at or past
-                    # the target.
+                    # one or is an exchange, or to the first round
+                    # boundary at or past the target.
+                    due = min(due, exchange_at)
                     if due < target_cycle:
                         skipped = (due - cycle) // quantum
                     else:
@@ -396,8 +424,6 @@ def run_rounds(
                 empty = TokenBatch(cycle, quantum)
             else:
                 order = every
-            if pre_round is not None:
-                pre_round(cycle, rounds)
             if hook is not None:
                 hook(cycle, None)
             end = cycle + quantum
@@ -569,8 +595,6 @@ def run_rounds(
                 round_walls.append(perf_counter() - round_start)
             elif trace_ticks:
                 observer.record_round(quantum, perf_counter() - round_start)
-            if post_round is not None:
-                post_round(cycle, rounds)
     except BaseException:
         raised = True
         raise
@@ -597,7 +621,9 @@ def run_rounds(
                 pushed_from = start_cycle + latency
                 _rebuild(
                     endpoint, windows, consumed, pushed_from,
-                    pushed_from + finished[producer] - start_cycle, quantum,
+                    endpoint._pushed_until if producer is None
+                    else pushed_from + finished[producer] - start_cycle,
+                    quantum,
                 )
         progress.cycle = cycle
         progress.rounds = rounds

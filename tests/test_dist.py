@@ -9,6 +9,7 @@ combination tried.
 
 import io
 import json
+import multiprocessing
 
 import pytest
 from hypothesis import given, settings
@@ -42,9 +43,11 @@ TOPOLOGIES = {
 TARGET_CYCLES = 700_000
 
 
-def build(topo_key, quantum_override=None):
+def build(topo_key, quantum_override=None, engine="scalar"):
     root = TOPOLOGIES[topo_key]()
-    running = elaborate(root, RunFarmConfig(link_latency_cycles=640))
+    running = elaborate(
+        root, RunFarmConfig(link_latency_cycles=640, engine=engine)
+    )
     if quantum_override is not None:
         running.simulation.quantum_override = quantum_override
     blades = running.blades
@@ -223,6 +226,30 @@ class TestPartitioning:
         plan = plan_from_assignment({"node0": 0, "node1": 1})
         with pytest.raises(ConfigError, match="does not cover"):
             plan.validate_against(running.simulation)
+
+
+class TestWorkersRunTheActiveSet:
+    def test_quiet_blade_is_not_asked_every_round(self):
+        """A worker visits a slot only when it is due, so a blade with
+        no traffic and no timer is asked for its horizon once, not
+        once per round.  The counter lives in shared memory, so the
+        forked workers' calls land in it."""
+        running, root = build("two_tier_2x2", engine="batched")
+        quiet = running.blades[1]
+        calls = multiprocessing.Value("q", 0)
+        horizon = quiet.idle_horizon
+
+        def counted():
+            with calls.get_lock():
+                calls.value += 1
+            return horizon()
+
+        quiet.idle_horizon = counted
+        plan = plan_partitions(running, map_topology(root, ONE_FPGA), 2)
+        result = run_distributed(running.simulation, plan, TARGET_CYCLES)
+        assert result.rounds > 1_000
+        assert result.exchange_rounds > 1_000
+        assert 0 < calls.value <= 10
 
 
 class TestCrashRecovery:

@@ -2,8 +2,8 @@
 
 The frame codec is the one payload layout the worker rings ship, so it
 must round-trip every window representation the producers emit —
-batched streams, scalar dict-flit batches, idle windows, and the fault
-injector's LOST markers — inside a single multi-link payload.  The
+batched streams and scalar dict-flit batches, and empty windows of
+either — inside a single multi-link payload.  The
 adaptive round quantum rides the same wire: workers exchange one
 coalesced message per ``round_quantum // quantum`` rounds, and the
 result must stay bit-identical to the serial oracle (paper Fig 9:
@@ -14,17 +14,11 @@ import numpy as np
 import pytest
 
 from repro import ConfigError
+from repro.core.channel import Link
 from repro.core.token import Flit, TokenBatch
 from repro.dist import plan_from_assignment, plan_partitions, run_distributed
-from repro.dist.frame import (
-    DATA,
-    ENTRY_BYTES,
-    IDLE,
-    LOST,
-    decode_entries,
-    encode_entries,
-)
-from repro.dist.remote_link import LostWindow
+from repro.dist.frame import ENTRY_BYTES, decode_entries, encode_entries
+from repro.dist.remote_link import deliver, fill
 from repro.dist.shm import ShmRing, leaked_segments
 from repro.faults.plan import RingCorruption
 from repro.host.perfmodel import exchange_quantum
@@ -52,8 +46,6 @@ def batch_window(start, length, flits_by_cycle):
 def window_shape(entry):
     """Normalized (link, kind, start, length, [(cycle, payload)...])."""
     link, window = entry
-    if isinstance(window, LostWindow):
-        return (link, "lost", window.start_cycle, window.length, ())
     if isinstance(window, TokenStream):
         tokens = window.tokens
         valid = tuple(
@@ -71,8 +63,7 @@ def window_shape(entry):
 
 class TestFrameCodec:
     def test_entry_table_packs_without_padding(self):
-        assert ENTRY_BYTES == 25
-        assert (DATA, IDLE, LOST) == (0, 1, 2)
+        assert ENTRY_BYTES == 24
 
     def test_multi_link_round_trip_mixed_kinds(self):
         """One frame carries several links' windows of every kind."""
@@ -82,7 +73,6 @@ class TestFrameCodec:
             (3, batch_window(1000, 640, {1005: Flit("c")})),
             (1, TokenBatch(1000, 640)),          # idle, dict form
             (7, stream_window(1000, 640, [])),   # idle, stream form
-            (2, LostWindow(1000, 640)),
         ]
         out = bytearray()
         count = encode_entries(entries, out)
@@ -93,12 +83,7 @@ class TestFrameCodec:
             (3, "data", 1000, 640, ((1005, "c"),)),
             (1, "idle", 1000, 640, ()),
             (7, "idle", 1000, 640, ()),
-            (2, "lost", 1000, 640, ()),
         ]
-        # Decoded lost windows keep their gap arithmetic.
-        lost = decoded[4][1]
-        assert isinstance(lost, LostWindow)
-        assert lost.end_cycle == 1640
 
     def test_flit_metadata_survives(self):
         """last/index flags ride the blob, not just the payload."""
@@ -120,15 +105,6 @@ class TestFrameCodec:
         assert encode_entries([], out) == 0
         assert len(out) == 0
         assert decode_entries(b"", 0) == []
-
-    def test_all_idle_frame_is_table_only(self):
-        out = bytearray()
-        count = encode_entries(
-            [(0, TokenBatch(0, 64)), (1, TokenBatch(0, 64))], out
-        )
-        assert len(out) == count * ENTRY_BYTES  # no cycle column, no blob
-        decoded = decode_entries(bytes(out), count)
-        assert [window_shape(e)[1] for e in decoded] == ["idle", "idle"]
 
 
 @pytest.fixture
@@ -154,20 +130,6 @@ class TestCoalescedRing:
         assert [window_shape(e) for e in received] == [
             window_shape(e) for e in entries
         ]
-
-    def test_lost_window_inside_coalesced_frame(self, ring):
-        """A LOST marker coexists with healthy windows in one frame."""
-        ring.send(
-            3,
-            [
-                (0, stream_window(0, 640, [(5, Flit("x"))])),
-                (1, LostWindow(0, 640)),
-                (2, TokenBatch(0, 640)),
-            ],
-        )
-        received = ring.recv(3)
-        kinds = [window_shape(e)[1] for e in received]
-        assert kinds == ["data", "lost", "idle"]
 
     def test_corrupt_coalesced_frame_fails_payload_crc(self, ring):
         ring.corrupt_next_send = True
@@ -251,18 +213,18 @@ class TestAdaptiveQuantum:
             )
 
 
-def hetero_build(engine="scalar"):
+def hetero_build(engine="scalar", trunk_latency=640):
     """Two-tier target whose server links are 4x shorter than trunks.
 
     The global quantum follows the shortest link (160), while the
-    partition's boundary (the rack trunks) stays at 640 — so the
-    adaptive derivation batches 4 rounds per exchange.
+    partition's boundary (the rack trunks) stays at ``trunk_latency`` —
+    so the adaptive derivation batches 4 rounds per exchange.
     """
     root = two_tier(num_racks=2, servers_per_rack=2)
     running = elaborate(
         root,
         RunFarmConfig(
-            link_latency_cycles=640,
+            link_latency_cycles=trunk_latency,
             server_link_latency_cycles=160,
             engine=engine,
         ),
@@ -323,6 +285,20 @@ class TestExchangeRoundEquivalence:
         assert result.exchange_rounds == result.rounds
         assert fingerprint(running) == serial_expected
 
+    def test_straddling_boundary_windows_stay_bit_identical(self):
+        """A 700-cycle boundary over a 160-cycle quantum lands every
+        received window across two of its consumer's rounds; the active
+        set must wake the consumer in both."""
+        serial, _ = hetero_build(trunk_latency=700)
+        serial.simulation.run_until(TARGET_CYCLES)
+        expected = fingerprint(serial)
+        running, plan = hetero_build("batched", trunk_latency=700)
+        result = run_distributed(running.simulation, plan, TARGET_CYCLES)
+        assert result.rounds_per_exchange == 4
+        assert 700 % running.simulation.quantum != 0
+        assert fingerprint(running) == expected
+        assert expected["blades"][0][RESULT_KEY]
+
     def test_result_dict_carries_exchange_fields(self, serial_expected):
         running, plan = hetero_build()
         result = run_distributed(running.simulation, plan, TARGET_CYCLES)
@@ -332,3 +308,35 @@ class TestExchangeRoundEquivalence:
         assert doc["exchange_rounds"] == result.exchange_rounds
         assert "measured_critical_path_mhz" in doc
         assert "worker_cpu_seconds_max" in doc
+
+
+class TestReceiver:
+    """The receiving side of an exchange: only windows with tokens
+    arrive, and the receiver fills in the empty ones."""
+
+    def primed(self):
+        endpoint = Link(latency_cycles=640).to_a
+        endpoint.push(TokenBatch(0, 640))
+        return endpoint
+
+    def test_skipped_cycles_become_empty_windows(self):
+        endpoint = self.primed()
+        deliver(endpoint, batch_window(800, 160, {810: Flit("x")}), 1280, 160)
+        fill(endpoint, 1280, 160)
+        assert [
+            (window.start_cycle, window.length, window.valid_count)
+            for window in endpoint._queue
+        ] == [(0, 640, 0), (640, 160, 0), (800, 160, 1), (960, 160, 0),
+              (1120, 160, 0)]
+        assert endpoint.available_tokens == 1280
+
+    def test_window_outside_its_span_or_out_of_order_raises(self):
+        endpoint = self.primed()
+        deliver(endpoint, batch_window(800, 160, {810: Flit("x")}), 1280, 160)
+        with pytest.raises(ValueError, match="out of order"):
+            deliver(endpoint, batch_window(640, 160, {650: Flit("y")}),
+                    1280, 160)
+        with pytest.raises(ValueError, match="outside its exchange span"):
+            deliver(endpoint, batch_window(1280, 160, {1290: Flit("z")}),
+                    1280, 160)
+        assert endpoint._pushed_until == 960  # neither was queued

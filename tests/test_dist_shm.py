@@ -12,14 +12,15 @@ import json
 import multiprocessing
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
 from repro import ConfigError
-from repro.core.channel import Link, TokenStarvationError
+from repro.core.channel import TokenStarvationError
 from repro.core.token import TokenBatch
 from repro.dist import plan_partitions, run_distributed
-from repro.dist.remote_link import LostWindow, deliver
+from repro.dist import worker as worker_module
 from repro.dist.shm import ShmRing, leaked_segments
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 from repro.manager.cli import main as cli_main
@@ -29,6 +30,7 @@ from repro.manager.mapper import map_topology
 from repro.manager.runfarm import RunFarmConfig
 from repro.manager.topology import two_tier
 from repro.manager.workload import WorkloadSpec
+from repro.obs.trace import get_trace_sink, set_trace_sink
 from repro.perf.stream import TokenStream
 from repro.swmodel.apps.ping import RESULT_KEY, make_ping_client
 
@@ -93,31 +95,6 @@ class TestRingWire:
             ring.destroy()
         assert leaked_segments() == []
 
-    def test_lost_window_round_trips_through_header(self, ring):
-        ring.send(7, [(5, LostWindow(1000, 640))])
-        entries = ring.recv(7)
-        assert len(entries) == 1
-        link_index, window = entries[0]
-        assert link_index == 5
-        assert type(window) is LostWindow
-        assert window.start_cycle == 1000
-        assert window.length == 640
-        assert window.end_cycle == 1640
-
-    def test_received_lost_window_starves_the_consumer(self, ring):
-        """The decoded LostWindow produces the same queue gap a local
-        ``discard_tail`` would: later windows stay contiguous, but the
-        consumer cannot advance past the hole."""
-        ring.send(0, [(0, LostWindow(640, 640))])
-        (_, lost), = ring.recv(0)
-        endpoint = Link(latency_cycles=640).to_a
-        endpoint.push(TokenBatch(0, 640))
-        deliver(endpoint, lost)
-        endpoint.push(TokenBatch(1280, 640))  # contiguous past the gap
-        assert endpoint.available_tokens == 640  # stops at the hole
-        endpoint.pop(640)
-        assert endpoint.available_tokens == 0  # starving at cycle 640
-
     def test_idle_and_data_windows_round_trip(self, ring):
         busy = TokenBatch(640, 640)
         busy.add(650, "frame-a")
@@ -127,7 +104,6 @@ class TestRingWire:
         entries = ring.recv(3)
         assert [index for index, _ in entries] == [0, 1, 2]
         idle = entries[0][1]
-        assert type(idle) is TokenBatch
         assert (idle.start_cycle, idle.length, idle.flits) == (0, 640, {})
         decoded = entries[1][1]
         assert isinstance(decoded, TokenStream)
@@ -136,6 +112,36 @@ class TestRingWire:
         restream = entries[2][1]
         assert restream.tokens["cycle"].tolist() == [1300]
         assert restream.tokens["flit"].tolist() == ["frame-c"]
+
+    def test_failed_shard_releases_its_rings(self, ring, monkeypatch):
+        """A worker whose shard raised off a ring still unmaps that
+        ring: the exception's frames hold views of the segment, so the
+        mapping must close after the handler, not inside it."""
+
+        def corrupt_shard(context, worker_id):
+            ring.corrupt_next_send = True
+            ring.send(0, [(0, TokenBatch(0, 64, {3: "x"}))])
+            ring.recv(0)
+
+        monkeypatch.setattr(worker_module, "run_shard", corrupt_shard)
+        monkeypatch.setattr(worker_module, "_WORKER_ID", None)
+        reports = []
+        context = SimpleNamespace(
+            simulation=SimpleNamespace(current_cycle=0),
+            channels={(0, 1): ring},
+            heartbeats=None,
+            result_queue=SimpleNamespace(put=reports.append),
+        )
+        sink = get_trace_sink()
+        segment = ring._segment
+        try:
+            with pytest.raises(SystemExit):
+                worker_module.shard_entry(context, 0)
+        finally:
+            set_trace_sink(sink)
+            segment.unlink()  # a worker only closes; the parent unlinks
+        assert reports[0][4] == "RingCorruption"
+        assert ring._segment is None  # closed, and no BufferError
 
     def test_out_of_order_round_tag_is_loud(self, ring):
         ring.send(3, [])

@@ -547,14 +547,21 @@ class TestLoopContract:
         assert inspect.signature(scalar) == inspect.signature(batched)
 
     def test_hooks_fire_in_the_same_order_with_the_same_arguments(self):
-        def run(engine):
+        period = 3
+
+        def run(engine, with_hook):
             calls = []
-            sim, progress = self.drive(
-                engine,
-                hook=lambda cycle, model: calls.append(("hook", cycle, model)),
-                pre_round=lambda cycle, n: calls.append(("pre", cycle, n)),
-                post_round=lambda cycle, n: calls.append(("post", cycle, n)),
-            )
+            kwargs = {
+                "exchange": (
+                    period,
+                    lambda cycle, n: calls.append(("step", cycle, n)),
+                ),
+            }
+            if with_hook:
+                kwargs["hook"] = (
+                    lambda cycle, model: calls.append(("hook", cycle, model))
+                )
+            sim, progress = self.drive(engine, **kwargs)
             # Switch names come from a global counter: log positions.
             position = {id(model): i for i, model in enumerate(sim.models)}
             position[id(None)] = None
@@ -568,18 +575,33 @@ class TestLoopContract:
             }
             return calls, fields, len(sim.models), sim.quantum
 
-        scalar_calls, scalar_fields, models, quantum = run("scalar")
-        batched_calls, batched_fields, _, _ = run("batched")
-        assert batched_calls == scalar_calls
-        assert batched_fields == scalar_fields
-        assert scalar_fields["rounds"] == self.CYCLES // quantum
-        assert scalar_fields["valid_tokens_moved"] > 0
-        # One round: pre, round-start hook, one hook per model, post.
-        assert scalar_calls[: models + 3] == (
-            [("pre", 0, 0), ("hook", 0, None)]
-            + [("hook", 0, i) for i in range(models)]
-            + [("post", quantum, 1)]
+        for with_hook in (True, False):
+            scalar_calls, scalar_fields, models, quantum = run(
+                "scalar", with_hook
+            )
+            batched_calls, batched_fields, _, _ = run("batched", with_hook)
+            assert batched_calls == scalar_calls
+            assert batched_fields == scalar_fields
+            rounds = self.CYCLES // quantum
+            assert scalar_fields["rounds"] == rounds
+            assert scalar_fields["valid_tokens_moved"] > 0
+            steps = [call for call in scalar_calls if call[0] == "step"]
+            # At the start of every exchange after the first.
+            assert steps == [
+                ("step", n * quantum, n)
+                for n in range(period, rounds, period)
+            ]
+        # One round: the round-start hook, one hook per model; the
+        # step comes first in an exchange round.
+        with_hooks, _, _, _ = run("scalar", True)
+        assert with_hooks[: models + 1] == (
+            [("hook", 0, None)] + [("hook", 0, i) for i in range(models)]
         )
+        at = (models + 1) * period
+        assert with_hooks[at: at + 2] == [
+            ("step", period * quantum, period),
+            ("hook", period * quantum, None),
+        ]
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_measure_times_every_model(self, engine):
