@@ -56,10 +56,6 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 )
 
-import numpy as np  # noqa: E402
-import numpy.ma  # noqa: E402,F401  (pre-import: keep lazy-import cost
-#                                    out of the timed sections)
-
 from repro.core.token import TokenBatch, TokenWindow  # noqa: E402
 from repro.manager.runfarm import RunFarmConfig, elaborate  # noqa: E402
 from repro.manager.topology import single_rack, two_tier  # noqa: E402
@@ -216,15 +212,13 @@ def build_incast_traffic():
     windows = []
     columnar_inputs = []
     batch_inputs = []
-    int64 = np.int64
     for round_index in range(INCAST_ROUNDS):
         start = round_index * INCAST_WINDOW
         windows.append(TokenWindow(start, start + INCAST_WINDOW))
         columnar = {}
         batches = {}
         for port in range(INCAST_PORTS):
-            frames = []
-            firsts = []
+            rows = []
             if port < INCAST_PORTS - 1:
                 cycle = start
                 sent = 0
@@ -241,24 +235,12 @@ def build_incast_traffic():
                     )
                     if cycle + frame.flit_count > start + INCAST_WINDOW:
                         break
-                    frames.append(frame)
-                    firsts.append(cycle)
-                    cycle += frame.flit_count
+                    total = frame.flit_count
+                    rows.append((frame, cycle, total, 0, total))
+                    cycle += total
                     sent += 1
-            count = len(frames)
-            totals = np.fromiter(
-                (frame.flit_count for frame in frames), int64, count=count
-            )
-            cb = ColumnarBatch(
-                start,
-                INCAST_WINDOW,
-                1,  # stride: the sender paces one flit per cycle
-                np.array(frames, dtype=object),
-                np.array(firsts, dtype=int64),
-                totals.copy(),
-                np.zeros(count, dtype=int64),
-                totals,
-            )
+            # Stride 1: the sender paces one flit per cycle.
+            cb = ColumnarBatch(start, INCAST_WINDOW, 1, rows)
             columnar[f"port{port}"] = cb
             batches[f"port{port}"] = cb.to_batch()
         columnar_inputs.append(columnar)
@@ -347,7 +329,7 @@ def bench_incast(repeat):
     """
     windows, columnar_inputs, batch_inputs = build_incast_traffic()
     frames_per_round = sum(
-        len(cb.frames) for cb in columnar_inputs[0].values()
+        len(cb.rows) for cb in columnar_inputs[0].values()
     )
 
     def best_of(runner, *args):

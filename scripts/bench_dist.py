@@ -43,7 +43,7 @@ and reused across every worker count:
   :class:`~repro.obs.rate.RateMonitor` attached: the instrumented
   reference run that supplies the end cycle every distributed run must
   reproduce.
-* ``serial.batched`` — the batched numpy engine, **uninstrumented**
+* ``serial.batched`` — the batched engine, **uninstrumented**
   (plain ``run_until`` under ``perf_counter``), best of ``--trials``
   runs.  This is the parity baseline: the distributed engine defaults
   to the batched loop, so "dist beats serial" means beating the

@@ -1,42 +1,47 @@
 """Coalesced wire codec for one worker's per-exchange boundary traffic.
 
-Before this module, boundary windows were encoded one entry at a time:
-a struct-packed header, a ``pickle.dumps`` per busy window, and a
-per-entry cycle-column copy — so a worker talking to a peer over N
-boundary links paid N serializer round-trips per round.  Switchboard's single-publish queues are the exemplar: all of
-a module's outgoing traffic leaves as **one** contiguous write.
+All of a worker's traffic to one peer in one exchange leaves as **one**
+contiguous write (Switchboard's single-publish queues are the
+exemplar), so a worker talking to a peer over N boundary links pays one
+serializer round-trip per exchange, not N.
 
 :func:`encode_entries` flattens an entire ``(link_index, window)`` list
 into one columnar payload:
 
 * **entry table** — ``entry_count`` packed rows of
   ``link_index (i32) | start_cycle (i64) | length (i64) |
-  valid_count (i32)`` (24 bytes, no padding).  The consumer decodes the
-  whole table with a single ``np.frombuffer`` over a packed dtype —
-  no per-entry ``struct.unpack`` loop.
-* **cycle column** — every entry's int64 token cycles,
-  concatenated in entry order.  Each producer-side window contributes
-  one vectorized copy (``TokenStream``'s cycle column goes straight in
-  as raw bytes); the consumer slices windows back out of one
-  ``np.frombuffer`` view by cumulative ``valid_count``.
+  valid_count (i32)`` (24 bytes, no padding), one ``struct`` pack per
+  entry; the consumer reads the table back with one
+  ``struct.iter_unpack``.
+* **cycle column** — every entry's int64 token cycles, concatenated in
+  entry order into one ``array('q')``; the consumer restores the whole
+  column with one ``frombytes`` and slices windows back out of it by
+  cumulative ``valid_count``.
 * **flit blob** — ONE ``pickle.dumps`` of the list of per-entry flit
   payload lists (in entry order), running to the end of the payload.
   One pickle call per exchange per peer replaces one per busy window.
+
+The ring never leaves the host, so the cycle column is written in
+native ``q`` order; the table is packed little-endian, and the import
+refuses a big-endian host so the two can never disagree.
 
 Producers ship only windows that carry tokens, so a quiet exchange is
 an empty entry list; the receiver fills the cycles no entry covers
 with empty windows (:func:`repro.dist.remote_link.deliver`).  Framing —
 round tags, CRCs, sequence numbers — stays with the ring
 (:mod:`repro.dist.shm` wraps this payload in its integrity-checked
-header).
+header).  :func:`decode_entries` still checks every length and range it
+reads before trusting it, and raises ``ValueError`` naming the entry on
+a malformed payload.
 """
 
 from __future__ import annotations
 
 import pickle
+import struct
+import sys
+from array import array
 from typing import Any, List, Sequence, Tuple
-
-import numpy as np
 
 from repro.perf.stream import TokenStream
 
@@ -46,20 +51,13 @@ __all__ = [
     "encode_entries",
 ]
 
-#: One packed entry-table row.  numpy decodes the whole table at once;
-#: ``align=False`` keeps the layout identical to the producer's packing.
-_ENTRY_DTYPE = np.dtype(
-    [
-        ("link", "<i4"),
-        ("start", "<i8"),
-        ("length", "<i8"),
-        ("valid", "<i4"),
-    ]
-)
-ENTRY_BYTES = _ENTRY_DTYPE.itemsize
-assert ENTRY_BYTES == 24, "entry table rows must pack without padding"
+if sys.byteorder != "little":
+    raise ImportError("the frame's cycle column needs a little-endian host")
 
-_EMPTY_CYCLES = np.empty(0, dtype=np.int64)
+#: One packed entry-table row.
+_ENTRY = struct.Struct("<iqqi")
+ENTRY_BYTES = _ENTRY.size
+assert ENTRY_BYTES == 24, "entry table rows must pack without padding"
 
 
 def encode_entries(
@@ -71,37 +69,27 @@ def encode_entries(
     representation — ``TokenStream`` for batched windows, ``TokenBatch``
     for scalar ones.  Returns the entry count.
     """
-    count = len(entries)
-    table = np.empty(count, dtype=_ENTRY_DTYPE)
-    link_col = table["link"]
-    start_col = table["start"]
-    length_col = table["length"]
-    valid_col = table["valid"]
-    columns: List[Any] = []
+    if not entries:
+        # Zero bytes: the ring's header CRC alone still covers it.
+        return 0
+    pack = _ENTRY.pack
+    column = array("q")
     flit_lists: List[list] = []
-    for row, (link_index, window) in enumerate(entries):
-        link_col[row] = link_index
-        start_col[row] = window.start_cycle
-        length_col[row] = window.length
+    for link_index, window in entries:
         if isinstance(window, TokenStream):
-            tokens = window.tokens
-            valid_col[row] = tokens.shape[0]
-            columns.append(np.ascontiguousarray(tokens["cycle"]))
-            flit_lists.append(tokens["flit"].tolist())
-            continue
-        flits = window.flits
-        cycles_list = sorted(flits)
-        valid_col[row] = len(cycles_list)
-        columns.append(np.asarray(cycles_list, dtype=np.int64))
-        flit_lists.append([flits[cycle] for cycle in cycles_list])
-    out += table.tobytes()
-    for cycles in columns:
-        out += memoryview(cycles).cast("B")
-    if flit_lists:
-        # Omitted for an empty entry list, which is zero bytes: the
-        # ring's header CRC alone still covers it.
-        out += pickle.dumps(flit_lists, protocol=pickle.HIGHEST_PROTOCOL)
-    return count
+            cycles = window.cycles
+            flit_lists.append(window.flit_list)
+        else:
+            flits = window.flits
+            cycles = sorted(flits)
+            flit_lists.append([flits[cycle] for cycle in cycles])
+        out += pack(
+            link_index, window.start_cycle, window.length, len(cycles)
+        )
+        column.extend(cycles)
+    out += column
+    out += pickle.dumps(flit_lists, protocol=pickle.HIGHEST_PROTOCOL)
+    return len(entries)
 
 
 def decode_entries(
@@ -110,38 +98,59 @@ def decode_entries(
     """Decode a coalesced payload back into ``(link_index, window)`` pairs.
 
     ``payload`` is any buffer (the shm ring's copied-out bytes);
-    ``offset`` is where the entry table starts.  One ``frombuffer`` reads the table, one more reads the
-    whole cycle column, and one ``pickle.loads`` restores every flit
-    payload — decode cost is per *exchange*, not per window.
+    ``offset`` is where the entry table starts.  One ``iter_unpack``
+    reads the table, one ``frombytes`` the whole cycle column, and one
+    ``pickle.loads`` restores every flit payload — decode cost is per
+    *exchange*, not per window.
     """
-    table = np.frombuffer(
-        payload, dtype=_ENTRY_DTYPE, count=entry_count, offset=offset
-    )
-    valid_col = table["valid"]
-    total_valid = int(valid_col.sum())
+    view = memoryview(payload)
+    size = len(view)
     cycles_at = offset + entry_count * ENTRY_BYTES
-    cycles = (
-        np.frombuffer(
-            payload, dtype=np.int64, count=total_valid, offset=cycles_at
+    if cycles_at > size:
+        raise ValueError(
+            f"frame entry {(size - offset) // ENTRY_BYTES}: the entry "
+            f"table runs past the {size}-byte payload"
         )
-        if total_valid
-        else _EMPTY_CYCLES
-    )
-    blob = memoryview(payload)[cycles_at + 8 * total_valid:]
-    flit_lists = pickle.loads(blob) if len(blob) else []
+    table = list(_ENTRY.iter_unpack(view[offset:cycles_at]))
+    blob_at = cycles_at
+    for row, (link, start, length, valid) in enumerate(table):
+        if link < 0 or start < 0 or not 0 <= valid <= length:
+            raise ValueError(
+                f"frame entry {row}: bad row (link {link}, start {start}, "
+                f"length {length}, valid {valid})"
+            )
+        blob_at += 8 * valid
+        if blob_at > size:
+            raise ValueError(
+                f"frame entry {row}: the cycle column runs past the "
+                f"{size}-byte payload"
+            )
+    column = array("q")
+    column.frombytes(view[cycles_at:blob_at])
+    cycles = column.tolist()
+    try:
+        flit_lists = pickle.loads(view[blob_at:]) if blob_at < size else []
+    except (pickle.UnpicklingError, EOFError) as exc:
+        raise ValueError(f"frame flit blob is unreadable: {exc}") from exc
+    if type(flit_lists) is not list or len(flit_lists) != entry_count:
+        raise ValueError(
+            f"frame flit blob does not hold {entry_count} flit lists"
+        )
     entries: List[Tuple[int, Any]] = []
     cursor = 0
-    link_col = table["link"]
-    start_col = table["start"]
-    length_col = table["length"]
-    for row in range(entry_count):
-        valid = int(valid_col[row])
-        window = TokenStream.from_wire(
-            int(start_col[row]),
-            int(length_col[row]),
-            cycles[cursor:cursor + valid],
-            flit_lists[row],
-        )
+    for row, (link, start, length, valid) in enumerate(table):
+        window_cycles = cycles[cursor:cursor + valid]
         cursor += valid
-        entries.append((int(link_col[row]), window))
+        flits = flit_lists[row]
+        if len(flits) != valid or valid and not (
+            start <= window_cycles[0] and window_cycles[-1] < start + length
+        ):
+            raise ValueError(
+                f"frame entry {row}: {len(flits)} flits or their cycles "
+                f"do not fit its {valid} tokens in [{start}, "
+                f"{start + length})"
+            )
+        entries.append(
+            (link, TokenStream(start, length, window_cycles, flits))
+        )
     return entries

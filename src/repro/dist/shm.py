@@ -14,9 +14,9 @@ queues; Herbst et al., 2024):
 The producer copies a message into the ring *first* and publishes the
 write cursor *after* (payload-then-publish), so a reader that observes
 ``write - read >= n`` may safely copy ``n`` bytes out.  Cursors are
-aligned 8-byte stores through a numpy view of the mapped segment —
-atomic on every platform CPython runs multiprocessing on — and each
-side only ever writes its own cursor, so no locks are needed.
+aligned 8-byte stores through a ``memoryview`` cast of the mapped
+segment — atomic on every platform CPython runs multiprocessing on —
+and each side only ever writes its own cursor, so no locks are needed.
 
 Message arrival is signalled through a per-ring POSIX semaphore (one
 post per published message, one wait per consumed one): workers
@@ -44,8 +44,8 @@ concatenated cycle column, ONE flit pickle for the whole exchange)::
     entry table:   entry_count rows of link_index (i32)
                    | start_cycle (i64) | length (i64) | valid_count (i32)
     cycle column:  sum(valid_count) int64 cycles, concatenated in entry
-                   order (vectorized copies straight from each
-                   TokenStream's cycle column)
+                   order (one array copy of every TokenStream's
+                   cycle list)
     flit blob:     one pickled list of per-entry flit lists, running to
                    the payload's end.
 
@@ -63,7 +63,7 @@ round per direction, noise next to the encode loop.
 
 Flit payloads are arbitrary Python objects (Ethernet frames), so they
 still serialize through ``pickle`` — but only once per exchange per
-peer; "zero-copy" buys the cycle column (vectorized copies into the
+peer; "zero-copy" buys the cycle column (one array copy into the
 ring), and quiet windows cost no bytes at all.
 
 Segments are created by the parent *before* forking, inherited by the
@@ -83,8 +83,6 @@ import time
 import zlib
 from multiprocessing import shared_memory
 from typing import Any, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.core.channel import TokenStarvationError
 from repro.dist.frame import decode_entries, encode_entries
@@ -196,9 +194,7 @@ class ShmRing:
         self._wakeup = wakeup
         # Cursor views must be dropped before the segment's mmap can
         # close; close()/destroy() handle the ordering.
-        self._cursors = np.frombuffer(
-            segment.buf, dtype=np.uint64, count=2
-        )
+        self._cursors = segment.buf[:_CURSOR_BYTES].cast("Q")
         self._data = segment.buf[_CURSOR_BYTES:_CURSOR_BYTES + capacity]
         self._stage = bytearray()
         self._header = bytearray(_ROUND.size)
@@ -284,10 +280,10 @@ class ShmRing:
         capacity = self.capacity
         cursors = self._cursors
         data = self._data
-        write = int(cursors[0])
+        write = cursors[0]
         # Fast path: the whole message fits in free space right now —
         # one or two slice copies, one cursor publish, no loop state.
-        if total <= capacity - (write - int(cursors[1])):
+        if total <= capacity - (write - cursors[1]):
             position = write % capacity
             first = capacity - position
             if total <= first:
@@ -300,7 +296,7 @@ class ShmRing:
         sent = 0
         backoff = None
         while sent < total:
-            free = capacity - (write - int(cursors[1]))
+            free = capacity - (write - cursors[1])
             if free == 0:
                 if backoff is None:
                     self.backpressure_stalls += 1
@@ -326,9 +322,9 @@ class ShmRing:
         capacity = self.capacity
         cursors = self._cursors
         data = self._data
-        read = int(cursors[1])
+        read = cursors[1]
         # Fast path: everything we need is already published.
-        if count <= int(cursors[0]) - read:
+        if count <= cursors[0] - read:
             position = read % capacity
             first = capacity - position
             if count <= first:
@@ -341,7 +337,7 @@ class ShmRing:
         filled = 0
         backoff = None
         while filled < count:
-            available = int(cursors[0]) - read
+            available = cursors[0] - read
             if available == 0:
                 if backoff is None:
                     backoff = _Backoff(self, "peer tokens")
@@ -407,7 +403,7 @@ class ShmRing:
         wakeup = self._wakeup
         if wakeup is None:
             self._write(stage)
-        elif len(stage) > self.capacity - int(cursors[0]) + int(cursors[1]):
+        elif len(stage) > self.capacity - cursors[0] + cursors[1]:
             # The message must stream through the ring: wake the reader
             # *first* so it drains while we fill — releasing after the
             # write would deadlock (writer waits for space, reader
@@ -426,7 +422,7 @@ class ShmRing:
                 self.drop_next_wakeup = False
             else:
                 wakeup.release()
-        pending = int(cursors[0]) - int(cursors[1])
+        pending = cursors[0] - cursors[1]
         if pending > self.high_water_bytes:
             self.high_water_bytes = pending
 
@@ -447,7 +443,7 @@ class ShmRing:
             if not wakeup.acquire(False):
                 if not block:
                     return None
-                if int(cursors[0]) > int(cursors[1]):
+                if cursors[0] > cursors[1]:
                     # Data is published but no permit posted: a lost
                     # wakeup (injected or a genuinely dropped post).
                     # Self-heal by trusting the cursors — the
@@ -462,7 +458,7 @@ class ShmRing:
                     self.blocked_wakeups += 1
                     deadline = time.monotonic() + self.timeout_s
                     while not wakeup.acquire(True, 1.0):
-                        if int(cursors[0]) > int(cursors[1]):
+                        if cursors[0] > cursors[1]:
                             # Published without a permit mid-wait:
                             # recover rather than starve on the
                             # missing post.
@@ -476,7 +472,7 @@ class ShmRing:
                                 f"{self.timeout_s:.0f}s",
                                 link_name=self.name,
                             )
-        elif not block and int(cursors[0]) == int(cursors[1]):
+        elif not block and cursors[0] == cursors[1]:
             # No wakeup semaphore (single-process tests): the cursor
             # pair is the only publish signal.
             return None
@@ -549,7 +545,7 @@ class ShmRing:
         if segment is None:
             return
         self._segment = None
-        # numpy/memoryview exports must die before mmap.close() or it
+        # memoryview exports must die before mmap.close() or it
         # raises BufferError during interpreter shutdown.
         self._cursors = None  # type: ignore[assignment]
         self._data = None  # type: ignore[assignment]

@@ -47,8 +47,6 @@ from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import Any, Dict, List, Optional, Set
 
-import numpy as np
-
 from repro import ConfigError
 from repro.dist.shm import HEARTBEAT_PREFIX
 
@@ -88,17 +86,9 @@ PHASE_NAMES = {
 #: within the slot — see ``tests/test_supervisor.py``.
 SLOT_DEPTH = 8
 
-_SLOT_DTYPE = np.dtype(
-    {
-        "names": ["seq", "round", "phase", "stamp"],
-        "formats": [
-            "<u8",
-            ("<u8", (SLOT_DEPTH,)),
-            ("<u8", (SLOT_DEPTH,)),
-            ("<f8", (SLOT_DEPTH,)),
-        ],
-    }
-)
+#: 8-byte words per worker slot: ``seq``, then ``SLOT_DEPTH`` each of
+#: ``round`` (u64), ``phase`` (u64) and ``stamp`` (f64) entries.
+_SLOT_WORDS = 1 + 3 * SLOT_DEPTH
 
 # Heartbeat segments share a pid prefix with token rings but need a
 # per-process serial too: a manager that restarts a run (checkpoint
@@ -127,28 +117,29 @@ class HeartbeatWriter:
 
     Single writer per slot (the worker), single reader (the parent);
     the payload-then-publish order on ``seq`` is the only discipline
-    needed.  ``beat`` sits inside the round loop, so it is a few numpy
-    scalar stores and nothing else.
+    needed.  ``beat`` sits inside the exchange step, so it is four
+    ``memoryview`` stores and nothing else.
     """
 
     __slots__ = ("_block", "_worker_id")
 
     def __init__(self, block: "HeartbeatBlock", worker_id: int) -> None:
-        # Hold the block, not a numpy view: a cached view would pin the
+        # Hold the block, not a view: a cached view would pin the
         # mmap's exported-pointer count and make close() a BufferError
-        # whenever a writer outlives the block.  The per-beat record
-        # lookup is a refcounted temporary that dies immediately.
+        # whenever a writer outlives the block.
         self._block = block
         self._worker_id = worker_id
 
     def beat(self, round_index: int, phase: int) -> None:
-        slot = self._block._slots[self._worker_id]
-        seq = int(slot["seq"])
-        index = seq % SLOT_DEPTH
-        slot["round"][index] = round_index
-        slot["phase"][index] = phase
-        slot["stamp"][index] = time.monotonic()
-        slot["seq"] = seq + 1  # publish after the entry landed
+        block = self._block
+        words = block._words
+        base = self._worker_id * _SLOT_WORDS
+        seq = words[base]
+        entry = base + 1 + seq % SLOT_DEPTH
+        words[entry] = round_index
+        words[entry + SLOT_DEPTH] = phase
+        block._stamps[entry + 2 * SLOT_DEPTH] = time.monotonic()
+        words[base] = seq + 1  # publish after the entry landed
 
 
 class HeartbeatBlock:
@@ -160,9 +151,11 @@ class HeartbeatBlock:
         self._segment: Optional[shared_memory.SharedMemory] = segment
         self.num_workers = num_workers
         self.name = segment.name
-        self._slots = np.frombuffer(
-            segment.buf, dtype=_SLOT_DTYPE, count=num_workers
-        )
+        # One slot of ``_SLOT_WORDS`` words per worker, read as u64
+        # through ``_words`` and as f64 (stamps) through ``_stamps``.
+        used = segment.buf[:8 * _SLOT_WORDS * num_workers]
+        self._words = used.cast("Q")
+        self._stamps = used.cast("d")
 
     @classmethod
     def create(cls, num_workers: int) -> "HeartbeatBlock":
@@ -177,7 +170,7 @@ class HeartbeatBlock:
         segment = shared_memory.SharedMemory(
             name=name,
             create=True,
-            size=_SLOT_DTYPE.itemsize * num_workers,
+            size=8 * _SLOT_WORDS * num_workers,
         )
         # Zero-filled on creation: seq == 0 means "no beat yet".
         return cls(segment, num_workers)
@@ -185,39 +178,30 @@ class HeartbeatBlock:
     def writer(self, worker_id: int) -> HeartbeatWriter:
         return HeartbeatWriter(self, worker_id)
 
-    def read(self, worker_id: int) -> Optional[Heartbeat]:
-        """The worker's newest published beat, or None before the first."""
-        slot = self._slots[worker_id]
-        seq = int(slot["seq"])
-        if seq == 0:
-            return None
-        index = (seq - 1) % SLOT_DEPTH
+    def _beat(self, worker_id: int, seq: int) -> Heartbeat:
+        """Decode the slot entry that beat ``seq`` (>= 1) wrote."""
+        words = self._words
+        entry = worker_id * _SLOT_WORDS + 1 + (seq - 1) % SLOT_DEPTH
         return Heartbeat(
             worker_id=worker_id,
             seq=seq,
-            round=int(slot["round"][index]),
-            phase=int(slot["phase"][index]),
-            stamp_s=float(slot["stamp"][index]),
+            round=words[entry],
+            phase=words[entry + SLOT_DEPTH],
+            stamp_s=self._stamps[entry + 2 * SLOT_DEPTH],
         )
+
+    def read(self, worker_id: int) -> Optional[Heartbeat]:
+        """The worker's newest published beat, or None before the first."""
+        seq = self._words[worker_id * _SLOT_WORDS]
+        return self._beat(worker_id, seq) if seq else None
 
     def history(self, worker_id: int) -> List[Heartbeat]:
         """Up to the last ``SLOT_DEPTH`` beats, oldest first."""
-        slot = self._slots[worker_id]
-        seq = int(slot["seq"])
-        beats: List[Heartbeat] = []
-        for past in range(min(seq, SLOT_DEPTH), 0, -1):
-            entry_seq = seq - past + 1
-            index = (entry_seq - 1) % SLOT_DEPTH
-            beats.append(
-                Heartbeat(
-                    worker_id=worker_id,
-                    seq=entry_seq,
-                    round=int(slot["round"][index]),
-                    phase=int(slot["phase"][index]),
-                    stamp_s=float(slot["stamp"][index]),
-                )
-            )
-        return beats
+        seq = self._words[worker_id * _SLOT_WORDS]
+        return [
+            self._beat(worker_id, entry_seq)
+            for entry_seq in range(max(seq - SLOT_DEPTH, 0) + 1, seq + 1)
+        ]
 
     # -- lifecycle -------------------------------------------------------
 
@@ -227,8 +211,9 @@ class HeartbeatBlock:
         if segment is None:
             return
         self._segment = None
-        # numpy views must die before the mmap closes (BufferError).
-        self._slots = None  # type: ignore[assignment]
+        # Views must die before the mmap closes (BufferError).
+        self._words = None  # type: ignore[assignment]
+        self._stamps = None  # type: ignore[assignment]
         segment.close()
 
     def destroy(self) -> None:
@@ -302,7 +287,7 @@ class Supervisor:
     """Parent-side liveness monitor over a :class:`HeartbeatBlock`.
 
     ``poll`` is called from the engine's collection loop on every idle
-    queue timeout; it is cheap (one numpy scalar read per live worker)
+    queue timeout; it is cheap (one shared-memory read per live worker)
     and returns at most one :class:`HangVerdict` per call so the
     engine handles a single failure at a time, exactly as it does for
     crashes.

@@ -533,7 +533,7 @@ def run_shard(context: ShardContext, worker_id: int) -> WorkerResult:
 def _release_channels(context: ShardContext) -> None:
     """Drop this process's ring mappings on the way out.
 
-    Rings hold numpy views over the mapped segment; releasing them
+    Rings hold memoryviews over the mapped segment; releasing them
     *before* interpreter shutdown keeps the mmap close orderly (a view
     outliving the segment raises ``BufferError`` noise at exit).  Only
     the parent unlinks segments.

@@ -39,8 +39,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, List, Optional
 
-import numpy as np
-
 from repro.core.token import Flit, TokenBatch, TokenWindow
 from repro.nic.ratelimit import TokenBucketLimiter
 from repro.net.ethernet import EthernetFrame
@@ -256,25 +254,13 @@ class NIC:
         self._emit_cursor = cursor
         if not rows:
             return window.new_batch()
-        frames, first_cycle, count, first_index, total = zip(*rows)
-        return ColumnarBatch(
-            window.start, window.length, 1,
-            np.array(frames, dtype=object),
-            np.array(first_cycle, dtype=np.int64),
-            np.array(count, dtype=np.int64),
-            np.array(first_index, dtype=np.int64),
-            np.array(total, dtype=np.int64),
-        )
+        return ColumnarBatch(window.start, window.length, 1, rows)
 
     def receive_tokens(self, batch: Any) -> None:
         """Consume one window of input tokens (receive path ingress)."""
         if type(batch) is ColumnarBatch:
             stride = batch.stride
-            for frame, first, count, index, total in zip(
-                batch.frames.tolist(), batch.first_cycle.tolist(),
-                batch.count.tolist(), batch.first_index.tolist(),
-                batch.total.tolist(),
-            ):
+            for frame, first, count, index, total in batch.rows:
                 if index + count == total:
                     self._rx_packet(first + (count - 1) * stride, frame)
             return

@@ -67,10 +67,9 @@ on, so any layer may depend on it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from statistics import median
 from time import perf_counter, sleep
 from typing import Any, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 #: JSON artifact marker for exported phase reports.  v2 added the
 #: ``coalesce`` phase (the per-peer columnar payload build) between
@@ -201,11 +200,10 @@ class PhaseRecorder:
     round once ``capacity`` rounds are retained.  Totals accumulate
     over *all* rounds regardless of wraparound.
 
-    The ring rows are plain Python lists, materialized into numpy only
-    at collection time (:meth:`chronological`): per-round numpy row
-    assignment costs ~1 us on small arrays, which is real money against
-    the <5%-of-round-time overhead budget, while storing the closed
-    accumulator list is a pointer write.
+    The ring rows are plain Python lists: storing the closed
+    accumulator list is a pointer write, cheap against the
+    <5%-of-round-time overhead budget, and :meth:`chronological` only
+    unrolls the ring.
     """
 
     __slots__ = (
@@ -307,21 +305,15 @@ class PhaseRecorder:
         totals[6] += accum[6]
         self.rounds += 1
 
-    def chronological(self) -> Tuple[np.ndarray, np.ndarray]:
+    def chronological(self) -> Tuple[List[float], List[List[float]]]:
         """Retained ``(starts, samples)`` unrolled oldest-to-newest."""
-        retained = self.retained
         if not self.wrapped:
-            rows = self._sample_ring[:retained]
-            starts = self._start_ring[:retained]
-        else:
-            pivot = self.rounds % self.capacity
-            rows = self._sample_ring[pivot:] + self._sample_ring[:pivot]
-            starts = self._start_ring[pivot:] + self._start_ring[:pivot]
+            retained = self.retained
+            return self._start_ring[:retained], self._sample_ring[:retained]
+        pivot = self.rounds % self.capacity
         return (
-            np.asarray(starts, dtype=np.float64),
-            np.asarray(rows, dtype=np.float64).reshape(
-                retained, len(PHASES)
-            ),
+            self._start_ring[pivot:] + self._start_ring[:pivot],
+            self._sample_ring[pivot:] + self._sample_ring[:pivot],
         )
 
     @property
@@ -389,6 +381,20 @@ class ProbeRecorder(PhaseRecorder):
             self.off_durations.append(perf_counter() - self._t0)
 
 
+def _percentile(ordered: Sequence[float], pct: float) -> float:
+    """Percentile of an ascending, non-empty list, interpolating linearly
+    between the two closest ranks (Hyndman and Fan's type 7, the usual
+    default of numeric libraries)."""
+    rank = (len(ordered) - 1) * (pct / 100)
+    low = int(rank)
+    gamma = rank - low
+    below = ordered[low]
+    above = ordered[min(low + 1, len(ordered) - 1)]
+    if gamma >= 0.5:
+        return above - (above - below) * (1 - gamma)
+    return below + (above - below) * gamma
+
+
 @dataclass
 class WorkerProfile:
     """One worker's shipped profile: totals, ring samples, counters."""
@@ -399,10 +405,11 @@ class WorkerProfile:
     rounds: int
     ring_capacity: int
     wrapped: bool
-    #: Retained ring rows, chronological, shape (retained, len(phases)).
-    samples: np.ndarray
+    #: Retained ring rows, chronological: one list of per-phase seconds
+    #: per retained round.
+    samples: List[List[float]]
     #: Round-begin stamps for the retained rows (worker clock).
-    round_starts: np.ndarray
+    round_starts: List[float]
     clock: ClockSync
     #: Transport counters per directed channel this worker drove, keyed
     #: ``"src->dst"`` with a ``role`` of "send" or "recv".
@@ -413,7 +420,7 @@ class WorkerProfile:
     overhead_estimate_s: float = 0.0
     #: Durations of the minimally-timed rounds from a
     #: :class:`ProbeRecorder` run; ``None`` outside probe mode.
-    probe_off_durations: Optional[np.ndarray] = None
+    probe_off_durations: Optional[List[float]] = None
 
     @classmethod
     def from_recorder(
@@ -433,15 +440,13 @@ class WorkerProfile:
             rounds=recorder.rounds,
             ring_capacity=recorder.capacity,
             wrapped=recorder.wrapped,
-            samples=samples.copy(),
-            round_starts=starts.copy(),
+            samples=samples,
+            round_starts=starts,
             clock=clock,
             channel_counters=dict(channel_counters or {}),
             outbox_stats=dict(outbox_stats or {}),
             overhead_estimate_s=recorder.overhead_estimate_s,
-            probe_off_durations=(
-                np.asarray(off, dtype=np.float64) if off else None
-            ),
+            probe_off_durations=list(off) if off else None,
         )
 
     @property
@@ -466,16 +471,16 @@ class WorkerProfile:
     ):
         """Per-phase round-time distribution over the retained samples."""
         out: Dict[str, Dict[str, float]] = {}
-        if self.samples.shape[0] == 0:
+        if not self.samples:
             return out
         for index, phase in enumerate(self.phases):
-            column = self.samples[:, index]
+            column = sorted(row[index] for row in self.samples)
             entry = {
-                "mean_s": float(column.mean()),
-                "max_s": float(column.max()),
+                "mean_s": sum(column) / len(column),
+                "max_s": column[-1],
             }
             for pct in percentiles:
-                entry[f"p{pct:g}_s"] = float(np.percentile(column, pct))
+                entry[f"p{pct:g}_s"] = _percentile(column, pct)
             out[phase] = entry
         return out
 
@@ -496,14 +501,14 @@ class WorkerProfile:
             {"name": "thread_name", "ph": "M", "pid": pid, "tid": 2,
              "args": {"name": "phases"}},
         ]
-        retained = self.samples.shape[0]
+        retained = len(self.samples)
         first = max(0, retained - max_rounds)
         first_round = self.rounds - retained + first
         to_parent = self.clock.to_parent
         for row in range(first, retained):
-            start_us = to_parent(float(self.round_starts[row])) * 1e6
+            start_us = to_parent(self.round_starts[row]) * 1e6
             durations = self.samples[row]
-            round_us = float(durations.sum()) * 1e6
+            round_us = sum(durations) * 1e6
             events.append({
                 "name": f"round {first_round + row - first}",
                 "cat": "dist.round", "ph": "X",
@@ -512,7 +517,7 @@ class WorkerProfile:
             })
             offset_us = start_us
             for index, phase in enumerate(self.phases):
-                dur_us = float(durations[index]) * 1e6
+                dur_us = durations[index] * 1e6
                 if dur_us <= 0.0:
                     continue
                 events.append({
@@ -529,7 +534,7 @@ class WorkerProfile:
             "rounds": self.rounds,
             "ring_capacity": self.ring_capacity,
             "wrapped": self.wrapped,
-            "retained_rounds": int(self.samples.shape[0]),
+            "retained_rounds": len(self.samples),
             "wall_seconds": self.wall_seconds,
             "phase_seconds": dict(self.totals),
             "phase_shares": self.phase_shares(),
@@ -543,15 +548,10 @@ class WorkerProfile:
             "overhead_estimate_s": self.overhead_estimate_s,
             **(
                 {
-                    "probe_off_rounds": int(
-                        self.probe_off_durations.shape[0]
-                    ),
-                    "probe_off_median_s": float(
-                        np.median(self.probe_off_durations)
-                    ),
+                    "probe_off_rounds": len(self.probe_off_durations),
+                    "probe_off_median_s": median(self.probe_off_durations),
                 }
-                if self.probe_off_durations is not None
-                and self.probe_off_durations.shape[0]
+                if self.probe_off_durations
                 else {}
             ),
         }
@@ -598,21 +598,20 @@ class PhaseReport:
         """
         if not self.profiles:
             return {}
-        busy_idx = list(BUSY_PHASES)
-        retained = min(p.samples.shape[0] for p in self.profiles)
+        retained = min(len(p.samples) for p in self.profiles)
         counts = {p.worker_id: 0 for p in self.profiles}
         if retained > 0:
-            # Stack the common tail so per-round rows line up across
-            # workers (all rings advance one row per exchange).
-            busy = np.stack(
-                [
-                    p.samples[-retained:][:, busy_idx].sum(axis=1)
-                    for p in self.profiles
-                ]
-            )
-            bounding = np.argmax(busy, axis=0)
-            for row in bounding:
-                counts[self.profiles[int(row)].worker_id] += 1
+            # Line up the common tail so per-round rows match across
+            # workers (all rings advance one row per exchange); the
+            # first worker with the most busy seconds bounds the round.
+            busy = [
+                [sum(row[i] for i in BUSY_PHASES)
+                 for row in p.samples[-retained:]]
+                for p in self.profiles
+            ]
+            for rounds in zip(*busy):
+                bound = max(range(len(rounds)), key=rounds.__getitem__)
+                counts[self.profiles[bound].worker_id] += 1
         critical = max(
             self.profiles,
             key=lambda p: (counts[p.worker_id], p.busy_seconds()),
@@ -674,22 +673,19 @@ class PhaseReport:
         signal survives; this is the number
         ``scripts/check_bench_regression.py`` gates below its ceiling.
         """
-        on: List[np.ndarray] = []
-        off: List[np.ndarray] = []
+        on: List[float] = []
+        off: List[float] = []
         for profile in self.profiles:
-            durations = profile.probe_off_durations
-            if durations is None or durations.shape[0] == 0:
+            if not profile.probe_off_durations or not profile.samples:
                 continue
-            if profile.samples.shape[0] == 0:
-                continue
-            on.append(profile.samples.sum(axis=1))
-            off.append(durations)
+            on.extend(sum(row) for row in profile.samples)
+            off.extend(profile.probe_off_durations)
         if not on:
             return None
-        off_median = float(np.median(np.concatenate(off)))
+        off_median = median(off)
         if off_median <= 0.0:
             return None
-        return float(np.median(np.concatenate(on))) / off_median
+        return median(on) / off_median
 
     def profiling_overhead_ratio(self) -> float:
         """Self-reported overhead: stamp cost over attributed time.

@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Sequence
 
-import numpy as np
-
 from repro.obs.trace import TraceSink
 
 
@@ -193,49 +191,48 @@ class RateMonitor:
     # -- batched-engine aggregation --------------------------------------
 
     def absorb_tick_totals(
-        self, names: Sequence[str], seconds: Any
+        self, names: Sequence[str], seconds: Sequence[float]
     ) -> None:
         """Fold one batched run's per-model tick totals in one call.
 
         The batched engine (:mod:`repro.perf.engine`) accumulates tick
-        durations into a numpy buffer — one vectorized add per round
-        instead of a :meth:`record_model_tick` call per model per round
-        — and flushes the totals here at end of run.  ``seconds`` is
-        any array-like aligned with ``names``.
+        durations into one list slot per model instead of making a
+        :meth:`record_model_tick` call per model per round, and flushes
+        the totals here at end of run.  ``seconds`` is aligned with
+        ``names``.
         """
-        for name, elapsed in zip(names, np.asarray(seconds).tolist()):
+        for name, elapsed in zip(names, seconds):
             self.model_host_seconds[name] = (
                 self.model_host_seconds.get(name, 0.0) + elapsed
             )
 
     def absorb_round_times(
-        self, quantum: int, round_seconds: Any, skipped: int = 0,
+        self, quantum: int, round_seconds: Sequence[float], skipped: int = 0,
         wall_seconds: Optional[float] = None,
     ) -> None:
-        """Fold a whole run's per-round wall times (numpy reductions).
+        """Fold a whole run's per-round wall times in one call.
 
         Equivalent to calling :meth:`record_round` once per entry:
-        sum/min/max are computed vectorized over the run instead of
-        maintained per round.  ``skipped`` rounds are ones the batched
+        sum/min/max are taken once over the run instead of maintained
+        per round.  ``skipped`` rounds are ones the batched
         engine proved idle and never ran: they count toward rounds and
         cycles but have no wall time, so they leave the min/max alone.
         ``wall_seconds``, when given, is the run's whole wall — the
         rounds plus the host time spent between them, such as skipping
         idle ones — and replaces the rounds' sum in the monitor's wall.
         """
-        walls = np.asarray(round_seconds, dtype=float)
         self.rounds += skipped
         self.cycles += skipped * quantum
         if wall_seconds is not None:
             self.wall_seconds += wall_seconds
-        if walls.size == 0:
+        if not round_seconds:
             return
-        self.rounds += int(walls.size)
-        self.cycles += int(walls.size) * quantum
+        self.rounds += len(round_seconds)
+        self.cycles += len(round_seconds) * quantum
         if wall_seconds is None:
-            self.wall_seconds += float(walls.sum())
-        fastest = float(walls.min())
-        slowest = float(walls.max())
+            self.wall_seconds += sum(round_seconds)
+        fastest = min(round_seconds)
+        slowest = max(round_seconds)
         if fastest < self._min_round_s:
             self._min_round_s = fastest
         if slowest > self._max_round_s:

@@ -7,10 +7,10 @@ Python overhead on every link every round, which dominates both serial
 and distributed runs.  This package provides the ``engine="batched"``
 hot path:
 
-* :mod:`repro.perf.stream` — per-link token windows as numpy structured
-  arrays over the whole quantum (idle-token elision, one array op per
-  link per round instead of per-cycle Python calls), and the
-  packet-segment row container
+* :mod:`repro.perf.stream` — per-link token windows as plain lists of
+  cycles and flits over the whole quantum (idle-token elision, one list
+  pass per busy link per round instead of per-cycle Python calls), and
+  the packet-segment row container
   (:class:`~repro.perf.stream.ColumnarBatch`) that columnar switches
   and stock blade NICs exchange without building a ``Flit``;
 * :mod:`repro.perf.switch` — the columnar switch fast path: every stock
@@ -32,7 +32,7 @@ the two engines (``tests/test_perf_engine.py`` and
 ``bench-regression`` job then holds the tree to.
 """
 
-from repro.perf.stream import TOKEN_DTYPE, ColumnarBatch, TokenStream
+from repro.perf.stream import ColumnarBatch, TokenStream
 from repro.perf.switch import ColumnarSwitch
 
-__all__ = ["TOKEN_DTYPE", "TokenStream", "ColumnarBatch", "ColumnarSwitch"]
+__all__ = ["TokenStream", "ColumnarBatch", "ColumnarSwitch"]

@@ -14,7 +14,8 @@ host cost changes.  Five overheads are eliminated:
   semantics and diagnostics are unchanged.
 * **Per-flit relabelling.**  Busy output windows become
   :class:`~repro.perf.stream.TokenStream` objects whose ``+latency``
-  relabel is one vectorized add; idle windows are shifted in place.
+  relabel is one pass over a list of cycles; idle windows are shifted
+  in place.
 * **Idle model ticks.**  A model whose every input window carries zero
   valid tokens and whose ``idle_horizon()`` lies beyond the window
   (switches with empty queues, null sinks, server blades with no queued
@@ -478,7 +479,7 @@ def run_rounds(
                                 if batch._valid:
                                     busy = True
                             elif kind is TokenStream:
-                                if batch.tokens.shape[0]:
+                                if batch.cycles:
                                     busy = True
                             elif batch.flits:
                                 busy = True

@@ -17,8 +17,9 @@ middle:
   ``(timestamp, ingress_port)`` order, routed through the MAC table;
 * **egress** — the spec's ``_drain_segments`` walker (pacing,
   buffer-bound drops, window straddles, stats, trace events, egress
-  log), whose ``(frame, first_cycle, count, first_index, total)``
-  segments are packed into a ``ColumnarBatch`` instead of flits.
+  log), whose list of ``(frame, first_cycle, count, first_index,
+  total)`` segments becomes a ``ColumnarBatch``'s rows as it stands
+  instead of being expanded into flits.
 
 Between columnar endpoints — stock switches and stock blade NICs — a
 window travels as a :class:`~repro.perf.stream.ColumnarBatch` (re-exported
@@ -39,14 +40,10 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Tuple
 
-import numpy as np
-
 from repro.core.token import TokenWindow
 from repro.net.switch import SwitchModel
 from repro.obs.trace import get_trace_sink
 from repro.perf.stream import ColumnarBatch
-
-_INT = np.int64
 
 
 class ColumnarSwitch:
@@ -83,11 +80,7 @@ class ColumnarSwitch:
                 model._ingress_flits(port_index, batch, completed)
                 continue
             stride = batch.stride
-            for frame, first, count, index, total in zip(
-                batch.frames.tolist(), batch.first_cycle.tolist(),
-                batch.count.tolist(), batch.first_index.tolist(),
-                batch.total.tolist(),
-            ):
+            for frame, first, count, index, total in batch.rows:
                 if index + count == total:
                     completed.append((
                         first + (count - 1) * stride + min_latency,
@@ -110,13 +103,7 @@ class ColumnarSwitch:
             if not segments:
                 outputs[port] = window.new_batch()
                 continue
-            frames, first_cycle, count, first_index, total = zip(*segments)
             outputs[port] = ColumnarBatch(
-                window.start, window.end - window.start, self.pace,
-                np.array(frames, dtype=object),
-                np.array(first_cycle, dtype=_INT),
-                np.array(count, dtype=_INT),
-                np.array(first_index, dtype=_INT),
-                np.array(total, dtype=_INT),
+                window.start, window.end - window.start, self.pace, segments
             )
         return outputs

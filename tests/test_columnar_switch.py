@@ -11,7 +11,6 @@ unicasts, buffer-bound drops, and MAC-table edits mid-run — and asserts
 equality after every window.
 """
 
-import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core.token import TokenBatch, TokenWindow
@@ -123,15 +122,12 @@ def as_rows(start, flits):
         if last and last[0] is flit.data and last[1] + last[2] == cycle:
             last[2] += 1
         else:
-            rows.append([flit.data, cycle, 1, flit.index])
+            rows.append(
+                [flit.data, cycle, 1, flit.index, flit.data.flit_count]
+            )
     if not rows:
         return TokenBatch.empty(start, WINDOW)
-    frames, first_cycle, count, first_index = zip(*rows)
-    return ColumnarBatch(
-        start, WINDOW, 1, np.array(frames, dtype=object),
-        np.array(first_cycle), np.array(count), np.array(first_index),
-        np.array([frame.flit_count for frame in frames]),
-    )
+    return ColumnarBatch(start, WINDOW, 1, rows)
 
 
 def window_inputs(script, window_index, form):

@@ -10,8 +10,12 @@ result must stay bit-identical to the serial oracle (paper Fig 9:
 batching is a rate lever, never a semantics lever).
 """
 
-import numpy as np
+import pickle
+import struct
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import ConfigError
 from repro.core.channel import Link
@@ -25,7 +29,8 @@ from repro.host.perfmodel import exchange_quantum
 from repro.manager.mapper import map_topology
 from repro.manager.runfarm import RunFarmConfig, elaborate
 from repro.manager.topology import two_tier
-from repro.perf.stream import TokenStream
+from repro.net.ethernet import EthernetFrame, mac_address
+from repro.perf.stream import ColumnarBatch, TokenStream
 from repro.swmodel.apps.ping import RESULT_KEY, make_ping_client
 
 from tests.test_dist import ONE_FPGA, TARGET_CYCLES, build, fingerprint
@@ -33,9 +38,9 @@ from tests.test_dist import ONE_FPGA, TARGET_CYCLES, build, fingerprint
 
 def stream_window(start, length, cycles_and_flits):
     """A busy batched-engine window (the producer's TokenStream form)."""
-    cycles = np.asarray([c for c, _ in cycles_and_flits], dtype=np.int64)
+    cycles = [c for c, _ in cycles_and_flits]
     flits = [flit for _, flit in cycles_and_flits]
-    return TokenStream.from_wire(start, length, cycles, flits)
+    return TokenStream(start, length, cycles, flits)
 
 
 def batch_window(start, length, flits_by_cycle):
@@ -47,9 +52,8 @@ def window_shape(entry):
     """Normalized (link, kind, start, length, [(cycle, payload)...])."""
     link, window = entry
     if isinstance(window, TokenStream):
-        tokens = window.tokens
         valid = tuple(
-            (int(row["cycle"]), row["flit"].data) for row in tokens
+            (cycle, flit.data) for cycle, flit in window.iter_flits()
         )
         return (link, "data" if valid else "idle",
                 window.start_cycle, window.length, valid)
@@ -93,8 +97,7 @@ class TestFrameCodec:
             [(5, batch_window(0, 64, {7: flit}))], out
         )
         [(_, window)] = decode_entries(bytes(out), count)
-        tokens = window.tokens
-        restored = tokens["flit"][0]
+        [restored] = window.flit_list
         assert (restored.data, restored.last, restored.index) == (
             "payload", True, 3
         )
@@ -105,6 +108,201 @@ class TestFrameCodec:
         assert encode_entries([], out) == 0
         assert len(out) == 0
         assert decode_entries(b"", 0) == []
+
+
+def fixture_entries():
+    """A fixed mixed entry list: shifted and empty streams, dict batches,
+    and flit payloads of several pickle types."""
+    return [
+        (0, TokenStream.from_flits(
+            1000, 640,
+            {1001: Flit("a"), 1600: Flit("b", last=True, index=1)},
+            shift=640,
+        )),
+        (3, TokenBatch(1000, 640, {1005: Flit(("c", 7), last=True)})),
+        (5, TokenStream.from_flits(2560, 640, {}, shift=0)),
+        (2, TokenBatch(
+            64, 64, {70: Flit(b"\x00\xff", index=2), 64: Flit(None)}
+        )),
+    ]
+
+
+#: ``encode_entries(fixture_entries())`` as the numpy-based codec wrote
+#: it: entry table, cycle column, flit pickle.  The wire may not move.
+FIXTURE_HEX = (
+    "00000000680600000000000080020000000000000200000003000000e8030000"
+    "0000000080020000000000000100000005000000000a00000000000080020000"
+    "0000000000000000020000004000000000000000400000000000000002000000"
+    "6906000000000000c008000000000000ed030000000000004000000000000000"
+    "4600000000000000800595b1000000000000005d94285d94288c10726570726f"
+    "2e636f72652e746f6b656e948c04466c69749493942981947d94288c04646174"
+    "61948c0161948c046c61737494898c05696e646578944b00756268042981947d"
+    "942868078c016294680988680a4b017562655d9468042981947d942868078c01"
+    "63944b078694680988680a4b007562615d945d942868042981947d942868074e"
+    "680989680a4b00756268042981947d94286807430200ff94680989680a4b0275"
+    "6265652e"
+)
+
+
+class TestWireFixture:
+    def test_encoder_reproduces_the_fixture_bytes(self):
+        out = bytearray()
+        assert encode_entries(fixture_entries(), out) == 4
+        assert out.hex() == FIXTURE_HEX
+
+    def test_decoder_round_trips_the_fixture(self):
+        payload = bytes.fromhex(FIXTURE_HEX)
+        decoded = decode_entries(payload, 4)
+        assert [window_shape(e) for e in decoded] == [
+            window_shape(e) for e in fixture_entries()
+        ]
+        assert [
+            (flit.last, flit.index)
+            for _, window in decoded for flit in window.flit_list
+        ] == [(False, 0), (True, 1), (True, 0), (False, 0), (False, 2)]
+        out = bytearray()
+        encode_entries(decoded, out)
+        assert bytes(out) == payload
+
+
+def real_payload():
+    """A frame of NIC-shaped traffic: real Ethernet frames, a window
+    that straddles, and a stride-2 switch port."""
+    frames = [
+        EthernetFrame(src=mac_address(0), dst=mac_address(1), size_bytes=size)
+        for size in (64, 200, 1514)
+    ]
+    nic = ColumnarBatch(0, 640, 1, [
+        (frames[0], 3, 8, 0, 8), (frames[2], 600, 40, 0, 190),
+    ])
+    port = ColumnarBatch(640, 640, 2, [(frames[1], 641, 25, 0, 25)])
+    entries = [(1, nic.to_stream(640)), (4, port.to_stream(640))]
+    out = bytearray()
+    count = encode_entries(entries, out)
+    return bytes(out), count
+
+
+class TestMalformedFrames:
+    """Bytes off a ring are checked before they are trusted: every
+    overrun or mismatch is a ``ValueError`` naming what is wrong, never
+    an ``IndexError`` and never a decoded window."""
+
+    def test_every_truncation_raises_value_error(self):
+        for payload, count in (
+            real_payload(), (bytes.fromhex(FIXTURE_HEX), 4),
+        ):
+            assert len(decode_entries(payload, count)) == count
+            for cut in range(len(payload)):
+                with pytest.raises(ValueError):
+                    decode_entries(payload[:cut], count)
+
+    def test_every_flipped_table_field_raises_value_error(self):
+        payload, count = real_payload()
+        fields = [("<i", 0), ("<q", 4), ("<q", 12), ("<i", 20)]
+        for row in range(count):
+            for fmt, offset in fields:
+                at = row * ENTRY_BYTES + offset
+                corrupt = bytearray(payload)
+                (value,) = struct.unpack_from(fmt, corrupt, at)
+                struct.pack_into(fmt, corrupt, at, ~value)
+                with pytest.raises(ValueError, match=f"entry {row}"):
+                    decode_entries(bytes(corrupt), count)
+
+    def test_every_valid_count_bit_flip_raises_value_error(self):
+        payload, count = real_payload()
+        for row in range(count):
+            at = row * ENTRY_BYTES + 20
+            for bit in range(32):
+                corrupt = bytearray(payload)
+                corrupt[at + bit // 8] ^= 1 << (bit % 8)
+                with pytest.raises(ValueError):
+                    decode_entries(bytes(corrupt), count)
+
+    def test_each_check_names_its_case(self):
+        payload, count = real_payload()
+        with pytest.raises(ValueError, match="entry table runs past"):
+            decode_entries(payload[:ENTRY_BYTES + 3], count)
+        # Entry 0 carries 48 cycles; cut one into entry 1's 25.
+        with pytest.raises(ValueError, match="entry 1: the cycle column"):
+            decode_entries(payload[:2 * ENTRY_BYTES + 8 * 49], count)
+        blob_at = 2 * ENTRY_BYTES + 8 * (48 + 25)
+        one_list = payload[:blob_at] + pickle.dumps([[]])
+        with pytest.raises(ValueError, match="does not hold 2 flit lists"):
+            decode_entries(one_list, count)
+        # Entry 1's flit list one short of its 25 tokens.
+        lists = [window.flit_list for _, window in decode_entries(payload, 2)]
+        lists[1] = lists[1][:-1]
+        short = payload[:blob_at] + pickle.dumps(lists)
+        with pytest.raises(ValueError, match="entry 1: 24 flits"):
+            decode_entries(short, count)
+
+
+@st.composite
+def row_windows(draw):
+    """Packet-segment rows with a stride, gaps, frames straddling both
+    window edges, and a link latency to relabel by."""
+    stride = draw(st.integers(1, 8))
+    start = draw(st.integers(0, 10_000))
+    cycle = start + draw(st.integers(0, 20))
+    rows = []
+    for number in range(draw(st.integers(0, 5))):
+        total = draw(st.integers(1, 30))
+        count = draw(st.integers(1, total))
+        first_index = draw(st.integers(0, total - count))
+        rows.append((f"frame{number}", cycle, count, first_index, total))
+        cycle += count * stride + draw(st.integers(0, 40))
+    length = cycle - start + draw(st.integers(1, 50))
+    return start, length, stride, rows, draw(st.integers(0, 5000))
+
+
+def reference(start, length, stride, rows, latency):
+    """The same window built flit by flit, as the scalar spec does."""
+    batch = TokenBatch(start + latency, length)
+    for frame, first, count, first_index, total in rows:
+        for j in range(count):
+            index = first_index + j
+            batch.add(
+                first + j * stride + latency,
+                Flit(data=frame, last=index == total - 1, index=index),
+            )
+    return batch
+
+
+def window_of(batch):
+    assert all(type(cycle) is int for cycle in batch.flits)
+    return batch.start_cycle, batch.length, batch.flits
+
+
+class TestContainersAgainstFlits:
+    @settings(max_examples=200, deadline=None)
+    @given(window=row_windows())
+    def test_rows_streams_and_wire_equal_the_flit_reference(self, window):
+        start, length, stride, rows, latency = window
+        expected = window_of(reference(start, length, stride, rows, latency))
+        unshifted = reference(start, length, stride, rows, 0).flits
+
+        def fresh():
+            return ColumnarBatch(start, length, stride, list(rows))
+
+        stream = fresh().to_stream(latency)
+        assert all(type(cycle) is int for cycle in stream.cycles)
+        candidates = [
+            fresh().shift(latency).to_batch(),
+            stream.to_batch(),
+            TokenStream.from_flits(start, length, unshifted)
+            .shift(latency).to_batch(),
+            TokenStream.from_flits(
+                start, length, unshifted, latency
+            ).to_batch(),
+        ]
+        out = bytearray()
+        count = encode_entries([(0, stream)], out)
+        [(_, decoded)] = decode_entries(bytes(out), count)
+        assert all(type(cycle) is int for cycle in decoded.cycles)
+        candidates.append(decoded.to_batch())
+        for batch in candidates:
+            assert window_of(batch) == expected
+        assert fresh().valid_count == len(expected[2])
 
 
 @pytest.fixture

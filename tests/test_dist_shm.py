@@ -107,11 +107,11 @@ class TestRingWire:
         assert (idle.start_cycle, idle.length, idle.flits) == (0, 640, {})
         decoded = entries[1][1]
         assert isinstance(decoded, TokenStream)
-        assert decoded.tokens["cycle"].tolist() == [650, 700]
-        assert decoded.tokens["flit"].tolist() == ["frame-a", "frame-b"]
+        assert decoded.cycles == [650, 700]
+        assert decoded.flit_list == ["frame-a", "frame-b"]
         restream = entries[2][1]
-        assert restream.tokens["cycle"].tolist() == [1300]
-        assert restream.tokens["flit"].tolist() == ["frame-c"]
+        assert restream.cycles == [1300]
+        assert restream.flit_list == ["frame-c"]
 
     def test_failed_shard_releases_its_rings(self, ring, monkeypatch):
         """A worker whose shard raised off a ring still unmaps that
@@ -167,8 +167,8 @@ class TestRingWire:
             assert not reader.is_alive()
             (link_index, window), = received[0]
             assert link_index == 9
-            assert window.tokens["cycle"].tolist() == sorted(batch.flits)
-            assert window.tokens["flit"].tolist() == [
+            assert window.cycles == sorted(batch.flits)
+            assert window.flit_list == [
                 batch.flits[c] for c in sorted(batch.flits)
             ]
         finally:

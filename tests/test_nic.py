@@ -1,6 +1,5 @@
 """NIC model (repro.nic.nic, §III-A2, Figure 3)."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -246,26 +245,26 @@ class TestBurstRows:
         nic.post_send(0, frame(size=1514))
         nic.post_send(0, frame(size=1514))
         rows = nic.fill_tx(TokenWindow(0, 50_000))
-        assert rows.count.tolist() == [190, 190]
-        assert rows.first_index.tolist() == [0, 0]
+        assert [row[2] for row in rows.rows] == [190, 190]
+        assert [row[3] for row in rows.rows] == [0, 0]
 
     def test_forty_gbit_bursts_follow_the_refill_period(self):
         nic = fresh_nic()
         nic.set_bandwidth(25, 128)
         nic.post_send(0, frame(size=1514))
         rows = nic.fill_tx(TokenWindow(0, 50_000))
-        assert rows.count.tolist() == [25] * 7 + [15]
-        assert np.diff(rows.first_cycle[1:]).tolist() == [128] * 6
+        assert [row[2] for row in rows.rows] == [25] * 7 + [15]
+        firsts = [row[1] for row in rows.rows[1:]]
+        assert [b - a for a, b in zip(firsts, firsts[1:])] == [128] * 6
 
 
 def rows_of(start, length, frames, first_cycle):
     """Back-to-back whole-frame rows from ``first_cycle`` on."""
-    totals = np.array([f.flit_count for f in frames], dtype=np.int64)
-    firsts = first_cycle + np.concatenate(([0], np.cumsum(totals)[:-1]))
-    return ColumnarBatch(
-        start, length, 1, np.array(frames, dtype=object), firsts,
-        totals.copy(), np.zeros(len(frames), dtype=np.int64), totals,
-    )
+    rows = []
+    for f in frames:
+        rows.append((f, first_cycle, f.flit_count, 0, f.flit_count))
+        first_cycle += f.flit_count
+    return ColumnarBatch(start, length, 1, rows)
 
 
 class TestReceiveRows:
@@ -287,14 +286,8 @@ class TestReceiveRows:
 
     def test_frame_completes_at_its_done_row_only(self):
         f = frame(size=1514)  # 190 flits, split over two windows
-        first = ColumnarBatch(
-            0, 100, 1, np.array([f], dtype=object), np.array([0]),
-            np.array([100]), np.array([0]), np.array([190]),
-        )
-        second = ColumnarBatch(
-            100, 100, 1, np.array([f], dtype=object), np.array([100]),
-            np.array([90]), np.array([100]), np.array([190]),
-        )
+        first = ColumnarBatch(0, 100, 1, [(f, 0, 100, 0, 190)])
+        second = ColumnarBatch(100, 100, 1, [(f, 100, 90, 100, 190)])
         nic = fresh_nic()
         nic.receive_tokens(first)
         assert nic.stats.rx_frames == 0

@@ -7,6 +7,8 @@ well-formed PhaseReport, a merged Chrome trace, and dist.* gauges via
 """
 
 import json
+import random
+import statistics
 import time
 
 import numpy as np
@@ -81,7 +83,7 @@ class TestPhaseRecorder:
         row = samples[0]
         assert row[PHASES.index("idle")] >= 0.002
         # Row sums to the measured round time (idle closes the gap).
-        assert row.sum() == pytest.approx(
+        assert sum(row) == pytest.approx(
             rec.totals[P_COMPUTE] + row[PHASES.index("idle")]
         )
 
@@ -106,11 +108,11 @@ class TestPhaseRecorder:
         assert rec.wrapped
         assert rec.retained == 4
         starts, samples = rec.chronological()
-        assert samples.shape == (4, len(PHASES))
+        assert [len(row) for row in samples] == [len(PHASES)] * 4
         # Oldest-to-newest after unrolling the ring.
-        assert np.all(np.diff(starts) > 0)
+        assert all(a < b for a, b in zip(starts, starts[1:]))
         # Totals cover all 7 rounds, not just the retained 4.
-        assert rec.totals[P_COMPUTE] > samples[:, P_COMPUTE].sum()
+        assert rec.totals[P_COMPUTE] > sum(row[P_COMPUTE] for row in samples)
 
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
@@ -196,8 +198,8 @@ class TestProbeRecorder:
         rec = ProbeRecorder(capacity=32, sleep_s=0.002)
         self.run_rounds(rec, 8)
         _, samples = rec.chronological()
-        on_median = float(np.median(samples.sum(axis=1)))
-        off_median = float(np.median(np.asarray(rec.off_durations)))
+        on_median = statistics.median(sum(row) for row in samples)
+        off_median = statistics.median(rec.off_durations)
         assert on_median / off_median > 1.05
 
 
@@ -344,10 +346,36 @@ class TestWorkerProfileFromRecorder:
             0, rec, ClockSync(epoch_s=0.0, entry_s=0.0)
         )
         assert profile.probe_off_durations is not None
-        assert profile.probe_off_durations.shape == (3,)
+        assert len(profile.probe_off_durations) == 3
         document = profile.to_dict()
         assert document["probe_off_rounds"] == 3
         assert document["probe_off_median_s"] > 0.0
+
+    def test_histogram_percentiles_match_numpy(self):
+        """Plain-list percentiles equal numpy's default linear method."""
+        rng = random.Random(3)
+        for size in (1, 2, 7, 64):
+            samples = [
+                [rng.random() * 1e-3 for _ in PHASES] for _ in range(size)
+            ]
+            profile = WorkerProfile(
+                worker_id=0, phases=PHASES,
+                totals=dict.fromkeys(PHASES, 0.0), rounds=size,
+                ring_capacity=size, wrapped=False, samples=samples,
+                round_starts=[float(i) for i in range(size)],
+                clock=ClockSync(epoch_s=0.0, entry_s=0.0),
+            )
+            histogram = profile.histogram(percentiles=(0, 50, 90, 99, 100))
+            for index, phase in enumerate(PHASES):
+                column = np.array([row[index] for row in samples])
+                assert histogram[phase] == {
+                    "mean_s": pytest.approx(float(column.mean())),
+                    "max_s": float(column.max()),
+                    **{
+                        f"p{pct:g}_s": float(np.percentile(column, pct))
+                        for pct in (0, 50, 90, 99, 100)
+                    },
+                }
 
     def test_plain_recorder_has_no_probe_field(self):
         rec = PhaseRecorder(capacity=8)

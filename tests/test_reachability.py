@@ -5,9 +5,17 @@ experiment, benchmark or CLI verb executes.  The census walks ``ast``
 imports (module-level, function-local and relative) from the product
 roots and fails naming every module it cannot reach, unless that module
 is on :data:`ALLOW` with a one-line reason.
+
+The same walk keeps numpy out of the product: tokens, frames, rings
+and profiles are plain lists, ``array`` and ``struct``, and numpy is a
+test and ``bench/`` tool only.
 """
 
 import ast
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -110,3 +118,61 @@ def test_census_reports_a_module_only_tests_import(tmp_path):
     assert census(src, [main], [], allow) == ([], [])
     allow = {"pkg.helper": "reached through a function-local import"}
     assert census(src, [main], [], allow) == (["pkg.only_tested"], ["pkg.helper"])
+
+
+def test_no_product_module_imports_numpy():
+    offenders = sorted(
+        name
+        for name, path in module_names(REPO / "src").items()
+        if any(
+            target == "numpy" or target.startswith("numpy.")
+            for target in imported_names(path, name)
+        )
+    )
+    assert not offenders, f"src/repro modules importing numpy: {offenders}"
+
+
+#: Imports the CLI and runs a 2-worker batched two-tier farm with every
+#: numpy import failing, in the parent and in its forked workers alike.
+NUMPY_FREE_RUN = textwrap.dedent("""
+    import sys
+
+    class NoNumpy:
+        def find_spec(self, name, path=None, target=None):
+            if name.split(".")[0] == "numpy":
+                raise ImportError(f"the product imported {name}")
+            return None
+
+    sys.meta_path.insert(0, NoNumpy())
+
+    import repro.manager.cli
+    from repro.dist import plan_partitions, run_distributed
+    from repro.manager.mapper import HostConfig, map_topology
+    from repro.manager.runfarm import RunFarmConfig, elaborate
+    from repro.manager.topology import two_tier
+    from repro.swmodel.apps.ping import make_ping_client
+
+    root = two_tier(2, 2)
+    running = elaborate(
+        root, RunFarmConfig(link_latency_cycles=640, engine="batched")
+    )
+    blades = running.blades
+    blades[0].spawn("ping", make_ping_client(
+        blades[max(blades)].mac, count=2, interval_cycles=1000))
+    plan = plan_partitions(
+        running, map_topology(root, HostConfig(fpgas_per_instance=1)), 2
+    )
+    result = run_distributed(running.simulation, plan, 40_000)
+    assert result.num_workers == 2
+    assert sum(w.valid_tokens_moved for w in result.workers) > 0
+    assert "numpy" not in sys.modules
+""")
+
+
+def test_cli_and_distributed_run_never_import_numpy():
+    done = subprocess.run(
+        [sys.executable, "-c", NUMPY_FREE_RUN],
+        cwd=REPO, env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

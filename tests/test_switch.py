@@ -248,8 +248,9 @@ def plain(value):
 
 class TestSharedQueues:
     def test_scalar_tick_over_columnar_queues_stays_numpy_free(self):
-        """The queues are numpy columns whichever phase filled them;
-        nothing a scalar tick hands out may carry a numpy scalar."""
+        """Whichever phase filled the queues, nothing a scalar tick
+        hands out may carry a non-native scalar (``numpy.int64`` once
+        did, when the queues were numpy columns)."""
         mac = mac_address(1)
         switch = make_switch(mac_table={mac: 1}, buffer_flits=4)
         switch.enable_bandwidth_probe()
