@@ -138,7 +138,7 @@ def run_rounds(
     hook: Optional[Callable[[int, Optional[Fame1Model]], None]] = None,
     observer: Optional[Any] = None,
     measure: bool = False,
-    exchange: Optional[Tuple[int, Callable[[int, int], None]]] = None,
+    exchange: Optional[Tuple[int, Callable[[int, int, int], int]]] = None,
     diagnose: Optional[Callable[[Fame1Model, int], Exception]] = None,
 ) -> None:
     """The scalar round loop: the executable spec of token exchange.
@@ -151,13 +151,16 @@ def run_rounds(
     ``(id(model), port)`` to whatever owns that port's two ends.
 
     Hook points, in firing order within a round that starts at ``cycle``
-    after ``n`` completed rounds: ``step(cycle, n)`` when ``exchange``
-    is ``(period, step)`` and ``n`` is a positive multiple of
-    ``period`` (the start of every exchange after the first), then
-    ``hook(cycle, None)``, then ``hook(cycle, model)`` after each model
-    has transmitted.  ``observer`` gets a host-timestamped span per
-    tick and the wall clock per round; ``measure`` accumulates tick
-    seconds per model in ``progress``.  ``diagnose(model, cycle)`` builds the error for a
+    after ``n`` completed rounds: ``step(cycle, n, wake)`` when
+    ``exchange`` is ``(period, step)`` and the round is an exchange
+    (the first is ``period`` rounds in; the step returns the next's
+    cycle), then ``hook(cycle, None)``, then ``hook(cycle, model)``
+    after each model has transmitted.  ``wake`` is the earliest cycle
+    a model may move a token: here, where every model ticks every
+    round, ``cycle``.
+    ``observer`` gets a host-timestamped span per tick and the wall
+    clock per round; ``measure`` accumulates tick seconds per model in
+    ``progress``.  ``diagnose(model, cycle)`` builds the error for a
     starved pop (default :func:`starvation_diagnostic`).  ``progress``
     is kept current as the round advances, so a raise from any hook
     leaves it exact.
@@ -168,11 +171,13 @@ def run_rounds(
     timed = measure or observer is not None
     seconds = progress.model_host_seconds
     period, step = exchange or (0, None)
+    exchange_at = (
+        target_cycle if step is None else start_cycle + period * quantum
+    )
     cycle = start_cycle
     while cycle < target_cycle:
-        rounds = progress.rounds
-        if step is not None and rounds and rounds % period == 0:
-            step(cycle, rounds)
+        if cycle == exchange_at:
+            exchange_at = step(cycle, progress.rounds, cycle)
         if hook is not None:
             hook(cycle, None)
         window = TokenWindow(cycle, cycle + quantum)

@@ -133,7 +133,8 @@ class DistributedRunResult:
     @property
     def exchange_rounds(self) -> int:
         """Boundary exchanges actually performed (messages per channel)."""
-        return self.rounds // self.rounds_per_exchange
+        skipped = self.workers[0].exchanges_skipped if self.workers else 0
+        return self.rounds // self.rounds_per_exchange - skipped
 
     def measured_rate_mhz(self) -> float:
         """Achieved simulation rate as actually observed on this host."""
@@ -474,6 +475,7 @@ def run_distributed(
             else:
                 _, worker_id, at_cycle, detail, kind_name, target = message
                 failure = (worker_id, at_cycle, detail, kind_name, target)
+        supervisor.settle()  # workers beat their last before reporting
     finally:
         if failure is not None or aborted:
             for process in processes.values():

@@ -40,7 +40,8 @@ coalesced frame of :mod:`repro.dist.frame` — one entry table, one
 concatenated cycle column, ONE flit pickle for the whole exchange)::
 
     round header:  round_tag (i64) | entry_count (i32) | payload_bytes (i64)
-                   | seq (i64) | payload_crc32 (u32) | header_crc32 (u32)
+                   | seq (i64) | wake (i64) | payload_crc32 (u32)
+                   | header_crc32 (u32)
     entry table:   entry_count rows of link_index (i32)
                    | start_cycle (i64) | length (i64) | valid_count (i32)
     cycle column:  sum(valid_count) int64 cycles, concatenated in entry
@@ -52,10 +53,14 @@ concatenated cycle column, ONE flit pickle for the whole exchange)::
 Every entry is a window that carries tokens: producers ship nothing for
 a quiet window, so a quiet exchange is a bare round header (no table,
 no pickling at all), and the receiver fills in the empty windows.
+``wake`` is the sender's promise: no token of its shard moves before
+that cycle, so peers that all promise past the next exchange skip it
+together (:mod:`repro.dist.worker`).
 
-Integrity: the round header carries a CRC32 over itself, a CRC32 over
-the payload, and a per-ring monotonic sequence number.  A reader that
-sees a mismatched checksum or a skewed sequence raises a typed
+Integrity: the round header carries a CRC32 over itself (the wake
+included), a CRC32 over the payload, and a per-ring monotonic sequence
+number.  A reader that sees a mismatched checksum, a skewed sequence or
+a wake earlier than the exchange it closes raises a typed
 :class:`~repro.faults.plan.RingCorruption` — corruption becomes a host
 fault routed through checkpoint-restore, never silently-wrong
 simulation results.  The checks cost two ``zlib.crc32`` calls per
@@ -116,11 +121,11 @@ HEARTBEAT_PREFIX = "repro-hb-"
 
 _CURSOR_BYTES = 16
 
-# round_tag, entry_count, payload_bytes, seq, payload_crc, header_crc.
+# round_tag, entry_count, payload_bytes, seq, wake, payload_crc, header_crc.
 # The header CRC covers everything before itself; it is verified first
 # so a corrupted payload_bytes can never drive a garbage-sized read.
 # The payload that follows is the coalesced repro.dist.frame format.
-_ROUND = struct.Struct("<qiqqII")
+_ROUND = struct.Struct("<qiqqqII")
 _HEADER_CRC_OFFSET = _ROUND.size - 4
 
 #: Spin iterations before the first ``sched_yield``; on a shared core
@@ -229,6 +234,7 @@ class ShmRing:
         # every frame, the consumer checks frames against _recv_seq.
         self._send_seq = 0
         self._recv_seq = 0
+        self.peer_wake = 0  # the wake of the last frame received
         #: Fault injection (repro.faults ``ring-corrupt`` verb): flip
         #: one staged byte *after* the checksums are computed, so the
         #: reader's CRC check must catch it.
@@ -358,7 +364,9 @@ class ShmRing:
 
     # -- wire codec ------------------------------------------------------
 
-    def send(self, round_tag: int, entries: Sequence[Tuple[int, Any]]) -> None:
+    def send(
+        self, round_tag: int, entries: Sequence[Tuple[int, Any]], wake: int = 0
+    ) -> None:
         """Encode and publish one exchange's wire entries as ONE frame.
 
         ``entries`` are ``(link_index, window)`` pairs in the producer's
@@ -366,7 +374,7 @@ class ShmRing:
         ``TokenBatch`` for scalar ones.  All of them leave as a single
         coalesced payload (:mod:`repro.dist.frame`) under one ring
         header — one publish, one wakeup, one pickle per peer per
-        exchange.
+        exchange.  ``wake`` rides in the header.
         """
         sink = self.phase_sink
         stage_start = time.perf_counter() if sink is not None else 0.0
@@ -379,7 +387,7 @@ class ShmRing:
         payload_view = memoryview(stage)[_ROUND.size:]
         _ROUND.pack_into(
             stage, 0, round_tag, entry_count, len(stage) - _ROUND.size,
-            self._send_seq, zlib.crc32(payload_view), 0,
+            self._send_seq, wake, zlib.crc32(payload_view), 0,
         )
         header_crc = zlib.crc32(memoryview(stage)[:_HEADER_CRC_OFFSET])
         struct.pack_into("<I", stage, _HEADER_CRC_OFFSET, header_crc)
@@ -427,7 +435,7 @@ class ShmRing:
             self.high_water_bytes = pending
 
     def recv(
-        self, expected_round: int, block: bool = True
+        self, expected_round: int, block: bool = True, cycle: int = 0
     ) -> Optional[List[Tuple[int, Any]]]:
         """Decode one exchange message; block for it unless told not to.
 
@@ -435,7 +443,9 @@ class ShmRing:
         with no published message returns ``None`` immediately instead
         of sleeping on the wakeup semaphore — no permit is consumed and
         no recovery heuristics run, so the sweep can never race the
-        peer's publish/release window.
+        peer's publish/release window.  The header's wake lands in
+        :attr:`peer_wake`; one earlier than ``cycle``, the exchange's
+        own, cannot come from a correct peer.
         """
         wakeup = self._wakeup
         cursors = self._cursors
@@ -478,7 +488,7 @@ class ShmRing:
             return None
         header = self._read(_ROUND.size)
         (
-            round_tag, entry_count, payload_bytes, seq,
+            round_tag, entry_count, payload_bytes, seq, wake,
             payload_crc, header_crc,
         ) = _ROUND.unpack(header)
         if zlib.crc32(memoryview(header)[:_HEADER_CRC_OFFSET]) != header_crc:
@@ -495,6 +505,14 @@ class ShmRing:
                 ring=f"ring:{self.src}->{self.dst}",
             )
         self._recv_seq = seq
+        if wake < cycle:
+            raise RingCorruption(
+                f"shm ring {self.name} (worker {self.src} -> {self.dst}): "
+                f"round {round_tag} promises wake cycle {wake}, before "
+                f"its exchange at cycle {cycle}",
+                ring=f"ring:{self.src}->{self.dst}",
+            )
+        self.peer_wake = wake
         if round_tag != expected_round:
             raise TokenStarvationError(
                 f"worker {self.dst}: out-of-order token message from "

@@ -378,6 +378,12 @@ class Supervisor:
             return verdict
         return None
 
+    def settle(self) -> None:
+        """Count every published beat, polled or not (the run joined)."""
+        if self.enabled:
+            beats = map(self.block.read, range(self.num_workers))
+            self.beats_seen = sum(beat.seq for beat in beats if beat)
+
     def kill(self, process: Any) -> None:
         """Escalate a hung worker: SIGTERM, grace, SIGKILL, reap."""
         process.terminate()

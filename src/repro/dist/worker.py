@@ -22,12 +22,19 @@ worker's exchange ``e - 1`` boundary output to every peer, then drains
 one message per peer (the peer's exchange ``e - 1`` output).  Link
 priming guarantees the whole first exchange needs nothing — the primed
 window is at least ``round_quantum`` deep — and from then on each
-received message extends every boundary queue by one round quantum, so
-no worker can ever run ahead of a peer by more than the in-flight
+exchange extends every boundary queue by at least one round quantum,
+so no worker can ever run ahead of a peer by more than the in-flight
 token window — lockstep without any clock, barrier, or coordinator.
 Between exchanges the shard runs the round loop's active set, so a
 worker costs what its traffic costs; only windows that carry tokens
 cross the wire, and the receiver fills in the empty ones.
+
+Idle exchanges are skipped together (conservative PDES with null
+messages): each frame carries its sender's *wake*, the earliest cycle
+its shard can move a token.  Exchanges up to the last one at or below
+the minimum over every shard carry nothing, so all shards skip them
+and fill their boundary queues to match.  That needs every shard to
+hear every wake; without a ring between every pair, none jumps.
 
 Receives are *lazy*: a non-blocking sweep first collects every peer
 message that already arrived, and only then does the worker block on
@@ -107,6 +114,8 @@ class WorkerResult:
     tokens_moved: int
     valid_tokens_moved: int
     wall_seconds: float
+    #: Exchanges skipped because every shard's wake lay past them.
+    exchanges_skipped: int = 0
     model_names: List[str] = field(default_factory=list)
     #: Host seconds per model tick (populated when measuring).
     model_host_seconds: Dict[str, float] = field(default_factory=dict)
@@ -245,10 +254,11 @@ def _drain_exchange(
     recv_list: List[Any],
     exchange_tag: int,
     cycle: int,
+    wake: int,
     quantum: int,
     endpoints: Dict[int, Tuple[Any, int]],
     recorder: Optional[PhaseRecorder],
-) -> None:
+) -> int:
     """Collect one message per peer for ``exchange_tag``, lazily.
 
     First a non-blocking sweep takes every message that already
@@ -256,25 +266,24 @@ def _drain_exchange(
     windows ride one channel), then the stragglers are awaited with
     the blocking path's starvation deadline.  Blocking first on an
     arbitrary peer would charge one peer's skew to every channel;
-    this way ``recv_wait`` is the *max* peer skew, not the sum.  Then
-    every boundary queue is filled with empty windows to the end of
-    the exchange's span, ``cycle`` plus the link's latency.
+    this way ``recv_wait`` is the *max* peer skew, not the sum.
+    Returns the earliest of ``wake`` and every peer's.
     """
     waiting = []
     for channel in recv_list:
-        entries = channel.recv(exchange_tag, False)
+        entries = channel.recv(exchange_tag, False, cycle)
         if entries is None:
             waiting.append(channel)
             continue
         _deliver_message(entries, cycle, quantum, endpoints, recorder)
+        wake = min(wake, channel.peer_wake)
     for channel in waiting:
         _deliver_message(
-            channel.recv(exchange_tag), cycle, quantum, endpoints, recorder
+            channel.recv(exchange_tag, True, cycle), cycle, quantum,
+            endpoints, recorder,
         )
-    for endpoint, latency in endpoints.values():
-        fill(endpoint, cycle + latency, quantum)
-    if recorder is not None:
-        recorder.mark(P_GAP)
+        wake = min(wake, channel.peer_wake)
+    return wake
 
 
 def _deliver_message(
@@ -419,9 +428,11 @@ def run_shard(context: ShardContext, worker_id: int) -> WorkerResult:
     The lockstep is expressed once, as the round loop's exchange step,
     and runs under whichever loop ``simulation.engine`` names.  At the
     start of every exchange after the first the step posts each peer's
-    coalesced outbox, drains one message per peer (lazily —
-    already-arrived messages first), beats the heartbeat and closes one
-    profiler row and opens the next, so a row or a beat is an exchange.
+    coalesced outbox with this shard's wake, drains one message per
+    peer (lazily — already-arrived messages first), fills the boundary
+    queues through the exchanges every shard skips, beats the
+    heartbeat and closes one profiler row and opens the next, so a row
+    or a beat is an exchange performed.
     Boundary windows leave through the shard's
     :class:`~repro.dist.remote_link.RemoteAttachment` objects in the
     producing loop's own representation; the peer's delivery pushes
@@ -459,8 +470,19 @@ def run_shard(context: ShardContext, worker_id: int) -> WorkerResult:
     sends = [(send_channels[peer], outboxes[peer]) for peer in peers]
     # [send_seconds, recv_seconds], mutated by the exchange step.
     transport_seconds = [0.0, 0.0]
+    start_cycle = simulation.current_cycle
+    stride = context.round_quantum
+    # A jump stops at the last exchange before the target, so the run
+    # ends with the boundary queues a stop at every exchange leaves.
+    last_exchange = start_cycle + (
+        (context.target_cycle - 1 - start_cycle) // stride * stride
+    )
+    # Shards hear only their peers' wakes, and all must jump alike: a
+    # shard without a ring to every other promises nothing.
+    promise = len(peers) == plan.num_workers - 1
+    skipped = [0]
 
-    def step(cycle: int, rounds: int) -> None:
+    def step(cycle: int, rounds: int, wake: int) -> int:
         tag = rounds // period - 1
         if recorder is not None:
             # Everything since the last mark is the loop's ticking.
@@ -468,8 +490,16 @@ def run_shard(context: ShardContext, worker_id: int) -> WorkerResult:
         if beat is not None:
             beat(rounds, HB_SEND)
         send_start = perf_counter() if measure else 0.0
+        if promise:
+            # A shipped window wakes its consumer where it lands.
+            for _, outbox in sends:
+                for _, window in outbox.entries:
+                    if window.start_cycle < wake:
+                        wake = window.start_cycle
+        else:
+            wake = cycle
         for channel, outbox in sends:
-            channel.send(tag, outbox.drain())
+            channel.send(tag, outbox.drain(), wake)
         if measure:
             recv_start = perf_counter()
             transport_seconds[0] += recv_start - send_start
@@ -477,7 +507,20 @@ def run_shard(context: ShardContext, worker_id: int) -> WorkerResult:
             recorder.mark(P_SEND)
         if beat is not None:
             beat(rounds, HB_RECV)
-        _drain_exchange(recv_list, tag, cycle, quantum, endpoints, recorder)
+        wake = _drain_exchange(
+            recv_list, tag, cycle, wake, quantum, endpoints, recorder
+        )
+        # No shard moves a token before ``wake``: every exchange up to
+        # the last one at or below it would carry nothing.
+        until = max(cycle, min(
+            start_cycle + (wake - start_cycle) // stride * stride,
+            last_exchange,
+        ))
+        skipped[0] += (until - cycle) // stride
+        for endpoint, latency in endpoints.values():
+            fill(endpoint, until + latency, quantum)
+        if recorder is not None:
+            recorder.mark(P_GAP)
         if measure:
             transport_seconds[1] += perf_counter() - recv_start
         if recorder is not None:
@@ -485,13 +528,13 @@ def run_shard(context: ShardContext, worker_id: int) -> WorkerResult:
             recorder.round_begin()
         if beat is not None:
             beat(rounds, HB_COMPUTE)
+        return until + stride
 
     def diagnose(model: Any, cycle: int) -> TokenStarvationError:
         return starvation_diagnostic(
             model, attachments, quantum, cycle, f"worker {worker_id}"
         )
 
-    start_cycle = simulation.current_cycle
     progress = RoundProgress(start_cycle)
     if beat is not None:
         beat(0, HB_COMPUTE)
@@ -522,6 +565,7 @@ def run_shard(context: ShardContext, worker_id: int) -> WorkerResult:
         context, worker_id, shard, progress, start_cycle, wall_seconds,
         cpu_seconds, transport_seconds,
     )
+    result.exchanges_skipped = skipped[0]
     if recorder is not None and clock is not None:
         result.profile = _collect_profile(
             recorder, clock, worker_id, peers,

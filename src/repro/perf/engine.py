@@ -34,7 +34,9 @@ host cost changes.  Five overheads are eliminated:
   scalar segment or a distributed start-up see the same state.  A
   distributed worker's exchange rounds are always stops, and a window
   the exchange step delivers wakes its consumer exactly as a local push
-  does.  Every slot is visited every round whenever something observes
+  does.  The step is told the heap's minimum and names the next
+  exchange, which lies further out when no shard has a slot due before
+  it.  Every slot is visited every round whenever something observes
   individual rounds (a ``hook`` or a Chrome trace) or a queue does not
   start where the loop expects it (a loss gap, or cursors off).
 * **Per-flit switch and NIC phases.**  Every stock switch ticks
@@ -284,7 +286,7 @@ def run_rounds(
     hook: Optional[Callable[[int, Optional[Fame1Model]], None]] = None,
     observer: Optional[Any] = None,
     measure: bool = False,
-    exchange: Optional[Tuple[int, Callable[[int, int], None]]] = None,
+    exchange: Optional[Tuple[int, Callable[[int, int, int], int]]] = None,
     diagnose: Optional[Callable[[Fame1Model, int], Exception]] = None,
 ) -> None:
     """Advance ``models`` from ``start_cycle`` to ``target_cycle``.
@@ -366,8 +368,8 @@ def run_rounds(
                 due += quantum
 
     period, step = exchange or (0, None)
-    # The step runs at the start of every exchange after the first;
-    # without one, no round in the run is an exchange.
+    # The step runs at the start of every exchange after the first and
+    # names the next; without one, no round in the run is an exchange.
     exchange_at = (
         target_cycle if step is None else start_cycle + period * quantum
     )
@@ -400,8 +402,11 @@ def run_rounds(
     try:
         while cycle < target_cycle:
             if cycle == exchange_at:
-                exchange_at += period * quantum
-                step(cycle, rounds)
+                # Under the active set no slot acts before the heap's
+                # minimum; visiting every slot, it promises nothing.
+                exchange_at = step(cycle, rounds, (
+                    heap[0] if heap else target_cycle
+                ) if sparse else cycle)
                 if sparse:
                     for endpoint, consumer in remote:
                         absorb(endpoint, consumer)

@@ -15,10 +15,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import ConfigError
+from repro import ConfigError, RunSpec
 from repro.core.simulation import Simulation
 from repro.dist import plan_from_assignment, plan_partitions, run_distributed
-from repro.faults.plan import FaultKind, FaultPlan, FaultSpec, WorkerCrash
+from repro.faults.checkpoint import state_digest
+from repro.faults.plan import (
+    FaultInjector,
+    FaultKind,
+    FaultPlan,
+    FaultSpec,
+    WorkerCrash,
+)
 from repro.manager.cli import main as cli_main
 from repro.manager.manager import FireSimManager
 from repro.manager.mapper import HostConfig, map_topology
@@ -233,7 +240,8 @@ class TestWorkersRunTheActiveSet:
         """A worker visits a slot only when it is due, so a blade with
         no traffic and no timer is asked for its horizon once, not
         once per round.  The counter lives in shared memory, so the
-        forked workers' calls land in it."""
+        forked workers' calls land in it.  The shards also skip the
+        exchanges in which no shard has a slot due."""
         running, root = build("two_tier_2x2", engine="batched")
         quiet = running.blades[1]
         calls = multiprocessing.Value("q", 0)
@@ -248,8 +256,83 @@ class TestWorkersRunTheActiveSet:
         plan = plan_partitions(running, map_topology(root, ONE_FPGA), 2)
         result = run_distributed(running.simulation, plan, TARGET_CYCLES)
         assert result.rounds > 1_000
-        assert result.exchange_rounds > 1_000
+        assert result.exchange_rounds < (
+            result.rounds // result.rounds_per_exchange
+        )
         assert 0 < calls.value <= 10
+
+
+class TestIdleExchangeJump:
+    """Shards skip together the exchanges in which no shard has a slot
+    due, and every observable stays that of the serial scalar run."""
+
+    def test_idle_cli_farm_skips_exchanges(self):
+        def run(**options):
+            spec = RunSpec(
+                topology="two_tier", racks=4, servers_per_rack=2,
+                ping_count=4, duration_ms=2, **options,
+            )
+            manager = spec.build_manager()
+            manager.buildafi()
+            manager.launchrunfarm()
+            manager.infrasetup()
+            result = manager.runworkload(spec.build_workload(manager))
+            assert result.merged(RESULT_KEY)
+            running = manager.running
+            return manager, (fingerprint(running), state_digest(running))
+
+        _, expected = run(engine="scalar")
+        manager, observed = run(engine="batched", workers=2)
+        assert observed == expected
+        distributed = manager.last_distributed
+        assert distributed.num_workers == 2
+        assert distributed.exchange_rounds < (
+            distributed.rounds // distributed.rounds_per_exchange
+        )
+
+    def test_star_partition_never_jumps(self):
+        """Root on worker 0, rack ``i`` on worker ``i``: the spokes
+        have no ring to each other, so no shard hears every wake, and
+        every exchange runs."""
+
+        def star(engine):
+            running, root = build("two_tier_4x2", engine=engine)
+            assignment = {f"switch{root.switch_id}": 0}
+            for worker, rack in enumerate(root.downlinks):
+                assignment[f"switch{rack.switch_id}"] = worker
+                for server in rack.iter_servers():
+                    assignment[f"node{server.node_index}"] = worker
+            return running, plan_from_assignment(assignment, 4)
+
+        serial, _ = star("scalar")
+        serial.simulation.run_until(TARGET_CYCLES)
+        running, plan = star("batched")
+        result = run_distributed(running.simulation, plan, TARGET_CYCLES)
+        assert fingerprint(running) == fingerprint(serial)
+        assert state_digest(running) == state_digest(serial)
+        assert result.exchange_rounds == (
+            result.rounds // result.rounds_per_exchange
+        )
+
+    def test_fault_plan_keeps_every_exchange(self):
+        """An armed fault hook observes single rounds, which turns the
+        active set off, so no shard can promise past an exchange."""
+        serial, _ = build("two_tier_2x2")
+        serial.simulation.run_until(TARGET_CYCLES)
+        running, root = build("two_tier_2x2", engine="batched")
+        late = FaultPlan(seed=1, specs=(FaultSpec(
+            kind=FaultKind.CONTROLLER_CRASH, point="runworkload",
+            at_cycle=10 * TARGET_CYCLES,
+        ),))
+        FaultInjector(late).arm(running.simulation)
+        assert running.simulation.fault_hook is not None
+        plan = plan_partitions(running, map_topology(root, ONE_FPGA), 2)
+        result = run_distributed(running.simulation, plan, TARGET_CYCLES)
+        assert fingerprint(running) == fingerprint(serial)
+        assert state_digest(running) == state_digest(serial)
+        assert result.exchange_rounds == (
+            result.rounds // result.rounds_per_exchange
+        )
 
 
 class TestCrashRecovery:
@@ -337,8 +420,13 @@ class TestCLI:
         assert distributed["num_workers"] == 2
         assert distributed["boundary_links"] > 0
         assert set(distributed["per_worker_rate_mhz"]) == {"0", "1"}
+        # The exchanges performed, not the periods run.
+        assert distributed["exchange_rounds"] < (
+            distributed["rounds"] // distributed["rounds_per_exchange"]
+        )
         status = document["verbs"]["status"]["distributed"]
         assert status["num_workers"] == 2
+        assert status["exchange_rounds"] == distributed["exchange_rounds"]
 
     def test_too_many_workers_is_one_line_error(self):
         out, err = io.StringIO(), io.StringIO()

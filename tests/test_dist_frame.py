@@ -24,6 +24,7 @@ from repro.dist import plan_from_assignment, plan_partitions, run_distributed
 from repro.dist.frame import ENTRY_BYTES, decode_entries, encode_entries
 from repro.dist.remote_link import deliver, fill
 from repro.dist.shm import ShmRing, leaked_segments
+from repro.faults.checkpoint import state_digest
 from repro.faults.plan import RingCorruption
 from repro.host.perfmodel import exchange_quantum
 from repro.manager.mapper import map_topology
@@ -411,12 +412,13 @@ class TestAdaptiveQuantum:
             )
 
 
-def hetero_build(engine="scalar", trunk_latency=640):
+def hetero_build(engine="scalar", trunk_latency=640, ping_start=0):
     """Two-tier target whose server links are 4x shorter than trunks.
 
     The global quantum follows the shortest link (160), while the
     partition's boundary (the rack trunks) stays at ``trunk_latency`` —
-    so the adaptive derivation batches 4 rounds per exchange.
+    so the adaptive derivation batches 4 rounds per exchange.  The
+    cross-rack ping starts at cycle ``ping_start``.
     """
     root = two_tier(num_racks=2, servers_per_rack=2)
     running = elaborate(
@@ -432,6 +434,7 @@ def hetero_build(engine="scalar", trunk_latency=640):
     blades[0].spawn(
         "ping",
         make_ping_client(blades[last].mac, count=4, interval_cycles=50_000),
+        start_cycle=ping_start,
     )
     # Rack-aligned shards: boundary links are the 640-cycle trunks only.
     racks = [child for child in root.downlinks]
@@ -465,7 +468,11 @@ class TestExchangeRoundEquivalence:
         )
         assert result.round_quantum == 640
         assert result.rounds_per_exchange == 4
-        assert result.exchange_rounds == result.rounds // 4
+        if engine == "scalar":
+            assert result.exchange_rounds == result.rounds // 4
+        else:
+            # The active set lets the shards skip idle exchanges.
+            assert result.exchange_rounds <= result.rounds // 4
         assert fingerprint(running) == serial_expected
         assert serial_expected["blades"][0][RESULT_KEY]
 
@@ -496,6 +503,24 @@ class TestExchangeRoundEquivalence:
         assert 700 % running.simulation.quantum != 0
         assert fingerprint(running) == expected
         assert expected["blades"][0][RESULT_KEY]
+
+    @pytest.mark.parametrize("trunk_latency", [640, 700])
+    def test_late_ping_jumps_the_idle_stretch(self, trunk_latency):
+        """The first cross-shard send comes after a long idle stretch:
+        the shards skip its exchanges together, on and off the round
+        grid, and every RTT is the serial scalar run's."""
+        serial, _ = hetero_build(
+            trunk_latency=trunk_latency, ping_start=250_000
+        )
+        serial.simulation.run_until(TARGET_CYCLES)
+        running, plan = hetero_build(
+            "batched", trunk_latency=trunk_latency, ping_start=250_000
+        )
+        result = run_distributed(running.simulation, plan, TARGET_CYCLES)
+        assert fingerprint(running) == fingerprint(serial)
+        assert state_digest(running) == state_digest(serial)
+        assert fingerprint(serial)["blades"][0][RESULT_KEY]
+        assert result.exchange_rounds < result.rounds // 4
 
     def test_result_dict_carries_exchange_fields(self, serial_expected):
         running, plan = hetero_build()

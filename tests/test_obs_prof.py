@@ -217,7 +217,11 @@ class TestPhaseReportEndToEnd:
         report = PhaseReport.from_result(profiled_result)
         assert len(report.profiles) == 2
         assert [p.worker_id for p in report.profiles] == [0, 1]
-        assert all(p.rounds == report.rounds for p in report.profiles)
+        # One row per exchange performed.
+        assert all(
+            p.rounds == profiled_result.exchange_rounds
+            for p in report.profiles
+        )
 
     def test_phase_shares_sum_to_one(self, profiled_result):
         report = PhaseReport.from_result(profiled_result)

@@ -553,7 +553,10 @@ class TestLoopContract:
             kwargs = {
                 "exchange": (
                     period,
-                    lambda cycle, n: calls.append(("step", cycle, n)),
+                    # ``cycle`` is ``n`` quanta in: the next exchange is
+                    # ``period`` quanta on.
+                    lambda cycle, n, wake: calls.append(("step", cycle, n))
+                    or cycle + cycle // n * period,
                 ),
             }
             if with_hook:
@@ -601,6 +604,27 @@ class TestLoopContract:
             ("step", period * quantum, period),
             ("hook", period * quantum, None),
         ]
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_the_step_names_the_next_exchange(self, engine):
+        """Both loops exchange where the step says, and the wake they
+        pass never lies before the exchange: the scalar loop, visiting
+        every model, promises nothing past it."""
+        calls = []
+
+        def step(cycle, n, wake):
+            calls.append((cycle, n, wake))
+            return cycle + cycle // n * 5
+
+        sim, progress = self.drive(engine, exchange=(2, step))
+        quantum = sim.quantum
+        assert progress.rounds == self.CYCLES // quantum
+        assert [(cycle, n) for cycle, n, _ in calls] == [
+            (n * quantum, n) for n in range(2, progress.rounds, 5)
+        ]
+        assert all(wake >= cycle for cycle, _, wake in calls)
+        if engine == "scalar":
+            assert all(wake == cycle for cycle, _, wake in calls)
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_measure_times_every_model(self, engine):

@@ -14,6 +14,7 @@ import json
 import multiprocessing
 import os
 import signal
+import struct
 import time
 from multiprocessing import shared_memory
 
@@ -280,6 +281,33 @@ class TestRingIntegrity:
         with pytest.raises(RingCorruption, match="sequence skew"):
             ring.recv(1)
 
+    def test_wake_rides_the_header(self, ring):
+        ring.send(0, [], 7_000)
+        assert ring.recv(0, True, 6_400) == []
+        assert ring.peer_wake == 7_000
+
+    def test_wake_before_the_exchange_raises_ring_corruption(self, ring):
+        """A header with a valid CRC whose wake lies before the
+        exchange's own cycle cannot come from a correct peer."""
+        ring.send(0, [], 100)
+        try:
+            ring.recv(0, True, 640)
+        except RingCorruption as corruption:
+            assert "wake cycle 100" in str(corruption)
+            assert ring.name in str(corruption)
+            assert corruption.ring == "ring:0->1"
+        else:
+            pytest.fail("a wake before its exchange was accepted")
+
+    def test_flipped_wake_bit_fails_the_header_crc(self, ring):
+        """The header CRC covers the wake: a flip that still leaves a
+        plausible wake is caught."""
+        ring.send(0, [], 6_400)
+        wake_offset = struct.calcsize("<qiqq")
+        ring._data[wake_offset] ^= 0x01
+        with pytest.raises(RingCorruption, match="header failed its CRC32"):
+            ring.recv(0, True, 6_400)
+
     def test_clean_frames_count_no_corruption(self, ring):
         for round_tag in range(3):
             ring.send(round_tag, [])
@@ -400,6 +428,19 @@ class TestEngineFaults:
         assert result.to_dict()["supervision"] == supervision
         assert fingerprint(running) == serial_fingerprint(
             "two_tier_4x2", None
+        )
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_short_run_reports_every_beat(self, engine):
+        """A run over before the parent's first poll still reports the
+        beats its workers published: three per exchange per worker
+        (the start-up, first-compute and done beats make up the
+        first)."""
+        running, plan = self._plan("two_tier_2x2", engine=engine)
+        result = run_distributed(running.simulation, plan, 64_000)
+        assert result.rounds % result.rounds_per_exchange == 0
+        assert result.supervision["beats"] == (
+            3 * result.exchange_rounds * plan.num_workers
         )
 
     def test_denied_heartbeat_shm_degrades_to_crash_only(
