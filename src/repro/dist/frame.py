@@ -26,8 +26,8 @@ native ``q`` order; the table is packed little-endian, and the import
 refuses a big-endian host so the two can never disagree.
 
 Producers ship only windows that carry tokens, so a quiet exchange is
-an empty entry list; the receiver fills the cycles no entry covers
-with empty windows (:func:`repro.dist.remote_link.deliver`).  Framing —
+an empty entry list; on the receiver the cycles no entry covers are a
+cursor move (:func:`repro.dist.remote_link.deliver`).  Framing —
 round tags, CRCs, sequence numbers — stays with the ring
 (:mod:`repro.dist.shm` wraps this payload in its integrity-checked
 header).  :func:`decode_entries` still checks every length and range it

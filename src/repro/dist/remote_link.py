@@ -3,7 +3,7 @@
 A link whose two models live in different worker processes is split into
 two halves.  Each half keeps using the worker's local copy of the
 :class:`~repro.core.channel.Link` object for its *consuming* queue (the
-side that was primed with one latency of empty tokens), while the
+side whose push cursor priming set one latency ahead), while the
 *producing* direction bypasses the local queue: the outgoing batch is
 relabelled ``+latency`` exactly as ``send_from_a``/``send_from_b`` would
 (:meth:`~repro.core.channel.Link.shift_for_transport`) and handed to the
@@ -16,8 +16,10 @@ token's producer-cycle-``M`` → consumer-cycle-``M + l`` timing is
 bit-identical to the in-process link — the distributed engine differs
 from the serial one only in *which host process* holds each queue,
 which is precisely the paper's host-decoupling claim (Section III-B2).
-Only windows that carry tokens cross the wire; the receiver queues an
-empty window for every cycle of the exchange that none covers.
+Only windows that carry tokens cross the wire.  The cycles between them
+are a cursor, not a queue of empty windows: delivery moves the push
+cursor to each window's start, and the exchange step moves it over the
+rest of the exchange's span.
 """
 
 from __future__ import annotations
@@ -112,7 +114,7 @@ class RemoteAttachment:
         streams — so this method only keeps the per-direction flit
         counters the local Link would have (so merged statistics match
         the serial engine) and appends the object as-is.  An empty
-        window is not shipped: the receiver fills it back in.
+        window is not shipped: the receiver's cursor passes over it.
         """
         if not valid_count:
             return
@@ -122,14 +124,8 @@ class RemoteAttachment:
             self.link.flits_b_to_a += valid_count
         self._outbox.append((self.link_index, shifted))
 
-    @property
-    def available_tokens(self) -> int:
-        return self._inbound.available_tokens
 
-
-def deliver(
-    endpoint: LinkEndpoint, window: Any, span_end: int, quantum: int
-) -> None:
+def deliver(endpoint: LinkEndpoint, window: Any, span_end: int) -> None:
     """Push a window received from the peer into its local consuming queue.
 
     The window was already relabelled by the sender and may be a batch
@@ -137,7 +133,8 @@ def deliver(
     exchange's span — from where the queue ends to ``span_end`` — and
     after every window already delivered, so a reordered, duplicated or
     misrouted delivery surfaces as a loud error rather than silent
-    timing skew.  The cycles it skips are queued as empty windows.
+    timing skew.  The cycles it skips are empty: the push cursor moves
+    to the window's start.
     """
     pushed = endpoint._pushed_until
     if window.start_cycle < pushed or window.end_cycle > span_end:
@@ -146,18 +143,5 @@ def deliver(
             f"out of order or outside its exchange span [{pushed}, "
             f"{span_end})"
         )
-    fill(endpoint, window.start_cycle, quantum)
+    endpoint._pushed_until = window.start_cycle
     endpoint.push(window)
-
-
-def fill(endpoint: LinkEndpoint, until: int, quantum: int) -> None:
-    """Queue empty windows of one ``quantum`` each up to cycle ``until``.
-
-    These are the windows the producer did not ship because they carry
-    no token, one per producer round.
-    """
-    pushed = endpoint._pushed_until
-    while pushed < until:
-        length = min(quantum, until - pushed)
-        endpoint.push(TokenBatch(pushed, length))
-        pushed += length

@@ -52,7 +52,7 @@ concatenated cycle column, ONE flit pickle for the whole exchange)::
 
 Every entry is a window that carries tokens: producers ship nothing for
 a quiet window, so a quiet exchange is a bare round header (no table,
-no pickling at all), and the receiver fills in the empty windows.
+no pickling at all), and the receiver's push cursor passes over it.
 ``wake`` is the sender's promise: no token of its shard moves before
 that cycle, so peers that all promise past the next exchange skip it
 together (:mod:`repro.dist.worker`).

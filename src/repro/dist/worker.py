@@ -27,13 +27,14 @@ so no worker can ever run ahead of a peer by more than the in-flight
 token window — lockstep without any clock, barrier, or coordinator.
 Between exchanges the shard runs the round loop's active set, so a
 worker costs what its traffic costs; only windows that carry tokens
-cross the wire, and the receiver fills in the empty ones.
+cross the wire, and idle time is a cursor on the receiver, not a queue
+of empty windows.
 
 Idle exchanges are skipped together (conservative PDES with null
 messages): each frame carries its sender's *wake*, the earliest cycle
 its shard can move a token.  Exchanges up to the last one at or below
 the minimum over every shard carry nothing, so all shards skip them
-and fill their boundary queues to match.  That needs every shard to
+and move their boundary push cursors to match.  That needs every shard to
 hear every wake; without a ring between every pair, none jumps.
 
 Receives are *lazy*: a non-blocking sweep first collects every peer
@@ -63,13 +64,7 @@ from repro.core.simulation import (
     starvation_diagnostic,
 )
 from repro.dist.partition import PartitionPlan
-from repro.dist.remote_link import (
-    Outbox,
-    RemoteAttachment,
-    WireEntry,
-    deliver,
-    fill,
-)
+from repro.dist.remote_link import Outbox, RemoteAttachment, WireEntry, deliver
 from repro.dist.shm import ShmRing
 from repro.dist.supervisor import (
     HB_COMPUTE,
@@ -255,7 +250,6 @@ def _drain_exchange(
     exchange_tag: int,
     cycle: int,
     wake: int,
-    quantum: int,
     endpoints: Dict[int, Tuple[Any, int]],
     recorder: Optional[PhaseRecorder],
 ) -> int:
@@ -275,12 +269,12 @@ def _drain_exchange(
         if entries is None:
             waiting.append(channel)
             continue
-        _deliver_message(entries, cycle, quantum, endpoints, recorder)
+        _deliver_message(entries, cycle, endpoints, recorder)
         wake = min(wake, channel.peer_wake)
     for channel in waiting:
         _deliver_message(
-            channel.recv(exchange_tag, True, cycle), cycle, quantum,
-            endpoints, recorder,
+            channel.recv(exchange_tag, True, cycle), cycle, endpoints,
+            recorder,
         )
         wake = min(wake, channel.peer_wake)
     return wake
@@ -289,7 +283,6 @@ def _drain_exchange(
 def _deliver_message(
     entries: List[WireEntry],
     cycle: int,
-    quantum: int,
     endpoints: Dict[int, Tuple[Any, int]],
     recorder: Optional[PhaseRecorder],
 ) -> None:
@@ -298,7 +291,7 @@ def _deliver_message(
         recorder.mark(P_RECV_WAIT)
     for link_index, window in entries:
         endpoint, latency = endpoints[link_index]
-        deliver(endpoint, window, cycle + latency, quantum)
+        deliver(endpoint, window, cycle + latency)
     if recorder is not None:
         recorder.mark(P_GAP)
 
@@ -429,8 +422,9 @@ def run_shard(context: ShardContext, worker_id: int) -> WorkerResult:
     and runs under whichever loop ``simulation.engine`` names.  At the
     start of every exchange after the first the step posts each peer's
     coalesced outbox with this shard's wake, drains one message per
-    peer (lazily — already-arrived messages first), fills the boundary
-    queues through the exchanges every shard skips, beats the
+    peer (lazily — already-arrived messages first), moves each boundary
+    endpoint's push cursor through the exchanges every shard skips
+    (idle time is a cursor, not a queue of empty windows), beats the
     heartbeat and closes one profiler row and opens the next, so a row
     or a beat is an exchange performed.
     Boundary windows leave through the shard's
@@ -508,7 +502,7 @@ def run_shard(context: ShardContext, worker_id: int) -> WorkerResult:
         if beat is not None:
             beat(rounds, HB_RECV)
         wake = _drain_exchange(
-            recv_list, tag, cycle, wake, quantum, endpoints, recorder
+            recv_list, tag, cycle, wake, endpoints, recorder
         )
         # No shard moves a token before ``wake``: every exchange up to
         # the last one at or below it would carry nothing.
@@ -518,7 +512,9 @@ def run_shard(context: ShardContext, worker_id: int) -> WorkerResult:
         ))
         skipped[0] += (until - cycle) // stride
         for endpoint, latency in endpoints.values():
-            fill(endpoint, until + latency, quantum)
+            # The newest window the peer's rounds covered, shipped or not.
+            endpoint._tail_at = until + latency - quantum
+            endpoint._pushed_until = until + latency
         if recorder is not None:
             recorder.mark(P_GAP)
         if measure:

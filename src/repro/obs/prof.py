@@ -54,7 +54,7 @@ Phase vocabulary (one row of the ring per exchange):
     ring's decode cost;
 ``gap``
     delivering received windows into local consuming queues and
-    filling the rest of the exchange's span with empty windows;
+    moving their push cursors over the rest of the exchange's span;
 ``idle``
     whatever the marks did not cover (hooks, bookkeeping) — the
     remainder that makes the shares sum to the measured round time.

@@ -14,8 +14,8 @@ host cost changes.  Five overheads are eliminated:
   semantics and diagnostics are unchanged.
 * **Per-flit relabelling.**  Busy output windows become
   :class:`~repro.perf.stream.TokenStream` objects whose ``+latency``
-  relabel is one pass over a list of cycles; idle windows are shifted
-  in place.
+  relabel is one pass over a list of cycles; idle windows only move a
+  cursor.
 * **Idle model ticks.**  A model whose every input window carries zero
   valid tokens and whose ``idle_horizon()`` lies beyond the window
   (switches with empty queues, null sinks, server blades with no queued
@@ -27,18 +27,19 @@ host cost changes.  Five overheads are eliminated:
   tokens lands on one of its inputs.  A round visits only the slots due
   in it, in slot order, and a round in which no slot is due is jumped
   over, so a round costs what its traffic costs, not what the farm
-  size costs.  Empty windows are never queued during such a run — an
-  absent window is an empty one — and on exit (a raise included) every
-  endpoint is rebuilt with exactly the windows, cursors and counters
-  the visit-every-slot loop would leave, so digests, snapshots, a
-  scalar segment or a distributed start-up see the same state.  A
-  distributed worker's exchange rounds are always stops, and a window
-  the exchange step delivers wakes its consumer exactly as a local push
-  does.  The step is told the heap's minimum and names the next
-  exchange, which lies further out when no shard has a slot due before
-  it.  Every slot is visited every round whenever something observes
-  individual rounds (a ``hook`` or a Chrome trace) or a queue does not
-  start where the loop expects it (a loss gap, or cursors off).
+  size costs.  Idle time is a cursor, not a queue of empty windows: a
+  queue holds only windows that carry flits, and on exit (a raise
+  included) the loop sets each endpoint's two cursors where the
+  visit-every-slot loop would leave them, so digests, snapshots, a
+  scalar segment or a distributed start-up see the same state.  A loss
+  gap wakes its consumer in the round that holds it, which starves
+  there as it would in every-slot order.  A distributed worker's
+  exchange rounds are always stops, and a window the exchange step
+  delivers wakes its consumer exactly as a local push does.  The step
+  is told the heap's minimum and names the next exchange, which lies
+  further out when no shard has a slot due before it.  Every slot is
+  visited every round whenever something observes individual rounds (a
+  ``hook`` or a Chrome trace).
 * **Per-flit switch and NIC phases.**  Every stock switch ticks
   through a :class:`~repro.perf.switch.ColumnarSwitch` — the per-packet
   spec with packet-segment rows in and out — and every stock server
@@ -64,11 +65,10 @@ carries only windows with tokens.
 
 from __future__ import annotations
 
-from collections import deque
 from functools import partial
 from heapq import heappop, heappush
 from time import perf_counter
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Set
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set
 from typing import Tuple
 
 from repro.core.fame import Fame1Model
@@ -86,7 +86,7 @@ _OutPort = Tuple[
     str, Any, int, bool, Any, Optional[Callable], bool, Optional[int], int
 ]
 
-#: An endpoint a local slot consumes and what its rebuild needs:
+#: An endpoint a local slot consumes and what its exit cursors need:
 #: ``(endpoint, latency, consumer slot, producer slot)``; the producer
 #: is None when a remote peer feeds the endpoint through the exchange.
 _LinkEnd = Tuple[Any, int, int, Optional[int]]
@@ -138,7 +138,7 @@ def compile_slots(
     which replaces the local enqueue with an outbox append.
 
     Also returns every endpoint a local slot consumes, with its slot
-    indices — what the active set schedules and rebuilds.
+    indices — what the active set schedules and whose cursors it sets.
     """
     # Pass 1: resolve attachments, decide which models speak rows
     # (stock switches through ColumnarSwitch, stock blades through
@@ -201,80 +201,6 @@ def compile_slots(
     return slots, ends
 
 
-def _take(queue: Deque[Any], start: int, length: int) -> TokenBatch:
-    """The window ``[start, start + length)`` off an active-set queue.
-
-    Such a queue holds only windows carrying valid tokens, so cycles no
-    window covers are empty tokens.  Gathers the flits of every window
-    overlapping the span and splits the last one the way
-    :meth:`~repro.core.channel.LinkEndpoint.pop` does (its tail stays
-    queued only while it still carries a flit).
-    """
-    end = start + length
-    out = TokenBatch(start, length)
-    flits = out.flits
-    while queue:
-        head = queue[0]
-        if head.start_cycle >= end:
-            break
-        if head.end_cycle <= end:
-            queue.popleft()
-            flits.update(head.flits)
-            continue
-        tail = TokenBatch(end, head.end_cycle - end)
-        for cycle, flit in head.flits.items():
-            if cycle < end:
-                flits[cycle] = flit
-            else:
-                tail.flits[cycle] = flit
-        if tail.flits:
-            queue[0] = tail
-        else:
-            queue.popleft()
-        break
-    return out
-
-
-def _rebuild(
-    endpoint: Any,
-    windows: List[Tuple[int, int]],
-    consumed: int,
-    pushed_from: int,
-    pushed_until: int,
-    quantum: int,
-) -> None:
-    """Refill an active-set queue with every window it would hold.
-
-    The visit-every-slot loop leaves the queue holding, past the
-    consumer's cursor ``consumed``, the rest of the windows it held at
-    entry (``windows``, as ``(start, end)``) and then one window per
-    round the producer ran, from ``pushed_from`` on; a window the
-    cursor cut is a ``TokenBatch`` tail starting at the cursor.  The
-    windows that carried tokens are still queued, in order, as the
-    very objects that loop would hold; every other one is an empty
-    ``TokenBatch`` of the same span.
-    """
-    held = endpoint._queue
-    queue: Deque[Any] = deque()
-    first = pushed_from + max(0, consumed - pushed_from) // quantum * quantum
-    spans = windows + [
-        (start, start + quantum)
-        for start in range(first, pushed_until, quantum)
-    ]
-    for start, end in spans:
-        if end <= consumed:
-            continue
-        start = max(start, consumed)
-        if held and held[0].start_cycle == start:
-            queue.append(held.popleft())
-        else:
-            queue.append(TokenBatch(start, end - start))
-    queue.extend(held)  # nothing, unless a raise cut a push short
-    endpoint._queue = queue
-    endpoint._consumed_until = consumed
-    endpoint._pushed_until = pushed_until
-
-
 def run_rounds(
     models: Sequence[Fame1Model],
     attachments: Dict[Tuple[int, str], Any],
@@ -323,7 +249,7 @@ def run_rounds(
     from_flits = TokenStream.from_flits
     every = list(range(count))
     # The active set applies only while nothing observes single rounds
-    # and every queue starts where the loop expects it.
+    # and every output has a known consumer.
     sparse = (
         hook is None
         and not trace_ticks
@@ -331,12 +257,6 @@ def run_rounds(
             ship is not None or consumer is not None
             for slot in slots
             for _, _, _, _, _, ship, _, consumer, _ in slot.out_ports
-        )
-        and all(
-            endpoint._gap_at is None
-            and endpoint._consumed_until == start_cycle
-            and endpoint._pushed_until == start_cycle + latency
-            for endpoint, latency, _, _ in ends
         )
     )
     # Wake cycle -> slots due in that round, plus a heap of the cycles.
@@ -352,17 +272,13 @@ def run_rounds(
             else:
                 due.add(index)
 
+    def round_of(at: int) -> int:
+        return start_cycle + (at - start_cycle) // quantum * quantum
+
     def absorb(endpoint: Any, consumer: int) -> None:
-        # Keep only the windows that carry tokens, and wake the
-        # consumer in every round each of them overlaps.
-        queue = endpoint._queue
-        held = [window for window in queue if window.valid_count]
-        queue.clear()
-        queue.extend(held)
-        for window in held:
-            due = start_cycle + (
-                (window.start_cycle - start_cycle) // quantum * quantum
-            )
+        # Wake the consumer in every round a queued window overlaps.
+        for window in endpoint._queue:
+            due = round_of(window.start_cycle)
             while due < window.end_cycle:
                 wake(consumer, due)
                 due += quantum
@@ -379,17 +295,19 @@ def run_rounds(
     ]
 
     # Under the active set the monitor's wall is the whole loop's: the
-    # scheduling, jumps and queue rebuilds run outside any round.
+    # scheduling and jumps run outside any round.
     if timed:
         loop_start = perf_counter()
-    entry_windows: List[List[Tuple[int, int]]] = []
     if sparse:
-        for endpoint, _, consumer, _ in ends:
-            entry_windows.append([
-                (window.start_cycle, window.end_cycle)
-                for window in endpoint._queue
-            ])
+        for endpoint, latency, consumer, producer in ends:
             absorb(endpoint, consumer)
+            if endpoint._gap_at is not None:
+                # The consumer starves in the round that holds the gap.
+                wake(consumer, round_of(endpoint._gap_at))
+            if producer is not None:
+                # Producers are not visited every round: the consumer may
+                # pop through the run, and the exit states the cursor.
+                endpoint._pushed_until = target_cycle + latency
         for index in every:
             wake(index, start_cycle)
     cycle = start_cycle
@@ -398,7 +316,6 @@ def run_rounds(
     # Slots before ``done`` (by index) have finished the round that
     # starts at ``cycle``; the rest have not begun it.
     done = 0
-    raised = False
     try:
         while cycle < target_cycle:
             if cycle == exchange_at:
@@ -426,10 +343,10 @@ def run_rounds(
                     continue
                 heappop(heap)
                 order = sorted(buckets.pop(cycle))
-                # Raw slots share one read-only empty input window.
-                empty = TokenBatch(cycle, quantum)
             else:
                 order = every
+            # Raw slots share one read-only empty input window.
+            empty = TokenBatch(cycle, quantum)
             if hook is not None:
                 hook(cycle, None)
             end = cycle + quantum
@@ -448,36 +365,31 @@ def run_rounds(
                 try:
                     for port, endpoint in slot.in_ports:
                         queue = endpoint._queue
-                        if queue and endpoint._gap_at is None:
-                            head = queue[0]
-                            if (
-                                head.start_cycle == cycle
-                                and head.length == quantum
-                            ):
-                                queue.popleft()
-                                endpoint._consumed_until += quantum
-                                if raw or type(head) is TokenBatch:
-                                    # Columnar consumers take any wire
-                                    # representation as-is.
-                                    batch = head
-                                else:
-                                    batch = head.to_batch()
-                            elif not sparse:
-                                batch = endpoint.pop(quantum)
-                            elif head.start_cycle < end:
-                                batch = _take(queue, cycle, quantum)
-                            else:
-                                batch = None
-                        elif sparse:
-                            batch = None
-                        else:
+                        head = queue[0] if queue else None
+                        if endpoint._gap_at is not None or (
+                            head is not None and head.start_cycle < end
+                            and (head.start_cycle != cycle
+                                 or head.length != quantum)
+                        ):
+                            # A loss gap or a window off the round grid.
+                            endpoint._consumed_until = cycle
                             batch = endpoint.pop(quantum)
-                        if batch is None:
+                        elif head is None or head.start_cycle >= end:
                             # An absent window is an empty one.
+                            endpoint._consumed_until = end
                             inputs[port] = (
                                 empty if raw else TokenBatch(cycle, quantum)
                             )
                             continue
+                        else:
+                            queue.popleft()
+                            endpoint._consumed_until = end
+                            if raw or type(head) is TokenBatch:
+                                # Columnar consumers take any wire
+                                # representation as-is.
+                                batch = head
+                            else:
+                                batch = head.to_batch()
                         if raw:
                             kind = type(batch)
                             if kind is ColumnarBatch:
@@ -545,15 +457,14 @@ def run_rounds(
                                 batch.start_cycle, batch.length, flits,
                                 latency,
                             )
-                        elif sparse:
+                        elif sparse or ship is not None:
                             continue  # an absent window is an empty one
                         else:
-                            # Idle-token elision: relabel the empty
-                            # window in place.  Outputs are never
-                            # referenced again by the producing model,
-                            # so mutation is safe.
-                            batch.start_cycle += latency
-                            shipped = batch
+                            # An empty window moves the push cursor.
+                            out_endpoint.push(TokenBatch(
+                                batch.start_cycle + latency, batch.length
+                            ))
+                            continue
                     valid_tokens_moved += valid
                     if ship is not None:
                         ship(shipped, valid)
@@ -570,16 +481,7 @@ def run_rounds(
                             # two of the consumer's rounds.
                             wake(consumer, cycle + hop + quantum)
                         continue
-                    if shipped.start_cycle != out_endpoint._pushed_until:
-                        raise ValueError(
-                            "non-contiguous batch: expected start "
-                            f"{out_endpoint._pushed_until}, got "
-                            f"{shipped.start_cycle}"
-                        )
-                    out_endpoint._queue.append(shipped)
-                    out_endpoint._pushed_until = (
-                        shipped.start_cycle + shipped.length
-                    )
+                    out_endpoint.push(shipped)
                 if sparse:
                     horizon = slot.horizon
                     if horizon is None:
@@ -601,9 +503,6 @@ def run_rounds(
                 round_walls.append(perf_counter() - round_start)
             elif trace_ticks:
                 observer.record_round(quantum, perf_counter() - round_start)
-    except BaseException:
-        raised = True
-        raise
     finally:
         # Every slot moves one quantum per port per round it finished,
         # whether it was visited or proven idle.
@@ -616,21 +515,17 @@ def run_rounds(
         if sparse:
             for slot, until in zip(slots, finished):
                 slot.model.current_cycle = until
-            # The slot whose visit raised had already popped its inputs.
-            popped = done if raised and done < count else -1
-            for (endpoint, latency, consumer, producer), windows in zip(
-                ends, entry_windows
-            ):
-                consumed = finished[consumer]
-                if consumer == popped:
-                    consumed += quantum
-                pushed_from = start_cycle + latency
-                _rebuild(
-                    endpoint, windows, consumed, pushed_from,
-                    endpoint._pushed_until if producer is None
-                    else pushed_from + finished[producer] - start_cycle,
-                    quantum,
+            # State the cursors the visit-every-slot loop would leave; a
+            # slot whose visit raised may have popped some inputs.
+            for endpoint, latency, consumer, producer in ends:
+                endpoint._consumed_until = max(
+                    endpoint._consumed_until, finished[consumer]
                 )
+                if producer is not None:
+                    pushed = finished[producer] + latency
+                    endpoint._pushed_until = pushed
+                    if finished[producer] > start_cycle:
+                        endpoint._tail_at = pushed - quantum
         progress.cycle = cycle
         progress.rounds = rounds
         progress.tokens_moved = tokens_moved

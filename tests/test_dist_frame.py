@@ -22,7 +22,7 @@ from repro.core.channel import Link
 from repro.core.token import Flit, TokenBatch
 from repro.dist import plan_from_assignment, plan_partitions, run_distributed
 from repro.dist.frame import ENTRY_BYTES, decode_entries, encode_entries
-from repro.dist.remote_link import deliver, fill
+from repro.dist.remote_link import deliver
 from repro.dist.shm import ShmRing, leaked_segments
 from repro.faults.checkpoint import state_digest
 from repro.faults.plan import RingCorruption
@@ -535,31 +535,41 @@ class TestExchangeRoundEquivalence:
 
 class TestReceiver:
     """The receiving side of an exchange: only windows with tokens
-    arrive, and the receiver fills in the empty ones."""
+    arrive, and the cycles between them are a push-cursor move."""
 
     def primed(self):
         endpoint = Link(latency_cycles=640).to_a
         endpoint.push(TokenBatch(0, 640))
         return endpoint
 
-    def test_skipped_cycles_become_empty_windows(self):
+    @staticmethod
+    def state(endpoint):
+        return (
+            endpoint._consumed_until, endpoint._pushed_until,
+            endpoint._gap_at, [
+                (window.start_cycle, window.length, sorted(window.flits))
+                for window in endpoint._queue
+            ],
+        )
+
+    def test_skipped_cycles_are_a_cursor_move(self):
         endpoint = self.primed()
-        deliver(endpoint, batch_window(800, 160, {810: Flit("x")}), 1280, 160)
-        fill(endpoint, 1280, 160)
-        assert [
-            (window.start_cycle, window.length, window.valid_count)
-            for window in endpoint._queue
-        ] == [(0, 640, 0), (640, 160, 0), (800, 160, 1), (960, 160, 0),
-              (1120, 160, 0)]
-        assert endpoint.available_tokens == 1280
+        assert self.state(endpoint) == (0, 640, None, [])
+        flit = Flit("x")
+        deliver(endpoint, batch_window(800, 160, {810: flit}), 1280)
+        assert self.state(endpoint) == (0, 960, None, [(800, 160, [810])])
+        assert endpoint.available_tokens == 960
+        assert endpoint.pop(800).flits == {}
+        assert endpoint.pop(160).flits == {810: flit}
+        assert self.state(endpoint) == (960, 960, None, [])
 
     def test_window_outside_its_span_or_out_of_order_raises(self):
         endpoint = self.primed()
-        deliver(endpoint, batch_window(800, 160, {810: Flit("x")}), 1280, 160)
+        deliver(endpoint, batch_window(800, 160, {810: Flit("x")}), 1280)
         with pytest.raises(ValueError, match="out of order"):
-            deliver(endpoint, batch_window(640, 160, {650: Flit("y")}),
-                    1280, 160)
+            deliver(endpoint, batch_window(640, 160, {650: Flit("y")}), 1280)
         with pytest.raises(ValueError, match="outside its exchange span"):
             deliver(endpoint, batch_window(1280, 160, {1290: Flit("z")}),
-                    1280, 160)
-        assert endpoint._pushed_until == 960  # neither was queued
+                    1280)
+        # Neither was queued, and neither moved a cursor.
+        assert self.state(endpoint) == (0, 960, None, [(800, 160, [810])])

@@ -12,6 +12,7 @@ import dataclasses
 import inspect
 import io
 import json
+import os
 import pickle
 
 import pytest
@@ -56,6 +57,7 @@ from tests.test_dist import (
     fingerprint,
     serial_fingerprint,
 )
+from tests.test_dist_frame import hetero_build
 
 ONE_FPGA = HostConfig(fpgas_per_instance=1)
 
@@ -938,14 +940,18 @@ def build_mixed(engine, bomb_at=None):
 
 
 def queue_state(sim):
-    """Every endpoint's cursors and windows, each window as (start,
-    length, valid flits), plus every model's cycle."""
+    """Every endpoint's cursors (consumed, pushed, newest push), loss
+    gap and queued windows, each window as (start, length, valid
+    flits), plus every model's cycle.  Queues hold only windows that
+    carry flits, so the cursors say where every empty token is."""
     endpoints = []
     for link in sim.links:
         for endpoint in (link.to_a, link.to_b):
             endpoints.append((
                 endpoint._consumed_until,
                 endpoint._pushed_until,
+                endpoint._tail_at,
+                endpoint._gap_at,
                 [
                     (window.start_cycle, window.length, sorted(
                         (cycle, flit.index, flit.last, flit.data.src,
@@ -963,9 +969,8 @@ def queue_state(sim):
 
 
 class TestActiveSet:
-    """The batched loop visits only slots with work, keeps empty windows
-    off the queues while it runs, and leaves the state the
-    visit-every-slot loop would."""
+    """The batched loop visits only slots with work and leaves the
+    cursors and queues the visit-every-slot loop would."""
 
     def test_quiet_blade_is_not_asked_every_round(self):
         running, _ = build_batched("two_tier_2x2")
@@ -1031,3 +1036,97 @@ class TestActiveSet:
         scalar = run("scalar")
         assert scalar[1:3] == ("tor", "port0")
         assert run("batched") == scalar
+
+
+def assert_latency_invariant(sim, lag=None):
+    """Every endpoint holds its link's latency of tokens, and queues only
+    windows that carry a flit.  ``lag(link, side)`` adds the cycles the
+    endpoint's producer has pushed beyond what its consumer has popped
+    (non-zero only mid-round)."""
+    for link, (model_a, _), (model_b, _) in sim.link_attachments():
+        for endpoint, producer, consumer in (
+            (link.to_b, model_a, model_b), (link.to_a, model_b, model_a),
+        ):
+            held = endpoint._pushed_until - endpoint._consumed_until
+            extra = lag(producer, consumer) if lag is not None else 0
+            assert held == link.latency + extra, link.name
+            assert all(window.valid_count for window in endpoint._queue)
+
+
+class TestLatencyInvariant:
+    """The paper's contract — a link of latency ``l`` holds ``l`` tokens
+    — as a checkable cursor invariant at every round boundary."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("farm", ["mixed_latency", "two_tier_2x2"])
+    def test_at_every_round_start_hook(self, engine, farm):
+        if farm == "mixed_latency":
+            sim = build_mixed(engine)
+        else:
+            sim = build(farm, engine=engine)[0].simulation
+        checked = []
+
+        def hook(cycle, model):
+            if model is None:
+                assert_latency_invariant(sim)
+                checked.append(cycle)
+
+        sim.fault_hook = hook
+        sim.run_until(120_000)
+        assert len(checked) == sim.stats.rounds
+        assert sim.stats.valid_tokens_moved > 0
+
+    @pytest.mark.parametrize("farm", ["mixed_latency", "two_tier_2x2"])
+    def test_at_every_active_set_return(self, farm):
+        if farm == "mixed_latency":
+            sim = build_mixed("batched")
+        else:
+            sim = build_batched(farm)[0].simulation
+        for target in (1, 30_000, 77_777, 130_000, 200_000):
+            sim.run_until(target)
+            assert_latency_invariant(sim)
+        assert sim.stats.valid_tokens_moved > 0
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_after_a_raise_mid_round(self, engine):
+        """Models before the raiser finished the round, the raiser popped
+        its inputs only, and the rest did nothing: each endpoint is off
+        by exactly the round its producer or consumer got ahead."""
+        sim = build_mixed(engine, bomb_at=77_777)
+        with pytest.raises(Crash):
+            sim.run_until(200_000)
+        order = {id(model): index for index, model in enumerate(sim.models)}
+        bomb = order[id(sim.models[1])]
+        quantum = sim.quantum
+
+        def lag(producer, consumer):
+            pushed = order[id(producer)] < bomb
+            popped = order[id(consumer)] <= bomb
+            return quantum * (pushed - popped)
+
+        assert sim.current_cycle == 77_777 // 640 * 640
+        assert_latency_invariant(sim, lag)
+
+    def test_at_every_exchange_of_a_two_worker_run(self, tmp_path):
+        """A hook installed before the fork runs inside both workers and
+        checks every endpoint at every exchange (each 640-cycle trunk
+        period of the heterogeneous farm)."""
+        running, plan = hetero_build("batched")
+        sim = running.simulation
+        log = tmp_path / "checked"
+
+        def hook(cycle, model):
+            if model is None and cycle % 640 == 0:
+                assert_latency_invariant(sim)
+                with open(log, "a", encoding="utf-8") as handle:
+                    handle.write(f"{os.getpid()} {cycle}\n")
+
+        sim.fault_hook = hook
+        result = run_distributed(sim, plan, 200_000)
+        assert result.round_quantum == 640
+        assert sim.stats.valid_tokens_moved > 0
+        lines = log.read_text(encoding="utf-8").split()
+        workers = set(lines[0::2])
+        cycles = [int(cycle) for cycle in lines[1::2]]
+        assert len(workers) == 2 and str(os.getpid()) not in workers
+        assert sorted(cycles) == sorted(2 * list(range(0, 200_000, 640)))
