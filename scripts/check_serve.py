@@ -13,12 +13,16 @@ whole contract end to end:
   checkpoints, resumes, and finishes **bit-identical** to a standalone
   serial run of the same spec (node results AND final state digest);
 * every completed job's results are bit-equal to its serial oracle;
+* runner processes are reused: at least one ``started`` event names a
+  runner pid an earlier job already ran on (the victim's resume
+  included, it still finishes bit-exactly);
 * one job is **cancelled** mid-flight and settles as cancelled;
 * the CLI verbs (``submit``/``jobs``/``cancel``) round-trip over the
   unix socket, server-side failures exit non-zero with one line, and
   one flag set gives the same pings as ``runworkload`` and as a job;
-* graceful shutdown reaps every child process — zero leaked processes,
-  zero leaked ``/dev/shm`` segments (snapshotted before/after);
+* graceful shutdown reaps every runner process — zero leaked
+  processes, zero leaked ``/dev/shm`` segments (snapshotted
+  before/after);
 * the JSON-lines job-event log is well formed: monotonic ``seq``,
   every job's lifecycle closed out, a final ``shutdown`` record.
 
@@ -95,7 +99,7 @@ def shm_listing():
 
 
 def child_pids():
-    """Live direct children of this process (leaked job processes)."""
+    """Live direct children of this process (leaked runner processes)."""
     import multiprocessing
 
     return {p.pid for p in multiprocessing.active_children()}
@@ -264,6 +268,9 @@ def main_check():
                    if e["event"] == "started" and e.get("resumed")]
         if not resumed:
             fail("event log records no checkpoint resume")
+        runners = [e["runner"] for e in events if e["event"] == "started"]
+        if len(set(runners)) == len(runners):
+            fail(f"no job reused a runner process: started on {runners}")
         stats = server.stats
 
     leaked_procs = child_pids() - pids_before
@@ -284,6 +291,7 @@ def main_check():
         f"({stats.submitted} jobs on {ServeFarm(FARM).capacity} slots, "
         f"{stats.preemptions} preemption(s) resumed cycle-exactly, "
         f"{stats.cancelled} cancelled, {len(events)} events, "
+        f"{len(runners)} starts on {len(set(runners))} runner(s), "
         "zero leaked processes/segments)"
     )
     return 0

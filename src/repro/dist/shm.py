@@ -135,6 +135,12 @@ _SPINS_BEFORE_YIELD = 32
 #: mid-tick, or a genuinely slow round).
 _YIELDS_BEFORE_SLEEP = 2048
 _SLEEP_S = 200e-6
+#: How long a reader that finds bytes published without a permit waits
+#: for the permit itself: the writer publishes, then posts, and may be
+#: descheduled in between.  A late permit left unconsumed would pair
+#: every later receive with its predecessor's post, and each would spin
+#: in ``_read`` instead of sleeping on the semaphore.
+_LATE_PERMIT_S = 0.1
 
 
 class _Backoff:
@@ -222,9 +228,9 @@ class ShmRing:
         #: Receives that found no published message and went to sleep
         #: on the wakeup semaphore.
         self.blocked_wakeups = 0
-        #: Receives that found data published with no wakeup permit —
-        #: a lost wakeup self-healed by the cursor check instead of
-        #: timing out (see ``recv``).
+        #: Receives that found data published and whose wakeup permit
+        #: never came — a lost wakeup self-healed by the cursor check
+        #: instead of timing out (see ``recv``).
         self.wakeup_recoveries = 0
         self.recv_messages = 0
         self.recv_bytes = 0
@@ -454,12 +460,8 @@ class ShmRing:
                 if not block:
                     return None
                 if cursors[0] > cursors[1]:
-                    # Data is published but no permit posted: a lost
-                    # wakeup (injected or a genuinely dropped post).
-                    # Self-heal by trusting the cursors — the
-                    # payload-then-publish order guarantees the bytes
-                    # are complete.
-                    self.wakeup_recoveries += 1
+                    # Data is published but its permit not yet posted.
+                    self._await_late_permit()
                 else:
                     # Sleep on the futex until the peer's publish, so
                     # the peer gets the whole core; cap the wait so a
@@ -469,10 +471,8 @@ class ShmRing:
                     deadline = time.monotonic() + self.timeout_s
                     while not wakeup.acquire(True, 1.0):
                         if cursors[0] > cursors[1]:
-                            # Published without a permit mid-wait:
-                            # recover rather than starve on the
-                            # missing post.
-                            self.wakeup_recoveries += 1
+                            # Published without a permit mid-wait.
+                            self._await_late_permit()
                             break
                         if time.monotonic() > deadline:
                             raise TokenStarvationError(
@@ -531,6 +531,19 @@ class ShmRing:
         self.recv_messages += 1
         self.recv_bytes += _ROUND.size + payload_bytes
         return entries
+
+    def _await_late_permit(self) -> None:
+        """Consume the permit of a message already published.
+
+        The writer posts right after publishing, so the permit is
+        normally a moment away; taking it keeps one permit per
+        unconsumed message.  A permit that never comes is a lost wakeup
+        (injected, or a genuinely dropped post): self-heal by trusting
+        the cursors — the payload-then-publish order guarantees the
+        bytes are complete.
+        """
+        if not self._wakeup.acquire(True, _LATE_PERMIT_S):
+            self.wakeup_recoveries += 1
 
     # -- telemetry -------------------------------------------------------
 

@@ -7,16 +7,19 @@ tenants sharing one run farm, with the scheduler deciding who holds
 FPGAs when.  This package provides that:
 
 * :mod:`repro.serve.job` — JSON-serializable :class:`JobSpec` (topology
-  + workload + engine/workers/fault-plan), the per-job forked child
-  (own process group, pipe-driven preempt/cancel), and the in-process
-  serial oracle for bit-equality tests;
+  + workload + engine/workers/fault-plan), the forked runner process
+  (own process group, one running job at a time, reused across jobs,
+  pipe-driven run/preempt/cancel), and the in-process serial oracle for
+  bit-equality tests;
 * :mod:`repro.serve.farm` — :class:`ServeFarm`, the FPGA-slot ledger
   over :func:`~repro.host.instances.fpga_slot_capacity`, which *never*
   oversubscribes, plus spot/on-demand job pricing;
 * :mod:`repro.serve.scheduler` — pure priority scheduling with aging
   (no starvation) and checkpoint-backed preemption planning;
 * :mod:`repro.serve.server` — :class:`JobServer`, the asyncio service:
-  submit/cancel/wait/shutdown, JSON-lines job-event log, ``serve.*``
+  submit/cancel/wait/shutdown, one runner per running job (idle
+  runners reused, a runner retired after a failure or a kill),
+  event-driven completion, JSON-lines job-event log, ``serve.*``
   telemetry gauges, graceful drain + /dev/shm leak audit;
 * :mod:`repro.serve.api` / :mod:`repro.serve.client` — newline-JSON
   unix-socket protocol and the matching in-process/socket clients the

@@ -1,4 +1,4 @@
-"""Job specs and the per-job child process for the job server.
+"""Job specs and the runner processes of the job server.
 
 A :class:`JobSpec` is everything the server needs to run one simulation
 end to end — a :class:`~repro.manager.runspec.RunSpec` (topology,
@@ -8,13 +8,15 @@ CLI socket and be replayed from the event log.  The spec *is* the
 rebuild recipe: a preempted job's portable checkpoint (cycle + digest)
 plus its spec is enough for any process to resume it cycle-identically.
 
-Each scheduled job runs in its **own process group**
-(:func:`run_job_child`): a fork with ``os.setpgrp()`` whose life is one
+Scheduled jobs run in **runner processes** (:func:`run_job_child`): a
+fork that owns its process group (``os.setpgrp()``) and runs one
 manager lifecycle (:func:`run_job_inline`: buildafi → launchrunfarm →
-infrasetup → runworkload).  The parent drives it over a full-duplex
-pipe — ``preempt``/``cancel`` commands down, ``progress``/terminal
-messages up — and the child polls for commands at segment boundaries
-via :meth:`~repro.manager.manager.FireSimManager.runworkload_segmented`'s
+infrasetup → runworkload) per job, one job after another, so a warm
+runner pays for the simulation and not for a fresh fork.  The parent
+drives it over a full-duplex pipe — ``run``/``preempt``/``cancel``
+commands down, ``progress``/terminal messages up — and the runner
+polls for commands at segment boundaries via
+:meth:`~repro.manager.manager.FireSimManager.runworkload_segmented`'s
 control hook (serial jobs) or
 :attr:`~repro.manager.manager.FireSimManager.abort_check` (distributed
 jobs).  SIGTERM is mapped to a normal exception so ``finally`` blocks
@@ -141,7 +143,7 @@ class JobRecord:
         }
 
 
-# -- the child process ---------------------------------------------------
+# -- the runner process --------------------------------------------------
 
 
 def _result_payload(manager: FireSimManager, result: Any) -> Dict[str, Any]:
@@ -177,7 +179,7 @@ def run_job_inline(
 
     Tests compare a server-scheduled job's payload against this —
     bit-identical node results prove multi-tenancy didn't perturb
-    target time — and :func:`run_job_child` is this behind a pipe.
+    target time — and :func:`run_job_child` runs this behind a pipe.
     ``control(cycle, total)`` may answer ``"preempt"`` or ``"cancel"``;
     the run then stops and ``{"status", "cycle", "digest"}`` comes back
     instead of a result payload.  ``resume`` is such a stopping point.
@@ -229,24 +231,60 @@ def run_job_inline(
     return payload
 
 
-def run_job_child(
-    spec_dict: Dict[str, Any],
-    resume: Optional[Dict[str, Any]],
-    conn: Any,
-) -> None:
-    """Entry point of the forked per-job process.
+def _run_one(conn: Any, job_id: int, spec_dict: Dict[str, Any],
+             resume: Optional[Dict[str, Any]]) -> tuple:
+    """Run one job in a runner and return its terminal message."""
+    wanted = CONTROL_CONTINUE
+
+    def control(cycle: int, total: int) -> str:
+        nonlocal wanted
+        conn.send(("progress", cycle, total))
+        while conn.poll():
+            message = conn.recv()
+            if message[1:] != (job_id,):
+                continue  # an order for a job this runner already left
+            # cancel outranks preempt; otherwise first order wins.
+            if message[0] == "cancel":
+                wanted = CONTROL_CANCEL
+            elif message[0] == "preempt" and wanted == CONTROL_CONTINUE:
+                wanted = CONTROL_PREEMPT
+        return wanted
+
+    try:
+        outcome = run_job_inline(JobSpec.from_dict(spec_dict), resume, control)
+    except SystemExit:
+        raise
+    except ReproError as exc:
+        return ("failed", str(exc))
+    except Exception as exc:  # noqa: BLE001 - report, don't hang the server
+        return ("failed", f"{type(exc).__name__}: {exc}")
+    status = outcome.get("status", "done")
+    if status == "preempted":
+        return ("preempted", {"cycle": outcome["cycle"],
+                              "digest": outcome["digest"]})
+    if status == "cancelled":
+        return ("cancelled", outcome["cycle"])
+    return ("done", outcome)
+
+
+def run_job_child(conn: Any) -> None:
+    """Entry point of a forked runner: run jobs until told to exit.
 
     Protocol (over the full-duplex ``multiprocessing.Pipe``):
 
-    * child -> parent: ``("progress", cycle, total)`` whenever the run
-      asks for orders; exactly one terminal message — ``("done",
-      payload)``, ``("preempted", {"cycle", "digest"})``,
-      ``("cancelled", cycle)``, or ``("failed", message)``.
-    * parent -> child: ``("preempt",)`` / ``("cancel",)`` at any time;
-      the child drains them non-blockingly at each segment boundary
-      (serial) or liveness sweep (distributed).
+    * parent -> runner: ``("run", job_id, spec_dict, checkpoint)``
+      starts a job; ``("preempt", job_id)`` / ``("cancel", job_id)`` at
+      any time, drained non-blockingly at each segment boundary
+      (serial) or liveness sweep (distributed) — a runner that is not
+      running ``job_id`` drops them, so an order that races a job's end
+      never stops the next job; ``("exit",)`` or EOF ends the runner.
+    * runner -> parent: ``("progress", cycle, total)`` whenever the run
+      asks for orders; exactly one terminal message per ``run`` —
+      ``("done", payload)``, ``("preempted", {"cycle", "digest"})``,
+      ``("cancelled", cycle)``, or ``("failed", message)`` — after
+      which the runner waits for its next command.
 
-    The child owns its process group (``os.setpgrp``) so the server can
+    The runner owns its process group (``os.setpgrp``) so the server can
     signal the whole job — including any distributed workers it forked
     — without touching siblings.  SIGTERM raises ``SystemExit`` so the
     engine's ``finally`` blocks still unlink /dev/shm rings.
@@ -259,36 +297,14 @@ def run_job_child(
     signal.signal(signal.SIGTERM, _terminate)
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # server handles Ctrl-C
 
-    wanted = CONTROL_CONTINUE
-
-    def control(cycle: int, total: int) -> str:
-        nonlocal wanted
-        conn.send(("progress", cycle, total))
-        while conn.poll():
-            message = conn.recv()
-            # cancel outranks preempt; otherwise first order wins.
-            if message and message[0] == "cancel":
-                wanted = CONTROL_CANCEL
-            elif message and message[0] == "preempt" \
-                    and wanted == CONTROL_CONTINUE:
-                wanted = CONTROL_PREEMPT
-        return wanted
-
     try:
-        outcome = run_job_inline(JobSpec.from_dict(spec_dict), resume, control)
-        status = outcome.get("status", "done")
-        if status == "preempted":
-            conn.send(("preempted", {"cycle": outcome["cycle"],
-                                     "digest": outcome["digest"]}))
-        elif status == "cancelled":
-            conn.send(("cancelled", outcome["cycle"]))
-        else:
-            conn.send(("done", outcome))
-    except SystemExit:
-        raise
-    except ReproError as exc:
-        conn.send(("failed", str(exc)))
-    except Exception as exc:  # noqa: BLE001 - report, don't hang the server
-        conn.send(("failed", f"{type(exc).__name__}: {exc}"))
+        while True:
+            message = conn.recv()
+            if message[0] == "exit":
+                break
+            if message[0] == "run":
+                conn.send(_run_one(conn, *message[1:]))
+    except (EOFError, OSError):
+        pass  # the server is gone: nothing left to run for
     finally:
         conn.close()

@@ -5,18 +5,20 @@ Upstream FireSim's manager is a batch tool — one invocation, one run.
 "simulation-cloud" framing implies: an asyncio event loop (running in a
 daemon thread so synchronous callers and the CLI can drive it) owns a
 job table, a :class:`~repro.serve.farm.ServeFarm` slot ledger, and a
-:class:`~repro.serve.scheduler.Scheduler`; every accepted job runs in
-its own forked process group via
-:func:`~repro.serve.job.run_job_child`, so tenants cannot perturb each
-other's target-time determinism — the bit-equality tests in
-``tests/test_serve.py`` hold the server to that.
+:class:`~repro.serve.scheduler.Scheduler`; every started job runs in
+a forked runner process (:func:`~repro.serve.job.run_job_child`) that
+owns its process group — one runner per running job, reused across
+jobs, retired after a failure or a kill — so tenants cannot perturb
+each other's target-time determinism: the bit-equality tests in
+``tests/test_serve.py`` hold the server to that, on fresh and on
+reused runners alike.
 
 Preemption is checkpoint-backed: a victim is *ordered* to stop, stops
 at its next segment boundary, ships back a portable
 ``(cycle, digest)`` checkpoint, and re-enters the queue; when
 rescheduled it replays to that cycle and the digest proves the resumed
 run is the same run.  Graceful shutdown drains or checkpoints every
-job, reaps every child, and audits /dev/shm for leaked transport
+job, reaps every runner, and audits /dev/shm for leaked transport
 segments.
 """
 
@@ -29,7 +31,9 @@ import os
 import signal
 import threading
 import time
-from typing import Any, Dict, List, Optional
+from multiprocessing.connection import wait as wait_ready
+from multiprocessing.util import Finalize, register_after_fork
+from typing import Any, Dict, List, NamedTuple, Optional, Set
 
 from repro import ReproError
 from repro.dist.shm import leaked_segments
@@ -46,6 +50,24 @@ from repro.serve.scheduler import AGING_EVERY, Scheduler
 
 class ServeError(ReproError):
     """A server operation failed (unknown job, bad state, shut down)."""
+
+
+class _Runner(NamedTuple):
+    """A forked runner process and the server's end of its pipe."""
+
+    process: Any
+    pipe: Any
+
+
+def _close_pipe(pipe: Any) -> None:
+    pipe.close()
+
+
+def _close_pipes(live: Dict[int, Any]) -> None:
+    """EOF for the runners of a server nobody stopped, so they exit and
+    multiprocessing's join of live children at interpreter exit ends."""
+    for pipe in live.values():
+        pipe.close()
 
 
 class ServeStats:
@@ -71,12 +93,24 @@ class JobServer:
     """Long-lived multi-tenant run-farm service.
 
     Thread model: one asyncio loop in a daemon thread owns all mutable
-    state (job table, farm ledger, in-flight sets).  Each running job
-    gets a pump in a worker thread (``asyncio.to_thread``) that blocks
-    on the child's pipe; it only *reads* and reports back into the loop.
-    Commands to children (preempt/cancel) are sent from the loop thread
-    — the ``multiprocessing.Pipe`` is full-duplex, and the two threads
-    touch opposite directions only.
+    state (job table, farm ledger, in-flight sets, idle runners).  Each
+    running job gets a pump in a worker thread (``asyncio.to_thread``)
+    that blocks on its runner's pipe and process sentinel together; it
+    only *reads* and reports back into the loop.  Commands to runners
+    (run/preempt/cancel/exit) are sent from the loop thread — the
+    ``multiprocessing.Pipe`` is full-duplex, and the two threads touch
+    opposite directions only.  Joining a retired runner (and killing
+    one that will not exit) runs in a worker thread too, so a dying
+    process never stalls scheduling.
+
+    Runners: a started job takes an idle runner, and a runner is forked
+    only when none is idle, so there are never more runners than jobs
+    that ran at once.  A runner whose job ends goes back to the idle
+    set; after a ``failed`` terminal, a broken pipe or a kill it is
+    retired instead, and the next job gets a fresh fork.  Nothing is
+    forked before the first job, and shutdown retires every runner
+    before the leak audit.  Completion is event-driven: :meth:`wait`
+    awaits a per-job event set when the record turns terminal.
     """
 
     def __init__(
@@ -84,7 +118,6 @@ class JobServer:
         farm: Optional[ServeFarm] = None,
         event_log: Optional[str] = None,
         aging_every: int = AGING_EVERY,
-        poll_interval_s: float = 0.02,
     ) -> None:
         self.farm = farm or ServeFarm()
         self.scheduler = Scheduler(aging_every=aging_every)
@@ -93,16 +126,21 @@ class JobServer:
         self.records: Dict[int, JobRecord] = {}
         self.events: List[Dict[str, Any]] = []
         self.event_log = event_log
-        self.poll_interval_s = poll_interval_s
         self.leaked: List[str] = []
         self._next_id = 1
         self._seq = 0
         self._event_seq = 0
         self._preempting: set = set()
         self._cancelling: set = set()
-        self._pipes: Dict[int, Any] = {}
-        self._procs: Dict[int, Any] = {}
-        self._tasks: Dict[int, asyncio.Task] = {}
+        self._settled: Dict[int, asyncio.Event] = {}
+        self._running: Dict[int, _Runner] = {}
+        self._idle: List[_Runner] = []
+        # Server pipe ends of every live runner, by pid.
+        self._live: Dict[int, Any] = {}
+        # Priority 0: at interpreter exit, before multiprocessing joins
+        # its live children.
+        Finalize(self, _close_pipes, args=(self._live,), exitpriority=0)
+        self._tasks: Set[asyncio.Task] = set()
         self._accepting = True
         self._no_new_starts = False
         self._shut_down = False
@@ -211,6 +249,7 @@ class JobServer:
             slots, spec.duration_ms / 3.6e6, spec.preemptible
         )
         self.records[job_id] = record
+        self._settled[job_id] = asyncio.Event()
         self.stats.submitted += 1
         self._emit(
             "submitted", job_id, name=spec.name, slots=slots,
@@ -247,12 +286,12 @@ class JobServer:
                 "cancel"
             )
         if record.state == JobState.RUNNING:
-            # Order the child to stop at its next boundary; the pump's
+            # Order the runner to stop at its next boundary; the pump's
             # terminal message completes the cancellation.
             self._cancelling.add(job_id)
             self._send_command(job_id, "cancel")
         else:
-            # Queued or preempted: never reaches a child, settle now.
+            # Queued or preempted: never reaches a runner, settle now.
             self._settle(record, JobState.CANCELLED)
             self._emit("cancelled", job_id, where="queue")
             self._schedule()
@@ -262,14 +301,13 @@ class JobServer:
                    timeout_s: float = 120.0) -> Dict[str, Any]:
         """Block until a job reaches a terminal state; return its record."""
         record = self._record(job_id)
-        deadline = time.monotonic() + timeout_s
-        while record.state not in TERMINAL_STATES:
-            if time.monotonic() > deadline:
-                raise ServeError(
-                    f"timed out waiting for job {job_id} "
-                    f"(state {record.state.value})"
-                )
-            await asyncio.sleep(self.poll_interval_s)
+        try:
+            await asyncio.wait_for(self._settled[job_id].wait(), timeout_s)
+        except asyncio.TimeoutError:
+            raise ServeError(
+                f"timed out waiting for job {job_id} "
+                f"(state {record.state.value})"
+            ) from None
         return record.to_dict()
 
     async def shutdown(self, drain: bool = False,
@@ -280,8 +318,9 @@ class JobServer:
         ``drain=False`` checkpoints running preemptible jobs (their
         state survives as portable checkpoints in the job table),
         cancels the rest, and cancels the queue.  Either way every
-        child is reaped and /dev/shm is audited for leaked transport
-        segments before the ``shutdown`` event is logged.
+        runner is told to exit and reaped, and /dev/shm is audited for
+        leaked transport segments before the ``shutdown`` event is
+        logged.
         """
         if self._shut_down:
             return {"leaked_segments": list(self.leaked)}
@@ -302,26 +341,23 @@ class JobServer:
                     elif record.job_id not in self._cancelling:
                         self._cancelling.add(record.job_id)
                         self._send_command(record.job_id, "cancel")
+        # Every job task ends by starting what the scheduler allows
+        # next, so awaiting tasks until none is left drains the queue
+        # too (without drain, nothing new starts).
         deadline = time.monotonic() + timeout_s
-        while any(
-            r.state == JobState.RUNNING for r in self.records.values()
-        ) or (drain and any(
-            r.state in (JobState.QUEUED, JobState.PREEMPTED)
-            for r in self.records.values()
-        )):
-            if time.monotonic() > deadline:
+        while self._tasks:
+            _, pending = await asyncio.wait(
+                set(self._tasks),
+                timeout=max(0.0, deadline - time.monotonic()),
+            )
+            if pending:
                 self._emit("shutdown_timeout")
-                for job_id in list(self._procs):
-                    self._kill(job_id)
+                for runner in list(self._running.values()):
+                    self._kill(runner.process)
+                await asyncio.wait(pending, timeout=10.0)
                 break
-            await asyncio.sleep(self.poll_interval_s)
-        for task in list(self._tasks.values()):
-            try:
-                await asyncio.wait_for(task, timeout=10.0)
-            except (asyncio.TimeoutError, asyncio.CancelledError):
-                pass
-            except Exception:  # noqa: BLE001 - already logged as failed
-                pass
+        idle, self._idle = self._idle, []
+        await asyncio.gather(*(self._retire(runner) for runner in idle))
         self.leaked = leaked_segments()
         self._shut_down = True
         self._sync_gauges()
@@ -339,18 +375,19 @@ class JobServer:
             raise ServeError(f"unknown job id {job_id}") from None
 
     def _send_command(self, job_id: int, command: str) -> None:
-        pipe = self._pipes.get(job_id)
-        if pipe is None:
+        runner = self._running.get(job_id)
+        if runner is None:
             return
         try:
-            pipe.send((command,))
+            runner.pipe.send((command, job_id))
         except (OSError, ValueError):
-            pass  # child already exiting; the pump will report it
+            pass  # runner already exiting; the pump will report it
 
     def _settle(self, record: JobRecord, state: JobState) -> None:
-        """Move a job to a terminal state and free its slots."""
+        """Move a job to a terminal state, free its slots, wake waiters."""
         record.state = state
         self.farm.release(record.job_id)
+        self._settled[record.job_id].set()
         if state == JobState.CANCELLED:
             self.stats.cancelled += 1
         elif state == JobState.FAILED:
@@ -392,73 +429,85 @@ class JobServer:
         if resumed:
             self.stats.resumes += 1
         self.stats.started += 1
+        runner = self._idle.pop() if self._idle else self._fork_runner()
+        self._running[record.job_id] = runner
         self._emit(
             "started", record.job_id, slots=slots,
             resumed=resumed,
             resume_cycle=(record.checkpoint or {}).get("cycle", 0),
+            runner=runner.process.pid,
         )
-        task = self.loop.create_task(self._run_job(record))
-        self._tasks[record.job_id] = task
+        task = self.loop.create_task(self._run_job(record, runner))
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
 
-    async def _run_job(self, record: JobRecord) -> None:
-        job_id = record.job_id
+    def _fork_runner(self) -> _Runner:
         parent, child = self._mp.Pipe(duplex=True)
+        # Forked processes (this runner, later ones) drop their copy of
+        # the server's end, so closing it here is EOF to the runner.
+        register_after_fork(parent, _close_pipe)
         process = self._mp.Process(
-            target=run_job_child,
-            args=(record.spec.to_dict(), record.checkpoint, child),
-            name=f"serve-job-{job_id}",
+            target=run_job_child, args=(child,), name="serve-runner",
         )
         process.start()
         child.close()
-        self._pipes[job_id] = parent
-        self._procs[job_id] = process
+        self._live[process.pid] = parent
+        return _Runner(process, parent)
+
+    async def _run_job(self, record: JobRecord, runner: _Runner) -> None:
+        job_id = record.job_id
         try:
-            terminal = await asyncio.to_thread(
-                self._pump, process, parent, record
+            runner.pipe.send(
+                ("run", job_id, record.spec.to_dict(), record.checkpoint)
             )
+        except (OSError, ValueError) as exc:
+            terminal: tuple = ("failed", f"job pipe closed: {exc}")
+        else:
+            terminal = await asyncio.to_thread(self._pump, runner)
         finally:
-            self._pipes.pop(job_id, None)
+            self._running.pop(job_id, None)
         self._on_terminal(record, terminal)
-        self._reap(job_id, process)
-        self._tasks.pop(job_id, None)
+        # Back to the idle set *before* the next scheduling round, so
+        # the job that round starts reuses this warm runner.
+        reuse = terminal[0] != "failed" and runner.process.is_alive()
+        if reuse:
+            self._idle.append(runner)
         self._schedule()
+        if not reuse:
+            await self._retire(runner)
 
-    def _pump(self, process: Any, pipe: Any,
-              record: JobRecord) -> tuple:
-        """Worker thread: block on the child's pipe until terminal.
+    @staticmethod
+    def _pump(runner: _Runner) -> tuple:
+        """Worker thread: block on the runner until the job's terminal.
 
-        Only reads the pipe (commands go down from the loop thread) and
-        only touches ``record`` for monotonic progress counters.
+        Only reads the pipe (commands go down from the loop thread); the
+        process sentinel wakes it if the runner dies instead.
         """
-        while True:
-            try:
-                if pipe.poll(self.poll_interval_s):
+        process, pipe = runner.process, runner.pipe
+        try:
+            while True:
+                ready = wait_ready([pipe, process.sentinel])
+                if pipe in ready:
+                    # Drained before the sentinel: a runner may send
+                    # its terminal message right before it dies.
                     message = pipe.recv()
-                    if message[0] == "progress":
-                        continue
-                    return message
-                elif not process.is_alive():
-                    # One last drain: the child may have sent its
-                    # terminal message right before exiting.
-                    if pipe.poll(0):
-                        message = pipe.recv()
-                        if message[0] != "progress":
-                            return message
-                        continue
+                    if message[0] != "progress":
+                        return message
+                else:
                     return (
                         "failed",
                         f"job process exited without a result "
                         f"(exitcode {process.exitcode})",
                     )
-            except (EOFError, OSError):
-                return (
-                    "failed",
-                    f"job pipe closed without a result "
-                    f"(exitcode {process.exitcode})",
-                )
+        except (EOFError, OSError):
+            return (
+                "failed",
+                f"job pipe closed without a result "
+                f"(exitcode {process.exitcode})",
+            )
 
     def _on_terminal(self, record: JobRecord, terminal: tuple) -> None:
-        """Loop thread: apply a child's terminal message."""
+        """Loop thread: apply a runner's terminal message."""
         job_id = record.job_id
         kind = terminal[0]
         was_cancelling = job_id in self._cancelling
@@ -499,18 +548,26 @@ class JobServer:
             self._settle(record, JobState.FAILED)
             self._emit("failed", job_id, error=record.error)
 
-    def _reap(self, job_id: int, process: Any) -> None:
+    async def _retire(self, runner: _Runner) -> None:
+        """Tell a runner to exit and reap it off the loop thread."""
+        try:
+            runner.pipe.send(("exit",))
+        except (OSError, ValueError):
+            pass  # already gone
+        await asyncio.to_thread(self._reap, runner.process)
+        self._live.pop(runner.process.pid, None)
+        runner.pipe.close()
+
+    def _reap(self, process: Any) -> None:
+        """Worker thread: join a retired runner, killing it if it lingers."""
         process.join(timeout=10.0)
         if process.is_alive():
-            self._kill(job_id)
+            self._kill(process)
             process.join(timeout=10.0)
-        self._procs.pop(job_id, None)
 
-    def _kill(self, job_id: int) -> None:
-        """Escalate: SIGTERM the job's process group, then SIGKILL."""
-        process = self._procs.get(job_id)
-        if process is None or process.pid is None:
-            return
+    @staticmethod
+    def _kill(process: Any) -> None:
+        """SIGTERM the runner's process group, then SIGKILL."""
         for signum in (signal.SIGTERM, signal.SIGKILL):
             if not process.is_alive():
                 return

@@ -10,20 +10,28 @@ The headline properties:
 * the scheduler **never oversubscribes** FPGA slots and **never
   starves** a queued job (hypothesis property over randomized job
   mixes);
-* cancel/shutdown reap every child and leak no /dev/shm segments;
+* a reused runner process runs each job exactly as a fresh one would,
+  and a failed job's runner is never reused;
+* cancel/shutdown reap every runner and leak no /dev/shm segments;
 * the CLI verbs round-trip through the unix-socket endpoint.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dist.shm import leaked_segments
 from repro.faults.checkpoint import CheckpointError
 from repro.manager.manager import FireSimManager, ManagerError
 from repro.serve import (
@@ -281,6 +289,127 @@ def test_non_preemptible_job_is_never_evicted(server):
     rec_fixed = client.wait(fixed_id, timeout_s=120)
     assert rec_fixed["state"] == "done"
     assert rec_fixed["preemptions"] == 0
+
+
+# -- runner reuse --------------------------------------------------------
+
+
+def _runner_pids(server):
+    """Runner pid of every ``started`` event, in order."""
+    return [e["runner"] for e in server.events if e["event"] == "started"]
+
+
+def _wait_running(server, job_id):
+    deadline = time.monotonic() + 30.0
+    while server.records[job_id].state != JobState.RUNNING:
+        assert time.monotonic() < deadline
+        time.sleep(0.01)
+
+
+def test_reused_runner_runs_each_job_as_a_fresh_one(server):
+    """One runner: a different spec, a preempted job, a cancelled job,
+    then X — and X is bit-equal to a standalone run."""
+    spec_x = {**PING, "name": "x", "ping_count": 6}
+    oracle_x = run_job_inline(JobSpec.from_dict(spec_x))
+    client = InProcessClient(server)
+
+    first = client.wait(client.submit({**PING, "name": "first"}))
+    assert first["state"] == "done"
+
+    slow_id = client.submit(SLOW)
+    _wait_running(server, slow_id)
+    time.sleep(0.2)  # let the victim make mid-run progress
+    urgent = {**PING, "name": "urgent", "duration_ms": 2.0, "priority": 10}
+    assert client.wait(client.submit(urgent))["state"] == "done"
+    slow = client.wait(slow_id)
+    assert slow["state"] == "done" and slow["preemptions"] >= 1
+
+    doomed_id = client.submit({**SLOW, "name": "doomed",
+                               "duration_ms": 500.0})
+    _wait_running(server, doomed_id)
+    client.cancel(doomed_id)
+    assert client.wait(doomed_id)["state"] == "cancelled"
+
+    record_x = client.wait(client.submit(spec_x))
+    assert record_x["state"] == "done"
+    assert record_x["result"]["node_results"] == oracle_x["node_results"]
+    assert record_x["result"]["final_digest"] == oracle_x["final_digest"]
+    pids = _runner_pids(server)
+    assert len(pids) >= 6 and len(set(pids)) == 1
+
+
+def test_stale_cancel_never_stops_the_next_job(server):
+    """Orders carry the job id: one addressed to the runner's previous
+    job is dropped, so a cancel that raced a ``done`` is harmless."""
+    client = InProcessClient(server)
+    old_id = client.submit(PING)
+    assert client.wait(old_id)["state"] == "done"
+    new_id = client.submit({**SLOW, "name": "next"})
+    _wait_running(server, new_id)
+    runner = server._running[new_id]
+    for command in ("cancel", "preempt"):
+        server.loop.call_soon_threadsafe(
+            runner.pipe.send, (command, old_id)
+        )
+    record = client.wait(new_id)
+    assert record["state"] == "done" and record["preemptions"] == 0
+    oracle = run_job_inline(JobSpec.from_dict({**SLOW, "name": "next"}))
+    assert record["result"]["final_digest"] == oracle["final_digest"]
+    assert len(set(_runner_pids(server))) == 1
+
+
+def test_failed_job_retires_its_runner(server):
+    client = InProcessClient(server)
+    doomed = {
+        **PING, "name": "no-instances", "max_retries": 2,
+        "fault_plan": {"seed": 0, "faults": [
+            {"kind": "instance-launch", "point": "launchrunfarm",
+             "times": 9},
+        ]},
+    }
+    failed = client.wait(client.submit(doomed))
+    assert failed["state"] == "failed" and "retries" in failed["error"]
+    assert client.wait(client.submit(PING))["state"] == "done"
+    failed_pid, next_pid = _runner_pids(server)
+    assert next_pid != failed_pid
+    assert failed_pid not in {p.pid for p in multiprocessing.active_children()}
+    assert client.shutdown()["leaked_segments"] == []
+    assert multiprocessing.active_children() == []
+
+
+def test_distributed_job_on_a_reused_runner(server):
+    """A ``workers=2`` job forks its shm workers from a warm runner:
+    still bit-equal to a standalone run, and still leak-free."""
+    spec = {**PING, "name": "dist", "workers": 2, "fpgas_per_instance": 1}
+    oracle = run_job_inline(JobSpec.from_dict(spec))
+    client = InProcessClient(server)
+    assert client.wait(client.submit(PING))["state"] == "done"
+    record = client.wait(client.submit(spec))
+    assert record["state"] == "done", record["error"]
+    assert record["result"]["node_results"] == oracle["node_results"]
+    assert record["result"]["distributed"]["num_workers"] == 2
+    assert len(set(_runner_pids(server))) == 1
+    assert client.shutdown()["leaked_segments"] == []
+    assert leaked_segments() == []
+    assert multiprocessing.active_children() == []
+
+
+def test_unstopped_server_lets_the_interpreter_exit():
+    """An idle runner of a server nobody stopped sees EOF at exit, so
+    multiprocessing's final join of live children returns."""
+    script = textwrap.dedent(f"""
+        from repro.serve import InProcessClient, JobServer, ServeFarm
+        server = JobServer(farm=ServeFarm({{"f1.2xlarge": 2}})).start()
+        client = InProcessClient(server)
+        assert client.wait(client.submit({PING!r}))["state"] == "done"
+    """)
+    repo = Path(__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(repo / "src")},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 # -- scheduler properties ------------------------------------------------

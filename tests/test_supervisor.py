@@ -15,6 +15,7 @@ import multiprocessing
 import os
 import signal
 import struct
+import threading
 import time
 from multiprocessing import shared_memory
 
@@ -23,6 +24,7 @@ import pytest
 from repro import ConfigError
 from repro.core.simulation import ENGINES
 from repro.dist import plan_partitions, run_distributed
+from repro.dist import shm
 from repro.dist.shm import HEARTBEAT_PREFIX, ShmRing, leaked_segments
 from repro.dist.supervisor import (
     HB_COMPUTE,
@@ -325,6 +327,47 @@ class TestRingIntegrity:
         ring.send(1, [])
         assert ring.recv(1) == []
         assert ring.wakeup_recoveries == 1
+
+    def test_late_permit_is_consumed_by_its_message(self, ring, monkeypatch):
+        """A permit posted after its bytes were read (the writer was
+        descheduled between publish and post) belongs to that message:
+        the next receive must sleep on the semaphore for its own, not
+        take the stale permit and spin in ``_read``."""
+        # Generous, so a loaded host cannot turn the late post into a
+        # lost one; the post itself comes after 20 ms.
+        monkeypatch.setattr(shm, "_LATE_PERMIT_S", 5.0, raising=False)
+        header_waits = []
+        backoff = shm._Backoff
+
+        def spy(ring_, what):
+            header_waits.append(what)
+            return backoff(ring_, what)
+
+        monkeypatch.setattr(shm, "_Backoff", spy)
+        ring.drop_next_wakeup = True
+        ring.send(0, [])
+        late = threading.Timer(0.02, ring._wakeup.release)
+        late.start()
+        assert ring.recv(0) == []
+        late.join()
+        assert ring.wakeup_recoveries == 0
+
+        blocked = ring.blocked_wakeups
+
+        def send_once_blocked():
+            deadline = time.monotonic() + 2.0
+            while (ring.blocked_wakeups == blocked
+                   and time.monotonic() < deadline):
+                time.sleep(0.001)
+            ring.send(1, [])
+
+        sender = threading.Thread(target=send_once_blocked)
+        sender.start()
+        assert ring.recv(1) == []
+        sender.join()
+        assert ring.blocked_wakeups == blocked + 1
+        assert header_waits == []
+        assert ring.wakeup_recoveries == 0
 
 
 # -- engine-level faults --------------------------------------------------
