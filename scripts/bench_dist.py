@@ -8,8 +8,8 @@ Usage: python scripts/bench_dist.py [--cycles N] [--workers 2,4,8]
 Runs the paper's scale-out configuration — a two-tier cluster with
 2 us / 6400-cycle rack-to-root trunk links and 0.5 us / 1600-cycle
 server links, sized to what one container can elaborate — through the
-serial engines and through ``repro.dist`` (workers joined by
-shared-memory rings) at each requested worker count, and emits
+serial engines and through ``repro.dist`` (workers joined by one
+pipe per directed pair) at each requested worker count, and emits
 ``BENCH_dist.json`` (schema ``repro.bench.dist/v5``).
 
 Every blade runs continuous, phase-staggered ping traffic (rack-local

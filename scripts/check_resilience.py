@@ -26,9 +26,10 @@ enabled — and checks that:
   deep serve smoke lives in ``scripts/check_serve.py``;
 * a distributed session reproduces the serial session's ping results
   exactly — and so does a chaos run that crashes a worker mid-flight —
-  and ``/dev/shm`` holds no repro ring or heartbeat segments afterwards
-  (the listing is snapshotted before and after, so a leak in any
-  teardown path fails the build);
+  and ``/dev/shm`` holds no heartbeat block afterwards and never a
+  ``repro-ring-`` segment (workers talk over pipes; the listing is
+  snapshotted before and after, so a leak in any teardown path fails
+  the build);
 * supervised chaos: a livelocked worker (``worker-hang``) is detected
   by the heartbeat supervisor, killed, and recovered bit-identically;
   an injected ring frame bit-flip (``ring-corrupt``) is caught by the
@@ -49,12 +50,12 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 )
 
-from repro.dist.shm import (  # noqa: E402
-    HEARTBEAT_PREFIX,
-    SEGMENT_PREFIX,
-    leaked_segments,
-)
+from repro.dist.shm import HEARTBEAT_PREFIX, leaked_segments  # noqa: E402
 from repro.manager.cli import main  # noqa: E402
+
+#: The retired shared-memory rings' ``/dev/shm`` prefix: no run may
+#: create one.
+RING_PREFIX = "repro-ring-"
 
 PLAN = {
     "seed": 7,
@@ -236,14 +237,16 @@ def main_check():
         # Leak check: /dev/shm before vs after the distributed sessions.
         leaks = leaked_segments()
         if leaks:
-            fail(f"leaked /dev/shm ring segments: {leaks}")
-        new_rings = sorted(
-            name
-            for name in shm_listing() - shm_before
-            if name.startswith((SEGMENT_PREFIX, HEARTBEAT_PREFIX))
+            fail(f"leaked /dev/shm heartbeat blocks: {leaks}")
+        grown = shm_listing() - shm_before
+        rings = sorted(name for name in grown if name.startswith(RING_PREFIX))
+        if rings:
+            fail(f"/dev/shm grew ring segments: {rings}")
+        new_blocks = sorted(
+            name for name in grown if name.startswith(HEARTBEAT_PREFIX)
         )
-        if new_rings:
-            fail(f"/dev/shm grew repro segments: {new_rings}")
+        if new_blocks:
+            fail(f"/dev/shm grew heartbeat blocks: {new_blocks}")
 
         # Serve layer: graceful shutdown of a busy server checkpoints
         # the running preemptible job instead of discarding its work,

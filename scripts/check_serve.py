@@ -21,8 +21,8 @@ whole contract end to end:
   unix socket, server-side failures exit non-zero with one line, and
   one flag set gives the same pings as ``runworkload`` and as a job;
 * graceful shutdown reaps every runner process — zero leaked
-  processes, zero leaked ``/dev/shm`` segments (snapshotted
-  before/after);
+  processes, zero leaked ``/dev/shm`` heartbeat blocks and never a
+  ``repro-ring-`` segment (snapshotted before/after);
 * the JSON-lines job-event log is well formed: monotonic ``seq``,
   every job's lifecycle closed out, a final ``shutdown`` record.
 
@@ -41,13 +41,13 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 )
 
-from repro.dist.shm import (  # noqa: E402
-    HEARTBEAT_PREFIX,
-    SEGMENT_PREFIX,
-    leaked_segments,
-)
+from repro.dist.shm import HEARTBEAT_PREFIX, leaked_segments  # noqa: E402
 from repro.experiments.common import cycles_to_us  # noqa: E402
 from repro.manager.cli import main as cli_main  # noqa: E402
+
+#: The retired shared-memory rings' ``/dev/shm`` prefix: no run may
+#: create one.
+RING_PREFIX = "repro-ring-"
 from repro.serve import (  # noqa: E402
     InProcessClient,
     JobSpec,
@@ -278,13 +278,16 @@ def main_check():
         fail(f"leaked child processes: {sorted(leaked_procs)}")
     leaks = leaked_segments()
     if leaks:
-        fail(f"leaked /dev/shm segments: {leaks}")
-    grown = sorted(
-        name for name in shm_listing() - shm_before
-        if name.startswith((SEGMENT_PREFIX, HEARTBEAT_PREFIX))
+        fail(f"leaked /dev/shm heartbeat blocks: {leaks}")
+    grown = shm_listing() - shm_before
+    rings = sorted(name for name in grown if name.startswith(RING_PREFIX))
+    if rings:
+        fail(f"/dev/shm grew ring segments: {rings}")
+    new_blocks = sorted(
+        name for name in grown if name.startswith(HEARTBEAT_PREFIX)
     )
-    if grown:
-        fail(f"/dev/shm grew repro segments: {grown}")
+    if new_blocks:
+        fail(f"/dev/shm grew heartbeat blocks: {new_blocks}")
 
     print(
         "check_serve: OK "

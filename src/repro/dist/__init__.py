@@ -13,8 +13,8 @@ instances:
   latency priming bit-for-bit;
 * :mod:`repro.dist.worker` — the per-process shard round loop,
   lockstepped purely by token exchange;
-* :mod:`repro.dist.shm` — the zero-copy shared-memory ring, the one
-  channel between worker pairs (:class:`ShmRing`);
+* :mod:`repro.dist.shm` — the one channel between worker pairs, a
+  pipe per directed pair (:class:`PipeChannel`);
 * :mod:`repro.dist.supervisor` — liveness supervision: workers
   heartbeat into a pre-fork shared control block
   (:class:`HeartbeatBlock`) and the parent's :class:`Supervisor`
@@ -44,7 +44,7 @@ from repro.dist.remote_link import (
     RemoteAttachment,
     deliver,
 )
-from repro.dist.shm import ShmRing, leaked_segments
+from repro.dist.shm import PipeChannel, leaked_segments
 from repro.dist.supervisor import (
     HeartbeatBlock,
     Supervisor,
@@ -58,10 +58,10 @@ __all__ = [
     "HeartbeatBlock",
     "Outbox",
     "PartitionPlan",
+    "PipeChannel",
     "RemoteAttachment",
     "RunAborted",
     "ShardContext",
-    "ShmRing",
     "Supervisor",
     "SupervisorConfig",
     "WorkerResult",

@@ -5,7 +5,7 @@
 elaborates and primes the simulation once, forks one worker per
 partition (each inherits the full memory image, so nothing is pickled
 on the way in), and then only *watches*: workers synchronize purely by
-token exchange over per-pair shm rings, exactly as FireSim's distributed
+token exchange over per-pair pipes, exactly as FireSim's distributed
 simulation needs no global barrier (paper Section III-B2).  When every
 worker reports its :class:`~repro.dist.worker.WorkerResult`, the parent
 merges shard-local counters — switch statistics, blade result stores,
@@ -23,7 +23,7 @@ manager's resilience layer can checkpoint-restore onto fewer workers.
 A worker that *hangs* is caught by the same loop through the
 :mod:`repro.dist.supervisor` heartbeat block: zero heartbeat progress
 past an adaptive deadline gets the worker killed (SIGTERM -> SIGKILL)
-and surfaces as :class:`~repro.faults.plan.WorkerHang`, and a shm
+and surfaces as :class:`~repro.faults.plan.WorkerHang`, and a channel
 frame that fails its integrity check is re-raised as the typed
 :class:`~repro.faults.plan.RingCorruption` the worker reported.
 
@@ -45,11 +45,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro import ConfigError, ReproError
 from repro.core.simulation import Simulation
 from repro.dist.partition import PartitionPlan
-from repro.dist.shm import (
-    DEFAULT_RING_CAPACITY,
-    DEFAULT_TRANSPORT_TIMEOUT_S,
-    ShmRing,
-)
+from repro.dist.shm import DEFAULT_TRANSPORT_TIMEOUT_S, PipeChannel
 from repro.dist.supervisor import (
     HeartbeatBlock,
     Supervisor,
@@ -104,7 +100,7 @@ class DistributedRunResult:
     #: partition's boundary-latency floor (paper Fig 9: rate grows with
     #: batch size, bounded by link latency).
     round_quantum: int = 0
-    #: Directed shm rings built for the run — one per worker pair that
+    #: Directed channels built for the run — one per worker pair that
     #: actually shares boundary links.
     channel_count: int = 0
     #: The run's :meth:`Supervisor.report` — heartbeat/hang telemetry
@@ -163,7 +159,7 @@ class DistributedRunResult:
         return {w.worker_id: w.rate_mhz() for w in self.workers}
 
     def measured_transport_seconds(self) -> Dict[str, float]:
-        """Host seconds all workers spent in ring calls (measured runs).
+        """Host seconds all workers spent in channel calls (measured runs).
 
         ``send`` covers serialize + publish, ``recv`` covers wait +
         decode; ``per_round`` is the mean of their sum over workers and
@@ -211,14 +207,54 @@ def _directed_pairs(
 ) -> List[Tuple[int, int]]:
     """Directed worker pairs that share at least one boundary link.
 
-    Rings are only built for these — a pair with zero links would map a
-    segment that no round ever touches.
+    Channels are only built for these — a pair with zero links would
+    open a pipe that no round ever touches.
     """
     pairs = set()
     for boundary in plan.boundaries(simulation):
         pairs.add((boundary.worker_a, boundary.worker_b))
         pairs.add((boundary.worker_b, boundary.worker_a))
     return sorted(pairs)
+
+
+_Failure = Tuple[int, Optional[int], str, str, Optional[str]]
+
+
+def _silent_death(worker_id: int, exitcode: int) -> _Failure:
+    """The failure of a worker that exited before reporting anything."""
+    if exitcode:
+        detail = f"worker process exited with code {exitcode} before reporting"
+    else:
+        detail = "worker process exited cleanly without reporting a result"
+    return (worker_id, None, detail, "WorkerCrash", None)
+
+
+def _peer_death(
+    failure: _Failure,
+    channels: List[PipeChannel],
+    processes: Dict[int, Any],
+    results: Dict[int, WorkerResult],
+) -> _Failure:
+    """Blame a channel starvation report on the peer if it died.
+
+    A failing worker's report reaches the parent before its pipes
+    close, so a starvation report naming a channel whose other end has
+    exited means that peer died without reporting: its death is the
+    failure.  The report stands while the peer lives (a stall).
+    """
+    worker_id, _, _, kind_name, target = failure
+    if kind_name != "TokenStarvationError":
+        return failure
+    for channel in channels:
+        if channel.name != target:
+            continue
+        peer = channel.dst if channel.src == worker_id else channel.src
+        if peer not in results:
+            process = processes[peer]
+            process.join(_RESULT_GRACE_S)
+            if process.exitcode is not None:
+                return _silent_death(peer, process.exitcode)
+    return failure
 
 
 def _merge_results(
@@ -256,7 +292,6 @@ def run_distributed(
     *,
     measure: bool = False,
     transport: str = "shm",
-    shm_capacity: int = DEFAULT_RING_CAPACITY,
     round_quantum: Optional[int] = None,
     profile: Optional[Any] = None,
     supervision: Optional[SupervisorConfig] = None,
@@ -274,14 +309,15 @@ def run_distributed(
     surfaces here as :class:`~repro.faults.plan.WorkerCrash`.
 
     Boundary tokens cross process boundaries over one
-    :class:`~repro.dist.shm.ShmRing` per directed worker pair;
+    :class:`~repro.dist.shm.PipeChannel` per directed worker pair;
     ``transport`` is accepted for compatibility and must be ``"shm"``.
-    Every pre-fork allocation — rings, heartbeat block, result queue —
-    happens inside the ``try`` whose ``finally`` unlinks the segments,
-    so normal completion, worker crashes, checkpoint-restore reruns and
-    a failed allocation all leave ``/dev/shm`` clean.  A host that
-    cannot provide POSIX shared memory for the rings gets the
-    ``OSError`` raised; the manager then finishes on the serial engine.
+    Every pre-fork allocation — channels, heartbeat block, result
+    queue — happens inside the ``try`` whose ``finally`` closes every
+    pipe end, reaps the workers and unlinks the heartbeat block, so
+    normal completion, worker crashes, checkpoint-restore reruns and a
+    failed allocation all leave no descriptor or ``/dev/shm`` entry
+    behind.  When ``os.pipe`` fails the ``OSError`` is raised; the
+    manager then finishes on the serial engine.
 
     ``round_quantum`` sets how many cycles pass between boundary token
     exchanges.  ``None`` (default) derives it adaptively: the largest
@@ -305,7 +341,7 @@ def run_distributed(
     heartbeat into a pre-fork shared control block and a worker with
     zero progress past the adaptive deadline is killed and raised as
     :class:`~repro.faults.plan.WorkerHang`.  ``transport_timeout_s``
-    bounds how long a ring's ``recv`` waits for peer progress.  ``stats`` is an optional
+    bounds how long a channel waits for peer progress.  ``stats`` is an optional
     :class:`~repro.faults.plan.ResilienceStats` that collects hang /
     kill / join-timeout counters.
 
@@ -313,7 +349,7 @@ def run_distributed(
     callers (the :mod:`repro.serve` job server's preemption and cancel
     paths): it is polled once per liveness sweep (~every
     ``_POLL_INTERVAL_S``) and a truthy return tears the workers down
-    through the normal cleanup path — rings unlinked, processes
+    through the normal cleanup path — pipes closed, processes
     reaped — and raises :class:`RunAborted` without merging any worker
     state into the parent simulation.
 
@@ -365,14 +401,12 @@ def run_distributed(
         )
 
     context = multiprocessing.get_context("fork")
-    rings: List[ShmRing] = []
+    channels: List[PipeChannel] = []
     heartbeats: Optional[HeartbeatBlock] = None
     processes: Dict[int, Any] = {}
     results: Dict[int, WorkerResult] = {}
     # failure = (worker_id, at_cycle, detail, exception_name, target)
-    failure: Optional[Tuple[int, Optional[int], str, str, Optional[str]]] = (
-        None
-    )
+    failure: Optional[_Failure] = None
     # Workers seen dead with exit code 0 but no result yet, and when:
     # the result may still be draining out of the queue's feeder pipe,
     # so they get _RESULT_GRACE_S before being declared failed.
@@ -380,9 +414,7 @@ def run_distributed(
     aborted = False
     try:
         for src, dst in _directed_pairs(plan, simulation):
-            rings.append(ShmRing.create(
-                src, dst, capacity=shm_capacity, timeout_s=transport_timeout_s
-            ))
+            channels.append(PipeChannel(src, dst, transport_timeout_s))
         if supervision.enabled:
             try:
                 heartbeats = HeartbeatBlock.create(plan.num_workers)
@@ -397,7 +429,9 @@ def run_distributed(
             target_cycle=target_cycle,
             quantum=quantum,
             measure=measure,
-            channels={(ring.src, ring.dst): ring for ring in rings},
+            channels={
+                (channel.src, channel.dst): channel for channel in channels
+            },
             result_queue=result_queue,
             round_quantum=round_quantum,
             profile=profile,
@@ -420,6 +454,11 @@ def run_distributed(
             )
             process.start()
             processes[worker_id] = process
+        # Each worker holds the ends it uses.  Once the parent's copies
+        # are gone too, a worker that dies reaches its peers as
+        # end-of-file on their read ends.
+        for channel in channels:
+            channel.close()
 
         while len(results) < plan.num_workers and failure is None:
             try:
@@ -444,14 +483,7 @@ def run_distributed(
                     if worker_id in results or process.is_alive():
                         continue
                     if process.exitcode not in (0, None):
-                        failure = (
-                            worker_id,
-                            None,
-                            f"worker process exited with code "
-                            f"{process.exitcode} before reporting",
-                            "WorkerCrash",
-                            None,
-                        )
+                        failure = _silent_death(worker_id, process.exitcode)
                         break
                     # Exit code 0 without a result: give the queue
                     # feeder a grace window to flush, then treat it as
@@ -459,14 +491,7 @@ def run_distributed(
                     # excluded 0 and spun on such a worker forever.
                     since = dead_ok_since.setdefault(worker_id, now)
                     if now - since > _RESULT_GRACE_S:
-                        failure = (
-                            worker_id,
-                            None,
-                            "worker process exited cleanly without "
-                            "reporting a result",
-                            "WorkerCrash",
-                            None,
-                        )
+                        failure = _silent_death(worker_id, 0)
                         break
                 continue
             if message[0] == "ok":
@@ -474,7 +499,10 @@ def run_distributed(
                 results[worker_id] = result
             else:
                 _, worker_id, at_cycle, detail, kind_name, target = message
-                failure = (worker_id, at_cycle, detail, kind_name, target)
+                failure = _peer_death(
+                    (worker_id, at_cycle, detail, kind_name, target),
+                    channels, processes, results,
+                )
         supervisor.settle()  # workers beat their last before reporting
     finally:
         if failure is not None or aborted:
@@ -486,19 +514,20 @@ def run_distributed(
             if process.is_alive():
                 # Join-timeout escalation: a worker that survives
                 # SIGTERM through the whole grace is SIGKILLed and
-                # reaped — leaving it behind would leak a process (and
-                # its shm mappings) per restore.
+                # reaped — leaving it behind would leak a process per
+                # restore.
                 process.kill()
                 process.join()
                 if stats is not None:
                     stats.join_timeouts += 1
                     stats.workers_killed += 1
-        # The one teardown path for ring segments: normal exit, worker
-        # crash, a failed pre-fork allocation, and the manager's
-        # checkpoint-restore rerun all come through here, so /dev/shm
-        # never accumulates segments.
-        for ring in rings:
-            ring.destroy()
+            process.close()  # its sentinel pipe
+        # The one teardown path for pipe ends and the heartbeat block:
+        # normal exit, worker crash, a failed pre-fork allocation, and
+        # the manager's checkpoint-restore rerun all come through here,
+        # so neither descriptors nor /dev/shm entries accumulate.
+        for channel in channels:
+            channel.close()
         if heartbeats is not None:
             heartbeats.destroy()
 
@@ -551,6 +580,6 @@ def run_distributed(
         workers=ordered,
         boundary_link_count=len(plan.boundaries(simulation)),
         round_quantum=round_quantum,
-        channel_count=len(rings),
+        channel_count=len(channels),
         supervision=supervisor.report(),
     )

@@ -21,14 +21,14 @@ into one columnar payload:
   payload lists (in entry order), running to the end of the payload.
   One pickle call per exchange per peer replaces one per busy window.
 
-The ring never leaves the host, so the cycle column is written in
+The frame never leaves the host, so the cycle column is written in
 native ``q`` order; the table is packed little-endian, and the import
 refuses a big-endian host so the two can never disagree.
 
 Producers ship only windows that carry tokens, so a quiet exchange is
 an empty entry list; on the receiver the cycles no entry covers are a
 cursor move (:func:`repro.dist.remote_link.deliver`).  Framing —
-round tags, CRCs, sequence numbers — stays with the ring
+round tags, CRCs, sequence numbers — stays with the channel
 (:mod:`repro.dist.shm` wraps this payload in its integrity-checked
 header).  :func:`decode_entries` still checks every length and range it
 reads before trusting it, and raises ``ValueError`` naming the entry on
@@ -70,7 +70,7 @@ def encode_entries(
     for scalar ones.  Returns the entry count.
     """
     if not entries:
-        # Zero bytes: the ring's header CRC alone still covers it.
+        # Zero bytes: the round header's CRC alone still covers it.
         return 0
     pack = _ENTRY.pack
     column = array("q")
@@ -97,7 +97,7 @@ def decode_entries(
 ) -> List[Tuple[int, Any]]:
     """Decode a coalesced payload back into ``(link_index, window)`` pairs.
 
-    ``payload`` is any buffer (the shm ring's copied-out bytes);
+    ``payload`` is any buffer (the channel's buffered frame bytes);
     ``offset`` is where the entry table starts.  One ``iter_unpack``
     reads the table, one ``frombytes`` the whole cycle column, and one
     ``pickle.loads`` restores every flit payload — decode cost is per

@@ -15,7 +15,7 @@ the multi-process engine:
   worker, aggregation/root switches in others;
 * :meth:`PartitionPlan.boundaries` names the links whose endpoints live
   in different workers; only these move tokens over a
-  :class:`~repro.dist.shm.ShmRing`, everything else stays an ordinary
+  :class:`~repro.dist.shm.PipeChannel`, everything else stays an ordinary
   in-process :class:`~repro.core.channel.Link`.
 
 Determinism: the assignment is a pure function of the topology and the

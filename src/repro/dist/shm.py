@@ -1,93 +1,47 @@
-"""Zero-copy shared-memory ring: the one channel between worker processes.
+"""The one channel between worker processes: a pipe per directed pair.
 
-Co-located endpoints in FireSim exchange tokens over one shared-memory
-hop (paper Section III-B2); :class:`ShmRing` is that hop between
-:mod:`repro.dist` workers.  It is one ``multiprocessing.shared_memory``
-segment per directed worker pair, laid out as a byte ring with two
-monotonic cursors (Switchboard-style single-producer single-consumer
-queues; Herbst et al., 2024):
+Co-located endpoints in FireSim exchange tokens over one host hop
+(paper Section III-B2); :class:`PipeChannel` is that hop between
+:mod:`repro.dist` workers.  Exactness comes from the tokens, not from
+the medium, so the channel is a plain byte stream: one ``os.pipe`` per
+directed worker pair that shares boundary links, created before the
+fork.  Each worker keeps only the end it uses and the parent closes its
+copies once every worker is forked, so a peer that dies reaches its
+readers as end-of-file, not as a silent wait.
 
-* bytes ``[0, 8)``  — write cursor: total bytes ever published;
-* bytes ``[8, 16)`` — read cursor: total bytes ever consumed;
-* bytes ``[16, 16 + capacity)`` — the data ring.
+Each exchange is ONE frame per directed pair: a round header
+``round_tag (i64) | entry_count (i32) | payload_bytes (i64) | seq (i64)
+| wake (i64) | payload_crc32 (u32) | header_crc32 (u32)`` followed by
+the coalesced payload of :mod:`repro.dist.frame`.  A quiet exchange is
+a bare header.  ``wake`` is the sender's promise that no token of its
+shard moves before that cycle, so peers that all promise past the next
+exchange skip it together (:mod:`repro.dist.worker`).
 
-The producer copies a message into the ring *first* and publishes the
-write cursor *after* (payload-then-publish), so a reader that observes
-``write - read >= n`` may safely copy ``n`` bytes out.  Cursors are
-aligned 8-byte stores through a ``memoryview`` cast of the mapped
-segment — atomic on every platform CPython runs multiprocessing on —
-and each side only ever writes its own cursor, so no locks are needed.
+Integrity: the header CRC covers the header (the wake included), the
+payload CRC the payload, and a per-channel sequence number orders
+frames.  A mismatched checksum, a skewed sequence or a wake before the
+exchange it closes raises :class:`~repro.faults.plan.RingCorruption`
+before anything is decoded, so corruption becomes a host fault routed
+through checkpoint-restore, never silently-wrong results.
 
-Message arrival is signalled through a per-ring POSIX semaphore (one
-post per published message, one wait per consumed one): workers
-outnumber cores on CI containers, so a reader that merely spun on the
-write cursor would steal the very CPU its peer needs to produce the
-message — the futex puts it to sleep for free and wakes it the moment
-the publish lands.  Only the *interior* waits — mid-message streaming
-and ring-full backpressure, both rare — spin, with adaptive backoff
-that falls to ``sched_yield`` almost immediately for the same reason.
-
-Lockstep makes the sizing easy: a worker entering exchange ``e`` has
-already consumed its peers' exchange ``e - 1`` messages, so at most one
-exchange of traffic is ever in flight per direction and the default
-1 MiB ring never fills on realistic topologies.  When a message *is*
-larger than the ring (a worst-case dense window), the writer streams
-it through in chunks while the reader drains — ring-full is
-backpressure, not an error.
-
-Wire format, per exchange and per directed pair (the payload is the
-coalesced frame of :mod:`repro.dist.frame` — one entry table, one
-concatenated cycle column, ONE flit pickle for the whole exchange)::
-
-    round header:  round_tag (i64) | entry_count (i32) | payload_bytes (i64)
-                   | seq (i64) | wake (i64) | payload_crc32 (u32)
-                   | header_crc32 (u32)
-    entry table:   entry_count rows of link_index (i32)
-                   | start_cycle (i64) | length (i64) | valid_count (i32)
-    cycle column:  sum(valid_count) int64 cycles, concatenated in entry
-                   order (one array copy of every TokenStream's
-                   cycle list)
-    flit blob:     one pickled list of per-entry flit lists, running to
-                   the payload's end.
-
-Every entry is a window that carries tokens: producers ship nothing for
-a quiet window, so a quiet exchange is a bare round header (no table,
-no pickling at all), and the receiver's push cursor passes over it.
-``wake`` is the sender's promise: no token of its shard moves before
-that cycle, so peers that all promise past the next exchange skip it
-together (:mod:`repro.dist.worker`).
-
-Integrity: the round header carries a CRC32 over itself (the wake
-included), a CRC32 over the payload, and a per-ring monotonic sequence
-number.  A reader that sees a mismatched checksum, a skewed sequence or
-a wake earlier than the exchange it closes raises a typed
-:class:`~repro.faults.plan.RingCorruption` — corruption becomes a host
-fault routed through checkpoint-restore, never silently-wrong
-simulation results.  The checks cost two ``zlib.crc32`` calls per
-round per direction, noise next to the encode loop.
-
-Flit payloads are arbitrary Python objects (Ethernet frames), so they
-still serialize through ``pickle`` — but only once per exchange per
-peer; "zero-copy" buys the cycle column (one array copy into the
-ring), and quiet windows cost no bytes at all.
-
-Segments are created by the parent *before* forking, inherited by the
-workers as mapped memory, and unlinked by the parent in the run
-driver's ``finally`` — normal exit, worker crash, a failed allocation,
-and checkpoint-restore all tear down through that one path, so nothing
-leaks into ``/dev/shm`` (``tests/test_dist_shm.py`` and
-``scripts/check_resilience.py`` enforce this).
+The write end is non-blocking: a frame larger than the pipe buffer
+leaves its tail unsent, and :func:`finish_exchange` flushes it from the
+same ``select`` that waits for the worker's inbound frames, so workers
+that all send more than a pipe holds before reading cannot deadlock.
+A wait without progress for ``timeout_s`` raises
+:class:`~repro.core.channel.TokenStarvationError` naming the channel.
+The only ``/dev/shm`` entry a run creates is the supervisor's heartbeat
+block, which :func:`leaked_segments` audits.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
+import select
 import struct
 import time
 import zlib
-from multiprocessing import shared_memory
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.channel import TokenStarvationError
 from repro.dist.frame import decode_entries, encode_entries
@@ -95,149 +49,71 @@ from repro.faults.plan import RingCorruption
 from repro.obs.prof import P_COALESCE, P_SERIALIZE
 
 __all__ = [
-    "DEFAULT_RING_CAPACITY",
     "DEFAULT_TRANSPORT_TIMEOUT_S",
     "HEARTBEAT_PREFIX",
-    "SEGMENT_PREFIX",
-    "ShmRing",
+    "PipeChannel",
+    "finish_exchange",
     "leaked_segments",
 ]
 
-#: Per-direction ring capacity.  One round of sparse boundary traffic is
-#: a few hundred bytes; 1 MiB absorbs dense windows without streaming.
-DEFAULT_RING_CAPACITY = 1 << 20
-
-#: How long a ring waits for peer progress before declaring token
+#: How long a channel waits for peer progress before declaring token
 #: starvation; the CLI exposes it as ``--transport-timeout``.
 DEFAULT_TRANSPORT_TIMEOUT_S = 120.0
 
-#: ``/dev/shm`` names all start with this, so leak checks can tell our
-#: segments from unrelated tenants of the same host.
-SEGMENT_PREFIX = "repro-ring-"
-
 #: Heartbeat control blocks (:mod:`repro.dist.supervisor`) use this
-#: prefix; the leak audit covers both families.
+#: ``/dev/shm`` prefix, so leak checks can tell them from unrelated
+#: tenants of the same host.
 HEARTBEAT_PREFIX = "repro-hb-"
 
-_CURSOR_BYTES = 16
-
-# round_tag, entry_count, payload_bytes, seq, wake, payload_crc, header_crc.
 # The header CRC covers everything before itself; it is verified first
 # so a corrupted payload_bytes can never drive a garbage-sized read.
-# The payload that follows is the coalesced repro.dist.frame format.
 _ROUND = struct.Struct("<qiqqqII")
 _HEADER_CRC_OFFSET = _ROUND.size - 4
 
-#: Spin iterations before the first ``sched_yield``; on a shared core
-#: the peer cannot run while we spin, so this is deliberately tiny.
-_SPINS_BEFORE_YIELD = 32
-#: Yields before escalating to real sleeps (ring-full while the peer is
-#: mid-tick, or a genuinely slow round).
-_YIELDS_BEFORE_SLEEP = 2048
-_SLEEP_S = 200e-6
-#: How long a reader that finds bytes published without a permit waits
-#: for the permit itself: the writer publishes, then posts, and may be
-#: descheduled in between.  A late permit left unconsumed would pair
-#: every later receive with its predecessor's post, and each would spin
-#: in ``_read`` instead of sleeping on the semaphore.
-_LATE_PERMIT_S = 0.1
+#: Most bytes one read takes off a pipe (the Linux default pipe buffer).
+_READ_BYTES = 1 << 16
 
 
-class _Backoff:
-    """Adaptive wait for one cursor to move: spin, yield, then sleep."""
-
-    __slots__ = ("waits", "deadline", "ring", "what")
-
-    def __init__(self, ring: "ShmRing", what: str) -> None:
-        self.waits = 0
-        self.deadline = time.monotonic() + ring.timeout_s
-        self.ring = ring
-        self.what = what
-
-    def pause(self) -> None:
-        waits = self.waits = self.waits + 1
-        if waits < _SPINS_BEFORE_YIELD:
-            return
-        if waits < _YIELDS_BEFORE_SLEEP:
-            time.sleep(0)
-            return
-        time.sleep(_SLEEP_S)
-        if time.monotonic() > self.deadline:
-            ring = self.ring
-            raise TokenStarvationError(
-                f"shm ring {ring.name} (worker {ring.src} -> "
-                f"{ring.dst}) stalled waiting for {self.what}: peer made "
-                f"no progress for {ring.timeout_s:.0f}s",
-                link_name=ring.name,
-            )
-
-    def reset(self) -> None:
-        self.waits = 0
+def _close(fd: int) -> int:
+    if fd >= 0:
+        os.close(fd)
+    return -1
 
 
-class ShmRing:
-    """One directed worker pair's lock-free token ring.
+class PipeChannel:
+    """One directed worker pair's frame stream over an ``os.pipe``.
 
-    The parent creates rings pre-fork (:meth:`create`); both the
-    producing and consuming worker inherit the same mapped segment, so
-    :meth:`send` and :meth:`recv` need no per-side setup.  Only the
-    parent may :meth:`destroy` (close + unlink); workers merely
-    :meth:`close` their mapping on the way out.
+    The parent creates channels before forking, so every worker
+    inherits both ends; :meth:`own` closes the ones a worker does not
+    use and :meth:`close` the rest.  ``send`` and ``recv`` work in one
+    process too, as long as each frame fits the pipe buffer.
     """
 
     def __init__(
         self,
-        segment: shared_memory.SharedMemory,
-        capacity: int,
         src: int,
         dst: int,
-        timeout_s: float,
-        wakeup: Any = None,
+        timeout_s: float = DEFAULT_TRANSPORT_TIMEOUT_S,
     ) -> None:
-        self._segment: Optional[shared_memory.SharedMemory] = segment
-        self.capacity = capacity
         self.src = src
         self.dst = dst
         self.timeout_s = timeout_s
-        self.name = segment.name
-        # One permit per published-but-unconsumed message.  None is
-        # allowed (single-process unit tests fall back to spinning).
-        self._wakeup = wakeup
-        # Cursor views must be dropped before the segment's mmap can
-        # close; close()/destroy() handle the ordering.
-        self._cursors = segment.buf[:_CURSOR_BYTES].cast("Q")
-        self._data = segment.buf[_CURSOR_BYTES:_CURSOR_BYTES + capacity]
-        self._stage = bytearray()
-        self._header = bytearray(_ROUND.size)
-        # -- occupancy / backpressure counters (profiler telemetry) ----
-        # Plain per-process ints: after the fork each side accumulates
-        # only what *it* did (the producer its sends, the consumer its
-        # receives), which is exactly the attribution the profiler
-        # wants.  Always on — an int add per message is noise next to
-        # the encode loop.
+        #: The fault-target spelling; every error names the channel so.
+        self.name = f"ring:{src}->{dst}"
+        # Raises OSError when the process is out of descriptors; the
+        # run driver then closes the channels made so far.
+        self.read_fd, self.write_fd = os.pipe()
+        os.set_blocking(self.write_fd, False)
+        self._inbox = bytearray()  # bytes read toward the next frame
+        self._unsent = memoryview(b"")  # the last frame's unwritten tail
+        # Per-process counters: after the fork the producer counts its
+        # sends and the consumer its receives.
         self.sent_messages = 0
         self.sent_bytes = 0
-        #: Peak published-but-unconsumed bytes observed at send time.
-        self.high_water_bytes = 0
-        #: Sends whose message exceeded free ring space (reader-drains-
-        #: while-writer-fills streaming mode).
-        self.streaming_sends = 0
-        #: Times the writer found the ring completely full and had to
-        #: back off mid-message.
-        self.backpressure_stalls = 0
-        #: Receives that found no published message and went to sleep
-        #: on the wakeup semaphore.
-        self.blocked_wakeups = 0
-        #: Receives that found data published and whose wakeup permit
-        #: never came — a lost wakeup self-healed by the cursor check
-        #: instead of timing out (see ``recv``).
-        self.wakeup_recoveries = 0
         self.recv_messages = 0
         self.recv_bytes = 0
-        # -- integrity state ------------------------------------------
-        # Per-direction monotonic frame sequence.  Each side of the
-        # fork owns one counter: the producer stamps _send_seq into
-        # every frame, the consumer checks frames against _recv_seq.
+        # The producer stamps _send_seq into every frame, the consumer
+        # checks frames against _recv_seq.
         self._send_seq = 0
         self._recv_seq = 0
         self.peer_wake = 0  # the wake of the last frame received
@@ -245,148 +121,27 @@ class ShmRing:
         #: one staged byte *after* the checksums are computed, so the
         #: reader's CRC check must catch it.
         self.corrupt_next_send = False
-        #: Fault injection (``wakeup-loss`` verb): skip one semaphore
-        #: release, exercising the reader's cursor-check recovery.
-        self.drop_next_wakeup = False
         #: Optional PhaseRecorder: when set by a profiled worker, the
         #: encode loop's time is accrued to its ``serialize`` phase.
         self.phase_sink: Any = None
-
-    @classmethod
-    def create(
-        cls,
-        src: int,
-        dst: int,
-        capacity: int = DEFAULT_RING_CAPACITY,
-        timeout_s: float = DEFAULT_TRANSPORT_TIMEOUT_S,
-    ) -> "ShmRing":
-        """Allocate a fresh zeroed segment for the ``src -> dst`` hop.
-
-        Raises ``OSError`` when the host cannot provide POSIX shared
-        memory (read-only or absent ``/dev/shm``) or a semaphore; a
-        segment created before the failure is unlinked first.
-        """
-        if capacity < _ROUND.size:
-            raise ValueError(f"ring capacity too small: {capacity}")
-        name = f"{SEGMENT_PREFIX}{os.getpid()}-{src}to{dst}"
-        segment = shared_memory.SharedMemory(
-            name=name, create=True, size=_CURSOR_BYTES + capacity
-        )
-        try:
-            wakeup = multiprocessing.get_context("fork").Semaphore(0)
-        except BaseException:
-            segment.close()
-            segment.unlink()
-            raise
-        # A fresh segment is zero-filled, so both cursors start at 0.
-        return cls(segment, capacity, src, dst, timeout_s, wakeup)
-
-    # -- ring mechanics --------------------------------------------------
-
-    def _write(self, payload: Any) -> None:
-        """Copy ``payload`` into the ring, publishing as space allows."""
-        view = memoryview(payload)
-        if view.format != "B":
-            view = view.cast("B")
-        total = len(view)
-        capacity = self.capacity
-        cursors = self._cursors
-        data = self._data
-        write = cursors[0]
-        # Fast path: the whole message fits in free space right now —
-        # one or two slice copies, one cursor publish, no loop state.
-        if total <= capacity - (write - cursors[1]):
-            position = write % capacity
-            first = capacity - position
-            if total <= first:
-                data[position:position + total] = view
-            else:
-                data[position:position + first] = view[:first]
-                data[0:total - first] = view[first:]
-            cursors[0] = write + total  # publish after the bytes landed
-            return
-        sent = 0
-        backoff = None
-        while sent < total:
-            free = capacity - (write - cursors[1])
-            if free == 0:
-                if backoff is None:
-                    self.backpressure_stalls += 1
-                    self.high_water_bytes = capacity
-                    backoff = _Backoff(self, "ring space")
-                backoff.pause()
-                continue
-            if backoff is not None:
-                backoff.reset()
-            chunk = min(free, total - sent)
-            position = write % capacity
-            first = min(chunk, capacity - position)
-            data[position:position + first] = view[sent:sent + first]
-            if chunk > first:
-                data[0:chunk - first] = view[sent + first:sent + chunk]
-            write += chunk
-            sent += chunk
-            cursors[0] = write  # publish only after the bytes landed
-
-    def _read(self, count: int) -> bytearray:
-        """Copy exactly ``count`` bytes out, freeing ring space as we go."""
-        out = bytearray(count)
-        capacity = self.capacity
-        cursors = self._cursors
-        data = self._data
-        read = cursors[1]
-        # Fast path: everything we need is already published.
-        if count <= cursors[0] - read:
-            position = read % capacity
-            first = capacity - position
-            if count <= first:
-                out[:] = data[position:position + count]
-            else:
-                out[:first] = data[position:position + first]
-                out[first:] = data[0:count - first]
-            cursors[1] = read + count  # free the space for the writer
-            return out
-        filled = 0
-        backoff = None
-        while filled < count:
-            available = cursors[0] - read
-            if available == 0:
-                if backoff is None:
-                    backoff = _Backoff(self, "peer tokens")
-                backoff.pause()
-                continue
-            if backoff is not None:
-                backoff.reset()
-            chunk = min(available, count - filled)
-            position = read % capacity
-            first = min(chunk, capacity - position)
-            out[filled:filled + first] = data[position:position + first]
-            if chunk > first:
-                out[filled + first:filled + chunk] = data[0:chunk - first]
-            read += chunk
-            filled += chunk
-            cursors[1] = read  # free the space for the writer
-        return out
 
     # -- wire codec ------------------------------------------------------
 
     def send(
         self, round_tag: int, entries: Sequence[Tuple[int, Any]], wake: int = 0
     ) -> None:
-        """Encode and publish one exchange's wire entries as ONE frame.
+        """Encode one exchange's wire entries as ONE frame and write it.
 
         ``entries`` are ``(link_index, window)`` pairs in the producer's
         own representation — ``TokenStream`` for batched windows,
         ``TokenBatch`` for scalar ones.  All of them leave as a single
-        coalesced payload (:mod:`repro.dist.frame`) under one ring
-        header — one publish, one wakeup, one pickle per peer per
-        exchange.  ``wake`` rides in the header.
+        coalesced payload (:mod:`repro.dist.frame`) under one round
+        header; ``wake`` rides in the header.  Whatever the pipe does
+        not take now stays unsent until :meth:`flush`.
         """
         sink = self.phase_sink
         stage_start = time.perf_counter() if sink is not None else 0.0
-        stage = self._stage
-        del stage[:]
-        stage += self._header  # round-header placeholder, packed below
+        stage = bytearray(_ROUND.size)  # round header, packed below
         entry_count = encode_entries(entries, stage)
         frame_done = time.perf_counter() if sink is not None else 0.0
         self._send_seq += 1
@@ -395,9 +150,9 @@ class ShmRing:
             stage, 0, round_tag, entry_count, len(stage) - _ROUND.size,
             self._send_seq, wake, zlib.crc32(payload_view), 0,
         )
+        payload_view.release()
         header_crc = zlib.crc32(memoryview(stage)[:_HEADER_CRC_OFFSET])
         struct.pack_into("<I", stage, _HEADER_CRC_OFFSET, header_crc)
-        payload_view.release()
         if self.corrupt_next_send:
             # Injected bit-flip, applied after both checksums so the
             # reader's integrity check must be what catches it.
@@ -408,201 +163,213 @@ class ShmRing:
             # The encode ran inside the round loop's send segment; hand
             # the payload build to ``coalesce`` and the header/CRC
             # framing to ``serialize`` so ``send`` nets out to the
-            # publish alone.
+            # write alone.
             sink.accrue(P_COALESCE, frame_done - stage_start)
             sink.accrue(P_SERIALIZE, time.perf_counter() - frame_done)
         self.sent_messages += 1
         self.sent_bytes += len(stage)
-        cursors = self._cursors
-        wakeup = self._wakeup
-        if wakeup is None:
-            self._write(stage)
-        elif len(stage) > self.capacity - cursors[0] + cursors[1]:
-            # The message must stream through the ring: wake the reader
-            # *first* so it drains while we fill — releasing after the
-            # write would deadlock (writer waits for space, reader
-            # sleeps on the semaphore).
-            self.streaming_sends += 1
-            wakeup.release()
-            self._write(stage)
-        else:
-            # Common case: the write cannot block, so publish the bytes
-            # before the wakeup and the reader never spins.
-            self._write(stage)
-            if self.drop_next_wakeup:
-                # Injected wakeup loss: the bytes are published but the
-                # permit never posts; the reader's cursor check must
-                # recover on its own.
-                self.drop_next_wakeup = False
-            else:
-                wakeup.release()
-        pending = cursors[0] - cursors[1]
-        if pending > self.high_water_bytes:
-            self.high_water_bytes = pending
+        self._unsent = memoryview(stage)
+        self.flush()
+
+    def flush(self) -> bool:
+        """Write what the pipe takes of the unsent tail; True once empty."""
+        unsent = self._unsent
+        try:
+            written = os.write(self.write_fd, unsent)
+        except BlockingIOError:
+            return False
+        except BrokenPipeError:
+            raise TokenStarvationError(
+                f"channel {self.name}: worker {self.dst} closed its end "
+                f"before reading frame {self._send_seq}",
+                link_name=self.name,
+            ) from None
+        self._unsent = unsent[written:]
+        return written == len(unsent)
 
     def recv(
         self, expected_round: int, block: bool = True, cycle: int = 0
     ) -> Optional[List[Tuple[int, Any]]]:
-        """Decode one exchange message; block for it unless told not to.
+        """Decode one exchange's frame; wait for it unless told not to.
 
-        With ``block=False`` (the worker's lazy-receive sweep) a ring
-        with no published message returns ``None`` immediately instead
-        of sleeping on the wakeup semaphore — no permit is consumed and
-        no recovery heuristics run, so the sweep can never race the
-        peer's publish/release window.  The header's wake lands in
-        :attr:`peer_wake`; one earlier than ``cycle``, the exchange's
-        own, cannot come from a correct peer.
+        With ``block=False`` (the worker's lazy-receive sweep) a frame
+        that has not fully arrived returns ``None`` after a zero-timeout
+        ``select``; the bytes read so far stay buffered for the next
+        call.  The header's wake lands in :attr:`peer_wake`; one earlier
+        than ``cycle``, the exchange's own, cannot come from a correct
+        peer.
         """
-        wakeup = self._wakeup
-        cursors = self._cursors
-        if wakeup is not None:
-            if not wakeup.acquire(False):
+        timeout = self.timeout_s if block else 0.0
+        while True:
+            entries = self._frame(expected_round, cycle)
+            if entries is not None:
+                return entries
+            if not select.select((self.read_fd,), (), (), timeout)[0]:
                 if not block:
                     return None
-                if cursors[0] > cursors[1]:
-                    # Data is published but its permit not yet posted.
-                    self._await_late_permit()
-                else:
-                    # Sleep on the futex until the peer's publish, so
-                    # the peer gets the whole core; cap the wait so a
-                    # dead peer still surfaces as starvation rather
-                    # than a hang.
-                    self.blocked_wakeups += 1
-                    deadline = time.monotonic() + self.timeout_s
-                    while not wakeup.acquire(True, 1.0):
-                        if cursors[0] > cursors[1]:
-                            # Published without a permit mid-wait.
-                            self._await_late_permit()
-                            break
-                        if time.monotonic() > deadline:
-                            raise TokenStarvationError(
-                                f"shm ring {self.name} (worker "
-                                f"{self.src} -> {self.dst}) stalled: "
-                                f"peer published nothing for "
-                                f"{self.timeout_s:.0f}s",
-                                link_name=self.name,
-                            )
-        elif not block and cursors[0] == cursors[1]:
-            # No wakeup semaphore (single-process tests): the cursor
-            # pair is the only publish signal.
+                raise self._stalled()
+            self._read()
+
+    def _read(self) -> None:
+        """Buffer what a readable pipe holds; end-of-file is starvation."""
+        chunk = os.read(self.read_fd, _READ_BYTES)
+        if not chunk:
+            raise TokenStarvationError(
+                f"channel {self.name}: worker {self.src} closed its end "
+                f"before sending frame {self._recv_seq + 1}",
+                link_name=self.name,
+            )
+        self._inbox += chunk
+
+    def _frame(
+        self, expected_round: int, cycle: int
+    ) -> Optional[List[Tuple[int, Any]]]:
+        """Validate and decode the buffered frame; None while incomplete.
+
+        The header is checked as soon as it is in, before the payload
+        length it carries is trusted; the checks are pure, so a frame
+        that arrives in pieces is checked again on each call.
+        """
+        inbox = self._inbox
+        if len(inbox) < _ROUND.size:
             return None
-        header = self._read(_ROUND.size)
         (
             round_tag, entry_count, payload_bytes, seq, wake,
             payload_crc, header_crc,
-        ) = _ROUND.unpack(header)
-        if zlib.crc32(memoryview(header)[:_HEADER_CRC_OFFSET]) != header_crc:
-            raise RingCorruption(
-                f"shm ring {self.name} (worker {self.src} -> {self.dst}): "
-                f"round header failed its CRC32 check",
-                ring=f"ring:{self.src}->{self.dst}",
-            )
+        ) = _ROUND.unpack_from(inbox)
+        if zlib.crc32(inbox[:_HEADER_CRC_OFFSET]) != header_crc:
+            raise self._corruption("round header failed its CRC32 check")
         expected_seq = self._recv_seq + 1
         if seq != expected_seq:
-            raise RingCorruption(
-                f"shm ring {self.name} (worker {self.src} -> {self.dst}): "
-                f"frame sequence skew: got {seq}, expected {expected_seq}",
-                ring=f"ring:{self.src}->{self.dst}",
+            raise self._corruption(
+                f"frame sequence skew: got {seq}, expected {expected_seq}"
             )
-        self._recv_seq = seq
         if wake < cycle:
-            raise RingCorruption(
-                f"shm ring {self.name} (worker {self.src} -> {self.dst}): "
+            raise self._corruption(
                 f"round {round_tag} promises wake cycle {wake}, before "
-                f"its exchange at cycle {cycle}",
-                ring=f"ring:{self.src}->{self.dst}",
+                f"its exchange at cycle {cycle}"
             )
-        self.peer_wake = wake
         if round_tag != expected_round:
             raise TokenStarvationError(
                 f"worker {self.dst}: out-of-order token message from "
                 f"worker {self.src}: round {round_tag}, expected "
                 f"{expected_round}"
             )
-        payload = self._read(payload_bytes)
+        end = _ROUND.size + payload_bytes
+        if len(inbox) < end:
+            return None
+        payload = inbox[_ROUND.size:end]
+        del inbox[:end]
+        self._recv_seq = seq
+        self.peer_wake = wake
         if zlib.crc32(payload) != payload_crc:
-            raise RingCorruption(
-                f"shm ring {self.name} (worker {self.src} -> {self.dst}): "
+            raise self._corruption(
                 f"round {round_tag} payload failed its CRC32 check "
-                f"({payload_bytes} bytes)",
-                ring=f"ring:{self.src}->{self.dst}",
+                f"({payload_bytes} bytes)"
             )
         entries = decode_entries(payload, entry_count)
         self.recv_messages += 1
-        self.recv_bytes += _ROUND.size + payload_bytes
+        self.recv_bytes += end
         return entries
 
-    def _await_late_permit(self) -> None:
-        """Consume the permit of a message already published.
+    def _corruption(self, what: str) -> RingCorruption:
+        return RingCorruption(
+            f"channel {self.name} (worker {self.src} -> {self.dst}): "
+            f"{what}",
+            ring=self.name,
+        )
 
-        The writer posts right after publishing, so the permit is
-        normally a moment away; taking it keeps one permit per
-        unconsumed message.  A permit that never comes is a lost wakeup
-        (injected, or a genuinely dropped post): self-heal by trusting
-        the cursors — the payload-then-publish order guarantees the
-        bytes are complete.
-        """
-        if not self._wakeup.acquire(True, _LATE_PERMIT_S):
-            self.wakeup_recoveries += 1
+    def _stalled(self) -> TokenStarvationError:
+        """The error for a wait on this channel that saw no progress."""
+        return TokenStarvationError(
+            f"channel {self.name} (worker {self.src} -> {self.dst}) "
+            f"stalled: peer made no progress for {self.timeout_s:.0f}s",
+            link_name=self.name,
+        )
 
     # -- telemetry -------------------------------------------------------
 
-    def counters(self) -> dict:
-        """This process's view of the ring's traffic counters.
-
-        Counters are per-process plain ints (shared memory holds only
-        the byte ring), so the producer's copy reports the send side
-        and the consumer's copy the receive side — which is exactly how
-        a profiled worker attributes its own directions.
-        """
+    def counters(self) -> Dict[str, int]:
+        """This process's traffic counters (its own direction only)."""
         return {
             "sent_messages": self.sent_messages,
             "sent_bytes": self.sent_bytes,
-            "high_water_bytes": self.high_water_bytes,
-            "streaming_sends": self.streaming_sends,
-            "backpressure_stalls": self.backpressure_stalls,
-            "blocked_wakeups": self.blocked_wakeups,
-            "wakeup_recoveries": self.wakeup_recoveries,
             "recv_messages": self.recv_messages,
             "recv_bytes": self.recv_bytes,
-            "capacity": self.capacity,
         }
 
     # -- lifecycle -------------------------------------------------------
 
-    def close(self) -> None:
-        """Drop this process's mapping (workers, on the way out)."""
-        segment = self._segment
-        if segment is None:
-            return
-        self._segment = None
-        # memoryview exports must die before mmap.close() or it
-        # raises BufferError during interpreter shutdown.
-        self._cursors = None  # type: ignore[assignment]
-        self._data = None  # type: ignore[assignment]
-        segment.close()
+    def own(self, worker_id: int) -> None:
+        """Close the ends ``worker_id`` does not use (a worker, post-fork)."""
+        if worker_id != self.src:
+            self.write_fd = _close(self.write_fd)
+        if worker_id != self.dst:
+            self.read_fd = _close(self.read_fd)
 
-    def destroy(self) -> None:
-        """Close and unlink the segment (parent only; idempotent)."""
-        segment = self._segment
-        self.close()
-        if segment is None:
-            return
-        try:
-            segment.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
+    def close(self) -> None:
+        """Close every end this process still holds (idempotent)."""
+        self.read_fd = _close(self.read_fd)
+        self.write_fd = _close(self.write_fd)
+
+
+def finish_exchange(
+    recvs: Sequence[PipeChannel],
+    sends: Sequence[PipeChannel],
+    round_tag: int,
+    cycle: int,
+) -> Iterator[Tuple[PipeChannel, List[Tuple[int, Any]]]]:
+    """Yield each inbound channel's ``round_tag`` frame as it completes.
+
+    Frames already buffered come first; then one ``select`` waits on
+    the other read ends *and* on the write ends of ``sends`` that still
+    hold an unsent tail, flushing those as the peers drain them.  A
+    ``select`` returns every end that is already ready, so frames that
+    arrived are taken before any wait (delivery order between peers is
+    irrelevant — each link's windows ride one channel) and
+    ``recv_wait`` is the *max* peer skew, not the sum; and a frame
+    larger than the pipe buffer never deadlocks two workers that both
+    send before they read.  Ends once every frame is in and every tail
+    is out.
+    """
+    waiting: Dict[int, PipeChannel] = {}
+    for channel in recvs:
+        entries = channel._frame(round_tag, cycle)
+        if entries is None:
+            waiting[channel.read_fd] = channel
+        else:
+            yield channel, entries
+    flushing = {
+        channel.write_fd: channel for channel in sends if channel._unsent
+    }
+    while waiting or flushing:
+        stuck = next(iter((waiting or flushing).values()))
+        readable, writable, _ = select.select(
+            waiting, flushing, (), stuck.timeout_s
+        )
+        if not readable and not writable:
+            raise stuck._stalled()
+        for fd in writable:
+            if flushing[fd].flush():
+                del flushing[fd]
+        for fd in readable:
+            channel = waiting[fd]
+            channel._read()
+            entries = channel._frame(round_tag, cycle)
+            if entries is not None:
+                del waiting[fd]
+                yield channel, entries
 
 
 def leaked_segments() -> List[str]:
-    """Names of repro shared-memory segments still present on this host.
+    """Names of repro heartbeat blocks still present in ``/dev/shm``.
 
     Empty on platforms without ``/dev/shm``; used by the leak checks in
-    ``tests/test_dist_shm.py`` and ``scripts/check_resilience.py``.
+    the tests, ``scripts/check_resilience.py`` and the job server's
+    shutdown audit.
     """
     try:
         names = os.listdir("/dev/shm")
     except OSError:
         return []
-    prefixes = (SEGMENT_PREFIX, HEARTBEAT_PREFIX)
-    return sorted(name for name in names if name.startswith(prefixes))
+    return sorted(name for name in names if name.startswith(HEARTBEAT_PREFIX))

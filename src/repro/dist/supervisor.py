@@ -3,8 +3,8 @@
 The crash path in :mod:`repro.dist.engine` only covers workers that
 *die* — an ``("error", ...)`` report or a nonzero exit surfaces as
 :class:`~repro.faults.plan.WorkerCrash` and checkpoint-restores.  A
-worker that *hangs* (deadlocked ring recv, lost shm wakeup, livelocked
-round loop) kept its process alive and its result pending, so the
+worker that *hangs* (a livelocked round loop, or a peer wait that never
+ends) kept its process alive and its result pending, so the
 parent's poll loop would wait forever.  This module closes that gap the
 way the paper's manager supervises simulation hosts (Section III-C):
 progress must be *observable*, and a host that stops progressing is
@@ -16,12 +16,12 @@ Two pieces:
     A small pre-fork ``multiprocessing.shared_memory`` control block
     with one fixed slot per worker.  Each slot is a tiny single-writer
     ring of ``(round, phase, stamp)`` entries published through a
-    monotonic sequence counter (payload-then-publish, same discipline
-    as :class:`~repro.dist.shm.ShmRing` cursors): the worker writes the
-    entry at ``seq % depth`` first and bumps ``seq`` after, so the
-    parent always reads a complete beat at ``(seq - 1) % depth`` and
-    the counter itself is the progress signal.  Workers beat at every
-    exchange (entering send, entering recv, entering compute), so the parent can name the *phase* a hung worker died in.
+    monotonic sequence counter (payload-then-publish): the worker
+    writes the entry at ``seq % depth`` first and bumps ``seq`` after,
+    so the parent always reads a complete beat at ``(seq - 1) % depth``
+    and the counter itself is the progress signal.  Workers beat at
+    every exchange (entering send, entering recv, entering compute), so
+    the parent can name the *phase* a hung worker died in.
 
 :class:`Supervisor`
     The parent-side monitor, polled from the collection loop whenever
@@ -90,10 +90,9 @@ SLOT_DEPTH = 8
 #: ``round`` (u64), ``phase`` (u64) and ``stamp`` (f64) entries.
 _SLOT_WORDS = 1 + 3 * SLOT_DEPTH
 
-# Heartbeat segments share a pid prefix with token rings but need a
-# per-process serial too: a manager that restarts a run (checkpoint
-# restore) creates a second block before the kernel has necessarily
-# reaped the first name.
+# Heartbeat segment names carry the pid and a per-process serial: a
+# manager that restarts a run (checkpoint restore) creates a second
+# block before the kernel has necessarily reaped the first name.
 _block_serial = 0
 
 

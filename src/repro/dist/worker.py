@@ -8,7 +8,7 @@ tick every shard model in global registration order, push one window
 per output port.  The only difference is where boundary tokens go —
 interior links use the local queues, boundary links hand relabelled
 batches to per-peer outboxes that drain into that peer's
-:class:`~repro.dist.shm.ShmRing` — and that difference lives entirely
+:class:`~repro.dist.shm.PipeChannel` — and that difference lives entirely
 in the attachments and the one exchange step :func:`run_shard` hands
 the loop.
 
@@ -35,12 +35,13 @@ messages): each frame carries its sender's *wake*, the earliest cycle
 its shard can move a token.  Exchanges up to the last one at or below
 the minimum over every shard carry nothing, so all shards skip them
 and move their boundary push cursors to match.  That needs every shard to
-hear every wake; without a ring between every pair, none jumps.
+hear every wake; without a channel between every pair, none jumps.
 
 Receives are *lazy*: a non-blocking sweep first collects every peer
-message that already arrived, and only then does the worker block on
-the stragglers, so ``recv_wait`` measures true skew rather than
-delivery order.
+message that already arrived, and only then does the worker wait on
+the stragglers — flushing the tails of its own frames that did not fit
+a pipe while it waits — so ``recv_wait`` measures true skew rather
+than delivery order.
 
 Workers are forked, so they inherit the fully elaborated simulation
 (models, primed links, armed fault hooks) by memory image; nothing is
@@ -65,7 +66,7 @@ from repro.core.simulation import (
 )
 from repro.dist.partition import PartitionPlan
 from repro.dist.remote_link import Outbox, RemoteAttachment, WireEntry, deliver
-from repro.dist.shm import ShmRing
+from repro.dist.shm import PipeChannel, finish_exchange
 from repro.dist.supervisor import (
     HB_COMPUTE,
     HB_DONE,
@@ -89,13 +90,13 @@ from repro.obs.trace import set_trace_sink
 from repro.swmodel.server import ServerBlade
 
 # Worker-process identity, published for the fault injector's
-# transport chaos verbs (worker-hang / ring-corrupt / wakeup-loss):
+# transport chaos verbs (worker-hang / ring-corrupt):
 # the injector hook runs deep inside the inherited simulation and has
 # no handle on the shard context, so :func:`shard_entry` and
 # :func:`run_shard` park the id and the outbound channel map here.
 # Both stay None/{} in the parent and in serial runs.
 _WORKER_ID: Optional[int] = None
-_SEND_CHANNELS: Dict[int, ShmRing] = {}
+_SEND_CHANNELS: Dict[int, PipeChannel] = {}
 
 
 @dataclass
@@ -126,8 +127,8 @@ class WorkerResult:
     link_flits: Dict[int, Tuple[Optional[int], Optional[int]]] = field(
         default_factory=dict
     )
-    #: Host seconds this worker spent inside ring calls (populated when
-    #: measuring): ``send`` covers serialize + publish, ``recv`` covers
+    #: Host seconds this worker spent inside channel calls (populated when
+    #: measuring): ``send`` covers serialize + write, ``recv`` covers
     #: wait + decode.  Together with the round count these give the
     #: per-round transport overhead the benches report.
     transport_send_seconds: float = 0.0
@@ -163,7 +164,7 @@ class ShardContext:
     quantum: int
     measure: bool
     #: channels[(src, dst)] carries src's boundary output toward dst.
-    channels: Dict[Tuple[int, int], ShmRing]
+    channels: Dict[Tuple[int, int], PipeChannel]
     result_queue: Any
     #: Cycles between boundary token exchanges — a multiple of
     #: ``quantum`` no larger than the partition's boundary-latency
@@ -245,41 +246,6 @@ def _consumer_endpoints(
     }
 
 
-def _drain_exchange(
-    recv_list: List[Any],
-    exchange_tag: int,
-    cycle: int,
-    wake: int,
-    endpoints: Dict[int, Tuple[Any, int]],
-    recorder: Optional[PhaseRecorder],
-) -> int:
-    """Collect one message per peer for ``exchange_tag``, lazily.
-
-    First a non-blocking sweep takes every message that already
-    arrived (delivery order between peers is irrelevant — each link's
-    windows ride one channel), then the stragglers are awaited with
-    the blocking path's starvation deadline.  Blocking first on an
-    arbitrary peer would charge one peer's skew to every channel;
-    this way ``recv_wait`` is the *max* peer skew, not the sum.
-    Returns the earliest of ``wake`` and every peer's.
-    """
-    waiting = []
-    for channel in recv_list:
-        entries = channel.recv(exchange_tag, False, cycle)
-        if entries is None:
-            waiting.append(channel)
-            continue
-        _deliver_message(entries, cycle, endpoints, recorder)
-        wake = min(wake, channel.peer_wake)
-    for channel in waiting:
-        _deliver_message(
-            channel.recv(exchange_tag, True, cycle), cycle, endpoints,
-            recorder,
-        )
-        wake = min(wake, channel.peer_wake)
-    return wake
-
-
 def _deliver_message(
     entries: List[WireEntry],
     cycle: int,
@@ -355,13 +321,13 @@ def _collect_result(
 def _setup_profile(
     context: ShardContext,
     entry_s: float,
-    send_channels: Dict[int, ShmRing],
+    send_channels: Dict[int, PipeChannel],
 ) -> Tuple[Optional[PhaseRecorder], Optional[ClockSync]]:
     """Build the phase recorder + clock sync for a profiled run.
 
     Returns ``(None, None)`` on unprofiled runs so every instrumentation
     site below stays behind one ``is not None`` check.  Outgoing
-    rings get the recorder as their ``phase_sink`` so their staging loop
+    channels get the recorder as their ``phase_sink`` so their staging loop
     shows up as ``serialize`` instead of vanishing into ``send``.
     """
     config = context.profile
@@ -384,8 +350,8 @@ def _collect_profile(
     clock: ClockSync,
     worker_id: int,
     peers: List[int],
-    send_channels: Dict[int, ShmRing],
-    recv_channels: Dict[int, ShmRing],
+    send_channels: Dict[int, PipeChannel],
+    recv_channels: Dict[int, PipeChannel],
     outboxes: Dict[int, Outbox],
 ) -> WorkerProfile:
     """Package this worker's recorder + transport counters for shipping.
@@ -461,6 +427,7 @@ def run_shard(context: ShardContext, worker_id: int) -> WorkerResult:
     period = context.round_quantum // quantum
     endpoints = _consumer_endpoints(simulation, inbound_side)
     recv_list = [recv_channels[peer] for peer in peers]
+    send_list = [send_channels[peer] for peer in peers]
     sends = [(send_channels[peer], outboxes[peer]) for peer in peers]
     # [send_seconds, recv_seconds], mutated by the exchange step.
     transport_seconds = [0.0, 0.0]
@@ -472,7 +439,7 @@ def run_shard(context: ShardContext, worker_id: int) -> WorkerResult:
         (context.target_cycle - 1 - start_cycle) // stride * stride
     )
     # Shards hear only their peers' wakes, and all must jump alike: a
-    # shard without a ring to every other promises nothing.
+    # shard without a channel to every other promises nothing.
     promise = len(peers) == plan.num_workers - 1
     skipped = [0]
 
@@ -501,9 +468,13 @@ def run_shard(context: ShardContext, worker_id: int) -> WorkerResult:
             recorder.mark(P_SEND)
         if beat is not None:
             beat(rounds, HB_RECV)
-        wake = _drain_exchange(
-            recv_list, tag, cycle, wake, endpoints, recorder
-        )
+        # Each peer's frame as it completes, already-arrived ones
+        # first; this worker's unsent tails drain meanwhile.
+        for channel, entries in finish_exchange(
+            recv_list, send_list, tag, cycle
+        ):
+            _deliver_message(entries, cycle, endpoints, recorder)
+            wake = min(wake, channel.peer_wake)
         # No shard moves a token before ``wake``: every exchange up to
         # the last one at or below it would carry nothing.
         until = max(cycle, min(
@@ -571,15 +542,9 @@ def run_shard(context: ShardContext, worker_id: int) -> WorkerResult:
 
 
 def _release_channels(context: ShardContext) -> None:
-    """Drop this process's ring mappings on the way out.
-
-    Rings hold memoryviews over the mapped segment; releasing them
-    *before* interpreter shutdown keeps the mmap close orderly (a view
-    outliving the segment raises ``BufferError`` noise at exit).  Only
-    the parent unlinks segments.
-    """
-    for ring in context.channels.values():
-        ring.close()
+    """Close this process's pipe ends and heartbeat mapping."""
+    for channel in context.channels.values():
+        channel.close()
     if context.heartbeats is not None:
         context.heartbeats.close()
 
@@ -598,14 +563,17 @@ def shard_entry(context: ShardContext, worker_id: int) -> None:
     set_trace_sink(None)
     global _WORKER_ID
     _WORKER_ID = worker_id
+    for channel in context.channels.values():
+        channel.own(worker_id)
     failed = False
     try:
         result = run_shard(context, worker_id)
     except BaseException as exc:  # noqa: BLE001 - report, then die loudly
-        # Ship the exception's type and fault target alongside the
-        # message so the parent can re-raise *typed* faults (a
-        # RingCorruption must reach the manager's fresh-ring rerun as
-        # itself, not flattened into a generic crash).
+        # Ship the exception's type and fault target (a channel error
+        # names its channel) alongside the message so the parent can
+        # re-raise *typed* faults (a RingCorruption must reach the
+        # manager's fresh-channel rerun as itself, not flattened into a
+        # generic crash) and blame a peer this worker lost.
         context.result_queue.put(
             (
                 "error",
@@ -613,15 +581,18 @@ def shard_entry(context: ShardContext, worker_id: int) -> None:
                 context.simulation.current_cycle,
                 f"{type(exc).__name__}: {exc}",
                 type(exc).__name__,
-                getattr(exc, "target", None),
+                getattr(exc, "target", None)
+                or getattr(exc, "link_name", None),
             )
         )
         failed = True
     else:
         context.result_queue.put(("ok", worker_id, result))
-    # Outside the handler: the exception's frames still hold views of
-    # the ring segments, and closing a mapped segment while a view is
-    # alive raises BufferError.
+    # The report must reach the parent before this worker's pipes
+    # close: a peer then reads end-of-file and reports too, and the
+    # parent acts on the first report it gets.
+    context.result_queue.close()
+    context.result_queue.join_thread()
     _release_channels(context)
     if failed:
         sys.exit(1)

@@ -27,11 +27,10 @@ Fault taxonomy (the exception hierarchy mirrors recoverability):
   endpoint, and the manager recovers via checkpoint restore.
 * distributed-transport chaos verbs — ``worker-hang`` livelocks the
   target worker's round loop (the supervisor must detect and kill it),
-  ``ring-corrupt`` flips one byte in a staged shm frame after its
-  checksums are computed (the reader must raise
-  :class:`RingCorruption`), and ``wakeup-loss`` drops one shm wakeup
-  post (the reader's cursor check must self-heal).  All three fire
-  inside worker processes through the inherited fault hook.
+  and ``ring-corrupt`` flips one byte in a staged channel frame after
+  its checksums are computed (the reader must raise
+  :class:`RingCorruption`).  Both fire inside worker processes through
+  the inherited fault hook.
 """
 
 from __future__ import annotations
@@ -56,7 +55,6 @@ class FaultKind(Enum):
     TOKEN_STALL = "token-stall"
     WORKER_HANG = "worker-hang"
     RING_CORRUPT = "ring-corrupt"
-    WAKEUP_LOSS = "wakeup-loss"
 
 
 #: Manager lifecycle points at which faults may fire.
@@ -74,7 +72,6 @@ MID_RUN_KINDS = (
     FaultKind.TOKEN_STALL,
     FaultKind.WORKER_HANG,
     FaultKind.RING_CORRUPT,
-    FaultKind.WAKEUP_LOSS,
 )
 
 #: Mid-run kinds that only make sense inside a forked dist worker; the
@@ -82,7 +79,6 @@ MID_RUN_KINDS = (
 _TRANSPORT_FAULT_KINDS = (
     FaultKind.WORKER_HANG,
     FaultKind.RING_CORRUPT,
-    FaultKind.WAKEUP_LOSS,
 )
 
 
@@ -515,7 +511,7 @@ class FaultInjector:
         return None
 
     def _fire_transport_fault(self, cycle: int, entry: "_ArmedSpec") -> None:
-        """Fire a worker-hang / ring-corrupt / wakeup-loss verb.
+        """Fire a worker-hang / ring-corrupt verb.
 
         Runs inside a forked dist worker, where :mod:`repro.dist.worker`
         publishes the process's worker id and outbound channels as
@@ -541,9 +537,9 @@ class FaultInjector:
             )
             while True:  # the supervisor's SIGKILL is the only way out
                 time.sleep(60.0)
-        # Ring verbs: find the victim send ring.  The spec target names
-        # a directed ring ("ring:SRC->DST"); only the producing worker
-        # arms the flag.  Untargeted specs hit the lowest-peer ring.
+        # ring-corrupt: find the victim send channel.  The spec target
+        # names a directed channel ("ring:SRC->DST"); only the producing
+        # worker arms the flag.  Untargeted specs hit the lowest peer's.
         rings = dist_worker._SEND_CHANNELS
         if spec.target is not None:
             try:
@@ -563,18 +559,11 @@ class FaultInjector:
         else:
             return  # no outbound peer: a later shard may have one
         entry.remaining -= 1
-        if spec.kind is FaultKind.RING_CORRUPT:
-            ring.corrupt_next_send = True
-            self._record(
-                "runworkload", spec, f"ring:{ring.src}->{ring.dst}",
-                cycle=cycle, note="bit-flip armed",
-            )
-        else:
-            ring.drop_next_wakeup = True
-            self._record(
-                "runworkload", spec, f"ring:{ring.src}->{ring.dst}",
-                cycle=cycle, note="wakeup drop armed",
-            )
+        ring.corrupt_next_send = True
+        self._record(
+            "runworkload", spec, ring.name, cycle=cycle,
+            note="bit-flip armed",
+        )
 
     def _stall_link(self, cycle: int, spec: FaultSpec) -> None:
         """Lose an in-flight batch on the target link (transport loss)."""

@@ -88,14 +88,14 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--workers", type=int, default=1, metavar="N",
                         help="partition runworkload across N worker "
                              "processes (1 = serial engine) joined by "
-                             "shared-memory rings; partitions follow the "
-                             "deployment's instance mapping")
+                             "one pipe per worker pair; partitions "
+                             "follow the deployment's instance mapping")
     parser.add_argument("--transport", default="shm", choices=("shm",),
                         help="accepted for compatibility, shm only")
     parser.add_argument("--transport-timeout", type=float, default=120.0,
                         metavar="SECONDS",
                         help="per-hop progress deadline for worker "
-                             "rings; a peer that publishes nothing for "
+                             "channels; a peer that sends nothing for "
                              "this long raises TokenStarvationError "
                              "(default 120)")
     parser.add_argument("--hang-timeout", type=float, default=None,
@@ -257,7 +257,7 @@ def _run_verb(verb: str, spec: RunSpec, manager: FireSimManager) -> tuple:
                 f"distributed: {distributed['num_workers']} workers, "
                 f"{distributed['boundary_links']} boundary links, "
                 f"{distributed['measured_rate_mhz']:.3f} MHz achieved "
-                f"({distributed['channels']} shm channels)"
+                f"({distributed['channels']} pipe channels)"
             )
             lines += _partition_lines(distributed)
             summary["distributed"] = distributed
@@ -287,7 +287,7 @@ def _run_verb(verb: str, spec: RunSpec, manager: FireSimManager) -> tuple:
                 f"distributed: {distributed['num_workers']} workers over "
                 f"{distributed['boundary_links']} boundary links "
                 f"({distributed['rounds']} lockstep rounds, "
-                f"{distributed['channels']} shm channels)"
+                f"{distributed['channels']} pipe channels)"
             )
             lines += _partition_lines(distributed)
             summary["distributed"] = distributed

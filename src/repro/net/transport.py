@@ -11,7 +11,7 @@ III-B2):
 
 In this reproduction, the *functional* token exchange happens in-process
 (the :class:`~repro.core.simulation.Simulation` orchestrator) or, between
-:mod:`repro.dist` worker processes, over the shared-memory ring of
+:mod:`repro.dist` worker processes, over the pipe channels of
 :mod:`repro.dist.shm`.  These classes carry only the modeled
 *performance* characteristics of each F1 transport: the host latency
 and bandwidth that determine how fast a round of the distributed

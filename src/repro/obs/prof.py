@@ -44,14 +44,14 @@ Phase vocabulary (one row of the ring per exchange):
     payload per peer (:mod:`repro.dist.frame`): entry table, cycle
     column, and the single flit pickle;
 ``serialize``
-    ring framing around the coalesced payload: header pack, CRCs, and
-    sequence stamp;
+    channel framing around the coalesced payload: header pack, CRCs,
+    and sequence stamp;
 ``send``
-    publishing the encoded bytes (ring write + wakeup), net of
-    ``coalesce`` and ``serialize``;
+    writing the encoded bytes to the pipe, net of ``coalesce`` and
+    ``serialize``;
 ``recv_wait``
     blocked waiting for peer round messages — lockstep slack plus the
-    ring's decode cost;
+    channel's decode cost;
 ``gap``
     delivering received windows into local consuming queues and
     moving their push cursors over the rest of the exchange's span;

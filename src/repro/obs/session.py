@@ -98,9 +98,9 @@ class TelemetrySession:
         achieved rate lands as a ``dist.worker<N>.rate_mhz`` gauge for
         per-partition ``status`` output.  When the run was profiled
         (``result.profiled``), the per-worker phase rings aggregate into
-        :attr:`phase_report`, shm-ring counters land as ``dist.shm.*``
-        gauges, and each worker's trace track merges into the session's
-        sink so the exported ``trace.json`` is one openable timeline.
+        :attr:`phase_report` and each worker's trace track merges into
+        the session's sink so the exported ``trace.json`` is one
+        openable timeline.
         Supervision reports (``result.supervision``) surface as
         ``dist.supervisor.*`` gauges.
         """
@@ -156,24 +156,8 @@ class TelemetrySession:
             self._absorb_profiles(result)
 
     def _absorb_profiles(self, result: Any) -> None:
-        """Aggregate a profiled run: report, ring gauges, merged trace."""
+        """Aggregate a profiled run: report, overhead gauge, merged trace."""
         self.phase_report = PhaseReport.from_result(result)
-        high_water = 0.0
-        wakeups = 0.0
-        stalls = 0.0
-        streaming = 0.0
-        for profile in self.phase_report.profiles:
-            for counters in profile.channel_counters.values():
-                high_water = max(
-                    high_water, float(counters.get("high_water_bytes", 0))
-                )
-                wakeups += float(counters.get("blocked_wakeups", 0))
-                stalls += float(counters.get("backpressure_stalls", 0))
-                streaming += float(counters.get("streaming_sends", 0))
-        self.registry.gauge("dist.shm.high_water_bytes").set(high_water)
-        self.registry.gauge("dist.shm.blocked_wakeups").set(wakeups)
-        self.registry.gauge("dist.shm.backpressure_stalls").set(stalls)
-        self.registry.gauge("dist.shm.streaming_sends").set(streaming)
         self.registry.gauge("dist.profile.overhead_ratio").set(
             self.phase_report.profiling_overhead_ratio()
         )

@@ -20,7 +20,7 @@ polls for commands at segment boundaries via
 control hook (serial jobs) or
 :attr:`~repro.manager.manager.FireSimManager.abort_check` (distributed
 jobs).  SIGTERM is mapped to a normal exception so ``finally`` blocks
-run and /dev/shm segments are cleaned up even under escalation.
+run and pipes and /dev/shm blocks are cleaned up even under escalation.
 """
 
 from __future__ import annotations
@@ -287,7 +287,8 @@ def run_job_child(conn: Any) -> None:
     The runner owns its process group (``os.setpgrp``) so the server can
     signal the whole job — including any distributed workers it forked
     — without touching siblings.  SIGTERM raises ``SystemExit`` so the
-    engine's ``finally`` blocks still unlink /dev/shm rings.
+    engine's ``finally`` blocks still close its pipes and unlink the
+    /dev/shm heartbeat block.
     """
     os.setpgrp()
 

@@ -18,8 +18,8 @@ at its next segment boundary, ships back a portable
 ``(cycle, digest)`` checkpoint, and re-enters the queue; when
 rescheduled it replays to that cycle and the digest proves the resumed
 run is the same run.  Graceful shutdown drains or checkpoints every
-job, reaps every runner, and audits /dev/shm for leaked transport
-segments.
+job, reaps every runner, and audits /dev/shm for leaked heartbeat
+blocks.
 """
 
 from __future__ import annotations
@@ -319,7 +319,7 @@ class JobServer:
         state survives as portable checkpoints in the job table),
         cancels the rest, and cancels the queue.  Either way every
         runner is told to exit and reaped, and /dev/shm is audited for
-        leaked transport segments before the ``shutdown`` event is
+        leaked heartbeat blocks before the ``shutdown`` event is
         logged.
         """
         if self._shut_down:

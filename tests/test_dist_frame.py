@@ -1,6 +1,6 @@
 """Coalesced wire format (repro.dist.frame) and the adaptive quantum.
 
-The frame codec is the one payload layout the worker rings ship, so it
+The frame codec is the one payload layout the worker channels ship, so it
 must round-trip every window representation the producers emit —
 batched streams and scalar dict-flit batches, and empty windows of
 either — inside a single multi-link payload.  The
@@ -23,7 +23,7 @@ from repro.core.token import Flit, TokenBatch
 from repro.dist import plan_from_assignment, plan_partitions, run_distributed
 from repro.dist.frame import ENTRY_BYTES, decode_entries, encode_entries
 from repro.dist.remote_link import deliver
-from repro.dist.shm import ShmRing, leaked_segments
+from repro.dist.shm import PipeChannel
 from repro.faults.checkpoint import state_digest
 from repro.faults.plan import RingCorruption
 from repro.host.perfmodel import exchange_quantum
@@ -104,7 +104,7 @@ class TestFrameCodec:
         )
 
     def test_empty_frame_is_zero_bytes(self):
-        """An all-quiet exchange costs nothing beyond the ring header."""
+        """An all-quiet exchange costs nothing beyond the round header."""
         out = bytearray()
         assert encode_entries([], out) == 0
         assert len(out) == 0
@@ -184,7 +184,7 @@ def real_payload():
 
 
 class TestMalformedFrames:
-    """Bytes off a ring are checked before they are trusted: every
+    """Bytes off a channel are checked before they are trusted: every
     overrun or mismatch is a ``ValueError`` naming what is wrong, never
     an ``IndexError`` and never a decoded window."""
 
@@ -308,15 +308,14 @@ class TestContainersAgainstFlits:
 
 @pytest.fixture
 def ring():
-    ring = ShmRing.create(0, 1, capacity=1 << 16)
+    ring = PipeChannel(0, 1)
     yield ring
-    ring.destroy()
-    assert leaked_segments() == []
+    ring.close()
 
 
 class TestCoalescedRing:
     def test_multi_link_per_peer_single_publish(self, ring):
-        """All of a peer's links travel in one ring frame."""
+        """All of a peer's links travel in one channel frame."""
         entries = [
             (0, stream_window(0, 640, [(5, Flit("x"))])),
             (1, TokenBatch(0, 640)),
@@ -360,8 +359,7 @@ class TestCoalescedRing:
         ring.send(0, [(0, TokenBatch(0, 64))])
         received = ring.recv(0, False)
         assert received is not None and len(received) == 1
-        # The permit was consumed with the message: the ring is idle
-        # again, not primed with a stranded wakeup.
+        # The frame was consumed whole: nothing is left buffered.
         assert ring.recv(1, False) is None
 
 

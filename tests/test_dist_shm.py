@@ -1,16 +1,20 @@
-"""Shared-memory rings (repro.dist.shm): equivalence, gaps, leaks.
+"""Pipe channels (repro.dist.shm): equivalence, backpressure, leaks.
 
-The ring is the only channel between workers, so everything observable
-must be bit-identical to the serial engine; on top of that it owns
-``/dev/shm`` segments, so every exit path — normal completion, worker
-crash, checkpoint-restore, a failed allocation — must leave the host
-clean (:func:`repro.dist.shm.leaked_segments` is the witness).
+The channel is the only path between workers, so everything observable
+must be bit-identical to the serial engine; on top of that a run owns
+pipe ends, worker sentinels and a ``/dev/shm`` heartbeat block, so every
+exit path — normal completion, worker crash, checkpoint-restore, a
+caller's abort, a failed allocation — must leave the process's
+descriptor count and ``/dev/shm`` as it found them
+(:func:`repro.dist.shm.leaked_segments` is the ``/dev/shm`` witness).
 """
 
+import fcntl
+import gc
 import io
 import json
 import multiprocessing
-import threading
+import os
 import time
 from types import SimpleNamespace
 
@@ -19,9 +23,9 @@ import pytest
 from repro import ConfigError
 from repro.core.channel import TokenStarvationError
 from repro.core.token import TokenBatch
-from repro.dist import plan_partitions, run_distributed
+from repro.dist import RunAborted, plan_partitions, run_distributed
 from repro.dist import worker as worker_module
-from repro.dist.shm import ShmRing, leaked_segments
+from repro.dist.shm import PipeChannel, finish_exchange, leaked_segments
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 from repro.manager.cli import main as cli_main
 from repro.manager.cli import make_parser
@@ -41,6 +45,12 @@ from tests.test_dist import (
     fingerprint,
     serial_fingerprint,
 )
+
+
+def open_fds():
+    """This process's open descriptor count, after collecting garbage."""
+    gc.collect()
+    return len(os.listdir("/proc/self/fd"))
 
 
 def run_rings(topo_key, workers, **kwargs):
@@ -83,17 +93,48 @@ class TestShmEquivalence:
         assert leaked_segments() == []
 
 
+def big_window(seed, bytes_at_least):
+    """A scalar window whose frame runs to at least ``bytes_at_least``."""
+    batch = TokenBatch(0, 1 << 20)
+    cycle = 0
+    while len(batch.flits) * 200 < bytes_at_least:
+        batch.add(cycle, f"{seed}-{cycle}-" + "x" * 200)
+        cycle += 64
+    return batch
+
+
+def exchange_peer(channels, me, bytes_at_least):
+    """One forked peer: send an oversized frame, then read the other's.
+
+    Exits 0 only when the decoded entries equal what the peer sent.
+    """
+    for channel in channels.values():
+        channel.own(me)
+    peer = 1 - me
+    send = channels[(me, peer)]
+    send.send(0, [(me, big_window(me, bytes_at_least))])
+    received = list(finish_exchange([channels[(peer, me)]], [send], 0, 0))
+    [(_, [(link_index, window)])] = received
+    sent = big_window(peer, bytes_at_least)
+    cycles = sorted(sent.flits)
+    ok = (
+        link_index == peer
+        and window.cycles == cycles
+        and window.flit_list == [sent.flits[c] for c in cycles]
+    )
+    os._exit(0 if ok else 1)
+
+
 class TestRingWire:
-    """Direct ShmRing codec tests (single process, no semaphore peer)."""
+    """Direct PipeChannel codec tests."""
 
     @pytest.fixture
     def ring(self):
-        ring = ShmRing.create(0, 1, capacity=4096)
+        ring = PipeChannel(0, 1)
         try:
             yield ring
         finally:
-            ring.destroy()
-        assert leaked_segments() == []
+            ring.close()
 
     def test_idle_and_data_windows_round_trip(self, ring):
         busy = TokenBatch(640, 640)
@@ -114,34 +155,44 @@ class TestRingWire:
         assert restream.flit_list == ["frame-c"]
 
     def test_failed_shard_releases_its_rings(self, ring, monkeypatch):
-        """A worker whose shard raised off a ring still unmaps that
-        ring: the exception's frames hold views of the segment, so the
-        mapping must close after the handler, not inside it."""
+        """A worker whose shard raised off a channel reports the typed
+        fault, and its report is flushed before its pipe ends close, so
+        a peer's end-of-file can never reach the parent first."""
+        ring.corrupt_next_send = True
+        ring.send(0, [(0, TokenBatch(0, 64, {3: "x"}))])
+        events = []
 
-        def corrupt_shard(context, worker_id):
-            ring.corrupt_next_send = True
-            ring.send(0, [(0, TokenBatch(0, 64, {3: "x"}))])
-            ring.recv(0)
+        def close_ring():
+            events.append("closed")
+            PipeChannel.close(ring)
 
-        monkeypatch.setattr(worker_module, "run_shard", corrupt_shard)
+        monkeypatch.setattr(ring, "close", close_ring)
+        monkeypatch.setattr(
+            worker_module, "run_shard",
+            lambda context, worker_id: ring.recv(0),
+        )
         monkeypatch.setattr(worker_module, "_WORKER_ID", None)
-        reports = []
         context = SimpleNamespace(
             simulation=SimpleNamespace(current_cycle=0),
             channels={(0, 1): ring},
             heartbeats=None,
-            result_queue=SimpleNamespace(put=reports.append),
+            result_queue=SimpleNamespace(
+                put=events.append,
+                close=lambda: None,
+                join_thread=lambda: events.append("flushed"),
+            ),
         )
         sink = get_trace_sink()
-        segment = ring._segment
         try:
             with pytest.raises(SystemExit):
-                worker_module.shard_entry(context, 0)
+                worker_module.shard_entry(context, 1)
         finally:
             set_trace_sink(sink)
-            segment.unlink()  # a worker only closes; the parent unlinks
-        assert reports[0][4] == "RingCorruption"
-        assert ring._segment is None  # closed, and no BufferError
+        report, *rest = events
+        assert report[4] == "RingCorruption"
+        assert report[5] == "ring:0->1"
+        assert rest == ["flushed", "closed"]
+        assert ring.read_fd == ring.write_fd == -1
 
     def test_out_of_order_round_tag_is_loud(self, ring):
         ring.send(3, [])
@@ -149,67 +200,79 @@ class TestRingWire:
             ring.recv(4)
 
     def test_ring_full_is_backpressure_not_an_error(self):
-        """A message larger than the whole ring streams through in
-        chunks while a reader drains — the writer never errors and the
-        bytes survive intact."""
-        ring = ShmRing.create(0, 1, capacity=128)
-        try:
-            batch = TokenBatch(0, 6400)
-            for cycle in range(0, 6400, 64):
-                batch.add(cycle, "payload-" + "x" * 40)
-            received = []
-            reader = threading.Thread(
-                target=lambda: received.append(ring.recv(0))
+        """Two forked peers each send a frame at least four pipe
+        buffers long before reading: the unsent tails drain while each
+        waits for the other's frame, so neither deadlocks and both
+        decode exactly what the other sent."""
+        channels = {(0, 1): PipeChannel(0, 1), (1, 0): PipeChannel(1, 0)}
+        buffer = fcntl.fcntl(channels[(0, 1)].write_fd, fcntl.F_GETPIPE_SZ)
+        fork = multiprocessing.get_context("fork")
+        peers = [
+            fork.Process(
+                target=exchange_peer, args=(channels, me, 4 * buffer)
             )
-            reader.start()
-            ring.send(0, [(9, batch)])  # >> 128 bytes: must stream
-            reader.join(timeout=30)
-            assert not reader.is_alive()
-            (link_index, window), = received[0]
-            assert link_index == 9
-            assert window.cycles == sorted(batch.flits)
-            assert window.flit_list == [
-                batch.flits[c] for c in sorted(batch.flits)
-            ]
+            for me in (0, 1)
+        ]
+        try:
+            for peer in peers:
+                peer.start()
+            for channel in channels.values():
+                channel.close()
+            for peer in peers:
+                peer.join(timeout=60)
+            assert [peer.exitcode for peer in peers] == [0, 0]
         finally:
-            ring.destroy()
-        assert leaked_segments() == []
+            for peer in peers:
+                if peer.is_alive():
+                    peer.kill()
+                    peer.join()
+            for channel in channels.values():
+                channel.close()
 
     def test_recv_surfaces_starvation(self):
-        """A peer that publishes nothing for ``timeout_s`` is token
-        starvation, not a hang."""
-        ring = ShmRing.create(0, 1, capacity=4096, timeout_s=0.2)
+        """A peer that exits without sending is token starvation naming
+        the channel, seen as end-of-file long before ``timeout_s``."""
+        ring = PipeChannel(0, 1, timeout_s=60.0)
+        peer = multiprocessing.get_context("fork").Process(
+            target=os._exit, args=(0,)
+        )
         start = time.monotonic()
         try:
-            ring.recv(0)
-        except TokenStarvationError as starvation:
-            assert "stalled" in str(starvation)
-        else:
-            pytest.fail("recv returned with nothing published")
+            peer.start()
+            ring.own(1)  # the consumer keeps only its read end
+            with pytest.raises(TokenStarvationError, match="ring:0->1"):
+                ring.recv(0)
         finally:
-            ring.destroy()
+            peer.join(timeout=30)
+            ring.close()
+        assert not peer.is_alive()
         assert time.monotonic() - start < 5.0
-        assert leaked_segments() == []
 
-    def test_undersized_capacity_rejected(self):
-        with pytest.raises(ValueError, match="capacity too small"):
-            ShmRing.create(0, 1, capacity=4)
+
+def deny_pipes_after(monkeypatch, allowed):
+    """Make ``os.pipe`` fail once ``allowed`` calls have succeeded."""
+    real_pipe = os.pipe
+    calls = []
+
+    def pipe():
+        calls.append(None)
+        if len(calls) > allowed:
+            raise OSError(24, "Too many open files (test)")
+        return real_pipe()
+
+    monkeypatch.setattr("repro.dist.shm.os.pipe", pipe)
 
 
 class TestAllocationFailure:
     """A failed pre-fork allocation raises ``OSError`` and leaks nothing."""
 
-    def test_semaphore_failure_unlinks_the_new_segment(self, monkeypatch):
-        class NoSemaphores:
-            def Semaphore(self, value):
-                raise OSError("no POSIX semaphores (test)")
-
-        monkeypatch.setattr(
-            "repro.dist.shm.multiprocessing.get_context",
-            lambda method=None: NoSemaphores(),
-        )
-        with pytest.raises(OSError, match="no POSIX semaphores"):
-            ShmRing.create(0, 1)
+    def test_pipe_failure_partway_closes_every_end(self, monkeypatch):
+        run_rings("two_tier_2x2", 4)  # warm up process-wide descriptors
+        before = open_fds()
+        deny_pipes_after(monkeypatch, 2)
+        with pytest.raises(OSError, match="Too many open files"):
+            run_rings("two_tier_2x2", 4)
+        assert open_fds() == before
         assert leaked_segments() == []
 
     def test_result_queue_failure_destroys_rings_and_heartbeats(
@@ -234,23 +297,15 @@ class TestAllocationFailure:
 
 
 class TestFallback:
-    def _deny_shm(self, monkeypatch):
-        def deny(*args, **kwargs):
-            raise PermissionError("/dev/shm: permission denied (test)")
-
-        monkeypatch.setattr(
-            "repro.dist.shm.shared_memory.SharedMemory", deny
-        )
-
-    def test_denied_shm_raises_and_leaks_nothing(self, monkeypatch):
-        self._deny_shm(monkeypatch)
-        with pytest.raises(PermissionError):
+    def test_denied_pipe_raises_and_leaks_nothing(self, monkeypatch):
+        deny_pipes_after(monkeypatch, 0)
+        with pytest.raises(OSError):
             run_rings("single_rack_4", 2)
         assert leaked_segments() == []
 
     def test_manager_counts_fallbacks(self, monkeypatch):
-        """No rings: the manager finishes in its serial last resort."""
-        self._deny_shm(monkeypatch)
+        """No pipes: the manager finishes in its serial last resort."""
+        deny_pipes_after(monkeypatch, 0)
         manager, result = _run_managed()
         _, oracle = _run_managed(workers=1)
         assert manager.fault_stats.serial_fallbacks == 1
@@ -298,8 +353,10 @@ def _run_managed(fault_plan=None, workers=2):
 class TestCrashLeavesNoSegments:
     def test_worker_crash_recovery_leaves_shm_clean(self):
         """A mid-run crash tears down through run_distributed's finally,
-        so the restore + rerun sequence leaks no segments and still
-        produces bit-identical results."""
+        so the restore + rerun sequence leaks no segments or descriptors
+        and still produces bit-identical results."""
+        run_rings("single_rack_4", 2)  # warm up process-wide descriptors
+        before = open_fds()
         crash = FaultPlan(
             seed=3,
             specs=(
@@ -311,11 +368,34 @@ class TestCrashLeavesNoSegments:
             ),
         )
         crashed_manager, crashed = _run_managed(fault_plan=crash)
+        assert open_fds() == before
         clean_manager, clean = _run_managed()
         assert crashed_manager.fault_stats.restores == 1
         assert crashed_manager.fault_stats.serial_fallbacks == 0
         assert crashed.node_results == clean.node_results
         assert crashed.node_results[0][RESULT_KEY]
+        assert leaked_segments() == []
+
+
+class TestDescriptorAudit:
+    """Runs leave the parent's descriptor count where they found it."""
+
+    @pytest.fixture(autouse=True)
+    def warm_up(self):
+        run_rings("single_rack_4", 2)  # process-wide descriptors open once
+
+    def test_normal_run_closes_every_descriptor(self):
+        before = open_fds()
+        result, _ = run_rings("two_tier_2x2", 4)
+        assert result.channel_count > 0
+        assert open_fds() == before
+
+    def test_aborted_run_closes_every_descriptor(self, monkeypatch):
+        monkeypatch.setattr("repro.dist.engine._POLL_INTERVAL_S", 1e-4)
+        before = open_fds()
+        with pytest.raises(RunAborted):
+            run_rings("two_tier_2x2", 4, should_abort=lambda: True)
+        assert open_fds() == before
         assert leaked_segments() == []
 
 
@@ -354,4 +434,4 @@ class TestCLI:
             out=out,
         )
         assert code == 0
-        assert "shm channels" in out.getvalue()
+        assert "pipe channels" in out.getvalue()

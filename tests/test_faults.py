@@ -158,10 +158,12 @@ class TestFaultPlan:
             FaultPlan.from_file(str(path))
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigError, match="unknown fault kind"):
-            FaultPlan.from_dict(
-                {"faults": [{"kind": "meteor", "point": "buildafi"}]}
-            )
+        # wakeup-loss is a retired verb: a plan naming it fails loudly.
+        for kind in ("meteor", "wakeup-loss"):
+            with pytest.raises(ConfigError, match="unknown fault kind"):
+                FaultPlan.from_dict(
+                    {"faults": [{"kind": kind, "point": "buildafi"}]}
+                )
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown fault spec keys"):

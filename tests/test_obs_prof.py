@@ -312,14 +312,8 @@ class TestAbsorbDistributed:
         assert gauges["dist.channels"] == 2.0
         assert gauges["dist.worker0.rate_mhz"] > 0.0
         assert gauges["dist.worker1.rate_mhz"] > 0.0
-        assert gauges["dist.shm.high_water_bytes"] > 0.0
-        for name in (
-            "dist.shm.blocked_wakeups",
-            "dist.shm.backpressure_stalls",
-            "dist.shm.streaming_sends",
-            "dist.profile.overhead_ratio",
-        ):
-            assert gauges[name] >= 0.0
+        assert gauges["dist.profile.overhead_ratio"] >= 0.0
+        assert not [name for name in gauges if name.startswith("dist.shm.")]
 
         paths = session.dump(str(tmp_path))
         assert "phase_report.json" in paths
