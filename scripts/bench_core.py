@@ -281,17 +281,18 @@ def incast_fingerprint(model, outputs):
 
     Output windows are flattened to ``(cycle, frame_id, last, index)``
     per flit so TokenBatch and ColumnarBatch outputs compare as
-    values, not as container types.
+    values, not as container types; a port left out of a tick's
+    outputs sent an empty window.
     """
     flits = []
     for window_outputs in outputs:
         for port in range(INCAST_PORTS):
-            batch = window_outputs[f"port{port}"]
+            batch = window_outputs.get(f"port{port}")
             flits.append(
                 [
                     (cycle, flit.data.frame_id, flit.last, flit.index)
                     for cycle, flit in sorted(batch.flits.items())
-                ]
+                ] if batch is not None else []
             )
     return {"flits": flits, "stats": repr(model.stats)}
 

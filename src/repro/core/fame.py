@@ -12,7 +12,9 @@ ticked over windows of target cycles.  The contract enforced here is the
 token-conservation law at the heart of FAME-1:
 
 * one input batch per port per window, covering exactly the window;
-* one output batch per port per window, covering exactly the window.
+* at most one output batch per port per window, covering exactly the
+  window; a port left out of the outputs sent a window of empty tokens
+  (the paper's empty token is an idle cycle, not an object).
 
 The orchestrator (:mod:`repro.core.simulation`) refuses to advance a model
 without input tokens, mirroring the stall behaviour of the hardware.
@@ -37,8 +39,9 @@ class Fame1Model(ABC):
 
     Subclasses define ``ports`` (interface names) and implement
     :meth:`_tick`, which consumes one window of input tokens per port and
-    fills one output batch per port.  :meth:`tick` wraps it with the
-    token-conservation checks.
+    returns an output batch for each port that sent anything; it may
+    leave out a port whose window is empty.  :meth:`tick` wraps it with
+    the token-conservation checks.
     """
 
     def __init__(self, name: str, ports: Sequence[str]) -> None:
@@ -56,7 +59,7 @@ class Fame1Model(ABC):
     def _tick(
         self, window: TokenWindow, inputs: Dict[str, TokenBatch]
     ) -> Dict[str, TokenBatch]:
-        """Advance target time across ``window`` and return output batches."""
+        """Advance across ``window``; return the ports' output batches."""
 
     def idle_outputs(
         self, window: TokenWindow
@@ -66,12 +69,12 @@ class Fame1Model(ABC):
         The batched engine (:mod:`repro.perf.engine`) calls this instead
         of :meth:`_tick` when every input batch in the window carries
         zero valid tokens — *only* on subclasses that override it.  An
-        override must return exactly what :meth:`_tick` would for
-        all-empty inputs while leaving all model state untouched, or
-        return None when that cannot be guaranteed (e.g. a switch with
-        queued packets still draining).  Models that do work even on
-        quiet windows — server blades run their event queues and
-        generate traffic — must not override this.
+        override must return what :meth:`_tick` would for all-empty
+        inputs while leaving all model state untouched, or return None
+        when that cannot be guaranteed (e.g. a switch with queued packets
+        still draining); all-empty outputs are best ``{}``.  Models that
+        do work even on quiet windows — server blades run their event
+        queues and generate traffic — must not override this.
 
         Subclasses that override this may additionally define
         ``idle_horizon() -> Optional[int]``: the first cycle at or after
@@ -104,7 +107,8 @@ class Fame1Model(ABC):
     def _check_batches(
         self, kind: str, window: TokenWindow, batches: Dict[str, TokenBatch]
     ) -> None:
-        missing = set(self.ports) - set(batches)
+        # An output port may be left out (an empty window); an input not.
+        missing = set(self.ports) - set(batches) if kind == "input" else ()
         extra = set(batches) - set(self.ports)
         if missing or extra:
             raise ValueError(
@@ -128,7 +132,7 @@ class Fame5Multiplexer(Fame1Model):
     and reduced physical memory per simulated core.  This wrapper presents
     the union of its children's ports, prefixed by the child's name, and
     ticks the children round-robin — deterministically — within each
-    window.
+    window.  A port a child leaves out of its outputs stays out.
     """
 
     def __init__(self, name: str, models: Sequence[Fame1Model]) -> None:
@@ -172,7 +176,7 @@ class NullModel(Fame1Model):
     def _tick(
         self, window: TokenWindow, inputs: Dict[str, TokenBatch]
     ) -> Dict[str, TokenBatch]:
-        return {port: window.new_batch() for port in self.ports}
+        return {}
 
     def idle_outputs(
         self, window: TokenWindow
@@ -180,7 +184,7 @@ class NullModel(Fame1Model):
         """A null sink is stateless: an idle window needs no tick."""
         if type(self)._tick is not NullModel._tick:
             return None
-        return {port: window.new_batch() for port in self.ports}
+        return {}
 
     def idle_horizon(self) -> Optional[int]:
         """A null sink never acts spontaneously (see the base docstring)."""

@@ -12,7 +12,8 @@ This orchestrator reproduces that execution model on one host process:
 * simulation advances in rounds of a *quantum* ``Q`` equal to the smallest
   link latency (token batching up to the link latency, Section III-B2);
 * each round every model pops one ``Q``-cycle window per input port, ticks,
-  and pushes one ``Q``-cycle window per output port.
+  and pushes one ``Q``-cycle window per output port — an empty one for a
+  port the tick left out of its outputs.
 
 Because links are primed with one latency of empty tokens, every pop is
 guaranteed to succeed — the simulated cluster can never deadlock — and the
@@ -147,8 +148,9 @@ def run_rounds(
     (``attachment.receive`` — :meth:`LinkEndpoint.pop`), ticks with its
     token-conservation checks, and pushes one window per port
     (``attachment.transmit`` — :meth:`Link.send_from_a`/``send_from_b``,
-    or a boundary outbox in a distributed worker).  ``attachments`` maps
-    ``(id(model), port)`` to whatever owns that port's two ends.
+    or a boundary outbox in a distributed worker; an empty window for a
+    port the tick left out).  ``attachments`` maps ``(id(model), port)``
+    to whatever owns that port's two ends.
 
     Hook points, in firing order within a round that starts at ``cycle``
     after ``n`` completed rounds: ``step(cycle, n, wake)`` when
@@ -208,7 +210,10 @@ def run_rounds(
                     seconds[model.name] = (
                         seconds.get(model.name, 0.0) + tick_end - tick_start
                     )
-            for port, batch in outputs.items():
+            for port in model.ports:
+                batch = outputs.get(port)
+                if batch is None:
+                    batch = TokenBatch(cycle, quantum)
                 attachments[(id(model), port)].transmit(batch)
                 progress.tokens_moved += batch.length
                 progress.valid_tokens_moved += batch.valid_count

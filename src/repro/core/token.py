@@ -12,7 +12,9 @@ is batched up to the link latency without compromising cycle accuracy; a
 
 Implementation note: a batch stores only the *valid* tokens (sparse map of
 cycle -> flit).  Cycles absent from the map are empty tokens — cycles where
-the endpoint received nothing from the network.  This keeps host cost
+the endpoint received nothing from the network.  The same rule holds one
+level up: a port a tick leaves out of its outputs sent a window of empty
+tokens, so an idle model builds no batch at all.  This keeps host cost
 proportional to traffic while timestamp arithmetic stays identical to
 iterating every cycle (tests assert the paper's ``2l + m + n`` delivery
 formula holds exactly).
@@ -128,7 +130,9 @@ class TokenWindow:
     """The half-open cycle window ``[start, end)`` a model ticks over.
 
     Models receive one window per tick; every input port supplies a batch
-    covering exactly this window, and every output port must produce one.
+    covering exactly this window.  An output port may produce one, which
+    must then cover exactly this window, or be left out of the tick's
+    outputs: an absent window is an empty one.
     """
 
     start: int
@@ -141,7 +145,3 @@ class TokenWindow:
     @property
     def length(self) -> int:
         return self.end - self.start
-
-    def new_batch(self) -> TokenBatch:
-        """An empty output batch covering this window."""
-        return TokenBatch.empty(self.start, self.length)

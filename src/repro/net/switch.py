@@ -25,12 +25,12 @@ users can subclass and override :meth:`route` (or the ingress/egress
 hooks) to model new switch designs, just as FireSim users plug in their
 own C++ switching logic.
 
-The model owns the only copy of switch state — per-egress-port
-:class:`_EgressQueue` rows, pacing cursors, per-ingress-port partial
-reassembly, the sequence counter.  The phases below are the readable
-per-packet spec over it; :class:`repro.perf.switch.ColumnarSwitch`
-calls the spec's switching step and drain walker itself, with
-packet-segment rows in place of flits at both ends.
+The model owns the only copy of switch state — per-egress-port packet
+rows, pacing cursors, per-ingress-port partial reassembly, the sequence
+counter.  The phases below are the readable per-packet spec over it;
+:class:`repro.perf.switch.ColumnarSwitch` calls the spec's switching
+step and drain walker itself, with packet-segment rows in place of
+flits at both ends.
 """
 
 from __future__ import annotations
@@ -74,43 +74,6 @@ class SwitchConfig:
             raise ValueError("cycles_per_flit must be >= 1")
         if self.buffer_flits < 1:
             raise ValueError("buffer_flits must be >= 1")
-
-
-class _EgressQueue:
-    """One egress port's packet buffer: ``(release, seq, frame)`` rows.
-
-    Rows are kept sorted by ``(release, seq)``.  New arrivals always
-    release strictly after everything buffered (their last flit lands
-    in the current window, every buffered packet's landed in an earlier
-    one), so enqueue is a plain append and the sort order is an
-    invariant, not a cost.  Only the head row can be partially emitted
-    (``head_emitted``): the drain loop's window straddler.  Cycles and
-    sequence numbers are Python ``int``s only: they reach flit-dict
-    keys, ``egress_log``, trace args and ``repr()`` digests.
-    """
-
-    __slots__ = ("rows", "head_emitted")
-
-    def __init__(self) -> None:
-        self.rows: Deque[Tuple[int, int, EthernetFrame]] = deque()
-        self.head_emitted = 0
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def push(self, release: int, seq: int, frame: EthernetFrame) -> None:
-        """Enqueue one packet behind everything buffered."""
-        self.rows.append((release, seq, frame))
-
-    def peek(self) -> Tuple[int, EthernetFrame]:
-        """The head packet's release cycle and frame."""
-        release, _, frame = self.rows[0]
-        return release, frame
-
-    def pop(self) -> None:
-        """Discard the head packet (fully emitted, or dropped)."""
-        self.rows.popleft()
-        self.head_emitted = 0
 
 
 @dataclass
@@ -170,10 +133,18 @@ class SwitchModel(Fame1Model):
         self._partial: List[Tuple[Optional[EthernetFrame], int]] = [
             (None, 0) for _ in range(config.num_ports)
         ]
-        # Per-egress-port packet buffers, sorted on (release, seq).
-        self._out_queues: List[_EgressQueue] = [
-            _EgressQueue() for _ in range(config.num_ports)
+        # Per-egress-port packet buffers of ``(release, seq, frame)``
+        # rows, sorted on ``(release, seq)``: an arrival releases after
+        # everything buffered (its last flit lands in the current window,
+        # theirs in earlier ones), so enqueue is a plain append.  Only
+        # the head row can be partly emitted (``_head_emitted``, the
+        # drain's window straddler).  Cycles and sequence numbers are
+        # Python ints: they reach flit dicts, logs and ``repr()`` digests.
+        # ``any(self._out_rows)`` tests every port without a Python call.
+        self._out_rows: List[Deque[Tuple[int, int, EthernetFrame]]] = [
+            deque() for _ in range(config.num_ports)
         ]
+        self._head_emitted: List[int] = [0] * config.num_ports
         # Per-egress-port next cycle at which a flit may be emitted.
         self._port_next_free: List[int] = [0] * config.num_ports
         self.stats = SwitchStats()
@@ -227,7 +198,7 @@ class SwitchModel(Fame1Model):
     def idle_outputs(
         self, window: TokenWindow
     ) -> Optional[Dict[str, TokenBatch]]:
-        """All-empty outputs when nothing is buffered (batched engine).
+        """No outputs (all windows empty) when nothing is buffered.
 
         With zero valid input tokens and every output queue empty, a
         stock switch tick is a no-op: ingress assembles nothing,
@@ -236,16 +207,16 @@ class SwitchModel(Fame1Model):
         window straddlers — force the full tick so congestion and drop
         modelling stay cycle-exact.
         """
-        if not self._idle_safe or any(self._out_queues):
+        if not self._idle_safe or any(self._out_rows):
             return None
-        return {port: window.new_batch() for port in self.ports}
+        return {}
 
     def idle_horizon(self) -> Optional[int]:
         """A drained switch only acts on arrival: no spontaneous wake.
 
         (See :meth:`Fame1Model.idle_outputs` for the protocol.)
         """
-        if not self._idle_safe or any(self._out_queues):
+        if not self._idle_safe or any(self._out_rows):
             return self.current_cycle
         return None
 
@@ -312,7 +283,7 @@ class SwitchModel(Fame1Model):
                     )
                 continue
             for out_port in out_ports:
-                self._out_queues[out_port].push(timestamp, self._seq, frame)
+                self._out_rows[out_port].append((timestamp, self._seq, frame))
                 self._seq += 1
                 if sink_on:
                     sink.target_instant(
@@ -336,7 +307,7 @@ class SwitchModel(Fame1Model):
         self, port_index: int, window: TokenWindow, sink=None
     ) -> TokenBatch:
         """One egress port's output window, as flits."""
-        batch = window.new_batch()
+        batch = TokenBatch(window.start, window.length)
         if sink is None:
             sink = get_trace_sink()
         pace = self.config.cycles_per_flit
@@ -368,22 +339,24 @@ class SwitchModel(Fame1Model):
         ``ColumnarSwitch.step`` packs them into rows.
         """
         segments: List[Tuple[EthernetFrame, int, int, int, int]] = []
-        queue = self._out_queues[port_index]
+        rows = self._out_rows[port_index]
+        emitted = self._head_emitted
         pace = self.config.cycles_per_flit
         sink_on = sink.enabled
         window_end = window.end
         cursor = max(self._port_next_free[port_index], window.start)
-        while queue and cursor < window_end:
-            release_cycle, frame = queue.peek()
+        while rows and cursor < window_end:
+            release_cycle, _, frame = rows[0]
             start = max(cursor, release_cycle)
             if start >= window_end:
                 break
-            if queue.head_emitted == 0:
+            index = emitted[port_index]
+            if index == 0:
                 # Buffer-occupancy drop model: a packet that cannot begin
                 # transmission within the buffer bound is dropped.
                 lag = start - release_cycle
                 if lag > self.config.buffer_flits:
-                    queue.pop()
+                    rows.popleft()
                     self.stats.packets_dropped += 1
                     self.stats.bytes_dropped += frame.size_bytes
                     if sink_on:
@@ -394,7 +367,6 @@ class SwitchModel(Fame1Model):
                         )
                     continue
             total = frame.flit_count
-            index = queue.head_emitted
             # As many of the remaining flits as fit before the window
             # ends, one every ``pace`` cycles.
             count = min(total - index, (window_end - start - 1) // pace + 1)
@@ -402,7 +374,8 @@ class SwitchModel(Fame1Model):
             cursor = start + count * pace
             self._port_next_free[port_index] = cursor
             if index + count == total:
-                queue.pop()
+                rows.popleft()
+                emitted[port_index] = 0
                 self.stats.packets_out += 1
                 self.stats.bytes_out += frame.size_bytes
                 if sink_on:
@@ -416,7 +389,7 @@ class SwitchModel(Fame1Model):
                     self.egress_log.append((cursor - pace, frame.size_bytes))
             else:
                 # Packet straddles the window; resume next round.
-                queue.head_emitted = index + count
+                emitted[port_index] = index + count
                 break
         return segments
 
@@ -424,14 +397,14 @@ class SwitchModel(Fame1Model):
 
     def queued_packets(self) -> int:
         """Packets currently buffered across all output ports."""
-        return sum(len(q) for q in self._out_queues)
+        return sum(map(len, self._out_rows))
 
     def queued_bytes(self) -> int:
         """Bytes buffered across all output ports (straddlers count whole)."""
         return sum(
             frame.size_bytes
-            for queue in self._out_queues
-            for _, _, frame in queue.rows
+            for rows in self._out_rows
+            for _, _, frame in rows
         )
 
     def register_metrics(self, registry, prefix: Optional[str] = None) -> None:

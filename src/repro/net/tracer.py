@@ -53,7 +53,7 @@ class LinkTracer(Fame1Model):
     def _forward(
         self, window: TokenWindow, batch: TokenBatch, in_port: str, direction: str
     ) -> TokenBatch:
-        out = window.new_batch()
+        out = TokenBatch(window.start, window.length)
         for cycle, flit in batch.iter_flits():
             out.add(cycle, flit)
             key = in_port
@@ -102,7 +102,7 @@ class LinkTracer(Fame1Model):
             or type(self)._forward is not LinkTracer._forward
         ):
             return None
-        return {"a": window.new_batch(), "b": window.new_batch()}
+        return {}
 
     def packets(self, direction: Optional[str] = None) -> List[PacketRecord]:
         if direction is None:

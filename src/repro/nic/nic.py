@@ -27,9 +27,10 @@ The scalar engine hands :meth:`NIC.fill_tx` a ``TokenBatch`` to fill and
 :meth:`NIC.receive_tokens` one to walk, flit by flit — the executable
 spec.  The batched engine calls ``fill_tx(window)`` and gets the same
 traffic back as :class:`~repro.perf.stream.ColumnarBatch` rows, one per
-rate-limiter burst, and feeds ``receive_tokens`` rows as they left the
-switch: only a ``last`` bit rides the link (Section III-B2), so a frame
-is received at the final flit of its completing row and no flit is ever
+rate-limiter burst, or None for an idle window (the blade leaves its
+port out), and feeds ``receive_tokens`` rows as they left the switch:
+only a ``last`` bit rides the link (Section III-B2), so a frame is
+received at the final flit of its completing row and no flit is ever
 built.
 """
 
@@ -174,8 +175,8 @@ class NIC:
         """Emit send-path flits into the blade's output token window.
 
         With a ``batch`` the flits are added to it one by one; without,
-        the window's traffic is returned as burst rows (an empty
-        ``TokenBatch`` when nothing was sent).
+        the window's traffic is returned as burst rows (None when
+        nothing was sent).
         """
         if batch is None:
             return self._fill_tx_rows(window)
@@ -253,7 +254,7 @@ class NIC:
             self.stats.tx_bytes += frame.size_bytes
         self._emit_cursor = cursor
         if not rows:
-            return window.new_batch()
+            return None
         return ColumnarBatch(window.start, window.length, 1, rows)
 
     def receive_tokens(self, batch: Any) -> None:

@@ -3,7 +3,7 @@
 Token movement here is observably identical to the scalar spec loop
 (:func:`repro.core.simulation.run_rounds`, the bit-equality oracle whose
 parameter list and hook points :func:`run_rounds` shares); only the
-host cost changes.  Five overheads are eliminated:
+host cost changes.  Six overheads are eliminated:
 
 * **Per-call queue machinery.**  The model graph is compiled once per
   run into :class:`_Slot` entries binding each port directly to its
@@ -16,6 +16,11 @@ host cost changes.  Five overheads are eliminated:
   :class:`~repro.perf.stream.TokenStream` objects whose ``+latency``
   relabel is one pass over a list of cycles; idle windows only move a
   cursor.
+* **Empty windows as objects.**  A port left out of a tick's outputs
+  sent an empty window (:class:`~repro.core.fame.Fame1Model`).  Stock
+  switches and blades leave out every idle port and are handed only the
+  input windows that exist; only a custom model still gets a batch on
+  every input port.
 * **Idle model ticks.**  A model whose every input window carries zero
   valid tokens and whose ``idle_horizon()`` lies beyond the window
   (switches with empty queues, null sinks, server blades with no queued
@@ -118,7 +123,8 @@ class _Slot:
         self.horizon = horizon
         # A raw slot — a stock switch or a stock blade — may receive
         # inputs in any wire representation (ColumnarBatch, TokenStream
-        # or TokenBatch) without conversion, and answers in rows.
+        # or TokenBatch) without conversion, is handed only the input
+        # windows that exist, and answers in rows.
         self.raw = raw
         self.in_ports = in_ports
         self.out_ports = out_ports
@@ -345,8 +351,6 @@ def run_rounds(
                 order = sorted(buckets.pop(cycle))
             else:
                 order = every
-            # Raw slots share one read-only empty input window.
-            empty = TokenBatch(cycle, quantum)
             if hook is not None:
                 hook(cycle, None)
             end = cycle + quantum
@@ -375,11 +379,11 @@ def run_rounds(
                             endpoint._consumed_until = cycle
                             batch = endpoint.pop(quantum)
                         elif head is None or head.start_cycle >= end:
-                            # An absent window is an empty one.
+                            # An absent window is an empty one; only a
+                            # custom model is handed it as a batch.
                             endpoint._consumed_until = end
-                            inputs[port] = (
-                                empty if raw else TokenBatch(cycle, quantum)
-                            )
+                            if not raw:
+                                inputs[port] = TokenBatch(cycle, quantum)
                             continue
                         else:
                             queue.popleft()
@@ -422,9 +426,9 @@ def run_rounds(
                         if due is None or due >= end:
                             # The horizon pre-authorizes the idle window
                             # (same condition idle_outputs checks), so
-                            # the just-popped empty input windows —
-                            # garbage otherwise — become the outputs:
-                            # observably identical empty quanta.
+                            # the just-popped input windows — empty or
+                            # absent, garbage otherwise — become the
+                            # outputs: observably identical empty quanta.
                             outputs = inputs
                             idled = True
                 if outputs is None:
@@ -439,11 +443,15 @@ def run_rounds(
                 for (
                     port, link, latency, is_a, out_endpoint, ship, col_ok,
                     consumer, hop,
-                ) in () if idled and sparse else slot.out_ports:
-                    batch = outputs[port]
-                    if type(batch) is ColumnarBatch:
+                ) in () if sparse and (idled or not outputs) else (
+                    slot.out_ports
+                ):
+                    batch = outputs.get(port)
+                    if batch is None:
+                        valid = 0
+                    elif type(batch) is ColumnarBatch:
                         # Columnar windows always carry tokens (an idle
-                        # port or NIC answers with a plain TokenBatch).
+                        # port or NIC is left out of the outputs).
                         valid = batch._valid
                         if col_ok:
                             shipped: Any = batch.shift(latency)
@@ -457,14 +465,15 @@ def run_rounds(
                                 batch.start_cycle, batch.length, flits,
                                 latency,
                             )
-                        elif sparse or ship is not None:
-                            continue  # an absent window is an empty one
-                        else:
-                            # An empty window moves the push cursor.
-                            out_endpoint.push(TokenBatch(
-                                batch.start_cycle + latency, batch.length
-                            ))
-                            continue
+                    if not valid:
+                        # An absent or empty window moves nothing under
+                        # the active set or on a shipped boundary, and
+                        # the push cursor when every slot is visited.
+                        if not sparse and ship is None:
+                            out_endpoint.push(
+                                TokenBatch(cycle + latency, quantum)
+                            )
+                        continue
                     valid_tokens_moved += valid
                     if ship is not None:
                         ship(shipped, valid)

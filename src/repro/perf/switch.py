@@ -58,6 +58,7 @@ class ColumnarSwitch:
         if not model.columnar_safe:  # pragma: no cover - compiler guards
             raise ValueError(f"switch {model.name} is not columnar-safe")
         self.model = model
+        self._port_index = {port: i for i, port in enumerate(model.ports)}
         self.min_latency = model.config.min_latency_cycles
         self.pace = model.config.cycles_per_flit
 
@@ -66,16 +67,20 @@ class ColumnarSwitch:
     def step(
         self, window: TokenWindow, inputs: Dict[str, Any]
     ) -> Dict[str, Any]:
-        """One window: the spec's three phases, rows in and rows out."""
+        """One window: the spec's three phases, rows in and rows out.
+
+        Absent ports are empty windows, in and out: every returned
+        window carries at least one flit."""
         model = self.model
         stats = model.stats
         partial = model._partial
         min_latency = self.min_latency
+        port_index_of = self._port_index
         completed: List[Tuple[int, int, Any]] = []
-        for port_index, port in enumerate(model.ports):
-            batch = inputs[port]
+        for port, batch in inputs.items():
             if not batch.valid_count:
                 continue
+            port_index = port_index_of[port]
             if type(batch) is not ColumnarBatch:
                 model._ingress_flits(port_index, batch, completed)
                 continue
@@ -95,15 +100,13 @@ class ColumnarSwitch:
             model._switching_step(completed)
         sink = get_trace_sink()
         outputs: Dict[str, Any] = {}
-        for port_index, port in enumerate(model.ports):
-            segments = (
-                model._drain_segments(port_index, window, sink)
-                if model._out_queues[port_index] else None
-            )
-            if not segments:
-                outputs[port] = window.new_batch()
+        for port_index, rows in enumerate(model._out_rows):
+            if not rows:
                 continue
-            outputs[port] = ColumnarBatch(
-                window.start, window.end - window.start, self.pace, segments
-            )
+            segments = model._drain_segments(port_index, window, sink)
+            if segments:
+                outputs[model.ports[port_index]] = ColumnarBatch(
+                    window.start, window.end - window.start, self.pace,
+                    segments,
+                )
         return outputs

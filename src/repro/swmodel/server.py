@@ -126,18 +126,20 @@ class ServerBlade(Fame1Model):
         rows: bool = False,
     ) -> Dict[str, TokenBatch]:
         """One window; ``rows`` (batched engine, :attr:`columnar_safe`
-        blades only) makes the NIC answer in packet-segment rows.  Stock
-        NIC calls that would be no-ops (see ``_idle_safe``) are skipped."""
+        blades only) makes the NIC answer in packet-segment rows, with
+        ``net`` absent (empty) in and out when idle.  Stock NIC calls
+        that would be no-ops (see ``_idle_safe``) are skipped."""
         nic = self.nic
-        if inputs["net"].valid_count or not self._idle_safe:
-            nic.receive_tokens(inputs["net"])
+        batch = inputs.get("net")
+        if batch is not None and batch.valid_count or not self._idle_safe:
+            nic.receive_tokens(batch)
         self.events.run_until(window.end)
-        if not nic._tx_queue and self._idle_safe:
-            return {"net": window.new_batch()}
         if rows:
-            return {"net": nic.fill_tx(window)}
-        out = window.new_batch()
-        nic.fill_tx(window, out)
+            out = nic.fill_tx(window) if nic._tx_queue else None
+            return {} if out is None else {"net": out}
+        out = TokenBatch(window.start, window.length)
+        if nic._tx_queue or not self._idle_safe:
+            nic.fill_tx(window, out)
         return {"net": out}
 
     @property
@@ -155,7 +157,7 @@ class ServerBlade(Fame1Model):
     def idle_outputs(
         self, window: TokenWindow
     ) -> Optional[Dict[str, TokenBatch]]:
-        """All-empty output when the window provably runs no work.
+        """No output (an empty window) when the window runs no work.
 
         Quiet blades dominate wall-clock once traffic dies down (the
         Figure 8 runs spend most cycles post-benchmark); a blade whose
@@ -167,7 +169,7 @@ class ServerBlade(Fame1Model):
         next_cycle = self.events.next_cycle()
         if next_cycle is not None and next_cycle < window.end:
             return None
-        return {"net": window.new_batch()}
+        return {}
 
     def idle_horizon(self) -> Optional[int]:
         """First cycle this blade acts without input: its next event.

@@ -173,6 +173,9 @@ def apply_bumps(script, window_index, model):
 
 
 def output_flits(batch):
+    """A window's flits as comparable tuples; an absent window is empty."""
+    if batch is None:
+        return []
     return [
         (cycle, flit.data.frame_id, flit.last, flit.index)
         for cycle, flit in sorted(batch.flits.items())
@@ -182,14 +185,14 @@ def output_flits(batch):
 def queue_state(model):
     """Everything a switch carries from one window to the next."""
     queues = []
-    for queue in model._out_queues:
-        order = [(release, seq) for release, seq, _ in queue.rows]
+    for rows, head_emitted in zip(model._out_rows, model._head_emitted):
+        order = [(release, seq) for release, seq, _ in rows]
         # The invariant that lets enqueue be an append, not a heap push.
         assert order == sorted(order) and len(set(order)) == len(order)
         queues.append((
             order,
-            [frame.frame_id for _, _, frame in queue.rows],
-            queue.head_emitted,
+            [frame.frame_id for _, _, frame in rows],
+            head_emitted,
         ))
     # Python ints only: these reach flit-dict keys, trace args and
     # repr() digests, where a numpy.int64 would print differently.
@@ -251,17 +254,19 @@ def run_pair(script, form, traced):
             )
             if traced:
                 set_trace_sink(None)
+            assert set(columnar_out) <= set(scalar_out)
             for port in range(NUM_PORTS):
                 key = f"port{port}"
+                out = columnar_out.get(key)
                 assert (
-                    output_flits(scalar_out[key])
-                    == output_flits(columnar_out[key])
+                    output_flits(scalar_out[key]) == output_flits(out)
                 ), f"window {window_index} {key} flits diverge"
-                out = columnar_out[key]
-                if type(out) is ColumnarBatch:
+                if out is not None:
+                    # Only a window carrying flits is built.
+                    assert type(out) is ColumnarBatch
                     assert out.start_cycle == start
                     assert out.length == WINDOW
-                    assert out.valid_count == len(out.flits)
+                    assert out.valid_count == len(out.flits) >= 1
             backlog.append(scalar.queued_packets())
             assert repr(scalar.stats) == repr(columnar.stats), (
                 f"stats diverge after window {window_index}"
@@ -412,7 +417,7 @@ class TestColumnarEquality:
                     )
                 for port in range(NUM_PORTS):
                     key = f"port{port}"
-                    assert output_flits(a[key]) == output_flits(b[key])
+                    assert output_flits(a[key]) == output_flits(b.get(key))
                 assert repr(scalar.stats) == repr(hybrid.stats)
                 assert queue_state(scalar) == queue_state(hybrid)
             assert scalar.stats.packets_out == 5  # 2 unicasts + 3 flooded

@@ -9,6 +9,7 @@ from repro import ConfigError
 from repro.core.channel import TokenStarvationError
 from repro.core.fame import Fame1Model
 from repro.core.simulation import ENGINES, Simulation
+from repro.core.token import TokenBatch
 from repro.dist import ShardContext, plan_from_assignment, run_shard
 from repro.faults.checkpoint import (
     CheckpointError,
@@ -52,7 +53,7 @@ class Sender(Fame1Model):
         self.sent = False
 
     def _tick(self, window, inputs):
-        out = window.new_batch()
+        out = TokenBatch(window.start, window.length)
         if not self.sent and window.start <= self.at_cycle < window.end:
             for index, flit in enumerate(self.frame.to_flits()):
                 out.add(self.at_cycle + index, flit)
@@ -69,7 +70,7 @@ class Recorder(Fame1Model):
         for cycle, flit in inputs["net"].iter_flits():
             if flit.last:
                 self.last_flit_cycles.append(cycle)
-        return {"net": window.new_batch()}
+        return {"net": TokenBatch(window.start, window.length)}
 
 
 def switched_pair(mac_table=None, default_port=1, at_cycle=37, latency=100):

@@ -28,7 +28,7 @@ def frame(size=64, dst=1):
 
 def drain(nic, start, length):
     window = TokenWindow(start, start + length)
-    batch = window.new_batch()
+    batch = TokenBatch(window.start, window.length)
     nic.fill_tx(window, batch)
     return batch
 
@@ -220,13 +220,15 @@ class TestBurstRows:
                 spec.set_bandwidth(*changes[index])
                 rows.set_bandwidth(*changes[index])
             window = TokenWindow(start, start + length)
-            expected = window.new_batch()
+            expected = TokenBatch(window.start, window.length)
             spec.fill_tx(window, expected)
             got = rows.fill_tx(window)
+            if got is None:
+                # Nothing sent: no window is built at all.
+                got = TokenBatch(window.start, window.length)
+            else:
+                assert type(got) is ColumnarBatch and got.valid_count >= 1
             assert got.start_cycle == start and got.length == length
-            assert type(got) is (
-                ColumnarBatch if expected.flits else TokenBatch
-            )
             assert [
                 (cycle, position[id(flit.data)], flit.index, flit.last)
                 for cycle, flit in got.iter_flits()

@@ -14,13 +14,14 @@ import io
 import json
 import os
 import pickle
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import ConfigError
-from repro.core.channel import TokenStarvationError
+from repro.core.channel import Link, LinkEndpoint, TokenStarvationError
 from repro.core.events import EventQueue
 from repro.core.fame import Fame1Model, NullModel
 from repro.core.simulation import (
@@ -473,7 +474,7 @@ class FrameSource(Fame1Model):
                 cycle += pace
 
     def _tick(self, window, inputs):
-        out = window.new_batch()
+        out = TokenBatch(window.start, window.length)
         for cycle, flit in self.flits:
             if window.start <= cycle < window.end:
                 out.add(cycle, flit)
@@ -818,7 +819,7 @@ class ScriptedSource(Fame1Model):
         self.schedule = sorted(schedule)
 
     def _tick(self, window, inputs):
-        batch = window.new_batch()
+        batch = TokenBatch(window.start, window.length)
         for cycle in self.schedule:
             if window.start <= cycle < window.end:
                 batch.flits[cycle] = Flit(data=("pkt", cycle), last=True)
@@ -833,7 +834,7 @@ class RecordingSink(Fame1Model):
     def _tick(self, window, inputs):
         for cycle in sorted(inputs["in"].flits):
             self.received.append((cycle, inputs["in"].flits[cycle].data))
-        return {"in": window.new_batch()}
+        return {"in": TokenBatch(window.start, window.length)}
 
 
 class TestIdleElisionProperty:
@@ -883,9 +884,8 @@ class TestIdleElisionProperty:
                 return super()._tick(window, inputs)
 
         window = TokenWindow(0, 64)
-        outputs = NullModel("n", ["p"]).idle_outputs(window)
-        assert outputs is not None
-        assert outputs["p"].valid_count == 0
+        # All-empty: the port is left out, not built as an empty batch.
+        assert NullModel("n", ["p"]).idle_outputs(window) == {}
         assert Counting("n", ["p"]).idle_outputs(window) is None
 
 
@@ -907,10 +907,12 @@ class Bomb(Fame1Model):
     def _tick(self, window, inputs):
         if self._armed(window):
             raise Crash(window.start)
-        return {"net": window.new_batch()}
+        return {"net": TokenBatch(window.start, window.length)}
 
     def idle_outputs(self, window):
-        return None if self._armed(window) else {"net": window.new_batch()}
+        if self._armed(window):
+            return None
+        return {"net": TokenBatch(window.start, window.length)}
 
     def idle_horizon(self):
         if self.at is None or self.at < self.current_cycle:
@@ -1130,3 +1132,241 @@ class TestLatencyInvariant:
         cycles = [int(cycle) for cycle in lines[1::2]]
         assert len(workers) == 2 and str(os.getpid()) not in workers
         assert sorted(cycles) == sorted(2 * list(range(0, 200_000, 640)))
+
+
+def build_small_ping_farm():
+    """``ping_farm`` in miniature: 2 racks x 4 blades, 6400-cycle trunks,
+    1600-cycle server links, every blade pinging its rack neighbour and
+    each rack's first blade pinging the next rack."""
+    running = elaborate(
+        two_tier(num_racks=2, servers_per_rack=4),
+        RunFarmConfig(
+            link_latency_cycles=6400,
+            server_link_latency_cycles=1600,
+            switch_latency_cycles=10,
+            engine="batched",
+        ),
+    )
+    blades = running.blades
+    for index in range(8):
+        rack, slot = divmod(index, 4)
+        flows = [(rack * 4 + (slot + 1) % 4, 8, 20_000 + 160 * index)]
+        if slot == 0:
+            flows.append((((rack + 1) % 2) * 4, 9, 23_000 + 160 * index))
+        for dst, ident, interval in flows:
+            blades[index].spawn(
+                f"ping{ident}",
+                make_ping_client(
+                    blades[dst].mac, count=40, interval_cycles=interval,
+                    ident=ident,
+                ),
+                start_cycle=617 * index + 101 * (ident - 8),
+            )
+    return running
+
+
+class TestNoEmptyWindows:
+    """Absent means empty: the batched hot path builds a window only
+    where it carries a flit."""
+
+    def test_ping_farm_builds_only_windows_with_flits(self, monkeypatch):
+        built = []
+
+        def recording(cls):
+            init = cls.__init__
+
+            def wrapped(self, *args, **kwargs):
+                init(self, *args, **kwargs)
+                caller = sys._getframe(1)
+                if caller.f_code.co_name == "empty":
+                    caller = caller.f_back
+                built.append((self, caller.f_code))
+
+            monkeypatch.setattr(cls, "__init__", wrapped)
+
+        for cls in (TokenBatch, TokenStream, ColumnarBatch):
+            recording(cls)
+        running = build_small_ping_farm()
+        running.simulation.run_until(400_000)
+        monkeypatch.undo()
+        exempt = {LinkEndpoint.pop.__code__, Link.prime.__code__}
+        with_flits = 0
+        for window, code in built:
+            if code in exempt:
+                continue  # a link-priming window, or a pop gather/split
+            assert window.valid_count >= 1, (
+                f"{type(window).__name__} built empty by {code.co_name} "
+                f"({code.co_filename}:{code.co_firstlineno})"
+            )
+            with_flits += 1
+        assert with_flits > 100
+        answered = sum(
+            len(blade.results.get(RESULT_KEY, []))
+            for blade in running.blades.values()
+        )
+        assert answered >= 8
+
+
+class Chatter(Fame1Model):
+    """A custom (non-raw) endpoint: sends a 64 B frame to ``peer`` at
+    each scheduled cycle and records the frames it receives.  With
+    ``omit``, a window with nothing to send is left out of the outputs
+    on alternate windows; without, it is always an explicit empty
+    batch."""
+
+    def __init__(self, name, index, peer, schedule, omit):
+        super().__init__(name, ["net"])
+        self.mac = mac_address(index)
+        self.peer = mac_address(peer)
+        self.schedule = sorted(schedule)
+        self.omit = omit
+        self.omitted = 0
+        self.received = []
+
+    def _tick(self, window, inputs):
+        for cycle, flit in inputs["net"].iter_flits():
+            if flit.last:
+                frame = flit.data
+                self.received.append(
+                    (cycle, frame.src, frame.dst, frame.size_bytes)
+                )
+        out = TokenBatch(window.start, window.length)
+        for at in self.schedule:
+            if window.start <= at < window.end:
+                frame = EthernetFrame(
+                    src=self.mac, dst=self.peer, size_bytes=64
+                )
+                for index, flit in enumerate(frame.to_flits()):
+                    out.add(at + index, flit)
+        if self.omit and not out.flits and window.start // window.length % 2:
+            self.omitted += 1
+            return {}
+        return {"net": out}
+
+
+def build_chatter_farm(engine, omit):
+    """Two chatters through a stock switch, the second behind a tracer:
+    ``a`` <-640-> switch <-320-> tracer <-320-> ``b``, so a round is
+    320 cycles and every frame fits in the round it starts in."""
+    sim = Simulation(engine=engine)
+    a = sim.add_model(Chatter(
+        "a", 0, 1, [320 * k + 37 * k % 300 for k in range(3, 370, 7)], omit
+    ))
+    switch = sim.add_model(SwitchModel(
+        "sw", SwitchConfig(num_ports=2),
+        mac_table={mac_address(0): 0, mac_address(1): 1},
+    ))
+    b = sim.add_model(Chatter(
+        "b", 1, 0, [320 * k + 53 * k % 300 for k in range(5, 370, 11)], omit
+    ))
+    sim.connect(a, "net", switch, "port0", 640)
+    splice_tracer(sim, switch, "port1", b, "net", 640, "wire")
+    return sim
+
+
+def chatter_fingerprint(sim, local=True):
+    """What a run of the chatter farm observably did.  ``local`` adds
+    what only a serial run can see: each chatter's receive log and
+    every endpoint's cursors and queued windows."""
+    a, switch, b, tracer = sim.models
+    seen = (
+        [
+            (r.direction, r.src, r.dst, r.size_bytes, r.first_flit_cycle,
+             r.last_flit_cycle)
+            for r in tracer.records
+        ],
+        repr(switch.stats),
+        dataclasses.astuple(sim.stats),
+        [(link.flits_a_to_b, link.flits_b_to_a) for link in sim.links],
+    )
+    if local:
+        seen += (a.received, b.received, queue_state(sim))
+    return seen
+
+
+class TestOmittedOutputs:
+    """A port left out of a tick's outputs is an empty window: a custom
+    model that omits its idle port on alternate windows is observably
+    its twin that returns every empty window explicitly."""
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        sim = build_chatter_farm("scalar", omit=False)
+        sim.run_until(120_000)
+        return chatter_fingerprint(sim)
+
+    @pytest.mark.parametrize("mode", ["scalar", "active_set", "hook"])
+    def test_omission_is_an_empty_window(self, mode, reference):
+        def run(omit):
+            engine = "scalar" if mode == "scalar" else "batched"
+            sim = build_chatter_farm(engine, omit)
+            checked = []
+            if mode != "active_set":
+                def hook(cycle, model):
+                    if model is None:
+                        assert_latency_invariant(sim)
+                        checked.append(cycle)
+
+                sim.fault_hook = hook
+            for target in (30_000, 77_777, 120_000):
+                sim.run_until(target)
+                assert_latency_invariant(sim)
+            if mode != "active_set":
+                assert len(checked) == sim.stats.rounds
+            return sim
+
+        omitted, explicit = run(True), run(False)
+        assert omitted.models[0].omitted > 50
+        assert explicit.models[0].omitted == 0
+        assert chatter_fingerprint(omitted) == reference
+        assert chatter_fingerprint(explicit) == reference
+        assert omitted.stats.valid_tokens_moved > 0
+        assert len(omitted.models[2].received) > 10
+
+    @pytest.mark.parametrize("hooked", [False, True])
+    def test_omission_across_two_workers(self, hooked, reference, tmp_path):
+        """The omitting chatter alone on worker 0: its link to the
+        switch is the boundary, so an absent window is never shipped.
+        The hook checks every endpoint at every exchange (each 640-cycle
+        boundary period)."""
+        expected = reference[:4]
+        for omit in (True, False):
+            sim = build_chatter_farm("batched", omit)
+            log = tmp_path / f"checked-{omit}"
+            if hooked:
+                def hook(cycle, model):
+                    if model is None and cycle % 640 == 0:
+                        assert_latency_invariant(sim)
+                        with open(log, "a", encoding="utf-8") as handle:
+                            handle.write(f"{os.getpid()} {cycle}\n")
+
+                sim.fault_hook = hook
+            plan = plan_from_assignment(
+                {"a": 0, "sw": 1, "wire": 1, "b": 1}, num_workers=2
+            )
+            run_distributed(sim, plan, 120_000)
+            assert chatter_fingerprint(sim, local=False) == expected
+            if hooked:
+                lines = log.read_text(encoding="utf-8").split()
+                assert len(set(lines[0::2])) == 2
+                exchanges = range(0, 120_000, 640)
+                assert sorted(map(int, lines[1::2])) == sorted(
+                    2 * list(exchanges)
+                )
+
+    def test_tick_still_checks_present_and_unknown_ports(self):
+        class Shaped(Fame1Model):
+            def __init__(self, outputs):
+                super().__init__("shaped", ["net"])
+                self.outputs = outputs
+
+            def _tick(self, window, inputs):
+                return self.outputs(window)
+
+        window = TokenWindow(0, 64)
+        inputs = {"net": TokenBatch(0, 64)}
+        assert Shaped(lambda w: {}).tick(window, inputs) == {}
+        with pytest.raises(ValueError, match="extra"):
+            Shaped(lambda w: {"zz": TokenBatch(0, 64)}).tick(window, inputs)
+        with pytest.raises(ValueError, match="cover"):
+            Shaped(lambda w: {"net": TokenBatch(0, 32)}).tick(window, inputs)

@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from repro.core.fame import Fame1Model, NullModel
 from repro.core.simulation import Simulation
+from repro.core.token import TokenBatch
 from repro.net.ethernet import EthernetFrame, mac_address
 from repro.net.switch import SwitchConfig, SwitchModel
 
@@ -19,7 +20,7 @@ class OneShotSender(Fame1Model):
         self.sent = False
 
     def _tick(self, window, inputs):
-        out = window.new_batch()
+        out = TokenBatch(window.start, window.length)
         if not self.sent and window.start <= self.at_cycle < window.end:
             for index, flit in enumerate(self.frame.to_flits()):
                 out.add(self.at_cycle + index, flit)
@@ -36,7 +37,7 @@ class ArrivalRecorder(Fame1Model):
         for cycle, flit in inputs["net"].iter_flits():
             if flit.last:
                 self.last_flit_cycles.append(cycle)
-        return {"net": window.new_batch()}
+        return {"net": TokenBatch(window.start, window.length)}
 
 
 def _switched_pair(link_latency, switching_latency, at_cycle, frame_bytes=64):

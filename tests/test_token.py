@@ -66,8 +66,3 @@ class TestTokenWindow:
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError):
             TokenWindow(10, 10)
-
-    def test_new_batch_covers_window(self):
-        batch = TokenWindow(10, 20).new_batch()
-        assert batch.start_cycle == 10
-        assert batch.length == 10
