@@ -27,7 +27,9 @@ The scalar engine hands :meth:`NIC.fill_tx` a ``TokenBatch`` to fill and
 :meth:`NIC.receive_tokens` one to walk, flit by flit — the executable
 spec.  The batched engine calls ``fill_tx(window)`` and gets the same
 traffic back as :class:`~repro.perf.stream.ColumnarBatch` rows, one per
-rate-limiter burst, or None for an idle window (the blade leaves its
+rate-limiter burst (one
+:meth:`~repro.nic.ratelimit.TokenBucketLimiter.send_bursts` call per
+frame per window), or None for an idle window (the blade leaves its
 port out), and feeds ``receive_tokens`` rows as they left the switch:
 only a ``last`` bit rides the link (Section III-B2), so a frame is
 received at the final flit of its completing row and no flit is ever
@@ -214,15 +216,16 @@ class NIC:
         self._emit_cursor = cursor
 
     def _fill_tx_rows(self, window: TokenWindow) -> Any:
-        """The per-flit loop of :meth:`fill_tx`, one burst at a time.
+        """The per-flit loop of :meth:`fill_tx`, one frame at a time.
 
         Same queue walk, cursor rule and side effects; the limiter's
-        closed form admits a whole burst per step, and each burst is one
-        ``(frame, first_cycle, count, first_index, total)`` row.
+        closed form admits all of a frame's bursts in the window in one
+        call, and each burst is one ``(frame, first_cycle, count,
+        first_index, total)`` row.
         """
         end = window.end
-        send_burst = self.limiter.send_burst
-        rows: List[list] = []
+        send_bursts = self.limiter.send_bursts
+        rows: List[tuple] = []
         cursor = max(self._emit_cursor, window.start)
         while self._tx_queue:
             packet = self._tx_queue[0]
@@ -231,24 +234,17 @@ class NIC:
             flit_cycle = max(cursor, packet.ready_cycle)
             if flit_cycle >= end:
                 break
-            row_end = -1
-            while packet.flits_emitted < total:
-                emitted = packet.flits_emitted
-                send_at, count = send_burst(flit_cycle, total - emitted, end)
-                if not count:
-                    break
+            emitted = packet.flits_emitted
+            bursts, cursor = send_bursts(flit_cycle, total - emitted, end)
+            if bursts:
                 if emitted == 0 and frame.sent_cycle is None:
-                    frame.sent_cycle = send_at
-                if send_at == row_end:
-                    rows[-1][2] += count
-                else:
-                    rows.append([frame, send_at, count, emitted, total])
-                packet.flits_emitted = emitted + count
-                flit_cycle = row_end = send_at + count
-            if packet.flits_emitted < total:
-                cursor = send_at  # the next flit's cycle, in a later window
-                break
-            cursor = flit_cycle
+                    frame.sent_cycle = bursts[0][0]
+                for first, count in bursts:
+                    rows.append((frame, first, count, emitted, total))
+                    emitted += count
+                packet.flits_emitted = emitted
+            if emitted < total:
+                break  # the next flit goes at cursor, in a later window
             self._tx_queue.popleft()
             self.stats.tx_frames += 1
             self.stats.tx_bytes += frame.size_bytes

@@ -12,13 +12,15 @@ at the set bandwidth.
 The implementation is event-driven but *cycle-exact*: credit arrivals are
 computed arithmetically at the cycles where the hardware counter would
 tick, so the admitted flit schedule is identical to a per-cycle loop.
+``next_send_cycle``/``consume`` admit one flit at a time and are the
+spec; ``send_bursts`` admits a frame's flits for a whole window at once,
+as bursts, and leaves the bucket where the spec would.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 
 def rate_settings_for_bandwidth(
@@ -51,18 +53,22 @@ class TokenBucketLimiter:
         self._applied_periods = 0
 
     def set_rate(self, k: int, p: int, cap: Optional[int] = None) -> None:
-        """Runtime reconfiguration (no RTL resynthesis needed)."""
+        """Runtime reconfiguration (no RTL resynthesis needed).
+
+        Every setting is checked before any is applied, so a rejected
+        change leaves the limiter as it was.
+        """
         if k < 1 or p < 1:
             raise ValueError(f"k and p must be >= 1, got k={k}, p={p}")
         if k > p:
             raise ValueError(
                 f"k={k} > p={p} would exceed the unlimited link rate"
             )
-        self.k = k
-        self.p = p
-        self.cap = cap if cap is not None else max(k, 1)
         if cap is not None and cap < 1:
             raise ValueError(f"cap must be >= 1, got {cap}")
+        self.k = k
+        self.p = p
+        self.cap = cap if cap is not None else k
 
     @property
     def rate_fraction(self) -> float:
@@ -95,44 +101,83 @@ class TokenBucketLimiter:
             )
         self._count -= 1
 
-    def send_burst(self, cycle: int, want: int, end: int) -> Tuple[int, int]:
-        """Admit up to ``want`` back-to-back flits before ``end`` at once.
+    def send_bursts(
+        self, cycle: int, want: int, end: int
+    ) -> Tuple[List[Tuple[int, int]], int]:
+        """Admit up to ``want`` flits, each as early as possible, before ``end``.
 
         The closed form of looping :meth:`next_send_cycle` /
-        :meth:`consume` with ``cycle = sent + 1``: returns ``(first,
-        n)`` with flits admitted at ``first, first + 1, ..``, or ``n ==
-        0`` when the next flit cannot go before ``end`` (``first >=
-        end`` is then its earliest cycle).  A burst is cut at a refill
-        tick it cannot cross whole, so callers loop; a follow-up call
-        returning ``first + n`` continues the same burst.  The bucket
-        ends exactly where the per-flit loop leaves it.
+        :meth:`consume` with ``cycle = sent + 1`` from ``cycle``.
+        Returns ``(bursts, next_cycle)``: ``bursts`` lists ``(first, n)``
+        for each maximal back-to-back run, flits admitted at ``first,
+        first + 1, ..``; ``next_cycle`` is where the flit after the last
+        admitted one would go — the end of the last burst once all
+        ``want`` went, else its earliest cycle, at or after ``end``.  The
+        bucket ends exactly where the per-flit loop leaves it.
+
+        Within a refill period a burst is ``min(credit, flits left,
+        cycles to the tick, cycles to end)``.  A whole period that goes
+        out back to back (``k == p``, or credit >= ``p``) is followed by
+        as many more as room and credit allow, at ``p - k`` credits net
+        each, in one step.  The bucket is read and written back once.
         """
-        self._advance(cycle)
-        if self._count <= 0:
-            cycle = (self._applied_periods + 1) * self.p
-            if cycle >= end:
-                return cycle, 0
-            self._advance(cycle)
-        elif cycle >= end:
-            return cycle, 0
-        k, p = self.k, self.p
-        room = min(want, end - cycle)
-        to_tick = (self._applied_periods + 1) * p - cycle
-        n = min(self._count, room, to_tick)
-        self._count -= n
-        if n == p == to_tick:
-            # A whole refill period went out back to back.  Each further
-            # one costs p - k credits net, so the run continues for as
-            # many whole periods as room and the remaining credit allow.
-            periods = (room - n) // p
-            credit = self._count + k
-            if periods and p <= credit <= self.cap:
-                if k < p:
-                    periods = min(periods, (credit - p) // (p - k) + 1)
-                n += periods * p
-                self._count -= periods * (p - k)
-                self._applied_periods += periods
-        return cycle, n
+        k, p, cap = self.k, self.p, self.cap
+        count, applied = self._count, self._applied_periods
+        tick = (applied + 1) * p  # the next refill not yet applied
+        bursts: List[Tuple[int, int]] = []
+        burst_end = -1
+        while True:
+            if cycle >= tick:
+                periods = cycle // p
+                count += (periods - applied) * k
+                if count > cap:
+                    count = cap
+                applied = periods
+                tick = (periods + 1) * p
+            if count <= 0:
+                # No credit: the next one arrives at the next tick.
+                cycle = tick
+                if cycle >= end:
+                    break
+                count += k
+                if count > cap:
+                    count = cap
+                applied += 1
+                tick += p
+            elif cycle >= end:
+                break
+            room = end - cycle
+            if want < room:
+                room = want
+            to_tick = tick - cycle
+            n = to_tick if to_tick < room else room
+            if count < n:
+                n = count
+            count -= n
+            if n == p == to_tick:
+                # A whole period went out back to back; each further one
+                # costs p - k credits net while the credit lasts.
+                periods = (room - n) // p
+                credit = count + k
+                if periods and p <= credit <= cap:
+                    if k < p:
+                        most = (credit - p) // (p - k) + 1
+                        if most < periods:
+                            periods = most
+                    n += periods * p
+                    count -= periods * (p - k)
+                    applied += periods
+                    tick += periods * p
+            if cycle == burst_end:
+                bursts[-1] = (bursts[-1][0], bursts[-1][1] + n)
+            else:
+                bursts.append((cycle, n))
+            cycle = burst_end = cycle + n
+            want -= n
+            if not want:
+                break
+        self._count, self._applied_periods = count, applied
+        return bursts, cycle
 
     @property
     def available(self) -> int:

@@ -13,6 +13,7 @@ from repro.tile.caches import (
 )
 from repro.tile.dram import DRAMConfig, DRAMModel
 from repro.tile.tilelink import TileLinkBus
+from tests.hypothesis_budget import examples
 
 
 class TestTableIGeometries:
@@ -30,6 +31,25 @@ class TestTableIGeometries:
     def test_bad_geometry_rejected(self):
         with pytest.raises(ValueError):
             CacheConfig(size_bytes=1000, ways=3, hit_latency_cycles=1)
+
+    @pytest.mark.parametrize(
+        "geometry",
+        [
+            dict(size_bytes=0, ways=4),
+            dict(size_bytes=-256, ways=4),
+            dict(size_bytes=256, ways=0),
+            dict(size_bytes=256, ways=-1),
+            dict(size_bytes=256, ways=4, line_bytes=0),
+            dict(size_bytes=256, ways=4, line_bytes=-64),
+            dict(size_bytes=256, ways=4, hit_latency_cycles=-1),
+        ],
+    )
+    def test_impossible_geometry_rejected(self, geometry):
+        with pytest.raises(ValueError):
+            CacheConfig(**{"hit_latency_cycles": 1, **geometry})
+
+    def test_zero_hit_latency_allowed(self):
+        assert CacheConfig(256, 4, 0).num_sets == 1
 
 
 class TestCacheModel:
@@ -89,7 +109,7 @@ class TestCacheModel:
         cache.lookup(0, False)
         assert cache.stats.miss_rate == pytest.approx(0.5)
 
-    @settings(max_examples=25)
+    @settings(max_examples=examples(25))
     @given(st.lists(st.integers(min_value=0, max_value=63), min_size=1, max_size=200))
     def test_occupancy_never_exceeds_capacity(self, lines):
         config = CacheConfig(size_bytes=8 * 64, ways=2, hit_latency_cycles=1)
@@ -227,8 +247,111 @@ transfers = st.lists(
 )
 
 
+def dma_hierarchies(sets, ways, with_bus):
+    """Two identical few-line-L2 hierarchies: one to run, one for the spec."""
+    l2_config = CacheConfig(
+        size_bytes=sets * ways * 64, ways=ways, hit_latency_cycles=12
+    )
+
+    def build():
+        return MemoryHierarchy(
+            CacheModel("l1", L1D_CONFIG),
+            CacheModel("l2", l2_config),
+            DRAMModel(DRAMConfig(banks_per_channel=2, row_bytes=256)),
+            bus=TileLinkBus() if with_bus else None,
+        )
+
+    return build(), build()
+
+
+@st.composite
+def repeated_ranges(draw):
+    """Steps over a pool of 2-3 DMA ranges, so ranges recur back to back.
+
+    A step is a transfer of one pool range (read or write, so a write
+    follows a read of the same range), a single-line ``lookup`` inside
+    or outside a range, or an ``invalidate_all``.  Ranges run from one
+    line to well past ``num_sets`` lines.
+    """
+    pool = draw(st.lists(
+        st.tuples(
+            st.integers(0, 64 * 40),  # address
+            st.one_of(  # size: mostly within num_sets lines
+                st.integers(1, 64 * 3), st.integers(1, 64 * 12)
+            ),
+        ),
+        min_size=2,
+        max_size=3,
+    ))
+    transfer = st.tuples(
+        st.just("dma"),
+        st.integers(0, len(pool) - 1),
+        st.booleans(),
+        st.integers(0, 20_000),  # request cycle
+    )
+    step = st.one_of(
+        transfer,
+        transfer,
+        st.tuples(
+            st.just("lookup"),
+            st.integers(0, len(pool) - 1),
+            st.booleans(),
+            st.integers(-64, 64 * 12),  # offset from the range's address
+        ),
+        st.tuples(st.just("invalidate")),
+    )
+    steps = draw(st.lists(step, min_size=1, max_size=16))
+    return pool, steps
+
+
 class TestDmaPass:
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=examples(150), deadline=None)
+    @given(
+        script=repeated_ranges(),
+        sets=st.sampled_from([1, 2, 4, 8]),
+        ways=st.sampled_from([1, 2, 4]),
+        with_bus=st.booleans(),
+    )
+    def test_repeated_range_matches_per_line_loop(
+        self, script, sets, ways, with_bus
+    ):
+        """A transfer that repeats the L2's last range skips its walk;
+        every step still equals the per-line spec."""
+        pool, steps = script
+        fast, spec = dma_hierarchies(sets, ways, with_bus)
+        for step in steps:
+            if step[0] == "dma":
+                _, which, is_write, cycle = step
+                addr, size = pool[which]
+                assert fast.dma_access(
+                    cycle, addr, size, is_write
+                ) == per_line_dma(spec, cycle, addr, size, is_write)
+            elif step[0] == "lookup":
+                _, which, is_write, offset = step
+                addr = max(pool[which][0] + offset, 0)
+                assert fast.l2.lookup(addr, is_write) == per_line_lookup(
+                    spec.l2, addr, is_write
+                )
+            else:
+                assert fast.l2.invalidate_all() == spec.l2.invalidate_all()
+            assert timing_state(fast) == timing_state(spec)
+
+    def test_stream_buffer_repeats_skip_the_walk(self):
+        """A stream's fixed buffer: repeats are hits, and a write after a
+        read of the same range still marks it dirty."""
+        fast, spec = dma_hierarchies(sets=8, ways=2, with_bus=True)
+        for cycle, is_write in [(0, False), (100, False), (200, True),
+                                (300, True), (400, False)]:
+            assert fast.dma_access(cycle, 0x100, 512, is_write) == (
+                per_line_dma(spec, cycle, 0x100, 512, is_write)
+            )
+            assert timing_state(fast) == timing_state(spec)
+        assert (fast.l2.stats.hits, fast.l2.stats.misses) == (32, 8)
+        assert all(
+            dirty for s in fast.l2._sets for dirty in s.values()
+        )
+
+    @settings(max_examples=examples(80), deadline=None)
     @given(
         transfers=transfers,
         sets=st.sampled_from([1, 2, 4]),
