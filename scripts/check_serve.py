@@ -24,7 +24,11 @@ whole contract end to end:
   processes, zero leaked ``/dev/shm`` heartbeat blocks and never a
   ``repro-ring-`` segment (snapshotted before/after);
 * the JSON-lines job-event log is well formed: monotonic ``seq``,
-  every job's lifecycle closed out, a final ``shutdown`` record.
+  every job's lifecycle closed out, a final ``shutdown`` record;
+* the ``serve`` verb itself, as a user starts it: ``python -m
+  repro.manager.cli serve`` in a subprocess takes a ``submit --wait``
+  and a ``jobs`` over its socket, finishes the job bit-equal to its
+  serial oracle, and exits 0 on SIGINT with a clean ``--json`` summary.
 
 Exits non-zero with a message on the first violation; prints a one-line
 summary on success.  Intended for CI smoke tests — stdlib + repro only.
@@ -33,6 +37,8 @@ summary on success.  Intended for CI smoke tests — stdlib + repro only.
 import io
 import json
 import os
+import signal
+import subprocess
 import sys
 import tempfile
 import time
@@ -136,6 +142,65 @@ def check_events(log_path, job_ids):
     if "preempted" not in preempt_pairs:
         fail("no preemption recorded in the event log")
     return events
+
+
+def check_serve_verb(oracle):
+    """Drive the ``serve`` verb in a subprocess, as a user would."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    ))
+    # AF_UNIX paths are limited to 108 bytes: keep the socket short.
+    tmp = tempfile.mkdtemp(prefix="repro-serve-", dir="/tmp")
+    sock = os.path.join(tmp, "serve.sock")
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro.manager.cli", "serve",
+         "--farm", "f1.2xlarge=2", "--serve-socket", sock, "--json"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        wait_for(lambda: os.path.exists(sock) or server.poll() is not None,
+                 60.0, "the serve verb to open its socket")
+        if server.poll() is not None:
+            fail(f"serve exited {server.returncode} before serving: "
+                 f"{server.stderr.read().strip()}")
+        flags = ["--serve-socket", sock, "--json", "--topology",
+                 STEADY["topology"], "--servers-per-rack",
+                 str(STEADY["servers_per_rack"]), "--workload",
+                 STEADY["workload"], "--duration-ms",
+                 str(STEADY["duration_ms"]), "--ping-count",
+                 str(STEADY["ping_count"])]
+        code, out, err = run_cli(["submit", "--wait"] + flags)
+        if code != 0:
+            fail(f"submit --wait to the serve verb exited {code}: "
+                 f"{err.strip()}")
+        job = json.loads(out)["verbs"]["submit"]["job"]
+        if job["result"]["final_digest"] != oracle["final_digest"]:
+            fail("a job served by the serve verb != its serial oracle")
+        code, out, err = run_cli(["jobs", "--serve-socket", sock, "--json"])
+        if code != 0:
+            fail(f"jobs on the serve verb exited {code}: {err.strip()}")
+        states = [j["state"] for j in json.loads(out)["verbs"]["jobs"]["jobs"]]
+        if states != ["done"]:
+            fail(f"serve verb lists jobs in states {states}")
+        server.send_signal(signal.SIGINT)
+        out, err = server.communicate(timeout=60)
+    finally:
+        if server.poll() is None:
+            server.kill()
+            server.communicate()
+        if os.path.exists(sock):
+            os.unlink(sock)
+        os.rmdir(tmp)
+    if server.returncode != 0:
+        fail(f"serve exited {server.returncode} on SIGINT: {err.strip()}")
+    summary = json.loads(out[out.index("{"):])["verbs"]["serve"]
+    if summary["stats"]["completed"] != 1:
+        fail(f"serve verb completed {summary['stats']['completed']} jobs, "
+             "expected 1")
+    if summary["leaked_segments"] != []:
+        fail(f"serve verb leaked segments: {summary['leaked_segments']}")
 
 
 def main_check():
@@ -273,6 +338,8 @@ def main_check():
             fail(f"no job reused a runner process: started on {runners}")
         stats = server.stats
 
+    check_serve_verb(oracles["steady"])
+
     leaked_procs = child_pids() - pids_before
     if leaked_procs:
         fail(f"leaked child processes: {sorted(leaked_procs)}")
@@ -295,7 +362,7 @@ def main_check():
         f"{stats.preemptions} preemption(s) resumed cycle-exactly, "
         f"{stats.cancelled} cancelled, {len(events)} events, "
         f"{len(runners)} starts on {len(set(runners))} runner(s), "
-        "zero leaked processes/segments)"
+        "serve verb round-tripped, zero leaked processes/segments)"
     )
     return 0
 

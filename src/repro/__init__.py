@@ -21,7 +21,7 @@ the full system:
 * :mod:`repro.core` — tokens, links, FAME-1 models, the orchestrator;
 * :mod:`repro.net` — Ethernet, the switch model, host transports;
 * :mod:`repro.tile` — Rocket Chip SoC timing models (Table I/II);
-* :mod:`repro.nic` / :mod:`repro.blockdev` — the custom peripherals;
+* :mod:`repro.nic` — the custom NIC peripheral;
 * :mod:`repro.swmodel` — kernel/scheduler/netstack + applications;
 * :mod:`repro.pfa` — the Page-Fault Accelerator case study;
 * :mod:`repro.host` — EC2 F1 platform, cost, and performance models;
@@ -49,7 +49,7 @@ class ConfigError(ReproError, ValueError):
 
 
 from repro.core.clock import DEFAULT_CLOCK, TargetClock
-from repro.core.fame import Fame1Model, Fame5Multiplexer
+from repro.core.fame import Fame1Model
 from repro.core.simulation import Simulation
 from repro.core.token import Flit, TokenBatch, TokenWindow
 from repro.core.channel import TokenStarvationError
@@ -94,7 +94,6 @@ __all__ = [
     "DEFAULT_CLOCK",
     "EthernetFrame",
     "Fame1Model",
-    "Fame5Multiplexer",
     "FaultInjector",
     "FaultKind",
     "FaultPlan",

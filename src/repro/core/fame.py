@@ -18,12 +18,6 @@ token-conservation law at the heart of FAME-1:
 
 The orchestrator (:mod:`repro.core.simulation`) refuses to advance a model
 without input tokens, mirroring the stall behaviour of the hardware.
-
-:class:`Fame5Multiplexer` implements the FAME-5 optimization sketched in
-Section VIII: multiple logical models share one physical pipeline
-(host-multithreading), trading simulation performance for capacity.  It is
-functionally transparent — outputs are identical to running the models
-separately — while the host performance model charges for the sharing.
 """
 
 from __future__ import annotations
@@ -61,31 +55,25 @@ class Fame1Model(ABC):
     ) -> Dict[str, TokenBatch]:
         """Advance across ``window``; return the ports' output batches."""
 
-    def idle_outputs(
-        self, window: TokenWindow
-    ) -> "Optional[Dict[str, TokenBatch]]":
-        """Outputs for an all-idle input window, or None to force a tick.
+    def idle_horizon(self) -> Optional[int]:
+        """First cycle at or after ``current_cycle`` this model could act
+        at with no valid input token, or None for never.
 
-        The batched engine (:mod:`repro.perf.engine`) calls this instead
-        of :meth:`_tick` when every input batch in the window carries
-        zero valid tokens — *only* on subclasses that override it.  An
-        override must return what :meth:`_tick` would for all-empty
-        inputs while leaving all model state untouched, or return None
-        when that cannot be guaranteed (e.g. a switch with queued packets
-        still draining); all-empty outputs are best ``{}``.  Models that
-        do work even on quiet windows — server blades run their event
-        queues and generate traffic — must not override this.
-
-        Subclasses that override this may additionally define
-        ``idle_horizon() -> Optional[int]``: the first cycle at or after
-        ``current_cycle`` at which the model could act without receiving
-        a valid token (``None`` meaning never).  The batched engine uses
-        it to fast-forward whole runs of provably idle rounds; returning
-        ``current_cycle`` opts a window out.  It is only consulted
-        immediately after :meth:`idle_outputs` returned a window, so
-        implementations may assume whatever that return established.
+        The batched engine (:mod:`repro.perf.engine`) consults this only
+        on subclasses that override it.  While every input window of a
+        round carries zero valid tokens and the horizon lies at or past
+        the round's end, the engine skips the tick: the model's outputs
+        are empty windows and its state is left untouched, so an
+        override must return a cycle no later than the first at which
+        :meth:`_tick` on all-empty inputs would change state or emit a
+        token.  The engine also fast-forwards a model over whole runs of
+        such rounds, reading the horizon right after each visit.
+        Returning ``current_cycle`` (what this default does) opts the
+        model out: it is ticked every round.  A stock blade returns its
+        next due event, and a switch with queued packets opts out until
+        they drain.
         """
-        return None
+        return self.current_cycle
 
     # -- framework ---------------------------------------------------------
 
@@ -124,48 +112,6 @@ class Fame1Model(ABC):
                 )
 
 
-class Fame5Multiplexer(Fame1Model):
-    """Host-multithreading of several logical models onto one pipeline.
-
-    FAME-5 (paper Section VIII) maps multiple simulated cores onto each
-    physical pipeline on the FPGA, at the cost of simulation performance
-    and reduced physical memory per simulated core.  This wrapper presents
-    the union of its children's ports, prefixed by the child's name, and
-    ticks the children round-robin — deterministically — within each
-    window.  A port a child leaves out of its outputs stays out.
-    """
-
-    def __init__(self, name: str, models: Sequence[Fame1Model]) -> None:
-        if not models:
-            raise ValueError("Fame5Multiplexer needs at least one model")
-        names = [m.name for m in models]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate child model names: {names}")
-        ports = [
-            f"{model.name}.{port}" for model in models for port in model.ports
-        ]
-        super().__init__(name, ports)
-        self.models = list(models)
-
-    @property
-    def multiplexing_factor(self) -> int:
-        """How many logical models share the physical pipeline."""
-        return len(self.models)
-
-    def _tick(
-        self, window: TokenWindow, inputs: Dict[str, TokenBatch]
-    ) -> Dict[str, TokenBatch]:
-        outputs: Dict[str, TokenBatch] = {}
-        for model in self.models:
-            child_inputs = {
-                port: inputs[f"{model.name}.{port}"] for port in model.ports
-            }
-            child_outputs = model.tick(window, child_inputs)
-            for port, batch in child_outputs.items():
-                outputs[f"{model.name}.{port}"] = batch
-        return outputs
-
-
 class NullModel(Fame1Model):
     """A model that sinks all input tokens and emits empty tokens.
 
@@ -178,16 +124,8 @@ class NullModel(Fame1Model):
     ) -> Dict[str, TokenBatch]:
         return {}
 
-    def idle_outputs(
-        self, window: TokenWindow
-    ) -> Optional[Dict[str, TokenBatch]]:
-        """A null sink is stateless: an idle window needs no tick."""
-        if type(self)._tick is not NullModel._tick:
-            return None
-        return {}
-
     def idle_horizon(self) -> Optional[int]:
-        """A null sink never acts spontaneously (see the base docstring)."""
+        """A null sink is stateless: it never acts without input."""
         if type(self)._tick is not NullModel._tick:
             return self.current_cycle
         return None

@@ -230,11 +230,6 @@ def plan_partitions(
     """
     if num_workers < 1:
         raise ConfigError(f"need at least 1 worker, got {num_workers}")
-    if running.config.fame5_blades_per_pipeline != 1:
-        raise ConfigError(
-            "distributed execution requires fame5_blades_per_pipeline == 1; "
-            "FAME-5 multiplexed pipelines cannot span worker processes"
-        )
 
     # Model name -> host string, mirroring the mapper's placement.  The
     # mapper iterates servers in the same deterministic order elaborate()

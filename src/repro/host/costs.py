@@ -59,22 +59,6 @@ def cost_report(instance_counts: Mapping[str, int]) -> CostReport:
     )
 
 
-def simulation_cost(
-    instance_counts: Mapping[str, int],
-    hours: float,
-    pricing: str = "spot",
-) -> float:
-    """Total cost of running a simulation for ``hours``."""
-    if hours < 0:
-        raise ValueError(f"hours must be >= 0, got {hours}")
-    report = cost_report(instance_counts)
-    if pricing == "spot":
-        return report.spot_per_hour * hours
-    if pricing == "on-demand":
-        return report.on_demand_per_hour * hours
-    raise ValueError(f"unknown pricing model {pricing!r}")
-
-
 def pricing_for_job(preemptible: bool) -> str:
     """The cheapest pricing model a job's eviction tolerance allows.
 

@@ -13,9 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-#: Xilinx Virtex UltraScale+ VU9P logic capacity.
-VU9P_LUTS = 1_181_768
-
 #: Fractions measured in Section III-A5.
 SHELL_AND_SUPPORT_FRACTION = 0.182  # shell + DRAM model + endpoints
 BLADE_RTL_FRACTION = 0.144  # one server blade's RTL
@@ -40,10 +37,6 @@ class FPGAConfig:
             )
 
     @property
-    def is_supernode(self) -> bool:
-        return self.blades_per_fpga > 1
-
-    @property
     def blade_lut_fraction(self) -> float:
         """LUT fraction consumed by server-blade RTL alone."""
         return BLADE_RTL_FRACTION * self.blades_per_fpga
@@ -52,10 +45,6 @@ class FPGAConfig:
     def total_lut_fraction(self) -> float:
         """Total FPGA LUT utilization including shell and support logic."""
         return SHELL_AND_SUPPORT_FRACTION + self.blade_lut_fraction
-
-    @property
-    def luts_used(self) -> int:
-        return round(self.total_lut_fraction * VU9P_LUTS)
 
     @property
     def dram_channels_used(self) -> int:

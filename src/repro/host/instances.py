@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Mapping
 
+from repro import ConfigError
+
 
 @dataclass(frozen=True)
 class InstanceType:
@@ -91,7 +93,7 @@ def instance_type(name: str) -> InstanceType:
     try:
         return INSTANCE_TYPES[name]
     except KeyError:
-        raise ValueError(
+        raise ConfigError(
             f"unknown instance type {name!r}; known: {sorted(INSTANCE_TYPES)}"
         ) from None
 
@@ -115,6 +117,6 @@ def fpga_slot_capacity(
     fpgas = 0
     for name, count in instance_counts.items():
         if count < 0:
-            raise ValueError(f"negative count for {name}")
+            raise ConfigError(f"negative count for {name}")
         fpgas += instance_type(name).fpgas * count
     return fpgas * blades_per_fpga

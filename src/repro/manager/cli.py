@@ -354,8 +354,11 @@ def _parse_farm(spec: str) -> Dict[str, int]:
         if not part:
             continue
         name, _, count = part.partition("=")
+        name = name.strip()
+        if name in counts:
+            raise ConfigError(f"--farm names {name!r} twice")
         try:
-            counts[name.strip()] = int(count)
+            counts[name] = int(count)
         except ValueError:
             raise ConfigError(
                 f"bad --farm entry {part!r}; expected TYPE=N"

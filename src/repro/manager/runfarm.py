@@ -23,7 +23,6 @@ from typing import Dict, Optional
 
 from repro import ConfigError
 from repro.core.clock import TargetClock
-from repro.core.fame import Fame5Multiplexer
 from repro.core.simulation import ENGINES, Simulation
 from repro.manager.topology import ServerNode, SwitchNode, validate_topology
 from repro.net.ethernet import mac_address
@@ -56,11 +55,6 @@ class RunFarmConfig:
     freq_hz: float = 3.2e9
     net_costs: Optional[NetStackCosts] = None
     sched_config: Optional[SchedulerConfig] = None
-    #: FAME-5 host-multithreading (Section VIII): map this many simulated
-    #: blades onto each physical pipeline.  Functionally transparent —
-    #: outputs are cycle-identical to 1 — while modeling the supernode/
-    #: FAME-5 capacity option.
-    fame5_blades_per_pipeline: int = 1
     #: Round-loop implementation: "scalar" (the reference oracle) or
     #: "batched" (:mod:`repro.perf` — bit-identical, faster on the
     #: host).  Living here means checkpoint-restore re-elaborations
@@ -75,8 +69,6 @@ class RunFarmConfig:
             and self.server_link_latency_cycles < 1
         ):
             raise ConfigError("server link latency must be >= 1 cycle")
-        if self.fame5_blades_per_pipeline < 1:
-            raise ConfigError("FAME-5 multiplexing factor must be >= 1")
         if self.engine not in ENGINES:
             raise ConfigError(
                 f"unknown engine {self.engine!r}; expected one of {ENGINES}"
@@ -161,22 +153,8 @@ def elaborate(
         )
         blades[index] = blade
 
-    # Register blades with the orchestrator: directly, or grouped onto
-    # FAME-5 multiplexed pipelines (functionally transparent).
-    group = config.fame5_blades_per_pipeline
-    net_port_of: Dict[int, tuple] = {}
-    if group == 1:
-        for index, blade in blades.items():
-            simulation.add_model(blade)
-            net_port_of[index] = (blade, "net")
-    else:
-        indices = sorted(blades)
-        for start in range(0, len(indices), group):
-            members = [blades[i] for i in indices[start : start + group]]
-            mux = Fame5Multiplexer(f"fame5-{start // group}", members)
-            simulation.add_model(mux)
-            for member_index, member in zip(indices[start : start + group], members):
-                net_port_of[member_index] = (mux, f"{member.name}.net")
+    for blade in blades.values():
+        simulation.add_model(blade)
 
     # Build switches with static MAC tables from the topology.
     switches: Dict[int, SwitchModel] = {}
@@ -214,10 +192,9 @@ def elaborate(
         model = switches[switch.switch_id]
         for port, child in enumerate(switch.downlinks):
             if isinstance(child, ServerNode):
-                owner, port_name = net_port_of[child.node_index]
                 simulation.connect(
-                    owner,
-                    port_name,
+                    blades[child.node_index],
+                    "net",
                     model,
                     f"port{port}",
                     server_latency,

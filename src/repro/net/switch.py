@@ -167,7 +167,7 @@ class SwitchModel(Fame1Model):
         return (
             self._idle_safe
             and cls.route is SwitchModel.route
-            and cls.idle_outputs is SwitchModel.idle_outputs
+            and cls.idle_horizon is SwitchModel.idle_horizon
         )
 
     def enable_bandwidth_probe(self) -> None:
@@ -195,10 +195,8 @@ class SwitchModel(Fame1Model):
         self._switching_step(arrivals)
         return self._egress(window)
 
-    def idle_outputs(
-        self, window: TokenWindow
-    ) -> Optional[Dict[str, TokenBatch]]:
-        """No outputs (all windows empty) when nothing is buffered.
+    def idle_horizon(self) -> Optional[int]:
+        """A drained switch only acts on arrival: no spontaneous wake.
 
         With zero valid input tokens and every output queue empty, a
         stock switch tick is a no-op: ingress assembles nothing,
@@ -206,15 +204,6 @@ class SwitchModel(Fame1Model):
         are only advanced while emitting).  Queued packets — including
         window straddlers — force the full tick so congestion and drop
         modelling stay cycle-exact.
-        """
-        if not self._idle_safe or any(self._out_rows):
-            return None
-        return {}
-
-    def idle_horizon(self) -> Optional[int]:
-        """A drained switch only acts on arrival: no spontaneous wake.
-
-        (See :meth:`Fame1Model.idle_outputs` for the protocol.)
         """
         if not self._idle_safe or any(self._out_rows):
             return self.current_cycle

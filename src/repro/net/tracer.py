@@ -2,14 +2,11 @@
 
 FireSim users "collect performance data that is cycle-exact"; beyond the
 application-level measurements, the platform exposes link-level
-visibility.  This module provides two composable probes:
-
-* :class:`LinkTracer` — a FAME-1 pass-through model spliced into a link
-  that records every packet crossing it with cycle-exact first/last-flit
-  timestamps (a pcap with cycle timestamps);
-* :class:`LatencyProbe` — matches packets seen at two tracers (by frame
-  identity) and reports per-packet one-way latencies, e.g. NIC-to-NIC
-  across an arbitrary switch fabric.
+visibility: a :class:`LinkTracer` is a FAME-1 pass-through model
+spliced into a link that records every packet crossing it with
+cycle-exact first/last-flit timestamps (a pcap with cycle timestamps).
+Two tracers' records, matched by frame id, give per-packet one-way
+latencies across any switch fabric.
 
 A tracer adds **zero target-time distortion**: the two links replacing
 the original must carry half its latency each, keeping end-to-end cycle
@@ -90,19 +87,19 @@ class LinkTracer(Fame1Model):
             "a": self._forward(window, inputs["b"], "b", "b_to_a"),
         }
 
-    def idle_outputs(self, window):
-        """Pass-through of an all-idle window records nothing.
+    def idle_horizon(self) -> Optional[int]:
+        """A tracer never acts without input.
 
-        Forwarding two empty batches touches neither the packet log nor
-        the partial-packet state, so the batched engine may skip the
-        tick; subclasses with custom forwarding always tick.
+        Forwarding two empty windows touches neither the packet log nor
+        the partial-packet state, so quiet rounds need no tick;
+        subclasses with custom forwarding tick every round.
         """
         if (
             type(self)._tick is not LinkTracer._tick
             or type(self)._forward is not LinkTracer._forward
         ):
-            return None
-        return {}
+            return self.current_cycle
+        return None
 
     def packets(self, direction: Optional[str] = None) -> List[PacketRecord]:
         if direction is None:
@@ -136,25 +133,3 @@ def splice_tracer(
     sim.connect(model_a, port_a, tracer, "a", half)
     sim.connect(tracer, "b", model_b, port_b, half)
     return tracer
-
-
-class LatencyProbe:
-    """One-way latency between two tracers (matched by frame id)."""
-
-    def __init__(self, ingress: LinkTracer, egress: LinkTracer) -> None:
-        self.ingress = ingress
-        self.egress = egress
-
-    def latencies(
-        self, ingress_direction: str = "a_to_b", egress_direction: str = "a_to_b"
-    ) -> List[int]:
-        """Last-flit-to-last-flit latency per packet seen at both points."""
-        sent = {
-            r.frame_id: r.last_flit_cycle
-            for r in self.ingress.packets(ingress_direction)
-        }
-        out = []
-        for record in self.egress.packets(egress_direction):
-            if record.frame_id in sent:
-                out.append(record.last_flit_cycle - sent[record.frame_id])
-        return out

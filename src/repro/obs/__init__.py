@@ -6,10 +6,10 @@ and link utilization, and per-blade activity counters (Sections
 III-B2/V).  This package is the reproduction's single place to
 collect all of that:
 
-* :mod:`repro.obs.metrics` — a registry of counters/gauges/histograms
+* :mod:`repro.obs.metrics` — a registry of gauges and stats sources
   with hierarchical dotted names (``sim.rounds``,
   ``switch.tor.packets_dropped``, ``blade.node0.l2.misses``),
-  snapshot/delta reads, and JSON + CSV export.  Existing stats
+  snapshot reads, and JSON + CSV export.  Existing stats
   dataclasses register themselves as *sources* without changing their
   public APIs.
 * :mod:`repro.obs.trace` — a process-wide :class:`TraceSink` emitting
@@ -37,12 +37,7 @@ layer may depend on it.
 """
 
 from repro.obs.export import dump_telemetry
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
+from repro.obs.metrics import Gauge, MetricsRegistry
 from repro.obs.prof import (
     PHASES,
     PROFILE_SCHEMA,
@@ -70,9 +65,7 @@ __all__ = [
     "WORKER_PID_BASE",
     "ChromeTraceSink",
     "ClockSync",
-    "Counter",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "NullTraceSink",
     "PhaseRecorder",

@@ -1,4 +1,4 @@
-"""Metrics registry: hierarchical counters, gauges, and histograms.
+"""Metrics registry: hierarchical gauges and adopted stats sources.
 
 The registry is the reproduction's single namespace for numeric
 telemetry.  Names are dotted paths mirroring the system hierarchy::
@@ -10,25 +10,24 @@ telemetry.  Names are dotted paths mirroring the system hierarchy::
 
 Two registration styles coexist:
 
-* **owned instruments** — :meth:`MetricsRegistry.counter` /
-  :meth:`gauge` / :meth:`histogram` create objects the caller mutates;
+* **gauges** — :meth:`MetricsRegistry.gauge` creates a value the caller
+  sets or a callback reads;
 * **sources** — :meth:`MetricsRegistry.register_source` adopts an
   existing stats object (any dataclass or plain object with numeric
   attributes).  Its fields are read reflectively at snapshot time, so
   the owning subsystem keeps its public dataclass API and pays zero
   cost per event.
 
-Snapshots are flat ``{name: value}`` dicts; :meth:`delta` subtracts two
-snapshots for windowed rates; :meth:`to_json` / :meth:`to_csv` export
-machine-readable artifacts (the gem5-standardization argument: stats you
-can diff and script against, not free-form logs).
+Snapshots are flat ``{name: value}`` dicts; :meth:`to_json` /
+:meth:`to_csv` export machine-readable artifacts (the
+gem5-standardization argument: stats you can diff and script against,
+not free-form logs).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from bisect import insort
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 Number = float
@@ -41,21 +40,6 @@ def _validate_name(name: str) -> str:
     if not name or name.startswith(".") or name.endswith(".") or ".." in name:
         raise ValueError(f"bad metric name {name!r}")
     return name
-
-
-class Counter:
-    """A monotonically increasing count."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {self.name} cannot decrease")
-        self.value += amount
 
 
 class Gauge:
@@ -78,59 +62,6 @@ class Gauge:
     @property
     def value(self) -> Number:
         return self._fn() if self._fn is not None else self._value
-
-
-class Histogram:
-    """A streaming distribution: count/sum/min/max plus percentiles.
-
-    Keeps every observation (simulations are finite and host-side), so
-    percentiles are exact rather than bucketed approximations.
-    """
-
-    __slots__ = ("name", "_sorted")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._sorted: List[Number] = []
-
-    def observe(self, value: Number) -> None:
-        insort(self._sorted, value)
-
-    @property
-    def count(self) -> int:
-        return len(self._sorted)
-
-    @property
-    def total(self) -> Number:
-        return sum(self._sorted)
-
-    @property
-    def mean(self) -> Number:
-        return self.total / self.count if self._sorted else 0.0
-
-    def percentile(self, p: float) -> Number:
-        """Exact percentile by nearest-rank; 0 with no observations."""
-        if not 0.0 <= p <= 100.0:
-            raise ValueError(f"percentile must be in [0, 100], got {p}")
-        if not self._sorted:
-            return 0.0
-        rank = max(0, min(len(self._sorted) - 1,
-                          round(p / 100.0 * (len(self._sorted) - 1))))
-        return self._sorted[rank]
-
-    def summary(self) -> Dict[str, Number]:
-        if not self._sorted:
-            return {"count": 0, "sum": 0.0, "min": 0.0, "max": 0.0,
-                    "mean": 0.0, "p50": 0.0, "p99": 0.0}
-        return {
-            "count": self.count,
-            "sum": self.total,
-            "min": self._sorted[0],
-            "max": self._sorted[-1],
-            "mean": self.mean,
-            "p50": self.percentile(50),
-            "p99": self.percentile(99),
-        }
 
 
 def _numeric_attrs(obj: Any) -> List[str]:
@@ -163,40 +94,22 @@ class MetricsRegistry:
     """The process's metric namespace."""
 
     def __init__(self) -> None:
-        self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
-        self._histograms: Dict[str, Histogram] = {}
         #: prefix -> stats object read reflectively at snapshot time.
         self._sources: List[Tuple[str, Any]] = []
 
-    # -- owned instruments ---------------------------------------------
-
-    def _claim(self, name: str) -> str:
-        _validate_name(name)
-        if (name in self._counters or name in self._gauges
-                or name in self._histograms):
-            raise ValueError(f"metric {name!r} already registered")
-        return name
-
-    def counter(self, name: str) -> Counter:
-        if name in self._counters:
-            return self._counters[name]
-        self._counters[self._claim(name)] = counter = Counter(name)
-        return counter
+    # -- gauges --------------------------------------------------------
 
     def gauge(
         self, name: str, fn: Optional[Callable[[], Number]] = None
     ) -> Gauge:
         if name in self._gauges and fn is None:
             return self._gauges[name]
-        self._gauges[self._claim(name)] = gauge = Gauge(name, fn)
+        _validate_name(name)
+        if name in self._gauges:
+            raise ValueError(f"metric {name!r} already registered")
+        self._gauges[name] = gauge = Gauge(name, fn)
         return gauge
-
-    def histogram(self, name: str) -> Histogram:
-        if name in self._histograms:
-            return self._histograms[name]
-        self._histograms[self._claim(name)] = histogram = Histogram(name)
-        return histogram
 
     # -- adopted sources -----------------------------------------------
 
@@ -223,27 +136,12 @@ class MetricsRegistry:
     def snapshot(self) -> Dict[str, Number]:
         """One flat, sorted ``{name: value}`` view of everything."""
         out: Dict[str, Number] = {}
-        for name, counter in self._counters.items():
-            out[name] = counter.value
         for name, gauge in self._gauges.items():
             out[name] = gauge.value
-        for name, histogram in self._histograms.items():
-            for key, value in histogram.summary().items():
-                out[f"{name}.{key}"] = value
         for prefix, stats in self._sources:
             for attr in _numeric_attrs(stats):
                 out[f"{prefix}.{attr}"] = getattr(stats, attr)
         return dict(sorted(out.items()))
-
-    @staticmethod
-    def delta(
-        before: Dict[str, Number], after: Dict[str, Number]
-    ) -> Dict[str, Number]:
-        """``after - before`` for every name present in ``after``."""
-        return {
-            name: value - before.get(name, 0)
-            for name, value in after.items()
-        }
 
     # -- export ----------------------------------------------------------
 

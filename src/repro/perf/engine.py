@@ -22,10 +22,11 @@ host cost changes.  Six overheads are eliminated:
   input windows that exist; only a custom model still gets a batch on
   every input port.
 * **Idle model ticks.**  A model whose every input window carries zero
-  valid tokens and whose ``idle_horizon()`` lies beyond the window
-  (switches with empty queues, null sinks, server blades with no queued
-  transmits and no event due) skips its tick; models without a horizon
-  are asked for :meth:`~repro.core.fame.Fame1Model.idle_outputs`.
+  valid tokens and whose
+  :meth:`~repro.core.fame.Fame1Model.idle_horizon` lies beyond the
+  window (switches with empty queues, null sinks, tracers, server
+  blades with no queued transmits and no event due) skips its tick.
+  A model whose class does not override the horizon ticks every round.
 * **Visits to models with nothing to do (the active set).**  Each slot
   has a wake cycle: the earlier of its ``idle_horizon()``, read right
   after its last visit, and the round in which a window carrying valid
@@ -101,15 +102,13 @@ class _Slot:
     """One model's precompiled tick plan: ports bound to endpoints."""
 
     __slots__ = (
-        "model", "tick", "idle", "horizon", "in_ports", "out_ports",
-        "name", "raw",
+        "model", "tick", "horizon", "in_ports", "out_ports", "name", "raw",
     )
 
     def __init__(
         self,
         model: Fame1Model,
         tick: Callable[..., Any],
-        idle: Optional[Callable[[TokenWindow], Optional[Dict[str, Any]]]],
         horizon: Optional[Callable[[], Optional[int]]],
         in_ports: List[Tuple[str, Any]],
         out_ports: List[_OutPort],
@@ -117,9 +116,9 @@ class _Slot:
     ) -> None:
         self.model = model
         self.tick = tick
-        self.idle = idle
-        # Set only beside ``idle``: the model may then be skipped while
-        # its inputs are empty and the horizon lies beyond the window.
+        # Set only when the class overrides ``idle_horizon``: the model
+        # may then be skipped while its inputs are empty and the horizon
+        # lies beyond the window.
         self.horizon = horizon
         # A raw slot — a stock switch or a stock blade — may receive
         # inputs in any wire representation (ColumnarBatch, TokenStream
@@ -197,13 +196,10 @@ def compile_slots(
         elif raw:
             # A stock blade's ``_tick`` takes ``rows`` (ServerBlade).
             tick = partial(tick, rows=True)
-        idle = horizon = None
-        if type(model).idle_outputs is not Fame1Model.idle_outputs:
-            idle = model.idle_outputs
-            horizon = getattr(model, "idle_horizon", None)
-        slots.append(
-            _Slot(model, tick, idle, horizon, in_ports, out_ports, raw)
-        )
+        horizon = None
+        if type(model).idle_horizon is not Fame1Model.idle_horizon:
+            horizon = model.idle_horizon
+        slots.append(_Slot(model, tick, horizon, in_ports, out_ports, raw))
     return slots, ends
 
 
@@ -415,23 +411,17 @@ def run_rounds(
                     ) from exc
                 if timed or trace_ticks:
                     tick_start = perf_counter()
-                outputs = None
                 idled = False
-                if not busy and slot.idle is not None:
-                    horizon = slot.horizon
-                    if horizon is None:
-                        outputs = slot.idle(window)
-                    else:
-                        due = horizon()
-                        if due is None or due >= end:
-                            # The horizon pre-authorizes the idle window
-                            # (same condition idle_outputs checks), so
-                            # the just-popped input windows — empty or
-                            # absent, garbage otherwise — become the
-                            # outputs: observably identical empty quanta.
-                            outputs = inputs
-                            idled = True
-                if outputs is None:
+                if not busy and slot.horizon is not None:
+                    due = slot.horizon()
+                    if due is None or due >= end:
+                        # The horizon authorizes the idle window, so the
+                        # just-popped input windows — empty or absent,
+                        # garbage otherwise — become the outputs:
+                        # observably identical empty quanta.
+                        outputs = inputs
+                        idled = True
+                if not idled:
                     outputs = slot.tick(window, inputs)
                 model.current_cycle = end
                 if timed:

@@ -59,9 +59,6 @@ class ServeFarm:
     def free(self) -> int:
         return self.capacity - self.used
 
-    def fits(self, slots: int) -> bool:
-        return slots <= self.free
-
     def allocate(self, job_id: int, slots: int) -> None:
         if slots < 1:
             raise FarmError(f"job {job_id} requested {slots} slots")
@@ -77,9 +74,6 @@ class ServeFarm:
     def release(self, job_id: int) -> int:
         """Return a job's slots to the pool; 0 if it held none."""
         return self._allocations.pop(job_id, 0)
-
-    def holds(self, job_id: int) -> bool:
-        return job_id in self._allocations
 
     def job_cost(self, slots: int, hours: float,
                  preemptible: bool) -> Dict[str, Any]:

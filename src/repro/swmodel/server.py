@@ -1,8 +1,8 @@
 """Server blade: the FAME-1 simulation endpoint for one target server.
 
-A blade bundles the elaborated SoC (cores/caches/DRAM), the NIC, the
-block device, and the kernel model, and exposes a single FAME-1 ``net``
-port carrying one token per target cycle (Section III-A: the "FAME-1
+A blade bundles the elaborated SoC (cores/caches/DRAM), the NIC and the
+kernel model, and exposes a single FAME-1 ``net`` port carrying one
+token per target cycle (Section III-A: the "FAME-1
 Rocket Chip" box of Figure 2 plus its NIC simulation endpoint).
 
 Per token window the blade:
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional, Union
 
-from repro.blockdev.controller import BlockDeviceConfig, BlockDeviceController
 from repro.core.events import EventQueue
 from repro.core.fame import Fame1Model
 from repro.core.token import TokenBatch, TokenWindow
@@ -34,7 +33,7 @@ from repro.tile.uart import UART, UARTConfig
 
 
 class ServerBlade(Fame1Model):
-    """One simulated server: SoC + NIC + block device + booted kernel."""
+    """One simulated server: SoC + NIC + booted kernel."""
 
     def __init__(
         self,
@@ -45,7 +44,6 @@ class ServerBlade(Fame1Model):
         nic_config: Optional[NICConfig] = None,
         net_costs: Optional[NetStackCosts] = None,
         sched_config: Optional[SchedulerConfig] = None,
-        blockdev_config: Optional[BlockDeviceConfig] = None,
         seed: int = 0,
     ) -> None:
         super().__init__(name, ["net"])
@@ -58,9 +56,6 @@ class ServerBlade(Fame1Model):
         self.events = EventQueue()
         self.nic = NIC(f"{name}.nic", self.soc.dma_hierarchy, nic_config)
         self.uart = UART(f"{name}.uart", UARTConfig(freq_hz=config.freq_hz))
-        self.blockdev = BlockDeviceController(
-            f"{name}.blkdev", self.soc.dma_hierarchy, blockdev_config
-        )
         self.kernel = Kernel(
             mac=self.mac,
             num_cores=config.num_cores,
@@ -154,30 +149,15 @@ class ServerBlade(Fame1Model):
         """
         return self._idle_safe
 
-    def idle_outputs(
-        self, window: TokenWindow
-    ) -> Optional[Dict[str, TokenBatch]]:
-        """No output (an empty window) when the window runs no work.
-
-        Quiet blades dominate wall-clock once traffic dies down (the
-        Figure 8 runs spend most cycles post-benchmark); a blade whose
-        event queue has nothing due before ``window.end`` and whose NIC
-        has nothing queued to send skips the tick entirely.
-        """
-        if not self._idle_safe or self.nic._tx_queue:
-            return None
-        next_cycle = self.events.next_cycle()
-        if next_cycle is not None and next_cycle < window.end:
-            return None
-        return {}
-
     def idle_horizon(self) -> Optional[int]:
         """First cycle this blade acts without input: its next event.
 
-        Nothing else can wake a quiet blade — receives need valid
-        tokens, transmits need a prior event or receive — so the event
-        queue's head bounds how far the batched engine may fast-forward
-        (see :meth:`Fame1Model.idle_outputs`).
+        Quiet blades dominate wall-clock once traffic dies down (the
+        Figure 8 runs spend most cycles post-benchmark).  Nothing else
+        can wake a quiet blade — receives need valid tokens, transmits
+        need a prior event or receive — so the event queue's head
+        bounds how far the batched engine may fast-forward (see
+        :meth:`Fame1Model.idle_horizon`).
         """
         if not self._idle_safe or self.nic._tx_queue:
             return self.current_cycle

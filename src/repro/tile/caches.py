@@ -226,7 +226,7 @@ class MemoryHierarchy:
         return (completion - cycle) if completion > cycle else latency
 
     def dma_access(self, cycle: int, addr: int, size: int, is_write: bool) -> int:
-        """NIC/blockdev DMA through the shared L2 (Section III-A2).
+        """NIC DMA through the shared L2 (Section III-A2).
 
         Returns the completion cycle.  DMA bypasses the L1s, and — because
         the NIC reader issues reads ahead and the reservation buffer

@@ -2,10 +2,10 @@
 
 A blade is generated from a :class:`RocketChipConfig` — the reproduction
 of the paper's Rocket Chip generator usage: 1–4 Rocket cores at 3.2 GHz,
-16 KiB L1I/L1D, 256 KiB shared L2, 16 GiB DDR3 (timing model), a 200
-Gbit/s NIC and a block device, plus optional RoCC accelerators
-(Tables I and II).  ``build()`` elaborates the timing structures shared by
-the cores, the NIC and the block device.
+16 KiB L1I/L1D, 256 KiB shared L2, 16 GiB DDR3 (timing model) and a 200
+Gbit/s NIC, plus optional RoCC accelerators (Tables I and II).
+``build()`` elaborates the timing structures shared by the cores and the
+NIC.
 """
 
 from __future__ import annotations
@@ -44,9 +44,6 @@ class RocketChipConfig:
 
     name: str = "QuadCore"
     num_cores: int = 4
-    #: "rocket" (in-order, Table I) or "boom" (out-of-order, Section
-    #: VIII — one line of configuration change to integrate).
-    core_type: str = "rocket"
     freq_hz: float = 3.2e9
     l1i: CacheConfig = field(default_factory=lambda: L1I_CONFIG)
     l1d: CacheConfig = field(default_factory=lambda: L1D_CONFIG)
@@ -60,15 +57,6 @@ class RocketChipConfig:
             raise ValueError(
                 f"Rocket Chip blades carry 1 to 4 cores, got {self.num_cores}"
             )
-        if self.core_type not in ("rocket", "boom"):
-            raise ValueError(
-                f"unknown core type {self.core_type!r}; "
-                "choose 'rocket' or 'boom'"
-            )
-        if self.core_type == "boom" and self.num_cores > 1:
-            # One BOOM consumes roughly the resources of a quad-core
-            # Rocket blade (Section VIII): a single core per blade.
-            raise ValueError("BOOM blades carry a single core")
         if self.freq_hz <= 0:
             raise ValueError("target frequency must be positive")
         for accel in self.accelerators:
@@ -100,18 +88,12 @@ class SoC:
         for core_id in range(config.num_cores):
             l1d = CacheModel(f"l1d{core_id}", config.l1d)
             hierarchy = MemoryHierarchy(l1d, self.l2, self.dram)
-            if config.core_type == "boom":
-                from repro.tile.boom import BoomCore
-
-                core = BoomCore(core_id, hierarchy, seed=seed)
-            else:
-                core = RocketCore(core_id, hierarchy, seed=seed)
-            self.cores.append(core)
+            self.cores.append(RocketCore(core_id, hierarchy, seed=seed))
             self.l1ds.append(l1d)
         self.accelerators: Dict[str, RoCCAccelerator] = {
             name: build_accelerator(name) for name in config.accelerators
         }
-        # The NIC and block device DMA through the shared L2 on TileLink
+        # The NIC DMAs through the shared L2 on TileLink
         # (Section III-A2); they use this hierarchy view (no L1).
         self.dma_hierarchy = MemoryHierarchy(
             CacheModel("dma-l1-bypass", CacheConfig(64 * 4, 1, 0)),
@@ -144,11 +126,6 @@ NAMED_CONFIGS: Dict[str, RocketChipConfig] = {
     ),
     "QuadCorePFA": RocketChipConfig(
         name="QuadCorePFA", num_cores=4, accelerators=("pfa",)
-    ),
-    # Section VIII: BOOM integration is one configuration line; one BOOM
-    # core consumes roughly a quad-Rocket blade's FPGA resources.
-    "SingleBOOM": RocketChipConfig(
-        name="SingleBOOM", num_cores=1, core_type="boom"
     ),
 }
 

@@ -1,7 +1,7 @@
 """TileLink-style on-chip interconnect occupancy model.
 
-The Rocket Chip SoC connects cores, the NIC, and the block device to the
-shared L2 over the TileLink2 interconnect (Section III-A2).  For timing
+The Rocket Chip SoC connects the cores and the NIC to the shared L2 over
+the TileLink2 interconnect (Section III-A2).  For timing
 purposes what matters is arbitration and beat occupancy: the data path is
 64 bits wide, so a burst of ``n`` bytes occupies ``ceil(n/8)`` beats, and
 concurrent masters serialize on the shared bus.

@@ -111,6 +111,33 @@ class TestLifecycle:
         assert "cannot read fault plan" in err
 
 
+class TestServeFarmFlag:
+    """A bad ``--farm`` is one error line, before any server starts."""
+
+    @pytest.mark.parametrize("farm, message", [
+        ("bogus=1", "unknown instance type 'bogus'"),
+        ("f1.2xlarge=-1", "negative count for f1.2xlarge"),
+        ("f1.2xlarge=1,f1.2xlarge=2", "names 'f1.2xlarge' twice"),
+        ("f1.2xlarge=two", "expected TYPE=N"),
+    ])
+    def test_bad_farm_exits_with_one_line(self, farm, message, tmp_path,
+                                          monkeypatch):
+        from repro.serve.server import JobServer
+
+        def refuse(self):
+            raise AssertionError("a server started on a bad --farm")
+
+        monkeypatch.setattr(JobServer, "start", refuse)
+        code, out, err = run_cli_err([
+            "serve", "--farm", farm,
+            "--serve-socket", str(tmp_path / "serve.sock"),
+        ])
+        assert code == 1
+        assert err.startswith("firesim: error: ") and message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert out == ""
+
+
 FULL_VERBS = ["buildafi", "launchrunfarm", "infrasetup", "runworkload"]
 FULL_OPTS = [
     "--topology", "single_rack", "--servers-per-rack", "2",

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.host.costs import cost_report, simulation_cost
+from repro.host.costs import cost_report
 from repro.host.fpga import (
     FPGAConfig,
     STANDARD_FPGA,
@@ -64,13 +64,6 @@ class TestCosts:
         assert report.on_demand_per_hour == pytest.approx(438.40)
         assert report.total_fpgas == 256
         assert report.fpga_retail_value == pytest.approx(12.8e6)
-
-    def test_simulation_cost(self):
-        counts = {"f1.2xlarge": 2}
-        assert simulation_cost(counts, 10, "on-demand") == pytest.approx(33.0)
-        assert simulation_cost(counts, 10, "spot") == pytest.approx(11.0)
-        with pytest.raises(ValueError):
-            simulation_cost(counts, 1, "reserved")
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):

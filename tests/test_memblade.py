@@ -33,17 +33,6 @@ class TestMemoryBlade:
         assert arrivals and arrivals[0][1] == 42
         assert stats.gets == 1
 
-    def test_put_page_acknowledged(self):
-        sim, compute, memblade = point_to_point()
-        stats = attach_memory_blade_server(memblade)
-        client = MemoryBladeClient(compute, memblade.mac)
-        acks = []
-        client.put_page(0, page=7, generation=3, on_done=lambda cy, p: acks.append(p))
-        sim.run_seconds(0.0005)
-        assert acks == [7]
-        assert stats.puts == 1
-        assert stats.pages_stored == 1
-
     def test_measured_fetch_latency_matches_analytic_model(self):
         """The closed form the Figure 11 sweep pages with must agree with
         the token-exact network within NIC-pipeline tolerance."""

@@ -6,30 +6,13 @@ import pytest
 
 from repro.core.simulation import SimulationStats
 from repro.net.switch import SwitchStats
-from repro.obs.metrics import (
-    METRICS_SCHEMA,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
+from repro.obs.metrics import METRICS_SCHEMA, Gauge, MetricsRegistry
 
 
 class TestInstruments:
-    def test_counter_increments(self):
+    def test_gauge_lookup_is_idempotent(self):
         registry = MetricsRegistry()
-        counter = registry.counter("sim.rounds")
-        counter.inc()
-        counter.inc(4)
-        assert registry.snapshot()["sim.rounds"] == 5
-
-    def test_counter_rejects_decrease(self):
-        with pytest.raises(ValueError):
-            Counter("x").inc(-1)
-
-    def test_counter_lookup_is_idempotent(self):
-        registry = MetricsRegistry()
-        assert registry.counter("a.b") is registry.counter("a.b")
+        assert registry.gauge("a.b") is registry.gauge("a.b")
 
     def test_gauge_set_and_callback(self):
         registry = MetricsRegistry()
@@ -47,32 +30,18 @@ class TestInstruments:
         with pytest.raises(ValueError):
             gauge.set(2.0)
 
-    def test_histogram_summary_and_percentiles(self):
-        histogram = Histogram("h")
-        for value in [5, 1, 3, 2, 4]:
-            histogram.observe(value)
-        summary = histogram.summary()
-        assert summary["count"] == 5
-        assert summary["min"] == 1
-        assert summary["max"] == 5
-        assert summary["mean"] == 3
-        assert histogram.percentile(50) == 3
-
-    def test_empty_histogram_summary_is_zeroes(self):
-        assert Histogram("h").summary()["count"] == 0
-        assert Histogram("h").percentile(99) == 0.0
-
     def test_duplicate_name_across_kinds_rejected(self):
+        """A name a set gauge holds cannot go to a callback gauge."""
         registry = MetricsRegistry()
-        registry.counter("x.y")
+        registry.gauge("x.y")
         with pytest.raises(ValueError):
-            registry.gauge("x.y")
+            registry.gauge("x.y", lambda: 1.0)
 
     def test_bad_names_rejected(self):
         registry = MetricsRegistry()
         for bad in ("", ".a", "a.", "a..b"):
             with pytest.raises(ValueError):
-                registry.counter(bad)
+                registry.gauge(bad)
 
 
 class TestSources:
@@ -113,24 +82,15 @@ class TestSources:
 
 
 class TestReadsAndExport:
-    def test_delta_subtracts_snapshots(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("sim.rounds")
-        counter.inc(5)
-        before = registry.snapshot()
-        counter.inc(7)
-        delta = MetricsRegistry.delta(before, registry.snapshot())
-        assert delta["sim.rounds"] == 7
-
     def test_snapshot_is_sorted(self):
         registry = MetricsRegistry()
-        registry.counter("z.last")
-        registry.counter("a.first")
+        registry.gauge("z.last")
+        registry.gauge("a.first")
         assert list(registry.snapshot()) == ["a.first", "z.last"]
 
     def test_json_export_schema(self):
         registry = MetricsRegistry()
-        registry.counter("sim.rounds").inc(2)
+        registry.gauge("sim.rounds").set(2)
         document = json.loads(registry.to_json(extra={"note": "hi"}))
         assert document["schema"] == METRICS_SCHEMA
         assert document["metrics"]["sim.rounds"] == 2
@@ -138,7 +98,7 @@ class TestReadsAndExport:
 
     def test_csv_export(self):
         registry = MetricsRegistry()
-        registry.counter("sim.rounds").inc(2)
+        registry.gauge("sim.rounds").set(2)
         lines = registry.to_csv().strip().splitlines()
         assert lines[0] == "name,value"
         assert "sim.rounds,2" in lines

@@ -12,6 +12,7 @@ import dataclasses
 import inspect
 import io
 import json
+import multiprocessing
 import os
 import pickle
 import sys
@@ -731,7 +732,10 @@ class TestStockPhaseGuards:
 
         assert self.make_switch()._idle_safe
         assert not self.make_switch(CountingSwitch)._idle_safe
-        assert self.make_switch(CountingSwitch).idle_outputs(None) is None
+        # A custom tick opts out of idle skipping: it may act any cycle.
+        counting = self.make_switch(CountingSwitch)
+        assert counting.idle_horizon() == counting.current_cycle
+        assert self.make_switch().idle_horizon() is None
 
 
 class TestRateMonitorBulkAbsorb:
@@ -812,7 +816,7 @@ class TestRateMonitorBulkAbsorb:
 
 class ScriptedSource(Fame1Model):
     """Emits one single-flit packet at each scheduled cycle; never idle-
-    elidable (no ``idle_outputs`` override), like a real traffic source."""
+    elidable (no ``idle_horizon`` override), like a real traffic source."""
 
     def __init__(self, name, schedule):
         super().__init__(name, ["out"])
@@ -883,10 +887,10 @@ class TestIdleElisionProperty:
                 type(self).ticks += 1
                 return super()._tick(window, inputs)
 
-        window = TokenWindow(0, 64)
-        # All-empty: the port is left out, not built as an empty batch.
-        assert NullModel("n", ["p"]).idle_outputs(window) == {}
-        assert Counting("n", ["p"]).idle_outputs(window) is None
+        assert NullModel("n", ["p"]).idle_horizon() is None
+        counting = Counting("n", ["p"])
+        counting.current_cycle = 640
+        assert counting.idle_horizon() == 640
 
 
 class Crash(Exception):
@@ -907,11 +911,6 @@ class Bomb(Fame1Model):
     def _tick(self, window, inputs):
         if self._armed(window):
             raise Crash(window.start)
-        return {"net": TokenBatch(window.start, window.length)}
-
-    def idle_outputs(self, window):
-        if self._armed(window):
-            return None
         return {"net": TokenBatch(window.start, window.length)}
 
     def idle_horizon(self):
@@ -1244,19 +1243,30 @@ class Chatter(Fame1Model):
         return {"net": out}
 
 
-def build_chatter_farm(engine, omit):
+class TimedChatter(Chatter):
+    """A chatter that says when it is idle with ``idle_horizon`` alone:
+    it acts without input only at its next scheduled send."""
+
+    def idle_horizon(self):
+        for at in self.schedule:
+            if at >= self.current_cycle:
+                return at
+        return None
+
+
+def build_chatter_farm(engine, omit, chatter=Chatter):
     """Two chatters through a stock switch, the second behind a tracer:
     ``a`` <-640-> switch <-320-> tracer <-320-> ``b``, so a round is
     320 cycles and every frame fits in the round it starts in."""
     sim = Simulation(engine=engine)
-    a = sim.add_model(Chatter(
+    a = sim.add_model(chatter(
         "a", 0, 1, [320 * k + 37 * k % 300 for k in range(3, 370, 7)], omit
     ))
     switch = sim.add_model(SwitchModel(
         "sw", SwitchConfig(num_ports=2),
         mac_table={mac_address(0): 0, mac_address(1): 1},
     ))
-    b = sim.add_model(Chatter(
+    b = sim.add_model(chatter(
         "b", 1, 0, [320 * k + 53 * k % 300 for k in range(5, 370, 11)], omit
     ))
     sim.connect(a, "net", switch, "port0", 640)
@@ -1282,6 +1292,64 @@ def chatter_fingerprint(sim, local=True):
     if local:
         seen += (a.received, b.received, queue_state(sim))
     return seen
+
+
+def count_ticks(model):
+    """Count ``model``'s ticks in a counter forked workers share."""
+    ticks = multiprocessing.Value("q", 0)
+    tick = model._tick
+
+    def counted(window, inputs):
+        with ticks.get_lock():
+            ticks.value += 1
+        return tick(window, inputs)
+
+    model._tick = counted
+    return ticks
+
+
+class TestHorizonOnlyModel:
+    """``idle_horizon`` is the whole idle protocol: a custom model that
+    defines only a horizon, and a stock tracer, are skipped on quiet
+    rounds, and every observable stays that of the explicit twin (a
+    chatter without a horizon) under the scalar spec."""
+
+    ROUNDS = 120_000 // 320
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        sim = build_chatter_farm("scalar", omit=False)
+        sim.run_until(120_000)
+        return chatter_fingerprint(sim)
+
+    @staticmethod
+    def build(hooked):
+        sim = build_chatter_farm("batched", False, TimedChatter)
+        a, _, _, tracer = sim.models
+        if hooked:
+            sim.fault_hook = lambda cycle, model: None
+        return sim, count_ticks(a), count_ticks(tracer)
+
+    @pytest.mark.parametrize("hooked", [False, True])
+    def test_serial(self, hooked, reference):
+        sim, chatter_ticks, tracer_ticks = self.build(hooked)
+        sim.run_until(120_000)
+        assert sim.stats.rounds == self.ROUNDS
+        assert chatter_fingerprint(sim) == reference
+        # Quiet rounds tick neither: only rounds with a send or a flit.
+        assert 0 < chatter_ticks.value < self.ROUNDS // 2
+        assert 0 < tracer_ticks.value < self.ROUNDS // 2
+
+    @pytest.mark.parametrize("hooked", [False, True])
+    def test_two_workers(self, hooked, reference):
+        sim, chatter_ticks, tracer_ticks = self.build(hooked)
+        plan = plan_from_assignment(
+            {"a": 0, "sw": 1, "wire": 1, "b": 1}, num_workers=2
+        )
+        run_distributed(sim, plan, 120_000)
+        assert chatter_fingerprint(sim, local=False) == reference[:4]
+        assert 0 < chatter_ticks.value < self.ROUNDS // 2
+        assert 0 < tracer_ticks.value < self.ROUNDS // 2
 
 
 class TestOmittedOutputs:

@@ -10,6 +10,24 @@ class TestPublicAPI:
         for name in repro.__all__:
             assert hasattr(repro, name), f"repro.{name} missing"
 
+    def test_all_is_the_documented_surface(self):
+        """A name joins or leaves the public API only on purpose."""
+        assert sorted(repro.__all__) == sorted([
+            "CircuitBreaker", "ConfigError", "DEFAULT_CLOCK",
+            "EthernetFrame", "Fame1Model", "FaultInjector", "FaultKind",
+            "FaultPlan", "FaultSpec", "FireSimManager", "Flit", "Job",
+            "NAMED_CONFIGS", "NIC", "NICConfig", "ReplayCheckpoint",
+            "ReproError", "ResilienceStats", "RetryPolicy",
+            "RocketChipConfig", "RunFarmConfig", "RunSpec",
+            "RunningSimulation", "ServerBlade", "ServerNode", "Simulation",
+            "SimulationRateModel", "SimulationSnapshot", "SwitchConfig",
+            "SwitchModel", "SwitchNode", "TargetClock", "TokenBatch",
+            "TokenStarvationError", "TokenWatchdog", "TokenWindow",
+            "WorkloadSpec", "state_digest", "config_by_name", "cost_report",
+            "datacenter_tree", "elaborate", "mac_address", "run_workload",
+            "single_rack", "two_tier",
+        ])
+
     def test_version(self):
         assert repro.__version__ == "1.0.0"
 

@@ -1,50 +1,15 @@
-"""FAME-5 elaboration and the SPECint single-node farm (§VIII)."""
+"""The SPECint suite and its single-node farm (§VIII)."""
 
 import pytest
 
 from repro.experiments import sec8_singlenode
-from repro.manager.runfarm import RunFarmConfig, elaborate
-from repro.manager.topology import single_rack
-from repro.swmodel.apps.ping import RESULT_KEY, make_ping_client
 from repro.swmodel.apps.spec import (
     SPECINT_2017,
-    SpecBenchmark,
     benchmark_by_name,
     make_spec_runner,
     reference_cycles,
 )
 from repro.tile.soc import config_by_name
-
-
-class TestFame5Elaboration:
-    def _run(self, fame5):
-        sim = elaborate(
-            single_rack(4),
-            RunFarmConfig(fame5_blades_per_pipeline=fame5),
-        )
-        target = sim.blade(1)
-        sim.blade(0).spawn(
-            "ping", make_ping_client(target.mac, count=4, interval_cycles=80_000)
-        )
-        sim.run_seconds(0.001)
-        return tuple(sim.blade(0).results[RESULT_KEY])
-
-    def test_fame5_is_cycle_identical_to_standard(self):
-        """FAME-5 multiplexing is functionally transparent (§VIII)."""
-        assert self._run(1) == self._run(4)
-
-    def test_fame5_halves_model_count(self):
-        plain = elaborate(single_rack(4))
-        muxed = elaborate(
-            single_rack(4), RunFarmConfig(fame5_blades_per_pipeline=2)
-        )
-        # 4 blades + 1 switch vs 2 pipelines + 1 switch.
-        assert len(plain.simulation.models) == 5
-        assert len(muxed.simulation.models) == 3
-
-    def test_bad_factor_rejected(self):
-        with pytest.raises(ValueError):
-            RunFarmConfig(fame5_blades_per_pipeline=0)
 
 
 class TestSpecSuite:

@@ -5,7 +5,7 @@ import pytest
 from repro.core.simulation import Simulation
 from repro.net.ethernet import mac_address
 from repro.net.switch import SwitchConfig, SwitchModel
-from repro.net.tracer import LatencyProbe, LinkTracer, splice_tracer
+from repro.net.tracer import splice_tracer
 from repro.obs.trace import ChromeTraceSink, set_trace_sink
 from repro.swmodel.apps.ping import RESULT_KEY, make_ping_client
 from repro.swmodel.server import ServerBlade
@@ -131,8 +131,15 @@ class TestRecords:
         sim, a, b, tracer_a, tracer_b = traced_pair(link_latency=6400)
         a.spawn("ping", make_ping_client(b.mac, count=3, interval_cycles=80_000))
         sim.run_seconds(0.001)
-        probe = LatencyProbe(tracer_a, tracer_b)
-        latencies = probe.latencies("a_to_b", "a_to_b")
+        # Match packets seen at both tracers by frame identity.
+        sent = {
+            r.frame_id: r.last_flit_cycle
+            for r in tracer_a.packets("a_to_b")
+        }
+        latencies = [
+            r.last_flit_cycle - sent[r.frame_id]
+            for r in tracer_b.packets("a_to_b") if r.frame_id in sent
+        ]
         assert len(latencies) == 3
         # Path between tracers, last flit to last flit: half-link +
         # store-and-forward switch (release stamped at last ingress flit
