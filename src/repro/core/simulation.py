@@ -79,17 +79,13 @@ class RoundProgress:
     the failing round's start.
     """
 
-    __slots__ = (
-        "cycle", "rounds", "tokens_moved", "valid_tokens_moved",
-        "model_host_seconds",
-    )
+    __slots__ = ("cycle", "rounds", "tokens_moved", "valid_tokens_moved")
 
     def __init__(self, start_cycle: int) -> None:
         self.cycle = start_cycle
         self.rounds = 0
         self.tokens_moved = 0
         self.valid_tokens_moved = 0
-        self.model_host_seconds: Dict[str, float] = {}
 
 
 def starvation_diagnostic(
@@ -137,8 +133,7 @@ def run_rounds(
     progress: RoundProgress,
     *,
     hook: Optional[Callable[[int, Optional[Fame1Model]], None]] = None,
-    observer: Optional[Any] = None,
-    measure: bool = False,
+    wrap: Optional[Callable[[str, Callable], Callable]] = None,
     exchange: Optional[Tuple[int, Callable[[int, int, int], int]]] = None,
     diagnose: Optional[Callable[[Fame1Model, int], Exception]] = None,
 ) -> None:
@@ -160,18 +155,20 @@ def run_rounds(
     after each model has transmitted.  ``wake`` is the earliest cycle
     a model may move a token: here, where every model ticks every
     round, ``cycle``.
-    ``observer`` gets a host-timestamped span per tick and the wall
-    clock per round; ``measure`` accumulates tick seconds per model in
-    ``progress``.  ``diagnose(model, cycle)`` builds the error for a
-    starved pop (default :func:`starvation_diagnostic`).  ``progress``
-    is kept current as the round advances, so a raise from any hook
-    leaves it exact.
+    ``wrap(name, tick)``, when given, replaces each model's ``tick``
+    once, before the first round: the loop itself reads no clock.
+    ``diagnose(model, cycle)`` builds the error for a starved pop
+    (default :func:`starvation_diagnostic`).  ``progress`` is kept
+    current as the round advances, so a raise from any hook leaves it
+    exact.
 
     :func:`repro.perf.engine.run_rounds` has this parameter list and
     these observable effects, and is held to them bit for bit.
     """
-    timed = measure or observer is not None
-    seconds = progress.model_host_seconds
+    ticks = [
+        model.tick if wrap is None else wrap(model.name, model.tick)
+        for model in models
+    ]
     period, step = exchange or (0, None)
     exchange_at = (
         target_cycle if step is None else start_cycle + period * quantum
@@ -183,9 +180,7 @@ def run_rounds(
         if hook is not None:
             hook(cycle, None)
         window = TokenWindow(cycle, cycle + quantum)
-        if observer is not None:
-            round_start = perf_counter()
-        for model in models:
+        for model, tick in zip(models, ticks):
             try:
                 inputs = {
                     port: attachments[(id(model), port)].receive(quantum)
@@ -197,19 +192,7 @@ def run_rounds(
                 raise starvation_diagnostic(
                     model, attachments, quantum, cycle
                 ) from exc
-            if timed:
-                tick_start = perf_counter()
-            outputs = model.tick(window, inputs)
-            if timed:
-                tick_end = perf_counter()
-                if observer is not None:
-                    observer.record_model_tick(
-                        model.name, tick_start, tick_end, cycle, window.end
-                    )
-                if measure:
-                    seconds[model.name] = (
-                        seconds.get(model.name, 0.0) + tick_end - tick_start
-                    )
+            outputs = tick(window, inputs)
             for port in model.ports:
                 batch = outputs.get(port)
                 if batch is None:
@@ -222,8 +205,6 @@ def run_rounds(
         cycle = window.end
         progress.cycle = cycle
         progress.rounds += 1
-        if observer is not None:
-            observer.record_round(quantum, perf_counter() - round_start)
 
 
 #: Execution engines ``run_until`` can dispatch to.  "scalar" is the
@@ -272,16 +253,17 @@ class Simulation:
         self._attachments: Dict[Tuple[int, str], _Attachment] = {}
         self.current_cycle = 0
         self.stats = SimulationStats()
-        #: Optional round observer (a :class:`repro.obs.rate.RateMonitor`).
-        #: When None the round loop makes no timing calls, so an
-        #: untelemetered run pays one check per round plus one per tick.
+        #: Optional rate observer (a :class:`repro.obs.rate.RateMonitor`).
+        #: ``run_until`` hands its ``wrap_tick`` to the round loop, which
+        #: times each tick through it, and reports one wall per run to
+        #: its ``record_run``.  When None the loop runs unwrapped ticks.
         self.observer: Optional[Any] = None
         #: Optional fault hook (a :class:`repro.faults.plan.FaultInjector`
         #: arms one).  Called as ``hook(cycle, model)`` at each round
         #: start (``model=None``) and after each model's tick; it may
         #: raise to model a simulation-controller crash, or mutate link
         #: state to model transport loss.  None costs one check per
-        #: round plus one per tick — the same budget as ``observer``.
+        #: round plus one per tick.
         self.fault_hook: Optional[Any] = None
         self._started = False
         if quantum_override is not None and quantum_override < 1:
@@ -387,7 +369,9 @@ class Simulation:
             self._start()
         loop = round_loop(self.engine)
         quantum = self.quantum
+        observer = self.observer
         progress = RoundProgress(self.current_cycle)
+        wall_start = perf_counter()
         try:
             loop(
                 self.models,
@@ -397,7 +381,7 @@ class Simulation:
                 target_cycle,
                 progress,
                 hook=self.fault_hook,
-                observer=self.observer,
+                wrap=None if observer is None else observer.wrap_tick,
             )
         finally:
             stats = self.stats
@@ -406,6 +390,11 @@ class Simulation:
             stats.tokens_moved += progress.tokens_moved
             stats.valid_tokens_moved += progress.valid_tokens_moved
             self.current_cycle = progress.cycle
+            if observer is not None:
+                observer.record_run(
+                    progress.rounds, progress.rounds * quantum,
+                    perf_counter() - wall_start,
+                )
 
     def run_seconds(self, seconds: float) -> None:
         """Advance by a duration of target time."""

@@ -41,10 +41,10 @@ WireEntry = Tuple[int, Any]
 class Outbox:
     """One peer's outgoing wire entries for the exchange in progress.
 
-    Attachments append; the ring *drains* — :meth:`drain` hands the
+    Attachments append; the channel *drains* — :meth:`drain` hands the
     accumulated list over by reference and replaces it, so no batch
-    contents are copied before the ring serializes them synchronously
-    inside ``send``.
+    contents are copied before the channel serializes them
+    synchronously inside ``send``.
     """
 
     __slots__ = ("entries", "total_entries", "peak_entries")

@@ -86,6 +86,7 @@ from repro.obs.prof import (
     ProbeRecorder,
     WorkerProfile,
 )
+from repro.obs.rate import RateMonitor
 from repro.obs.trace import set_trace_sink
 from repro.swmodel.server import ServerBlade
 
@@ -283,7 +284,6 @@ def _collect_result(
         valid_tokens_moved=progress.valid_tokens_moved,
         wall_seconds=wall_seconds,
         model_names=[model.name for model in shard],
-        model_host_seconds=progress.model_host_seconds,
         transport_send_seconds=transport_seconds[0],
         transport_recv_seconds=transport_seconds[1],
         cpu_seconds=cpu_seconds,
@@ -503,6 +503,8 @@ def run_shard(context: ShardContext, worker_id: int) -> WorkerResult:
         )
 
     progress = RoundProgress(start_cycle)
+    # Times each model tick when measuring; the step times transport.
+    monitor = RateMonitor() if measure else None
     if beat is not None:
         beat(0, HB_COMPUTE)
     if recorder is not None:
@@ -517,7 +519,7 @@ def run_shard(context: ShardContext, worker_id: int) -> WorkerResult:
         context.target_cycle,
         progress,
         hook=simulation.fault_hook,
-        measure=measure,
+        wrap=None if monitor is None else monitor.wrap_tick,
         exchange=(period, step),
         diagnose=diagnose,
     )
@@ -533,6 +535,8 @@ def run_shard(context: ShardContext, worker_id: int) -> WorkerResult:
         cpu_seconds, transport_seconds,
     )
     result.exchanges_skipped = skipped[0]
+    if monitor is not None:
+        result.model_host_seconds = monitor.model_host_seconds
     if recorder is not None and clock is not None:
         result.profile = _collect_profile(
             recorder, clock, worker_id, peers,

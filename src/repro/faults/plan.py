@@ -150,13 +150,14 @@ class WorkerHang(WorkerCrash):
 
 
 class RingCorruption(FaultError):
-    """A shm ring frame failed its integrity check (CRC or sequence).
+    """A worker channel frame failed its integrity check (CRC or
+    sequence).
 
-    Carries the directed ring identity (``"ring:<src>-><dst>"``) as the
-    fault target.  The manager restores the pre-fork checkpoint and
-    reruns on fresh rings with the same worker count.  Corruption is
-    *never* decoded into simulation state — the reader raises before
-    any window leaves the ring.
+    Carries the directed channel identity (``"ring:<src>-><dst>"``, a
+    historical spelling) as the fault target.  The manager restores the
+    pre-fork checkpoint and reruns on fresh pipes with the same worker
+    count.  Corruption is *never* decoded into simulation state — the
+    reader raises before any window leaves the channel.
     """
 
     def __init__(self, message: str, ring: str = "ring:?",
@@ -350,10 +351,10 @@ class ResilienceStats:
     #: Worker processes that outlived the post-run join grace and had
     #: to be SIGKILLed to avoid a process leak.
     join_timeouts: int = 0
-    #: Shm frames that failed their CRC or sequence check.
+    #: Channel frames that failed their CRC or sequence check.
     ring_corruptions: int = 0
     #: Distributed runs finished on the serial engine instead: the
-    #: rings could not be allocated, or the restart budget ran out.
+    #: worker pipes could not be opened, or the restart budget ran out.
     serial_fallbacks: int = 0
 
 

@@ -118,7 +118,7 @@ class FireSimManager:
             )
         #: Worker processes for ``runworkload``; 1 = the serial engine.
         self.workers = workers
-        #: Progress deadline for a worker ring's ``recv`` — a peer
+        #: Progress deadline for a worker channel's ``recv`` — a peer
         #: publishing nothing for this long is token starvation.
         self.transport_timeout_s = transport_timeout_s
         #: Distributed liveness supervision: heartbeat-based hang
@@ -569,10 +569,10 @@ class FireSimManager:
 
         The same restore path handles the supervisor's taxonomy: a
         hung worker (:class:`~repro.faults.plan.WorkerHang`) is treated
-        like a crash, and a ring integrity fault
+        like a crash, and a channel integrity fault
         (:class:`~repro.faults.plan.RingCorruption`) reruns on fresh
-        rings with the same worker count.  Rings that cannot be
-        allocated (``OSError``) and an exhausted restart budget both end
+        pipes with the same worker count.  Pipes that cannot be
+        opened (``OSError``) and an exhausted restart budget both end
         on the *serial* engine, the last-resort degraded mode, instead
         of failing the workload — the serial result is the oracle the
         distributed engine is bit-equal to, so correctness is preserved
@@ -617,8 +617,8 @@ class FireSimManager:
                 raise
             except (OSError, WorkerCrash, RingCorruption) as fault:
                 if isinstance(fault, OSError):
-                    # No POSIX shared memory for the rings: a rerun
-                    # would fail the same way.
+                    # ``os.pipe`` failed for the worker channels: a
+                    # rerun would fail the same way.
                     give_up = True
                 else:
                     restores += 1
@@ -645,7 +645,7 @@ class FireSimManager:
                     break
                 if isinstance(fault, RingCorruption):
                     # Transport fault, not a worker fault: rerun on
-                    # fresh rings with the same worker count.
+                    # fresh pipes with the same worker count.
                     self.fault_stats.ring_corruptions += 1
                     self._trace_instant(
                         "ring_corruption", ring=fault.ring,

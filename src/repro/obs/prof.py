@@ -24,10 +24,10 @@ worker's round the time goes to:
   clock reads *behind* the parent's epoch the sync re-anchors, keeping
   merged timestamps monotonic per track.
 * :class:`WorkerProfile` — the picklable record a worker ships back:
-  phase totals, the retained ring samples, ring-transport counters, and
-  the clock sync.  :meth:`WorkerProfile.trace_events` renders it as
-  Chrome ``trace_event`` tracks under one pid per worker, mergeable
-  into the manager's :class:`~repro.obs.trace.ChromeTraceSink`.
+  phase totals, the retained ring samples, per-channel transport
+  counters, and the clock sync.  :meth:`WorkerProfile.trace_events`
+  renders it as Chrome ``trace_event`` tracks under one pid per worker,
+  mergeable into the manager's :class:`~repro.obs.trace.ChromeTraceSink`.
 * :class:`PhaseReport` — the cross-worker aggregate: per-worker phase
   shares (summing to ~100% of measured round time by construction —
   ``idle`` is the unattributed remainder), per-phase histograms,

@@ -3,24 +3,26 @@
 :class:`repro.host.perfmodel.SimulationRateModel` *predicts* how fast a
 mapped design simulates; :class:`RateMonitor` *measures* it on the host
 actually running the functional simulation.  Attached to a
-:class:`~repro.core.simulation.Simulation`, it observes every round:
+:class:`~repro.core.simulation.Simulation`, it measures:
 
-* wall-clock per quantum (min/mean/max over the run);
 * achieved simulation rate in MHz — target cycles per wall second, the
-  number Figures 8/9 plot;
+  number Figures 8/9 plot — from one wall clock per ``run_until``;
 * per-model host-time shares — which blade or switch model the host
   actually spends its time ticking, the profile that tells you where a
-  perf PR should aim.
+  perf PR should aim — from each model's tick, which the round loop
+  calls through :meth:`RateMonitor.wrap_tick`.
 
 When a :class:`~repro.obs.trace.ChromeTraceSink` is supplied, each
 model tick also lands as a host-time span, so Perfetto shows the round
-structure visually.
+structure visually.  A visit the batched engine proves idle calls no
+tick, so it has no span and no host time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Sequence
+from time import perf_counter
+from typing import Any, Callable, Dict, Optional
 
 from repro.obs.trace import TraceSink
 
@@ -34,8 +36,6 @@ class RateReport:
     rounds: int
     freq_hz: float
     model_host_seconds: Dict[str, float] = field(default_factory=dict)
-    min_round_s: float = 0.0
-    max_round_s: float = 0.0
     #: Host seconds spent inside distributed transport calls (zero for
     #: serial runs): serialize + publish on the send side, wait + decode
     #: on the receive side, summed over workers.
@@ -119,8 +119,6 @@ class RateReport:
             "cycles": self.cycles,
             "rounds": self.rounds,
             "rate_mhz": self.rate_mhz,
-            "min_round_s": self.min_round_s,
-            "max_round_s": self.max_round_s,
             "host_time_shares": self.host_time_shares,
             "transport_send_seconds": self.transport_send_seconds,
             "transport_recv_seconds": self.transport_recv_seconds,
@@ -136,11 +134,12 @@ class RateReport:
 
 
 class RateMonitor:
-    """Observes a :class:`Simulation`'s rounds and profiles host time.
+    """Measures a :class:`Simulation`'s rate and profiles host time.
 
-    The orchestrator calls :meth:`record_model_tick` once per model per
-    round and :meth:`record_round` once per round — only when a monitor
-    is attached, so an unmonitored simulation's fast path is untouched.
+    The simulation hands :meth:`wrap_tick` to its round loop, which
+    wraps each model's tick once per run, and reports each run's rounds,
+    cycles and wall through :meth:`record_run` — only when a monitor is
+    attached, so an unmonitored simulation's loop reads no clock.
     """
 
     def __init__(self, trace: Optional[TraceSink] = None) -> None:
@@ -153,8 +152,6 @@ class RateMonitor:
         self.transport_send_seconds = 0.0
         self.transport_recv_seconds = 0.0
         self.worker_rates: Dict[int, float] = {}
-        self._min_round_s = float("inf")
-        self._max_round_s = 0.0
 
     def attach(self, simulation: Any) -> "RateMonitor":
         """Install on a simulation (its ``observer`` slot); returns self."""
@@ -162,81 +159,44 @@ class RateMonitor:
         self.freq_hz = simulation.clock.freq_hz
         return self
 
-    # -- orchestrator callbacks ----------------------------------------
+    # -- round-loop callbacks ------------------------------------------
 
-    def record_model_tick(
-        self, name: str, start_s: float, end_s: float,
-        window_start: int, window_end: int,
-    ) -> None:
-        elapsed = end_s - start_s
-        self.model_host_seconds[name] = (
-            self.model_host_seconds.get(name, 0.0) + elapsed
-        )
+    def wrap_tick(
+        self, name: str, tick: Callable[[Any, Any], Any]
+    ) -> Callable[[Any, Any], Any]:
+        """Return ``tick`` timed into ``model_host_seconds[name]``.
+
+        ``name`` is listed from the start, so a model that never ticks
+        reads 0 s.  With an enabled trace sink each call is also a
+        ``sim.tick`` host span carrying its target window.
+        """
+        seconds = self.model_host_seconds
+        seconds.setdefault(name, 0.0)
         trace = self.trace
-        if trace is not None and trace.enabled:
-            trace.host_span(
-                name, "sim.tick", start_s, end_s, track="model-ticks",
-                args={"window": [window_start, window_end]},
-            )
+        if trace is not None and not trace.enabled:
+            trace = None
 
-    def record_round(self, quantum: int, round_wall_s: float) -> None:
-        self.rounds += 1
-        self.cycles += quantum
-        self.wall_seconds += round_wall_s
-        if round_wall_s < self._min_round_s:
-            self._min_round_s = round_wall_s
-        if round_wall_s > self._max_round_s:
-            self._max_round_s = round_wall_s
+        def timed(window: Any, inputs: Any) -> Any:
+            start = perf_counter()
+            outputs = tick(window, inputs)
+            end = perf_counter()
+            seconds[name] += end - start
+            if trace is not None:
+                trace.host_span(
+                    name, "sim.tick", start, end, track="model-ticks",
+                    args={"window": [window.start, window.end]},
+                )
+            return outputs
 
-    # -- batched-engine aggregation --------------------------------------
+        return timed
 
-    def absorb_tick_totals(
-        self, names: Sequence[str], seconds: Sequence[float]
+    def record_run(
+        self, rounds: int, cycles: int, wall_seconds: float
     ) -> None:
-        """Fold one batched run's per-model tick totals in one call.
-
-        The batched engine (:mod:`repro.perf.engine`) accumulates tick
-        durations into one list slot per model instead of making a
-        :meth:`record_model_tick` call per model per round, and flushes
-        the totals here at end of run.  ``seconds`` is aligned with
-        ``names``.
-        """
-        for name, elapsed in zip(names, seconds):
-            self.model_host_seconds[name] = (
-                self.model_host_seconds.get(name, 0.0) + elapsed
-            )
-
-    def absorb_round_times(
-        self, quantum: int, round_seconds: Sequence[float], skipped: int = 0,
-        wall_seconds: Optional[float] = None,
-    ) -> None:
-        """Fold a whole run's per-round wall times in one call.
-
-        Equivalent to calling :meth:`record_round` once per entry:
-        sum/min/max are taken once over the run instead of maintained
-        per round.  ``skipped`` rounds are ones the batched
-        engine proved idle and never ran: they count toward rounds and
-        cycles but have no wall time, so they leave the min/max alone.
-        ``wall_seconds``, when given, is the run's whole wall — the
-        rounds plus the host time spent between them, such as skipping
-        idle ones — and replaces the rounds' sum in the monitor's wall.
-        """
-        self.rounds += skipped
-        self.cycles += skipped * quantum
-        if wall_seconds is not None:
-            self.wall_seconds += wall_seconds
-        if not round_seconds:
-            return
-        self.rounds += len(round_seconds)
-        self.cycles += len(round_seconds) * quantum
-        if wall_seconds is None:
-            self.wall_seconds += sum(round_seconds)
-        fastest = min(round_seconds)
-        slowest = max(round_seconds)
-        if fastest < self._min_round_s:
-            self._min_round_s = fastest
-        if slowest > self._max_round_s:
-            self._max_round_s = slowest
+        """Fold one ``run_until``: its rounds, cycles and whole wall."""
+        self.rounds += rounds
+        self.cycles += cycles
+        self.wall_seconds += wall_seconds
 
     # -- distributed aggregation ----------------------------------------
 
@@ -257,10 +217,9 @@ class RateMonitor:
         :class:`~repro.dist.engine.DistributedRunResult` lands here so
         ``status`` and telemetry dumps report one coherent session.
         ``wall_seconds`` is the parent-observed wall time (cycles are
-        simulated once no matter how many workers ticked them), and the
-        mean round time feeds the min/max envelope.  The transport
-        seconds are the workers' summed time inside send/recv calls
-        (the per-round overhead the distributed benches report per
+        simulated once no matter how many workers ticked them).  The
+        transport seconds are the workers' summed time inside send/recv
+        calls (the per-round overhead the distributed benches report per
         transport).  ``worker_rates`` keeps each worker's achieved MHz
         un-collapsed (later runs overwrite per worker id) so the report
         can surface shard load imbalance.
@@ -278,11 +237,6 @@ class RateMonitor:
             self.model_host_seconds[name] = (
                 self.model_host_seconds.get(name, 0.0) + seconds
             )
-        mean_round_s = wall_seconds / rounds
-        if mean_round_s < self._min_round_s:
-            self._min_round_s = mean_round_s
-        if mean_round_s > self._max_round_s:
-            self._max_round_s = mean_round_s
 
     # -- reads ----------------------------------------------------------
 
@@ -293,12 +247,6 @@ class RateMonitor:
             rounds=self.rounds,
             freq_hz=self.freq_hz,
             model_host_seconds=dict(self.model_host_seconds),
-            # inf until some round was timed (none, or all skipped).
-            min_round_s=(
-                0.0 if self._min_round_s == float("inf")
-                else self._min_round_s
-            ),
-            max_round_s=self._max_round_s,
             transport_send_seconds=self.transport_send_seconds,
             transport_recv_seconds=self.transport_recv_seconds,
             worker_rates=dict(self.worker_rates),

@@ -44,8 +44,7 @@ host cost changes.  Six overheads are eliminated:
   delivers wakes its consumer exactly as a local push does.  The step
   is told the heap's minimum and names the next exchange, which lies
   further out when no shard has a slot due before it.  Every slot is
-  visited every round whenever something observes individual rounds (a
-  ``hook`` or a Chrome trace).
+  visited every round whenever a ``hook`` observes individual rounds.
 * **Per-flit switch and NIC phases.**  Every stock switch ticks
   through a :class:`~repro.perf.switch.ColumnarSwitch` — the per-packet
   spec with packet-segment rows in and out — and every stock server
@@ -57,23 +56,21 @@ host cost changes.  Six overheads are eliminated:
   Neither keeps columnar state of its own, so hooks, checkpoints and
   the scalar engine read live model state at every round boundary.
 
-Hooks fire at the same points as the scalar loop, and the observer
-either gets per-tick callbacks (when Chrome tracing needs real span
-timestamps) or one fold per run through
-:meth:`~repro.obs.rate.RateMonitor.absorb_tick_totals` /
-:meth:`~repro.obs.rate.RateMonitor.absorb_round_times`.  Distributed
-workers hand the loop boundary attachments; their streams are shipped
-over the wire in the producer's representation — no convert/deconvert
-hop (:meth:`repro.dist.remote_link.RemoteAttachment.ship`).  A
-producer the active set does not visit ships nothing, so the wire
-carries only windows with tokens.
+Hooks fire at the same points as the scalar loop.  The loop reads no
+clock: host timing wraps each slot's tick (``wrap``), so a visit the
+horizon proves idle, which calls no tick, is not timed either.
+Distributed workers hand the loop boundary attachments; their streams
+are shipped over the wire in the producer's representation — no
+convert/deconvert hop
+(:meth:`repro.dist.remote_link.RemoteAttachment.ship`).  A producer the
+active set does not visit ships nothing, so the wire carries only
+windows with tokens.
 """
 
 from __future__ import annotations
 
 from functools import partial
 from heapq import heappop, heappush
-from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set
 from typing import Tuple
 
@@ -102,7 +99,7 @@ class _Slot:
     """One model's precompiled tick plan: ports bound to endpoints."""
 
     __slots__ = (
-        "model", "tick", "horizon", "in_ports", "out_ports", "name", "raw",
+        "model", "tick", "horizon", "in_ports", "out_ports", "raw",
     )
 
     def __init__(
@@ -127,20 +124,21 @@ class _Slot:
         self.raw = raw
         self.in_ports = in_ports
         self.out_ports = out_ports
-        self.name = model.name
 
 
 def compile_slots(
     models: Sequence[Fame1Model],
     attachments: Dict[Tuple[int, str], Any],
     quantum: int,
+    wrap: Optional[Callable[[str, Callable], Callable]] = None,
 ) -> Tuple[List[_Slot], List[_LinkEnd]]:
     """Bind every model port to its endpoints for direct queue access.
 
     ``attachments`` maps ``(id(model), port)`` to the orchestrator's
     ``_Attachment`` or a distributed ``RemoteAttachment``; both expose
     ``link``/``side``.  Remote producers additionally expose ``ship``,
-    which replaces the local enqueue with an outbox append.
+    which replaces the local enqueue with an outbox append.  ``wrap``,
+    when given, replaces each slot's tick with ``wrap(name, tick)``.
 
     Also returns every endpoint a local slot consumes, with its slot
     indices — what the active set schedules and whose cursors it sets.
@@ -196,6 +194,8 @@ def compile_slots(
         elif raw:
             # A stock blade's ``_tick`` takes ``rows`` (ServerBlade).
             tick = partial(tick, rows=True)
+        if wrap is not None:
+            tick = wrap(model.name, tick)
         horizon = None
         if type(model).idle_horizon is not Fame1Model.idle_horizon:
             horizon = model.idle_horizon
@@ -212,8 +212,7 @@ def run_rounds(
     progress: RoundProgress,
     *,
     hook: Optional[Callable[[int, Optional[Fame1Model]], None]] = None,
-    observer: Optional[Any] = None,
-    measure: bool = False,
+    wrap: Optional[Callable[[str, Callable], Callable]] = None,
     exchange: Optional[Tuple[int, Callable[[int, int, int], int]]] = None,
     diagnose: Optional[Callable[[Fame1Model, int], Exception]] = None,
 ) -> None:
@@ -224,37 +223,16 @@ def run_rounds(
     a raise).  Slots are compiled fresh per call (~tens of microseconds
     on paper-scale graphs) so checkpoint restores, model-graph edits
     and class-level patches between runs can never observe a stale
-    plan.
-
-    Timing modes (mutually exclusive in practice):
-
-    * ``observer`` with an enabled Chrome trace: per-tick
-      ``record_model_tick``/``record_round`` calls, exactly like the
-      scalar loop, so trace spans keep real timestamps;
-    * ``observer`` without tracing, or ``measure=True`` (distributed
-      workers): tick seconds are summed per slot and the walls of the
-      rounds that ran are flushed once per run; rounds the active set
-      jumped over count toward rounds and cycles only, and under the
-      active set the observer's wall is the whole loop's.
+    plan.  ``wrap`` is applied once per slot to its tick; a visit the
+    horizon proves idle calls no tick, so no wrapper sees it.
     """
-    slots, ends = compile_slots(models, attachments, quantum)
-    trace_ticks = (
-        observer is not None
-        and getattr(observer, "trace", None) is not None
-        and observer.trace.enabled
-    )
-    timed = measure or (observer is not None and not trace_ticks)
-    names = [slot.name for slot in slots]
-    count = len(slots)
-    tick_totals = [0.0] * count
-    round_walls: List[float] = []
+    slots, ends = compile_slots(models, attachments, quantum, wrap)
     from_flits = TokenStream.from_flits
-    every = list(range(count))
-    # The active set applies only while nothing observes single rounds
+    every = list(range(len(slots)))
+    # The active set applies only while no hook observes single rounds
     # and every output has a known consumer.
     sparse = (
         hook is None
-        and not trace_ticks
         and all(
             ship is not None or consumer is not None
             for slot in slots
@@ -296,10 +274,6 @@ def run_rounds(
         for endpoint, _, consumer, producer in ends if producer is None
     ]
 
-    # Under the active set the monitor's wall is the whole loop's: the
-    # scheduling and jumps run outside any round.
-    if timed:
-        loop_start = perf_counter()
     if sparse:
         for endpoint, latency, consumer, producer in ends:
             absorb(endpoint, consumer)
@@ -351,8 +325,6 @@ def run_rounds(
                 hook(cycle, None)
             end = cycle + quantum
             window = TokenWindow(cycle, end)
-            if timed or trace_ticks:
-                round_start = perf_counter()
             for index in order:
                 done = index
                 slot = slots[index]
@@ -409,8 +381,6 @@ def run_rounds(
                     raise starvation_diagnostic(
                         model, attachments, quantum, cycle
                     ) from exc
-                if timed or trace_ticks:
-                    tick_start = perf_counter()
                 idled = False
                 if not busy and slot.horizon is not None:
                     due = slot.horizon()
@@ -424,12 +394,6 @@ def run_rounds(
                 if not idled:
                     outputs = slot.tick(window, inputs)
                 model.current_cycle = end
-                if timed:
-                    tick_totals[index] += perf_counter() - tick_start
-                elif trace_ticks:
-                    observer.record_model_tick(
-                        slot.name, tick_start, perf_counter(), cycle, end
-                    )
                 for (
                     port, link, latency, is_a, out_endpoint, ship, col_ok,
                     consumer, hop,
@@ -498,10 +462,6 @@ def run_rounds(
             cycle = end
             rounds += 1
             done = 0
-            if timed:
-                round_walls.append(perf_counter() - round_start)
-            elif trace_ticks:
-                observer.record_round(quantum, perf_counter() - round_start)
     finally:
         # Every slot moves one quantum per port per round it finished,
         # whether it was visited or proven idle.
@@ -529,17 +489,3 @@ def run_rounds(
         progress.rounds = rounds
         progress.tokens_moved = tokens_moved
         progress.valid_tokens_moved = valid_tokens_moved
-        if timed:
-            totals: Dict[str, float] = {}
-            for name, seconds in zip(names, tick_totals):
-                totals[name] = totals.get(name, 0.0) + seconds
-            progress.model_host_seconds = totals
-            if observer is not None:
-                observer.absorb_tick_totals(names, tick_totals)
-                observer.absorb_round_times(
-                    quantum, round_walls,
-                    skipped=rounds - len(round_walls),
-                    wall_seconds=(
-                        perf_counter() - loop_start if sparse else None
-                    ),
-                )

@@ -42,6 +42,7 @@ from repro.net.ethernet import EthernetFrame, mac_address
 from repro.net.switch import SwitchConfig, SwitchModel
 from repro.net.tracer import splice_tracer
 from repro.obs.rate import RateMonitor
+from repro.obs.trace import ChromeTraceSink
 from repro.nic.ratelimit import rate_settings_for_bandwidth
 from repro.perf import ColumnarBatch, TokenStream
 from repro.swmodel.apps.memcached import MemcachedConfig, start_memcached
@@ -632,11 +633,19 @@ class TestLoopContract:
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_measure_times_every_model(self, engine):
-        sim, progress = self.drive(engine, measure=True)
-        assert set(progress.model_host_seconds) == {
-            model.name for model in sim.models
-        }
-        assert all(v >= 0.0 for v in progress.model_host_seconds.values())
+        """``wrap`` sees each model's tick once per call of the loop."""
+        monitor = RateMonitor()
+        wrapped = []
+
+        def wrap(name, tick):
+            wrapped.append(name)
+            return monitor.wrap_tick(name, tick)
+
+        sim, _ = self.drive(engine, wrap=wrap)
+        names = sorted(model.name for model in sim.models)
+        assert sorted(wrapped) == names
+        assert sorted(monitor.model_host_seconds) == names
+        assert all(v >= 0.0 for v in monitor.model_host_seconds.values())
 
     def test_mid_round_hook_raise_leaves_identical_stats(self):
         class Crash(Exception):
@@ -739,41 +748,7 @@ class TestStockPhaseGuards:
 
 
 class TestRateMonitorBulkAbsorb:
-    def test_absorb_tick_totals_accumulates(self):
-        monitor = RateMonitor()
-        monitor.absorb_tick_totals(["a", "b"], [0.5, 0.25])
-        monitor.absorb_tick_totals(["a"], [0.5])
-        assert monitor.model_host_seconds == {"a": 1.0, "b": 0.25}
-        assert all(
-            type(v) is float for v in monitor.model_host_seconds.values()
-        )
-
-    def test_absorb_round_times_matches_per_round_recording(self):
-        bulk, serial = RateMonitor(), RateMonitor()
-        walls = [0.25, 0.125, 0.5]
-        bulk.absorb_round_times(6400, walls)
-        for wall in walls:
-            serial.record_round(6400, wall)
-        assert bulk.report() == serial.report()
-
-    def test_absorb_round_times_takes_the_whole_run_wall(self):
-        """A run that spent host time between its rounds reports that
-        wall; the rounds it timed still set the min/max."""
-        monitor = RateMonitor()
-        monitor.absorb_round_times(
-            6400, [0.25, 0.5], skipped=2, wall_seconds=1.0
-        )
-        report = monitor.report()
-        assert (report.rounds, report.cycles) == (4, 4 * 6400)
-        assert report.wall_seconds == 1.0
-        assert (report.min_round_s, report.max_round_s) == (0.25, 0.5)
-
-    def test_absorb_round_times_empty_is_noop(self):
-        monitor = RateMonitor()
-        monitor.absorb_round_times(6400, [])
-        report = monitor.report()
-        assert report.rounds == 0
-        assert report.wall_seconds == 0.0
+    """A monitor on either engine: one wall per run, ticks wrapped."""
 
     def test_batched_run_reports_same_rounds_as_scalar(self):
         def run(engine):
@@ -798,8 +773,8 @@ class TestRateMonitorBulkAbsorb:
 
     def test_rounds_the_engine_skips_count_but_are_not_timed(self):
         """An idle rack: nearly every round is jumped over.  Those rounds
-        still count toward rounds and cycles, but only rounds that ran
-        carry a wall time — none reads as a 0 s round."""
+        still count toward rounds and cycles, the run's one wall covers
+        them, and every model is named whether or not it ticked."""
 
         def run(engine):
             running = elaborate(single_rack(2), RunFarmConfig(engine=engine))
@@ -811,7 +786,37 @@ class TestRateMonitorBulkAbsorb:
         assert (batched.rounds, batched.cycles) == (
             scalar.rounds, scalar.cycles
         )
-        assert 0.0 < batched.min_round_s <= batched.max_round_s
+        assert batched.wall_seconds > 0.0
+        assert len(batched.model_host_seconds) == 3
+
+    def test_traced_batched_run_spans_only_the_ticks_that_ran(self):
+        """A visit the horizon proves idle calls no tick, so it has no
+        ``sim.tick`` span; the trace changes nothing the target sees."""
+
+        def run(engine, sink=None):
+            running = elaborate(single_rack(2), RunFarmConfig(engine=engine))
+            monitor = None
+            if sink is not None:
+                monitor = RateMonitor(trace=sink).attach(running.simulation)
+            running.blade(0).spawn(
+                "ping", make_ping_client(
+                    running.blade(1).mac, count=3, interval_cycles=80_000
+                ),
+            )
+            running.simulation.run_until(2_000_000)
+            return running, monitor
+
+        sink = ChromeTraceSink()
+        traced, monitor = run("batched", sink)
+        sim = traced.simulation
+        spans = [e for e in sink.events if e.get("cat") == "sim.tick"]
+        assert 0 < len(spans) < len(sim.models) * sim.stats.rounds
+        assert sorted(monitor.model_host_seconds) == sorted(
+            model.name for model in sim.models
+        )
+        for other, _ in (run("batched"), run("scalar")):
+            assert other.simulation.stats == sim.stats
+            assert state_digest(other) == state_digest(traced)
 
 
 class ScriptedSource(Fame1Model):
