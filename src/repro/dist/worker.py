@@ -83,7 +83,6 @@ from repro.obs.prof import (
     P_SEND,
     ClockSync,
     PhaseRecorder,
-    ProbeRecorder,
     WorkerProfile,
 )
 from repro.obs.rate import RateMonitor
@@ -334,12 +333,7 @@ def _setup_profile(
     if config is None:
         return None, None
     clock = ClockSync(epoch_s=context.epoch_s, entry_s=entry_s)
-    if config.overhead_probe:
-        recorder: PhaseRecorder = ProbeRecorder(
-            config.ring_capacity, sleep_s=config.probe_sleep_s
-        )
-    else:
-        recorder = PhaseRecorder(config.ring_capacity)
+    recorder = PhaseRecorder(config.ring_capacity)
     for channel in send_channels.values():
         channel.phase_sink = recorder
     return recorder, clock

@@ -110,6 +110,3 @@ class CircuitBreaker:
 
     def is_quarantined(self, host: str) -> bool:
         return host in self.quarantined
-
-    def failures(self, host: str) -> int:
-        return self._failures.get(host, 0)

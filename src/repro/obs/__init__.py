@@ -45,7 +45,6 @@ from repro.obs.prof import (
     ClockSync,
     PhaseRecorder,
     PhaseReport,
-    ProbeRecorder,
     ProfileConfig,
     WorkerProfile,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "NullTraceSink",
     "PhaseRecorder",
     "PhaseReport",
-    "ProbeRecorder",
     "ProfileConfig",
     "RateMonitor",
     "RateReport",

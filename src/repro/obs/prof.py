@@ -12,8 +12,9 @@ worker's round the time goes to:
   and opens the next.  The step stamps phase boundaries
   (:meth:`~PhaseRecorder.mark`) as it passes them; one
   ``perf_counter`` read per boundary, a handful per row, so the
-  profiler's own cost stays measurably below 5% of round time (gated
-  by ``scripts/check_bench_regression.py``).  The ring retains the last
+  profiler's own cost stays small against the round; the recorder
+  calibrates that cost and :meth:`PhaseReport.profiling_overhead_ratio`
+  reports it.  The ring retains the last
   ``capacity`` rounds sample-exact for histograms and trace rendering
   while running totals cover the whole run.
 * :class:`ClockSync` — anchors each forked worker's monotonic clock to
@@ -67,8 +68,7 @@ on, so any layer may depend on it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from statistics import median
-from time import perf_counter, sleep
+from time import perf_counter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 #: JSON artifact marker for exported phase reports.  v2 added the
@@ -109,18 +109,6 @@ class ProfileConfig:
     #: Newest retained rounds rendered into Chrome trace tracks per
     #: worker; caps merged-trace size on long runs.
     trace_rounds: int = 1024
-    #: Overhead-probe mode (:class:`ProbeRecorder`): phases are recorded
-    #: on alternate rounds only, the other rounds are timed minimally,
-    #: and the paired on/off round durations measure the profiler's own
-    #: round-time overhead drift-free.  Used by ``scripts/bench_dist.py``
-    #: to produce the CI-gated overhead ratio; production profiling
-    #: leaves it off and records every round.
-    overhead_probe: bool = False
-    #: Test hook: seconds slept inside every *recorded* round when the
-    #: probe is on.  An injected sleep must blow the measured overhead
-    #: ratio past the CI ceiling — proof the gate detects a profiler
-    #: that actually got slow.
-    probe_sleep_s: float = 0.0
 
     def __post_init__(self) -> None:
         if self.ring_capacity < 1:
@@ -130,14 +118,6 @@ class ProfileConfig:
         if self.trace_rounds < 0:
             raise ValueError(
                 f"trace_rounds must be >= 0, got {self.trace_rounds}"
-            )
-        if self.probe_sleep_s < 0.0:
-            raise ValueError(
-                f"probe_sleep_s must be >= 0, got {self.probe_sleep_s}"
-            )
-        if self.probe_sleep_s > 0.0 and not self.overhead_probe:
-            raise ValueError(
-                "probe_sleep_s requires overhead_probe=True"
             )
 
 
@@ -322,65 +302,6 @@ class PhaseRecorder:
         return self._marks * self._mark_cost_s
 
 
-class ProbeRecorder(PhaseRecorder):
-    """Alternate-round overhead probe: measure the profiler's own cost.
-
-    Records phases on every other round exactly like
-    :class:`PhaseRecorder`; on the remaining rounds every mark is a
-    no-op and only the round's total duration is stamped into
-    :attr:`off_durations`.  Because recorded and minimal rounds
-    interleave at round granularity — and every worker probes the same
-    rounds, so a recorded round is recorded system-wide — the ratio of
-    their typical durations is the profiled-over-unprofiled round-time
-    ratio measured *within one run*, immune to the run-to-run host
-    drift (~±10–20% on shared machines) that drowns the few-percent
-    signal in any back-to-back A/B comparison.
-
-    The off-rounds still pay one stamp pair and four no-op method calls
-    (<1 us against rounds hundreds of microseconds long), so the ratio
-    marginally *under*-counts that sliver; the recorder's calibrated
-    ``overhead_estimate_s`` bounds it independently.
-
-    ``sleep_s`` injects a sleep into every recorded round — the CI
-    gate's self-test uses it to prove a genuinely slow profiler is
-    caught.
-    """
-
-    __slots__ = ("off_durations", "_probe_on", "_sleep_s")
-
-    def __init__(self, capacity: int = 2048, sleep_s: float = 0.0) -> None:
-        super().__init__(capacity)
-        #: Total durations of the minimally-timed rounds (seconds).
-        self.off_durations: List[float] = []
-        self._probe_on = False
-        self._sleep_s = sleep_s
-
-    def round_begin(self) -> None:
-        self._probe_on = not self._probe_on
-        if self._probe_on:
-            super().round_begin()
-        else:
-            self._t0 = perf_counter()
-
-    def mark(self, phase: int) -> None:
-        if self._probe_on:
-            super().mark(phase)
-
-    def accrue(self, phase: int, seconds: float) -> None:
-        if self._probe_on:
-            super().accrue(phase, seconds)
-
-    def round_end(self) -> None:
-        if self._probe_on:
-            if self._sleep_s > 0.0:
-                # Lands in the round's idle remainder: round_end stamps
-                # the total after the sleep.
-                sleep(self._sleep_s)
-            super().round_end()
-        else:
-            self.off_durations.append(perf_counter() - self._t0)
-
-
 def _percentile(ordered: Sequence[float], pct: float) -> float:
     """Percentile of an ascending, non-empty list, interpolating linearly
     between the two closest ranks (Hyndman and Fan's type 7, the usual
@@ -418,9 +339,6 @@ class WorkerProfile:
     outbox_stats: Dict[int, Dict[str, int]] = field(default_factory=dict)
     #: Measured cost of the profiler's own timestamp reads.
     overhead_estimate_s: float = 0.0
-    #: Durations of the minimally-timed rounds from a
-    #: :class:`ProbeRecorder` run; ``None`` outside probe mode.
-    probe_off_durations: Optional[List[float]] = None
 
     @classmethod
     def from_recorder(
@@ -432,7 +350,6 @@ class WorkerProfile:
         outbox_stats: Optional[Dict[int, Dict[str, int]]] = None,
     ) -> "WorkerProfile":
         starts, samples = recorder.chronological()
-        off = getattr(recorder, "off_durations", None)
         return cls(
             worker_id=worker_id,
             phases=PHASES,
@@ -446,7 +363,6 @@ class WorkerProfile:
             channel_counters=dict(channel_counters or {}),
             outbox_stats=dict(outbox_stats or {}),
             overhead_estimate_s=recorder.overhead_estimate_s,
-            probe_off_durations=list(off) if off else None,
         )
 
     @property
@@ -546,14 +462,6 @@ class WorkerProfile:
                 for peer, stats in sorted(self.outbox_stats.items())
             },
             "overhead_estimate_s": self.overhead_estimate_s,
-            **(
-                {
-                    "probe_off_rounds": len(self.probe_off_durations),
-                    "probe_off_median_s": median(self.probe_off_durations),
-                }
-                if self.probe_off_durations
-                else {}
-            ),
         }
 
 
@@ -661,38 +569,11 @@ class PhaseReport:
             ),
         }
 
-    def probe_overhead_ratio(self) -> Optional[float]:
-        """Measured profiled-over-unprofiled round-time ratio.
-
-        Only available from an overhead-probe run
-        (``ProfileConfig(overhead_probe=True)``): pools every worker's
-        recorded-round durations (ring row sums) against its
-        minimally-timed rounds and takes the ratio of medians.  The
-        two populations interleave round-by-round inside one run, so
-        host drift hits both equally and the few-percent profiler
-        signal survives; this is the number
-        ``scripts/check_bench_regression.py`` gates below its ceiling.
-        """
-        on: List[float] = []
-        off: List[float] = []
-        for profile in self.profiles:
-            if not profile.probe_off_durations or not profile.samples:
-                continue
-            on.extend(sum(row) for row in profile.samples)
-            off.extend(profile.probe_off_durations)
-        if not on:
-            return None
-        off_median = median(off)
-        if off_median <= 0.0:
-            return None
-        return median(on) / off_median
-
     def profiling_overhead_ratio(self) -> float:
         """Self-reported overhead: stamp cost over attributed time.
 
         A lower bound from the recorder's calibrated boundary-stamp
-        cost; the authoritative profiled-vs-unprofiled wall ratio is
-        measured by ``scripts/bench_dist.py`` and CI-gated.
+        cost: the stamps a run made times the measured cost of one.
         """
         attributed = sum(p.wall_seconds for p in self.profiles)
         if attributed <= 0.0:

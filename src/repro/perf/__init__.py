@@ -27,9 +27,8 @@ hot path:
 The scalar phases stay as the bit-equality oracle: cycle
 timestamps, switch counters, and tracer records are identical between
 the two engines (``tests/test_perf_engine.py`` and
-``tests/test_columnar_switch.py`` assert it), and
-``scripts/bench_core.py`` measures the speedups that CI's
-``bench-regression`` job then holds the tree to.
+``tests/test_columnar_switch.py`` assert it), and the ``bench/``
+suite times the batched engine against that oracle on every change.
 """
 
 from repro.perf.stream import ColumnarBatch, TokenStream

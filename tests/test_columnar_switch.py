@@ -98,13 +98,14 @@ def traffic_script(draw, rows=False):
 
 
 def build_switch(script):
+    ports = script.get("ports", NUM_PORTS)
     config = SwitchConfig(
-        num_ports=NUM_PORTS,
+        num_ports=ports,
         min_latency_cycles=10,
         cycles_per_flit=script["pace"],
         buffer_flits=script["buffer_flits"],
     )
-    table = {mac: port for port, mac in enumerate(KNOWN_MACS)}
+    table = {mac_address(port): port for port in range(ports)}
     model = SwitchModel(
         "sw", config, mac_table=table, default_port=script["default_port"]
     )
@@ -135,13 +136,15 @@ def window_inputs(script, window_index, form):
     a ``"batch"``, a ``"stream"`` or ``"rows"``."""
     start = window_index * WINDOW
     inputs = {}
-    for port in range(NUM_PORTS):
+    for port in range(script.get("ports", NUM_PORTS)):
         flits = {}
         for injected_window in range(window_index + 1):
             for offset, frame in script["injections"].get(
                 (injected_window, port), []
             ):
                 base = injected_window * WINDOW + offset
+                if base + frame.flit_count <= start:
+                    continue
                 for index, flit in enumerate(frame.to_flits()):
                     cycle = base + index * 1
                     if start <= cycle < start + WINDOW:
@@ -255,7 +258,7 @@ def run_pair(script, form, traced):
             if traced:
                 set_trace_sink(None)
             assert set(columnar_out) <= set(scalar_out)
-            for port in range(NUM_PORTS):
+            for port in range(script.get("ports", NUM_PORTS)):
                 key = f"port{port}"
                 out = columnar_out.get(key)
                 assert (
@@ -351,7 +354,8 @@ class TestColumnarEquality:
     def test_deep_backlog_parity(self):
         """Three ports flood a fourth with back-to-back 64 B frames: the
         egress queue grows past 120 packets and starts to drain, and
-        every window stays bit-identical to the spec."""
+        every window stays bit-identical to the spec.  An eight-port
+        incast then backs up and drains to empty."""
         script = {
             "windows": 9,
             "pace": 1,
@@ -372,6 +376,36 @@ class TestColumnarEquality:
         backlog = run_pair(script, "rows", traced=True)
         assert max(backlog) > 120, backlog
         assert backlog[-1] < max(backlog)
+        # Incast: seven ports send back-to-back 600 B frames into the
+        # eighth, every 16th frame to an unknown MAC (dropped), and the
+        # switch is drained to empty.
+        ports = 8
+        frames = {}
+        for port in range(ports - 1):
+            cycle = 0
+            for sent in range(16):
+                dst = UNKNOWN_MAC if sent % 16 == 15 else mac_address(7)
+                frame = EthernetFrame(
+                    src=mac_address(port), dst=dst, size_bytes=600,
+                )
+                frames.setdefault((cycle // WINDOW, port), []).append(
+                    (cycle % WINDOW, frame)
+                )
+                cycle += frame.flit_count
+        script = {
+            # The egress port sends one flit a cycle: enough windows to
+            # drain every sender's whole stream.
+            "windows": (ports - 1) * cycle // WINDOW + 4,
+            "pace": 1,
+            "buffer_flits": 1 << 20,
+            "default_port": None,
+            "injections": frames,
+            "bumps": [],
+            "ports": ports,
+        }
+        backlog = run_pair(script, "rows", traced=False)
+        assert max(backlog) > 80, backlog
+        assert backlog[-1] == 0
 
     def test_engines_alternate_on_one_model(self):
         """One model ticked scalar and columnar on alternate windows

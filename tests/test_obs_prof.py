@@ -1,14 +1,12 @@
 """Distributed round-phase profiler (repro.obs.prof).
 
-Unit coverage for the recorder ring, clock sync, and overhead probe,
-plus end-to-end checks that a profiled distributed run yields a
+Unit coverage for the recorder ring and clock sync, plus end-to-end checks that a profiled distributed run yields a
 well-formed PhaseReport, a merged Chrome trace, and dist.* gauges via
 ``TelemetrySession.absorb_distributed``.
 """
 
 import json
 import random
-import statistics
 import time
 
 import numpy as np
@@ -22,7 +20,6 @@ from repro.manager.topology import two_tier
 from repro.obs.prof import (
     BUSY_PHASES,
     P_COMPUTE,
-    P_RECV_WAIT,
     P_SEND,
     P_SERIALIZE,
     PHASES,
@@ -31,7 +28,6 @@ from repro.obs.prof import (
     ClockSync,
     PhaseRecorder,
     PhaseReport,
-    ProbeRecorder,
     ProfileConfig,
     WorkerProfile,
 )
@@ -149,58 +145,17 @@ class TestProfileConfig:
     def test_defaults_valid(self):
         config = ProfileConfig()
         assert config.ring_capacity == 2048
-        assert not config.overhead_probe
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"ring_capacity": 0},
             {"trace_rounds": -1},
-            {"probe_sleep_s": -0.1, "overhead_probe": True},
-            {"probe_sleep_s": 0.001},  # requires overhead_probe=True
         ],
     )
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ProfileConfig(**kwargs)
-
-
-# -- ProbeRecorder ------------------------------------------------------
-
-
-class TestProbeRecorder:
-    def run_rounds(self, rec, n):
-        for _ in range(n):
-            rec.round_begin()
-            rec.mark(P_COMPUTE)
-            rec.round_end()
-
-    def test_alternates_recorded_and_minimal_rounds(self):
-        rec = ProbeRecorder(capacity=16)
-        self.run_rounds(rec, 10)
-        # Odd indices record (5 of 10); even indices only stamp.
-        assert rec.rounds == 5
-        assert len(rec.off_durations) == 5
-        assert all(d > 0.0 for d in rec.off_durations)
-
-    def test_off_round_marks_are_noops(self):
-        rec = ProbeRecorder(capacity=16)
-        rec.round_begin()   # index 1: recorded
-        rec.round_end()
-        rec.round_begin()   # index 2: minimal
-        rec.mark(P_COMPUTE)
-        rec.accrue(P_SERIALIZE, 1.0)
-        rec.round_end()
-        assert rec.totals[P_COMPUTE] == 0.0
-        assert rec.totals[P_SERIALIZE] == 0.0
-
-    def test_sleep_injection_inflates_recorded_rounds(self):
-        rec = ProbeRecorder(capacity=32, sleep_s=0.002)
-        self.run_rounds(rec, 8)
-        _, samples = rec.chronological()
-        on_median = statistics.median(sum(row) for row in samples)
-        off_median = statistics.median(rec.off_durations)
-        assert on_median / off_median > 1.05
 
 
 # -- end-to-end: profiled distributed runs ------------------------------
@@ -249,11 +204,6 @@ class TestPhaseReportEndToEnd:
         parsed = json.loads(json.dumps(document))
         assert set(parsed["per_worker"]) == {"0", "1"}
 
-    def test_no_probe_data_outside_probe_mode(self, profiled_result):
-        report = PhaseReport.from_result(profiled_result)
-        assert report.probe_overhead_ratio() is None
-
-
 class TestMergedTrace:
     def test_one_pid_per_worker_monotonic_tracks(self, profiled_result):
         report = PhaseReport.from_result(profiled_result)
@@ -278,24 +228,6 @@ class TestMergedTrace:
             if e["ph"] == "X" and e["tid"] == 1
         ]
         assert len(spans) == 3
-
-
-class TestProbeEndToEnd:
-    def test_probe_run_measures_overhead_ratio(self):
-        result = run_profiled(ProfileConfig(overhead_probe=True))
-        ratio = PhaseReport.from_result(result).probe_overhead_ratio()
-        assert ratio is not None
-        # Within one run the probe is tight; leave slack for CI hosts.
-        assert 0.5 < ratio < 2.0
-
-    def test_injected_sleep_trips_the_ceiling(self):
-        """The gate's self-test physics: a slow profiler must show."""
-        result = run_profiled(
-            ProfileConfig(overhead_probe=True, probe_sleep_s=0.0005)
-        )
-        ratio = PhaseReport.from_result(result).probe_overhead_ratio()
-        assert ratio is not None
-        assert ratio > 1.05
 
 
 class TestAbsorbDistributed:
@@ -334,21 +266,6 @@ class TestAbsorbDistributed:
 
 
 class TestWorkerProfileFromRecorder:
-    def test_probe_off_durations_round_trip(self):
-        rec = ProbeRecorder(capacity=8)
-        for _ in range(6):
-            rec.round_begin()
-            rec.mark(P_RECV_WAIT)
-            rec.round_end()
-        profile = WorkerProfile.from_recorder(
-            0, rec, ClockSync(epoch_s=0.0, entry_s=0.0)
-        )
-        assert profile.probe_off_durations is not None
-        assert len(profile.probe_off_durations) == 3
-        document = profile.to_dict()
-        assert document["probe_off_rounds"] == 3
-        assert document["probe_off_median_s"] > 0.0
-
     def test_histogram_percentiles_match_numpy(self):
         """Plain-list percentiles equal numpy's default linear method."""
         rng = random.Random(3)
@@ -374,13 +291,3 @@ class TestWorkerProfileFromRecorder:
                         for pct in (0, 50, 90, 99, 100)
                     },
                 }
-
-    def test_plain_recorder_has_no_probe_field(self):
-        rec = PhaseRecorder(capacity=8)
-        rec.round_begin()
-        rec.round_end()
-        profile = WorkerProfile.from_recorder(
-            1, rec, ClockSync(epoch_s=0.0, entry_s=0.0)
-        )
-        assert profile.probe_off_durations is None
-        assert "probe_off_rounds" not in profile.to_dict()
