@@ -1,8 +1,9 @@
-"""Floors over the bench suite document (scripts/check_floors.py).
+"""The parity floor's checker (scripts/check_floors.py).
 
-CI holds every ``python -m bench.run`` suite run to these rows, so the
+CI holds every ``python -m bench.run`` suite run to the floor, so the
 checker gets its own coverage: a floor that silently stops tripping is
-worse than no floor.
+worse than no floor.  The measurement itself is host timing and runs in
+CI's ``bench`` and ``weekly`` jobs, not here.
 """
 
 import json
@@ -22,26 +23,10 @@ def check(*args):
     )
 
 
-def with_parity(ratio, quick):
-    """The committed document, its parity ratio set to ``ratio``."""
-    document = json.loads(BENCH.read_text(encoding="utf-8"))
-    workloads = document["workloads"]
-    serial = workloads["ping_farm"]["end_to_end"]["sim_rate_mhz"]["median"]
-    workloads["dist_farm"]["end_to_end"]["crit_path_mhz"]["median"] = (
-        ratio * serial
-    )
-    document["quick"] = quick
-    return document
-
-
-def test_committed_baseline_clears_the_floors():
-    done = check(BENCH)
-    assert done.returncode == 0, done.stderr
-
-
 def test_self_test_on_committed_baseline():
     done = check("--self-test", BENCH)
     assert done.returncode == 0, done.stderr
+    assert "self-test 6/6" in done.stdout
 
 
 def test_other_schema_rejected(tmp_path):
@@ -53,12 +38,3 @@ def test_other_schema_rejected(tmp_path):
         done = check(*args)
         assert done.returncode == 1
         assert "schema" in done.stderr
-
-
-def test_full_length_document_held_to_the_strict_floor(tmp_path):
-    """0.9 clears the quick floor (0.85) but not the full one (1.0)."""
-    for quick, code in ((True, 0), (False, 1)):
-        path = tmp_path / f"quick_{quick}.json"
-        path.write_text(json.dumps(with_parity(0.9, quick)), encoding="utf-8")
-        done = check(path)
-        assert done.returncode == code, (quick, done.stdout, done.stderr)
