@@ -69,9 +69,11 @@ class Fame1Model(ABC):
         token.  The engine also fast-forwards a model over whole runs of
         such rounds, reading the horizon right after each visit.
         Returning ``current_cycle`` (what this default does) opts the
-        model out: it is ticked every round.  A stock blade returns its
-        next due event, and a switch with queued packets opts out until
-        they drain.
+        model out: it is ticked every round.  A switch with queued
+        packets opts out until they drain.  A stock blade returns its
+        next due event, but the engine mostly reads that event itself:
+        it ticks a stock blade without asking, since the tick is a no-op
+        when idle, and reschedules it from its event-queue head.
         """
         return self.current_cycle
 

@@ -24,27 +24,30 @@ host cost changes.  Six overheads are eliminated:
 * **Idle model ticks.**  A model whose every input window carries zero
   valid tokens and whose
   :meth:`~repro.core.fame.Fame1Model.idle_horizon` lies beyond the
-  window (switches with empty queues, null sinks, tracers, server
-  blades with no queued transmits and no event due) skips its tick.
-  A model whose class does not override the horizon ticks every round.
+  window (switches with empty queues, null sinks, tracers) skips its
+  tick.  A model whose class does not override the horizon ticks every
+  round.  A stock server blade is not asked: its idle tick is a no-op.
 * **Visits to models with nothing to do (the active set).**  Each slot
-  has a wake cycle: the earlier of its ``idle_horizon()``, read right
-  after its last visit, and the round in which a window carrying valid
-  tokens lands on one of its inputs.  A round visits only the slots due
-  in it, in slot order, and a round in which no slot is due is jumped
-  over, so a round costs what its traffic costs, not what the farm
-  size costs.  Idle time is a cursor, not a queue of empty windows: a
-  queue holds only windows that carry flits, and on exit (a raise
-  included) the loop sets each endpoint's two cursors where the
-  visit-every-slot loop would leave them, so digests, snapshots, a
-  scalar segment or a distributed start-up see the same state.  A loss
-  gap wakes its consumer in the round that holds it, which starves
-  there as it would in every-slot order.  A distributed worker's
-  exchange rounds are always stops, and a window the exchange step
-  delivers wakes its consumer exactly as a local push does.  The step
-  is told the heap's minimum and names the next exchange, which lies
-  further out when no shard has a slot due before it.  Every slot is
-  visited every round whenever a ``hook`` observes individual rounds.
+  has a wake cycle: the earlier of its next action, read right after its
+  last visit, and the round in which a window carrying valid tokens
+  lands on one of its inputs.  A stock blade's next action is its
+  event-queue head, or the next round while its NIC has frames to send;
+  only its own visit schedules events during a run, and every slot is
+  due at a run's start.  Any other model's is its ``idle_horizon()``.  A
+  round visits only the slots due in it, in slot order, and a round in
+  which no slot is due is jumped over, so a round costs what its traffic
+  costs, not what the farm size costs.  Idle time is a cursor, not a
+  queue of empty windows: a queue holds only windows that carry flits,
+  and on exit (a raise included) the loop sets each endpoint's two
+  cursors where the visit-every-slot loop would leave them, so digests,
+  snapshots, a scalar segment or a distributed start-up see the same
+  state.  A loss gap wakes its consumer in the round that holds it,
+  which starves there as it would in every-slot order.  A distributed
+  worker's exchange rounds are always stops, and a window the exchange
+  step delivers wakes its consumer exactly as a local push does.  The
+  step is told the heap's minimum and names the next exchange, which
+  lies further out when no shard has a slot due before it.  Every slot
+  is visited every round whenever a ``hook`` observes individual rounds.
 * **Per-flit switch and NIC phases.**  Every stock switch ticks
   through a :class:`~repro.perf.switch.ColumnarSwitch` — the per-packet
   spec with packet-segment rows in and out — and every stock server
@@ -100,6 +103,7 @@ class _Slot:
 
     __slots__ = (
         "model", "tick", "horizon", "in_ports", "out_ports", "raw",
+        "events", "tx_queue",
     )
 
     def __init__(
@@ -124,6 +128,11 @@ class _Slot:
         self.raw = raw
         self.in_ports = in_ports
         self.out_ports = out_ports
+        # A stock blade's event and transmit queues, unless ``wrap`` is
+        # set: the active set ticks it without asking the horizon (an
+        # idle tick is a no-op) and reschedules it from one read.
+        self.events: Any = None
+        self.tx_queue: Any = None
 
 
 def compile_slots(
@@ -199,7 +208,11 @@ def compile_slots(
         horizon = None
         if type(model).idle_horizon is not Fame1Model.idle_horizon:
             horizon = model.idle_horizon
-        slots.append(_Slot(model, tick, horizon, in_ports, out_ports, raw))
+        slot = _Slot(model, tick, horizon, in_ports, out_ports, raw)
+        if raw and wrap is None and not isinstance(model, SwitchModel):
+            slot.events = model.events  # type: ignore[attr-defined]
+            slot.tx_queue = model.nic._tx_queue  # type: ignore[attr-defined]
+        slots.append(slot)
     return slots, ends
 
 
@@ -331,68 +344,91 @@ def run_rounds(
                 model = slot.model
                 # Stale after rounds the slot was not visited in.
                 model.current_cycle = cycle
-                raw = slot.raw
-                inputs = {}
-                busy = False
-                try:
-                    for port, endpoint in slot.in_ports:
-                        queue = endpoint._queue
-                        head = queue[0] if queue else None
-                        if endpoint._gap_at is not None or (
-                            head is not None and head.start_cycle < end
-                            and (head.start_cycle != cycle
-                                 or head.length != quantum)
-                        ):
-                            # A loss gap or a window off the round grid.
-                            endpoint._consumed_until = cycle
-                            batch = endpoint.pop(quantum)
-                        elif head is None or head.start_cycle >= end:
-                            # An absent window is an empty one; only a
-                            # custom model is handed it as a batch.
-                            endpoint._consumed_until = end
-                            if not raw:
-                                inputs[port] = TokenBatch(cycle, quantum)
-                            continue
-                        else:
+                # A hooked run gives stock blades the generic visit.
+                events = slot.events if sparse else None
+                if events is not None:
+                    endpoint = slot.in_ports[0][1]
+                    queue = endpoint._queue
+                    head = queue[0] if queue else None
+                    if head is not None and head.start_cycle >= end:
+                        head = None
+                    if endpoint._gap_at is not None or head is not None and (
+                        head.start_cycle != cycle or head.length != quantum
+                    ):
+                        events = None  # a gap or a window off the grid
+                    else:
+                        if head is not None:
                             queue.popleft()
-                            endpoint._consumed_until = end
-                            if raw or type(head) is TokenBatch:
-                                # Columnar consumers take any wire
-                                # representation as-is.
-                                batch = head
+                        endpoint._consumed_until = end
+                        # ``rows`` positionally: the keyword partial in
+                        # ``tick`` costs more than the call it wraps.
+                        outputs = model._tick(  # type: ignore[call-arg]
+                            window, {} if head is None else {"net": head}, True
+                        )
+                        idled = False
+                if events is None:
+                    raw = slot.raw
+                    inputs = {}
+                    busy = False
+                    try:
+                        for port, endpoint in slot.in_ports:
+                            queue = endpoint._queue
+                            head = queue[0] if queue else None
+                            if endpoint._gap_at is not None or (
+                                head is not None and head.start_cycle < end
+                                and (head.start_cycle != cycle
+                                     or head.length != quantum)
+                            ):
+                                # A loss gap or a window off the round grid.
+                                endpoint._consumed_until = cycle
+                                batch = endpoint.pop(quantum)
+                            elif head is None or head.start_cycle >= end:
+                                # An absent window is an empty one; only a
+                                # custom model is handed it as a batch.
+                                endpoint._consumed_until = end
+                                if not raw:
+                                    inputs[port] = TokenBatch(cycle, quantum)
+                                continue
                             else:
-                                batch = head.to_batch()
-                        if raw:
-                            kind = type(batch)
-                            if kind is ColumnarBatch:
-                                if batch._valid:
-                                    busy = True
-                            elif kind is TokenStream:
-                                if batch.cycles:
+                                queue.popleft()
+                                endpoint._consumed_until = end
+                                if raw or type(head) is TokenBatch:
+                                    # Columnar consumers take any wire
+                                    # representation as-is.
+                                    batch = head
+                                else:
+                                    batch = head.to_batch()
+                            if raw:
+                                kind = type(batch)
+                                if kind is ColumnarBatch:
+                                    if batch._valid:
+                                        busy = True
+                                elif kind is TokenStream:
+                                    if batch.cycles:
+                                        busy = True
+                                elif batch.flits:
                                     busy = True
                             elif batch.flits:
                                 busy = True
-                        elif batch.flits:
-                            busy = True
-                        inputs[port] = batch
-                except LookupError as exc:
-                    if diagnose is not None:
-                        raise diagnose(model, cycle) from exc
-                    raise starvation_diagnostic(
-                        model, attachments, quantum, cycle
-                    ) from exc
-                idled = False
-                if not busy and slot.horizon is not None:
-                    due = slot.horizon()
-                    if due is None or due >= end:
-                        # The horizon authorizes the idle window, so the
-                        # just-popped input windows — empty or absent,
-                        # garbage otherwise — become the outputs:
-                        # observably identical empty quanta.
-                        outputs = inputs
-                        idled = True
-                if not idled:
-                    outputs = slot.tick(window, inputs)
+                            inputs[port] = batch
+                    except LookupError as exc:
+                        if diagnose is not None:
+                            raise diagnose(model, cycle) from exc
+                        raise starvation_diagnostic(
+                            model, attachments, quantum, cycle
+                        ) from exc
+                    idled = False
+                    if not busy and slot.horizon is not None:
+                        due = slot.horizon()
+                        if due is None or due >= end:
+                            # The horizon authorizes the idle window, so the
+                            # just-popped input windows — empty or absent,
+                            # garbage otherwise — become the outputs:
+                            # observably identical empty quanta.
+                            outputs = inputs
+                            idled = True
+                    if not idled:
+                        outputs = slot.tick(window, inputs)
                 model.current_cycle = end
                 for (
                     port, link, latency, is_a, out_endpoint, ship, col_ok,
@@ -446,16 +482,16 @@ def run_rounds(
                         continue
                     out_endpoint.push(shipped)
                 if sparse:
-                    horizon = slot.horizon
-                    if horizon is None:
-                        wake(index, end)
-                    else:
-                        if not idled:
-                            due = horizon()
-                        if due is not None:
-                            wake(index, max(end, start_cycle + (
-                                (due - start_cycle) // quantum * quantum
-                            )))
+                    if events is not None:
+                        due = end if slot.tx_queue else events.next_cycle()
+                    elif slot.horizon is None:
+                        due = end
+                    elif not idled:
+                        due = slot.horizon()
+                    if due is not None:
+                        # Its round, and never one before the next.
+                        due -= (due - start_cycle) % quantum
+                        wake(index, due if due > end else end)
                 done = index + 1
                 if hook is not None:
                     hook(cycle, model)

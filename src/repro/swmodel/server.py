@@ -157,7 +157,10 @@ class ServerBlade(Fame1Model):
         can wake a quiet blade — receives need valid tokens, transmits
         need a prior event or receive — so the event queue's head
         bounds how far the batched engine may fast-forward (see
-        :meth:`Fame1Model.idle_horizon`).
+        :meth:`Fame1Model.idle_horizon`).  The engine's active set
+        reads that head itself after each visit to a stock blade and
+        asks this only in its generic visit (subclasses, loss gaps,
+        off-grid windows, wrapped or hooked runs).
         """
         if not self._idle_safe or self.nic._tx_queue:
             return self.current_cycle

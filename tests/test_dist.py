@@ -10,6 +10,7 @@ combination tried.
 import io
 import json
 import multiprocessing
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -238,28 +239,91 @@ class TestPartitioning:
 class TestWorkersRunTheActiveSet:
     def test_quiet_blade_is_not_asked_every_round(self):
         """A worker visits a slot only when it is due, so a blade with
-        no traffic and no timer is asked for its horizon once, not
-        once per round.  The counter lives in shared memory, so the
-        forked workers' calls land in it.  The shards also skip the
-        exchanges in which no shard has a slot due."""
+        no traffic and no timer is ticked a handful of times, not once
+        per round.  The counter lives in shared memory, so the forked
+        workers' visits land in it.  The shards also skip the exchanges
+        in which no shard has a slot due."""
         running, root = build("two_tier_2x2", engine="batched")
         quiet = running.blades[1]
-        calls = multiprocessing.Value("q", 0)
-        horizon = quiet.idle_horizon
+        visits = multiprocessing.Value("q", 0)
+        tick = quiet._tick
 
-        def counted():
-            with calls.get_lock():
-                calls.value += 1
-            return horizon()
+        def counted(*args, **kw):
+            with visits.get_lock():
+                visits.value += 1
+            return tick(*args, **kw)
 
-        quiet.idle_horizon = counted
+        quiet._tick = counted
         plan = plan_partitions(running, map_topology(root, ONE_FPGA), 2)
         result = run_distributed(running.simulation, plan, TARGET_CYCLES)
         assert result.rounds > 1_000
         assert result.exchange_rounds < (
             result.rounds // result.rounds_per_exchange
         )
-        assert 0 < calls.value <= 10
+        assert 0 < visits.value <= 10
+
+
+class OwnTick(ServerBlade):
+    """A blade subclass with its own ``_tick``: not a stock blade."""
+
+    def _tick(self, window, inputs):
+        return super()._tick(window, inputs)
+
+
+class TestStockBladeVisit:
+    """The active set ticks a stock blade without asking its horizon and
+    reads its event queue after the visit; it installs nothing."""
+
+    def test_runs_leave_no_attribute_on_blades_or_queues(self):
+        """No state can outlive a run or cross the fork into workers."""
+        running, root = build("two_tier_2x2", engine="batched")
+
+        def keys():
+            return [
+                (sorted(vars(blade)), sorted(vars(blade.events)))
+                for _, blade in sorted(running.blades.items())
+            ]
+
+        before = keys()
+        running.simulation.run_until(TARGET_CYCLES // 2)
+        assert keys() == before
+        plan = plan_partitions(running, map_topology(root, ONE_FPGA), 2)
+        run_distributed(running.simulation, plan, TARGET_CYCLES)
+        assert keys() == before
+        assert running.simulation.current_cycle >= TARGET_CYCLES
+
+    def test_blade_subclass_is_asked_for_its_horizon(self):
+        def run(engine):
+            sim = Simulation(engine=engine)
+            a = sim.add_model(OwnTick("node0", node_index=0))
+            b = sim.add_model(ServerBlade("node1", node_index=1))
+            switch = sim.add_model(
+                SwitchModel(
+                    "tor",
+                    SwitchConfig(num_ports=2),
+                    mac_table={mac_address(0): 0, mac_address(1): 1},
+                )
+            )
+            sim.connect(a, "net", switch, "port0", 640)
+            sim.connect(switch, "port1", b, "net", 640)
+            a.spawn(
+                "ping",
+                make_ping_client(b.mac, count=3, interval_cycles=50_000),
+            )
+            asked = []
+            horizon = a.idle_horizon
+            a.idle_horizon = lambda: asked.append(None) or horizon()
+            sim.run_until(TARGET_CYCLES)
+            running = SimpleNamespace(
+                simulation=sim, switches={0: switch}, blades={0: a, 1: b}
+            )
+            return fingerprint(running), len(asked)
+
+        scalar, _ = run("scalar")
+        batched, asked = run("batched")
+        assert batched == scalar
+        assert len(scalar["blades"][0][RESULT_KEY]) == 2
+        assert asked > 0
 
 
 class TestIdleExchangeJump:

@@ -981,13 +981,15 @@ class TestActiveSet:
     def test_quiet_blade_is_not_asked_every_round(self):
         running, _ = build_batched("two_tier_2x2")
         quiet = running.blades[1]
-        calls = []
-        horizon = quiet.idle_horizon
-        quiet.idle_horizon = lambda: calls.append(None) or horizon()
+        visits = []
+        tick = quiet._tick
+        quiet._tick = lambda *args, **kw: visits.append(None) or tick(
+            *args, **kw
+        )
         running.simulation.run_until(TARGET_CYCLES)
         assert running.simulation.stats.rounds > 1000
         # A handful of visits (start, the flooded ARP), not one a round.
-        assert len(calls) <= 10
+        assert 0 < len(visits) <= 10
 
     @pytest.mark.parametrize("farm", ["mixed_latency", "two_tier_2x2",
                                       "stream"])
@@ -1026,11 +1028,18 @@ class TestActiveSet:
         assert scalar[0] == 77_777 // 640 * 640
         assert run("batched") == scalar
 
-    def test_gap_at_entry_starves_with_the_same_diagnostic(self):
+    @pytest.mark.parametrize("direction,starved", [
+        ("a_to_b", ("tor", "port0")),
+        # A stock blade meets the gap: it takes the generic visit.
+        ("b_to_a", ("node0", "net")),
+    ], ids=["switch", "blade"])
+    def test_gap_at_entry_starves_with_the_same_diagnostic(
+        self, direction, starved
+    ):
         def run(engine):
             sim = build_mixed(engine)
             sim.run_until(40_000)
-            sim.links[0].lose_in_flight("a_to_b")
+            sim.links[0].lose_in_flight(direction)
             with pytest.raises(TokenStarvationError) as info:
                 sim.run_until(200_000)
             error = info.value
@@ -1040,7 +1049,7 @@ class TestActiveSet:
             )
 
         scalar = run("scalar")
-        assert scalar[1:3] == ("tor", "port0")
+        assert scalar[1:3] == starved
         assert run("batched") == scalar
 
 
