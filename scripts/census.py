@@ -23,7 +23,7 @@ REPO = Path(__file__).resolve().parent.parent
 PACKAGE = REPO / "src" / "repro"
 
 #: The last measured total of unexecuted function lines; only lower it.
-CEILING = 773
+CEILING = 767
 
 HOOK = """
 import atexit, os, sys, threading

@@ -59,21 +59,13 @@ class Fame1Model(ABC):
         """First cycle at or after ``current_cycle`` this model could act
         at with no valid input token, or None for never.
 
-        The batched engine (:mod:`repro.perf.engine`) consults this only
-        on subclasses that override it.  While every input window of a
-        round carries zero valid tokens and the horizon lies at or past
-        the round's end, the engine skips the tick: the model's outputs
-        are empty windows and its state is left untouched, so an
-        override must return a cycle no later than the first at which
-        :meth:`_tick` on all-empty inputs would change state or emit a
-        token.  The engine also fast-forwards a model over whole runs of
-        such rounds, reading the horizon right after each visit.
-        Returning ``current_cycle`` (what this default does) opts the
-        model out: it is ticked every round.  A switch with queued
-        packets opts out until they drain.  A stock blade returns its
-        next due event, but the engine mostly reads that event itself:
-        it ticks a stock blade without asking, since the tick is a no-op
-        when idle, and reschedules it from its event-queue head.
+        The batched engine (:mod:`repro.perf.engine`) reads this after
+        each visit to schedule the next; a window with valid tokens
+        landing on an input also brings a visit, and a visited model
+        always ticks.  An override must return no later than the first
+        cycle at which :meth:`_tick` on all-empty inputs would change
+        state or emit a token.  This default, ``current_cycle``, asks
+        for a visit every round.
         """
         return self.current_cycle
 

@@ -262,8 +262,8 @@ class Simulation:
         #: arms one).  Called as ``hook(cycle, model)`` at each round
         #: start (``model=None``) and after each model's tick; it may
         #: raise to model a simulation-controller crash, or mutate link
-        #: state to model transport loss.  None costs one check per
-        #: round plus one per tick.
+        #: state to model transport loss.  While one is set, either
+        #: engine runs the scalar spec loop.
         self.fault_hook: Optional[Any] = None
         self._started = False
         if quantum_override is not None and quantum_override < 1:
@@ -339,6 +339,17 @@ class Simulation:
                         f"{model.name}.{port} is not connected; attach a "
                         "NullModel to terminate unused ports"
                     )
+        # A link's far end must tick: a model never added would leave it
+        # unfed.  Attachments know a model only by id, so the link's name
+        # (by default ``a.port<->b.port``) names it.
+        added = {id(model) for model in self.models}
+        for (model_id, port), attachment in self._attachments.items():
+            if model_id not in added:
+                raise RuntimeError(
+                    f"port {port!r} on link {attachment.link.name!r} "
+                    "belongs to a model that was never added; add_model "
+                    "every model a link connects"
+                )
         for link in self.links:
             link.prime()
         self._started = True

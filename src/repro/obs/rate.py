@@ -14,8 +14,8 @@ actually running the functional simulation.  Attached to a
 
 When a :class:`~repro.obs.trace.ChromeTraceSink` is supplied, each
 model tick also lands as a host-time span, so Perfetto shows the round
-structure visually.  A visit the batched engine proves idle calls no
-tick, so it has no span and no host time.
+structure visually.  A model the batched engine does not visit calls
+no tick, so it has no span and no host time.
 """
 
 from __future__ import annotations

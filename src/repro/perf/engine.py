@@ -3,7 +3,7 @@
 Token movement here is observably identical to the scalar spec loop
 (:func:`repro.core.simulation.run_rounds`, the bit-equality oracle whose
 parameter list and hook points :func:`run_rounds` shares); only the
-host cost changes.  Six overheads are eliminated:
+host cost changes.  Five overheads are eliminated:
 
 * **Per-call queue machinery.**  The model graph is compiled once per
   run into :class:`_Slot` entries binding each port directly to its
@@ -21,12 +21,6 @@ host cost changes.  Six overheads are eliminated:
   switches and blades leave out every idle port and are handed only the
   input windows that exist; only a custom model still gets a batch on
   every input port.
-* **Idle model ticks.**  A model whose every input window carries zero
-  valid tokens and whose
-  :meth:`~repro.core.fame.Fame1Model.idle_horizon` lies beyond the
-  window (switches with empty queues, null sinks, tracers) skips its
-  tick.  A model whose class does not override the horizon ticks every
-  round.  A stock server blade is not asked: its idle tick is a no-op.
 * **Visits to models with nothing to do (the active set).**  Each slot
   has a wake cycle: the earlier of its next action, read right after its
   last visit, and the round in which a window carrying valid tokens
@@ -34,20 +28,20 @@ host cost changes.  Six overheads are eliminated:
   event-queue head, or the next round while its NIC has frames to send;
   only its own visit schedules events during a run, and every slot is
   due at a run's start.  Any other model's is its ``idle_horizon()``.  A
-  round visits only the slots due in it, in slot order, and a round in
-  which no slot is due is jumped over, so a round costs what its traffic
-  costs, not what the farm size costs.  Idle time is a cursor, not a
-  queue of empty windows: a queue holds only windows that carry flits,
-  and on exit (a raise included) the loop sets each endpoint's two
-  cursors where the visit-every-slot loop would leave them, so digests,
-  snapshots, a scalar segment or a distributed start-up see the same
-  state.  A loss gap wakes its consumer in the round that holds it,
-  which starves there as it would in every-slot order.  A distributed
-  worker's exchange rounds are always stops, and a window the exchange
-  step delivers wakes its consumer exactly as a local push does.  The
-  step is told the heap's minimum and names the next exchange, which
-  lies further out when no shard has a slot due before it.  Every slot
-  is visited every round whenever a ``hook`` observes individual rounds.
+  round visits only the slots due in it, in slot order, and a visited
+  slot always ticks; a round in which no slot is due is jumped over, so
+  a round costs what its traffic costs, not what the farm size costs.
+  Idle time is a cursor, not a queue of empty windows: a queue holds
+  only windows that carry flits, and on exit (a raise included) the
+  loop sets each endpoint's two cursors where the spec would leave
+  them, so digests, snapshots, a scalar segment or a distributed
+  start-up see the same state.  A loss gap wakes its consumer in the
+  round that holds it, which starves there as it does in the spec.  A
+  distributed worker's exchange rounds are always stops, and a window
+  the exchange step delivers wakes its consumer exactly as a local push
+  does.  The step is told the heap's minimum and names the next
+  exchange, which lies further out when no shard has a slot due before
+  it.
 * **Per-flit switch and NIC phases.**  Every stock switch ticks
   through a :class:`~repro.perf.switch.ColumnarSwitch` — the per-packet
   spec with packet-segment rows in and out — and every stock server
@@ -59,9 +53,9 @@ host cost changes.  Six overheads are eliminated:
   Neither keeps columnar state of its own, so hooks, checkpoints and
   the scalar engine read live model state at every round boundary.
 
-Hooks fire at the same points as the scalar loop.  The loop reads no
-clock: host timing wraps each slot's tick (``wrap``), so a visit the
-horizon proves idle, which calls no tick, is not timed either.
+A call with a ``hook``, which observes every round and model, runs the
+spec itself.  The loop reads no clock: host timing wraps each slot's
+tick (``wrap``), so a slot the active set does not visit is not timed.
 Distributed workers hand the loop boundary attachments; their streams
 are shipped over the wire in the producer's representation — no
 convert/deconvert hop
@@ -79,6 +73,7 @@ from typing import Tuple
 
 from repro.core.fame import Fame1Model
 from repro.core.simulation import RoundProgress, starvation_diagnostic
+from repro.core.simulation import run_rounds as run_spec
 from repro.core.token import TokenBatch, TokenWindow
 from repro.net.switch import SwitchModel
 from repro.perf.stream import ColumnarBatch, TokenStream
@@ -110,17 +105,14 @@ class _Slot:
         self,
         model: Fame1Model,
         tick: Callable[..., Any],
-        horizon: Optional[Callable[[], Optional[int]]],
         in_ports: List[Tuple[str, Any]],
         out_ports: List[_OutPort],
         raw: bool,
     ) -> None:
         self.model = model
         self.tick = tick
-        # Set only when the class overrides ``idle_horizon``: the model
-        # may then be skipped while its inputs are empty and the horizon
-        # lies beyond the window.
-        self.horizon = horizon
+        # When the model next acts without input: read after each visit.
+        self.horizon = model.idle_horizon
         # A raw slot — a stock switch or a stock blade — may receive
         # inputs in any wire representation (ColumnarBatch, TokenStream
         # or TokenBatch) without conversion, is handed only the input
@@ -129,8 +121,7 @@ class _Slot:
         self.in_ports = in_ports
         self.out_ports = out_ports
         # A stock blade's event and transmit queues, unless ``wrap`` is
-        # set: the active set ticks it without asking the horizon (an
-        # idle tick is a no-op) and reschedules it from one read.
+        # set: its visit is inlined and reschedules it from one read.
         self.events: Any = None
         self.tx_queue: Any = None
 
@@ -205,10 +196,7 @@ def compile_slots(
             tick = partial(tick, rows=True)
         if wrap is not None:
             tick = wrap(model.name, tick)
-        horizon = None
-        if type(model).idle_horizon is not Fame1Model.idle_horizon:
-            horizon = model.idle_horizon
-        slot = _Slot(model, tick, horizon, in_ports, out_ports, raw)
+        slot = _Slot(model, tick, in_ports, out_ports, raw)
         if raw and wrap is None and not isinstance(model, SwitchModel):
             slot.events = model.events  # type: ignore[attr-defined]
             slot.tx_queue = model.nic._tx_queue  # type: ignore[attr-defined]
@@ -233,25 +221,22 @@ def run_rounds(
 
     Same contract as :func:`repro.core.simulation.run_rounds` (the
     spec: parameters, hook firing order, what ``progress`` holds after
-    a raise).  Slots are compiled fresh per call (~tens of microseconds
-    on paper-scale graphs) so checkpoint restores, model-graph edits
-    and class-level patches between runs can never observe a stale
-    plan.  ``wrap`` is applied once per slot to its tick; a visit the
-    horizon proves idle calls no tick, so no wrapper sees it.
+    a raise).  A ``hook`` observes every round and every model, so a
+    call with one runs the spec.  Slots are compiled fresh per call
+    (~tens of microseconds on paper-scale graphs) so checkpoint
+    restores, model-graph edits and class-level patches between runs
+    can never observe a stale plan.  ``wrap`` is applied once per slot
+    to its tick.
     """
+    if hook is not None:
+        run_spec(
+            models, attachments, quantum, start_cycle, target_cycle,
+            progress, hook=hook, wrap=wrap, exchange=exchange,
+            diagnose=diagnose,
+        )
+        return
     slots, ends = compile_slots(models, attachments, quantum, wrap)
     from_flits = TokenStream.from_flits
-    every = list(range(len(slots)))
-    # The active set applies only while no hook observes single rounds
-    # and every output has a known consumer.
-    sparse = (
-        hook is None
-        and all(
-            ship is not None or consumer is not None
-            for slot in slots
-            for _, _, _, _, _, ship, _, consumer, _ in slot.out_ports
-        )
-    )
     # Wake cycle -> slots due in that round, plus a heap of the cycles.
     buckets: Dict[int, Set[int]] = {}
     heap: List[int] = []
@@ -286,19 +271,17 @@ def run_rounds(
         (endpoint, consumer)
         for endpoint, _, consumer, producer in ends if producer is None
     ]
-
-    if sparse:
-        for endpoint, latency, consumer, producer in ends:
-            absorb(endpoint, consumer)
-            if endpoint._gap_at is not None:
-                # The consumer starves in the round that holds the gap.
-                wake(consumer, round_of(endpoint._gap_at))
-            if producer is not None:
-                # Producers are not visited every round: the consumer may
-                # pop through the run, and the exit states the cursor.
-                endpoint._pushed_until = target_cycle + latency
-        for index in every:
-            wake(index, start_cycle)
+    for endpoint, latency, consumer, producer in ends:
+        absorb(endpoint, consumer)
+        if endpoint._gap_at is not None:
+            # The consumer starves in the round that holds the gap.
+            wake(consumer, round_of(endpoint._gap_at))
+        if producer is not None:
+            # Producers are not visited every round: the consumer may
+            # pop through the run, and the exit states the cursor.
+            endpoint._pushed_until = target_cycle + latency
+    for index in range(len(slots)):
+        wake(index, start_cycle)
     cycle = start_cycle
     rounds = 0
     valid_tokens_moved = 0
@@ -308,44 +291,35 @@ def run_rounds(
     try:
         while cycle < target_cycle:
             if cycle == exchange_at:
-                # Under the active set no slot acts before the heap's
-                # minimum; visiting every slot, it promises nothing.
-                exchange_at = step(cycle, rounds, (
-                    heap[0] if heap else target_cycle
-                ) if sparse else cycle)
-                if sparse:
-                    for endpoint, consumer in remote:
-                        absorb(endpoint, consumer)
-            if sparse:
-                due = heap[0] if heap else target_cycle
-                if due != cycle:
-                    # No slot is due: jump to the next round that has
-                    # one or is an exchange, or to the first round
-                    # boundary at or past the target.
-                    due = min(due, exchange_at)
-                    if due < target_cycle:
-                        skipped = (due - cycle) // quantum
-                    else:
-                        skipped = -((cycle - target_cycle) // quantum)
-                    cycle += skipped * quantum
-                    rounds += skipped
-                    continue
-                heappop(heap)
-                order = sorted(buckets.pop(cycle))
-            else:
-                order = every
-            if hook is not None:
-                hook(cycle, None)
+                # No slot acts before the heap's minimum.
+                exchange_at = step(
+                    cycle, rounds, heap[0] if heap else target_cycle
+                )
+                for endpoint, consumer in remote:
+                    absorb(endpoint, consumer)
+            due = heap[0] if heap else target_cycle
+            if due != cycle:
+                # No slot is due: jump to the next round that has one or
+                # is an exchange, or to the first round boundary at or
+                # past the target.
+                due = min(due, exchange_at)
+                if due < target_cycle:
+                    skipped = (due - cycle) // quantum
+                else:
+                    skipped = -((cycle - target_cycle) // quantum)
+                cycle += skipped * quantum
+                rounds += skipped
+                continue
+            heappop(heap)
             end = cycle + quantum
             window = TokenWindow(cycle, end)
-            for index in order:
+            for index in sorted(buckets.pop(cycle)):
                 done = index
                 slot = slots[index]
                 model = slot.model
                 # Stale after rounds the slot was not visited in.
                 model.current_cycle = cycle
-                # A hooked run gives stock blades the generic visit.
-                events = slot.events if sparse else None
+                events = slot.events
                 if events is not None:
                     endpoint = slot.in_ports[0][1]
                     queue = endpoint._queue
@@ -365,11 +339,9 @@ def run_rounds(
                         outputs = model._tick(  # type: ignore[call-arg]
                             window, {} if head is None else {"net": head}, True
                         )
-                        idled = False
                 if events is None:
                     raw = slot.raw
                     inputs = {}
-                    busy = False
                     try:
                         for port, endpoint in slot.in_ports:
                             queue = endpoint._queue
@@ -381,65 +353,38 @@ def run_rounds(
                             ):
                                 # A loss gap or a window off the round grid.
                                 endpoint._consumed_until = cycle
-                                batch = endpoint.pop(quantum)
+                                inputs[port] = endpoint.pop(quantum)
                             elif head is None or head.start_cycle >= end:
                                 # An absent window is an empty one; only a
                                 # custom model is handed it as a batch.
                                 endpoint._consumed_until = end
                                 if not raw:
                                     inputs[port] = TokenBatch(cycle, quantum)
-                                continue
                             else:
                                 queue.popleft()
                                 endpoint._consumed_until = end
-                                if raw or type(head) is TokenBatch:
-                                    # Columnar consumers take any wire
-                                    # representation as-is.
-                                    batch = head
-                                else:
-                                    batch = head.to_batch()
-                            if raw:
-                                kind = type(batch)
-                                if kind is ColumnarBatch:
-                                    if batch._valid:
-                                        busy = True
-                                elif kind is TokenStream:
-                                    if batch.cycles:
-                                        busy = True
-                                elif batch.flits:
-                                    busy = True
-                            elif batch.flits:
-                                busy = True
-                            inputs[port] = batch
+                                # Columnar consumers take any wire
+                                # representation as-is.
+                                inputs[port] = (
+                                    head if raw or type(head) is TokenBatch
+                                    else head.to_batch()
+                                )
                     except LookupError as exc:
                         if diagnose is not None:
                             raise diagnose(model, cycle) from exc
                         raise starvation_diagnostic(
                             model, attachments, quantum, cycle
                         ) from exc
-                    idled = False
-                    if not busy and slot.horizon is not None:
-                        due = slot.horizon()
-                        if due is None or due >= end:
-                            # The horizon authorizes the idle window, so the
-                            # just-popped input windows — empty or absent,
-                            # garbage otherwise — become the outputs:
-                            # observably identical empty quanta.
-                            outputs = inputs
-                            idled = True
-                    if not idled:
-                        outputs = slot.tick(window, inputs)
+                    outputs = slot.tick(window, inputs)
                 model.current_cycle = end
                 for (
                     port, link, latency, is_a, out_endpoint, ship, col_ok,
                     consumer, hop,
-                ) in () if sparse and (idled or not outputs) else (
-                    slot.out_ports
-                ):
+                ) in slot.out_ports if outputs else ():
                     batch = outputs.get(port)
                     if batch is None:
-                        valid = 0
-                    elif type(batch) is ColumnarBatch:
+                        continue
+                    if type(batch) is ColumnarBatch:
                         # Columnar windows always carry tokens (an idle
                         # port or NIC is left out of the outputs).
                         valid = batch._valid
@@ -456,13 +401,7 @@ def run_rounds(
                                 latency,
                             )
                     if not valid:
-                        # An absent or empty window moves nothing under
-                        # the active set or on a shipped boundary, and
-                        # the push cursor when every slot is visited.
-                        if not sparse and ship is None:
-                            out_endpoint.push(
-                                TokenBatch(cycle + latency, quantum)
-                            )
+                        # An empty window moves only cursors.
                         continue
                     valid_tokens_moved += valid
                     if ship is not None:
@@ -472,55 +411,46 @@ def run_rounds(
                         link.flits_a_to_b += valid
                     else:
                         link.flits_b_to_a += valid
-                    if sparse:
-                        out_endpoint._queue.append(shipped)
-                        wake(consumer, cycle + hop)
-                        if hop != latency:
-                            # Off the round grid: the window overlaps
-                            # two of the consumer's rounds.
-                            wake(consumer, cycle + hop + quantum)
-                        continue
-                    out_endpoint.push(shipped)
-                if sparse:
-                    if events is not None:
-                        due = end if slot.tx_queue else events.next_cycle()
-                    elif slot.horizon is None:
-                        due = end
-                    elif not idled:
-                        due = slot.horizon()
-                    if due is not None:
-                        # Its round, and never one before the next.
-                        due -= (due - start_cycle) % quantum
-                        wake(index, due if due > end else end)
+                    out_endpoint._queue.append(shipped)
+                    wake(consumer, cycle + hop)
+                    if hop != latency:
+                        # Off the round grid: the window overlaps two of
+                        # the consumer's rounds.
+                        wake(consumer, cycle + hop + quantum)
+                if events is not None:
+                    due = end if slot.tx_queue else events.next_cycle()
+                else:
+                    due = slot.horizon()
+                if due is not None:
+                    # Its round, and never one before the next.
+                    due -= (due - start_cycle) % quantum
+                    wake(index, due if due > end else end)
                 done = index + 1
-                if hook is not None:
-                    hook(cycle, model)
             cycle = end
             rounds += 1
             done = 0
     finally:
         # Every slot moves one quantum per port per round it finished,
-        # whether it was visited or proven idle.
+        # whether it was visited or not.
         finished = [
-            cycle + quantum if index < done else cycle for index in every
+            cycle + quantum if index < done else cycle
+            for index in range(len(slots))
         ]
         tokens_moved = 0
         for slot, until in zip(slots, finished):
             tokens_moved += len(slot.out_ports) * (until - start_cycle)
-        if sparse:
-            for slot, until in zip(slots, finished):
-                slot.model.current_cycle = until
-            # State the cursors the visit-every-slot loop would leave; a
-            # slot whose visit raised may have popped some inputs.
-            for endpoint, latency, consumer, producer in ends:
-                endpoint._consumed_until = max(
-                    endpoint._consumed_until, finished[consumer]
-                )
-                if producer is not None:
-                    pushed = finished[producer] + latency
-                    endpoint._pushed_until = pushed
-                    if finished[producer] > start_cycle:
-                        endpoint._tail_at = pushed - quantum
+            slot.model.current_cycle = until
+        # State the cursors the spec would leave; a slot whose visit
+        # raised may have popped some inputs.
+        for endpoint, latency, consumer, producer in ends:
+            endpoint._consumed_until = max(
+                endpoint._consumed_until, finished[consumer]
+            )
+            if producer is not None:
+                pushed = finished[producer] + latency
+                endpoint._pushed_until = pushed
+                if finished[producer] > start_cycle:
+                    endpoint._tail_at = pushed - quantum
         progress.cycle = cycle
         progress.rounds = rounds
         progress.tokens_moved = tokens_moved

@@ -157,10 +157,8 @@ class ServerBlade(Fame1Model):
         can wake a quiet blade — receives need valid tokens, transmits
         need a prior event or receive — so the event queue's head
         bounds how far the batched engine may fast-forward (see
-        :meth:`Fame1Model.idle_horizon`).  The engine's active set
-        reads that head itself after each visit to a stock blade and
-        asks this only in its generic visit (subclasses, loss gaps,
-        off-grid windows, wrapped or hooked runs).
+        :meth:`Fame1Model.idle_horizon`).  The engine reads that head
+        itself after its inlined visit to a stock blade.
         """
         if not self._idle_safe or self.nic._tx_queue:
             return self.current_cycle

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.core.fame import Fame1Model, NullModel
-from repro.core.simulation import Simulation
+from repro.core.simulation import ENGINES, Simulation
 from repro.core.token import TokenBatch
 from repro.net.ethernet import EthernetFrame, mac_address
 from repro.net.switch import SwitchConfig, SwitchModel
@@ -110,6 +110,15 @@ class TestOrchestration:
         sim.connect(a, "x", b, "x", 8)
         with pytest.raises(RuntimeError, match="not connected"):
             sim.run_cycles(8)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_link_to_a_model_never_added_refuses_to_start(self, engine):
+        sim = Simulation(engine=engine)
+        a = sim.add_model(NullModel("a", ["x"]))
+        sim.connect(a, "x", NullModel("b", ["x"]), "x", 100)
+        with pytest.raises(RuntimeError, match=r"'x' on link 'a\.x<->b\.x'"):
+            sim.run_until(1000)
+        assert sim.current_cycle == 0
 
     def test_double_connect_rejected(self):
         sim = Simulation()
